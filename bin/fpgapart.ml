@@ -491,7 +491,8 @@ let serve_cmd =
             "Write a per-job lifecycle trace to $(docv) at shutdown as \
              Chrome trace-event JSON (Perfetto-loadable): one track per \
              job id with its decode, canonicalise, queue_wait, partition \
-             and encode_reply spans.")
+             and encode_reply spans. Single-process daemon only; refused \
+             with $(b,--workers).")
   in
   let run socket queue_cap cache_cap timeout jobs workers cache_dir
       tenant_weights log_level log_file log_scrub trace_path verbose =
@@ -505,6 +506,10 @@ let serve_cmd =
     if workers = 0 && (cache_dir <> None || tenant_weights <> []) then (
       prerr_endline
         "fpgapart: --cache-dir and --tenant-weight need a fleet (--workers N)";
+      exit 1);
+    if workers > 0 && trace_path <> None then (
+      prerr_endline
+        "fpgapart: --trace needs the single-process daemon (no --workers)";
       exit 1);
     List.iter
       (fun (tenant, w) ->
@@ -639,9 +644,9 @@ let submit_cmd =
       value & opt string "default"
       & info [ "tenant" ] ~docv:"ID"
           ~doc:
-            "Fair-queue tenant id (1-64 chars); a fleet scheduler \
-             ($(b,serve --workers)) shares capacity fairly across \
-             tenants, a single-process daemon ignores it.")
+            "Fair-queue tenant id (1-64 chars); the daemon and a fleet \
+             ($(b,serve --workers)) share queue capacity fairly across \
+             tenants.")
   in
   let priority_arg =
     Arg.(

@@ -21,10 +21,6 @@ type t = {
   mutable closed : bool;
 }
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let segment_path t seg = Filename.concat t.dir (Printf.sprintf "cache-%d.seg" seg)
 
 let checksum key doc = Stdlib.Digest.string (key ^ doc)
@@ -195,7 +191,7 @@ let read_fd t seg =
       fd
 
 let find t key =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.index key with
       | None -> None
       | Some loc -> (
@@ -223,7 +219,7 @@ let find t key =
               Log.warn t.log "disk_cache.bad_record" [ ("key", J.String key) ];
               None))
 
-let mem t key = with_lock t (fun () -> Hashtbl.mem t.index key)
+let mem t key = Mutex.protect t.mutex (fun () -> Hashtbl.mem t.index key)
 
 let writer t =
   match t.write_fd with
@@ -246,7 +242,7 @@ let really_write fd buf =
   go 0
 
 let add t key doc =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       if not (t.closed || Hashtbl.mem t.index key) then begin
         let doc_s = J.to_compact_string doc in
         let key_len = String.length key and doc_len = String.length doc_s in
@@ -273,10 +269,10 @@ let add t key doc =
         t.write_off <- t.write_off + Bytes.length buf
       end)
 
-let length t = with_lock t (fun () -> Hashtbl.length t.index)
+let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.index)
 
 let segments t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let segs = Hashtbl.create 4 in
       Hashtbl.iter (fun _ loc -> Hashtbl.replace segs loc.seg ()) t.index;
       (* The write segment counts even before its first indexed record
@@ -285,10 +281,10 @@ let segments t =
         Hashtbl.replace segs t.write_seg ();
       Hashtbl.length segs)
 
-let corrupt_skipped t = with_lock t (fun () -> t.corrupt)
+let corrupt_skipped t = Mutex.protect t.mutex (fun () -> t.corrupt)
 
 let close t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       t.closed <- true;
       (match t.write_fd with
       | Some fd ->

@@ -1,6 +1,8 @@
 module J = Obs.Json
 module P = Service.Protocol
 module C = Service.Client
+module F = Service.Front
+module Fq = Service.Fair_queue
 module Log = Obs.Log
 module ME = Obs.Metrics_export
 
@@ -42,7 +44,7 @@ type worker = {
   w_socket : string;
   mutable w_pid : int;  (* -1 once reaped *)
   mutable w_state : wstate;
-  mutable w_job : int option;  (* scheduler job id in flight *)
+  mutable w_job : int option;  (* front-end job id in flight *)
   mutable w_restarts : int;
   mutable w_backoff : float;  (* next respawn delay, seconds *)
   mutable w_not_before : float;  (* wall clock gating the respawn *)
@@ -56,138 +58,40 @@ type racer = {
     [ `Pending | `Doc of J.t | `Err of string * string | `Lost ];
 }
 
-type jstate =
-  | Queued
-  | Dispatched
-  | JDone of J.t
-  | JFailed of { code : string; msg : string }
-  | JCancelled
+(* What a worker is asked to do: run a submitted netlist, or apply a
+   resubmit to a base it (hopefully) still holds. The pool keeps only
+   netlist text per job — the hypergraph it digested is dropped. *)
+type work =
+  | Run of { format : P.format; netlist : string }
+  | Forward of {
+      base : string;
+      delta : Netlist.Delta.t;
+      options : Core.Kway.options option;
+    }
 
-type sjob = {
-  id : int;
-  name : string;
-  mutable key : string;  (* rewritten to the reply digest for resubmits *)
-  format : P.format;
-  netlist : string;
-  options : Core.Kway.options;
-  envelope : P.envelope;
-  received_at : float;
-  decode_ms : int;
-  mutable enqueued_at : float;
-  mutable queue_wait_ms : int;
-  mutable dispatched_at : float;
-  mutable run_ms : int;
-  mutable total_ms : int;
+type payload = {
+  work : work;
   mutable requeued : bool;
-  mutable cancel_requested : bool;
   mutable worker_ref : (int * int) option;  (* (worker id, worker job id) *)
   mutable racers : racer list;  (* non-empty only for portfolio jobs *)
-  mutable state : jstate;
+  mutable forwarded : (string * J.t) list;
+      (* a forward's reply fields from the worker: cached, digest,
+         cold_fallback *)
 }
 
-type t = {
+type job = payload F.job
+
+type pool = {
   cfg : config;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  obs : Obs.t;
-  log : Log.t;
-  slo_queue_wait : ME.Slo.t;
-  slo_e2e : ME.Slo.t;
-  started_at : float;
-  fq : sjob Fair_queue.t;
-  jobs_tbl : (int, sjob) Hashtbl.t;
-  cache : J.t Service.Lru.t;
+  t : (payload, unit) F.t;
   disk : Disk_cache.t option;
   affinity : (string, int) Hashtbl.t;  (* digest -> worker that computed it *)
   workers : worker array;
-  mutable next_id : int;
-  mutable stopping : bool;
   mutable supervising : bool;
-  mutable open_conns : Unix.file_descr list;
 }
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let ms_since t0 =
-  int_of_float (Float.round ((Obs.Clock.wall () -. t0) *. 1000.))
-
-let state_string = function
-  | Queued -> P.state_queued
-  | Dispatched -> P.state_running
-  | JDone _ -> P.state_done
-  | JFailed _ -> P.state_failed
-  | JCancelled -> P.state_cancelled
-
-let corr (job : sjob) =
-  let d =
-    if String.length job.key > 12 then String.sub job.key 0 12 else job.key
-  in
-  Printf.sprintf "%s:%d" d job.id
-
-let job_fields (job : sjob) =
-  [ ("job", J.Int job.id); ("corr", J.String (corr job)) ]
-
-let timings_json (job : sjob) =
-  J.Obj
-    [
-      ("decode_ms", J.Int job.decode_ms);
-      ("queue_wait_ms", J.Int job.queue_wait_ms);
-      ("run_ms", J.Int job.run_ms);
-      ("encode_ms", J.Int 0);
-      ("total_ms", J.Int job.total_ms);
-    ]
-
-(* Caller holds the lock. *)
-let finish_job t (job : sjob) =
-  job.total_ms <- ms_since job.received_at;
-  Obs.observe t.obs "service.e2e_ms" job.total_ms;
-  ME.Slo.observe t.slo_e2e job.total_ms
-
-let register_job t ~name ~key ~format ~netlist ~options ~envelope
-    ~received_at ~decode_ms state =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let job =
-    {
-      id;
-      name;
-      key;
-      format;
-      netlist;
-      options;
-      envelope;
-      received_at;
-      decode_ms;
-      enqueued_at = received_at;
-      queue_wait_ms = 0;
-      dispatched_at = received_at;
-      run_ms = 0;
-      total_ms = 0;
-      requeued = false;
-      cancel_requested = false;
-      worker_ref = None;
-      racers = [];
-      state;
-    }
-  in
-  Hashtbl.replace t.jobs_tbl id job;
-  job
-
-let cached_reply t (job : sjob) doc =
-  finish_job t job;
-  Log.info t.log "job.cache_hit"
-    (job_fields job @ [ ("digest", J.String job.key) ]);
-  P.ok
-    [
-      ("job", J.Int job.id);
-      ("state", J.String P.state_done);
-      ("cached", J.Bool true);
-      ("digest", J.String job.key);
-      ("timings", timings_json job);
-      ("result", doc);
-    ]
+let payload work =
+  { work; requeued = false; worker_ref = None; racers = []; forwarded = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Worker lifecycle                                                   *)
@@ -202,78 +106,61 @@ let wstate_string = function
   | W_busy -> "busy"
   | W_dead -> "dead"
 
-let spawn_args t w =
-  [ t.cfg.worker_exe; "serve"; "--socket"; w.w_socket; "--queue-cap"; "8" ]
-  @ [ "--cache-cap"; string_of_int (max 8 t.cfg.cache_cap) ]
-  @ [ "--jobs"; string_of_int t.cfg.jobs ]
+let spawn_args p w =
+  [ p.cfg.worker_exe; "serve"; "--socket"; w.w_socket; "--queue-cap"; "8" ]
+  @ [ "--cache-cap"; string_of_int (max 8 p.cfg.cache_cap) ]
+  @ [ "--jobs"; string_of_int p.cfg.jobs ]
   @ [ "--log-level"; "error" ]
-  @ (match t.cfg.timeout with
+  @ (match p.cfg.timeout with
     | None -> []
     | Some s -> [ "--timeout"; string_of_float s ])
-
-(* Forward declarations would be needed for the requeue path, so job
-   loss handling lives above the relay/supervisor code that calls it. *)
 
 (* The exactly-once requeue. Caller holds the lock; [job] was in flight
    on a worker that died. The first loss re-enqueues the job (its single
    credit); a second loss — or a loss during drain, when the queue no
    longer accepts work — fails it with the typed [worker_lost] code so
-   the waiting client still gets exactly one terminal reply. *)
-let job_lost_locked t (job : sjob) =
-  job.worker_ref <- None;
-  (match job.state with
-  | Dispatched ->
-      if job.cancel_requested then begin
-        job.state <- JCancelled;
-        Obs.incr t.obs "service.cancelled";
-        finish_job t job;
-        Log.info t.log "job.cancelled" (job_fields job)
-      end
-      else if job.requeued || t.stopping then begin
-        job.state <-
-          JFailed
-            {
-              code = P.code_worker_lost;
-              msg =
-                (if t.stopping then
-                   "worker died while draining; job not requeued"
-                 else "worker died twice while running this job");
-            };
-        Obs.incr t.obs "service.failed";
-        finish_job t job;
-        Log.warn t.log "job.worker_lost" (job_fields job)
-      end
-      else begin
-        job.requeued <- true;
-        Obs.incr t.obs "service.requeues";
-        match
-          Fair_queue.push t.fq ~tenant:job.envelope.P.tenant
-            ~priority:job.envelope.P.priority job
-        with
-        | Ok () ->
-            job.state <- Queued;
-            job.enqueued_at <- Obs.Clock.wall ();
-            Log.warn t.log "job.requeue" (job_fields job)
-        | Error (`Tenant_full _) ->
-            job.state <-
-              JFailed
-                {
-                  code = P.code_worker_lost;
-                  msg = "worker died and the tenant queue is full";
-                };
-            Obs.incr t.obs "service.failed";
-            finish_job t job;
-            Log.warn t.log "job.worker_lost" (job_fields job)
-      end
-  | _ -> ());
-  Condition.broadcast t.cond
+   the waiting client still gets exactly one terminal reply. A forward
+   never requeues: its warm context died with the worker. *)
+let job_lost_locked p (job : job) =
+  let t = p.t in
+  let lost msg = F.finish_job t job (Error (P.code_worker_lost, msg)) in
+  job.payload.worker_ref <- None;
+  match job.state with
+  | F.Running when Atomic.get job.cancel ->
+      F.finish_job t job (Error (P.code_cancelled, ""))
+  | F.Running -> (
+      match job.payload.work with
+      | Forward _ ->
+          lost
+            "worker died mid-resubmit; its warm context is gone (submit \
+             cold to recompute)"
+      | Run _ when job.payload.requeued || t.stopping ->
+          lost
+            (if t.stopping then "worker died while draining; job not requeued"
+             else "worker died twice while running this job")
+      | Run _ -> (
+          job.payload.requeued <- true;
+          Obs.incr t.obs "service.requeues";
+          match
+            Fq.push t.queue ~tenant:job.envelope.P.tenant
+              ~priority:job.envelope.P.priority job
+          with
+          | Ok () ->
+              job.state <- F.Queued;
+              job.enqueued_at <- Obs.Clock.wall ();
+              Log.warn t.log "job.requeue" (F.job_fields job);
+              Condition.broadcast t.cond
+          | Error (`Tenant_full _) ->
+              lost "worker died and the tenant queue is full"))
+  | _ -> ()
 
 (* Pick the cheapest feasible racer once every leg is terminal. Caller
    holds the lock. *)
-let finalize_portfolio_locked t (job : sjob) =
+let finalize_portfolio_locked p (job : job) =
+  let racers = job.payload.racers in
   if
-    job.state = Dispatched
-    && List.for_all (fun r -> r.rc_outcome <> `Pending) job.racers
+    job.state = F.Running
+    && List.for_all (fun r -> r.rc_outcome <> `Pending) racers
   then begin
     let cost doc =
       match
@@ -291,88 +178,70 @@ let finalize_portfolio_locked t (job : sjob) =
           | `Doc doc, None -> Some doc
           | `Doc doc, Some prev when cost doc < cost prev -> Some doc
           | _ -> acc)
-        None job.racers
+        None racers
     in
-    (match best with
-    | Some doc ->
-        job.run_ms <- ms_since job.dispatched_at;
-        Obs.observe t.obs "service.run_ms" job.run_ms;
-        job.state <- JDone doc;
-        Obs.incr t.obs "service.completed";
-        Obs.incr t.obs "fleet.portfolio_won";
-        finish_job t job;
-        Log.info t.log "job.portfolio_done"
-          (job_fields job @ [ ("racers", J.Int (List.length job.racers)) ])
-    | None ->
-        let first_err =
-          List.find_map
-            (fun r ->
-              match r.rc_outcome with `Err (c, m) -> Some (c, m) | _ -> None)
-            job.racers
-        in
-        (match first_err with
-        | Some (code, _) when String.equal code P.code_cancelled ->
-            job.state <- JCancelled;
-            Obs.incr t.obs "service.cancelled"
-        | Some (code, msg) ->
-            job.state <- JFailed { code; msg };
-            Obs.incr t.obs "service.failed"
-        | None ->
-            (* Every leg lost its worker. Portfolio jobs spend their
-               requeue credit on the race itself — fail typed. *)
-            job.state <-
-              JFailed
-                {
-                  code = P.code_worker_lost;
-                  msg = "every portfolio worker died while racing this job";
-                };
-            Obs.incr t.obs "service.failed");
-        finish_job t job;
-        Log.warn t.log "job.portfolio_failed" (job_fields job));
-    Condition.broadcast t.cond
+    let outcome =
+      match best with
+      | Some doc ->
+          Obs.incr p.t.obs "fleet.portfolio_won";
+          Ok doc
+      | None -> (
+          match
+            List.find_map
+              (fun r -> match r.rc_outcome with `Err e -> Some e | _ -> None)
+              racers
+          with
+          | Some e -> Error e
+          | None ->
+              (* Every leg lost its worker. Portfolio jobs spend their
+                 requeue credit on the race itself — fail typed. *)
+              Error
+                ( P.code_worker_lost,
+                  "every portfolio worker died while racing this job" ))
+    in
+    F.record_run p.t job;
+    F.finish_job p.t job
+      ~fields:[ ("racers", J.Int (List.length racers)) ]
+      outcome
   end
 
 (* A worker stopped answering: SIGKILL it (idempotent; [kill = false]
    when [waitpid] already reaped it), mark it dead and deal with its
    in-flight job. Caller holds the lock. *)
-let worker_down_locked t (w : worker) ~kill =
+let worker_down_locked p (w : worker) ~kill =
   if w.w_state <> W_dead then begin
     if kill && w.w_pid > 0 then
       (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
     w.w_state <- W_dead;
     w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
     w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0);
-    Log.warn t.log "worker.down" [ ("worker", J.Int w.w_id) ];
-    (match w.w_job with
+    Log.warn p.t.log "worker.down" [ ("worker", J.Int w.w_id) ];
+    let job = Option.bind w.w_job (Hashtbl.find_opt p.t.jobs_tbl) in
+    w.w_job <- None;
+    (match job with
     | None -> ()
-    | Some jid -> (
-        w.w_job <- None;
-        match Hashtbl.find_opt t.jobs_tbl jid with
-        | None -> ()
-        | Some job ->
-            if job.racers <> [] then begin
-              List.iter
-                (fun r ->
-                  if r.rc_worker = w.w_id && r.rc_outcome = `Pending then
-                    r.rc_outcome <- `Lost)
-                job.racers;
-              finalize_portfolio_locked t job
-            end
-            else job_lost_locked t job));
-    Condition.broadcast t.cond
+    | Some job when job.payload.racers <> [] ->
+        List.iter
+          (fun r ->
+            if r.rc_worker = w.w_id && r.rc_outcome = `Pending then
+              r.rc_outcome <- `Lost)
+          job.payload.racers;
+        finalize_portfolio_locked p job
+    | Some job -> job_lost_locked p job);
+    Condition.broadcast p.t.cond
   end
 
-let spawn_worker_locked t w =
-  let args = Array.of_list (spawn_args t w) in
+let spawn_worker_locked p w =
+  let args = Array.of_list (spawn_args p w) in
   match
-    Unix.create_process t.cfg.worker_exe args Unix.stdin
+    Unix.create_process p.cfg.worker_exe args Unix.stdin
       (Lazy.force devnull) Unix.stderr
   with
   | pid ->
       w.w_pid <- pid;
       w.w_state <- W_starting;
       w.w_job <- None;
-      Log.info t.log "worker.spawn"
+      Log.info p.t.log "worker.spawn"
         [ ("worker", J.Int w.w_id); ("pid", J.Int pid) ];
       true
   | exception Unix.Unix_error (e, _, _) ->
@@ -380,7 +249,7 @@ let spawn_worker_locked t w =
       w.w_pid <- -1;
       w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
       w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0);
-      Log.error t.log "worker.spawn_failed"
+      Log.error p.t.log "worker.spawn_failed"
         [
           ("worker", J.Int w.w_id);
           ("error", J.String (Unix.error_message e));
@@ -393,7 +262,7 @@ let healthy reply =
 (* Probe a freshly spawned worker until its health verb answers, then
    mark it idle. Runs in its own thread; [pid] guards against the
    worker having been restarted again underneath us. *)
-let probe_ready t (w : worker) ~pid =
+let probe_ready p (w : worker) ~pid =
   let deadline = Obs.Clock.wall () +. 15.0 in
   let rec loop () =
     if Obs.Clock.wall () > deadline then false
@@ -405,56 +274,56 @@ let probe_ready t (w : worker) ~pid =
           loop ()
   in
   let up = loop () in
-  with_lock t (fun () ->
+  F.with_lock p.t (fun () ->
       if w.w_pid = pid && w.w_state = W_starting then
         if up then begin
           w.w_state <- W_idle;
           w.w_backoff <- 0.5;
-          Log.info t.log "worker.up" [ ("worker", J.Int w.w_id) ];
-          Condition.broadcast t.cond
+          Log.info p.t.log "worker.up" [ ("worker", J.Int w.w_id) ];
+          Condition.broadcast p.t.cond
         end
-        else worker_down_locked t w ~kill:true)
+        else worker_down_locked p w ~kill:true)
 
-let start_worker_locked t w ~restart =
-  if spawn_worker_locked t w then begin
+let start_worker_locked p w ~restart =
+  if spawn_worker_locked p w then begin
     if restart then begin
       w.w_restarts <- w.w_restarts + 1;
-      Obs.incr t.obs "service.worker_restarts"
+      Obs.incr p.t.obs "service.worker_restarts"
     end;
     let pid = w.w_pid in
-    ignore (Thread.create (fun () -> probe_ready t w ~pid) ())
+    ignore (Thread.create (fun () -> probe_ready p w ~pid) ())
   end
 
 (* Supervisor: reap exited workers, respawn dead ones after their
    backoff, and health-probe idle ones so a wedged (but not exited)
    worker is detected and recycled. *)
-let supervisor t =
+let supervisor p =
   let tick = ref 0 in
+  let reaped w =
+    worker_down_locked p w ~kill:false;
+    w.w_pid <- -1
+  in
   let rec loop () =
     let continue =
-      with_lock t (fun () ->
-          if not t.supervising then false
+      F.with_lock p.t (fun () ->
+          if not p.supervising then false
           else begin
             Array.iter
               (fun w ->
                 if w.w_pid > 0 then
                   match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
                   | 0, _ -> ()
-                  | _, _ ->
-                      worker_down_locked t w ~kill:false;
-                      w.w_pid <- -1
-                  | exception Unix.Unix_error _ ->
-                      worker_down_locked t w ~kill:false;
-                      w.w_pid <- -1)
-              t.workers;
-            if not t.stopping then
+                  | _, _ -> reaped w
+                  | exception Unix.Unix_error _ -> reaped w)
+              p.workers;
+            if not p.t.stopping then
               Array.iter
                 (fun w ->
                   if
                     w.w_state = W_dead && w.w_pid = -1
                     && Obs.Clock.wall () >= w.w_not_before
-                  then start_worker_locked t w ~restart:true)
-                t.workers;
+                  then start_worker_locked p w ~restart:true)
+                p.workers;
             true
           end)
     in
@@ -463,8 +332,8 @@ let supervisor t =
       incr tick;
       if !tick mod 8 = 0 then begin
         let idle =
-          with_lock t (fun () ->
-              Array.to_list t.workers
+          F.with_lock p.t (fun () ->
+              Array.to_list p.workers
               |> List.filter_map (fun w ->
                      if w.w_state = W_idle then Some (w, w.w_pid) else None))
         in
@@ -476,9 +345,9 @@ let supervisor t =
               | Error _ -> false
             in
             if not ok then
-              with_lock t (fun () ->
+              F.with_lock p.t (fun () ->
                   if w.w_pid = pid && w.w_state = W_idle then
-                    worker_down_locked t w ~kill:true))
+                    worker_down_locked p w ~kill:true))
           idle
       end;
       Thread.delay 0.25;
@@ -488,397 +357,230 @@ let supervisor t =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Relays: one thread per dispatched job (or racer leg)               *)
+(* Relays: one per dispatched job (or racer leg)                      *)
 (* ------------------------------------------------------------------ *)
 
-let free_worker_locked t (w : worker) =
+let free_worker_locked p (w : worker) =
   if w.w_state = W_busy then begin
     w.w_state <- W_idle;
     w.w_job <- None;
-    Condition.broadcast t.cond
+    Condition.broadcast p.t.cond
   end
 
-let record_affinity t key (w : worker) = Hashtbl.replace t.affinity key w.w_id
-
-(* Run one job on one worker: submit, then block on its result. Returns
-   the terminal outcome; `Lost means the worker transport failed. *)
-let run_on_worker (w : worker) ~name ~format ~netlist ~options
-    ~(on_worker_job : int -> unit) =
+(* Run one request on one worker and block on its result. Returns the
+   result document with the worker's first reply (a cache hit or a
+   forward of a cached base carries the document directly), the
+   worker's typed refusal, or `Lost when the transport failed. *)
+let run_on_worker (w : worker) req ~(on_worker_job : int -> unit) =
   match C.connect w.w_socket with
   | Error _ -> `Lost
   | Ok conn ->
       Fun.protect
         ~finally:(fun () -> C.close conn)
         (fun () ->
-          let req =
-            P.Submit
-              {
-                name;
-                format;
-                netlist;
-                options;
-                envelope = P.default_envelope;
-              }
+          let ask req k =
+            match C.request conn req with
+            | Error _ -> `Lost
+            | Ok reply -> (
+                match C.ok_or_error reply with
+                | Error e -> `Err e
+                | Ok reply -> k reply)
           in
-          match C.request conn req with
-          | Error _ -> `Lost
-          | Ok reply -> (
-              match C.ok_or_error reply with
-              | Error (code, msg) -> `Err (code, msg)
-              | Ok reply -> (
-                  let cached =
-                    Option.value ~default:false
-                      (Option.bind (J.member "cached" reply) J.to_bool)
-                  in
-                  match (cached, J.member "result" reply) with
-                  | true, Some doc -> `Doc doc
-                  | _ -> (
-                      match
-                        Option.bind (J.member "job" reply) J.to_int
-                      with
-                      | None -> `Err (P.code_bad_request, "malformed worker reply")
-                      | Some wj -> (
-                          on_worker_job wj;
-                          match
-                            C.request conn (P.Result { job = wj; wait = true })
-                          with
-                          | Error _ -> `Lost
-                          | Ok reply -> (
-                              match C.ok_or_error reply with
-                              | Error (code, msg) -> `Err (code, msg)
-                              | Ok reply -> (
-                                  match J.member "result" reply with
-                                  | Some doc -> `Doc doc
-                                  | None ->
-                                      `Err
-                                        ( P.code_bad_request,
-                                          "worker reply lacks a result" ))))))))
+          ask req (fun first ->
+              let doc reply =
+                match J.member "result" reply with
+                | Some doc -> `Doc (doc, first)
+                | None ->
+                    `Err (P.code_bad_request, "worker reply lacks a result")
+              in
+              match
+                ( J.member "result" first,
+                  Option.bind (J.member "job" first) J.to_int )
+              with
+              | Some _, _ -> doc first
+              | None, None ->
+                  `Err (P.code_bad_request, "malformed worker reply")
+              | None, Some wj ->
+                  on_worker_job wj;
+                  ask (P.Result { job = wj; wait = true }) doc))
 
 (* Forward a cancel to the worker-side job, best effort. *)
 let forward_cancel socket wj =
   match C.rpc ~socket (P.Cancel wj) with Ok _ | Error _ -> ()
 
-let relay t (w : worker) (job : sjob) =
+let request_of (job : job) ~options =
+  match job.payload.work with
+  | Run { format; netlist } ->
+      P.Submit
+        {
+          name = job.name;
+          format;
+          netlist;
+          options;
+          envelope = P.default_envelope;
+        }
+  | Forward { base; delta; options } ->
+      P.Resubmit { name = job.name; base = `Digest base; delta; options }
+
+let relay p (w : worker) (job : job) =
+  let t = p.t in
   let outcome =
-    run_on_worker w ~name:job.name ~format:job.format ~netlist:job.netlist
-      ~options:job.options ~on_worker_job:(fun wj ->
+    run_on_worker w (request_of job ~options:job.options)
+      ~on_worker_job:(fun wj ->
         let cancel_now =
-          with_lock t (fun () ->
-              job.worker_ref <- Some (w.w_id, wj);
-              job.cancel_requested)
+          F.with_lock t (fun () ->
+              job.payload.worker_ref <- Some (w.w_id, wj);
+              Atomic.get job.cancel)
         in
         if cancel_now then forward_cancel w.w_socket wj)
   in
-  with_lock t (fun () ->
-      (match outcome with
+  let fields = [ ("worker", J.Int w.w_id) ] in
+  F.with_lock t (fun () ->
+      match outcome with
       | `Lost ->
           (* worker_down requeues (or fails) the job and frees nothing:
              the worker slot stays dead until the supervisor respawns
              it. *)
-          worker_down_locked t w ~kill:true
-      | `Doc doc ->
-          job.worker_ref <- None;
-          job.run_ms <- ms_since job.dispatched_at;
-          Obs.observe t.obs "service.run_ms" job.run_ms;
-          job.state <- JDone doc;
-          Service.Lru.add t.cache job.key doc;
-          Obs.incr t.obs "service.completed";
-          record_affinity t job.key w;
-          finish_job t job;
-          Log.info t.log "job.done"
-            (job_fields job
-            @ [
-                ("worker", J.Int w.w_id);
-                ("run_ms", J.Int job.run_ms);
-                ("total_ms", J.Int job.total_ms);
-              ]);
-          free_worker_locked t w
-      | `Err (code, msg) ->
-          job.worker_ref <- None;
-          job.run_ms <- ms_since job.dispatched_at;
-          if String.equal code P.code_cancelled then begin
-            job.state <- JCancelled;
-            Obs.incr t.obs "service.cancelled";
-            Log.info t.log "job.cancelled" (job_fields job)
-          end
-          else begin
-            job.state <- JFailed { code; msg };
-            (if String.equal code P.code_timeout then
-               Obs.incr t.obs "service.timeouts"
-             else Obs.incr t.obs "service.failed");
-            Log.warn t.log "job.failed"
-              (job_fields job @ [ ("code", J.String code) ])
-          end;
-          finish_job t job;
-          free_worker_locked t w);
-      Condition.broadcast t.cond);
-  (* The disk write happens outside the scheduler lock; Disk_cache has
+          worker_down_locked p w ~kill:true
+      | `Doc (doc, first) ->
+          job.payload.worker_ref <- None;
+          (match job.payload.work with
+          | Run _ -> ()
+          | Forward _ ->
+              (* The reply names the result's own digest: the lineage
+                 key of a warm run, the edited circuit's of a cold one. *)
+              Option.iter
+                (fun d -> job.key <- d)
+                (Option.bind (J.member "digest" first) J.to_str);
+              job.payload.forwarded <-
+                List.filter
+                  (fun (k, _) ->
+                    List.mem k [ "cached"; "digest"; "cold_fallback" ])
+                  (match first with J.Obj f -> f | _ -> []));
+          Hashtbl.replace p.affinity job.key w.w_id;
+          F.record_run t job;
+          (* Only submits cache here; a forward's result stays with the
+             worker that holds its lineage. *)
+          let basis =
+            match job.payload.work with Run _ -> Some () | Forward _ -> None
+          in
+          F.finish_job ~fields ?basis t job (Ok doc);
+          free_worker_locked p w
+      | `Err e ->
+          job.payload.worker_ref <- None;
+          F.record_run t job;
+          F.finish_job ~fields t job (Error e);
+          free_worker_locked p w);
+  (* The disk write happens outside the front-end lock; Disk_cache has
      its own. Portfolio docs never reach here. *)
-  match outcome with
-  | `Doc doc -> (
-      match t.disk with Some d -> Disk_cache.add d job.key doc | None -> ())
+  match (outcome, job.payload.work, p.disk) with
+  | `Doc (doc, _), Run _, Some d -> Disk_cache.add d job.key doc
   | _ -> ()
 
-let relay_racer t (w : worker) (job : sjob) (r : racer) ~idx =
+let relay_racer p (w : worker) (job : job) (r : racer) ~idx =
   let options =
-    { job.options with Core.Kway.seed = job.options.Core.Kway.seed + (idx * 65537) }
+    {
+      job.options with
+      Core.Kway.seed = job.options.Core.Kway.seed + (idx * 65537);
+    }
   in
   let outcome =
-    run_on_worker w ~name:job.name ~format:job.format ~netlist:job.netlist
-      ~options ~on_worker_job:(fun wj ->
+    run_on_worker w (request_of job ~options) ~on_worker_job:(fun wj ->
         let cancel_now =
-          with_lock t (fun () ->
+          F.with_lock p.t (fun () ->
               r.rc_wjob <- Some wj;
-              job.cancel_requested
-              || (match job.state with Dispatched -> false | _ -> true))
+              Atomic.get job.cancel || job.state <> F.Running)
         in
         if cancel_now then forward_cancel w.w_socket wj)
   in
   let to_cancel =
-    with_lock t (fun () ->
+    F.with_lock p.t (fun () ->
         (match outcome with
-        | `Lost -> worker_down_locked t w ~kill:true
-        | `Doc doc ->
+        | `Lost -> worker_down_locked p w ~kill:true
+        | `Doc (doc, _) ->
             r.rc_outcome <- `Doc doc;
-            free_worker_locked t w
-        | `Err (code, msg) ->
-            r.rc_outcome <- `Err (code, msg);
-            free_worker_locked t w);
+            free_worker_locked p w
+        | `Err e ->
+            r.rc_outcome <- `Err e;
+            free_worker_locked p w);
         (* First feasible leg: cancel the rest cooperatively. *)
         let cancels =
           match (outcome, job.state) with
-          | `Doc _, Dispatched ->
+          | `Doc _, F.Running ->
               List.filter_map
                 (fun r' ->
                   match (r'.rc_outcome, r'.rc_wjob) with
                   | `Pending, Some wj when r'.rc_worker <> w.w_id ->
-                      Some (t.workers.(r'.rc_worker).w_socket, wj)
+                      Some (p.workers.(r'.rc_worker).w_socket, wj)
                   | _ -> None)
-                job.racers
+                job.payload.racers
           | _ -> []
         in
-        finalize_portfolio_locked t job;
+        finalize_portfolio_locked p job;
+        if cancels <> [] then
+          Obs.incr p.t.obs "fleet.portfolio_cancelled"
+            ~by:(List.length cancels);
         cancels)
   in
-  if to_cancel <> [] then Obs.incr t.obs "fleet.portfolio_cancelled"
-    ~by:(List.length to_cancel);
   List.iter (fun (socket, wj) -> forward_cancel socket wj) to_cancel
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let idle_workers t =
-  Array.to_list t.workers |> List.filter (fun w -> w.w_state = W_idle)
+let idle_workers p =
+  Array.to_list p.workers |> List.filter (fun w -> w.w_state = W_idle)
 
-let rec dispatcher t =
-  let action =
-    with_lock t (fun () ->
-        let rec wait () =
-          if Fair_queue.length t.fq = 0 then
-            if t.stopping then `Exit
-            else begin
-              Condition.wait t.cond t.mutex;
-              wait ()
-            end
-          else
-            match idle_workers t with
-            | [] ->
-                Condition.wait t.cond t.mutex;
-                wait ()
-            | idle -> (
-                match Fair_queue.pop t.fq with
-                | None -> wait ()
-                | Some job ->
-                    let dequeued = Obs.Clock.wall () in
-                    job.queue_wait_ms <- ms_since job.enqueued_at;
-                    Obs.observe t.obs "service.queue_wait_ms"
-                      job.queue_wait_ms;
-                    ME.Slo.observe t.slo_queue_wait job.queue_wait_ms;
-                    if job.cancel_requested then begin
-                      job.state <- JCancelled;
-                      Obs.incr t.obs "service.cancelled";
-                      finish_job t job;
-                      Log.info t.log "job.cancelled" (job_fields job);
-                      Condition.broadcast t.cond;
-                      `Loop
-                    end
-                    else begin
-                      job.state <- Dispatched;
-                      job.dispatched_at <- dequeued;
-                      if job.envelope.P.portfolio then begin
-                        let racers =
-                          List.map
-                            (fun (w : worker) ->
-                              { rc_worker = w.w_id; rc_wjob = None;
-                                rc_outcome = `Pending })
-                            idle
-                        in
-                        job.racers <- racers;
-                        Obs.incr t.obs "fleet.portfolio_races";
-                        Obs.observe t.obs "fleet.portfolio_width"
-                          (List.length racers);
-                        Log.info t.log "job.dispatch"
-                          (job_fields job
-                          @ [
-                              ("portfolio", J.Bool true);
-                              ("racers", J.Int (List.length racers));
-                            ]);
-                        let thunks =
-                          List.mapi
-                            (fun idx ((w : worker), r) ->
-                              w.w_state <- W_busy;
-                              w.w_job <- Some job.id;
-                              fun () -> relay_racer t w job r ~idx)
-                            (List.combine idle racers)
-                        in
-                        `Dispatch thunks
-                      end
-                      else begin
-                        let w = List.hd idle in
-                        w.w_state <- W_busy;
-                        w.w_job <- Some job.id;
-                        Obs.incr t.obs "fleet.dispatched";
-                        Log.info t.log "job.dispatch"
-                          (job_fields job
-                          @ [
-                              ("worker", J.Int w.w_id);
-                              ("queue_wait_ms", J.Int job.queue_wait_ms);
-                            ]);
-                        `Dispatch [ (fun () -> relay t w job) ]
-                      end
-                    end)
-        in
-        wait ())
+let claim (w : worker) (job : job) =
+  w.w_state <- W_busy;
+  w.w_job <- Some job.id
+
+(* Hand a dequeued job to the idle workers: all of them for a portfolio
+   race, the first otherwise. Caller holds the lock and has seen an idle
+   worker; the returned relays run on threads of their own. *)
+let assign p (job : job) =
+  let t = p.t in
+  let idle = idle_workers p in
+  if job.envelope.P.portfolio then begin
+    let racers =
+      List.map
+        (fun (w : worker) ->
+          { rc_worker = w.w_id; rc_wjob = None; rc_outcome = `Pending })
+        idle
+    in
+    job.payload.racers <- racers;
+    Obs.incr t.obs "fleet.portfolio_races";
+    Obs.observe t.obs "fleet.portfolio_width" (List.length racers);
+    Log.info t.log "job.dispatch"
+      (F.job_fields job
+      @ [ ("portfolio", J.Bool true); ("racers", J.Int (List.length racers)) ]
+      );
+    List.mapi
+      (fun idx (w, r) ->
+        claim w job;
+        fun () -> relay_racer p w job r ~idx)
+      (List.combine idle racers)
+  end
+  else begin
+    let w = List.hd idle in
+    claim w job;
+    Obs.incr t.obs "fleet.dispatched";
+    Log.info t.log "job.dispatch"
+      (F.job_fields job @ [ ("worker", J.Int w.w_id) ]);
+    [ (fun () -> relay p w job) ]
+  end
+
+let rec dispatcher p =
+  let relays =
+    F.with_lock p.t (fun () ->
+        F.next_job p.t ~ready:(fun () -> idle_workers p <> [])
+        |> Option.map (assign p))
   in
-  match action with
-  | `Exit -> ()
-  | `Loop -> dispatcher t
-  | `Dispatch thunks ->
-      List.iter (fun f -> ignore (Thread.create f ())) thunks;
-      dispatcher t
-
-(* ------------------------------------------------------------------ *)
-(* Request handling                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let job_not_found id =
-  P.error ~code:P.code_not_found (Printf.sprintf "no such job: %d" id)
-
-(* Deterministic preprocessing only: parse, canonicalise, digest. The
-   k-way computation happens in a worker — that is the scheduler's
-   determinism argument (DESIGN §11). *)
-let digest_submission ~format ~netlist ~options =
-  match P.parse_netlist format netlist with
-  | Error msg -> Error msg
-  | Ok circuit ->
-      let canonical = Service.Digest.canonical_circuit circuit in
-      let h = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map canonical) in
-      Ok (Service.Digest.job_key ~library:Fpga.Library.xc3000 ~options h)
-
-let handle_submit t ~name ~format ~netlist ~options ~envelope =
-  let received_at = Obs.Clock.wall () in
-  match digest_submission ~format ~netlist ~options with
-  | Error msg ->
-      with_lock t (fun () ->
-          Log.warn t.log "job.decode_failed" [ ("name", J.String name) ]);
-      P.error ~code:P.code_bad_request ("netlist: " ^ msg)
-  | Ok key -> (
-      let decode_ms = ms_since received_at in
-      let disk_doc =
-        (* Disk lookups do their own locking; keep the read outside the
-           scheduler lock. Checked only on LRU miss below — the probe
-           here is cheap (an index lookup) and avoids lock inversion. *)
-        match t.disk with
-        | Some d when Disk_cache.mem d key -> Disk_cache.find d key
-        | _ -> None
-      in
-      with_lock t (fun () ->
-          let fresh_job state =
-            register_job t ~name ~key ~format ~netlist ~options ~envelope
-              ~received_at ~decode_ms state
-          in
-          match Service.Lru.find t.cache key with
-          | Some doc ->
-              Obs.incr t.obs "service.cache_hit";
-              cached_reply t (fresh_job (JDone doc)) doc
-          | None -> (
-              match disk_doc with
-              | Some doc ->
-                  Obs.incr t.obs "service.cache_hit";
-                  Obs.incr t.obs "fleet.disk_cache_hit";
-                  Service.Lru.add t.cache key doc;
-                  cached_reply t (fresh_job (JDone doc)) doc
-              | None ->
-                  Obs.incr t.obs "service.cache_miss";
-                  if Option.is_some t.disk then
-                    Obs.incr t.obs "fleet.disk_cache_miss";
-                  if t.stopping then begin
-                    Log.warn t.log "job.refused_draining"
-                      [ ("digest", J.String key) ];
-                    P.error ~code:P.code_shutting_down
-                      "scheduler is draining; not accepting new jobs"
-                  end
-                  else begin
-                    let job = fresh_job Queued in
-                    match
-                      Fair_queue.push t.fq ~tenant:envelope.P.tenant
-                        ~priority:envelope.P.priority job
-                    with
-                    | Error (`Tenant_full depth) ->
-                        Hashtbl.remove t.jobs_tbl job.id;
-                        Obs.incr t.obs "service.rejected";
-                        Log.warn t.log "job.rejected"
-                          [
-                            ("digest", J.String key);
-                            ("tenant", J.String envelope.P.tenant);
-                            ("queue_depth", J.Int depth);
-                          ];
-                        P.error ~code:P.code_overloaded
-                          (Printf.sprintf
-                             "tenant %s queue is full (%d queued); resubmit \
-                              later"
-                             envelope.P.tenant depth)
-                    | Ok () ->
-                        job.enqueued_at <- Obs.Clock.wall ();
-                        let position =
-                          Fair_queue.depth t.fq envelope.P.tenant - 1
-                        in
-                        Log.info t.log "job.enqueue"
-                          (job_fields job
-                          @ [
-                              ("name", J.String name);
-                              ("digest", J.String key);
-                              ("tenant", J.String envelope.P.tenant);
-                              ("position", J.Int position);
-                            ]);
-                        Condition.broadcast t.cond;
-                        P.ok
-                          [
-                            ("job", J.Int job.id);
-                            ("state", J.String P.state_queued);
-                            ("cached", J.Bool false);
-                            ("digest", J.String key);
-                            ("position", J.Int position);
-                          ]
-                  end)))
-
-let handle_submit_batch t ~items ~envelope =
-  let replies =
-    List.map
-      (fun { P.b_name; b_format; b_netlist; b_options } ->
-        match
-          handle_submit t ~name:b_name ~format:b_format ~netlist:b_netlist
-            ~options:b_options ~envelope
-        with
-        | J.Obj (("ok", J.Bool _) :: fields) -> J.Obj fields
-        | other -> other)
-      items
-  in
-  with_lock t (fun () ->
-      Obs.incr t.obs "service.batches";
-      Obs.observe t.obs "service.batch_size" (List.length items));
-  P.ok [ ("items", J.List replies) ]
+  match relays with
+  | None -> ()
+  | Some relays ->
+      List.iter (fun f -> ignore (Thread.create f ())) relays;
+      dispatcher p
 
 (* ------------------------------------------------------------------ *)
 (* Resubmit: digest-affinity forwarding                               *)
@@ -887,330 +589,65 @@ let handle_submit_batch t ~items ~envelope =
 (* The warm context of a base partition lives in the memory of the
    worker that computed it, so a resubmit is forwarded there (falling
    back to any idle worker — the target then cold-falls-back or answers
-   not_found if it never saw the base). The relay is synchronous: the
-   client's reply is the terminal one, with the worker-side job id
-   rewritten to the scheduler's. A worker lost mid-resubmit fails with
-   [worker_lost] — its warm context died with it, so a requeue could not
-   preserve warm semantics. *)
-let acquire_resubmit_worker t ~base_key =
-  with_lock t (fun () ->
-      let preferred = Hashtbl.find_opt t.affinity base_key in
-      let pick () =
-        let by_id id =
-          let w = t.workers.(id) in
-          if w.w_state = W_idle then Some w else None
+   not_found if it never saw the base) through the same relay as a
+   dispatched job. The forward is synchronous: the client's reply is the
+   terminal one, under the front end's job id. A worker lost
+   mid-resubmit fails it with [worker_lost]. *)
+let handle_resubmit p ~name ~base ~delta ~options =
+  let t = p.t in
+  let received = Obs.Clock.wall () in
+  let rec acquire base_key =
+    let preferred =
+      Option.bind (Hashtbl.find_opt p.affinity base_key) (fun id ->
+          if p.workers.(id).w_state = W_idle then Some p.workers.(id)
+          else None)
+    in
+    match (preferred, idle_workers p) with
+    | _ when t.stopping -> Error (F.draining_reply ())
+    | Some w, _ | None, w :: _ ->
+        Obs.incr t.obs "fleet.resubmit_forwarded";
+        let job =
+          F.register_job t ~name ~key:base_key
+            ~options:(Option.value options ~default:Core.Kway.Options.default)
+            ~envelope:P.default_envelope ~stamps:(F.stamps_at received)
+            ~payload:(payload (Forward { base = base_key; delta; options }))
+            F.Running
         in
-        match Option.bind preferred by_id with
-        | Some w -> Some w
-        | None -> (
-            match idle_workers t with w :: _ -> Some w | [] -> None)
-      in
-      let rec wait () =
-        if t.stopping then None
-        else
-          match pick () with
-          | Some w ->
-              w.w_state <- W_busy;
-              Some w
-          | None ->
-              Condition.wait t.cond t.mutex;
-              wait ()
-      in
-      wait ())
-
-let handle_resubmit t ~name ~base ~delta ~options =
-  let received_at = Obs.Clock.wall () in
-  let resolved =
-    with_lock t (fun () ->
+        claim w job;
+        Ok (w, job)
+    | None, [] ->
+        Condition.wait t.cond t.mutex;
+        acquire base_key
+  in
+  let claimed =
+    F.with_lock t (fun () ->
         Obs.incr t.obs "service.resubmit_requests";
         match base with
-        | `Digest key -> Ok key
+        | `Digest key -> acquire key
         | `Job id -> (
             match Hashtbl.find_opt t.jobs_tbl id with
-            | Some j -> Ok j.key
-            | None -> Error (job_not_found id)))
+            | Some j -> acquire j.key
+            | None -> Error (F.job_not_found id)))
   in
-  match resolved with
+  match claimed with
   | Error reply -> reply
-  | Ok base_key -> (
-      if with_lock t (fun () -> t.stopping) then
-        P.error ~code:P.code_shutting_down
-          "scheduler is draining; not accepting new jobs"
-      else
-        match acquire_resubmit_worker t ~base_key with
-        | None ->
-            P.error ~code:P.code_shutting_down
-              "scheduler is draining; not accepting new jobs"
-        | Some w -> (
-            let job =
-              with_lock t (fun () ->
-                  Obs.incr t.obs "fleet.resubmit_forwarded";
-                  let job =
-                    register_job t ~name ~key:base_key ~format:P.Bench
-                      ~netlist:"" ~options:(Option.value options
-                        ~default:Core.Kway.Options.default)
-                      ~envelope:P.default_envelope ~received_at
-                      ~decode_ms:0 Dispatched
-                  in
-                  job.dispatched_at <- received_at;
-                  w.w_job <- Some job.id;
-                  job)
-            in
-            let outcome =
-              match C.connect w.w_socket with
-              | Error _ -> `Lost
-              | Ok conn ->
-                  Fun.protect
-                    ~finally:(fun () -> C.close conn)
-                    (fun () ->
-                      let req =
-                        P.Resubmit
-                          { name; base = `Digest base_key; delta; options }
-                      in
-                      match C.request conn req with
-                      | Error _ -> `Lost
-                      | Ok reply -> (
-                          match C.ok_or_error reply with
-                          | Error (code, msg) -> `Err (code, msg)
-                          | Ok reply -> (
-                              let fields =
-                                match reply with J.Obj f -> f | _ -> []
-                              in
-                              let extra =
-                                List.filter
-                                  (fun (k, _) ->
-                                    String.equal k "cold_fallback")
-                                  fields
-                              in
-                              match J.member "result" reply with
-                              | Some _ -> `Reply (reply, extra)
-                              | None -> (
-                                  match
-                                    Option.bind (J.member "job" reply)
-                                      J.to_int
-                                  with
-                                  | None ->
-                                      `Err
-                                        ( P.code_bad_request,
-                                          "malformed worker reply" )
-                                  | Some wj -> (
-                                      with_lock t (fun () ->
-                                          job.worker_ref <-
-                                            Some (w.w_id, wj));
-                                      match
-                                        C.request conn
-                                          (P.Result
-                                             { job = wj; wait = true })
-                                      with
-                                      | Error _ -> `Lost
-                                      | Ok reply -> (
-                                          match C.ok_or_error reply with
-                                          | Error (code, msg) ->
-                                              `Err (code, msg)
-                                          | Ok reply ->
-                                              `Reply (reply, extra)))))))
-            in
-            match outcome with
-            | `Lost ->
-                with_lock t (fun () ->
-                    job.state <-
-                      JFailed
-                        {
-                          code = P.code_worker_lost;
-                          msg =
-                            "worker died mid-resubmit; its warm context is \
-                             gone (submit cold to recompute)";
-                        };
-                    Obs.incr t.obs "service.failed";
-                    finish_job t job;
-                    worker_down_locked t w ~kill:true);
-                P.error ~code:P.code_worker_lost
-                  "worker died mid-resubmit; its warm context is gone \
-                   (submit cold to recompute)"
-            | `Err (code, msg) ->
-                with_lock t (fun () ->
-                    job.worker_ref <- None;
-                    (if String.equal code P.code_cancelled then
-                       job.state <- JCancelled
-                     else job.state <- JFailed { code; msg });
-                    finish_job t job;
-                    free_worker_locked t w);
-                P.error ~code msg
-            | `Reply (reply, extra) ->
-                let fields = match reply with J.Obj f -> f | _ -> [] in
-                let digest =
-                  Option.bind (J.member "digest" reply) J.to_str
-                in
-                let doc = J.member "result" reply in
-                with_lock t (fun () ->
-                    job.worker_ref <- None;
-                    (match digest with
-                    | Some d ->
-                        job.key <- d;
-                        record_affinity t d w
-                    | None -> ());
-                    (match doc with
-                    | Some doc -> job.state <- JDone doc
-                    | None -> ());
-                    job.run_ms <- ms_since job.dispatched_at;
-                    Obs.incr t.obs "service.completed";
-                    finish_job t job;
-                    free_worker_locked t w);
-                let fields =
-                  List.map
-                    (fun (k, v) ->
-                      if String.equal k "job" then (k, J.Int job.id)
-                      else (k, v))
-                    fields
-                in
-                let fields =
-                  fields
-                  @ List.filter
-                      (fun (k, _) -> not (List.mem_assoc k fields))
-                      extra
-                in
-                J.Obj fields))
+  | Ok (w, job) ->
+      relay p w job;
+      F.with_lock t (fun () ->
+          F.result_reply ~extra:job.payload.forwarded job)
 
 (* ------------------------------------------------------------------ *)
-(* Introspection verbs                                                *)
+(* Fleet introspection                                                *)
 (* ------------------------------------------------------------------ *)
 
-let handle_status t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> job_not_found id
-      | Some job ->
-          let fields =
-            [ ("job", J.Int id); ("state", J.String (state_string job.state)) ]
-          in
-          let fields =
-            match job.state with
-            | Queued -> (
-                match
-                  Fair_queue.position t.fq ~tenant:job.envelope.P.tenant
-                    (fun (j : sjob) -> j.id = id)
-                with
-                | Some p -> fields @ [ ("position", J.Int p) ]
-                | None -> fields)
-            | _ -> fields
-          in
-          P.ok fields)
+let is_up w =
+  match w.w_state with W_idle | W_busy -> true | W_starting | W_dead -> false
 
-let handle_result t ~id ~wait =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> job_not_found id
-      | Some job ->
-          if wait then
-            while
-              match job.state with
-              | Queued | Dispatched -> true
-              | _ -> false
-            do
-              Condition.wait t.cond t.mutex
-            done;
-          (match job.state with
-          | Queued | Dispatched ->
-              P.error ~code:P.code_pending
-                (Printf.sprintf "job %d is %s" id (state_string job.state))
-          | JDone doc ->
-              P.ok
-                [
-                  ("job", J.Int id);
-                  ("state", J.String P.state_done);
-                  ("timings", timings_json job);
-                  ("result", doc);
-                ]
-          | JFailed { code; msg } -> P.error ~code msg
-          | JCancelled ->
-              P.error ~code:P.code_cancelled
-                (Printf.sprintf "job %d was cancelled" id)))
-
-let handle_cancel t id =
-  let reply, cancels =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.jobs_tbl id with
-        | None -> (job_not_found id, [])
-        | Some job ->
-            let cancelling =
-              match job.state with
-              | Queued | Dispatched -> true
-              | _ -> false
-            in
-            let cancels =
-              if cancelling then begin
-                job.cancel_requested <- true;
-                Log.info t.log "job.cancel" (job_fields job);
-                Condition.broadcast t.cond;
-                if job.racers <> [] then
-                  List.filter_map
-                    (fun r ->
-                      match (r.rc_outcome, r.rc_wjob) with
-                      | `Pending, Some wj ->
-                          Some (t.workers.(r.rc_worker).w_socket, wj)
-                      | _ -> None)
-                    job.racers
-                else
-                  match job.worker_ref with
-                  | Some (wid, wj) -> [ (t.workers.(wid).w_socket, wj) ]
-                  | None -> []
-              end
-              else []
-            in
-            ( P.ok
-                [
-                  ("job", J.Int id);
-                  ("state", J.String (state_string job.state));
-                  ("cancelling", J.Bool cancelling);
-                ],
-              cancels ))
-  in
-  List.iter (fun (socket, wj) -> forward_cancel socket wj) cancels;
-  reply
-
-let handle_stats t =
-  with_lock t (fun () ->
-      P.ok
-        [
-          ( "stats",
-            J.Obj
-              [
-                ( "schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
-                ("artifact", J.String "service.stats");
-                ("queue_len", J.Int (Fair_queue.length t.fq));
-                ("queue_cap", J.Int t.cfg.queue_cap);
-                ( "cache",
-                  J.Obj
-                    [
-                      ("len", J.Int (Service.Lru.length t.cache));
-                      ("cap", J.Int (Service.Lru.cap t.cache));
-                    ] );
-                ("obs", Obs.Snapshot.to_json (Obs.snapshot t.obs));
-              ] );
-        ])
-
-let inflight t =
-  Hashtbl.fold
-    (fun _ (j : sjob) acc ->
-      match j.state with Dispatched -> acc + 1 | _ -> acc)
-    t.jobs_tbl 0
-
-let disk_stats_json t =
-  match t.disk with
-  | None -> J.Null
-  | Some d ->
-      J.Obj
-        [
-          ("len", J.Int (Disk_cache.length d));
-          ("segments", J.Int (Disk_cache.segments d));
-          ("corrupt_skipped", J.Int (Disk_cache.corrupt_skipped d));
-        ]
-
-let handle_fleet_stats t =
-  with_lock t (fun () ->
+let handle_fleet_stats p =
+  let t = p.t in
+  F.with_lock t (fun () ->
       let workers =
-        Array.to_list t.workers
+        Array.to_list p.workers
         |> List.map (fun w ->
                J.Obj
                  [
@@ -1222,14 +659,25 @@ let handle_fleet_stats t =
                  ])
       in
       let tenants =
-        Fair_queue.tenants t.fq
+        Fq.tenants t.queue
         |> List.map (fun (tenant, depth) ->
                J.Obj
                  [
                    ("tenant", J.String tenant);
                    ("depth", J.Int depth);
-                   ("weight", J.Int (Fair_queue.weight t.fq tenant));
+                   ("weight", J.Int (Fq.weight t.queue tenant));
                  ])
+      in
+      let disk =
+        match p.disk with
+        | None -> J.Null
+        | Some d ->
+            J.Obj
+              [
+                ("len", J.Int (Disk_cache.length d));
+                ("segments", J.Int (Disk_cache.segments d));
+                ("corrupt_skipped", J.Int (Disk_cache.corrupt_skipped d));
+              ]
       in
       P.ok
         [
@@ -1241,207 +689,71 @@ let handle_fleet_stats t =
                 ("artifact", J.String "service.fleet_stats");
                 ("workers", J.List workers);
                 ("tenants", J.List tenants);
-                ("queue_len", J.Int (Fair_queue.length t.fq));
-                ("tenant_cap", J.Int t.cfg.queue_cap);
-                ("inflight", J.Int (inflight t));
-                ( "cache",
-                  J.Obj
-                    [
-                      ("len", J.Int (Service.Lru.length t.cache));
-                      ("cap", J.Int (Service.Lru.cap t.cache));
-                    ] );
-                ("disk_cache", disk_stats_json t);
+                ("queue_len", J.Int (Fq.length t.queue));
+                ("tenant_cap", J.Int p.cfg.queue_cap);
+                ("inflight", J.Int (F.inflight t));
+                ("cache", F.cache_json t);
+                ("disk_cache", disk);
                 ("obs", Obs.Snapshot.to_json (Obs.snapshot t.obs));
               ] );
         ])
 
-let handle_metrics t =
-  with_lock t (fun () ->
-      let snap = Obs.snapshot t.obs in
-      let gauge ?(labels = []) g_name g_help g_value =
-        { ME.g_name; g_help; g_value; g_labels = labels }
-      in
-      let worker_gauges =
-        Array.to_list t.workers
-        |> List.map (fun w ->
-               gauge
-                 ~labels:[ ("worker", string_of_int w.w_id) ]
-                 "fleet_worker_up" "1 when the worker answers, 0 otherwise."
-                 (match w.w_state with
-                 | W_idle | W_busy -> 1.0
-                 | W_starting | W_dead -> 0.0))
-      in
-      let restart_gauges =
-        Array.to_list t.workers
-        |> List.map (fun w ->
-               gauge
-                 ~labels:[ ("worker", string_of_int w.w_id) ]
-                 "fleet_worker_restarts" "Times this worker was respawned."
-                 (float_of_int w.w_restarts))
-      in
-      let tenant_gauges =
-        Fair_queue.tenants t.fq
-        |> List.map (fun (tenant, depth) ->
-               gauge
-                 ~labels:[ ("tenant", tenant) ]
-                 "fleet_tenant_queue_depth" "Jobs queued per tenant."
-                 (float_of_int depth))
-      in
-      let disk_gauges =
-        match t.disk with
-        | None -> []
-        | Some d ->
-            [
-              gauge "fleet_disk_cache_entries"
-                "Result documents indexed in the persistent cache."
-                (float_of_int (Disk_cache.length d));
-              gauge "fleet_disk_cache_segments"
-                "Segment files in the persistent cache."
-                (float_of_int (Disk_cache.segments d));
-              gauge "fleet_disk_cache_corrupt_skipped"
-                "Corrupt records skipped since startup."
-                (float_of_int (Disk_cache.corrupt_skipped d));
-            ]
-      in
-      let gauges =
+(* The pool's gauges, after the front end's. Caller holds the lock. *)
+let gauges p =
+  let gauge ?(labels = []) g_name g_help g_value =
+    { ME.g_name; g_help; g_value; g_labels = labels }
+  in
+  let per_worker name help value =
+    Array.to_list p.workers
+    |> List.map (fun w ->
+           gauge
+             ~labels:[ ("worker", string_of_int w.w_id) ]
+             name help (value w))
+  in
+  let disk =
+    match p.disk with
+    | None -> []
+    | Some d ->
         [
-          gauge "queue_depth" "Jobs queued and not yet dispatched."
-            (float_of_int (Fair_queue.length t.fq));
-          gauge "queue_capacity" "Per-tenant queue bound."
-            (float_of_int t.cfg.queue_cap);
-          gauge "inflight_jobs" "Jobs currently running on workers."
-            (float_of_int (inflight t));
-          gauge "cache_entries" "Result documents held by the LRU cache."
-            (float_of_int (Service.Lru.length t.cache));
-          gauge "cache_capacity" "LRU cache bound."
-            (float_of_int (Service.Lru.cap t.cache));
-          gauge "fleet_workers" "Configured worker pool size."
-            (float_of_int t.cfg.workers);
-          gauge "jobs_registered" "Jobs accepted since startup."
-            (float_of_int (t.next_id - 1));
-          gauge "uptime_seconds" "Wall-clock seconds since startup."
-            (Obs.Clock.wall () -. t.started_at);
+          gauge "fleet_disk_cache_entries"
+            "Result documents indexed in the persistent cache."
+            (float_of_int (Disk_cache.length d));
+          gauge "fleet_disk_cache_segments"
+            "Segment files in the persistent cache."
+            (float_of_int (Disk_cache.segments d));
+          gauge "fleet_disk_cache_corrupt_skipped"
+            "Corrupt records skipped since startup."
+            (float_of_int (Disk_cache.corrupt_skipped d));
         ]
-        @ worker_gauges @ restart_gauges @ tenant_gauges @ disk_gauges
-      in
-      let slos =
-        [
-          ( "service_queue_wait_seconds",
-            "Time from enqueue to dispatch per job.",
-            t.slo_queue_wait );
-          ( "service_e2e_seconds",
-            "Request decode to terminal job state, end to end.",
-            t.slo_e2e );
-        ]
-      in
-      P.ok [ ("metrics", J.String (ME.render ~gauges ~slos snap)) ])
-
-let handle_health t =
-  with_lock t (fun () ->
-      let up =
-        Array.fold_left
-          (fun acc w ->
-            match w.w_state with
-            | W_idle | W_busy -> acc + 1
-            | W_starting | W_dead -> acc)
-          0 t.workers
-      in
-      P.ok
-        [
-          ( "health",
-            J.Obj
-              [
-                ( "state",
-                  J.String (if t.stopping then "draining" else "accepting") );
-                ("protocol_version", J.Int P.protocol_version);
-                ( "stats_schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
-                ("uptime_secs", J.Float (Obs.Clock.wall () -. t.started_at));
-                ("queue_depth", J.Int (Fair_queue.length t.fq));
-                ("queue_cap", J.Int t.cfg.queue_cap);
-                ("inflight", J.Int (inflight t));
-                ( "cache",
-                  J.Obj
-                    [
-                      ("len", J.Int (Service.Lru.length t.cache));
-                      ("cap", J.Int (Service.Lru.cap t.cache));
-                    ] );
-                ("jobs_total", J.Int (t.next_id - 1));
-                ("workers", J.Int t.cfg.workers);
-                ("workers_up", J.Int up);
-              ] );
-        ])
-
-let handle_shutdown t =
-  with_lock t (fun () ->
-      t.stopping <- true;
-      Log.info t.log "scheduler.drain"
-        [ ("queue_depth", J.Int (Fair_queue.length t.fq)) ];
-      Condition.broadcast t.cond;
-      P.ok [ ("stopping", J.Bool true) ])
-
-let dispatch t = function
-  | P.Submit { name; format; netlist; options; envelope } ->
-      handle_submit t ~name ~format ~netlist ~options ~envelope
-  | P.Submit_batch { items; envelope } ->
-      handle_submit_batch t ~items ~envelope
-  | P.Resubmit { name; base; delta; options } ->
-      handle_resubmit t ~name ~base ~delta ~options
-  | P.Status id -> handle_status t id
-  | P.Result { job; wait } -> handle_result t ~id:job ~wait
-  | P.Cancel id -> handle_cancel t id
-  | P.Stats -> handle_stats t
-  | P.Fleet_stats -> handle_fleet_stats t
-  | P.Metrics -> handle_metrics t
-  | P.Health -> handle_health t
-  | P.Shutdown -> handle_shutdown t
+  in
+  gauge "fleet_workers" "Configured worker pool size."
+    (float_of_int p.cfg.workers)
+  :: per_worker "fleet_worker_up" "1 when the worker answers, 0 otherwise."
+       (fun w -> if is_up w then 1.0 else 0.0)
+  @ per_worker "fleet_worker_restarts" "Times this worker was respawned."
+      (fun w -> float_of_int w.w_restarts)
+  @ List.map
+      (fun (tenant, depth) ->
+        gauge
+          ~labels:[ ("tenant", tenant) ]
+          "fleet_tenant_queue_depth" "Jobs queued per tenant."
+          (float_of_int depth))
+      (Fq.tenants p.t.queue)
+  @ disk
 
 (* ------------------------------------------------------------------ *)
-(* Connections, accept loop, lifecycle                                *)
+(* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let forget_conn t fd =
-  with_lock t (fun () ->
-      t.open_conns <- List.filter (fun fd' -> fd' <> fd) t.open_conns);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let rec handle_conn t fd =
-  match Service.Codec.read_frame fd with
-  | Error `Eof -> forget_conn t fd
-  | Error err ->
-      with_lock t (fun () ->
-          Obs.incr t.obs "service.bad_requests";
-          Log.warn t.log "request.bad_frame" []);
-      (try
-         Service.Codec.write_frame fd
-           (P.error ~code:P.code_bad_request
-              (Service.Codec.read_error_to_string err))
-       with Unix.Unix_error _ -> ());
-      forget_conn t fd
-  | Ok json -> (
-      with_lock t (fun () -> Obs.incr t.obs "service.requests");
-      let reply =
-        match P.request_of_json json with
-        | Error (code, msg) ->
-            with_lock t (fun () ->
-                Obs.incr t.obs "service.bad_requests";
-                Log.warn t.log "request.bad" [ ("code", J.String code) ]);
-            P.error ~code msg
-        | Ok req -> dispatch t req
-      in
-      match Service.Codec.write_frame fd reply with
-      | () -> handle_conn t fd
-      | exception Unix.Unix_error _ -> forget_conn t fd)
-
-let shutdown_workers t =
+let shutdown_workers p =
   (* Graceful first: the shutdown verb drains each worker. Stragglers
      get SIGKILL after a grace period — their jobs are already terminal
-     (the drain above waited for every relay). *)
+     (the drain waited for every relay). *)
   Array.iter
     (fun (w : worker) ->
       if w.w_pid > 0 then
         match C.rpc ~socket:w.w_socket P.Shutdown with Ok _ | Error _ -> ())
-    t.workers;
+    p.workers;
   let deadline = Obs.Clock.wall () +. 5.0 in
   Array.iter
     (fun (w : worker) ->
@@ -1467,128 +779,120 @@ let shutdown_workers t =
       (* A SIGKILLed worker leaves its socket file; clean it up so the
          next fleet start has nothing stale to probe. *)
       try Unix.unlink w.w_socket with Unix.Unix_error _ -> ())
-    t.workers
+    p.workers
 
-let run ?(on_ready = fun () -> ()) ?(external_stop = fun () -> false)
-    (cfg : config) =
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+let backend p =
+  let t = p.t in
+  let threads = ref None in
+  {
+    F.payload =
+      (fun ~format ~netlist ~circuit:_ ~hypergraph:_ ->
+        payload (Run { format; netlist }));
+    spill =
+      Option.map
+        (fun d key ->
+          (* Disk lookups do their own locking; this probe runs outside
+             the front-end lock, ahead of the LRU lookup. *)
+          if Disk_cache.mem d key then
+            Option.map
+              (fun doc -> { F.doc; basis = () })
+              (Disk_cache.find d key)
+          else None)
+        p.disk;
+    resubmit = handle_resubmit p;
+    on_cancel =
+      (fun job ->
+        let targets =
+          match (job.payload.racers, job.payload.worker_ref) with
+          | [], Some (wid, wj) -> [ (p.workers.(wid).w_socket, wj) ]
+          | [], None -> []
+          | racers, _ ->
+              List.filter_map
+                (fun r ->
+                  match (r.rc_outcome, r.rc_wjob) with
+                  | `Pending, Some wj ->
+                      Some (p.workers.(r.rc_worker).w_socket, wj)
+                  | _ -> None)
+                racers
+        in
+        fun () ->
+          List.iter (fun (socket, wj) -> forward_cancel socket wj) targets);
+    fleet_stats = (fun () -> handle_fleet_stats p);
+    gauges = (fun () -> gauges p);
+    health =
+      (fun () ->
+        [
+          ("workers", J.Int p.cfg.workers);
+          ( "workers_up",
+            J.Int (Array.fold_left (fun n w -> if is_up w then n + 1 else n) 0 p.workers) );
+        ]);
+    start =
+      (fun () ->
+        F.with_lock t (fun () ->
+            Array.iter
+              (fun w -> start_worker_locked p w ~restart:false)
+              p.workers);
+        threads :=
+          Some (Thread.create dispatcher p, Thread.create supervisor p));
+    drain =
+      (fun () ->
+        (* The dispatcher exits once the queue is empty; then wait for
+           every in-flight relay to reach a terminal state (a worker
+           death during drain fails its job typed, so this terminates). *)
+        let dispatcher_thread, supervisor_thread = Option.get !threads in
+        Thread.join dispatcher_thread;
+        F.with_lock t (fun () ->
+            while F.inflight t > 0 do
+              Condition.wait t.cond t.mutex
+            done;
+            p.supervising <- false);
+        Thread.join supervisor_thread;
+        shutdown_workers p);
+  }
+
+let run ?on_ready ?external_stop (cfg : config) =
   if cfg.workers < 1 then Error "fleet: --workers must be >= 1"
   else
-    let disk =
-      match cfg.cache_dir with
-      | None -> Ok None
-      | Some dir -> (
-          match Disk_cache.open_dir ~log:cfg.log dir with
-          | Ok d -> Ok (Some d)
-          | Error e -> Error e)
-    in
-    match disk with
+    match
+      Option.fold ~none:(Ok None)
+        ~some:(fun dir ->
+          Result.map Option.some (Disk_cache.open_dir ~log:cfg.log dir))
+        cfg.cache_dir
+    with
     | Error e -> Error e
-    | Ok disk -> (
-        let t =
+    | Ok disk ->
+      let t =
+        F.create
           {
-            cfg;
-            mutex = Mutex.create ();
-            cond = Condition.create ();
-            obs = Obs.create ();
+            F.socket_path = cfg.socket_path;
+            queue_cap = cfg.queue_cap;
+            cache_cap = cfg.cache_cap;
+            tenant_weights = cfg.tenant_weights;
             log = cfg.log;
-            slo_queue_wait = ME.Slo.create ();
-            slo_e2e = ME.Slo.create ();
-            started_at = Obs.Clock.wall ();
-            fq =
-              Fair_queue.create ~weights:cfg.tenant_weights
-                ~cap:cfg.queue_cap ();
-            jobs_tbl = Hashtbl.create 64;
-            cache = Service.Lru.create ~cap:cfg.cache_cap;
-            disk;
-            affinity = Hashtbl.create 64;
-            workers =
-              Array.init cfg.workers (fun i ->
-                  {
-                    w_id = i;
-                    w_socket =
-                      Printf.sprintf "%s.worker%d" cfg.socket_path i;
-                    w_pid = -1;
-                    w_state = W_dead;
-                    w_job = None;
-                    w_restarts = 0;
-                    w_backoff = 0.5;
-                    w_not_before = 0.0;
-                  });
-            next_id = 1;
-            stopping = false;
-            supervising = true;
-            open_conns = [];
+            trace_path = None;
           }
-        in
-        match Service.Server.bind_socket cfg.socket_path with
-        | Error e ->
-            (match t.disk with Some d -> Disk_cache.close d | None -> ());
-            Error e
-        | Ok sock ->
-            with_lock t (fun () ->
-                Log.info t.log "scheduler.start"
-                  [
-                    ("protocol_version", J.Int P.protocol_version);
-                    ("workers", J.Int cfg.workers);
-                    ("tenant_cap", J.Int cfg.queue_cap);
-                  ];
-                Array.iter
-                  (fun w -> start_worker_locked t w ~restart:false)
-                  t.workers);
-            let dispatcher_thread = Thread.create dispatcher t in
-            let supervisor_thread = Thread.create supervisor t in
-            let conn_threads = ref [] in
-            on_ready ();
-            let rec accept_loop () =
-              if external_stop () then
-                with_lock t (fun () ->
-                    t.stopping <- true;
-                    Log.info t.log "scheduler.drain"
-                      [ ("queue_depth", J.Int (Fair_queue.length t.fq)) ];
-                    Condition.broadcast t.cond)
-              else if with_lock t (fun () -> t.stopping) then ()
-              else
-                match Unix.select [ sock ] [] [] 0.2 with
-                | [], _, _ -> accept_loop ()
-                | _ -> (
-                    match Unix.accept sock with
-                    | fd, _ ->
-                        with_lock t (fun () ->
-                            t.open_conns <- fd :: t.open_conns);
-                        conn_threads :=
-                          Thread.create (handle_conn t) fd :: !conn_threads;
-                        accept_loop ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                        accept_loop ())
-                | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                    accept_loop ()
-            in
-            accept_loop ();
-            with_lock t (fun () ->
-                t.stopping <- true;
-                Condition.broadcast t.cond);
-            (* Drain: the dispatcher exits once the queue is empty; then
-               wait for every in-flight relay to reach a terminal state
-               (a worker death during drain fails its job typed, so this
-               terminates). *)
-            Thread.join dispatcher_thread;
-            with_lock t (fun () ->
-                while inflight t > 0 do
-                  Condition.wait t.cond t.mutex
-                done);
-            with_lock t (fun () -> t.supervising <- false);
-            Thread.join supervisor_thread;
-            shutdown_workers t;
-            with_lock t (fun () -> t.open_conns)
-            |> List.iter (fun fd ->
-                   try Unix.shutdown fd Unix.SHUTDOWN_ALL
-                   with Unix.Unix_error _ -> ());
-            List.iter Thread.join !conn_threads;
-            (try Unix.close sock with Unix.Unix_error _ -> ());
-            (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
-            (match t.disk with Some d -> Disk_cache.close d | None -> ());
-            with_lock t (fun () ->
-                Log.info t.log "scheduler.stopped"
-                  [ ("jobs_total", J.Int (t.next_id - 1)) ]);
-            Ok ())
+      in
+      let p =
+        {
+          cfg;
+          t;
+          disk;
+          affinity = Hashtbl.create 64;
+          workers =
+            Array.init cfg.workers (fun i ->
+                {
+                  w_id = i;
+                  w_socket = Printf.sprintf "%s.worker%d" cfg.socket_path i;
+                  w_pid = -1;
+                  w_state = W_dead;
+                  w_job = None;
+                  w_restarts = 0;
+                  w_backoff = 0.5;
+                  w_not_before = 0.0;
+                });
+          supervising = true;
+        }
+      in
+      let outcome = F.serve ?on_ready ?external_stop t (backend p) in
+      Option.iter Disk_cache.close disk;
+      outcome

@@ -1,7 +1,9 @@
-(** The fleet scheduler: one process owning the public Unix socket,
-    fanning jobs out to a pool of forked/exec'd worker processes, each a
-    full single-process service engine ({!Service.Server}) on its own
-    private socket ([<socket>.worker<i>]).
+(** The fleet scheduler: the service front end ({!Service.Front}) over
+    a forked-worker pool backend. One process owns the public Unix
+    socket and fans jobs out to worker processes, each a full
+    single-process service engine ({!Service.Server}) on its own private
+    socket ([<socket>.worker<i>]). Job table, admission, verbs,
+    lifecycle logs and drain are the daemon's own code.
 
     The scheduler itself is I/O-only: it parses, canonicalises and
     digests submissions (deterministic preprocessing — the same code
@@ -13,8 +15,9 @@
     - {b Batched submission}: the [submit-batch] verb carries up to
       1024 circuits in one frame and replies per item.
     - {b Weighted fair queuing}: jobs queue per tenant
-      ({!Fair_queue}); backpressure ([overloaded]) is per tenant, so
-      one noisy tenant cannot starve or lock out the others.
+      ({!Service.Fair_queue}) under [tenant_weights]; backpressure
+      ([overloaded]) is per tenant, so one noisy tenant cannot starve or
+      lock out the others.
     - {b Persistent result cache}: an in-memory LRU over a
       {!Disk_cache}; a restart reloads the disk index, keeping the hit
       ratio (and its byte-identical replies) across fleet restarts.
@@ -31,10 +34,12 @@
       [worker_lost] error, so a poison job cannot crash-loop the fleet
       while the client always gets exactly one reply.
 
-    [resubmit] is forwarded to the worker that computed the base
-    (digest affinity); its warm context lives in that worker's memory,
-    so a worker lost mid-resubmit fails with [worker_lost] rather than
-    requeueing cold under warm-lineage semantics. *)
+    [resubmit] is forwarded, through the same relay as a dispatched
+    job, to the worker that computed the base (digest affinity) and
+    answers synchronously under the scheduler's job id; its warm context
+    lives in that worker's memory, so a worker lost mid-resubmit fails
+    with [worker_lost] rather than requeueing cold under warm-lineage
+    semantics. The per-job lifecycle trace is the daemon's alone. *)
 
 type config = {
   socket_path : string;  (** public socket; workers get [.worker<i>] *)

@@ -13,8 +13,9 @@
       ([runs], [seed], [replication], [max_passes], [fm_attempts],
       [refine_rounds]). Optional envelope fields (v3): ["tenant"] (fair-
       queue tenant id, default "default"), ["priority"] (higher runs
-      first within the tenant, default 0) and ["portfolio"] (let a fleet
-      scheduler race the job across idle workers, default false). Reply:
+      first within the tenant, default 0) and ["portfolio"] (race the
+      job across idle workers, default false; only a worker pool
+      races). Reply:
       ["job"] id, ["state"], ["cached"], and the cached ["result"]
       document on a cache hit.
     - [submit-batch] (v3): ["items"], a non-empty array (at most 1024)
@@ -67,9 +68,10 @@ type envelope = {
   priority : int;  (** higher dequeues first within the tenant *)
   portfolio : bool;  (** race across idle fleet workers *)
 }
-(** Submission envelope (v3). A single-process daemon accepts and
-    ignores it — strict FIFO is its documented behaviour; the fleet
-    scheduler routes on it. *)
+(** Submission envelope (v3). The daemon and the fleet both queue on
+    [tenant] and [priority] (one fair queue in the shared front end);
+    [portfolio] only takes effect on a worker pool, which has workers
+    to race — the daemon runs such a job once. *)
 
 val default_envelope : envelope
 (** [{tenant = "default"; priority = 0; portfolio = false}] — what an

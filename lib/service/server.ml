@@ -1,7 +1,7 @@
 module J = Obs.Json
 module P = Protocol
 module Log = Obs.Log
-module ME = Obs.Metrics_export
+module F = Front
 
 type config = {
   socket_path : string;
@@ -24,13 +24,6 @@ let default_config ~socket_path =
     trace_path = None;
   }
 
-type job_state =
-  | Queued
-  | Running
-  | Done of J.t
-  | Failed of { code : string; msg : string }
-  | Cancelled
-
 (* How the executor computes a job: from scratch, or warm-started from a
    projected base partition (a resubmit whose base basis was still
    cached). A warm job that fails for any reason other than cancellation
@@ -38,23 +31,10 @@ type job_state =
    correctness dependency. *)
 type mode = Cold | Warm of Core.Kway.warm
 
-type job = {
-  id : int;
-  name : string;
-  key : string;
-  options : Core.Kway.options;
+type payload = {
   circuit : Netlist.Circuit.t;  (* canonical; resubmit bases read it *)
   hypergraph : Hypergraph.t;
   mode : mode;
-  cancel : bool Atomic.t;
-  received_at : float;  (* Obs.Clock.wall at request decode start *)
-  decode_ms : int;  (* parse + canonicalise + map + digest *)
-  mutable enqueued_at : float;  (* Obs.Clock.wall at queue push *)
-  mutable queue_wait_ms : int;
-  mutable run_ms : int;
-  mutable encode_ms : int;
-  mutable total_ms : int;  (* received_at -> terminal state *)
-  mutable state : job_state;
 }
 
 (* What a resubmit needs from its base beyond the cached document: the
@@ -67,86 +47,10 @@ type basis = {
   b_options : Core.Kway.options;
 }
 
-type entry = { doc : J.t; basis : basis }
+type job = payload F.job
+type t = (payload, basis) F.t
 
-type t = {
-  cfg : config;
-  mutex : Mutex.t;
-  cond : Condition.t;
-      (* broadcast on every job state change, enqueue, and on stopping *)
-  obs : Obs.t;
-  trace : Obs.t;
-      (* tracing sink for per-job lifecycle spans; Noop unless the config
-         carries a trace_path. Kept apart from [obs] so the trace artifact
-         never bleeds into svc-stats. *)
-  log : Log.t;
-  slo_queue_wait : ME.Slo.t;
-  slo_run : ME.Slo.t;
-  slo_e2e : ME.Slo.t;
-  started_at : float;
-  jobs_tbl : (int, job) Hashtbl.t;
-  queue : job Queue.t;
-  cache : entry Lru.t;
-  mutable next_id : int;
-  mutable stopping : bool;
-  mutable open_conns : Unix.file_descr list;
-}
-
-(* All shared state — queue, job states, the cache, the Obs sinks and SLO
-   histograms (their single-writer contracts) — is touched only under
-   this lock. Info-level lifecycle log lines are also emitted under it,
-   which gives a serialized workload a deterministic log line order.
-   Handler threads and the executor are systhreads on one domain, so
-   contention is negligible; the partition engine itself runs outside the
-   lock. *)
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let state_string = function
-  | Queued -> P.state_queued
-  | Running -> P.state_running
-  | Done _ -> P.state_done
-  | Failed _ -> P.state_failed
-  | Cancelled -> P.state_cancelled
-
-let ms_since t0 =
-  int_of_float (Float.round ((Obs.Clock.wall () -. t0) *. 1000.))
-
-(* Correlation id: content digest prefix + job id. Deterministic for a
-   deterministic workload (both components are), unique per job, and
-   greppable across every lifecycle line the job emits. *)
-let corr (job : job) =
-  let d =
-    if String.length job.key > 12 then String.sub job.key 0 12 else job.key
-  in
-  Printf.sprintf "%s:%d" d job.id
-
-let job_fields (job : job) =
-  [ ("job", J.Int job.id); ("corr", J.String (corr job)) ]
-
-(* Wall-clock reply breakdown (protocol v2). The parts and the total are
-   measured independently — the total spans received_at to the terminal
-   state — so clients can see scheduling gaps; the parts still sum to the
-   total within lock/wakeup latency. The _ms keys keep these out of any
-   scrubbed byte-compare surface (log scrub masks them; the cached result
-   document never contains them). *)
-let timings_json (job : job) =
-  J.Obj
-    [
-      ("decode_ms", J.Int job.decode_ms);
-      ("queue_wait_ms", J.Int job.queue_wait_ms);
-      ("run_ms", J.Int job.run_ms);
-      ("encode_ms", J.Int job.encode_ms);
-      ("total_ms", J.Int job.total_ms);
-    ]
-
-(* A job left the queue/run pipeline: stamp the total, feed the
-   end-to-end SLO histogram. Caller holds the lock. *)
-let finish_job t (job : job) =
-  job.total_ms <- ms_since job.received_at;
-  Obs.observe t.obs "service.e2e_ms" job.total_ms;
-  ME.Slo.observe t.slo_e2e job.total_ms
+let bind_socket = F.bind_socket
 
 (* The document a [result] request returns and the cache stores. Scrubbed
    ([_secs] fields nulled) so the bytes are a pure function of the job
@@ -166,62 +70,50 @@ let result_doc (job : job) result =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Executor: one thread, strict FIFO                                  *)
+(* Executor: one thread over the front end's queue                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_job t (job : job) =
-  let deadline =
-    Option.map (fun s -> Obs.Clock.wall () +. s) t.cfg.timeout
-  in
+let run_job (t : t) cfg (job : job) =
+  let deadline = Option.map (fun s -> job.started_at +. s) cfg.timeout in
   let should_stop () =
     Atomic.get job.cancel
     || match deadline with
        | Some d -> Obs.Clock.wall () > d
        | None -> false
   in
-  let options =
-    { job.options with Core.Kway.jobs = t.cfg.jobs; should_stop }
-  in
-  let started = Obs.Clock.wall () in
+  let options = { job.options with Core.Kway.jobs = cfg.jobs; should_stop } in
   (* Per-job collecting sink: the engine's F-M telemetry rolls up into the
      service-wide throughput metrics below (the sink itself is discarded —
      svc-stats stays O(jobs), not O(moves)). *)
   let job_obs = Obs.create () in
   let library = Fpga.Library.xc3000 in
-  let cold () = Core.Kway.partition ~obs:job_obs ~options ~library job.hypergraph in
+  let h = job.payload.hypergraph in
+  let cold () = Core.Kway.partition ~obs:job_obs ~options ~library h in
   let warm_fell_back = ref false in
   let result =
-    match job.mode with
+    match job.payload.mode with
     | Cold -> cold ()
     | Warm warm -> (
-        match
-          Core.Kway.warm_start ~obs:job_obs ~options ~library ~warm
-            job.hypergraph
-        with
+        match Core.Kway.warm_start ~obs:job_obs ~options ~library ~warm h with
         | Error msg when String.equal msg Core.Kway.cancelled ->
             Error Core.Kway.cancelled
-        | Ok r when Result.is_ok (Core.Kway.check job.hypergraph r) -> Ok r
+        | Ok r when Result.is_ok (Core.Kway.check h r) -> Ok r
         | Ok _ | Error _ ->
             (* Malformed seed, a part outgrowing every device, or an
                unsound warm result: recompute from scratch. *)
             warm_fell_back := true;
             cold ())
   in
-  let run_end = Obs.Clock.wall () in
-  let wall = run_end -. started in
-  with_lock t (fun () ->
-      job.run_ms <- ms_since started;
-      Obs.observe t.obs "service.run_ms" job.run_ms;
-      ME.Slo.observe t.slo_run job.run_ms;
-      Obs.add_span ~pid:job.id t.trace "partition" ~begin_wall:started
-        ~end_wall:run_end;
-      (match job.mode with
+  let wall = Obs.Clock.wall () -. job.started_at in
+  F.with_lock t (fun () ->
+      F.record_run t job;
+      (match job.payload.mode with
       | Cold -> ()
       | Warm _ ->
-          Obs.observe t.obs "service.resubmit_run_ms" (ms_since started);
+          Obs.observe t.obs "service.resubmit_run_ms" job.run_ms;
           if !warm_fell_back then begin
             Obs.incr t.obs "service.resubmit_warm_failed";
-            Log.warn t.log "job.warm_fallback" (job_fields job)
+            Log.warn t.log "job.warm_fallback" (F.job_fields job)
           end);
       (let snap = Obs.snapshot job_obs in
        let counter k =
@@ -238,262 +130,36 @@ let run_job t (job : job) =
            "service.fm_rescored_cells";
          Obs.incr t.obs ~by:applied "service.fm_applied_ops"
        end);
-      (match result with
+      match result with
       | Ok r ->
           let encode_start = Obs.Clock.wall () in
           let doc = result_doc job r in
           let encode_end = Obs.Clock.wall () in
-          job.encode_ms <- ms_since encode_start;
+          job.encode_ms <- F.ms_since encode_start;
           Obs.add_span ~pid:job.id t.trace "encode_reply"
             ~begin_wall:encode_start ~end_wall:encode_end;
-          job.state <- Done doc;
-          Lru.add t.cache job.key
+          let basis =
             {
-              doc;
-              basis =
-                {
-                  b_circuit = job.circuit;
-                  b_hypergraph = job.hypergraph;
-                  b_result = r;
-                  b_options = job.options;
-                };
-            };
-          Obs.incr t.obs "service.completed";
-          finish_job t job;
-          Log.info t.log "job.done"
-            (job_fields job
-            @ [
-                ("run_ms", J.Int job.run_ms);
-                ("total_ms", J.Int job.total_ms);
-              ])
-      | Error msg when String.equal msg Core.Kway.cancelled ->
-          if Atomic.get job.cancel then (
-            job.state <- Cancelled;
-            Obs.incr t.obs "service.cancelled";
-            finish_job t job;
-            Log.info t.log "job.cancelled" (job_fields job))
-          else (
-            job.state <-
-              Failed
-                {
-                  code = P.code_timeout;
-                  msg = "job exceeded the per-job timeout";
-                };
-            Obs.incr t.obs "service.timeouts";
-            finish_job t job;
-            Log.warn t.log "job.timeout" (job_fields job))
-      | Error msg ->
-          job.state <- Failed { code = P.code_infeasible; msg };
-          Obs.incr t.obs "service.failed";
-          finish_job t job;
-          Log.warn t.log "job.failed"
-            (job_fields job @ [ ("code", J.String P.code_infeasible) ]));
-      Condition.broadcast t.cond)
-
-(* On [stopping] the loop keeps popping until the queue is empty — the
-   graceful drain — and only then exits. *)
-let rec executor t =
-  let next =
-    with_lock t (fun () ->
-        while Queue.is_empty t.queue && not t.stopping do
-          Condition.wait t.cond t.mutex
-        done;
-        if Queue.is_empty t.queue then None
-        else
-          let job = Queue.pop t.queue in
-          let dequeued = Obs.Clock.wall () in
-          job.queue_wait_ms <- ms_since job.enqueued_at;
-          Obs.observe t.obs "service.queue_wait_ms" job.queue_wait_ms;
-          ME.Slo.observe t.slo_queue_wait job.queue_wait_ms;
-          Obs.add_span ~pid:job.id t.trace "queue_wait"
-            ~begin_wall:job.enqueued_at ~end_wall:dequeued;
-          if Atomic.get job.cancel then (
-            job.state <- Cancelled;
-            Obs.incr t.obs "service.cancelled";
-            finish_job t job;
-            Log.info t.log "job.cancelled" (job_fields job);
-            Condition.broadcast t.cond;
-            Some None)
-          else (
-            job.state <- Running;
-            Log.info t.log "job.dequeue"
-              (job_fields job @ [ ("queue_wait_ms", J.Int job.queue_wait_ms) ]);
-            Condition.broadcast t.cond;
-            Some (Some job)))
-  in
-  match next with
-  | None -> ()
-  | Some None -> executor t
-  | Some (Some job) ->
-      run_job t job;
-      executor t
-
-(* ------------------------------------------------------------------ *)
-(* Request dispatch                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let queue_position t id =
-  let pos = ref (-1) and i = ref 0 in
-  Queue.iter
-    (fun (j : job) ->
-      if j.id = id && !pos < 0 then pos := !i;
-      incr i)
-    t.queue;
-  if !pos < 0 then None else Some !pos
-
-(* The wall-clock stamps a handler records on the way to [register_job]:
-   request receipt, end of netlist decode, end of
-   canonicalise-and-digest. They become the job's [decode_ms] and its
-   "decode"/"canonicalise" trace spans. *)
-type decode_stamps = { t_received : float; t_decoded : float; t_keyed : float }
-
-(* Register a job in the table (caller holds the lock). The table never
-   evicts, which is what lets a resubmit recover its base's canonical
-   circuit even after the LRU dropped the cached entry. *)
-let register_job t ~name ~key ~options ~circuit ~hypergraph ~mode ~stamps
-    state =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let job =
-    {
-      id;
-      name;
-      key;
-      options;
-      circuit;
-      hypergraph;
-      mode;
-      cancel = Atomic.make false;
-      received_at = stamps.t_received;
-      decode_ms =
-        int_of_float
-          (Float.round ((stamps.t_keyed -. stamps.t_received) *. 1000.));
-      enqueued_at = stamps.t_keyed;
-      queue_wait_ms = 0;
-      run_ms = 0;
-      encode_ms = 0;
-      total_ms = 0;
-      state;
-    }
-  in
-  Hashtbl.replace t.jobs_tbl id job;
-  Obs.add_span ~pid:id t.trace "decode" ~begin_wall:stamps.t_received
-    ~end_wall:stamps.t_decoded;
-  Obs.add_span ~pid:id t.trace "canonicalise" ~begin_wall:stamps.t_decoded
-    ~end_wall:stamps.t_keyed;
-  job
-
-(* A request answered from the cache: terminal on arrival. *)
-let cached_reply t (job : job) ~extra doc =
-  finish_job t job;
-  Log.info t.log "job.cache_hit"
-    (job_fields job @ [ ("digest", J.String job.key) ]);
-  P.ok
-    ([
-       ("job", J.Int job.id);
-       ("state", J.String P.state_done);
-       ("cached", J.Bool true);
-       ("digest", J.String job.key);
-     ]
-    @ extra
-    @ [ ("timings", timings_json job); ("result", doc) ])
-
-let handle_submit t ~name ~format ~netlist ~options =
-  let t_received = Obs.Clock.wall () in
-  match P.parse_netlist format netlist with
-  | Error msg ->
-      with_lock t (fun () ->
-          Log.warn t.log "job.decode_failed" [ ("name", J.String name) ]);
-      P.error ~code:P.code_bad_request ("netlist: " ^ msg)
-  | Ok circuit ->
-      let t_decoded = Obs.Clock.wall () in
-      (* Canonicalise, then map the canonical form: the key and the
-         computation see the same node order, so byte-permuted inputs
-         share both the cache entry and the exact result bytes. *)
-      let canonical = Digest.canonical_circuit circuit in
-      let h = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map canonical) in
-      let key = Digest.job_key ~library:Fpga.Library.xc3000 ~options h in
-      let t_keyed = Obs.Clock.wall () in
-      let stamps = { t_received; t_decoded; t_keyed } in
-      with_lock t (fun () ->
-          let fresh_job =
-            register_job t ~name ~key ~options ~circuit:canonical
-              ~hypergraph:h ~mode:Cold ~stamps
+              b_circuit = job.payload.circuit;
+              b_hypergraph = h;
+              b_result = r;
+              b_options = job.options;
+            }
           in
-          match Lru.find t.cache key with
-          | Some { doc; _ } ->
-              Obs.incr t.obs "service.cache_hit";
-              let job = fresh_job (Done doc) in
-              cached_reply t job ~extra:[] doc
-          | None ->
-              Obs.incr t.obs "service.cache_miss";
-              if t.stopping then begin
-                Log.warn t.log "job.refused_draining"
-                  [ ("digest", J.String key) ];
-                P.error ~code:P.code_shutting_down
-                  "server is draining; not accepting new jobs"
-              end
-              else if Queue.length t.queue >= t.cfg.queue_cap then begin
-                Obs.incr t.obs "service.rejected";
-                Log.warn t.log "job.rejected"
-                  [
-                    ("digest", J.String key);
-                    ("queue_depth", J.Int (Queue.length t.queue));
-                  ];
-                P.error ~code:P.code_overloaded
-                  (Printf.sprintf
-                     "job queue is full (%d queued); resubmit later"
-                     (Queue.length t.queue))
-              end
-              else begin
-                let job = fresh_job Queued in
-                job.enqueued_at <- Obs.Clock.wall ();
-                Queue.push job t.queue;
-                Log.info t.log "job.enqueue"
-                  (job_fields job
-                  @ [
-                      ("name", J.String name);
-                      ("digest", J.String key);
-                      ("position", J.Int (Queue.length t.queue - 1));
-                    ]);
-                Condition.broadcast t.cond;
-                P.ok
-                  [
-                    ("job", J.Int job.id);
-                    ("state", J.String P.state_queued);
-                    ("cached", J.Bool false);
-                    ("digest", J.String key);
-                    ("position", J.Int (Queue.length t.queue - 1));
-                  ]
-              end)
+          F.finish_job ~basis t job (Ok doc)
+      | Error msg when String.equal msg Core.Kway.cancelled ->
+          F.finish_job t job
+            (if Atomic.get job.cancel then Error (P.code_cancelled, msg)
+             else Error (P.code_timeout, "job exceeded the per-job timeout"))
+      | Error msg -> F.finish_job t job (Error (P.code_infeasible, msg)))
 
-(* A batch is its items submitted in order, each with the full submit
-   semantics (cache lookup, backpressure) — one frame in, one reply
-   carrying a per-item array out. An item that fails (bad netlist, queue
-   full) contributes an {"error": ...} element without poisoning its
-   siblings; the client pairs items with replies by index. *)
-let handle_submit_batch t ~items =
-  let replies =
-    List.map
-      (fun { P.b_name; b_format; b_netlist; b_options } ->
-        (* Strip the per-item "ok" tag: the batch reply carries one
-           top-level ok; an item is a submit reply shape on success and
-           an {"error": ...} object on failure. *)
-        match
-          handle_submit t ~name:b_name ~format:b_format ~netlist:b_netlist
-            ~options:b_options
-        with
-        | J.Obj (("ok", J.Bool _) :: fields) -> J.Obj fields
-        | other -> other)
-      items
-  in
-  with_lock t (fun () ->
-      Obs.incr t.obs "service.batches";
-      Obs.observe t.obs "service.batch_size" (List.length items));
-  P.ok [ ("items", J.List replies) ]
-
-let job_not_found id =
-  P.error ~code:P.code_not_found (Printf.sprintf "no such job: %d" id)
+(* [None] from the queue means draining is done. *)
+let rec executor t cfg =
+  match F.with_lock t (fun () -> F.next_job t ~ready:(fun () -> true)) with
+  | None -> ()
+  | Some job ->
+      run_job t cfg job;
+      executor t cfg
 
 (* ------------------------------------------------------------------ *)
 (* Resubmit: incremental repartitioning                               *)
@@ -506,13 +172,15 @@ let job_not_found id =
    strand a chain, only slow it down. The canonical circuit itself is
    always recoverable: by-id from the job table (which never evicts),
    by-digest from the table scan. Caller holds the lock. *)
-let resolve_base t base =
+let resolve_base (t : t) base =
+  let of_job (j : job) =
+    Ok (j.key, j.payload.circuit, j.options, Lru.find t.cache j.key)
+  in
   match base with
   | `Job id -> (
       match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> Error (job_not_found id)
-      | Some job ->
-          Ok (job.key, job.circuit, job.options, Lru.find t.cache job.key))
+      | None -> Error (F.job_not_found id)
+      | Some job -> of_job job)
   | `Digest key -> (
       match Lru.find t.cache key with
       | Some e -> Ok (key, e.basis.b_circuit, e.basis.b_options, Some e)
@@ -524,80 +192,99 @@ let resolve_base t base =
               t.jobs_tbl None
           in
           match recovered with
-          | Some j -> Ok (key, j.circuit, j.options, None)
+          | Some j -> of_job j
           | None ->
               Error
                 (P.error ~code:P.code_not_found
                    ("no job or cached result with digest " ^ key))))
 
-let handle_resubmit t ~name ~base ~delta ~options =
+let objective_name (o : Core.Kway.options) =
+  o.Core.Kway.objective.Fpga.Objective.name
+
+(* Project the base partition onto the edited hypergraph: the warm seed,
+   plus its dirty and seeded cell counts for the resubmit histograms. *)
+let warm_seed basis h =
+  let base_labels, base_replicated =
+    Core.Kway.labels_of_parts basis.b_hypergraph basis.b_result.Core.Kway.parts
+  in
+  let proj =
+    Projection.project ~base:basis.b_hypergraph ~base_labels
+      ~base_dirty:base_replicated h
+  in
+  let warm =
+    {
+      Core.Kway.w_labels = proj.Projection.labels;
+      w_dirty = proj.Projection.dirty;
+      w_devices =
+        Array.of_list
+          (List.map
+             (fun p -> p.Core.Kway.device)
+             basis.b_result.Core.Kway.parts);
+    }
+  in
+  let dirty =
+    Array.fold_left (fun a d -> if d then a + 1 else a) 0 proj.Projection.dirty
+  in
+  (warm, dirty, proj.Projection.added)
+
+let handle_resubmit (t : t) b ~name ~base ~delta ~options =
   let t_received = Obs.Clock.wall () in
   let resolved =
-    with_lock t (fun () ->
+    F.with_lock t (fun () ->
         Obs.incr t.obs "service.resubmit_requests";
         resolve_base t base)
   in
+  let bad_request msg =
+    F.with_lock t (fun () -> Obs.incr t.obs "service.bad_requests");
+    P.error ~code:P.code_bad_request msg
+  in
   match resolved with
   | Error reply -> reply
-  | Ok (base_key, base_circuit, base_options, base_entry)
-    when (match options with
-         | Some (o : Core.Kway.options) ->
-             not
-               (String.equal o.Core.Kway.objective.Fpga.Objective.name
-                  base_options.Core.Kway.objective.Fpga.Objective.name)
-         | None -> false) ->
+  | Ok (_, _, base_options, _)
+    when Option.fold ~none:false
+           ~some:(fun o ->
+             not (String.equal (objective_name o) (objective_name base_options)))
+           options ->
       (* A warm chain cannot switch cost objectives mid-lineage: the base
          partition was shaped (device choices, split decisions) by its
          objective, so projecting it under another would launder a
          foreign seed into the new objective's cache lineage. Reject
          loudly; the client submits cold instead. *)
-      ignore (base_key, base_circuit, base_entry);
-      with_lock t (fun () -> Obs.incr t.obs "service.bad_requests");
-      let requested =
-        match options with
-        | Some (o : Core.Kway.options) ->
-            o.Core.Kway.objective.Fpga.Objective.name
-        | None -> assert false
-      in
-      P.error ~code:P.code_bad_request
+      bad_request
         (Printf.sprintf
            "resubmit: objective %S differs from the base's %S; a warm \
             lineage keeps one objective (submit cold to switch)"
-           requested
-           base_options.Core.Kway.objective.Fpga.Objective.name)
+           (objective_name (Option.get options))
+           (objective_name base_options))
   | Ok (base_key, base_circuit, base_options, base_entry) -> (
       let options = Option.value options ~default:base_options in
-      let same_options =
-        String.equal
-          (Digest.options_fingerprint options)
-          (Digest.options_fingerprint base_options)
+      let admit =
+        F.admit t b ~name ~options ~envelope:P.default_envelope
       in
       match base_entry with
-      | Some entry when Netlist.Delta.is_empty delta && same_options ->
+      | Some entry
+        when Netlist.Delta.is_empty delta
+             && String.equal
+                  (Digest.options_fingerprint options)
+                  (Digest.options_fingerprint base_options) ->
           (* Delta of nothing: the request asks for the base partition
-             itself. Reply the cached document verbatim — byte-identical
-             to the submit reply that populated it — without mapping or
+             itself, which the cache answers verbatim — byte-identical to
+             the submit reply that populated it — without mapping or
              running anything (service.fm_applied_ops is untouched). *)
-          let t_keyed = Obs.Clock.wall () in
-          let stamps = { t_received; t_decoded = t_keyed; t_keyed } in
-          with_lock t (fun () ->
-              Obs.incr t.obs "service.resubmit_noop";
-              Obs.incr t.obs "service.cache_hit";
-              let job =
-                register_job t ~name ~key:base_key ~options
-                  ~circuit:base_circuit ~hypergraph:entry.basis.b_hypergraph
-                  ~mode:Cold ~stamps (Done entry.doc)
-              in
-              cached_reply t job ~extra:[] entry.doc)
+          F.with_lock t (fun () -> Obs.incr t.obs "service.resubmit_noop");
+          admit ~key:base_key ~stamps:(F.stamps_at t_received)
+            {
+              circuit = base_circuit;
+              hypergraph = entry.basis.b_hypergraph;
+              mode = Cold;
+            }
       | _ -> (
           match Netlist.Delta.apply base_circuit delta with
           | Error e ->
-              with_lock t (fun () ->
-                  Obs.incr t.obs "service.bad_requests";
+              F.with_lock t (fun () ->
                   Log.warn t.log "job.decode_failed"
                     [ ("name", J.String name); ("delta", J.Bool true) ]);
-              P.error ~code:P.code_bad_request
-                ("delta: " ^ Netlist.Delta.error_to_string e)
+              bad_request ("delta: " ^ Netlist.Delta.error_to_string e)
           | Ok edited ->
               let t_decoded = Obs.Clock.wall () in
               (* Delta.apply rebuilds canonically — the edited circuit is
@@ -609,524 +296,71 @@ let handle_resubmit t ~name ~base ~delta ~options =
               let key_e =
                 Digest.job_key ~library:Fpga.Library.xc3000 ~options h
               in
-              let mode, warm_shape =
-                match base_entry with
-                | None -> (Cold, None)
-                | Some { basis; _ } ->
-                    let base_labels, base_replicated =
-                      Core.Kway.labels_of_parts basis.b_hypergraph
-                        basis.b_result.Core.Kway.parts
-                    in
-                    let proj =
-                      Projection.project ~base:basis.b_hypergraph ~base_labels
-                        ~base_dirty:base_replicated h
-                    in
-                    let warm =
-                      {
-                        Core.Kway.w_labels = proj.Projection.labels;
-                        w_dirty = proj.Projection.dirty;
-                        w_devices =
-                          Array.of_list
-                            (List.map
-                               (fun p -> p.Core.Kway.device)
-                               basis.b_result.Core.Kway.parts);
-                      }
-                    in
-                    let dirty =
-                      Array.fold_left
-                        (fun a d -> if d then a + 1 else a)
-                        0 proj.Projection.dirty
-                    in
-                    (Warm warm, Some (dirty, proj.Projection.added))
+              let seed =
+                Option.map (fun (e : basis F.entry) -> warm_seed e.basis h)
+                  base_entry
               in
               (* A warm result depends on which partition seeded it, so it
                  caches under the lineage key; a cold fallback is a plain
                  run of the edited circuit and shares the cold key (and
                  its byte-determinism contract). *)
-              let key =
-                match mode with
-                | Cold -> key_e
-                | Warm _ -> Digest.lineage_key ~base:base_key ~edited:key_e
+              let key, mode =
+                match seed with
+                | None -> (key_e, Cold)
+                | Some (warm, _, _) ->
+                    (Digest.lineage_key ~base:base_key ~edited:key_e, Warm warm)
               in
-              let cold_fallback =
-                match mode with Cold -> true | Warm _ -> false
+              let cold_fallback = ("cold_fallback", J.Bool (seed = None)) in
+              let on_admit () =
+                match seed with
+                | None -> Obs.incr t.obs "service.resubmit_cold_fallback"
+                | Some (_, dirty, seeded) ->
+                    Obs.incr t.obs "service.resubmit_warm";
+                    Obs.observe t.obs "service.resubmit_dirty_cells" dirty;
+                    Obs.observe t.obs "service.resubmit_seeded_cells" seeded
               in
-              let t_keyed = Obs.Clock.wall () in
-              let stamps = { t_received; t_decoded; t_keyed } in
-              with_lock t (fun () ->
-                  match Lru.find t.cache key with
-                  | Some { doc; _ } ->
-                      Obs.incr t.obs "service.cache_hit";
-                      let job =
-                        register_job t ~name ~key ~options ~circuit:edited
-                          ~hypergraph:h ~mode:Cold ~stamps (Done doc)
-                      in
-                      cached_reply t job
-                        ~extra:[ ("cold_fallback", J.Bool cold_fallback) ]
-                        doc
-                  | None ->
-                      Obs.incr t.obs "service.cache_miss";
-                      if t.stopping then begin
-                        Log.warn t.log "job.refused_draining"
-                          [ ("digest", J.String key) ];
-                        P.error ~code:P.code_shutting_down
-                          "server is draining; not accepting new jobs"
-                      end
-                      else if Queue.length t.queue >= t.cfg.queue_cap then begin
-                        Obs.incr t.obs "service.rejected";
-                        Log.warn t.log "job.rejected"
-                          [
-                            ("digest", J.String key);
-                            ("queue_depth", J.Int (Queue.length t.queue));
-                          ];
-                        P.error ~code:P.code_overloaded
-                          (Printf.sprintf
-                             "job queue is full (%d queued); resubmit later"
-                             (Queue.length t.queue))
-                      end
-                      else begin
-                        (match mode with
-                        | Warm _ ->
-                            Obs.incr t.obs "service.resubmit_warm";
-                            (match warm_shape with
-                            | Some (dirty, seeded) ->
-                                Obs.observe t.obs
-                                  "service.resubmit_dirty_cells" dirty;
-                                Obs.observe t.obs
-                                  "service.resubmit_seeded_cells" seeded
-                            | None -> ())
-                        | Cold ->
-                            Obs.incr t.obs "service.resubmit_cold_fallback");
-                        let job =
-                          register_job t ~name ~key ~options ~circuit:edited
-                            ~hypergraph:h ~mode ~stamps Queued
-                        in
-                        job.enqueued_at <- Obs.Clock.wall ();
-                        Queue.push job t.queue;
-                        Log.info t.log "job.enqueue"
-                          (job_fields job
-                          @ [
-                              ("name", J.String name);
-                              ("digest", J.String key);
-                              ("base", J.String base_key);
-                              ("cold_fallback", J.Bool cold_fallback);
-                              ("position", J.Int (Queue.length t.queue - 1));
-                            ]);
-                        Condition.broadcast t.cond;
-                        P.ok
-                          [
-                            ("job", J.Int job.id);
-                            ("state", J.String P.state_queued);
-                            ("cached", J.Bool false);
-                            ("digest", J.String key);
-                            ("cold_fallback", J.Bool cold_fallback);
-                            ("position", J.Int (Queue.length t.queue - 1));
-                          ]
-                      end)))
-
-let handle_status t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> job_not_found id
-      | Some job ->
-          let fields =
-            [
-              ("job", J.Int id);
-              ("state", J.String (state_string job.state));
-            ]
-          in
-          let fields =
-            match job.state with
-            | Queued -> (
-                match queue_position t id with
-                | Some p -> fields @ [ ("position", J.Int p) ]
-                | None -> fields)
-            | _ -> fields
-          in
-          P.ok fields)
-
-let handle_result t ~id ~wait =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> job_not_found id
-      | Some job ->
-          if wait then
-            (* The executor drains the queue even while stopping, so
-               every job reaches a terminal state and this wait always
-               ends. *)
-            while
-              match job.state with Queued | Running -> true | _ -> false
-            do
-              Condition.wait t.cond t.mutex
-            done;
-          (match job.state with
-          | Queued | Running ->
-              P.error ~code:P.code_pending
-                (Printf.sprintf "job %d is %s" id (state_string job.state))
-          | Done doc ->
-              P.ok
-                [
-                  ("job", J.Int id);
-                  ("state", J.String P.state_done);
-                  ("timings", timings_json job);
-                  ("result", doc);
-                ]
-          | Failed { code; msg } -> P.error ~code msg
-          | Cancelled ->
-              P.error ~code:P.code_cancelled
-                (Printf.sprintf "job %d was cancelled" id)))
-
-let handle_cancel t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.jobs_tbl id with
-      | None -> job_not_found id
-      | Some job ->
-          let cancelling =
-            match job.state with Queued | Running -> true | _ -> false
-          in
-          if cancelling then begin
-            (* The executor notices: a queued job is skipped when
-               popped, a running one aborts at the engine's next
-               should_stop poll. *)
-            Atomic.set job.cancel true;
-            Log.info t.log "job.cancel" (job_fields job);
-            Condition.broadcast t.cond
-          end;
-          P.ok
-            [
-              ("job", J.Int id);
-              ("state", J.String (state_string job.state));
-              ("cancelling", J.Bool cancelling);
-            ])
-
-let handle_stats t =
-  with_lock t (fun () ->
-      P.ok
-        [
-          ( "stats",
-            J.Obj
-              [
-                ( "schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
-                ("artifact", J.String "service.stats");
-                ("queue_len", J.Int (Queue.length t.queue));
-                ("queue_cap", J.Int t.cfg.queue_cap);
-                ( "cache",
-                  J.Obj
-                    [
-                      ("len", J.Int (Lru.length t.cache));
-                      ("cap", J.Int (Lru.cap t.cache));
-                    ] );
-                ("obs", Obs.Snapshot.to_json (Obs.snapshot t.obs));
-              ] );
-        ])
-
-let inflight t =
-  Hashtbl.fold
-    (fun _ (j : job) acc -> match j.state with Running -> acc + 1 | _ -> acc)
-    t.jobs_tbl 0
-
-(* The OpenMetrics exposition (the [metrics] verb). Counters and
-   histograms come straight from the Obs snapshot; gauges are sampled
-   here, under the lock, so depth/inflight/cache readings are a
-   consistent cut of server state. *)
-let handle_metrics t =
-  with_lock t (fun () ->
-      let snap = Obs.snapshot t.obs in
-      let counter k =
-        try List.assoc k snap.Obs.Snapshot.counters with Not_found -> 0
-      in
-      let hits = counter "service.cache_hit" in
-      let misses = counter "service.cache_miss" in
-      let hit_ratio =
-        if hits + misses = 0 then 0.0
-        else float_of_int hits /. float_of_int (hits + misses)
-      in
-      let g = Gc.quick_stat () in
-      let gauge g_name g_help g_value =
-        { ME.g_name; g_help; g_value; g_labels = [] }
-      in
-      let gauges =
-        [
-          gauge "queue_depth" "Jobs queued and not yet running."
-            (float_of_int (Queue.length t.queue));
-          gauge "queue_capacity" "Queue bound; submits beyond it are refused."
-            (float_of_int t.cfg.queue_cap);
-          gauge "inflight_jobs" "Jobs currently running on the executor."
-            (float_of_int (inflight t));
-          gauge "cache_entries" "Result documents held by the LRU cache."
-            (float_of_int (Lru.length t.cache));
-          gauge "cache_capacity" "LRU cache bound."
-            (float_of_int (Lru.cap t.cache));
-          gauge "cache_hit_ratio" "Cache hits over hits + misses."
-            hit_ratio;
-          gauge "jobs_registered" "Jobs accepted since startup."
-            (float_of_int (t.next_id - 1));
-          gauge "uptime_seconds" "Wall-clock seconds since startup."
-            (Obs.Clock.wall () -. t.started_at);
-          gauge "gc_heap_words" "Gc.quick_stat heap words (live major heap)."
-            (float_of_int g.Gc.heap_words);
-          gauge "gc_major_collections" "Major GC cycles since startup."
-            (float_of_int g.Gc.major_collections);
-          gauge "gc_minor_collections" "Minor GC cycles since startup."
-            (float_of_int g.Gc.minor_collections);
-        ]
-      in
-      let slos =
-        [
-          ( "service_queue_wait_seconds",
-            "Time from enqueue to dequeue per executed job.",
-            t.slo_queue_wait );
-          ( "service_run_seconds",
-            "Partition engine wall time per executed job.",
-            t.slo_run );
-          ( "service_e2e_seconds",
-            "Request decode to terminal job state, end to end.",
-            t.slo_e2e );
-        ]
-      in
-      P.ok [ ("metrics", J.String (ME.render ~gauges ~slos snap)) ])
-
-let handle_health t =
-  with_lock t (fun () ->
-      P.ok
-        [
-          ( "health",
-            J.Obj
-              [
-                ( "state",
-                  J.String (if t.stopping then "draining" else "accepting") );
-                ("protocol_version", J.Int P.protocol_version);
-                ( "stats_schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
-                ("uptime_secs", J.Float (Obs.Clock.wall () -. t.started_at));
-                ("queue_depth", J.Int (Queue.length t.queue));
-                ("queue_cap", J.Int t.cfg.queue_cap);
-                ("inflight", J.Int (inflight t));
-                ( "cache",
-                  J.Obj
-                    [
-                      ("len", J.Int (Lru.length t.cache));
-                      ("cap", J.Int (Lru.cap t.cache));
-                    ] );
-                ("jobs_total", J.Int (t.next_id - 1));
-              ] );
-        ])
-
-let handle_shutdown t =
-  with_lock t (fun () ->
-      t.stopping <- true;
-      Log.info t.log "server.drain"
-        [ ("queue_depth", J.Int (Queue.length t.queue)) ];
-      Condition.broadcast t.cond;
-      P.ok [ ("stopping", J.Bool true) ])
-
-let dispatch t = function
-  | P.Submit { name; format; netlist; options; envelope = _ } ->
-      (* The single-process daemon accepts the v3 envelope and ignores
-         it: strict FIFO is its documented behaviour. *)
-      handle_submit t ~name ~format ~netlist ~options
-  | P.Submit_batch { items; envelope = _ } -> handle_submit_batch t ~items
-  | P.Fleet_stats ->
-      P.error ~code:P.code_bad_request
-        "fleet-stats requires a fleet scheduler (serve --workers N)"
-  | P.Resubmit { name; base; delta; options } ->
-      handle_resubmit t ~name ~base ~delta ~options
-  | P.Status id -> handle_status t id
-  | P.Result { job; wait } -> handle_result t ~id:job ~wait
-  | P.Cancel id -> handle_cancel t id
-  | P.Stats -> handle_stats t
-  | P.Metrics -> handle_metrics t
-  | P.Health -> handle_health t
-  | P.Shutdown -> handle_shutdown t
-
-let verb_name = function
-  | P.Submit _ -> "submit"
-  | P.Submit_batch _ -> "submit-batch"
-  | P.Fleet_stats -> "fleet-stats"
-  | P.Resubmit _ -> "resubmit"
-  | P.Status _ -> "status"
-  | P.Result _ -> "result"
-  | P.Cancel _ -> "cancel"
-  | P.Stats -> "stats"
-  | P.Metrics -> "metrics"
-  | P.Health -> "health"
-  | P.Shutdown -> "shutdown"
+              let stamps =
+                { F.t_received; t_decoded; t_keyed = Obs.Clock.wall () }
+              in
+              admit ~key ~stamps ~extra:[ cold_fallback ]
+                ~log_extra:[ ("base", J.String base_key); cold_fallback ]
+                ~on_admit
+                { circuit = edited; hypergraph = h; mode }))
 
 (* ------------------------------------------------------------------ *)
-(* Connections                                                        *)
+(* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let forget_conn t fd =
-  with_lock t (fun () ->
-      t.open_conns <- List.filter (fun fd' -> fd' <> fd) t.open_conns);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* One thread per connection; frames are handled in order. A bad frame
-   gets an error reply and the connection is closed (the stream position
-   is unknowable); a bad *request* in a good frame only costs an error
-   reply — the connection survives. Accept/decode logging stays at debug:
-   its interleaving across handler threads is scheduling-dependent, so
-   only the info-level lifecycle stream (emitted under the state lock) is
-   held to the byte-determinism contract. *)
-let rec handle_conn t fd =
-  match Codec.read_frame fd with
-  | Error `Eof -> forget_conn t fd
-  | Error err ->
-      with_lock t (fun () ->
-          Obs.incr t.obs "service.bad_requests";
-          Log.warn t.log "request.bad_frame" []);
-      (try
-         Codec.write_frame fd
-           (P.error ~code:P.code_bad_request (Codec.read_error_to_string err))
-       with Unix.Unix_error _ -> ());
-      forget_conn t fd
-  | Ok json -> (
-      with_lock t (fun () -> Obs.incr t.obs "service.requests");
-      let reply =
-        match P.request_of_json json with
-        | Error (code, msg) ->
-            with_lock t (fun () ->
-                Obs.incr t.obs "service.bad_requests";
-                Log.warn t.log "request.bad" [ ("code", J.String code) ]);
-            P.error ~code msg
-        | Ok req ->
-            Log.debug t.log "request.decode"
-              [ ("verb", J.String (verb_name req)) ];
-            dispatch t req
-      in
-      match Codec.write_frame fd reply with
-      | () -> handle_conn t fd
-      | exception Unix.Unix_error _ -> forget_conn t fd)
-
-(* ------------------------------------------------------------------ *)
-(* Accept loop and lifecycle                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A SIGKILLed daemon leaves its socket file behind, and blindly
-   unlinking it would clobber a *live* daemon's socket instead. Probe
-   with connect first: success means someone is accepting on the path
-   (refuse to bind); ECONNREFUSED means nothing is listening, so the
-   file is a stale leftover and safe to unlink. *)
-let bind_socket path =
-  let probe_existing () =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close probe with Unix.Unix_error _ -> ())
-          (fun () ->
-            match Unix.connect probe (Unix.ADDR_UNIX path) with
-            | () -> `Live
-            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> `Stale
-            | exception Unix.Unix_error _ -> `Leave))
-    | _ -> `Leave
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> `Absent
-  in
-  match probe_existing () with
-  | `Live ->
-      Error
-        (Printf.sprintf
-           "cannot bind %s: a live daemon is already accepting on it" path)
-  | (`Stale | `Leave | `Absent) as probed ->
-      (if probed = `Stale then
-         try Unix.unlink path with Unix.Unix_error _ -> ());
-      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.bind sock (Unix.ADDR_UNIX path) with
-  | () ->
-      Unix.listen sock 16;
-      Ok sock
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e))
-
-let run ?(on_ready = fun () -> ()) ?(external_stop = fun () -> false) cfg =
-  (* A client that disconnects before reading its reply must surface as
-     [EPIPE] in the connection handler, not as a process-killing
-     SIGPIPE. *)
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+let run ?on_ready ?external_stop cfg =
   let t =
+    F.create
+      {
+        F.socket_path = cfg.socket_path;
+        queue_cap = cfg.queue_cap;
+        cache_cap = cfg.cache_cap;
+        tenant_weights = [];
+        log = cfg.log;
+        trace_path = cfg.trace_path;
+      }
+  in
+  let exec = ref None in
+  let rec b =
     {
-      cfg;
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      obs = Obs.create ();
-      trace =
-        (match cfg.trace_path with
-        | Some _ -> Obs.create ~trace:true ()
-        | None -> Obs.noop);
-      log = cfg.log;
-      slo_queue_wait = ME.Slo.create ();
-      slo_run = ME.Slo.create ();
-      slo_e2e = ME.Slo.create ();
-      started_at = Obs.Clock.wall ();
-      jobs_tbl = Hashtbl.create 64;
-      queue = Queue.create ();
-      cache = Lru.create ~cap:cfg.cache_cap;
-      next_id = 1;
-      stopping = false;
-      open_conns = [];
+      F.payload =
+        (fun ~format:_ ~netlist:_ ~circuit ~hypergraph ->
+          { circuit; hypergraph; mode = Cold });
+      spill = None;
+      resubmit = (fun ~name ~base ~delta ~options ->
+        handle_resubmit t b ~name ~base ~delta ~options);
+      on_cancel = (fun _ -> ignore);
+      fleet_stats =
+        (fun () ->
+          P.error ~code:P.code_bad_request
+            "fleet-stats requires a fleet scheduler (serve --workers N)");
+      gauges = (fun () -> []);
+      health = (fun () -> []);
+      start = (fun () -> exec := Some (Thread.create (executor t) cfg));
+      drain = (fun () -> Option.iter Thread.join !exec);
     }
   in
-  match bind_socket cfg.socket_path with
-  | Error _ as e -> e
-  | Ok sock ->
-      let exec_thread = Thread.create executor t in
-      let conn_threads = ref [] in
-      with_lock t (fun () ->
-          Log.info t.log "server.start"
-            [
-              ("protocol_version", J.Int P.protocol_version);
-              ("queue_cap", J.Int cfg.queue_cap);
-              ("cache_cap", J.Int cfg.cache_cap);
-            ]);
-      on_ready ();
-      let rec accept_loop () =
-        if external_stop () then
-          with_lock t (fun () ->
-              t.stopping <- true;
-              Log.info t.log "server.drain"
-                [ ("queue_depth", J.Int (Queue.length t.queue)) ];
-              Condition.broadcast t.cond)
-        else if with_lock t (fun () -> t.stopping) then ()
-        else
-          match Unix.select [ sock ] [] [] 0.2 with
-          | [], _, _ -> accept_loop ()
-          | _ -> (
-              match Unix.accept sock with
-              | fd, _ ->
-                  with_lock t (fun () ->
-                      t.open_conns <- fd :: t.open_conns;
-                      Log.debug t.log "conn.accept" []);
-                  conn_threads :=
-                    Thread.create (handle_conn t) fd :: !conn_threads;
-                  accept_loop ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                  accept_loop ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      in
-      accept_loop ();
-      with_lock t (fun () ->
-          t.stopping <- true;
-          Condition.broadcast t.cond);
-      (* Drain: queued jobs finish (or are cancelled), waiting clients
-         get their replies. *)
-      Thread.join exec_thread;
-      (* Idle connections would park their handlers in read() forever;
-         shutting the sockets down turns that into a clean EOF. *)
-      with_lock t (fun () -> t.open_conns)
-      |> List.iter (fun fd ->
-             try Unix.shutdown fd Unix.SHUTDOWN_ALL
-             with Unix.Unix_error _ -> ());
-      List.iter Thread.join !conn_threads;
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
-      (match cfg.trace_path with
-      | Some path -> Obs.Trace.write ~path t.trace
-      | None -> ());
-      with_lock t (fun () ->
-          Log.info t.log "server.stopped"
-            [ ("jobs_total", J.Int (t.next_id - 1)) ]);
-      Ok ()
+  F.serve ?on_ready ?external_stop t b

@@ -1,12 +1,16 @@
 (** The partitioning daemon: a long-lived server accepting jobs over a
     Unix-domain socket.
 
-    One accept loop, one handler thread per connection, and a single
-    executor thread that runs jobs strictly in FIFO order on the
-    existing {!Parallel.Pool} machinery (via [jobs] in
-    {!Core.Kway.options}). The queue is bounded: a [submit] past
-    [queue_cap] is refused with the typed [overloaded] error rather than
-    queued — backpressure instead of unbounded memory.
+    The daemon is the service front end ({!Front}: accept loop, one
+    handler thread per connection, job table, verbs, drain) over an
+    in-process backend: a single executor thread that runs jobs in
+    queue order on the existing {!Parallel.Pool} machinery (via [jobs]
+    in {!Core.Kway.options}). The queue is the front end's per-tenant
+    {!Fair_queue}, so the daemon honours a submission's tenant and
+    priority; single-tenant traffic runs FIFO. It is bounded per
+    tenant: a [submit] past [queue_cap] is refused with the typed
+    [overloaded] error rather than queued — backpressure instead of
+    unbounded memory.
 
     Results are cached in an LRU keyed by {!Digest.job_key}, computed on
     the {e canonicalised} circuit ({!Digest.canonical_circuit}), so two
@@ -59,7 +63,7 @@
 
 type config = {
   socket_path : string;
-  queue_cap : int;  (** max queued (not yet running) jobs *)
+  queue_cap : int;  (** max queued (not yet running) jobs per tenant *)
   cache_cap : int;  (** max cached result documents *)
   timeout : float option;
       (** per-job wall-clock budget in seconds; exceeding it fails the
@@ -82,8 +86,8 @@ val bind_socket : string -> (Unix.file_descr, string) result
     file is connect-probed first: if a daemon answers, the bind is
     refused ([Error], never clobbering the live socket); if the connect
     is refused, the file is a stale leftover (e.g. from a SIGKILLed
-    process) and is unlinked before binding. The fleet scheduler reuses
-    this for its public and per-worker sockets. *)
+    process) and is unlinked before binding. The fleet scheduler binds its
+    public socket the same way. *)
 
 val run :
   ?on_ready:(unit -> unit) ->

@@ -21,13 +21,13 @@ let checkb = Alcotest.check Alcotest.bool
 (* ------------------------------------------------------------------ *)
 
 let push_ok q ~tenant ?(priority = 0) v =
-  match Fleet.Fair_queue.push q ~tenant ~priority v with
+  match Service.Fair_queue.push q ~tenant ~priority v with
   | Ok () -> ()
   | Error (`Tenant_full _) -> Alcotest.fail "unexpected Tenant_full"
 
 let test_fair_queue_weights () =
   let q =
-    Fleet.Fair_queue.create ~weights:[ ("a", 2) ] ~cap:16 ()
+    Service.Fair_queue.create ~weights:[ ("a", 2) ] ~cap:16 ()
   in
   (* Backlog both tenants, then pop everything: tenant a (weight 2)
      gets two serves per turn, b (weight 1) one. *)
@@ -39,7 +39,7 @@ let test_fair_queue_weights () =
   done;
   let order =
     List.init 9 (fun _ ->
-        match Fleet.Fair_queue.pop q with
+        match Service.Fair_queue.pop q with
         | Some v -> v
         | None -> Alcotest.fail "queue drained early")
   in
@@ -47,36 +47,36 @@ let test_fair_queue_weights () =
     "2:1 interleave"
     [ "a0"; "a1"; "b0"; "a2"; "a3"; "b1"; "a4"; "a5"; "b2" ]
     order;
-  checkb "empty" true (Fleet.Fair_queue.pop q = None)
+  checkb "empty" true (Service.Fair_queue.pop q = None)
 
 let test_fair_queue_priorities () =
-  let q = Fleet.Fair_queue.create ~cap:16 () in
+  let q = Service.Fair_queue.create ~cap:16 () in
   push_ok q ~tenant:"t" ~priority:0 "low1";
   push_ok q ~tenant:"t" ~priority:5 "high";
   push_ok q ~tenant:"t" ~priority:0 "low2";
   Alcotest.(check (list string))
     "priority desc, FIFO within" [ "high"; "low1"; "low2" ]
-    (List.init 3 (fun _ -> Option.get (Fleet.Fair_queue.pop q)));
+    (List.init 3 (fun _ -> Option.get (Service.Fair_queue.pop q)));
   (* position reports the within-tenant index. *)
   push_ok q ~tenant:"t" ~priority:0 "x";
   push_ok q ~tenant:"t" ~priority:9 "y";
   checkb "position of x" true
-    (Fleet.Fair_queue.position q ~tenant:"t" (String.equal "x") = Some 1);
+    (Service.Fair_queue.position q ~tenant:"t" (String.equal "x") = Some 1);
   checkb "position of y" true
-    (Fleet.Fair_queue.position q ~tenant:"t" (String.equal "y") = Some 0)
+    (Service.Fair_queue.position q ~tenant:"t" (String.equal "y") = Some 0)
 
 let test_fair_queue_backpressure () =
-  let q = Fleet.Fair_queue.create ~cap:2 () in
+  let q = Service.Fair_queue.create ~cap:2 () in
   push_ok q ~tenant:"noisy" 1;
   push_ok q ~tenant:"noisy" 2;
-  (match Fleet.Fair_queue.push q ~tenant:"noisy" ~priority:0 3 with
+  (match Service.Fair_queue.push q ~tenant:"noisy" ~priority:0 3 with
   | Error (`Tenant_full d) -> checki "full depth" 2 d
   | Ok () -> Alcotest.fail "expected Tenant_full");
   (* The cap is per tenant: a quiet tenant is unaffected. *)
   push_ok q ~tenant:"quiet" 1;
-  checki "total" 3 (Fleet.Fair_queue.length q);
-  checki "noisy depth" 2 (Fleet.Fair_queue.depth q "noisy");
-  checki "quiet depth" 1 (Fleet.Fair_queue.depth q "quiet")
+  checki "total" 3 (Service.Fair_queue.length q);
+  checki "noisy depth" 2 (Service.Fair_queue.depth q "noisy");
+  checki "quiet depth" 1 (Service.Fair_queue.depth q "quiet")
 
 (* Conservation property: whatever mix of tenants, priorities and
    interleaved pushes, pops return every accepted item exactly once. *)
@@ -85,18 +85,18 @@ let test_fair_queue_conservation =
     QCheck.(
       list (pair (int_range 0 4) (int_range (-3) 3)))
     (fun pushes ->
-      let q = Fleet.Fair_queue.create ~weights:[ ("t0", 3) ] ~cap:8 () in
+      let q = Service.Fair_queue.create ~weights:[ ("t0", 3) ] ~cap:8 () in
       let accepted = ref [] in
       List.iteri
         (fun i (tenant, priority) ->
           let tenant = Printf.sprintf "t%d" tenant in
-          match Fleet.Fair_queue.push q ~tenant ~priority i with
+          match Service.Fair_queue.push q ~tenant ~priority i with
           | Ok () -> accepted := i :: !accepted
           | Error (`Tenant_full _) -> ())
         pushes;
-      let drained = Fleet.Fair_queue.drain q in
+      let drained = Service.Fair_queue.drain q in
       List.sort compare drained = List.sort compare !accepted
-      && Fleet.Fair_queue.length q = 0)
+      && Service.Fair_queue.length q = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                         *)
@@ -586,6 +586,147 @@ let test_fleet_disk_cache_restart () =
           checkb "disk hit counted" true
             (counter "fleet.disk_cache_hit" c >= 1))
 
+let str_field name reply =
+  match Option.bind (J.member name reply) J.to_str with
+  | Some v -> v
+  | None -> Alcotest.failf "reply lacks string field %S" name
+
+let bool_field name reply = Option.bind (J.member name reply) J.to_bool
+
+(* A reply that already carries the result is final; otherwise wait for
+   the job it names. *)
+let final_reply path reply =
+  match J.member "result" reply with
+  | Some _ -> reply
+  | None -> await path (int_field "job" reply)
+
+let resubmit_req ?(delta = []) key =
+  P.Resubmit { name = "eco"; base = `Digest key; delta; options = None }
+
+let slow_submit seed =
+  let big =
+    match Experiments.Suite.find "s5378" with
+    | Some e ->
+        Netlist.Bench_format.to_string (Lazy.force e.Experiments.Suite.circuit)
+    | None -> Alcotest.fail "builtin s5378 missing"
+  in
+  P.Submit
+    {
+      name = Printf.sprintf "slow%d" seed;
+      format = P.Bench;
+      netlist = big;
+      options = Core.Kway.Options.make ~runs:6 ~seed ();
+      envelope = P.default_envelope;
+    }
+
+let expect_error code reply =
+  match C.ok_or_error reply with
+  | Error (c, _) -> Alcotest.(check string) "error code" code c
+  | Ok _ -> Alcotest.failf "expected a %s error" code
+
+let test_fleet_resubmit_by_digest () =
+  with_fleet (fun path ->
+      wait_workers_up path 2;
+      let base = rpc_ok path (submit_req "eco" ~seed:11) in
+      let base_doc = J.member "result" (await path (int_field "job" base)) in
+      (* A cache hit spends a scheduler job id that no worker sees, so the
+         scheduler's ids run ahead of the workers' from here on. *)
+      let key = str_field "digest" base in
+      ignore (rpc_ok path (submit_req "eco" ~seed:11));
+      let delta = [ Netlist.Delta.Set_output { net = "c"; output = true } ] in
+      let r = rpc_ok path (resubmit_req ~delta key) in
+      checki "scheduler's job id" 3 (int_field "job" r);
+      checkb "warm, not cold" true (bool_field "cold_fallback" r = Some false);
+      ignore (final_reply path r);
+      let status = rpc_ok path (P.Status 3) in
+      Alcotest.(check string) "done" P.state_done (str_field "state" status);
+      (* The empty delta is the base partition itself. *)
+      let r = final_reply path (rpc_ok path (resubmit_req key)) in
+      checki "next scheduler id" 4 (int_field "job" r);
+      Alcotest.(check string)
+        "base doc byte-identical"
+        (J.to_string (Option.get base_doc))
+        (J.to_string (Option.get (J.member "result" r))))
+
+let test_fleet_cancel_dispatched () =
+  with_fleet (fun path ->
+      wait_workers_up path 2;
+      let before = counter "service.cancelled" (fleet_counters path) in
+      let id = int_field "job" (rpc_ok path (slow_submit 41)) in
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      let rec wait_running () =
+        let st = str_field "state" (rpc_ok path (P.Status id)) in
+        if String.equal st P.state_running then ()
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.failf "job never dispatched (state %s)" st
+        else begin
+          Thread.delay 0.02;
+          wait_running ()
+        end
+      in
+      wait_running ();
+      let c = rpc_ok path (P.Cancel id) in
+      checkb "cancelling" true (bool_field "cancelling" c = Some true);
+      (match C.rpc ~socket:path (P.Result { job = id; wait = true }) with
+      | Ok reply -> expect_error P.code_cancelled reply
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check string)
+        "terminal state" P.state_cancelled
+        (str_field "state" (rpc_ok path (P.Status id)));
+      checki "service.cancelled advanced" (before + 1)
+        (counter "service.cancelled" (fleet_counters path)))
+
+let health_int name path =
+  match Option.bind (J.member "health" (rpc_ok path P.Health)) (J.member name) with
+  | Some v -> Option.get (J.to_int v)
+  | None -> Alcotest.failf "health lacks %s" name
+
+let test_fleet_refusal_spends_no_id () =
+  let config c = { c with Fleet.Scheduler.queue_cap = 1 } in
+  with_fleet ~config (fun path ->
+      wait_workers_up path 2;
+      (* Distinct slow jobs: two run, one queues, the next is refused. *)
+      let rec fill seed accepted =
+        if seed > 60 then Alcotest.fail "the fleet never refused a job"
+        else
+          match C.rpc ~socket:path (slow_submit seed) with
+          | Error e -> Alcotest.fail e
+          | Ok reply -> (
+              match C.ok_or_error reply with
+              | Ok r -> fill (seed + 1) (int_field "job" r :: accepted)
+              | Error (code, _) ->
+                  Alcotest.(check string) "refusal" P.code_overloaded code;
+                  List.rev accepted)
+      in
+      let accepted = fill 1 [] in
+      let n = List.length accepted in
+      checki "jobs_total counts accepted jobs only" n
+        (health_int "jobs_total" path);
+      List.iter (fun id -> ignore (rpc_ok path (P.Cancel id))) accepted;
+      List.iter
+        (fun id -> ignore (C.rpc ~socket:path (P.Result { job = id; wait = true })))
+        accepted;
+      let r = rpc_ok path (submit_req "after" ~seed:99) in
+      checki "next id follows the accepted ones" (n + 1) (int_field "job" r);
+      ignore (await path (n + 1)))
+
+let test_fleet_bad_delta_counted () =
+  with_fleet (fun path ->
+      wait_workers_up path 2;
+      let base = rpc_ok path (submit_req "eco" ~seed:13) in
+      ignore (await path (int_field "job" base));
+      let before = counter "service.bad_requests" (fleet_counters path) in
+      (match
+         C.rpc ~socket:path
+           (resubmit_req
+              ~delta:[ Netlist.Delta.Remove_cell "no_such_cell" ]
+              (str_field "digest" base))
+       with
+      | Ok reply -> expect_error P.code_bad_request reply
+      | Error e -> Alcotest.fail e);
+      checki "service.bad_requests advanced" (before + 1)
+        (counter "service.bad_requests" (fleet_counters path)))
+
 let () =
   Random.self_init ();
   Alcotest.run "fleet"
@@ -631,5 +772,13 @@ let () =
             test_fleet_kill_worker_requeues_once;
           Alcotest.test_case "disk cache survives restart" `Slow
             test_fleet_disk_cache_restart;
+          Alcotest.test_case "resubmit by digest" `Slow
+            test_fleet_resubmit_by_digest;
+          Alcotest.test_case "cancel a dispatched job" `Slow
+            test_fleet_cancel_dispatched;
+          Alcotest.test_case "refused submit spends no job id" `Slow
+            test_fleet_refusal_spends_no_id;
+          Alcotest.test_case "bad-delta resubmit counted" `Slow
+            test_fleet_bad_delta_counted;
         ] );
     ]

@@ -7,9 +7,10 @@
 # respawned and its job requeued exactly once — the client still gets
 # its result and the service.worker_restarts / service.requeues counters
 # advance, (3) the persistent result cache survives a full fleet
-# restart (the resubmitted circuit is answered from disk), and (4) a
+# restart (the resubmitted circuit is answered from disk), (4) a
 # single-worker fleet replies byte-identically to the single-process
-# daemon for the same submission.
+# daemon for the same submission, and (5) `--trace` with `--workers` is
+# refused at the CLI rather than silently writing no trace.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -152,5 +153,18 @@ wait_workers "$tmpdir/one.sock" 1
 cmp "$tmpdir/solo.json" "$tmpdir/one.json" \
     || { echo "single-worker fleet reply differs from daemon reply" >&2; exit 1; }
 echo "fleet check: single-worker fleet is byte-identical to the daemon"
+
+# 5. The lifecycle trace belongs to the single-process daemon; a fleet
+#    asked for one must refuse to start, not run without it.
+if "$FPGAPART" serve --socket "$tmpdir/traced.sock" --workers 1 \
+    --trace "$tmpdir/fleet.trace.json" >/dev/null 2>"$tmpdir/trace.err"; then
+    echo "serve --workers 1 --trace was accepted" >&2
+    exit 1
+fi
+grep -q -- '--trace' "$tmpdir/trace.err" \
+    || { echo "serve --workers --trace failed without naming --trace" >&2; exit 1; }
+[ ! -e "$tmpdir/traced.sock" ] \
+    || { echo "refused fleet still bound its socket" >&2; exit 1; }
+echo "fleet check: --workers with --trace is refused"
 
 echo "fleet check: all green"

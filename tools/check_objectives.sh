@@ -1,14 +1,16 @@
 #!/bin/sh
 # Objective-API acceptance gate, in two halves.
 #
-# Equivalence: `--objective paper` (the default) must reproduce the
-# pre-redesign scalar partitioner's decisions byte-for-byte on every
-# bundled circuit. Each run's stats document is reduced to its
-# objective-stable subset (tools/extract_stable.py: result + decision
-# telemetry, minus schema-revision keys and wall/ratio fields) and
-# compared against the goldens in test/golden/, which were generated
-# from the scalar implementation. Any drift in a device choice, a cut,
-# an F-M event or a counter fails the gate.
+# Equivalence: a run with pure defaults — no flags beyond the circuit
+# and seed, so the default objective (paper) and the default flat
+# strategy — must reproduce the pre-redesign scalar partitioner's
+# decisions byte-for-byte on every bundled circuit, and its stats
+# options must name the paper objective. Each run's stats document is
+# reduced to its objective-stable subset (tools/extract_stable.py:
+# result + decision telemetry, minus schema-revision keys and wall/ratio
+# fields) and compared against the goldens in test/golden/, which were
+# generated from the scalar implementation. Any drift in a device
+# choice, a cut, an F-M event or a counter fails the gate.
 #
 # Smoke: the non-paper objectives must run end-to-end — a valid
 # feasible partition under `--objective multi-personality` (vector
@@ -30,11 +32,15 @@ run() {
 }
 
 for circuit in c1355 c5315 c6288 c7552 s13207 s15850 s38584 s5378 s9234; do
-  run "$circuit" --objective paper --stats-json "$tmpdir/$circuit.json"
+  run "$circuit" --stats-json "$tmpdir/$circuit.json"
+  if ! grep -qF '"objective": "paper"' "$tmpdir/$circuit.json"; then
+    echo "objective check: the default run of $circuit does not stamp the paper objective" >&2
+    exit 1
+  fi
   python3 tools/extract_stable.py "$tmpdir/$circuit.json" \
     > "$tmpdir/$circuit.stable"
   if ! cmp -s "$tmpdir/$circuit.stable" "test/golden/$circuit.baseline.json"; then
-    echo "objective check: $circuit under --objective paper drifted from the scalar baseline" >&2
+    echo "objective check: default run of $circuit drifted from the scalar baseline" >&2
     diff "test/golden/$circuit.baseline.json" "$tmpdir/$circuit.stable" | head -20 >&2
     exit 1
   fi
@@ -53,4 +59,4 @@ if run c1355 --objective no-such-objective 2>/dev/null; then
   exit 1
 fi
 
-echo "objective check: ok (paper matches scalar baselines on 9 circuits; multi-personality and chiplet run end-to-end)"
+echo "objective check: ok (defaults match scalar baselines on 9 circuits; multi-personality and chiplet run end-to-end)"

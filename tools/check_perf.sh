@@ -82,25 +82,7 @@ else
   oracle_identity c6288
 fi
 
-# 4. Flat-path byte identity: with multilevel disabled (the default),
-#    every bundled circuit's objective-stable telemetry must still
-#    byte-match the scalar-era goldens in test/golden/. Unlike the
-#    check_objectives.sh loop this runs the pure defaults — no
-#    --objective flag — so it also gates the default-options plumbing
-#    (strategy = Flat) that the multilevel work threaded through the
-#    driver.
-echo "perf check: flat-path golden identity (9 circuits, defaults)..."
-for c in c1355 c5315 c6288 c7552 s5378 s9234 s13207 s15850 s38584; do
-  run "$c" "$tmpdir/flat.json"
-  python3 tools/extract_stable.py "$tmpdir/flat.json" > "$tmpdir/flat.stable"
-  if ! cmp -s "$tmpdir/flat.stable" "test/golden/$c.baseline.json"; then
-    echo "perf check: flat default run of $c drifted from test/golden/$c.baseline.json" >&2
-    diff "test/golden/$c.baseline.json" "$tmpdir/flat.stable" | head -20 >&2
-    exit 1
-  fi
-done
-
-# 5. Multilevel at scale: the V-cycle must take a seeded 100k-cell
+# 4. Multilevel at scale: the V-cycle must take a seeded 100k-cell
 #    Rent-profile circuit to a feasible partition inside the wall
 #    budget. The partition phase on a typical desktop core lands in
 #    single-digit seconds; the default budget leaves headroom for slow
