@@ -30,12 +30,25 @@ let read_netlist path =
   | Ok Blif -> Netlist.Blif.parse_file path
   | Ok Verilog -> Netlist.Verilog.parse_file path
 
+(* An output path that cannot be written is a usage error: report it and
+   exit 1 rather than escaping as an uncaught Sys_error. *)
+let writing what f =
+  try f ()
+  with Sys_error msg ->
+    prerr_endline ("fpgapart: cannot write " ^ what ^ ": " ^ msg);
+    exit 1
+
 let write_netlist path c =
   match format_of_path path with
   | Error _ as e -> e
-  | Ok Bench -> Ok (Netlist.Bench_format.write_file path c)
-  | Ok Blif -> Ok (Netlist.Blif.write_file path c)
-  | Ok Verilog -> Ok (Netlist.Verilog.write_file path c)
+  | Ok format ->
+      let write =
+        match format with
+        | Bench -> Netlist.Bench_format.write_file
+        | Blif -> Netlist.Blif.write_file
+        | Verilog -> Netlist.Verilog.write_file
+      in
+      Ok (writing "netlist" (fun () -> write path c))
 
 (* ------------------------------------------------------------------ *)
 (* Circuit sources                                                    *)
@@ -99,15 +112,6 @@ let jobs_arg = Cli_common.jobs ()
 let objective_arg = Cli_common.objective ()
 let device_lib_arg = Cli_common.device_lib ()
 let multilevel_arg = Cli_common.multilevel ()
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "verbose"; "v" ] ~doc:"Print driver progress (Logs debug level).")
-
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
 let or_die = function
   | Ok v -> v
@@ -216,9 +220,8 @@ let partition_cmd =
     "Partition a circuit into a heterogeneous XC3000 set minimising total \
      device cost and interconnect (the paper's main flow)."
   in
-  let run bench builtin seed threshold runs jobs verbose stats_json trace
-      objective device_lib strategy =
-    setup_logs verbose;
+  let run bench builtin seed threshold runs jobs stats_json trace objective
+      device_lib strategy =
     let library = or_die (Cli_common.library_of_path device_lib) in
     let _, m = or_die (load_circuit_mapped bench builtin) in
     let name =
@@ -249,10 +252,7 @@ let partition_cmd =
       match trace with
       | None -> ()
       | Some path ->
-          (try Obs.Trace.write ~path obs
-           with Sys_error msg ->
-             prerr_endline ("fpgapart: cannot write trace: " ^ msg);
-             exit 1);
+          writing "trace" (fun () -> Obs.Trace.write ~path obs);
           Format.printf "trace: %s (open in ui.perfetto.dev)@." path
     in
     match Core.Kway.partition ~obs ~options ~library h with
@@ -292,13 +292,10 @@ let partition_cmd =
         (match stats_json with
         | None -> ()
         | Some path ->
-            (try
-               Experiments.Obs_report.write ~path
-                 (Experiments.Obs_report.doc ~name ~options ~result:r
-                    ~snapshot:(Obs.snapshot obs))
-             with Sys_error msg ->
-               prerr_endline ("fpgapart: cannot write stats: " ^ msg);
-               exit 1);
+            writing "stats" (fun () ->
+                Experiments.Obs_report.write ~path
+                  (Experiments.Obs_report.doc ~name ~options ~result:r
+                     ~snapshot:(Obs.snapshot obs)));
             Format.printf "telemetry: %s@." path);
         flush_trace ();
         if Obs.enabled obs then
@@ -312,8 +309,8 @@ let partition_cmd =
     (Cmd.info "partition" ~doc)
     Term.(
       const run $ bench_arg $ circuit_arg $ seed_arg $ threshold_arg $ runs_arg
-      $ jobs_arg $ verbose_arg $ stats_json_arg $ trace_arg $ objective_arg
-      $ device_lib_arg $ multilevel_arg)
+      $ jobs_arg $ stats_json_arg $ trace_arg $ objective_arg $ device_lib_arg
+      $ multilevel_arg)
 
 
 let convert_cmd =
@@ -495,8 +492,7 @@ let serve_cmd =
              with $(b,--workers).")
   in
   let run socket queue_cap cache_cap timeout jobs workers cache_dir
-      tenant_weights log_level log_file log_scrub trace_path verbose =
-    setup_logs verbose;
+      tenant_weights log_level log_file log_scrub trace_path =
     if queue_cap <= 0 || cache_cap <= 0 then (
       prerr_endline "fpgapart: --queue-cap and --cache-cap must be positive";
       exit 1);
@@ -524,7 +520,10 @@ let serve_cmd =
     let log_oc =
       match log_file with
       | None -> None
-      | Some path -> Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
+      | Some path ->
+          Some
+            (writing "log" (fun () ->
+                 open_out_gen [ Open_append; Open_creat ] 0o644 path))
     in
     let log =
       Obs.Log.to_channel ~level:log_level ~scrub:log_scrub
@@ -586,7 +585,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ queue_cap_arg $ cache_cap_arg $ timeout_arg
       $ jobs_arg $ workers_arg $ cache_dir_arg $ tenant_weight_arg
-      $ log_level_arg $ log_file_arg $ log_scrub_arg $ trace_arg $ verbose_arg)
+      $ log_level_arg $ log_file_arg $ log_scrub_arg $ trace_arg)
 
 let submit_cmd =
   let doc =
@@ -779,7 +778,8 @@ let perturb_cmd =
     (match delta_out with
     | None -> ()
     | Some path ->
-        Obs.Json.write_file ~path (Service.Protocol.delta_to_json delta));
+        writing "delta" (fun () ->
+            Obs.Json.write_file ~path (Service.Protocol.delta_to_json delta)));
     (match edited_out with
     | None -> ()
     | Some path -> or_die (write_netlist path edited));

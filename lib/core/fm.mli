@@ -83,8 +83,8 @@ type config = {
           an incremental pass costs O(blast radius), not O(cells). The
           default accepts every cell and is provably inert: the pre-lock
           branch is never taken and the pass sequence is byte-identical to
-          the unrestricted engine (the oracle identity gate in
-          [tools/check_perf.sh] enforces exactly this). *)
+          the unrestricted engine (the oracle identity cases in
+          [test/test_contracts.ml] enforce exactly this). *)
 }
 (** @deprecated Constructing this record literally is deprecated — new
     knobs would break literal builders. Use {!Config.make} or one of the
@@ -211,7 +211,7 @@ val run : ?obs:Obs.t -> config -> Partition_state.t -> score
     applied operation), ["fm.scan_len"] (candidates inspected per bucket
     scan before one passed the legality test) and ["fm.moves_per_sec"]
     (per non-empty pass, applied ops over the pass's wall time — a
-    wall-derived quantity, masked by {!Obs.Snapshot.scrub_elapsed} like
+    wall-derived quantity, masked by {!Obs.Scrub.null_mask} like
     the [_secs] timers). The counter ["fm.rescored_cells"] accumulates the
     number of best-op recomputations triggered by applied moves (pass
     initialisation excluded) — the direct measure of what incremental

@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "fpgapart.kway" ~doc:"heterogeneous k-way driver"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type part = {
   device : Fpga.Device.t;
   members : (int * Bitvec.t) list;
@@ -128,8 +124,6 @@ module Options = struct
     }
 end
 
-let default_options = Options.default
-
 (* External nets that actually consume an IOB: a net flagged external but
    incident to no cell (a dead primary after mapping) never has to enter
    the device. Counting it would overstate every part's terminal usage —
@@ -252,9 +246,6 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
       match smallest_for ~relax_low:true ~demand:rest_demand ~iobs:ext () with
       | Some dev ->
           (* The whole remainder fits one device. *)
-          Log.debug (fun m ->
-              m "remainder fits %s: %d CLBs / %d IOBs" dev.Fpga.Device.name
-                area ext);
           if Obs.enabled obs then
             Obs.event obs "kway.fit"
               [
@@ -376,10 +367,6 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                   [ ("step", Obs.Json.Int step) ];
               Error "no feasible split for the remainder"
           | (_, (dev, st, clbs, iobs, used)) :: _ ->
-              Log.debug (fun m ->
-                  m "split: %s takes %d CLBs / %d IOBs; %d CLBs remain"
-                    dev.Fpga.Device.name clbs iobs
-                    (Partition_state.area st Partition_state.B));
               if Obs.enabled obs then begin
                 Obs.incr obs "kway.splits";
                 Obs.observe obs "kway.split_cut" (Partition_state.cut st);
@@ -1000,9 +987,6 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
   match best with
   | None -> Error "no feasible k-way partition found in any run"
   | Some (parts, summary, replicated, total) ->
-      Log.info (fun m ->
-          m "best of %d runs (%d feasible): %a" options.runs !feasible
-            Fpga.Cost.pp_summary summary);
       Ok
         {
           parts;
@@ -1556,10 +1540,6 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
             let cpu_secs = Obs.Clock.cpu () -. t0 in
             if options.should_stop () then Error cancelled
             else begin
-              Log.info (fun m ->
-                  m "multilevel (%d levels, %d coarse cells): %a" nlev
-                    (Hypergraph.num_cells hier.Coarsen.coarsest)
-                    Fpga.Cost.pp_summary summary);
               Ok
                 {
                   parts;

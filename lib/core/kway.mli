@@ -161,9 +161,6 @@ module Options : sig
       [refine_passes] and a [coarsen_ratio] strictly inside [(0, 1)]. *)
 end
 
-val default_options : options
-  [@@ocaml.deprecated "Use Kway.Options.default (or Kway.Options.make)."]
-
 val partition :
   ?obs:Obs.t ->
   ?options:options ->

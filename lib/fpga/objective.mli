@@ -12,7 +12,7 @@
     {!Primary}, so every total it contributes to is the same float the
     scalar code path computed ([x +. 0.0 = x] for the finite positive
     prices involved) — bit-identical results, enforced by the golden
-    telemetry gate ([tools/check_objectives.sh]). *)
+    telemetry cases of [test/test_contracts.ml]. *)
 
 type fm_objective = [ `Cut | `Terminals ]
 (** Which quantity the F-M engine minimises (mirrors [Fm.objective];

@@ -21,35 +21,6 @@ type t = sink option
 
 let null = None
 
-(* The log scrub contract is the stats contract (_secs/_per_sec/_util,
-   Snapshot.scrub_elapsed) extended with "_ms": service latency fields are
-   integer milliseconds precisely so they survive in stats documents, but
-   on a log line they are wall-derived per-record values, so a
-   byte-deterministic log must null them too. *)
-let is_volatile_key k =
-  let ends_with suf =
-    let n = String.length k and m = String.length suf in
-    n >= m && String.sub k (n - m) m = suf
-  in
-  ends_with "_secs" || ends_with "_ms" || ends_with "_per_sec"
-  || ends_with "_util"
-
-let rec scrub_value = function
-  | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if is_volatile_key k then (k, Json.Null) else (k, scrub_value v))
-           fields)
-  | Json.List items -> Json.List (List.map scrub_value items)
-  | j -> j
-
-let scrub_fields fields =
-  List.map
-    (fun (k, v) ->
-      if is_volatile_key k then (k, Json.Null) else (k, scrub_value v))
-    fields
-
 (* One global mutex keeps concurrently emitted lines whole. Ordering
    across threads is the caller's concern: the service emits every
    info-level lifecycle line under its own state mutex, which is what
@@ -76,15 +47,16 @@ let enabled t lvl =
   | Some s -> severity lvl >= severity s.min_level
 
 let line ~scrub lvl event fields =
-  let fields = if scrub then scrub_fields fields else fields in
   (* Obs.Clock.wall without the cycle (Obs re-exports this module). *)
-  let ts = if scrub then Json.Null else Json.Float (Unix.gettimeofday ()) in
+  let record =
+    Json.Obj
+      (("ts_secs", Json.Float (Unix.gettimeofday ()))
+       :: ("level", Json.String (level_to_string lvl))
+       :: ("event", Json.String event)
+       :: fields)
+  in
   Json.to_compact_string
-    (Json.Obj
-       (("ts_secs", ts)
-        :: ("level", Json.String (level_to_string lvl))
-        :: ("event", Json.String event)
-        :: fields))
+    (if scrub then Scrub.null_mask Scrub.Log record else record)
 
 let log t lvl event fields =
   match t with

@@ -6,13 +6,10 @@
     its job lifecycle through this module with a per-job correlation id on
     every line.
 
-    {b Scrub mode} extends the stats determinism contract
-    ({!Snapshot.scrub_elapsed}: ["_secs"]/["_per_sec"]/["_util"]) with
-    ["_ms"]: service latency fields are integer milliseconds precisely so
-    they survive inside stats documents, but on a log line they are
-    per-record wall-clock measurements, so a scrubbed log nulls them
-    (together with ["ts_secs"] itself). Two identical serialized runs must
-    then produce byte-identical logs — `tools/check_metrics.sh` enforces
+    {b Scrub mode} renders each record through [Scrub.null_mask Log]:
+    the stats determinism contract plus ["_ms"] (see {!Scrub}), which
+    nulls ["ts_secs"] itself too. Two identical serialized runs must then
+    produce byte-identical logs — `tools/check_metrics.sh` enforces
     exactly that against the live daemon. *)
 
 type level = Debug | Info | Warn | Error
@@ -63,8 +60,3 @@ val debug : t -> string -> (string * Json.t) list -> unit
 val info : t -> string -> (string * Json.t) list -> unit
 val warn : t -> string -> (string * Json.t) list -> unit
 val error : t -> string -> (string * Json.t) list -> unit
-
-val scrub_fields : (string * Json.t) list -> (string * Json.t) list
-(** The scrub mask on its own (exposed for tests): every field whose key
-    ends in ["_secs"], ["_ms"], ["_per_sec"] or ["_util"] becomes [Null],
-    recursively through nested objects and lists. *)

@@ -1,5 +1,6 @@
 module Json = Json
 module Log = Log
+module Scrub = Scrub
 
 module Clock = struct
   let wall = Unix.gettimeofday
@@ -358,29 +359,7 @@ module Snapshot = struct
                s.events) );
       ]
 
-  let is_elapsed_key k =
-    let ends_with suf =
-      let n = String.length k and m = String.length suf in
-      n >= m && String.sub k (n - m) m = suf
-    in
-    (* Wall-derived quantities: absolute times under "_secs" and rates
-       under "_per_sec" (e.g. the fm.moves_per_sec histogram name) vary
-       between identical runs. "_util" keys (per-axis utilization ratios,
-       schema v5) are deterministic but derived — float renderings of
-       used/capacity whose integral inputs are already in the document —
-       so the mask drops them too and scrubbed comparisons stay about
-       decisions, not float formatting. *)
-    ends_with "_secs" || ends_with "_per_sec" || ends_with "_util"
-
-  let rec scrub_elapsed = function
-    | Json.Obj fields ->
-        Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if is_elapsed_key k then (k, Json.Null) else (k, scrub_elapsed v))
-             fields)
-    | Json.List items -> Json.List (List.map scrub_elapsed items)
-    | j -> j
+  let scrub_elapsed = Scrub.null_mask Scrub.Stats
 
   (* Every section prints at least one line — an explicit "(none)" when
      empty — so piped summaries are stable whatever the sink recorded. *)

@@ -13,10 +13,10 @@
     - every wall-time quantity lives under a key ending in ["_secs"]
       (timer entries, elapsed fields of reports), and every wall-derived
       rate under a key ending in ["_per_sec"] (e.g. the
-      ["fm.moves_per_sec"] histogram). This is what makes
-      {!Snapshot.scrub_elapsed} a complete and minimal mask: two runs with
-      the same seed serialise byte-identically after scrubbing, and the
-      ["_secs"]/["_per_sec"] keys are the only ones scrubbed;
+      ["fm.moves_per_sec"] histogram). This is what makes the {!Scrub}
+      mask complete and minimal: two runs with the same seed serialise
+      byte-identically after scrubbing, and the volatile keys {!Scrub}
+      names are the only ones scrubbed;
     - events record the active span path (["kway/run0/split2"]) in a
       ["span"] field, so a flat event list stays attributable;
     - the trace never enters {!Snapshot.to_json}: wall-clock timestamps,
@@ -162,14 +162,9 @@ module Snapshot : sig
       deliberately absent (see {!Trace}). *)
 
   val scrub_elapsed : Json.t -> Json.t
-  (** Replace the value of every object field whose key ends in ["_secs"],
-      ["_per_sec"] or ["_util"] with [Null], recursively, and nothing else
-      (a ["_per_sec"]-named histogram is masked whole — its count, sum and
-      buckets are all wall-derived). ["_secs"]/["_per_sec"] mask
-      wall-derived variance; ["_util"] masks derived utilization ratios
-      (schema v5) whose integral inputs are already in the document, so
-      scrubbed comparisons are float-formatting-independent. Two same-seed
-      runs must agree byte-for-byte after this. *)
+  (** [Scrub.null_mask Stats]: null every ["_secs"], ["_per_sec"] and
+      ["_util"] field, recursively, and nothing else (see {!Scrub}). Two
+      same-seed runs must agree byte-for-byte after this. *)
 
   val pp : Format.formatter -> t -> unit
   (** Human summary: counters, timers, histograms, event count by name.
@@ -300,3 +295,7 @@ module Json = Json
 (** Leveled JSON-lines logging (see {!Log.t}); re-exported like {!Json}
     so [Obs.Log] is the one logging surface. *)
 module Log = Log
+
+(** The volatile-key contract and the null and stable views of a
+    telemetry document built on it. *)
+module Scrub = Scrub

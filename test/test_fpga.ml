@@ -333,7 +333,7 @@ let test_library_load () =
    libraries, the vector-feasibility path fed 1-ary demands must make
    exactly the scalar path's decisions, device by device and library
    query by library query. (The whole-partitioner half is the golden
-   compare in tools/check_objectives.sh.) *)
+   compare in test_contracts.ml.) *)
 let test_scalar_vector_equivalence =
   QCheck.Test.make ~name:"1-ary vector path = scalar path" ~count:300
     QCheck.(pair small_int (pair (int_range 0 400) (int_range 0 250)))

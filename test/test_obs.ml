@@ -238,7 +238,81 @@ let test_scrub_elapsed_is_minimal () =
   in
   checks "only _secs/_per_sec/_util keys nulled, order kept"
     (Obs.Json.to_string expect)
-    (Obs.Json.to_string (Obs.Snapshot.scrub_elapsed j))
+    (Obs.Json.to_string (Obs.Snapshot.scrub_elapsed j));
+  (* The stable view drops what the null mask nulls, drops the timers and
+     the schema-revision keys, and folds the events into a length and the
+     md5 of their key-sorted compact rendering. The hash was computed
+     independently: md5 of Python's json.dumps(events, sort_keys=True,
+     separators=(",", ":")) over the events without their _secs keys. *)
+  let module J = Obs.Json in
+  let doc =
+    J.Obj
+      [
+        ("schema_version", J.Int 6);
+        ("circuit", J.String "c17");
+        ("seed", J.Int 1);
+        ("options", J.Obj [ ("runs", J.Int 5) ]);
+        ( "result",
+          J.Obj
+            [
+              ("total_cost", J.Float 90.0);
+              ("wall_secs", J.Float 0.3);
+              ("resource_util", J.Obj [ ("clb_util", J.Float 0.5) ]);
+            ] );
+        ( "obs",
+          J.Obj
+            [
+              ("counters", J.Obj [ ("kway.splits", J.Int 1) ]);
+              ("timers", J.Obj [ ("run0_secs", J.Float 0.1) ]);
+              ( "histograms",
+                J.Obj
+                  [
+                    ("fm.moves_per_sec", J.Obj [ ("count", J.Int 1) ]);
+                    ("fm.gain", J.Obj [ ("count", J.Int 3) ]);
+                  ] );
+              ( "events",
+                J.List
+                  [
+                    J.Obj
+                      [
+                        ("event", J.String "kway.split");
+                        ("step", J.Int 0);
+                        ("device", J.String "XC3042");
+                        ("cut", J.Int 7);
+                      ];
+                    J.Obj
+                      [
+                        ("event", J.String "fm.pass");
+                        ("span", J.String "run0");
+                        ("wall_secs", J.Float 0.2);
+                        ("pass", J.Int 1);
+                        ( "gains",
+                          J.List [ J.Obj [ ("to", J.Int 2); ("from", J.Int 1) ] ]
+                        );
+                      ];
+                  ] );
+            ] );
+      ]
+  in
+  let expect =
+    J.Obj
+      [
+        ("circuit", J.String "c17");
+        ("seed", J.Int 1);
+        ("result", J.Obj [ ("total_cost", J.Float 90.0) ]);
+        ( "obs",
+          J.Obj
+            [
+              ("counters", J.Obj [ ("kway.splits", J.Int 1) ]);
+              ("histograms", J.Obj [ ("fm.gain", J.Obj [ ("count", J.Int 3) ]) ]);
+              ("events_md5", J.String "ced1cdf28ae9df01689a74c4a30f4076");
+              ("events_len", J.Int 2);
+            ] );
+      ]
+  in
+  checks "stable drops volatile keys and timers, hashes sorted events"
+    (J.to_string expect)
+    (J.to_string (Obs.Scrub.stable doc))
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                         *)
@@ -692,9 +766,10 @@ let test_log_scrub_masks_volatile_fields () =
           checkb "nested stable kept" true
             (J.member "state" nested = Some (J.String "done"))
       | None -> Alcotest.fail "nested object dropped"));
-  (* The mask is exactly the suffix contract — nothing else. *)
-  let masked =
-    Obs.Log.scrub_fields
+  (* The mask is exactly the suffix contract — nothing else — and only
+     the log mask covers _ms: stats documents keep integer latencies. *)
+  let fields =
+    J.Obj
       [
         ("a_ms", J.Int 1);
         ("b_secs", J.Float 2.0);
@@ -704,13 +779,23 @@ let test_log_scrub_masks_volatile_fields () =
         ("ms", J.Int 5);
       ]
   in
+  let masked mask =
+    match Obs.Scrub.null_mask mask fields with
+    | J.Obj f -> f
+    | _ -> Alcotest.fail "mask changed the document shape"
+  in
+  let log = masked Obs.Scrub.Log and stats = masked Obs.Scrub.Stats in
   checkb "suffix keys nulled" true
     (List.for_all
-       (fun k -> List.assoc k masked = J.Null)
+       (fun k -> List.assoc k log = J.Null)
        [ "a_ms"; "b_secs"; "c_per_sec"; "d_util" ]);
   checkb "non-suffix keys kept" true
-    (List.assoc "milliseconds" masked = J.Int 4
-    && List.assoc "ms" masked = J.Int 5)
+    (List.assoc "milliseconds" log = J.Int 4 && List.assoc "ms" log = J.Int 5);
+  checkb "stats mask keeps _ms" true (List.assoc "a_ms" stats = J.Int 1);
+  checkb "stats mask nulls the rest" true
+    (List.for_all
+       (fun k -> List.assoc k stats = J.Null)
+       [ "b_secs"; "c_per_sec"; "d_util" ])
 
 (* The determinism contract behind tools/check_metrics.sh: two scrubbed
    loggers fed the same records emit byte-identical streams, whatever

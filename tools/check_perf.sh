@@ -1,26 +1,20 @@
 #!/bin/sh
 # Perf-regression smoke gate for the incremental F-M engine.
 #
-# Three checks, all cheap enough for every CI run:
+# Three checks:
 #
 #   1. The hot-loop microbenchmark runs and its artifact carries the two
 #      gate numbers (moves/sec and allocated words per applied move) for
 #      both gain modes.
 #   2. A partition run on a genuinely multi-device circuit exports the
 #      incremental-rescoring telemetry: the fm.rescored_cells counter and
-#      the fm.moves_per_sec histogram (schema v4).
-#   3. Oracle identity: the same partition re-run under
-#      FPGAPART_FM_ORACLE=1 — every incrementally maintained best op
-#      cross-checked against a from-scratch recomputation after every
-#      applied move — must produce byte-identical scrubbed telemetry,
-#      partitions included. A stale cached gain either trips the oracle's
-#      failwith or changes a decision and trips the cmp.
+#      the fm.moves_per_sec histogram (schema v4). c1355 would be useless
+#      here: it fits one device, so it runs zero F-M passes.
+#   3. The multilevel scale gate on gen100k (gen1m too under
+#      FPGAPART_PERF_FULL=1).
 #
-# FPGAPART_PERF_FULL=1 widens check 3 to every bundled circuit (minutes,
-# not seconds — the oracle sweep restores the pre-filtering engine's
-# cost); the default covers c6288 only. c1355 would be useless here: it
-# fits one device, so a partition of it runs zero F-M passes and exports
-# no fm.* keys at all.
+# Oracle identity (FPGAPART_FM_ORACLE=1 changes nothing after the scrub)
+# is checked in test/test_contracts.ml under `dune runtest`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,15 +33,10 @@ do
   fi
 done
 
-run() {
-  circuit=$1; out=$2; shift 2
-  dune exec --no-print-directory bin/fpgapart.exe -- \
-    partition --circuit "$circuit" --seed 1 --stats-json "$out" "$@" \
-    >/dev/null
-}
-
 echo "perf check: incremental-rescoring telemetry (c6288)..."
-run c6288 "$tmpdir/plain.json"
+dune exec --no-print-directory bin/fpgapart.exe -- \
+  partition --circuit c6288 --seed 1 --stats-json "$tmpdir/plain.json" \
+  >/dev/null
 for key in '"fm.rescored_cells"' '"fm.moves_per_sec"'
 do
   if ! grep -qF "$key" "$tmpdir/plain.json"; then
@@ -56,33 +45,7 @@ do
   fi
 done
 
-scrub() {
-  python3 tools/scrub_stats.py "$1"
-}
-
-oracle_identity() {
-  circuit=$1
-  echo "perf check: oracle identity on $circuit..."
-  run "$circuit" "$tmpdir/norm.json"
-  FPGAPART_FM_ORACLE=1 run "$circuit" "$tmpdir/oracle.json"
-  scrub "$tmpdir/norm.json" > "$tmpdir/norm.scrubbed"
-  scrub "$tmpdir/oracle.json" > "$tmpdir/oracle.scrubbed"
-  if ! cmp -s "$tmpdir/norm.scrubbed" "$tmpdir/oracle.scrubbed"; then
-    echo "perf check: FPGAPART_FM_ORACLE=1 changed the $circuit result" >&2
-    echo "            (incremental gains disagree with from-scratch rescoring)" >&2
-    exit 1
-  fi
-}
-
-if [ -n "${FPGAPART_PERF_FULL:-}" ]; then
-  for c in c1355 c5315 c6288 c7552 s5378 s9234 s13207 s15850 s38584; do
-    oracle_identity "$c"
-  done
-else
-  oracle_identity c6288
-fi
-
-# 4. Multilevel at scale: the V-cycle must take a seeded 100k-cell
+# 3. Multilevel at scale: the V-cycle must take a seeded 100k-cell
 #    Rent-profile circuit to a feasible partition inside the wall
 #    budget. The partition phase on a typical desktop core lands in
 #    single-digit seconds; the default budget leaves headroom for slow
