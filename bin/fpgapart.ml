@@ -284,7 +284,7 @@ let partition_cmd =
         prerr_endline ("fpgapart: " ^ msg);
         exit 1
     | Ok r ->
-        (match Core.Kway.check h r with
+        (match Core.Kway.check ~objective:options.Core.Kway.objective h r with
         | Ok () -> ()
         | Error msg ->
             prerr_endline ("fpgapart: internal: unsound partition: " ^ msg);

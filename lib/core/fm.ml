@@ -50,12 +50,13 @@ end
 
 (* FPGAPART_FM_ORACLE=1 turns on the oracle cross-check in every run of the
    process — the tooling's way to prove the incremental engine right
-   without threading a flag through every CLI. *)
+   without threading a flag through every CLI. Read once at start-up, not
+   lazily: F-M runs on several domains at once, and forcing one lazy value
+   from two domains raises [CamlinternalLazy.Undefined]. *)
 let env_oracle =
-  lazy
-    (match Sys.getenv_opt "FPGAPART_FM_ORACLE" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
+  match Sys.getenv_opt "FPGAPART_FM_ORACLE" with
+  | Some ("1" | "true" | "yes") -> true
+  | _ -> false
 
 let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
     ?(gain_mode = `Eager) ?(slack = 0.10) ~total_area () =
@@ -176,7 +177,7 @@ let run ?(obs = Obs.noop) cfg st =
   let max_gain = (2 * Hypergraph.max_cell_degree hg) + 2 in
   let bucket = Bucket.create ~num_items:n ~max_gain in
   let observing = Obs.enabled obs in
-  let oracle = cfg.oracle || Lazy.force env_oracle in
+  let oracle = cfg.oracle || env_oracle in
   let lazy_gains = cfg.gain_mode = `Lazy in
   let pass_idx = ref 0 in
   (* The chosen op per cell, unpacked into int arrays (Bitvec.t = int;

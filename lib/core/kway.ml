@@ -46,13 +46,6 @@ let fm_obj_of : Fpga.Objective.fm_objective -> Fm.objective = function
   | `Cut -> Fm.Cut
   | `Terminals -> Fm.Terminals
 
-(* Secondary-axis caps for the F-M penalty leg: none under the paper's
-   scalar model, the device's per-axis maxima under vector feasibility. *)
-let res_max_of (objective : Fpga.Objective.t) dev =
-  match objective.Fpga.Objective.feasibility with
-  | Fpga.Objective.Primary -> [||]
-  | Fpga.Objective.Vector -> Fpga.Device.demand_caps dev
-
 let cancelled = "cancelled"
 
 module Options = struct
@@ -167,7 +160,7 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
   else begin
     let bounds =
       Fm.bounds
-        ~res_max:(res_max_of opts.objective dev)
+        ~res_max:(Fpga.Objective.res_max opts.objective dev)
         ~min_clbs ~max_clbs ~max_terminals:dev.Fpga.Device.terminals ()
     in
     let cfg =
@@ -215,17 +208,6 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
 
 let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
   let obj = opts.objective in
-  (* Cheapest device accepting a whole subcircuit: the paper's scalar
-     test verbatim under [Primary], per-axis windows under [Vector]. *)
-  let smallest_for ?relax_low ~demand ~iobs () =
-    match obj.Fpga.Objective.feasibility with
-    | Fpga.Objective.Primary ->
-        Fpga.Library.smallest_fitting ?relax_low library
-          ~clbs:(Fpga.Resource.get demand Fpga.Resource.clb)
-          ~iobs
-    | Fpga.Objective.Vector ->
-        Fpga.Library.smallest_fitting_demand ?relax_low library ~demand ~iobs
-  in
   let num_orig = Hypergraph.num_cells hg in
   let identity =
     Array.init num_orig (fun c ->
@@ -243,7 +225,10 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
       let area = Hypergraph.total_area rest in
       let ext = count_external rest in
       let rest_demand = Hypergraph.total_demand rest in
-      match smallest_for ~relax_low:true ~demand:rest_demand ~iobs:ext () with
+      match
+        Fpga.Objective.cheapest ~relax_low:true obj library ~demand:rest_demand
+          ~iobs:ext
+      with
       | Some dev ->
           (* The whole remainder fits one device. *)
           if Obs.enabled obs then
@@ -317,7 +302,10 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                         (* Right-size: the split was shaped for [dev], but a
                            cheaper device may accept the same subcircuit. *)
                         let dev =
-                          match smallest_for ~demand:used ~iobs () with
+                          match
+                            Fpga.Objective.cheapest obj library ~demand:used
+                              ~iobs
+                          with
                           | Some d
                             when obj.Fpga.Objective.device_cost d
                                  < obj.Fpga.Objective.device_cost dev ->
@@ -457,7 +445,7 @@ let refine_pair ~opts ~obs ?active hg library (pi : part) (pj : part) =
   let obj = opts.objective in
   let bounds (p : part) =
     Fm.bounds
-      ~res_max:(res_max_of obj p.device)
+      ~res_max:(Fpga.Objective.res_max obj p.device)
       ~min_clbs:1
       ~max_clbs:(Fpga.Device.max_clbs p.device)
       ~max_terminals:p.device.Fpga.Device.terminals ()
@@ -494,16 +482,10 @@ let refine_pair ~opts ~obs ?active hg library (pi : part) (pj : part) =
       let iobs = Partition_state.terminals st side in
       let used = Partition_state.resources st side in
       (* Keep the device unless a cheaper one now accepts the side. *)
-      let candidate =
-        match obj.Fpga.Objective.feasibility with
-        | Fpga.Objective.Primary ->
-            Fpga.Library.smallest_fitting ~relax_low:true library ~clbs ~iobs
-        | Fpga.Objective.Vector ->
-            Fpga.Library.smallest_fitting_demand ~relax_low:true library
-              ~demand:used ~iobs
-      in
       let device =
-        match candidate with
+        match
+          Fpga.Objective.cheapest ~relax_low:true obj library ~demand:used ~iobs
+        with
         | Some d
           when obj.Fpga.Objective.device_cost d
                < obj.Fpga.Objective.device_cost p.device ->
@@ -718,7 +700,7 @@ let greedy_refine ~opts ~obs ~dirty ~rounds hg parts =
     let used = Array.map (fun p -> Array.copy p.used) parts in
     let max_clbs = Array.map (fun p -> Fpga.Device.max_clbs p.device) parts in
     let res_max =
-      Array.map (fun p -> res_max_of opts.objective p.device) parts
+      Array.map (fun p -> Fpga.Objective.res_max opts.objective p.device) parts
     in
     let max_terms =
       Array.map (fun p -> p.device.Fpga.Device.terminals) parts
@@ -874,22 +856,34 @@ let summarize_parts hg parts =
   in
   (summary, replicated, Hypergraph.num_cells hg)
 
+let clock () = (Obs.Clock.wall (), Obs.Clock.cpu ())
+
+(* The one [result] constructor. The summary and replication figures are
+   recounted from the parts, the clocks measure from [since] (zero without
+   it), and a call whose [should_stop] fired returns [Error cancelled]
+   whatever it produced. *)
+let finish ?since ~should_stop ~runs ~feasible_runs hg outcome =
+  let wall_secs, cpu_secs =
+    match since with
+    | Some (w0, t0) -> (Obs.Clock.wall () -. w0, Obs.Clock.cpu () -. t0)
+    | None -> (0.0, 0.0)
+  in
+  if should_stop () then Error cancelled
+  else
+    Result.map
+      (fun parts ->
+        let summary, replicated_cells, total_cells = summarize_parts hg parts in
+        { parts; summary; replicated_cells; total_cells; wall_secs; cpu_secs;
+          runs; feasible_runs })
+      outcome
+
 (* Package externally produced parts as a result (for [check]ing a
    partition built by hand, e.g. a projected labelling in the property
    tests). The clocks and run counters describe no search, so they are
    zero/one. *)
 let result_of_parts hg parts =
-  let summary, replicated, total = summarize_parts hg parts in
-  {
-    parts;
-    summary;
-    replicated_cells = replicated;
-    total_cells = total;
-    wall_secs = 0.0;
-    cpu_secs = 0.0;
-    runs = 1;
-    feasible_runs = 1;
-  }
+  Result.get_ok
+    (finish ~should_stop:never_stop ~runs:1 ~feasible_runs:1 hg (Ok parts))
 
 (* One multi-start run, self-contained: its own RNG derived from
    (seed, run index) and a private forked sink, so runs can execute on any
@@ -915,7 +909,7 @@ let run_trial ~library ~options ~attempt_jobs ?device_limit ~obs hg r =
           ];
       (child, None)
   | Ok parts ->
-      let summary, replicated, total = summarize_parts hg parts in
+      let summary, replicated, _ = summarize_parts hg parts in
       if Obs.enabled child then begin
         Obs.incr child "kway.feasible_runs";
         Obs.event child "kway.run"
@@ -928,11 +922,10 @@ let run_trial ~library ~options ~attempt_jobs ?device_limit ~obs hg r =
             ("replicated_cells", Obs.Json.Int replicated);
           ]
       end;
-      (child, Some (parts, summary, replicated, total))
+      (child, Some (parts, summary))
 
 let flat_partition ?device_limit ~obs ~options ~library hg =
-  let w0 = Obs.Clock.wall () in
-  let t0 = Obs.Clock.cpu () in
+  let since = clock () in
   let jobs = max 1 options.jobs in
   (* Spare parallelism flows down to the per-split restarts only when the
      run level cannot use it, so the domain count stays ~[jobs]. *)
@@ -953,7 +946,7 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
     (fun (_, payload) ->
       match payload with
       | None -> ()
-      | Some ((_, summary, _, _) as v) ->
+      | Some ((_, summary) as v) ->
           incr feasible;
           (* Rank by the objective's total (devices plus interconnect; the
              paper's net cost is 0.0, so this is bitwise the legacy device
@@ -971,33 +964,15 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
     trials;
   (* Pairwise refinement is applied once, to the winning run (it never
      worsens a partition, so the winner stays at least as good). *)
-  let best =
+  let outcome =
     match !best with
-    | Some (_, (parts, _, _, _)) when options.refine_rounds > 0 ->
-        let parts = refine ~opts:options ~obs hg library parts in
-        let summary, replicated, total = summarize_parts hg parts in
-        Some (parts, summary, replicated, total)
-    | Some (_, v) -> Some v
-    | None -> None
+    | Some (_, (parts, _)) when options.refine_rounds > 0 ->
+        Ok (refine ~opts:options ~obs hg library parts)
+    | Some (_, (parts, _)) -> Ok parts
+    | None -> Error "no feasible k-way partition found in any run"
   in
-  let wall_secs = Obs.Clock.wall () -. w0 in
-  let cpu_secs = Obs.Clock.cpu () -. t0 in
-  if options.should_stop () then Error cancelled
-  else
-  match best with
-  | None -> Error "no feasible k-way partition found in any run"
-  | Some (parts, summary, replicated, total) ->
-      Ok
-        {
-          parts;
-          summary;
-          replicated_cells = replicated;
-          total_cells = total;
-          wall_secs;
-          cpu_secs;
-          runs = options.runs;
-          feasible_runs = !feasible;
-        }
+  finish ~since ~should_stop:options.should_stop ~runs:options.runs
+    ~feasible_runs:!feasible hg outcome
 
 (* ------------------------------------------------------------------ *)
 (* Warm start (incremental repartitioning)                            *)
@@ -1034,11 +1009,156 @@ type warm = {
   w_devices : Fpga.Device.t array;
 }
 
+(* The warm seed of an edit: the base partition's labelling projected
+   onto the edited hypergraph, with every replicated base cell forced
+   dirty so the warm start re-decides its replication. *)
+let project_warm ~base ~base_parts edited =
+  let base_labels, base_dirty = labels_of_parts base base_parts in
+  let proj = Projection.project ~base ~base_labels ~base_dirty edited in
+  ( {
+      w_labels = proj.Projection.labels;
+      w_dirty = proj.Projection.dirty;
+      w_devices = Array.of_list (List.map (fun p -> p.device) base_parts);
+    },
+    proj )
+
+(* Running per-part sums of a whole-cell labelling over [k] parts: CLBs,
+   demand vectors, and the parts present on each net (duplicate-free;
+   [k] is tiny). [add c p] places cell [c] whole in part [p]. *)
+let tally hg k =
+  let on_net = Array.make hg.Hypergraph.num_nets [] in
+  let clbs = Array.make k 0 in
+  let used = Array.make_matrix k Hypergraph.demand_arity 0 in
+  let add c p =
+    let cell = Hypergraph.cell hg c in
+    clbs.(p) <- clbs.(p) + cell.Hypergraph.area;
+    let d = cell.Hypergraph.demand in
+    for a = 0 to Array.length d - 1 do
+      used.(p).(a) <- used.(p).(a) + d.(a)
+    done;
+    Array.iter
+      (fun nt ->
+        match on_net.(nt) with
+        | q :: _ when q = p -> ()
+        | l -> if not (List.mem p l) then on_net.(nt) <- p :: l)
+      (Hypergraph.cell_nets cell)
+  in
+  (on_net, clbs, used, add)
+
+(* Materialise a whole-cell labelling into parts: the warm start's and
+   each uncoarsening level's parts come from here. IOBs are recounted
+   from net touchers; devices are kept unless the part outgrew them (then
+   the cheapest accepting device, lower window relaxed). Labels carry no
+   replication: every cell sits whole in its labelled part. *)
+let project_parts ?(options = Options.default) ~library ~labels
+    ~(devices : Fpga.Device.t array) hg =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let n = Hypergraph.num_cells hg in
+  let k = Array.length devices in
+  if Array.length labels <> n then
+    err "Kway.project_parts: labels cover %d cells, hypergraph has %d"
+      (Array.length labels) n
+  else if k = 0 then err "Kway.project_parts: empty device array"
+  else if Array.exists (fun l -> l < 0 || l >= k) labels then
+    err "Kway.project_parts: label out of range (only %d devices)" k
+  else begin
+    let parts_on_net, clbs, used, add = tally hg k in
+    Array.iteri (fun c p -> add c p) labels;
+    let members = Array.make k [] in
+    for c = n - 1 downto 0 do
+      let full =
+        Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
+      in
+      members.(labels.(c)) <- (c, full) :: members.(labels.(c))
+    done;
+    let iobs = Array.make k 0 in
+    Array.iteri
+      (fun nt touchers ->
+        List.iter
+          (fun j ->
+            let outside =
+              hg.Hypergraph.net_external.(nt)
+              || List.exists (fun q -> q <> j) touchers
+            in
+            if outside then iobs.(j) <- iobs.(j) + 1)
+          touchers)
+      parts_on_net;
+    let obj = options.objective in
+    let rec build p acc =
+      if p < 0 then Ok acc
+      else if members.(p) = [] then build (p - 1) acc
+      else
+        let cl = clbs.(p) and io = iobs.(p) and demand = used.(p) in
+        let dev =
+          if
+            Fpga.Objective.fits ~relax_low:true obj devices.(p) ~demand
+              ~iobs:io
+          then Some devices.(p)
+          else
+            Fpga.Objective.cheapest ~relax_low:true obj library ~demand
+              ~iobs:io
+        in
+        match dev with
+        | None ->
+            err "Kway.project_parts: no device accepts part %d (%d CLBs / %d \
+                 IOBs)"
+              p cl io
+        | Some device ->
+            build (p - 1)
+              ({ device; members = members.(p); clbs = cl; iobs = io;
+                 used = demand }
+              :: acc)
+    in
+    build (k - 1) []
+  end
+
+(* Seed cells with no inherited label (new cells of the edit) where their
+   connectivity pulls them: most incident nets already present, ties
+   broken towards parts with capacity headroom, then towards the emptier
+   part. Greedy in ascending id — deterministic, and the dirty-restricted
+   refinement cleans up any misplacement. Seeded cells become dirty;
+   returns how many there were. *)
+let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
+  let k = Array.length devices in
+  let parts_on_net, clbs, _, add = tally hg k in
+  Array.iteri (fun c p -> if p >= 0 then add c p) labels;
+  let seeded = ref 0 in
+  Array.iteri
+    (fun c l ->
+      if l < 0 then begin
+        let affinity = Array.make k 0 in
+        Array.iter
+          (fun nt ->
+            List.iter
+              (fun p -> affinity.(p) <- affinity.(p) + 1)
+              parts_on_net.(nt))
+          (Hypergraph.cell_nets (Hypergraph.cell hg c));
+        let area = (Hypergraph.cell hg c).Hypergraph.area in
+        let best = ref 0 in
+        let best_key = ref (min_int, min_int, min_int) in
+        for p = 0 to k - 1 do
+          let fits =
+            if clbs.(p) + area <= Fpga.Device.max_clbs devices.(p) then 1
+            else 0
+          in
+          let key = (affinity.(p), fits, -clbs.(p)) in
+          if key > !best_key then begin
+            best_key := key;
+            best := p
+          end
+        done;
+        labels.(c) <- !best;
+        dirty.(c) <- true;
+        add c !best;
+        incr seeded
+      end)
+    labels;
+  !seeded
+
 let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
     =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let w0 = Obs.Clock.wall () in
-  let t0 = Obs.Clock.cpu () in
+  let since = clock () in
   let n = Hypergraph.num_cells hg in
   let k = Array.length warm.w_devices in
   if Array.length warm.w_labels <> n then
@@ -1053,260 +1173,45 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
   else begin
     let labels = Array.copy warm.w_labels in
     let dirty = Array.copy warm.w_dirty in
-    (* Part presence per net and per-part areas, maintained as cells are
-       placed. Presence lists are kept duplicate-free ([k] is tiny). *)
-    let parts_on_net = Array.make hg.Hypergraph.num_nets [] in
-    let clbs = Array.make k 0 in
-    let used = Array.make_matrix k Hypergraph.demand_arity 0 in
-    let note_cell c p =
-      let cell = Hypergraph.cell hg c in
-      clbs.(p) <- clbs.(p) + cell.Hypergraph.area;
-      let d = cell.Hypergraph.demand in
-      for a = 0 to Array.length d - 1 do
-        used.(p).(a) <- used.(p).(a) + d.(a)
-      done;
-      Array.iter
-        (fun nt ->
-          if not (List.mem p parts_on_net.(nt)) then
-            parts_on_net.(nt) <- p :: parts_on_net.(nt))
-        (Hypergraph.cell_nets cell)
+    let seeded = seed_unlabelled hg ~devices:warm.w_devices labels dirty in
+    (* Refine only inside the edit's blast radius: at least one round even
+       when the options say zero, since refinement is the entire
+       optimisation a warm start performs. *)
+    let opts = { options with refine_rounds = max 1 options.refine_rounds } in
+    let outcome =
+      Result.map
+        (fun parts ->
+          Obs.span obs "warm" (fun () ->
+              refine ~opts ~obs ~dirty hg library parts))
+        (project_parts ~options ~library ~labels ~devices:warm.w_devices hg)
     in
-    for c = 0 to n - 1 do
-      if labels.(c) >= 0 then note_cell c labels.(c)
-    done;
-    (* Seed cells with no inherited label (new cells of the edit) where
-       their connectivity pulls them: most incident nets already present,
-       ties broken towards parts with capacity headroom, then towards the
-       emptier part. Greedy in ascending id — deterministic, and the
-       dirty-restricted refinement below cleans up any misplacement. *)
-    let seeded = ref 0 in
-    for c = 0 to n - 1 do
-      if labels.(c) < 0 then begin
-        let affinity = Array.make k 0 in
-        Array.iter
-          (fun nt ->
-            List.iter
-              (fun p -> affinity.(p) <- affinity.(p) + 1)
-              parts_on_net.(nt))
-          (Hypergraph.cell_nets (Hypergraph.cell hg c));
-        let area = (Hypergraph.cell hg c).Hypergraph.area in
-        let best = ref 0 in
-        let best_key = ref (min_int, min_int, min_int) in
-        for p = 0 to k - 1 do
-          let fits =
-            if clbs.(p) + area <= Fpga.Device.max_clbs warm.w_devices.(p) then 1
-            else 0
-          in
-          let key = (affinity.(p), fits, -clbs.(p)) in
-          if key > !best_key then begin
-            best_key := key;
-            best := p
-          end
-        done;
-        labels.(c) <- !best;
-        dirty.(c) <- true;
-        note_cell c !best;
-        incr seeded
-      end
-    done;
-    (* Materialise parts. The warm start carries no replication: every
-       cell sits whole in its labelled part (a replicated base cell was
-       collapsed by labels_of_parts and marked dirty, so refinement may
-       reintroduce copies where they pay). *)
-    let members = Array.make k [] in
-    for c = n - 1 downto 0 do
-      let full =
-        Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-      in
-      members.(labels.(c)) <- (c, full) :: members.(labels.(c))
-    done;
-    let iobs = Array.make k 0 in
-    Array.iteri
-      (fun nt touchers ->
-        List.iter
-          (fun j ->
-            let outside =
-              hg.Hypergraph.net_external.(nt)
-              || List.exists (fun q -> q <> j) touchers
-            in
-            if outside then iobs.(j) <- iobs.(j) + 1)
-          touchers)
-      parts_on_net;
-    let rec build p acc =
-      if p < 0 then Ok acc
-      else if members.(p) = [] then build (p - 1) acc
-      else
-        let cl = clbs.(p) and io = iobs.(p) in
-        let dev =
-          match options.objective.Fpga.Objective.feasibility with
-          | Fpga.Objective.Primary ->
-              if
-                Fpga.Device.fits ~relax_low:true warm.w_devices.(p) ~clbs:cl
-                  ~iobs:io
-              then Some warm.w_devices.(p)
-              else
-                Fpga.Library.smallest_fitting ~relax_low:true library ~clbs:cl
-                  ~iobs:io
-          | Fpga.Objective.Vector ->
-              if
-                Fpga.Device.fits_demand ~relax_low:true warm.w_devices.(p)
-                  ~demand:used.(p) ~iobs:io
-              then Some warm.w_devices.(p)
-              else
-                Fpga.Library.smallest_fitting_demand ~relax_low:true library
-                  ~demand:used.(p) ~iobs:io
-        in
-        match dev with
-        | None ->
-            err "warm start: no device accepts part %d (%d CLBs / %d IOBs)" p
-              cl io
-        | Some device ->
-            build (p - 1)
-              ({ device; members = members.(p); clbs = cl; iobs = io;
-                 used = used.(p) }
-              :: acc)
+    let result =
+      finish ~since ~should_stop:options.should_stop ~runs:1 ~feasible_runs:1
+        hg outcome
     in
-    match build (k - 1) [] with
-    | Error _ as e -> e
-    | Ok parts ->
+    (match result with
+    | Ok r when Obs.enabled obs ->
         let dirty_cells =
           Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty
         in
-        (* Refine only inside the edit's blast radius: at least one round
-           even when the options say zero, since refinement is the entire
-           optimisation a warm start performs. *)
-        let opts =
-          { options with refine_rounds = max 1 options.refine_rounds }
-        in
-        let parts =
-          Obs.span obs "warm" (fun () ->
-              refine ~opts ~obs ~dirty hg library parts)
-        in
-        let summary, replicated, total = summarize_parts hg parts in
-        if Obs.enabled obs then begin
-          Obs.incr obs "kway.warm_starts";
-          Obs.observe obs "kway.warm_seeded_cells" !seeded;
-          Obs.observe obs "kway.warm_dirty_cells" dirty_cells;
-          Obs.event obs "kway.warm"
-            [
-              ("seeded", Obs.Json.Int !seeded);
-              ("dirty", Obs.Json.Int dirty_cells);
-              ("parts", Obs.Json.Int summary.Fpga.Cost.num_partitions);
-              ("total_cost", Obs.Json.Float summary.Fpga.Cost.total_cost);
-              ("total_iobs", Obs.Json.Int summary.Fpga.Cost.total_iobs);
-            ]
-        end;
-        let wall_secs = Obs.Clock.wall () -. w0 in
-        let cpu_secs = Obs.Clock.cpu () -. t0 in
-        if options.should_stop () then Error cancelled
-        else
-          Ok
-            {
-              parts;
-              summary;
-              replicated_cells = replicated;
-              total_cells = total;
-              wall_secs;
-              cpu_secs;
-              runs = 1;
-              feasible_runs = 1;
-            }
+        Obs.incr obs "kway.warm_starts";
+        Obs.observe obs "kway.warm_seeded_cells" seeded;
+        Obs.observe obs "kway.warm_dirty_cells" dirty_cells;
+        Obs.event obs "kway.warm"
+          [
+            ("seeded", Obs.Json.Int seeded);
+            ("dirty", Obs.Json.Int dirty_cells);
+            ("parts", Obs.Json.Int r.summary.Fpga.Cost.num_partitions);
+            ("total_cost", Obs.Json.Float r.summary.Fpga.Cost.total_cost);
+            ("total_iobs", Obs.Json.Int r.summary.Fpga.Cost.total_iobs);
+          ]
+    | _ -> ());
+    result
   end
 
 (* ------------------------------------------------------------------ *)
 (* Multilevel V-cycle                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Materialise a whole-cell labelling into parts — the uncoarsening step
-   of the V-cycle, also exported for the projection property tests. The
-   accounting mirrors [warm_start]'s: per-part CLB/demand sums, IOBs
-   recounted from net touchers, devices kept unless the part outgrew them
-   (then the cheapest accepting device, lower window relaxed). Labels
-   carry no replication: every cell sits whole in its labelled part. *)
-let project_parts ?(options = Options.default) ~library ~labels
-    ~(devices : Fpga.Device.t array) hg =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let n = Hypergraph.num_cells hg in
-  let k = Array.length devices in
-  if Array.length labels <> n then
-    err "Kway.project_parts: labels cover %d cells, hypergraph has %d"
-      (Array.length labels) n
-  else if k = 0 then err "Kway.project_parts: empty device array"
-  else if Array.exists (fun l -> l < 0 || l >= k) labels then
-    err "Kway.project_parts: label out of range (only %d devices)" k
-  else begin
-    let parts_on_net = Array.make hg.Hypergraph.num_nets [] in
-    let clbs = Array.make k 0 in
-    let used = Array.make_matrix k Hypergraph.demand_arity 0 in
-    for c = 0 to n - 1 do
-      let cell = Hypergraph.cell hg c in
-      let p = labels.(c) in
-      clbs.(p) <- clbs.(p) + cell.Hypergraph.area;
-      let d = cell.Hypergraph.demand in
-      for a = 0 to Array.length d - 1 do
-        used.(p).(a) <- used.(p).(a) + d.(a)
-      done;
-      Array.iter
-        (fun nt ->
-          match parts_on_net.(nt) with
-          | q :: _ when q = p -> ()
-          | l -> if not (List.mem p l) then parts_on_net.(nt) <- p :: l)
-        (Hypergraph.cell_nets cell)
-    done;
-    let members = Array.make k [] in
-    for c = n - 1 downto 0 do
-      let full =
-        Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-      in
-      members.(labels.(c)) <- (c, full) :: members.(labels.(c))
-    done;
-    let iobs = Array.make k 0 in
-    Array.iteri
-      (fun nt touchers ->
-        List.iter
-          (fun j ->
-            let outside =
-              hg.Hypergraph.net_external.(nt)
-              || List.exists (fun q -> q <> j) touchers
-            in
-            if outside then iobs.(j) <- iobs.(j) + 1)
-          touchers)
-      parts_on_net;
-    let rec build p acc =
-      if p < 0 then Ok acc
-      else if members.(p) = [] then build (p - 1) acc
-      else
-        let cl = clbs.(p) and io = iobs.(p) in
-        let dev =
-          match options.objective.Fpga.Objective.feasibility with
-          | Fpga.Objective.Primary ->
-              if Fpga.Device.fits ~relax_low:true devices.(p) ~clbs:cl ~iobs:io
-              then Some devices.(p)
-              else
-                Fpga.Library.smallest_fitting ~relax_low:true library ~clbs:cl
-                  ~iobs:io
-          | Fpga.Objective.Vector ->
-              if
-                Fpga.Device.fits_demand ~relax_low:true devices.(p)
-                  ~demand:used.(p) ~iobs:io
-              then Some devices.(p)
-              else
-                Fpga.Library.smallest_fitting_demand ~relax_low:true library
-                  ~demand:used.(p) ~iobs:io
-        in
-        match dev with
-        | None ->
-            err "Kway.project_parts: no device accepts part %d (%d CLBs / %d \
-                 IOBs)"
-              p cl io
-        | Some device ->
-            build (p - 1)
-              ({ device; members = members.(p); clbs = cl; iobs = io;
-                 used = used.(p) }
-              :: acc)
-    in
-    build (k - 1) []
-  end
 
 (* Per-axis cluster weight caps for the coarsening: a fraction of the
    {e smallest} per-axis device window in the library, so even a part on
@@ -1314,10 +1219,11 @@ let project_parts ?(options = Options.default) ~library ~labels
    F-M retains packing freedom — capping by the largest window lets one
    cluster swallow half an XC3090, which no XC3030-sized part can then
    accept, and the IOB windows become unreachable at that granularity.
-   Under the paper's scalar feasibility only the CLB axis binds
-   (secondary axes are never checked there, and capping them would refuse
-   merges the model cannot reject); under vector feasibility every demand
-   axis is capped so coarse clusters stay placeable. *)
+   Secondary axes are capped only where the objective's [res_max] bounds
+   them: under the paper's scalar feasibility it is empty (capping them
+   would refuse merges the model cannot reject), so only the CLB axis
+   binds; under vector feasibility every demand axis is capped so coarse
+   clusters stay placeable. *)
 let cluster_caps library (objective : Fpga.Objective.t) =
   let devices = Fpga.Library.devices library in
   let arity = Hypergraph.demand_arity in
@@ -1333,16 +1239,12 @@ let cluster_caps library (objective : Fpga.Objective.t) =
   in
   let cap_of v = if v = max_int then max_int else max 1 (v / 4) in
   caps.(0) <- cap_of (min_positive_axis Fpga.Device.max_clbs);
-  (match objective.Fpga.Objective.feasibility with
-  | Fpga.Objective.Primary -> ()
-  | Fpga.Objective.Vector ->
-      for a = 1 to arity - 1 do
-        caps.(a) <-
-          cap_of
-            (min_positive_axis (fun d ->
-                 let dc = Fpga.Device.demand_caps d in
-                 if a < Array.length dc then dc.(a) else 0))
-      done);
+  for a = 1 to arity - 1 do
+    caps.(a) <-
+      cap_of
+        (min_positive_axis (fun d ->
+             Fpga.Resource.get (Fpga.Objective.res_max objective d) a))
+  done;
   caps
 
 (* The V-cycle: coarsen under the weight caps, run the flat
@@ -1363,8 +1265,7 @@ let repl_fine_levels = 2
 let pairwise_refine_cap = 4096
 
 let multilevel_run ~obs ~(options : options) ~ml ~library hg =
-  let w0 = Obs.Clock.wall () in
-  let t0 = Obs.Clock.cpu () in
+  let since = clock () in
   let total = Hypergraph.total_area hg in
   let devices = Fpga.Library.devices library in
   let fold_windows op init =
@@ -1532,26 +1433,9 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
                     walk (idx + 1) fine parts rest
               end
         in
-        (match walk 0 hier.Coarsen.coarsest coarse_res.parts hier.Coarsen.levels with
-        | Error _ as e -> e
-        | Ok parts ->
-            let summary, replicated, total_cells = summarize_parts hg parts in
-            let wall_secs = Obs.Clock.wall () -. w0 in
-            let cpu_secs = Obs.Clock.cpu () -. t0 in
-            if options.should_stop () then Error cancelled
-            else begin
-              Ok
-                {
-                  parts;
-                  summary;
-                  replicated_cells = replicated;
-                  total_cells;
-                  wall_secs;
-                  cpu_secs;
-                  runs = coarse_options.runs;
-                  feasible_runs = coarse_res.feasible_runs;
-                }
-            end)
+        finish ~since ~should_stop:options.should_stop ~runs:coarse_options.runs
+          ~feasible_runs:coarse_res.feasible_runs hg
+          (walk 0 hier.Coarsen.coarsest coarse_res.parts hier.Coarsen.levels)
   end
 
 let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =
@@ -1559,7 +1443,7 @@ let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =
   | Flat -> flat_partition ~obs ~options ~library hg
   | Multilevel ml -> multilevel_run ~obs ~options ~ml ~library hg
 
-let check hg result =
+let check ?(objective = Fpga.Objective.paper) hg result =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let num = Hypergraph.num_cells hg in
   (* 1. Output masks partition every cell's outputs. *)
@@ -1588,9 +1472,9 @@ let check hg result =
       | Some c -> err "cell %d: some output is driven by no part" c
       | None -> (
           (* 2. Per-part areas and terminal counts match the members, and
-             fit the device. Terminals recomputed from the original
-             hypergraph: a net consumes an IOB of a part iff the part
-             touches it and it also lives outside the part. *)
+             pass the objective's device test. Terminals recomputed from
+             the original hypergraph: a net consumes an IOB of a part iff
+             the part touches it and it also lives outside the part. *)
           let net_touchers = Array.make hg.Hypergraph.num_nets [] in
           List.iteri
             (fun j p ->
@@ -1651,8 +1535,8 @@ let check hg result =
                        (Array.to_list (Array.map string_of_int demand)))
                 else if
                   not
-                    (Fpga.Device.fits ~relax_low:true p.device ~clbs
-                       ~iobs:!iobs)
+                    (Fpga.Objective.fits ~relax_low:true objective p.device
+                       ~demand ~iobs:!iobs)
                 then err "part %d: violates device %s" j p.device.Fpga.Device.name
                 else check_parts (j + 1) rest
           in

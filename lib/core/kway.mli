@@ -227,24 +227,27 @@ val project_parts :
   devices:Fpga.Device.t array ->
   Hypergraph.t ->
   (part list, string) Stdlib.result
-(** Materialise a whole-cell labelling into parts — the uncoarsening step
-    of the V-cycle. [labels.(c)] indexes [devices]; every cell joins its
-    labelled part with its full output mask (no replication). Per-part
-    CLB/demand sums and IOBs are recounted from scratch; each part keeps
-    its given device when that still fits (lower utilisation window
-    relaxed, as {!check} allows) and otherwise takes the cheapest
-    accepting device under [options.objective]'s feasibility mode.
-    [Error] on a malformed labelling or when some part fits no library
-    device. *)
+(** Materialise a whole-cell labelling into parts. This is the one
+    labelling-to-parts path: each V-cycle uncoarsening level and
+    {!warm_start} build their parts here. [labels.(c)] indexes [devices];
+    every cell joins its labelled part with its full output mask (no
+    replication). Per-part CLB/demand sums and IOBs are recounted from
+    scratch; each part keeps its given device when that still passes
+    {!Fpga.Objective.fits} under [options.objective] (lower utilisation
+    window relaxed, as {!check} allows) and otherwise takes
+    {!Fpga.Objective.cheapest}. [Error] on a malformed labelling (length
+    mismatch, label outside [0, Array.length devices), no devices) or when
+    some part fits no library device. *)
 
 val labels_of_parts : Hypergraph.t -> part list -> int array * bool array
 (** Flatten a finished partition to per-cell form for projection onto an
     edited hypergraph: [(labels, replicated)] where [labels.(c)] is the
     index (within the given part list) of the part driving most of cell
     [c]'s outputs (first such part at ties) and [replicated.(c)] is true
-    when the cell appears in more than one part. Callers feed [replicated]
-    into the projection's [base_dirty] so the warm start re-decides those
-    cells' replication rather than trusting a single collapsed label. *)
+    when the cell appears in more than one part. {!project_warm} feeds
+    [replicated] into the projection's [base_dirty] so the warm start
+    re-decides those cells' replication rather than trusting a single
+    collapsed label. *)
 
 type warm = {
   w_labels : int array;
@@ -257,7 +260,20 @@ type warm = {
       (** the base partition's devices, in label order *)
 }
 (** A warm-start seed: the base partition projected onto the edited
-    hypergraph (see [Projection.project] in the hypergraph library). *)
+    hypergraph (see [Projection.project] in the hypergraph library).
+    {!project_warm} builds it from a finished partition. *)
+
+val project_warm :
+  base:Hypergraph.t ->
+  base_parts:part list ->
+  Hypergraph.t ->
+  warm * Projection.t
+(** [project_warm ~base ~base_parts edited] is the warm seed of an edit:
+    {!labels_of_parts} of [base_parts] projected onto [edited] with
+    [Projection.project], every replicated base cell passed as
+    [base_dirty], and [w_devices] the parts' devices in order. The
+    projection itself is returned too, for its dirty/added/changed-net
+    counts. *)
 
 val warm_start :
   ?obs:Obs.t ->
@@ -270,9 +286,11 @@ val warm_start :
     hypergraph from a projected base partition instead of from scratch.
     Unlabelled cells are seeded greedily onto the part with the most
     incident-net affinity (ties towards capacity headroom, then the
-    emptier part) and marked dirty; parts keep their base device when it
-    still fits ([relax_low], as {!check} allows) and otherwise take the
-    cheapest fitting device; then pairwise refinement runs restricted to
+    emptier part) and marked dirty; the completed labelling becomes parts
+    through {!project_parts} (so each part keeps its base device when it
+    still fits and otherwise takes the cheapest fitting device), and with
+    every cell clean the result's parts are exactly {!project_parts}'s;
+    then pairwise refinement runs restricted to
     the dirty set — only pairs sharing a dirty net are swept and only
     dirty cells may move (clean cells are pre-locked via {!Fm.config}'s
     [active]), so the whole call costs O(blast radius), not O(circuit).
@@ -282,22 +300,34 @@ val warm_start :
 
     [Error] when the seed is malformed (label out of range, length
     mismatch, no devices), when some part no longer fits any library
-    device, or when [options.should_stop] fired ({!cancelled}) — callers
-    (the service daemon) fall back to a cold {!partition} run.
+    device ({!project_parts}'s error), or when [options.should_stop] fired
+    ({!cancelled}) — callers (the service daemon) fall back to a cold
+    {!partition} run.
 
     With a collecting [obs], the refinement telemetry lands under a span
-    named ["warm"], counter ["kway.warm_starts"] increments, histograms
-    ["kway.warm_seeded_cells"] / ["kway.warm_dirty_cells"] record the
-    seed's shape, and one ["kway.warm"] event summarises the call. *)
+    named ["warm"]; on success counter ["kway.warm_starts"] increments,
+    histograms ["kway.warm_seeded_cells"] / ["kway.warm_dirty_cells"]
+    record the seed's shape, and one ["kway.warm"] event summarises the
+    call. *)
 
-val check : Hypergraph.t -> result -> (unit, string) Stdlib.result
+val check :
+  ?objective:Fpga.Objective.t ->
+  Hypergraph.t ->
+  result ->
+  (unit, string) Stdlib.result
 (** Soundness of a result: every output of every original cell is driven
-    by exactly one part (masks partition each cell's outputs), every part
-    obeys its device's size and terminal constraints, the recorded per-part
-    CLB/IOB numbers match a recount from the members (IOBs: nets leaving
-    the device, recounted on the original hypergraph), and the summary's
+    by exactly one part (masks partition each cell's outputs), the
+    recorded per-part CLB/IOB numbers and resource vector match a recount
+    from the members (IOBs: nets leaving the device, recounted on the
+    original hypergraph), every part passes its device under
+    {!Fpga.Objective.fits} (lower window relaxed), and the summary's
     partition count, total cost, total CLBs/IOBs and the replication
-    figures agree with what the members imply. Used by tests and
+    figures agree with what the members imply.
+
+    A result does not record its objective, so pass the one it was
+    computed under: [objective] (default {!Fpga.Objective.paper}) picks
+    the device test, and only a vector-feasibility objective rejects a
+    part over its device's FF/BRAM/DSP caps. Used by tests and
     assertions. *)
 
 val pp_result : Format.formatter -> result -> unit

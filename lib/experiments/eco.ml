@@ -43,21 +43,9 @@ let run ?(options = Core.Kway.Options.default)
   (* Base partition (untimed context: a resubmit caller amortised this
      over the original submit), projected onto the edit. *)
   let* base = Core.Kway.partition ~options ~library base_hg in
-  let base_labels, base_replicated =
-    Core.Kway.labels_of_parts base_hg base.Core.Kway.parts
-  in
-  let proj =
-    Projection.project ~base:base_hg ~base_labels ~base_dirty:base_replicated
+  let warm, proj =
+    Core.Kway.project_warm ~base:base_hg ~base_parts:base.Core.Kway.parts
       edited_hg
-  in
-  let warm =
-    {
-      Core.Kway.w_labels = proj.Projection.labels;
-      w_dirty = proj.Projection.dirty;
-      w_devices =
-        Array.of_list
-          (List.map (fun p -> p.Core.Kway.device) base.Core.Kway.parts);
-    }
   in
   let w1 = Obs.Clock.wall () in
   let* warm_r = Core.Kway.warm_start ~options ~library ~warm edited_hg in
@@ -65,7 +53,7 @@ let run ?(options = Core.Kway.Options.default)
   let* () =
     Result.map_error
       (fun msg -> "warm result unsound: " ^ msg)
-      (Core.Kway.check edited_hg warm_r)
+      (Core.Kway.check ~objective:options.Core.Kway.objective edited_hg warm_r)
   in
   let cold_cost = cold.Core.Kway.summary.Fpga.Cost.total_cost in
   let warm_cost = warm_r.Core.Kway.summary.Fpga.Cost.total_cost in

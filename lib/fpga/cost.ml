@@ -72,19 +72,6 @@ let summarize placements =
             else float_of_int used_axes.(a) /. float_of_int cap_axes.(a) ));
   }
 
-let placement_feasible ?relax_low p =
-  Device.fits ?relax_low p.device ~clbs:p.clbs ~iobs:p.iobs
-
-let placement_feasible_demand ?relax_low p =
-  let demand = if Array.length p.used = 0 then [| p.clbs |] else p.used in
-  Device.fits_demand ?relax_low p.device ~demand ~iobs:p.iobs
-
-let all_feasible ?(relax_low_last = false) placements =
-  let n = List.length placements in
-  List.for_all2
-    (fun i p -> placement_feasible ~relax_low:(relax_low_last && i = n - 1) p)
-    (List.init n Fun.id) placements
-
 let pp_summary fmt s =
   let devices =
     s.device_counts

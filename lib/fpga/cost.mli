@@ -42,15 +42,4 @@ type summary = {
 val summarize : placement list -> summary
 (** Raises [Invalid_argument] on an empty placement list. *)
 
-val placement_feasible : ?relax_low:bool -> placement -> bool
-(** Size and terminal constraints of Section I. *)
-
-val placement_feasible_demand : ?relax_low:bool -> placement -> bool
-(** Vector feasibility ({!Device.fits_demand}) of one placement, using
-    [used] (or just [clbs] when [used = [||]]). *)
-
-val all_feasible : ?relax_low_last:bool -> placement list -> bool
-(** Every placement feasible; [relax_low_last] relaxes the lower
-    utilization bound on the final (remainder) placement only. *)
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -62,6 +62,24 @@ let of_name name =
         (Printf.sprintf "unknown objective %S (choose from: %s)" name
            (String.concat ", " names))
 
+let fits ?relax_low t dev ~demand ~iobs =
+  match t.feasibility with
+  | Primary ->
+      Device.fits ?relax_low dev ~clbs:(Resource.get demand Resource.clb) ~iobs
+  | Vector -> Device.fits_demand ?relax_low dev ~demand ~iobs
+
+let cheapest ?relax_low t library ~demand ~iobs =
+  match t.feasibility with
+  | Primary ->
+      Library.smallest_fitting ?relax_low library
+        ~clbs:(Resource.get demand Resource.clb) ~iobs
+  | Vector -> Library.smallest_fitting_demand ?relax_low library ~demand ~iobs
+
+let res_max t dev =
+  match t.feasibility with
+  | Primary -> [||]
+  | Vector -> Device.demand_caps dev
+
 let total_cost t ~device_cost ~cut_nets =
   device_cost +. t.net_cost ~nets:cut_nets
 

@@ -12,7 +12,9 @@
     {!Primary}, so every total it contributes to is the same float the
     scalar code path computed ([x +. 0.0 = x] for the finite positive
     prices involved) — bit-identical results, enforced by the golden
-    telemetry cases of [test/test_contracts.ml]. *)
+    telemetry cases of [test/test_contracts.ml]. Every device test the
+    partitioner makes goes through {!fits}, {!cheapest} and {!res_max},
+    so the feasibility mode is read nowhere else. *)
 
 type fm_objective = [ `Cut | `Terminals ]
 (** Which quantity the F-M engine minimises (mirrors [Fm.objective];
@@ -71,6 +73,37 @@ val names : string list
 
 val of_name : string -> (t, string) result
 (** Look up a builtin by [name]; the error lists valid names. *)
+
+(** {2 Feasibility}
+
+    The one place that decides which device test a partition must pass
+    under an objective. [demand] is the partition's demand vector
+    ([demand.(Resource.clb)] is its CLB count; missing axes read as 0).
+    Under {!Primary} only that CLB count and [iobs] are consulted, through
+    the very {!Device.fits} / {!Library.smallest_fitting} calls of the
+    scalar model; under {!Vector} every demand axis is. *)
+
+val fits :
+  ?relax_low:bool -> t -> Device.t -> demand:int array -> iobs:int -> bool
+(** Whether a partition of [demand] with [iobs] terminals fits the device
+    ({!Device.fits} or {!Device.fits_demand}); [relax_low] ignores the
+    lower utilization bounds. *)
+
+val cheapest :
+  ?relax_low:bool ->
+  t ->
+  Library.t ->
+  demand:int array ->
+  iobs:int ->
+  Device.t option
+(** The cheapest library device that {!fits} the partition, with the
+    library's price/capacity/name tie-breaking ({!Library.smallest_fitting}
+    or {!Library.smallest_fitting_demand}). *)
+
+val res_max : t -> Device.t -> int array
+(** Secondary-axis caps for F-M's soft penalty ([Fm.bounds ~res_max]):
+    [[||]] under {!Primary}, which consults no secondary axis, and
+    {!Device.demand_caps} under {!Vector}. *)
 
 val total_cost : t -> device_cost:float -> cut_nets:int -> float
 (** [device_cost +. net_cost ~nets:cut_nets] — the scalar a k-way

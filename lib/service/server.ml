@@ -82,6 +82,7 @@ let run_job (t : t) cfg (job : job) =
        | None -> false
   in
   let options = { job.options with Core.Kway.jobs = cfg.jobs; should_stop } in
+  let objective = options.Core.Kway.objective in
   (* Per-job collecting sink: the engine's F-M telemetry rolls up into the
      service-wide throughput metrics below (the sink itself is discarded —
      svc-stats stays O(jobs), not O(moves)). *)
@@ -97,7 +98,7 @@ let run_job (t : t) cfg (job : job) =
         match Core.Kway.warm_start ~obs:job_obs ~options ~library ~warm h with
         | Error msg when String.equal msg Core.Kway.cancelled ->
             Error Core.Kway.cancelled
-        | Ok r when Result.is_ok (Core.Kway.check h r) -> Ok r
+        | Ok r when Result.is_ok (Core.Kway.check ~objective h r) -> Ok r
         | Ok _ | Error _ ->
             (* Malformed seed, a part outgrowing every device, or an
                unsound warm result: recompute from scratch. *)
@@ -201,32 +202,6 @@ let resolve_base (t : t) base =
 let objective_name (o : Core.Kway.options) =
   o.Core.Kway.objective.Fpga.Objective.name
 
-(* Project the base partition onto the edited hypergraph: the warm seed,
-   plus its dirty and seeded cell counts for the resubmit histograms. *)
-let warm_seed basis h =
-  let base_labels, base_replicated =
-    Core.Kway.labels_of_parts basis.b_hypergraph basis.b_result.Core.Kway.parts
-  in
-  let proj =
-    Projection.project ~base:basis.b_hypergraph ~base_labels
-      ~base_dirty:base_replicated h
-  in
-  let warm =
-    {
-      Core.Kway.w_labels = proj.Projection.labels;
-      w_dirty = proj.Projection.dirty;
-      w_devices =
-        Array.of_list
-          (List.map
-             (fun p -> p.Core.Kway.device)
-             basis.b_result.Core.Kway.parts);
-    }
-  in
-  let dirty =
-    Array.fold_left (fun a d -> if d then a + 1 else a) 0 proj.Projection.dirty
-  in
-  (warm, dirty, proj.Projection.added)
-
 let handle_resubmit (t : t) b ~name ~base ~delta ~options =
   let t_received = Obs.Clock.wall () in
   let resolved =
@@ -297,7 +272,10 @@ let handle_resubmit (t : t) b ~name ~base ~delta ~options =
                 Digest.job_key ~library:Fpga.Library.xc3000 ~options h
               in
               let seed =
-                Option.map (fun (e : basis F.entry) -> warm_seed e.basis h)
+                Option.map
+                  (fun (e : basis F.entry) ->
+                    Core.Kway.project_warm ~base:e.basis.b_hypergraph
+                      ~base_parts:e.basis.b_result.Core.Kway.parts h)
                   base_entry
               in
               (* A warm result depends on which partition seeded it, so it
@@ -307,17 +285,23 @@ let handle_resubmit (t : t) b ~name ~base ~delta ~options =
               let key, mode =
                 match seed with
                 | None -> (key_e, Cold)
-                | Some (warm, _, _) ->
+                | Some (warm, _) ->
                     (Digest.lineage_key ~base:base_key ~edited:key_e, Warm warm)
               in
               let cold_fallback = ("cold_fallback", J.Bool (seed = None)) in
               let on_admit () =
                 match seed with
                 | None -> Obs.incr t.obs "service.resubmit_cold_fallback"
-                | Some (_, dirty, seeded) ->
+                | Some (_, proj) ->
+                    let dirty =
+                      Array.fold_left
+                        (fun a d -> if d then a + 1 else a)
+                        0 proj.Projection.dirty
+                    in
                     Obs.incr t.obs "service.resubmit_warm";
                     Obs.observe t.obs "service.resubmit_dirty_cells" dirty;
-                    Obs.observe t.obs "service.resubmit_seeded_cells" seeded
+                    Obs.observe t.obs "service.resubmit_seeded_cells"
+                      proj.Projection.added
               in
               let stamps =
                 { F.t_received; t_decoded; t_keyed = Obs.Clock.wall () }

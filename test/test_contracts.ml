@@ -5,7 +5,8 @@
    - golden identity: a default run (paper objective, flat strategy, the
      outer FPGAPART_JOBS) reduces under Scrub.stable to exactly
      test/golden/<circuit>.baseline.json, the scalar partitioner's
-     decisions before the objective API existed;
+     decisions before the objective API existed; s9234 --multilevel and
+     c1355 --objective multi-personality have goldens of their own;
    - jobs independence: against a FPGAPART_JOBS=1 baseline, a same-seed
      run, --jobs 4 --trace, FPGAPART_JOBS=4, the default run and a
      multilevel run at jobs 4 are byte-identical after the null mask, and
@@ -114,14 +115,27 @@ let check_scrubbed what a b =
 
 let json = Alcotest.testable J.pp ( = )
 
-let test_golden circuit () =
-  let doc = default_run circuit in
+(* Each golden: its file stem, circuit, extra flags and the objective the
+   run must stamp. Besides the nine default runs, one pins the multilevel
+   V-cycle and one the vector-feasibility objective. *)
+let goldens =
+  List.map (fun c -> (c, c, [], "paper")) circuits
+  @ [
+      ("s9234.multilevel", "s9234", [ "--multilevel" ], "paper");
+      ( "c1355.multi-personality",
+        "c1355",
+        [ "--objective"; "multi-personality" ],
+        "multi-personality" );
+    ]
+
+let test_golden (stem, circuit, args, name) () =
+  let doc = if args = [] then default_run circuit else stats circuit args in
   Alcotest.(check (option json))
-    "default objective" (Some (J.String "paper")) (objective doc);
+    "objective" (Some (J.String name)) (objective doc);
   let golden =
     parse "golden"
       (In_channel.with_open_bin
-         (Printf.sprintf "golden/%s.baseline.json" circuit)
+         (Printf.sprintf "golden/%s.baseline.json" stem)
          In_channel.input_all)
   in
   Alcotest.check json "stable subset equals the golden" golden
@@ -190,7 +204,11 @@ let () =
   let cases f = List.map (fun c -> Alcotest.test_case c `Slow (f c)) in
   Alcotest.run "contracts"
     [
-      ("golden", cases test_golden circuits);
+      ( "golden",
+        List.map
+          (fun ((stem, _, _, _) as g) ->
+            Alcotest.test_case stem `Slow (test_golden g))
+          goldens );
       ( "objectives",
         [ Alcotest.test_case "smoke and refusal" `Quick test_objective_smoke ]
       );

@@ -1054,7 +1054,43 @@ let test_kway_check_catches_bad_iobs_and_summary () =
         (Result.is_error (Kway.check h bad_cost));
       let bad_repl = { r with Kway.replicated_cells = r.Kway.replicated_cells + 1 } in
       checkb "detects wrong replication figure" true
-        (Result.is_error (Kway.check h bad_repl))
+        (Result.is_error (Kway.check h bad_repl));
+      (* A secondary axis: move the first part of a multi-personality
+         result onto a twin of its device with the same CLB/IO counts but
+         one flip-flop too few. Only the objective's vector test sees it. *)
+      let h =
+        mapped_hypergraph
+          (Netlist.Generator.random ~rng:(Netlist.Rng.create 3) ~num_inputs:8
+             ~num_gates:200 ~num_dff:24 ~num_outputs:8 ())
+      in
+      let objective = Fpga.Objective.multi_personality in
+      let options = { small_options with Kway.objective } in
+      match Kway.partition ~options ~library:Fpga.Library.xc3000 h with
+      | Error e -> Alcotest.fail e
+      | Ok r -> (
+          checkb "multi-personality result accepted" true
+            (Result.is_ok (Kway.check ~objective h r));
+          match r.Kway.parts with
+          | [] -> Alcotest.fail "no parts"
+          | p :: rest ->
+              let ffs = p.Kway.used.(Fpga.Resource.ff) in
+              checkb "sequential part needs flip-flops" true (ffs > 0);
+              let d = p.Kway.device in
+              let resources = Array.copy d.Fpga.Device.resources in
+              resources.(Fpga.Resource.ff) <- ffs - 1;
+              let twin =
+                Fpga.Device.make_vector ~name:(d.Fpga.Device.name ^ "-ff")
+                  ~resources ~price:d.Fpga.Device.price
+                  ~res_low:d.Fpga.Device.res_low
+                  ~res_high:d.Fpga.Device.res_high ()
+              in
+              let starved =
+                { r with Kway.parts = { p with Kway.device = twin } :: rest }
+              in
+              checkb "scalar test ignores flip-flops" true
+                (Result.is_ok (Kway.check h starved));
+              checkb "detects part over its device's FF cap" true
+                (Result.is_error (Kway.check ~objective h starved)))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry and generated-circuit properties                         *)
@@ -1160,7 +1196,9 @@ let qcheck_warm_start_sound_and_close =
      random edit and warm-starting yields a feasible, check-clean result
      whose cost stays within a constant factor of a cold run on the
      edited circuit. Also pins the projection bookkeeping the service
-     relies on (dirty covers every unlabelled cell). *)
+     relies on (dirty covers every unlabelled cell), and that a warm start
+     with every cell clean returns exactly [Kway.project_parts] of the
+     same labels and devices. *)
   QCheck.Test.make ~name:"warm start is sound and near cold cost" ~count:6
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -1191,26 +1229,61 @@ let qcheck_warm_start_sound_and_close =
           | Error _, _ | _, Error _ ->
               true (* infeasible random instances are acceptable *)
           | Ok base, Ok cold -> (
-              let base_labels, base_replicated =
-                Kway.labels_of_parts base_h base.Kway.parts
-              in
-              let proj =
-                Projection.project ~base:base_h ~base_labels
-                  ~base_dirty:base_replicated edited_h
+              let warm, proj =
+                Kway.project_warm ~base:base_h ~base_parts:base.Kway.parts
+                  edited_h
               in
               let dirty_covers_unlabelled =
                 Array.for_all2
                   (fun l d -> l >= 0 || d)
                   proj.Projection.labels proj.Projection.dirty
               in
-              let warm =
-                {
-                  Kway.w_labels = proj.Projection.labels;
-                  w_dirty = proj.Projection.dirty;
-                  w_devices =
-                    Array.of_list
-                      (List.map (fun p -> p.Kway.device) base.Kway.parts);
-                }
+              (* With every cell clean nothing may move, so the warm start
+                 is exactly the materialisation of the base labelling. A
+                 library of small devices splits the base into parts (the
+                 XC3000 base above is mostly one part). *)
+              let small =
+                Fpga.Library.make
+                  [
+                    Fpga.Device.make ~name:"S16" ~capacity:16 ~terminals:40
+                      ~price:30.0 ();
+                    Fpga.Device.make ~name:"S24" ~capacity:24 ~terminals:56
+                      ~price:40.0 ();
+                  ]
+              in
+              let shape (p : Kway.part) =
+                ( p.Kway.device.Fpga.Device.name,
+                  p.Kway.members,
+                  p.Kway.clbs,
+                  p.Kway.iobs,
+                  p.Kway.used )
+              in
+              let clean_is_projection =
+                match Kway.partition ~options ~library:small base_h with
+                | Error _ -> true
+                | Ok split -> (
+                    let labels, _ = Kway.labels_of_parts base_h split.Kway.parts in
+                    let devices =
+                      Array.of_list
+                        (List.map (fun p -> p.Kway.device) split.Kway.parts)
+                    in
+                    let clean =
+                      {
+                        Kway.w_labels = labels;
+                        w_dirty = Array.make (Array.length labels) false;
+                        w_devices = devices;
+                      }
+                    in
+                    match
+                      ( Kway.warm_start ~options ~library:small ~warm:clean
+                          base_h,
+                        Kway.project_parts ~options ~library:small ~labels
+                          ~devices base_h )
+                    with
+                    | Ok w, Ok parts ->
+                        List.map shape w.Kway.parts = List.map shape parts
+                    | Error a, Error b -> String.equal a b
+                    | _ -> false)
               in
               match Kway.warm_start ~options ~library ~warm edited_h with
               | Error e ->
@@ -1226,6 +1299,9 @@ let qcheck_warm_start_sound_and_close =
                     QCheck.Test.fail_reportf
                       "warm cost %.1f too far above cold %.1f" warm_cost
                       cold_cost
+                  else if not clean_is_projection then
+                    QCheck.Test.fail_report
+                      "clean warm start differs from project_parts"
                   else dirty_covers_unlabelled)))
 
 (* ------------------------------------------------------------------ *)

@@ -108,16 +108,40 @@ let test_cost_eq1_eq2 () =
     Alcotest.(list (pair string int))
     "device counts" [ ("A", 2); ("B", 1) ] s.Cost.device_counts
 
+(* The one feasibility route: the paper's scalar window (with and without
+   the relaxed lower bound) under both modes, and the secondary axes
+   consulted only under vector feasibility. [sample]'s FF cap is 200. *)
 let test_cost_feasibility () =
-  let p_ok = Cost.place sample ~clbs:70 ~iobs:30 () in
-  let p_low = Cost.place sample ~clbs:30 ~iobs:30 () in
-  checkb "feasible" true (Cost.placement_feasible p_ok);
-  checkb "below window" false (Cost.placement_feasible p_low);
-  checkb "all feasible" true (Cost.all_feasible [ p_ok; p_ok ]);
-  checkb "relax last only" true
-    (Cost.all_feasible ~relax_low_last:true [ p_ok; p_low ]);
-  checkb "relax last does not cover first" false
-    (Cost.all_feasible ~relax_low_last:true [ p_low; p_ok ])
+  let fits ?relax_low o clbs =
+    Objective.fits ?relax_low o sample ~demand:[| clbs |] ~iobs:30
+  in
+  List.iter
+    (fun (o : Objective.t) ->
+      checkb (o.Objective.name ^ " in window") true (fits o 70);
+      checkb (o.Objective.name ^ " below window") false (fits o 30);
+      checkb (o.Objective.name ^ " below window relaxed") true
+        (fits ~relax_low:true o 30);
+      checkb (o.Objective.name ^ " above window relaxed") false
+        (fits ~relax_low:true o 95);
+      checkb (o.Objective.name ^ " terminal budget") false
+        (Objective.fits o sample ~demand:[| 70 |] ~iobs:51))
+    Objective.builtins;
+  let demand = [| 70; 201 |] in
+  let lib = Library.make [ sample ] in
+  checkb "primary ignores FF" true
+    (Objective.fits Objective.paper sample ~demand ~iobs:30);
+  checkb "vector checks FF" false
+    (Objective.fits Objective.multi_personality sample ~demand ~iobs:30);
+  checkb "primary cheapest" true
+    (Objective.cheapest Objective.paper lib ~demand ~iobs:30 <> None);
+  checkb "vector cheapest" true
+    (Objective.cheapest Objective.multi_personality lib ~demand ~iobs:30
+    = None);
+  checki "primary res_max" 0
+    (Array.length (Objective.res_max Objective.paper sample));
+  checkb "vector res_max" true
+    (Objective.res_max Objective.multi_personality sample
+    = Device.demand_caps sample)
 
 let test_xc4000 () =
   let l = Library.xc4000 in

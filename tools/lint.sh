@@ -23,5 +23,19 @@ for f in $files; do
   fi
 done
 
+# One feasibility rule: which device test applies under an objective is
+# decided in lib/fpga (Fpga.Objective.fits, cheapest, res_max). No other
+# program code names the modes or reads the field. test/ is exempt: it
+# asserts each builtin's mode.
+for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
+  'tools/*.ml'); do
+  case "$f" in lib/fpga/*) continue ;; esac
+  if grep -qE 'Objective\.(Primary|Vector)|\.feasibility\b' "$f"; then
+    echo "lint: feasibility mode read outside lib/fpga in $f" \
+      "(use Fpga.Objective.fits/cheapest/res_max)" >&2
+    status=1
+  fi
+done
+
 [ "$status" -eq 0 ] && echo "lint: ok"
 exit "$status"
