@@ -100,8 +100,11 @@ let table7 () =
    sweep under a collecting sink reads the deterministic op counts
    (telemetry never steers the engine, so the timed sweep applies exactly
    the same ops), then a timed sweep under the no-op sink measures wall
-   clock and, via [Gc.quick_stat] deltas, words allocated per applied
-   move — the perf-regression gate's two numbers. *)
+   clock and words allocated per applied move — the perf-regression
+   gate's two numbers. The words come from [Gc.minor_words] and
+   [Gc.counters], which are current at every call; [Gc.quick_stat]'s
+   word counts only advance at a collection, so a sweep too short to
+   trigger one would read 0. *)
 let hotloop_measure ~gain_mode ~runs ~seed hg ~total_area =
   let module J = Obs.Json in
   let states () =
@@ -124,17 +127,17 @@ let hotloop_measure ~gain_mode ~runs ~seed hg ~total_area =
   let sts = states () in
   Gc.full_major ();
   let g0 = Gc.quick_stat () in
+  let _, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
   let t0 = Obs.Clock.wall () in
   List.iter (fun st -> ignore (Core.Fm.run cfg st)) sts;
   let wall = Obs.Clock.wall () -. t0 in
+  let m1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   (* Words the timed sweep allocated: minor + direct-to-major (promoted
      words would be double-counted). *)
-  let alloc_words =
-    g1.Gc.minor_words -. g0.Gc.minor_words
-    +. (g1.Gc.major_words -. g0.Gc.major_words)
-    -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  in
+  let alloc_words = m1 -. m0 +. (j1 -. j0) -. (p1 -. p0) in
   let per_move d = d /. float_of_int (max 1 applied) in
   J.Obj
     [

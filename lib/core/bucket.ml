@@ -81,18 +81,20 @@ let find_best t pred =
   while t.top >= 0 && t.heads.(t.top) < 0 do
     t.top <- t.top - 1
   done;
-  let rec scan s =
-    if s < 0 then None
-    else begin
-      let rec walk item =
-        if item < 0 then scan (s - 1)
-        else if pred item then Some item
-        else walk t.next.(item)
-      in
-      walk t.heads.(s)
+  (* One loop over refs (no per-call or per-slot closures): slots from
+     the top down, each list head to tail, so ties break LIFO. *)
+  let s = ref t.top in
+  let item = ref (if t.top >= 0 then t.heads.(t.top) else -1) in
+  let found = ref (-1) in
+  while !found < 0 && !s >= 0 do
+    if !item < 0 then begin
+      decr s;
+      if !s >= 0 then item := t.heads.(!s)
     end
-  in
-  scan t.top
+    else if pred !item then found := !item
+    else item := t.next.(!item)
+  done;
+  if !found < 0 then None else Some !found
 
 let clear t =
   Array.fill t.heads 0 (Array.length t.heads) (-1);

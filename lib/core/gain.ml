@@ -63,6 +63,10 @@ let single_move v =
 let traditional_replication v =
   Bitvec.norm v.c_i + Bitvec.norm v.c_o - v.n_inputs
 
+let flip current o =
+  if Bitvec.mem o current then Bitvec.remove o current
+  else Bitvec.add o current
+
 let functional_replication st cell ~threshold =
   let hg = Partition_state.hypergraph st in
   let c = Hypergraph.cell hg cell in
@@ -73,10 +77,7 @@ let functional_replication st cell ~threshold =
     let best = ref None in
     for o = 0 to m - 1 do
       (* Migrate output o to the other side (flip its bit). *)
-      let mask =
-        if Bitvec.mem o current then Bitvec.remove o current
-        else Bitvec.add o current
-      in
+      let mask = flip current o in
       let d = Partition_state.eval st cell mask in
       let gain = -d.Partition_state.d_cut in
       match !best with
@@ -104,10 +105,6 @@ let iter_masks st ~replication cell ~f =
   let c = Hypergraph.cell hg cell in
   let m = Array.length c.Hypergraph.outputs in
   let current = Partition_state.mask st cell in
-  let flip o =
-    if Bitvec.mem o current then Bitvec.remove o current
-    else Bitvec.add o current
-  in
   (* Whole-cell move / side swap of all outputs. *)
   let comp = Bitvec.complement m current in
   if not (Bitvec.equal comp current) then f comp;
@@ -116,7 +113,7 @@ let iter_masks st ~replication cell ~f =
        adjustment and un-replication are always allowed -- the threshold
        gates creating replicas, not removing them. *)
     for o = 0 to m - 1 do
-      f (flip o)
+      f (flip current o)
     done;
     if Bitvec.norm current <> 1 then f Bitvec.empty;
     if Bitvec.norm current <> m - 1 then f (Bitvec.full m)
@@ -128,7 +125,7 @@ let iter_masks st ~replication cell ~f =
     | `Functional threshold ->
         if m > 1 && Replication_potential.replicable ~threshold c then
           for o = 0 to m - 1 do
-            f (flip o)
+            f (flip current o)
           done
 
 let best_mask_change st ~replication cell =

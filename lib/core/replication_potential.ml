@@ -3,18 +3,16 @@ let of_supports supports =
   if m <= 1 then 0
   else begin
     (* An input contributes iff it appears in exactly one adjacency
-       vector. *)
-    let psi = ref 0 in
-    Array.iteri
-      (fun i a_i ->
-        let others =
-          Array.to_list supports
-          |> List.filteri (fun j _ -> j <> i)
-          |> List.fold_left Bitvec.union Bitvec.empty
-        in
-        psi := !psi + Bitvec.norm (Bitvec.diff a_i others))
-      supports;
-    !psi
+       vector: [once] holds the pins seen at least once, [twice] those
+       seen at least twice, so psi = sum_i |A_i /\ (once \ twice)|
+       = |once \ twice|, in O(m) without allocating. *)
+    let once = ref Bitvec.empty and twice = ref Bitvec.empty in
+    for i = 0 to m - 1 do
+      let a = supports.(i) in
+      twice := Bitvec.union !twice (Bitvec.inter !once a);
+      once := Bitvec.union !once a
+    done;
+    Bitvec.norm (Bitvec.diff !once !twice)
   end
 
 let of_cell (c : Hypergraph.cell) = of_supports c.Hypergraph.supports

@@ -8,8 +8,9 @@ type cell = {
   inputs : int array;
   outputs : int array;
   supports : Bitvec.t array;
-  conn_cache : int array array;
   full_nets : int array;
+  full_in_pins : Bitvec.t array;
+  full_out_pins : Bitvec.t array;
 }
 
 type t = {
@@ -31,66 +32,83 @@ type cell_spec = {
 
 let sort_dedup arr =
   let arr = Array.copy arr in
-  Array.sort compare arr;
+  Array.sort Int.compare arr;
   let n = Array.length arr in
-  if n <= 1 then arr
-  else begin
-    let out = ref [] and count = ref 0 in
-    for i = n - 1 downto 0 do
-      if i = 0 || arr.(i) <> arr.(i - 1) then begin
-        out := arr.(i) :: !out;
-        incr count
-      end
-    done;
-    Array.of_list !out
-  end
+  let len = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if arr.(i) <> arr.(!len - 1) then begin
+      arr.(!len) <- arr.(i);
+      incr len
+    end
+  done;
+  if !len = n then arr else Array.sub arr 0 !len
 
-let cell_nets c = sort_dedup (Array.append c.inputs c.outputs)
+(* Index of net [n] in the sorted [nets]; [n] must be present. *)
+let net_index nets n =
+  let lo = ref 0 and hi = ref (Array.length nets - 1) in
+  while nets.(!lo) <> n do
+    let mid = (!lo + !hi) / 2 in
+    if nets.(mid) < n then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let connected_nets_uncached c ~out_mask =
-  if Bitvec.is_empty out_mask then [||]
-  else begin
-    let nets = Netlist.Vec.create () in
-    let in_mask = ref Bitvec.empty in
-    Bitvec.iter
-      (fun o ->
-        ignore (Netlist.Vec.push nets c.outputs.(o));
-        in_mask := Bitvec.union !in_mask c.supports.(o))
-      out_mask;
-    Bitvec.iter (fun i -> ignore (Netlist.Vec.push nets c.inputs.(i))) !in_mask;
-    sort_dedup (Netlist.Vec.to_array nets)
-  end
+(* The distinct incident nets, each with the input and output pins wired
+   to it: what every connected-net question about the cell reads. *)
+let with_pin_masks c =
+  let nets = sort_dedup (Array.append c.inputs c.outputs) in
+  let pins_of wires =
+    let masks = Array.make (Array.length nets) Bitvec.empty in
+    Array.iteri
+      (fun p n ->
+        let k = net_index nets n in
+        masks.(k) <- Bitvec.add p masks.(k))
+      wires;
+    masks
+  in
+  {
+    c with
+    full_nets = nets;
+    full_in_pins = pins_of c.inputs;
+    full_out_pins = pins_of c.outputs;
+  }
+
+let cell_nets c = c.full_nets
+
+let input_support c out_mask =
+  let acc = ref Bitvec.empty and rest = ref out_mask and o = ref 0 in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 then acc := Bitvec.union !acc c.supports.(!o);
+    rest := !rest lsr 1;
+    incr o
+  done;
+  !acc
+
+let touches c k ~out_mask ~in_mask =
+  (not (Bitvec.is_empty (Bitvec.inter c.full_out_pins.(k) out_mask)))
+  || not (Bitvec.is_empty (Bitvec.inter c.full_in_pins.(k) in_mask))
+
+(* The nets of [full_nets] a copy touches, as a fresh sorted array. *)
+let touched_nets c ~out_mask ~in_mask =
+  let nets = c.full_nets in
+  let count = ref 0 in
+  for k = 0 to Array.length nets - 1 do
+    if touches c k ~out_mask ~in_mask then incr count
+  done;
+  let out = Array.make !count 0 in
+  let j = ref 0 in
+  for k = 0 to Array.length nets - 1 do
+    if touches c k ~out_mask ~in_mask then begin
+      out.(!j) <- nets.(k);
+      incr j
+    end
+  done;
+  out
 
 let connected_nets c ~out_mask =
-  if out_mask >= 0 && out_mask < Array.length c.conn_cache then
-    c.conn_cache.(out_mask)
+  if Bitvec.is_empty out_mask then [||]
   else if Bitvec.equal out_mask (Bitvec.full (Array.length c.outputs)) then
     c.full_nets
-  else connected_nets_uncached c ~out_mask
-
-let connected_nets_traditional c ~out_mask =
-  if Bitvec.is_empty out_mask then [||]
-  else begin
-    let nets = Netlist.Vec.create () in
-    Bitvec.iter (fun o -> ignore (Netlist.Vec.push nets c.outputs.(o))) out_mask;
-    Array.iter (fun n -> ignore (Netlist.Vec.push nets n)) c.inputs;
-    sort_dedup (Netlist.Vec.to_array nets)
-  end
-
-(* Cells with few outputs (every mapped CLB) get a per-mask memo table;
-   every cell gets the full-mask entry. *)
-let fill_conn_cache c =
-  let m = Array.length c.outputs in
-  let c =
-    { c with full_nets = connected_nets_uncached c ~out_mask:(Bitvec.full m) }
-  in
-  if m > 4 then c
-  else begin
-    let table =
-      Array.init (1 lsl m) (fun mask -> connected_nets_uncached c ~out_mask:mask)
-    in
-    { c with conn_cache = table }
-  end
+  else touched_nets c ~out_mask ~in_mask:(input_support c out_mask)
 
 let check_cell ~num_nets c =
   let n_in = Array.length c.inputs in
@@ -155,7 +173,7 @@ let create ?net_names ~num_nets ~external_nets specs =
   let cells =
     List.mapi
       (fun id s ->
-        fill_conn_cache
+        with_pin_masks
           {
             id;
             name = s.s_name;
@@ -166,8 +184,9 @@ let create ?net_names ~num_nets ~external_nets specs =
             inputs = s.s_inputs;
             outputs = s.s_outputs;
             supports = s.s_supports;
-            conn_cache = [||];
             full_nets = [||];
+            full_in_pins = [||];
+            full_out_pins = [||];
           })
       specs
     |> Array.of_list
@@ -311,12 +330,7 @@ let induce_copies h specs =
     Array.to_list specs
     |> List.map (fun (id, m) ->
            let c = h.cells.(id) in
-           let in_mask =
-             Bitvec.fold
-               (fun o acc -> Bitvec.union acc c.supports.(o))
-               m Bitvec.empty
-           in
-           let in_pins = Bitvec.to_list in_mask in
+           let in_pins = Bitvec.to_list (input_support c m) in
            let new_index = Hashtbl.create 8 in
            List.iteri (fun k p -> Hashtbl.add new_index p k) in_pins;
            let s_inputs =

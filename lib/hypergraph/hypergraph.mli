@@ -29,13 +29,19 @@ type cell = private {
   supports : Bitvec.t array;
       (** [supports.(o)] = input pins output [o] depends on; the adjacency
           vector [A_{X_o}] of the paper *)
-  conn_cache : int array array;
-      (** memoised {!connected_nets} per output mask (empty for cells with
-          many outputs); filled by {!create} *)
   full_nets : int array;
-      (** memoised {!connected_nets} for the all-outputs mask (= all
-          distinct incident nets); filled by {!create} for every cell, so
-          whole-cell moves stay O(degree) even on wide cluster cells *)
+      (** the distinct incident nets (inputs + outputs), ascending;
+          filled by {!create} *)
+  full_in_pins : Bitvec.t array;
+      (** [full_in_pins.(k)] = the input pins wired to [full_nets.(k)] *)
+  full_out_pins : Bitvec.t array;
+      (** [full_out_pins.(k)] = the output pins driving [full_nets.(k)].
+          With {!input_support}, the two pin masks answer "does a copy
+          carrying outputs [m] touch net [k]?" in O(1): it does iff
+          [m] meets [full_out_pins.(k)] or [input_support c m] meets
+          [full_in_pins.(k)]. So the partition state's delta kernel
+          scans [full_nets] once and allocates nothing, whatever the
+          cell's width. *)
 }
 
 type t = private {
@@ -88,18 +94,20 @@ val max_cell_degree : t -> int
 (** Maximum number of distinct nets incident to one cell. *)
 
 val cell_nets : cell -> int array
-(** Distinct nets incident to a full copy of the cell (inputs + outputs). *)
+(** Distinct nets incident to a full copy of the cell (inputs + outputs),
+    ascending. This is the cell's shared memo [full_nets], not a fresh
+    array: callers must not mutate it. *)
 
 val connected_nets : cell -> out_mask:Bitvec.t -> int array
 (** Distinct nets a {e partial} copy of the cell touches when it carries
     exactly the outputs in [out_mask]: those output nets plus the input nets
-    in the union of their supports. [out_mask = empty] yields [\[||\]]. *)
+    in the union of their supports, ascending. [out_mask = empty] yields
+    [\[||\]]; the full mask yields the shared {!cell_nets} memo (do not
+    mutate); any other mask a fresh array. *)
 
-val connected_nets_traditional : cell -> out_mask:Bitvec.t -> int array
-(** The {e traditional replication} connection rule (Kring–Newton style,
-    the model the paper's eq. 8 scores): a copy carrying any output
-    connects {e all} of the cell's input nets, ignoring the per-output
-    adjacency vectors. Used as an ablation baseline. *)
+val input_support : cell -> Bitvec.t -> Bitvec.t
+(** [input_support c m] — the input pins a copy carrying the outputs in
+    [m] depends on: the union of their supports. Allocation-free. *)
 
 val pins : t -> int
 (** Total pin count (all cell input and output pins). *)

@@ -24,24 +24,19 @@ type t = {
   res_b : int array;
   (* Scratch buffers for the per-operation net deltas (F-M evaluates one
      candidate operation per neighbouring cell after every applied move, so
-     this path must not allocate). s1/s2 hold the per-side delta streams
-     (ascending net order); they are merged into s_nets/s_da/s_db. *)
-  mutable s_nets : int array;
-  mutable s_da : int array;
-  mutable s_db : int array;
+     this path must not allocate): (net, da, db) triples in ascending net
+     order. Sized to the largest cell degree, which bounds every
+     operation's touched nets, so they never grow. *)
+  s_nets : int array;
+  s_da : int array;
+  s_db : int array;
   mutable s_len : int;
-  mutable s1_nets : int array;
-  mutable s1_d : int array;
-  mutable s1_len : int;
-  mutable s2_nets : int array;
-  mutable s2_d : int array;
-  mutable s2_len : int;
   (* Nets whose per-side connection category (0 / 1 / >=2) changed in the
      last [apply] — exactly the nets that crossed a gain-relevant critical
      boundary (0<->1 or 1<->2 on a side). Kept separate from the s_* eval
      scratch so readers may interleave [eval]/[eval_into] calls with the
      iteration. *)
-  mutable ch_nets : int array;
+  ch_nets : int array;
   mutable ch_len : int;
   sd : scratch; (* reusable target for the record-returning eval/apply *)
 }
@@ -80,11 +75,30 @@ let make_scratch () =
 let hypergraph t = t.hg
 let model t = t.model
 
-(* Nets a copy touches under the state's replication model. *)
-let conn_nets t cell ~out_mask =
-  match t.model with
-  | Functional -> Hypergraph.connected_nets cell ~out_mask
-  | Traditional -> Hypergraph.connected_nets_traditional cell ~out_mask
+(* Input pins a copy carrying the outputs [m] connects under the state's
+   replication model: the support of [m] ([Functional]) or every input
+   pin of a non-empty copy ([Traditional]). [full] is the cell's
+   all-outputs mask and [all_in] its all-inputs mask. *)
+let in_support t cell ~full ~all_in m =
+  if Bitvec.is_empty m then Bitvec.empty
+  else
+    match t.model with
+    | Traditional -> all_in
+    | Functional ->
+        (* Every input pin supports some output (Hypergraph.create checks
+           it), so a whole copy connects them all. *)
+        if Bitvec.equal m full then all_in else Hypergraph.input_support cell m
+
+(* 1 when a copy carrying the outputs [out_mask] and connecting the input
+   pins [in_mask] touches a net wired to the output pins [outs] and the
+   input pins [ins], else 0. Native [land] on the [Bitvec.t = int] masks:
+   the library builds with -opaque in dune's default profile, so every
+   cross-module call is a real call, and this runs four times per net in
+   the delta kernel. *)
+let touch ~outs ~ins out_mask in_mask =
+  if outs land out_mask = 0 && ins land in_mask = 0 then 0 else 1
+
+let all_inputs cell = Bitvec.full (Array.length cell.Hypergraph.inputs)
 
 let full_mask t c = Bitvec.full (Array.length (Hypergraph.cell t.hg c).Hypergraph.outputs)
 let mask t c = t.out_on_b.(c)
@@ -133,10 +147,22 @@ let side_copies t side =
 (* Per-net contributions to the tracked counters. *)
 let cut_of ca cb = if ca > 0 && cb > 0 then 1 else 0
 
-let term_of ~ext ca cb =
-  let ta = if ca > 0 && (cb > 0 || ext) then 1 else 0 in
-  let tb = if cb > 0 && (ca > 0 || ext) then 1 else 0 in
-  (ta, tb)
+let term_a_of ~ext ca cb = if ca > 0 && (cb > 0 || ext) then 1 else 0
+let term_b_of ~ext ca cb = if cb > 0 && (ca > 0 || ext) then 1 else 0
+
+(* Count a copy of [cell] carrying the outputs [m] into the per-net side
+   counts [conn]. *)
+let count_copy t cell ~full m conn =
+  if not (Bitvec.is_empty m) then begin
+    let in_mask = in_support t cell ~full ~all_in:(all_inputs cell) m in
+    let nets = cell.Hypergraph.full_nets in
+    for k = 0 to Array.length nets - 1 do
+      let outs = cell.Hypergraph.full_out_pins.(k)
+      and ins = cell.Hypergraph.full_in_pins.(k) in
+      let n = nets.(k) in
+      conn.(n) <- conn.(n) + touch ~outs ~ins m in_mask
+    done
+  end
 
 let recompute t =
   let hg = t.hg in
@@ -145,22 +171,19 @@ let recompute t =
   let area_a = ref 0 and area_b = ref 0 in
   for c = 0 to Hypergraph.num_cells hg - 1 do
     let cell = Hypergraph.cell hg c in
+    let full = full_mask t c in
     let m_a = mask_on t c A and m_b = mask_on t c B in
-    if not (Bitvec.is_empty m_a) then begin
-      area_a := !area_a + cell.Hypergraph.area;
-      Array.iter (fun n -> ca.(n) <- ca.(n) + 1) (conn_nets t cell ~out_mask:m_a)
-    end;
-    if not (Bitvec.is_empty m_b) then begin
-      area_b := !area_b + cell.Hypergraph.area;
-      Array.iter (fun n -> cb.(n) <- cb.(n) + 1) (conn_nets t cell ~out_mask:m_b)
-    end
+    if not (Bitvec.is_empty m_a) then area_a := !area_a + cell.Hypergraph.area;
+    if not (Bitvec.is_empty m_b) then area_b := !area_b + cell.Hypergraph.area;
+    count_copy t cell ~full m_a ca;
+    count_copy t cell ~full m_b cb
   done;
   let cut = ref 0 and term_a = ref 0 and term_b = ref 0 in
   for n = 0 to hg.Hypergraph.num_nets - 1 do
+    let ext = hg.Hypergraph.net_external.(n) in
     cut := !cut + cut_of ca.(n) cb.(n);
-    let ta, tb = term_of ~ext:hg.Hypergraph.net_external.(n) ca.(n) cb.(n) in
-    term_a := !term_a + ta;
-    term_b := !term_b + tb
+    term_a := !term_a + term_a_of ~ext ca.(n) cb.(n);
+    term_b := !term_b + term_b_of ~ext ca.(n) cb.(n)
   done;
   (!cut, !term_a, !term_b, !area_a, !area_b)
 
@@ -176,6 +199,8 @@ let create_with_masks ?(model = Functional) hg ~masks =
           invalid_arg "Partition_state.create_with_masks: mask out of range";
         m)
   in
+  (* Scratch capacity: the most nets one operation can touch. *)
+  let len = Hypergraph.max_cell_degree hg in
   let t =
     {
       hg;
@@ -190,17 +215,11 @@ let create_with_masks ?(model = Functional) hg ~masks =
       area_b = 0;
       res_a = Array.make Hypergraph.demand_arity 0;
       res_b = Array.make Hypergraph.demand_arity 0;
-      s_nets = Array.make 32 0;
-      s_da = Array.make 32 0;
-      s_db = Array.make 32 0;
+      s_nets = Array.make len 0;
+      s_da = Array.make len 0;
+      s_db = Array.make len 0;
       s_len = 0;
-      s1_nets = Array.make 32 0;
-      s1_d = Array.make 32 0;
-      s1_len = 0;
-      s2_nets = Array.make 32 0;
-      s2_d = Array.make 32 0;
-      s2_len = 0;
-      ch_nets = Array.make 32 0;
+      ch_nets = Array.make len 0;
       ch_len = 0;
       sd = make_scratch ();
     }
@@ -208,34 +227,30 @@ let create_with_masks ?(model = Functional) hg ~masks =
   (* Fill the connection counts from scratch. *)
   for c = 0 to n_cells - 1 do
     let cell = Hypergraph.cell hg c in
+    let full = full_mask t c in
     let m_a = mask_on t c A and m_b = mask_on t c B in
     let dem = cell.Hypergraph.demand in
     if not (Bitvec.is_empty m_a) then begin
       t.area_a <- t.area_a + cell.Hypergraph.area;
       for a = 0 to Array.length dem - 1 do
         t.res_a.(a) <- t.res_a.(a) + dem.(a)
-      done;
-      Array.iter
-        (fun n -> t.conn_a.(n) <- t.conn_a.(n) + 1)
-        (conn_nets t cell ~out_mask:m_a)
+      done
     end;
     if not (Bitvec.is_empty m_b) then begin
       t.area_b <- t.area_b + cell.Hypergraph.area;
       for a = 0 to Array.length dem - 1 do
         t.res_b.(a) <- t.res_b.(a) + dem.(a)
-      done;
-      Array.iter
-        (fun n -> t.conn_b.(n) <- t.conn_b.(n) + 1)
-        (conn_nets t cell ~out_mask:m_b)
-    end
+      done
+    end;
+    count_copy t cell ~full m_a t.conn_a;
+    count_copy t cell ~full m_b t.conn_b
   done;
   for n = 0 to hg.Hypergraph.num_nets - 1 do
-    t.cut <- t.cut + cut_of t.conn_a.(n) t.conn_b.(n);
-    let ta, tb =
-      term_of ~ext:hg.Hypergraph.net_external.(n) t.conn_a.(n) t.conn_b.(n)
-    in
-    t.term_a <- t.term_a + ta;
-    t.term_b <- t.term_b + tb
+    let ext = hg.Hypergraph.net_external.(n) in
+    let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
+    t.cut <- t.cut + cut_of ca cb;
+    t.term_a <- t.term_a + term_a_of ~ext ca cb;
+    t.term_b <- t.term_b + term_b_of ~ext ca cb
   done;
   t
 
@@ -246,6 +261,7 @@ let create ?model hg ~init_on_b =
       else Bitvec.empty)
 
 let copy t =
+  let len = Array.length t.s_nets in
   {
     t with
     out_on_b = Array.copy t.out_on_b;
@@ -253,123 +269,52 @@ let copy t =
     conn_b = Array.copy t.conn_b;
     res_a = Array.copy t.res_a;
     res_b = Array.copy t.res_b;
-    s_nets = Array.make 32 0;
-    s_da = Array.make 32 0;
-    s_db = Array.make 32 0;
+    s_nets = Array.make len 0;
+    s_da = Array.make len 0;
+    s_db = Array.make len 0;
     s_len = 0;
-    s1_nets = Array.make 32 0;
-    s1_d = Array.make 32 0;
-    s1_len = 0;
-    s2_nets = Array.make 32 0;
-    s2_d = Array.make 32 0;
-    s2_len = 0;
-    ch_nets = Array.make 32 0;
+    ch_nets = Array.make len 0;
     ch_len = 0;
     sd = make_scratch ();
   }
 
-(* Aggregate per-net connection deltas of a mask change into the scratch
-   buffers: entries (net, da, db) with da/db in {-1, 0, +1}. Sorted-array
-   merges over the old/new connected-net sets of each side; the handful of
-   touched nets is scanned linearly. *)
+(* Per-net connection deltas of a mask change into the scratch buffers:
+   entries (net, da, db) with da/db in {-1, 0, +1}, in ascending net
+   order. One scan over the cell's distinct nets, testing each against
+   the old and new copy of each side through the cell's pin masks, so
+   even a wide cluster cell's partial masks cost O(degree) and nothing is
+   allocated. *)
 let net_deltas t c new_mask =
   let cell = Hypergraph.cell t.hg c in
   let old_b = t.out_on_b.(c) in
   let full = full_mask t c in
   let old_a = Bitvec.diff full old_b and new_a = Bitvec.diff full new_mask in
-  let nets_of m = conn_nets t cell ~out_mask:m in
-  let old_na = nets_of old_a and new_na = nets_of new_a in
-  let old_nb = nets_of old_b and new_nb = nets_of new_mask in
-  let grow a = Array.append a (Array.make (max 32 (Array.length a)) 0) in
-  t.s1_len <- 0;
-  t.s2_len <- 0;
-  let push1 n v =
-    if t.s1_len = Array.length t.s1_nets then begin
-      t.s1_nets <- grow t.s1_nets;
-      t.s1_d <- grow t.s1_d
-    end;
-    t.s1_nets.(t.s1_len) <- n;
-    t.s1_d.(t.s1_len) <- v;
-    t.s1_len <- t.s1_len + 1
-  in
-  let push2 n v =
-    if t.s2_len = Array.length t.s2_nets then begin
-      t.s2_nets <- grow t.s2_nets;
-      t.s2_d <- grow t.s2_d
-    end;
-    t.s2_nets.(t.s2_len) <- n;
-    t.s2_d.(t.s2_len) <- v;
-    t.s2_len <- t.s2_len + 1
-  in
-  let diff_sorted removed added on_removed on_added =
-    (* Both arrays sorted ascending and deduplicated; emissions are in
-       ascending net order. *)
-    let i = ref 0 and j = ref 0 in
-    let nr = Array.length removed and na = Array.length added in
-    while !i < nr || !j < na do
-      if !i >= nr then begin
-        on_added added.(!j);
-        incr j
-      end
-      else if !j >= na then begin
-        on_removed removed.(!i);
-        incr i
-      end
-      else if removed.(!i) = added.(!j) then begin
-        incr i;
-        incr j
-      end
-      else if removed.(!i) < added.(!j) then begin
-        on_removed removed.(!i);
-        incr i
-      end
-      else begin
-        on_added added.(!j);
-        incr j
-      end
-    done
-  in
-  diff_sorted old_na new_na (fun n -> push1 n (-1)) (fun n -> push1 n 1);
-  diff_sorted old_nb new_nb (fun n -> push2 n (-1)) (fun n -> push2 n 1);
-  (* Merge the two sorted streams into (net, da, db) triples. *)
+  let all_in = all_inputs cell in
+  let in_old_a = in_support t cell ~full ~all_in old_a
+  and in_new_a = in_support t cell ~full ~all_in new_a
+  and in_old_b = in_support t cell ~full ~all_in old_b
+  and in_new_b = in_support t cell ~full ~all_in new_mask in
+  let nets = cell.Hypergraph.full_nets in
+  let in_pins = cell.Hypergraph.full_in_pins
+  and out_pins = cell.Hypergraph.full_out_pins in
   t.s_len <- 0;
-  let need = t.s1_len + t.s2_len in
-  if need > Array.length t.s_nets then begin
-    let size = max 32 need in
-    t.s_nets <- Array.make size 0;
-    t.s_da <- Array.make size 0;
-    t.s_db <- Array.make size 0
-  end;
-  let out n da db =
-    t.s_nets.(t.s_len) <- n;
-    t.s_da.(t.s_len) <- da;
-    t.s_db.(t.s_len) <- db;
-    t.s_len <- t.s_len + 1
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < t.s1_len || !j < t.s2_len do
-    if !i >= t.s1_len then begin
-      out t.s2_nets.(!j) 0 t.s2_d.(!j);
-      incr j
-    end
-    else if !j >= t.s2_len then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) 0;
-      incr i
-    end
-    else if t.s1_nets.(!i) = t.s2_nets.(!j) then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) t.s2_d.(!j);
-      incr i;
-      incr j
-    end
-    else if t.s1_nets.(!i) < t.s2_nets.(!j) then begin
-      out t.s1_nets.(!i) t.s1_d.(!i) 0;
-      incr i
-    end
-    else begin
-      out t.s2_nets.(!j) 0 t.s2_d.(!j);
-      incr j
+  for k = 0 to Array.length nets - 1 do
+    let outs = out_pins.(k) and ins = in_pins.(k) in
+    let da =
+      touch ~outs ~ins new_a in_new_a - touch ~outs ~ins old_a in_old_a
+    in
+    let db =
+      touch ~outs ~ins new_mask in_new_b - touch ~outs ~ins old_b in_old_b
+    in
+    if da <> 0 || db <> 0 then begin
+      t.s_nets.(t.s_len) <- nets.(k);
+      t.s_da.(t.s_len) <- da;
+      t.s_db.(t.s_len) <- db;
+      t.s_len <- t.s_len + 1
     end
   done
+
+let exists m = if Bitvec.is_empty m then 0 else 1
 
 (* Fold the scratch net deltas into [out] (scratch must hold the deltas of
    changing cell [c] to [new_mask]). Writes fields in place — the F-M hot
@@ -382,15 +327,12 @@ let scratch_totals t c new_mask (out : scratch) =
     let n = t.s_nets.(i) and da = t.s_da.(i) and db = t.s_db.(i) in
     let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
     let ext = t.hg.Hypergraph.net_external.(n) in
-    let ta0, tb0 = term_of ~ext ca cb in
-    let ta1, tb1 = term_of ~ext (ca + da) (cb + db) in
     d_cut := !d_cut + cut_of (ca + da) (cb + db) - cut_of ca cb;
-    d_ta := !d_ta + ta1 - ta0;
-    d_tb := !d_tb + tb1 - tb0
+    d_ta := !d_ta + term_a_of ~ext (ca + da) (cb + db) - term_a_of ~ext ca cb;
+    d_tb := !d_tb + term_b_of ~ext (ca + da) (cb + db) - term_b_of ~ext ca cb
   done;
   let old_b = t.out_on_b.(c) in
   let full = full_mask t c in
-  let exists m = if Bitvec.is_empty m then 0 else 1 in
   out.sc_cut <- !d_cut;
   out.sc_term_a <- !d_ta;
   out.sc_term_b <- !d_tb;
@@ -466,8 +408,6 @@ let apply t c new_mask =
     net_deltas t c new_mask;
     scratch_totals t c new_mask t.sd;
     let d = delta_of_sd t in
-    if t.s_len > Array.length t.ch_nets then
-      t.ch_nets <- Array.make (max 32 t.s_len) 0;
     t.ch_len <- 0;
     for i = 0 to t.s_len - 1 do
       let n = t.s_nets.(i) in

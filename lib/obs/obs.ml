@@ -212,6 +212,22 @@ let merge_into ~into child =
       | _ -> ())
   | _ -> ()
 
+(* The GC totals a traced span reads at each end (its delta is their
+   difference). [Gc.quick_stat]'s word counts only advance at a
+   collection (a span too short to trigger one would read 0 words), so
+   the words come from [Gc.minor_words] and [Gc.counters], which are
+   current at every call; the collection counts are exact in
+   [quick_stat]. *)
+let gc_totals () =
+  let q = Gc.quick_stat () in
+  let _, _, major = Gc.counters () in
+  {
+    minor_words = Gc.minor_words ();
+    major_words = major;
+    minor_collections = q.Gc.minor_collections;
+    major_collections = q.Gc.major_collections;
+  }
+
 let span t name f =
   match t with
   | Noop -> f ()
@@ -224,7 +240,7 @@ let span t name f =
       let tr_state =
         match c.tracer with
         | None -> None
-        | Some tr -> Some (tr, Clock.wall () -. tr.epoch, Gc.quick_stat ())
+        | Some tr -> Some (tr, Clock.wall () -. tr.epoch, gc_totals ())
       in
       Fun.protect
         ~finally:(fun () ->
@@ -235,7 +251,7 @@ let span t name f =
           (match tr_state with
           | None -> ()
           | Some (tr, begin_secs, g0) ->
-              let g1 = Gc.quick_stat () in
+              let g1 = gc_totals () in
               tr.spans_rev <-
                 {
                   span_name = full;
@@ -245,12 +261,12 @@ let span t name f =
                   end_secs = Clock.wall () -. tr.epoch;
                   gc =
                     {
-                      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-                      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+                      minor_words = g1.minor_words -. g0.minor_words;
+                      major_words = g1.major_words -. g0.major_words;
                       minor_collections =
-                        g1.Gc.minor_collections - g0.Gc.minor_collections;
+                        g1.minor_collections - g0.minor_collections;
                       major_collections =
-                        g1.Gc.major_collections - g0.Gc.major_collections;
+                        g1.major_collections - g0.major_collections;
                     };
                 }
                 :: tr.spans_rev);

@@ -20,6 +20,76 @@ let test_psi_fig1 () =
   in
   checki "Fig. 1 cell" 2 psi
 
+(* The list formulation of [of_supports] before its O(m) rewrite, kept as
+   the reference: each output's vector minus the union of all the
+   others. *)
+let psi_reference supports =
+  let m = Array.length supports in
+  if m <= 1 then 0
+  else begin
+    let psi = ref 0 in
+    Array.iteri
+      (fun i a_i ->
+        let others =
+          Array.to_list supports
+          |> List.filteri (fun j _ -> j <> i)
+          |> List.fold_left Bitvec.union Bitvec.empty
+        in
+        psi := !psi + Bitvec.norm (Bitvec.diff a_i others))
+      supports;
+    !psi
+  end
+
+let qcheck_psi_matches_reference =
+  (* Random support arrays: 0-62 outputs over 0-62 input pins. *)
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 Bitvec.max_width) (int_range 0 Bitvec.max_width)
+      >>= fun (m, width) ->
+      array_size (return m)
+        (map (fun x -> x land Bitvec.full width) (int_bound max_int)))
+  in
+  QCheck.Test.make ~name:"O(m) psi = list reference" ~count:300
+    (QCheck.make gen) (fun supports ->
+      Replication_potential.of_supports supports = psi_reference supports)
+
+(* [cell_nets] returns the cell's memo; it must still be exactly the sorted
+   distinct union of its input and output nets. *)
+let check_cell_nets label h =
+  Array.iter
+    (fun (c : Hypergraph.cell) ->
+      let want =
+        List.sort_uniq compare
+          (Array.to_list c.Hypergraph.inputs @ Array.to_list c.Hypergraph.outputs)
+      in
+      if Array.to_list (Hypergraph.cell_nets c) <> want then
+        Alcotest.failf "%s: cell_nets of cell %d differs from the reference"
+          label c.Hypergraph.id)
+    h.Hypergraph.cells
+
+let test_cell_nets_memo () =
+  List.iter
+    (fun e ->
+      check_cell_nets e.Experiments.Suite.name
+        (Lazy.force e.Experiments.Suite.hypergraph))
+    (Experiments.Suite.all ());
+  let s9234 = Option.get (Experiments.Suite.find "s9234") in
+  let coarse, _ =
+    Coarsen.coarsen ~rng:(Netlist.Rng.create 1)
+      (Lazy.force s9234.Experiments.Suite.hypergraph)
+  in
+  check_cell_nets "s9234, one coarsened level" coarse
+
+let qcheck_cell_nets_memo =
+  QCheck.Test.make ~name:"cell_nets = sorted inputs ++ outputs" ~count:30
+    QCheck.(pair small_int (int_range 4 40))
+    (fun (seed, n_cells) ->
+      let h = Test_util.random_hypergraph seed n_cells in
+      check_cell_nets "random" h;
+      check_cell_nets "random, coarsened"
+        (fst (Coarsen.coarsen ~rng:(Netlist.Rng.create seed) h));
+      true)
+
 let test_psi_fig2 () =
   (* Fig. 2: A_X1 = [1 1 1 1 0], A_X2 = [0 0 0 1 1] -> psi = 4. *)
   let psi =
@@ -596,6 +666,102 @@ let test_fm_oracle_mode_identical () =
     if not (Bitvec.equal (Partition_state.mask st c) (Partition_state.mask sto c))
     then Alcotest.failf "oracle mode diverged at cell %d" c
   done
+
+(* Words allocated while [f ()] runs, less what an empty measurement
+   reads. [Gc.minor_words] is current at every call (unlike
+   [Gc.quick_stat], which only advances at a collection); [Gc.counters]
+   adds what went straight to the major heap. *)
+let words_during f =
+  let measure f =
+    let _, p0, j0 = Gc.counters () in
+    let m0 = Gc.minor_words () in
+    f ();
+    let m1 = Gc.minor_words () in
+    let _, p1, j1 = Gc.counters () in
+    m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+  in
+  measure f -. measure ignore
+
+let s9234_hypergraph () =
+  Lazy.force (Option.get (Experiments.Suite.find "s9234")).Experiments.Suite.hypergraph
+
+let alloc_config ?(threshold = 1) h =
+  let total = Hypergraph.total_area h in
+  Fm.device_config ~replication:(`Functional threshold)
+    ~bounds:
+      (Fm.bounds ~min_clbs:(total / 3) ~max_clbs:(total / 2) ~max_terminals:64
+         ())
+    ()
+
+(* Every (cell, mask) F-M would evaluate in [st], scored through the same
+   enumerate-and-evaluate path the engine's rescoring takes. *)
+let check_candidates_allocation_free label st ~replication =
+  let h = Partition_state.hypergraph st in
+  let sc = Partition_state.make_scratch () in
+  let cur = ref 0 and evaluated = ref 0 and partial = ref 0 in
+  let consider mask =
+    Partition_state.eval_into st !cur mask sc;
+    incr evaluated;
+    if
+      (not (Bitvec.is_empty mask))
+      && not (Bitvec.equal mask (Partition_state.full_mask st !cur))
+    then incr partial
+  in
+  let sweep () =
+    for c = 0 to Hypergraph.num_cells h - 1 do
+      cur := c;
+      Gain.iter_masks st ~replication c ~f:consider
+    done
+  in
+  sweep ();
+  checkb (label ^ ": replication candidates evaluated") true (!partial > 0);
+  let words = words_during sweep in
+  if words <> 0.0 then
+    Alcotest.failf "%s: %d candidate evaluations allocated %.0f words" label
+      !evaluated words
+
+let test_fm_candidates_allocation_free () =
+  let h = s9234_hypergraph () in
+  let cfg = alloc_config h in
+  let st = Fm.random_state (Netlist.Rng.create 1) h in
+  ignore (Fm.run cfg st);
+  check_candidates_allocation_free "s9234" st ~replication:cfg.Fm.replication;
+  (* Cluster cells wider than 4 outputs: the coarse solve's case.
+     Clusters are opaque (psi = 0), so threshold 0 is what makes F-M
+     score their partial masks. *)
+  let rng = Netlist.Rng.create 2 in
+  let coarse =
+    List.fold_left (fun h _ -> fst (Coarsen.coarsen ~rng h)) h [ 1; 2; 3 ]
+  in
+  checkb "some cluster has more than 4 outputs" true
+    (Array.exists
+       (fun c -> Array.length c.Hypergraph.outputs > 4)
+       coarse.Hypergraph.cells);
+  let ccfg = alloc_config ~threshold:0 coarse in
+  let cst = Fm.random_state (Netlist.Rng.create 1) coarse in
+  ignore (Fm.run ccfg cst);
+  check_candidates_allocation_free "s9234 clusters" cst
+    ~replication:ccfg.Fm.replication
+
+let test_fm_run_words_per_move () =
+  (* The per-move residue is the selected [Some], the score tuple and the
+     applied delta record; per-run arrays amortise over the moves. *)
+  let h = s9234_hypergraph () in
+  let cfg = alloc_config h in
+  let fresh () = Fm.random_state (Netlist.Rng.create 3) h in
+  ignore (Fm.run cfg (fresh ()));
+  let obs = Obs.create () in
+  ignore (Fm.run ~obs cfg (fresh ()));
+  let applied =
+    List.assoc "fm.applied_ops" (Obs.snapshot obs).Obs.Snapshot.counters
+  in
+  checkb "the run applies moves" true (applied > 0);
+  let st = fresh () in
+  let words = words_during (fun () -> ignore (Fm.run cfg st)) in
+  let per_move = words /. float_of_int applied in
+  if per_move > 32.0 then
+    Alcotest.failf "Fm.run allocated %.1f words per applied move (%d moves)"
+      per_move applied
 
 let qcheck_fm_oracle_never_trips =
   (* The oracle cross-check aborts the run on any stale cached gain; it
@@ -1387,6 +1553,10 @@ let () =
           Alcotest.test_case "edge supports" `Quick test_psi_disjoint_and_identical;
           Alcotest.test_case "distribution + r_T" `Quick test_distribution;
           Alcotest.test_case "threshold gate" `Quick test_replicable_threshold;
+          qc qcheck_psi_matches_reference;
+          Alcotest.test_case "cell_nets memo on the suite" `Quick
+            test_cell_nets_memo;
+          qc qcheck_cell_nets_memo;
         ] );
       ( "gain",
         [
@@ -1432,6 +1602,10 @@ let () =
             test_fm_traditional_model_weaker;
           Alcotest.test_case "two-device refinement config" `Quick
             test_two_device_config;
+          Alcotest.test_case "candidate evaluation allocates nothing" `Quick
+            test_fm_candidates_allocation_free;
+          Alcotest.test_case "words per applied move" `Quick
+            test_fm_run_words_per_move;
         ] );
       ( "coarsen",
         [

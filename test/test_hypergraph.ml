@@ -105,6 +105,83 @@ let test_hypergraph_connected_nets () =
   check Alcotest.(array int) "no outputs" [||]
     (Hypergraph.connected_nets m ~out_mask:0)
 
+(* One random cell over a 12-net pool whose input pins may repeat a net
+   and may read the cell's own output nets (flip-flop feedback), the
+   cases the memoised pin masks must get right. Nets it does not drive
+   are external. *)
+let random_cell_hypergraph seed =
+  let rng = Netlist.Rng.create seed in
+  let pool = 12 in
+  let n_out = 1 + Netlist.Rng.int rng 6 in
+  let n_in = Netlist.Rng.int rng 9 in
+  let outputs = Netlist.Rng.sample rng n_out pool in
+  let inputs = Array.init n_in (fun _ -> Netlist.Rng.int rng pool) in
+  let supports =
+    Array.init n_out (fun _ ->
+        Test_util.random_mask rng (Bitvec.full n_in))
+  in
+  for i = 0 to n_in - 1 do
+    if not (Array.exists (Bitvec.mem i) supports) then begin
+      let o = Netlist.Rng.int rng n_out in
+      supports.(o) <- Bitvec.add i supports.(o)
+    end
+  done;
+  let external_nets =
+    List.filter
+      (fun n -> not (Array.mem n outputs))
+      (List.init pool Fun.id)
+  in
+  Hypergraph.create ~num_nets:pool ~external_nets
+    [ Test_util.spec "c" (Array.to_list inputs) (Array.to_list outputs)
+        (Array.to_list supports) ]
+
+(* The nets a copy carrying [m] touches, straight from the definition:
+   its outputs' nets, plus the nets of [in_pins m]. *)
+let touched_reference (c : Hypergraph.cell) ~in_pins m =
+  if Bitvec.is_empty m then []
+  else
+    List.sort_uniq compare
+      (List.map (fun o -> c.Hypergraph.outputs.(o)) (Bitvec.to_list m)
+      @ List.map (fun i -> c.Hypergraph.inputs.(i)) (Bitvec.to_list (in_pins m)))
+
+let qcheck_connected_nets_reference =
+  QCheck.Test.make ~name:"connected nets = definition, both models" ~count:200
+    QCheck.small_int (fun seed ->
+      let h = random_cell_hypergraph seed in
+      let c = Hypergraph.cell h 0 in
+      let full = Bitvec.full (Array.length c.Hypergraph.outputs) in
+      let functional m =
+        Bitvec.fold (fun o acc -> Bitvec.union acc c.Hypergraph.supports.(o))
+          m Bitvec.empty
+      in
+      let traditional _ = Bitvec.full (Array.length c.Hypergraph.inputs) in
+      (* Per-net side counts of a one-cell state are 0/1 membership. *)
+      let side_nets st side =
+        List.filter
+          (fun n -> Partition_state.connections st side n > 0)
+          (List.init h.Hypergraph.num_nets Fun.id)
+      in
+      let ok = ref (Array.to_list (Hypergraph.cell_nets c)
+                    = touched_reference c ~in_pins:functional full) in
+      for m = 0 to full do
+        let want = touched_reference c ~in_pins:functional m in
+        if Array.to_list (Hypergraph.connected_nets c ~out_mask:m) <> want then
+          ok := false;
+        List.iter
+          (fun (model, in_pins) ->
+            let st =
+              Partition_state.create_with_masks ~model h ~masks:(fun _ -> m)
+            in
+            if
+              side_nets st Partition_state.B <> touched_reference c ~in_pins m
+              || side_nets st Partition_state.A
+                 <> touched_reference c ~in_pins (Bitvec.diff full m)
+            then ok := false)
+          [ (Partition_state.Functional, functional);
+            (Partition_state.Traditional, traditional) ]
+      done;
+      !ok)
+
 let test_hypergraph_rejects_bad () =
   let reject name f =
     match f () with
@@ -554,6 +631,7 @@ let () =
           Alcotest.test_case "induce" `Quick test_hypergraph_induce;
           Alcotest.test_case "induce partial copy" `Quick
             test_hypergraph_induce_partial_copy;
+          qc qcheck_connected_nets_reference;
         ] );
       ( "partition_state",
         [
