@@ -762,8 +762,8 @@ let perf_tests () =
                  (Bitvec.norm (Partition_state.full_mask st c))
                  old_mask
              in
-             ignore (Partition_state.apply st c flip);
-             ignore (Partition_state.apply st c old_mask)
+             Partition_state.apply st c flip;
+             Partition_state.apply st c old_mask
            done))
   in
   let t2_mapping =

@@ -94,7 +94,7 @@ let find_best t pred =
     else if pred !item then found := !item
     else item := t.next.(!item)
   done;
-  if !found < 0 then None else Some !found
+  !found
 
 let clear t =
   Array.fill t.heads 0 (Array.length t.heads) (-1);

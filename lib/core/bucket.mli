@@ -29,8 +29,10 @@ val gain : t -> int -> int
 
 val cardinal : t -> int
 
-val find_best : t -> (int -> bool) -> int option
-(** Highest-gain item satisfying the predicate; scans downward, so a
+val find_best : t -> (int -> bool) -> int
+(** Highest-gain item satisfying the predicate, or [-1] when none does
+    (items are non-negative, so no [option] is allocated per call); scans
+    downward, so a
     prefix of rejections at the top costs O(rejections). Ties broken by
     most-recently-{e moved-into-the-slot} (LIFO within a gain level, the
     classic F-M choice; an {!update} that leaves the clamped gain

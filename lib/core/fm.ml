@@ -171,33 +171,92 @@ let is_replication_op ~old_mask ~new_mask ~full =
    raising it allocates nothing. *)
 exception Relocated
 
-let run ?(obs = Obs.noop) cfg st =
-  let hg = Partition_state.hypergraph st in
+(* Everything a run allocates in proportion to the graph: the bucket, the
+   chosen op per cell unpacked into int arrays (Bitvec.t = int; masks are
+   >= 0, so op_mask = -1 encodes "no candidate"), the lock and dirty
+   flags, the epoch stamps and the rollback trail. [run_staged] builds one
+   and hands it to both stages; every run starts with [reset], so the
+   second stage starts from exactly the state the first one did. *)
+type workspace = {
+  max_gain : int;
+  bucket : Bucket.t;
+  op_mask : int array;
+  op_gain : int array;  (* the bucket key: -delta of the objective *)
+  op_tie : int array;   (* the area tie-break *)
+  op_da : int array;    (* area deltas legality needs *)
+  op_db : int array;
+  locked : bool array;
+  stamp : int array;
+  dirty : bool array;
+  trail_cell : int array;
+  trail_old : int array;
+  sc : Partition_state.scratch;
+}
+
+(* The arrays get their starting values from [reset]. *)
+let workspace hg =
   let n = Hypergraph.num_cells hg in
   let max_gain = (2 * Hypergraph.max_cell_degree hg) + 2 in
-  let bucket = Bucket.create ~num_items:n ~max_gain in
+  {
+    max_gain;
+    bucket = Bucket.create ~num_items:n ~max_gain;
+    op_mask = Array.make n 0;
+    op_gain = Array.make n 0;
+    op_tie = Array.make n 0;
+    op_da = Array.make n 0;
+    op_db = Array.make n 0;
+    locked = Array.make n false;
+    stamp = Array.make n 0;
+    dirty = Array.make n false;
+    trail_cell = Array.make n 0;
+    trail_old = Array.make n 0;
+    sc = Partition_state.make_scratch ();
+  }
+
+(* The starting state of every run. The trail and the scratch are written
+   before they are read, so they need none. *)
+let reset ws =
+  let n = Array.length ws.op_mask in
+  Bucket.clear ws.bucket;
+  Array.fill ws.op_mask 0 n (-1);
+  Array.fill ws.op_gain 0 n 0;
+  Array.fill ws.op_tie 0 n 0;
+  Array.fill ws.op_da 0 n 0;
+  Array.fill ws.op_db 0 n 0;
+  Array.fill ws.locked 0 n false;
+  Array.fill ws.stamp 0 n (-1);
+  Array.fill ws.dirty 0 n false
+
+let run_in ws ~obs cfg st =
+  let hg = Partition_state.hypergraph st in
+  let n = Hypergraph.num_cells hg in
+  reset ws;
+  let {
+    max_gain;
+    bucket;
+    op_mask;
+    op_gain;
+    op_tie;
+    op_da;
+    op_db;
+    locked;
+    stamp;
+    dirty;
+    trail_cell;
+    trail_old;
+    sc;
+  } =
+    ws
+  in
   let observing = Obs.enabled obs in
   let oracle = cfg.oracle || env_oracle in
   let lazy_gains = cfg.gain_mode = `Lazy in
   let pass_idx = ref 0 in
-  (* The chosen op per cell, unpacked into int arrays (Bitvec.t = int;
-     masks are >= 0, so op_mask = -1 encodes "no candidate"): rescoring in
-     the hot loop must not allocate. op_gain is the bucket key (-delta of
-     the objective), op_tie the area tie-break, op_da/op_db the area
-     deltas legality needs. *)
-  let op_mask = Array.make n (-1) in
-  let op_gain = Array.make n 0 in
-  let op_tie = Array.make n 0 in
-  let op_da = Array.make n 0 in
-  let op_db = Array.make n 0 in
-  let locked = Array.make n false in
   (* Epoch stamps dedupe the per-move dirty set: a neighbour shared by
      several state-changed nets of the moved cell is visited once per
-     move, not once per shared net. *)
-  let stamp = Array.make n (-1) in
+     move, not once per shared net. The epoch restarts at 0 with the
+     stamps reset to -1. *)
   let epoch = ref 0 in
-  let dirty = Array.make n false in
-  let sc = Partition_state.make_scratch () in
   (* Best-candidate registers written by [consider]; hoisting the closure
      out of the loop keeps candidate evaluation allocation-free. *)
   let cur = ref 0 in
@@ -349,10 +408,8 @@ let run ?(obs = Obs.noop) cfg st =
       (fun net -> Array.iter check hg.Hypergraph.net_cells.(net))
       (Hypergraph.cell_nets c)
   in
-  (* Trail of (cell, pre-move mask), preallocated: each cell is applied at
-     most once per pass. *)
-  let trail_cell = Array.make n 0 in
-  let trail_old = Array.make n 0 in
+  (* The trail holds (cell, pre-move mask): each cell is applied at most
+     once per pass, so n slots suffice. *)
   let one_pass () =
     Bucket.clear bucket;
     Array.fill locked 0 n false;
@@ -378,37 +435,38 @@ let run ?(obs = Obs.noop) cfg st =
     let best_prefix = ref 0 in
     let continue = ref true in
     while !continue do
-      match find_best () with
-      | None -> continue := false
-      | Some cell ->
-          let mask = op_mask.(cell) in
-          let old_mask = Partition_state.mask st cell in
-          if observing then begin
-            Obs.observe obs "fm.gain" op_gain.(cell);
-            if
-              is_replication_op ~old_mask ~new_mask:mask
-                ~full:(Partition_state.full_mask st cell)
-            then incr repl_attempted
-          end;
-          ignore (Partition_state.apply st cell mask);
-          locked.(cell) <- true;
-          Bucket.remove bucket cell;
-          trail_cell.(!trail_len) <- cell;
-          trail_old.(!trail_len) <- old_mask;
-          incr trail_len;
-          (* Criticality-filtered incremental rescoring: only cells on
-             nets whose side-connection category crossed a critical
-             boundary (as reported by apply) can have a different best op;
-             everyone else's cached op — and bucket position — is still
-             exact. *)
-          incr epoch;
-          Partition_state.iter_changed_nets st visit_net;
-          if oracle then oracle_check cell;
-          let s = cfg.score st in
-          if s < !best then begin
-            best := s;
-            best_prefix := !trail_len
-          end
+      let cell = find_best () in
+      if cell < 0 then continue := false
+      else begin
+        let mask = op_mask.(cell) in
+        let old_mask = Partition_state.mask st cell in
+        if observing then begin
+          Obs.observe obs "fm.gain" op_gain.(cell);
+          if
+            is_replication_op ~old_mask ~new_mask:mask
+              ~full:(Partition_state.full_mask st cell)
+          then incr repl_attempted
+        end;
+        Partition_state.apply st cell mask;
+        locked.(cell) <- true;
+        Bucket.remove bucket cell;
+        trail_cell.(!trail_len) <- cell;
+        trail_old.(!trail_len) <- old_mask;
+        incr trail_len;
+        (* Criticality-filtered incremental rescoring: only cells on
+           nets whose side-connection category crossed a critical
+           boundary (as reported by apply) can have a different best op;
+           everyone else's cached op — and bucket position — is still
+           exact. *)
+        incr epoch;
+        Partition_state.iter_changed_nets st visit_net;
+        if oracle then oracle_check cell;
+        let s = cfg.score st in
+        if s < !best then begin
+          best := s;
+          best_prefix := !trail_len
+        end
+      end
     done;
     (* Roll back to the best prefix. Each cell is applied at most once per
        pass, so while undoing, the cell's current mask is exactly the mask
@@ -423,7 +481,7 @@ let run ?(obs = Obs.noop) cfg st =
              ~new_mask:(Partition_state.mask st cell)
              ~full:(Partition_state.full_mask st cell)
       then incr repl_undone;
-      ignore (Partition_state.apply st cell old_mask)
+      Partition_state.apply st cell old_mask
     done;
     let improved = !best < start_score in
     if observing then begin
@@ -476,13 +534,17 @@ let run ?(obs = Obs.noop) cfg st =
   done;
   cfg.score st
 
+let run ?(obs = Obs.noop) cfg st =
+  run_in (workspace (Partition_state.hypergraph st)) ~obs cfg st
+
 let run_staged ?(obs = Obs.noop) cfg st =
   match cfg.replication with
   | `None -> run ~obs cfg st
   | `Functional _ ->
+      let ws = workspace (Partition_state.hypergraph st) in
       if Obs.enabled obs then
         Obs.event obs "fm.stage" [ ("stage", Obs.Json.String "plain") ];
-      ignore (run ~obs { cfg with replication = `None } st);
+      ignore (run_in ws ~obs { cfg with replication = `None } st);
       if Obs.enabled obs then
         Obs.event obs "fm.stage" [ ("stage", Obs.Json.String "replication") ];
-      run ~obs cfg st
+      run_in ws ~obs cfg st

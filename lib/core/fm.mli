@@ -223,8 +223,14 @@ val run_staged : ?obs:Obs.t -> config -> Partition_state.t -> score
     ([replication = `None]), then continue with the configured replication
     operations from that solution. Since passes never worsen the score,
     the staged result is never worse than plain F-M alone. Equivalent to
-    {!run} when the config has no replication. With a collecting [obs], a
-    ["fm.stage"] event separates the plain and replication stages. *)
+    {!run} when the config has no replication. Both stages share one
+    workspace (bucket, per-cell op registers, flags, epoch stamps and
+    trail), reset to its fresh state at the start of each stage, so the
+    result equals a plain {!run} followed by a replication {!run} while
+    the per-cell arrays are allocated once; the workspace lives inside
+    the call, so concurrent calls on different domains share nothing.
+    With a collecting [obs], a ["fm.stage"] event separates the plain
+    and replication stages. *)
 
 val random_state : Netlist.Rng.t -> Hypergraph.t -> Partition_state.t
 (** Fresh state with a uniformly random half/half assignment (by cell

@@ -30,10 +30,21 @@ type cell_spec = {
   s_supports : Bitvec.t array;
 }
 
-let sort_dedup arr =
-  let arr = Array.copy arr in
-  Array.sort Int.compare arr;
+(* Sort a fresh array ascending in place and drop repeats: the array
+   itself when nothing repeats, else a copy of its distinct prefix. An
+   insertion sort, since a cell has a few dozen pins at most; it
+   allocates nothing. *)
+let sort_dedup_in_place (arr : int array) =
   let n = Array.length arr in
+  for i = 1 to n - 1 do
+    let x = arr.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && arr.(!j) > x do
+      arr.(!j + 1) <- arr.(!j);
+      decr j
+    done;
+    arr.(!j + 1) <- x
+  done;
   let len = ref (min n 1) in
   for i = 1 to n - 1 do
     if arr.(i) <> arr.(!len - 1) then begin
@@ -52,24 +63,31 @@ let net_index nets n =
   done;
   !lo
 
-(* The distinct incident nets, each with the input and output pins wired
-   to it: what every connected-net question about the cell reads. *)
-let with_pin_masks c =
-  let nets = sort_dedup (Array.append c.inputs c.outputs) in
-  let pins_of wires =
-    let masks = Array.make (Array.length nets) Bitvec.empty in
-    Array.iteri
-      (fun p n ->
-        let k = net_index nets n in
-        masks.(k) <- Bitvec.add p masks.(k))
-      wires;
-    masks
-  in
+(* [masks.(k)] = the pins of [wires] wired to [nets.(k)]. *)
+let pin_masks nets wires =
+  let masks = Array.make (Array.length nets) Bitvec.empty in
+  for p = 0 to Array.length wires - 1 do
+    let k = net_index nets wires.(p) in
+    masks.(k) <- Bitvec.add p masks.(k)
+  done;
+  masks
+
+(* Every cell is built here, with its distinct incident nets, each with
+   the input and output pins wired to it: what every connected-net
+   question about the cell reads. *)
+let make_cell ~id ~name ~area ~demand ~inputs ~outputs ~supports =
+  let nets = sort_dedup_in_place (Array.append inputs outputs) in
   {
-    c with
+    id;
+    name;
+    area;
+    demand;
+    inputs;
+    outputs;
+    supports;
     full_nets = nets;
-    full_in_pins = pins_of c.inputs;
-    full_out_pins = pins_of c.outputs;
+    full_in_pins = pin_masks nets inputs;
+    full_out_pins = pin_masks nets outputs;
   }
 
 let cell_nets c = c.full_nets
@@ -110,87 +128,124 @@ let connected_nets c ~out_mask =
     c.full_nets
   else touched_nets c ~out_mask ~in_mask:(input_support c out_mask)
 
+(* Cell checks as allocation-free loops, so validating a rebuilt graph
+   costs no more than reading it. *)
+let rec non_negative (d : int array) i =
+  i >= Array.length d || (d.(i) >= 0 && non_negative d (i + 1))
+
+let rec nets_in_range ~num_nets (nets : int array) i =
+  i >= Array.length nets
+  || nets.(i) >= 0
+     && nets.(i) < num_nets
+     && nets_in_range ~num_nets nets (i + 1)
+
+let rec supports_within supports bound i =
+  i >= Array.length supports
+  || Bitvec.subset supports.(i) bound
+     && supports_within supports bound (i + 1)
+
+let bad c msg = Error (Printf.sprintf "cell %s: %s" c.name msg)
+
 let check_cell ~num_nets c =
   let n_in = Array.length c.inputs in
-  let bad msg = Error (Printf.sprintf "cell %s: %s" c.name msg) in
-  if c.area < 1 then bad "area must be >= 1"
+  if c.area < 1 then bad c "area must be >= 1"
   else if Array.length c.demand < 1 || Array.length c.demand > demand_arity
-  then bad "demand must use 1..demand_arity axes"
-  else if c.demand.(0) <> c.area then bad "demand.(0) must equal area"
-  else if Array.exists (fun x -> x < 0) c.demand then
-    bad "demand must be non-negative"
-  else if Array.length c.outputs = 0 then bad "cell has no outputs"
+  then bad c "demand must use 1..demand_arity axes"
+  else if c.demand.(0) <> c.area then bad c "demand.(0) must equal area"
+  else if not (non_negative c.demand 0) then bad c "demand must be non-negative"
+  else if Array.length c.outputs = 0 then bad c "cell has no outputs"
   else if Array.length c.supports <> Array.length c.outputs then
-    bad "one support mask per output required"
+    bad c "one support mask per output required"
   else if
-    Array.exists (fun n -> n < 0 || n >= num_nets) c.inputs
-    || Array.exists (fun n -> n < 0 || n >= num_nets) c.outputs
-  then bad "net id out of range"
-  else if n_in > Bitvec.max_width then bad "too many input pins"
-  else if
-    Array.exists (fun s -> not (Bitvec.subset s (Bitvec.full n_in))) c.supports
-  then bad "support refers to a missing input pin"
+    not
+      (nets_in_range ~num_nets c.inputs 0
+      && nets_in_range ~num_nets c.outputs 0)
+  then bad c "net id out of range"
+  else if n_in > Bitvec.max_width then bad c "too many input pins"
+  else if not (supports_within c.supports (Bitvec.full n_in) 0) then
+    bad c "support refers to a missing input pin"
   else if
     n_in > 0
     && not
          (Bitvec.equal
             (Array.fold_left Bitvec.union Bitvec.empty c.supports)
             (Bitvec.full n_in))
-  then bad "some input pin supports no output"
-  else if n_in = 0 && Array.exists (fun s -> not (Bitvec.is_empty s)) c.supports
-  then bad "support of an input-less cell must be empty"
+  then bad c "some input pin supports no output"
+  else if n_in = 0 && not (supports_within c.supports Bitvec.empty 0) then
+    bad c "support of an input-less cell must be empty"
   else Ok ()
 
+let rec check_cells h i =
+  if i >= Array.length h.cells then Ok ()
+  else if h.cells.(i).id <> i then Error "cell id mismatch"
+  else
+    match check_cell ~num_nets:h.num_nets h.cells.(i) with
+    | Error _ as e -> e
+    | Ok () -> check_cells h (i + 1)
+
+(* Exactly one driver per net among the cells, unless external. *)
+let rec check_nets h drivers n =
+  if n >= h.num_nets then Ok ()
+  else if drivers.(n) > 1 then
+    Error (Printf.sprintf "net %d has %d drivers" n drivers.(n))
+  else if drivers.(n) = 0 && not h.net_external.(n) then
+    Error (Printf.sprintf "net %d has no driver and is not external" n)
+  else check_nets h drivers (n + 1)
+
 let validate h =
-  let num = Array.length h.cells in
-  let rec check_cells i =
-    if i >= num then Ok ()
-    else if h.cells.(i).id <> i then Error "cell id mismatch"
-    else
-      match check_cell ~num_nets:h.num_nets h.cells.(i) with
-      | Error _ as e -> e
-      | Ok () -> check_cells (i + 1)
-  in
-  match check_cells 0 with
+  match check_cells h 0 with
   | Error _ as e -> e
-  | Ok () -> (
-      (* Exactly one driver per net among the cells, unless external. *)
+  | Ok () ->
       let drivers = Array.make h.num_nets 0 in
-      Array.iter
-        (fun c -> Array.iter (fun n -> drivers.(n) <- drivers.(n) + 1) c.outputs)
-        h.cells;
-      let rec check_nets n =
-        if n >= h.num_nets then Ok ()
-        else if drivers.(n) > 1 then
-          Error (Printf.sprintf "net %d has %d drivers" n drivers.(n))
-        else if drivers.(n) = 0 && not h.net_external.(n) then
-          Error (Printf.sprintf "net %d has no driver and is not external" n)
-        else check_nets (n + 1)
-      in
-      check_nets 0)
+      for i = 0 to Array.length h.cells - 1 do
+        let outs = h.cells.(i).outputs in
+        for o = 0 to Array.length outs - 1 do
+          drivers.(outs.(o)) <- drivers.(outs.(o)) + 1
+        done
+      done;
+      check_nets h drivers 0
+
+(* The one constructor behind [create] and [induce_copies]: the cells are
+   built and [net_external]/[net_names] sized [num_nets]. [net_cells]
+   comes from a count pass and a fill pass over the cells' distinct nets,
+   so each net's cells ascend; ids out of range are skipped here and
+   reported by [validate]. *)
+let assemble ~num_nets ~net_external ~net_names cells =
+  let fill = Array.make num_nets 0 in
+  for i = 0 to Array.length cells - 1 do
+    let nets = cells.(i).full_nets in
+    for k = 0 to Array.length nets - 1 do
+      let n = nets.(k) in
+      if n >= 0 && n < num_nets then fill.(n) <- fill.(n) + 1
+    done
+  done;
+  let net_cells = Array.map (fun count -> Array.make count 0) fill in
+  Array.fill fill 0 num_nets 0;
+  for i = 0 to Array.length cells - 1 do
+    let c = cells.(i) in
+    let nets = c.full_nets in
+    for k = 0 to Array.length nets - 1 do
+      let n = nets.(k) in
+      if n >= 0 && n < num_nets then begin
+        net_cells.(n).(fill.(n)) <- c.id;
+        fill.(n) <- fill.(n) + 1
+      end
+    done
+  done;
+  let h = { cells; num_nets; net_cells; net_external; net_names } in
+  match validate h with
+  | Ok () -> h
+  | Error msg -> invalid_arg ("Hypergraph.create: " ^ msg)
+
+let cell_of_spec id s =
+  make_cell ~id ~name:s.s_name ~area:s.s_area
+    ~demand:
+      (if Array.length s.s_demand = 0 then [| s.s_area |]
+       else Array.copy s.s_demand)
+    ~inputs:s.s_inputs ~outputs:s.s_outputs ~supports:s.s_supports
 
 let create ?net_names ~num_nets ~external_nets specs =
-  let cells =
-    List.mapi
-      (fun id s ->
-        with_pin_masks
-          {
-            id;
-            name = s.s_name;
-            area = s.s_area;
-            demand =
-              (if Array.length s.s_demand = 0 then [| s.s_area |]
-               else Array.copy s.s_demand);
-            inputs = s.s_inputs;
-            outputs = s.s_outputs;
-            supports = s.s_supports;
-            full_nets = [||];
-            full_in_pins = [||];
-            full_out_pins = [||];
-          })
-      specs
-    |> Array.of_list
-  in
+  let cells = Array.mapi cell_of_spec (Array.of_list specs) in
   let net_external = Array.make num_nets false in
   List.iter
     (fun n ->
@@ -198,17 +253,6 @@ let create ?net_names ~num_nets ~external_nets specs =
         invalid_arg "Hypergraph.create: external net id out of range";
       net_external.(n) <- true)
     external_nets;
-  let net_cell_lists = Array.make num_nets [] in
-  Array.iter
-    (fun c ->
-      Array.iter
-        (fun n ->
-          if n >= 0 && n < num_nets then
-            match net_cell_lists.(n) with
-            | x :: _ when x = c.id -> ()
-            | l -> net_cell_lists.(n) <- c.id :: l)
-        (cell_nets c))
-    cells;
   let net_names =
     match net_names with
     | Some a ->
@@ -217,18 +261,7 @@ let create ?net_names ~num_nets ~external_nets specs =
         a
     | None -> Array.init num_nets (fun n -> Printf.sprintf "net%d" n)
   in
-  let h =
-    {
-      cells;
-      num_nets;
-      net_cells = Array.map (fun l -> Array.of_list (List.rev l)) net_cell_lists;
-      net_external;
-      net_names;
-    }
-  in
-  match validate h with
-  | Ok () -> h
-  | Error msg -> invalid_arg ("Hypergraph.create: " ^ msg)
+  assemble ~num_nets ~net_external ~net_names cells
 
 let num_cells h = Array.length h.cells
 let cell h i = h.cells.(i)
@@ -267,10 +300,71 @@ let pins h =
     (fun acc c -> acc + Array.length c.inputs + Array.length c.outputs)
     0 h.cells
 
+(* Whether a copy of [c] carrying outputs [m] touches [c.full_nets.(k)]. *)
+let copy_touches c k m =
+  (not (Bitvec.is_empty m))
+  && touches c k ~out_mask:m ~in_mask:(input_support c m)
+
+(* Net [n] leaks outside the kept copies when, for some cell [cells.(i..)]
+   on it, the kept copy does not cover the incidence, or the dropped copy
+   (the complement of the kept outputs, e.g. the other half of a
+   replicated cell) also touches it. *)
+let rec leaks h kept_mask n cells i =
+  i < Array.length cells
+  &&
+  let c = h.cells.(cells.(i)) in
+  let kept = kept_mask.(cells.(i)) in
+  let k = net_index c.full_nets n in
+  let dropped = Bitvec.diff (Bitvec.full (Array.length c.outputs)) kept in
+  (not (copy_touches c k kept))
+  || copy_touches c k dropped
+  || leaks h kept_mask n cells (i + 1)
+
+(* [s] with each input pin [p] renamed [pin_rank.(p)]. *)
+let remap_pins pin_rank s =
+  let acc = ref Bitvec.empty and rest = ref s and p = ref 0 in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 then acc := Bitvec.add pin_rank.(!p) !acc;
+    rest := !rest lsr 1;
+    incr p
+  done;
+  !acc
+
+(* Cell [id]'s copy carrying outputs [m], as cell [j] of the induced
+   graph: the input pins [m]'s supports reference, renumbered densely
+   through the [pin_rank] scratch, and every net through [net_map]. *)
+let copy_cell h net_map pin_rank j (id, m) =
+  let c = h.cells.(id) in
+  let in_mask = input_support c m in
+  let inputs = Array.make (Bitvec.norm in_mask) 0 in
+  let r = ref 0 in
+  for p = 0 to Array.length c.inputs - 1 do
+    if Bitvec.mem p in_mask then begin
+      pin_rank.(p) <- !r;
+      inputs.(!r) <- net_map.(c.inputs.(p));
+      incr r
+    end
+  done;
+  let n_out = Bitvec.norm m in
+  let outputs = Array.make n_out 0 in
+  let supports = Array.make n_out Bitvec.empty in
+  let r = ref 0 in
+  for o = 0 to Array.length c.outputs - 1 do
+    if Bitvec.mem o m then begin
+      outputs.(!r) <- net_map.(c.outputs.(o));
+      supports.(!r) <- remap_pins pin_rank c.supports.(o);
+      incr r
+    end
+  done;
+  make_cell ~id:j ~name:c.name ~area:c.area ~demand:(Array.copy c.demand)
+    ~inputs ~outputs ~supports
+
 (* Restrict to copies: each (cell id, out_mask) becomes a new cell carrying
    exactly those outputs and the inputs they depend on. A net becomes
    external when it was external before or when some incidence of the
-   original hypergraph is not covered by the kept copies. *)
+   original hypergraph is not covered by the kept copies. Beyond the
+   graph it returns, it allocates one int per cell and per net of [h]
+   and a [Bitvec.max_width] pin-rank scratch. *)
 let induce_copies h specs =
   let kept_mask = Array.make (num_cells h) Bitvec.empty in
   List.iter
@@ -285,82 +379,38 @@ let induce_copies h specs =
         invalid_arg "Hypergraph.induce_copies: duplicate cell";
       kept_mask.(id) <- m)
     specs;
-  (* Net renumbering: nets touched by kept copies survive. *)
-  let net_map = Array.make h.num_nets (-1) in
-  let new_nets = Netlist.Vec.create () in
-  let map_net n =
-    if net_map.(n) < 0 then
-      net_map.(n) <- Netlist.Vec.push new_nets n;
-    net_map.(n)
-  in
   let specs = Array.of_list specs in
-  Array.iter
-    (fun (id, m) ->
-      Array.iter
-        (fun n -> ignore (map_net n))
-        (connected_nets h.cells.(id) ~out_mask:m))
-    specs;
-  let num_new_nets = Netlist.Vec.length new_nets in
-  (* External detection: walk original incidences. *)
-  let external_flags = Array.make num_new_nets false in
+  (* Net renumbering: nets touched by kept copies survive, numbered in
+     first-touch order (copy by copy, each copy's nets ascending). *)
+  let net_map = Array.make h.num_nets (-1) in
+  let num_new_nets = ref 0 in
+  for j = 0 to Array.length specs - 1 do
+    let id, m = specs.(j) in
+    let c = h.cells.(id) in
+    let in_mask = input_support c m in
+    let nets = c.full_nets in
+    for k = 0 to Array.length nets - 1 do
+      let n = nets.(k) in
+      if net_map.(n) < 0 && touches c k ~out_mask:m ~in_mask then begin
+        net_map.(n) <- !num_new_nets;
+        incr num_new_nets
+      end
+    done
+  done;
+  let num_new_nets = !num_new_nets in
+  let net_external = Array.make num_new_nets false in
+  let net_names = Array.make num_new_nets "" in
   for n = 0 to h.num_nets - 1 do
-    if net_map.(n) >= 0 then begin
-      let ext = ref h.net_external.(n) in
-      Array.iter
-        (fun cid ->
-          let cell = h.cells.(cid) in
-          let kept = kept_mask.(cid) in
-          let touches m =
-            (not (Bitvec.is_empty m))
-            && Array.exists (fun n' -> n' = n) (connected_nets cell ~out_mask:m)
-          in
-          (* The cell touches n (it is in net_cells). The net leaks outside
-             when the kept copy does not cover that incidence, or when the
-             dropped copy (the complement of the kept outputs, e.g. the
-             other half of a replicated cell) also touches it. *)
-          let dropped =
-            Bitvec.diff (Bitvec.full (Array.length cell.outputs)) kept
-          in
-          if (not (touches kept)) || touches dropped then ext := true)
-        h.net_cells.(n);
-      external_flags.(net_map.(n)) <- !ext
+    let k = net_map.(n) in
+    if k >= 0 then begin
+      net_names.(k) <- h.net_names.(n);
+      net_external.(k) <-
+        h.net_external.(n) || leaks h kept_mask n h.net_cells.(n) 0
     end
   done;
-  let new_specs =
-    Array.to_list specs
-    |> List.map (fun (id, m) ->
-           let c = h.cells.(id) in
-           let in_pins = Bitvec.to_list (input_support c m) in
-           let new_index = Hashtbl.create 8 in
-           List.iteri (fun k p -> Hashtbl.add new_index p k) in_pins;
-           let s_inputs =
-             Array.of_list (List.map (fun p -> net_map.(c.inputs.(p))) in_pins)
-           in
-           let out_pins = Bitvec.to_list m in
-           let s_outputs =
-             Array.of_list (List.map (fun o -> net_map.(c.outputs.(o))) out_pins)
-           in
-           let s_supports =
-             Array.of_list
-               (List.map
-                  (fun o ->
-                    Bitvec.fold
-                      (fun p acc -> Bitvec.add (Hashtbl.find new_index p) acc)
-                      c.supports.(o) Bitvec.empty)
-                  out_pins)
-           in
-           { s_name = c.name; s_area = c.area; s_demand = c.demand;
-             s_inputs; s_outputs; s_supports })
-  in
-  let net_names =
-    Array.init num_new_nets (fun k -> h.net_names.(Netlist.Vec.get new_nets k))
-  in
-  let externals = ref [] in
-  Array.iteri (fun k e -> if e then externals := k :: !externals) external_flags;
-  let h' =
-    create ~net_names ~num_nets:num_new_nets ~external_nets:!externals new_specs
-  in
-  (h', specs)
+  let pin_rank = Array.make Bitvec.max_width 0 in
+  let cells = Array.mapi (copy_cell h net_map pin_rank) specs in
+  (assemble ~num_nets:num_new_nets ~net_external ~net_names cells, specs)
 
 let induce h ~keep =
   if Array.length keep <> num_cells h then

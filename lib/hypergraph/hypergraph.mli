@@ -131,7 +131,14 @@ val induce_copies : t -> (int * Bitvec.t) list -> t * (int * Bitvec.t) array
     external in [h] or when any incidence of [h] is not covered by the kept
     copies (e.g. the other copy of a replicated cell). Returns the new
     hypergraph (cells in [specs] order) and the spec array. Raises
-    [Invalid_argument] on empty masks or duplicate cells. *)
+    [Invalid_argument] on an out-of-range cell id, an empty or
+    out-of-range mask, or a duplicate cell.
+
+    Cost: O(pins of the copies + incidences of the surviving nets). It
+    allocates the graph it returns plus one int per cell and per net of
+    [h] and a [Bitvec.max_width] pin-rank scratch: no lists, [Hashtbl]s
+    or per-element closures. The recursive k-way split calls it once per
+    carved-off device. *)
 
 val induce : t -> keep:bool array -> t * int array
 (** [induce h ~keep] restricts [h] to the cells with [keep.(id)] true.

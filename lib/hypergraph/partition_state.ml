@@ -38,7 +38,7 @@ type t = {
      iteration. *)
   ch_nets : int array;
   mutable ch_len : int;
-  sd : scratch; (* reusable target for the record-returning eval/apply *)
+  sd : scratch; (* reusable delta target of eval and apply *)
 }
 
 and delta = {
@@ -400,14 +400,11 @@ let cat x = if x > 2 then 2 else x
 
 let apply t c new_mask =
   check_mask t c new_mask;
-  if Bitvec.equal new_mask t.out_on_b.(c) then begin
-    t.ch_len <- 0;
-    zero_delta
-  end
+  if Bitvec.equal new_mask t.out_on_b.(c) then t.ch_len <- 0
   else begin
     net_deltas t c new_mask;
-    scratch_totals t c new_mask t.sd;
-    let d = delta_of_sd t in
+    let d = t.sd in
+    scratch_totals t c new_mask d;
     t.ch_len <- 0;
     for i = 0 to t.s_len - 1 do
       let n = t.s_nets.(i) in
@@ -421,16 +418,15 @@ let apply t c new_mask =
       t.conn_b.(n) <- cb + db
     done;
     t.out_on_b.(c) <- new_mask;
-    t.cut <- t.cut + d.d_cut;
-    t.term_a <- t.term_a + d.d_term_a;
-    t.term_b <- t.term_b + d.d_term_b;
-    t.area_a <- t.area_a + d.d_area_a;
-    t.area_b <- t.area_b + d.d_area_b;
+    t.cut <- t.cut + d.sc_cut;
+    t.term_a <- t.term_a + d.sc_term_a;
+    t.term_b <- t.term_b + d.sc_term_b;
+    t.area_a <- t.area_a + d.sc_area_a;
+    t.area_b <- t.area_b + d.sc_area_b;
     for a = 0 to Hypergraph.demand_arity - 1 do
-      t.res_a.(a) <- t.res_a.(a) + t.sd.sc_res_a.(a);
-      t.res_b.(a) <- t.res_b.(a) + t.sd.sc_res_b.(a)
-    done;
-    d
+      t.res_a.(a) <- t.res_a.(a) + d.sc_res_a.(a);
+      t.res_b.(a) <- t.res_b.(a) + d.sc_res_b.(a)
+    done
   end
 
 let num_changed_nets t = t.ch_len

@@ -135,10 +135,12 @@ val eval_into : t -> int -> Bitvec.t -> scratch -> unit
 (** [eval_into t c m out] — exactly {!eval}, but writing the delta into
     [out] instead of returning a fresh record. Allocation-free. *)
 
-val apply : t -> int -> Bitvec.t -> delta
-(** Commit a mask change and return its delta (equal to what {!eval} would
-    have returned). Additionally records the set of {e state-changed} nets
-    for {!iter_changed_nets}. *)
+val apply : t -> int -> Bitvec.t -> unit
+(** Commit a mask change: the counters shift by exactly the delta {!eval}
+    would have returned, so read them (or call {!eval} first) for the
+    delta. Allocation-free, as F-M applies and rolls back one per move.
+    Additionally records the set of {e state-changed} nets for
+    {!iter_changed_nets}. *)
 
 val num_changed_nets : t -> int
 

@@ -222,7 +222,7 @@ let test_best_mask_change_candidates () =
   let repl = Gain.best_mask_change st ~replication:(`Functional 0) 0 in
   checki "move + 2 migrations" 3 (List.length repl);
   (* Once replicated, unreplication and split adjustment appear. *)
-  ignore (Partition_state.apply st 0 (Bitvec.singleton 1));
+  Partition_state.apply st 0 (Bitvec.singleton 1);
   let after = Gain.best_mask_change st ~replication:(`Functional 0) 0 in
   checkb "includes full-A merge" true
     (List.exists (fun (m, _) -> Bitvec.is_empty m) after);
@@ -252,9 +252,8 @@ let test_no_duplicate_candidates () =
     if trial > 0 then
       for c = 0 to n - 1 do
         if Netlist.Rng.int rng 3 = 0 then
-          ignore
-            (Partition_state.apply st c
-               (Test_util.random_mask rng (Partition_state.full_mask st c)))
+          Partition_state.apply st c
+            (Test_util.random_mask rng (Partition_state.full_mask st c))
       done;
     List.iter
       (fun replication ->
@@ -285,34 +284,23 @@ let test_bucket_basics () =
   checkb "mem" true (Bucket.mem b 3);
   checki "gain" 2 (Bucket.gain b 3);
   (* LIFO at the top gain level: 5 inserted after 3. *)
-  (match Bucket.find_best b (fun _ -> true) with
-  | Some item -> checki "LIFO top" 5 item
-  | None -> Alcotest.fail "expected an item");
+  checki "LIFO top" 5 (Bucket.find_best b (fun _ -> true));
   (* Predicate skips. *)
-  (match Bucket.find_best b (fun i -> i <> 5 && i <> 3) with
-  | Some item -> checki "skips to lower gain" 4 item
-  | None -> Alcotest.fail "expected an item");
+  checki "skips to lower gain" 4
+    (Bucket.find_best b (fun i -> i <> 5 && i <> 3));
   Bucket.remove b 5;
-  (match Bucket.find_best b (fun _ -> true) with
-  | Some item -> checki "after removal" 3 item
-  | None -> Alcotest.fail "expected an item");
+  checki "after removal" 3 (Bucket.find_best b (fun _ -> true));
   Bucket.update b 4 5;
-  (match Bucket.find_best b (fun _ -> true) with
-  | Some item -> checki "after update" 4 item
-  | None -> Alcotest.fail "expected an item")
+  checki "after update" 4 (Bucket.find_best b (fun _ -> true))
 
 let test_bucket_clamping () =
   let b = Bucket.create ~num_items:4 ~max_gain:3 in
   Bucket.insert b 0 100;
   Bucket.insert b 1 (-100);
   checki "stored gain unclamped" 100 (Bucket.gain b 0);
-  (match Bucket.find_best b (fun _ -> true) with
-  | Some item -> checki "clamped ordering works" 0 item
-  | None -> Alcotest.fail "expected an item");
+  checki "clamped ordering works" 0 (Bucket.find_best b (fun _ -> true));
   Bucket.remove b 0;
-  (match Bucket.find_best b (fun _ -> true) with
-  | Some item -> checki "negative clamp" 1 item
-  | None -> Alcotest.fail "expected an item")
+  checki "negative clamp" 1 (Bucket.find_best b (fun _ -> true))
 
 let test_bucket_errors () =
   let b = Bucket.create ~num_items:4 ~max_gain:3 in
@@ -334,39 +322,25 @@ let test_bucket_update_fast_path_order () =
   let b = Bucket.create ~num_items:8 ~max_gain:3 in
   Bucket.insert b 1 2;
   Bucket.insert b 2 2;
-  (match best b with
-  | Some i -> checki "LIFO before update" 2 i
-  | None -> Alcotest.fail "expected an item");
+  checki "LIFO before update" 2 (best b);
   Bucket.update b 1 2;
-  (match best b with
-  | Some i -> checki "same-gain update of 1 keeps 2 first" 2 i
-  | None -> Alcotest.fail "expected an item");
+  checki "same-gain update of 1 keeps 2 first" 2 (best b);
   Bucket.update b 2 2;
-  (match best b with
-  | Some i -> checki "same-gain update of 2 keeps its place" 2 i
-  | None -> Alcotest.fail "expected an item");
+  checki "same-gain update of 2 keeps its place" 2 (best b);
   (* Same clamped slot, different stored gain: 100 and 50 both clamp to
      +3. The slot order stays; the unclamped gain is refreshed. *)
   Bucket.insert b 3 100;
   Bucket.insert b 4 100;
-  (match best b with
-  | Some i -> checki "4 most recent in top slot" 4 i
-  | None -> Alcotest.fail "expected an item");
+  checki "4 most recent in top slot" 4 (best b);
   Bucket.update b 4 50;
-  (match best b with
-  | Some i -> checki "same-slot update keeps 4 first" 4 i
-  | None -> Alcotest.fail "expected an item");
+  checki "same-slot update keeps 4 first" 4 (best b);
   checki "stored gain refreshed" 50 (Bucket.gain b 4);
   Bucket.update b 3 60;
-  (match best b with
-  | Some i -> checki "same-slot update of non-head keeps order" 4 i
-  | None -> Alcotest.fail "expected an item");
+  checki "same-slot update of non-head keeps order" 4 (best b);
   (* A slot-changing round trip is a relink: recency refreshed. *)
   Bucket.update b 3 1;
   Bucket.update b 3 100;
-  (match best b with
-  | Some i -> checki "slot-changing round trip refreshes recency" 3 i
-  | None -> Alcotest.fail "expected an item")
+  checki "slot-changing round trip refreshes recency" 3 (best b)
 
 let test_bucket_top_decay_and_interleaving () =
   let best b pred = Bucket.find_best b pred in
@@ -379,27 +353,19 @@ let test_bucket_top_decay_and_interleaving () =
   (* Removing the only top-slot item: the lazy top pointer must decay
      past the emptied slots to the survivors. *)
   Bucket.remove b 0;
-  (match best b (fun _ -> true) with
-  | Some i -> checki "top decays to bottom slot" 1 i
-  | None -> Alcotest.fail "expected an item");
+  checki "top decays to bottom slot" 1 (best b (fun _ -> true));
   (* Interleaved inserts/removes/updates across slots. *)
   Bucket.insert b 2 0;
   Bucket.insert b 3 4;
   Bucket.update b 3 (-4);
-  (match best b (fun _ -> true) with
-  | Some i -> checki "after top item drops to bottom" 2 i
-  | None -> Alcotest.fail "expected an item");
+  checki "after top item drops to bottom" 2 (best b (fun _ -> true));
   Bucket.update b 1 10;
-  (match best b (fun _ -> true) with
-  | Some i -> checki "bottom item raised to clamped top" 1 i
-  | None -> Alcotest.fail "expected an item");
+  checki "bottom item raised to clamped top" 1 (best b (fun _ -> true));
   Bucket.remove b 1;
   Bucket.remove b 2;
-  (match best b (fun _ -> true) with
-  | Some i -> checki "decay again after removals" 3 i
-  | None -> Alcotest.fail "expected an item");
+  checki "decay again after removals" 3 (best b (fun _ -> true));
   Bucket.remove b 3;
-  checkb "empty scan finds nothing" true (best b (fun _ -> true) = None);
+  checki "empty scan finds nothing" (-1) (best b (fun _ -> true));
   checki "empty cardinal" 0 (Bucket.cardinal b)
 
 let qcheck_bucket_matches_model =
@@ -452,7 +418,7 @@ let qcheck_bucket_matches_model =
                       | _ -> best := Some (i, key))
                   | _ -> ())
                 model;
-              Option.map fst !best
+              match !best with Some (i, _) -> i | None -> -1
             in
             if Bucket.find_best b (fun i -> allow.(i)) <> expected then
               ok := false
@@ -608,7 +574,7 @@ let qcheck_incremental_gains_exact =
           if functional then Test_util.random_mask rng full
           else Bitvec.complement (Bitvec.norm full) (Partition_state.mask st c)
         in
-        ignore (Partition_state.apply st c m);
+        Partition_state.apply st c m;
         (* The engine's maintenance step: the moved cell plus every cell
            on a state-changed net. *)
         cached.(c) <- best c;
@@ -667,21 +633,6 @@ let test_fm_oracle_mode_identical () =
     then Alcotest.failf "oracle mode diverged at cell %d" c
   done
 
-(* Words allocated while [f ()] runs, less what an empty measurement
-   reads. [Gc.minor_words] is current at every call (unlike
-   [Gc.quick_stat], which only advances at a collection); [Gc.counters]
-   adds what went straight to the major heap. *)
-let words_during f =
-  let measure f =
-    let _, p0, j0 = Gc.counters () in
-    let m0 = Gc.minor_words () in
-    f ();
-    let m1 = Gc.minor_words () in
-    let _, p1, j1 = Gc.counters () in
-    m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
-  in
-  measure f -. measure ignore
-
 let s9234_hypergraph () =
   Lazy.force (Option.get (Experiments.Suite.find "s9234")).Experiments.Suite.hypergraph
 
@@ -715,7 +666,7 @@ let check_candidates_allocation_free label st ~replication =
   in
   sweep ();
   checkb (label ^ ": replication candidates evaluated") true (!partial > 0);
-  let words = words_during sweep in
+  let words = Test_util.words_during sweep in
   if words <> 0.0 then
     Alcotest.failf "%s: %d candidate evaluations allocated %.0f words" label
       !evaluated words
@@ -744,8 +695,8 @@ let test_fm_candidates_allocation_free () =
     ~replication:ccfg.Fm.replication
 
 let test_fm_run_words_per_move () =
-  (* The per-move residue is the selected [Some], the score tuple and the
-     applied delta record; per-run arrays amortise over the moves. *)
+  (* The per-move residue is the score tuple; the per-run workspace
+     (bucket, op registers, stamps, trail) amortises over the moves. *)
   let h = s9234_hypergraph () in
   let cfg = alloc_config h in
   let fresh () = Fm.random_state (Netlist.Rng.create 3) h in
@@ -757,11 +708,39 @@ let test_fm_run_words_per_move () =
   in
   checkb "the run applies moves" true (applied > 0);
   let st = fresh () in
-  let words = words_during (fun () -> ignore (Fm.run cfg st)) in
+  let words = Test_util.words_during (fun () -> ignore (Fm.run cfg st)) in
   let per_move = words /. float_of_int applied in
-  if per_move > 32.0 then
+  if per_move > 12.0 then
     Alcotest.failf "Fm.run allocated %.1f words per applied move (%d moves)"
       per_move applied
+
+let qcheck_fm_staged_workspace_fresh =
+  (* run_staged hands one workspace to both stages; each stage must see
+     it exactly as fresh (stamps, dirty flags, op registers, locks,
+     bucket), so the staged run equals two fresh runs on a copy. The
+     oracle (which makes identical decisions) on the staged side trips
+     on a rescore a stale epoch stamp skipped, even when the skip happens
+     not to change the outcome. *)
+  QCheck.Test.make ~name:"run_staged = fresh plain run, then fresh run"
+    ~count:100
+    QCheck.(pair small_int (int_range 6 60))
+    (fun (seed, n_cells) ->
+      let h = Test_util.random_hypergraph seed n_cells in
+      let cfg =
+        Fm.balance_config ~replication:(`Functional 0)
+          ~total_area:(Hypergraph.total_area h) ()
+      in
+      let st = Fm.random_state (Netlist.Rng.create (seed + 1)) h in
+      let fresh = Partition_state.copy st in
+      let staged = Fm.run_staged { cfg with Fm.oracle = true } st in
+      ignore (Fm.run { cfg with Fm.replication = `None } fresh);
+      let score = Fm.run cfg fresh in
+      staged = score
+      && List.for_all
+           (fun c ->
+             Bitvec.equal (Partition_state.mask st c)
+               (Partition_state.mask fresh c))
+           (List.init n_cells Fun.id))
 
 let qcheck_fm_oracle_never_trips =
   (* The oracle cross-check aborts the run on any stale cached gain; it
@@ -1598,6 +1577,7 @@ let () =
             test_fm_oracle_mode_identical;
           qc qcheck_fm_oracle_never_trips;
           Alcotest.test_case "staged never worse" `Quick test_fm_staged_never_worse;
+          qc qcheck_fm_staged_workspace_fresh;
           Alcotest.test_case "traditional model weaker" `Quick
             test_fm_traditional_model_weaker;
           Alcotest.test_case "two-device refinement config" `Quick

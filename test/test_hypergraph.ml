@@ -237,6 +237,180 @@ let test_hypergraph_induce_partial_copy () =
   in
   checki "externals" 2 ext_count
 
+(* The list- and Hashtbl-built [induce_copies] the rewrite replaced,
+   kept verbatim as the reference it must equal field for field. *)
+let reference_induce_copies h specs =
+  let open Hypergraph in
+  let kept_mask = Array.make (num_cells h) Bitvec.empty in
+  List.iter
+    (fun (id, m) ->
+      if id < 0 || id >= num_cells h then
+        invalid_arg "Hypergraph.induce_copies: cell id out of range";
+      if Bitvec.is_empty m then
+        invalid_arg "Hypergraph.induce_copies: empty output mask";
+      if not (Bitvec.subset m (Bitvec.full (Array.length h.cells.(id).outputs)))
+      then invalid_arg "Hypergraph.induce_copies: mask out of range";
+      if not (Bitvec.is_empty kept_mask.(id)) then
+        invalid_arg "Hypergraph.induce_copies: duplicate cell";
+      kept_mask.(id) <- m)
+    specs;
+  (* Net renumbering: nets touched by kept copies survive. *)
+  let net_map = Array.make h.num_nets (-1) in
+  let new_nets = Netlist.Vec.create () in
+  let map_net n =
+    if net_map.(n) < 0 then
+      net_map.(n) <- Netlist.Vec.push new_nets n;
+    net_map.(n)
+  in
+  let specs = Array.of_list specs in
+  Array.iter
+    (fun (id, m) ->
+      Array.iter
+        (fun n -> ignore (map_net n))
+        (connected_nets h.cells.(id) ~out_mask:m))
+    specs;
+  let num_new_nets = Netlist.Vec.length new_nets in
+  (* External detection: walk original incidences. *)
+  let external_flags = Array.make num_new_nets false in
+  for n = 0 to h.num_nets - 1 do
+    if net_map.(n) >= 0 then begin
+      let ext = ref h.net_external.(n) in
+      Array.iter
+        (fun cid ->
+          let cell = h.cells.(cid) in
+          let kept = kept_mask.(cid) in
+          let touches m =
+            (not (Bitvec.is_empty m))
+            && Array.exists (fun n' -> n' = n) (connected_nets cell ~out_mask:m)
+          in
+          (* The cell touches n (it is in net_cells). The net leaks outside
+             when the kept copy does not cover that incidence, or when the
+             dropped copy (the complement of the kept outputs, e.g. the
+             other half of a replicated cell) also touches it. *)
+          let dropped =
+            Bitvec.diff (Bitvec.full (Array.length cell.outputs)) kept
+          in
+          if (not (touches kept)) || touches dropped then ext := true)
+        h.net_cells.(n);
+      external_flags.(net_map.(n)) <- !ext
+    end
+  done;
+  let new_specs =
+    Array.to_list specs
+    |> List.map (fun (id, m) ->
+           let c = h.cells.(id) in
+           let in_pins = Bitvec.to_list (input_support c m) in
+           let new_index = Hashtbl.create 8 in
+           List.iteri (fun k p -> Hashtbl.add new_index p k) in_pins;
+           let s_inputs =
+             Array.of_list (List.map (fun p -> net_map.(c.inputs.(p))) in_pins)
+           in
+           let out_pins = Bitvec.to_list m in
+           let s_outputs =
+             Array.of_list (List.map (fun o -> net_map.(c.outputs.(o))) out_pins)
+           in
+           let s_supports =
+             Array.of_list
+               (List.map
+                  (fun o ->
+                    Bitvec.fold
+                      (fun p acc -> Bitvec.add (Hashtbl.find new_index p) acc)
+                      c.supports.(o) Bitvec.empty)
+                  out_pins)
+           in
+           { s_name = c.name; s_area = c.area; s_demand = c.demand;
+             s_inputs; s_outputs; s_supports })
+  in
+  let net_names =
+    Array.init num_new_nets (fun k -> h.net_names.(Netlist.Vec.get new_nets k))
+  in
+  let externals = ref [] in
+  Array.iteri (fun k e -> if e then externals := k :: !externals) external_flags;
+  let h' =
+    create ~net_names ~num_nets:num_new_nets ~external_nets:!externals new_specs
+  in
+  (h', specs)
+
+(* A random state with some cells replicated: both sides' copies are
+   the spec lists the recursive split and pairwise refinement pass. *)
+let replicated_state seed h =
+  let rng = Netlist.Rng.create (seed + 7000) in
+  let st =
+    Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
+  in
+  for _ = 1 to Hypergraph.num_cells h do
+    let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
+    Partition_state.apply st c
+      (Test_util.random_mask rng (Partition_state.full_mask st c))
+  done;
+  st
+
+let qcheck_induce_copies_reference =
+  QCheck.Test.make ~name:"induce_copies = reference on both sides" ~count:100
+    QCheck.(pair small_int (int_range 1 30))
+    (fun (seed, n_cells) ->
+      let h = Test_util.random_hypergraph seed n_cells in
+      let st = replicated_state seed h in
+      (* Every field of every cell, the net tables and the spec array:
+         all plain data, so structural equality compares them all. *)
+      let same specs =
+        let got_h, got_specs = Hypergraph.induce_copies h specs in
+        let want_h, want_specs = reference_induce_copies h specs in
+        got_h = want_h && got_specs = want_specs
+      in
+      List.for_all
+        (fun side ->
+          let specs = Partition_state.side_copies st side in
+          same specs && same (List.rev specs))
+        [ Partition_state.A; Partition_state.B ])
+
+let test_induce_copies_bad_specs () =
+  let h = fig1_hypergraph () in
+  let raised f =
+    match f () with exception Invalid_argument msg -> msg | _ -> "no error"
+  in
+  List.iter
+    (fun (specs, msg) ->
+      let msg = "Hypergraph.induce_copies: " ^ msg in
+      check Alcotest.string msg msg
+        (raised (fun () -> Hypergraph.induce_copies h specs));
+      check Alcotest.string ("reference: " ^ msg) msg
+        (raised (fun () -> reference_induce_copies h specs)))
+    [
+      ([ (0, 0b11); (3, 0b1) ], "cell id out of range");
+      ([ (1, 0b1); (0, Bitvec.empty) ], "empty output mask");
+      ([ (0, 0b100) ], "mask out of range");
+      ([ (0, 0b01); (2, 0b1); (0, 0b10) ], "duplicate cell");
+    ]
+
+(* Rebuilding the remainder after a split allocates little beyond the
+   graph it returns: at most twice its reachable words (net-name strings
+   excluded, as they are shared with the parent graph). *)
+let test_induce_copies_allocation () =
+  let s38584 = Option.get (Experiments.Suite.find "s38584") in
+  let h = Lazy.force s38584.Experiments.Suite.hypergraph in
+  let st = replicated_state 1 h in
+  let specs = Partition_state.side_copies st Partition_state.B in
+  checkb "side B has replicated copies" true
+    (List.exists
+       (fun (c, m) -> not (Bitvec.equal m (Partition_state.full_mask st c)))
+       specs);
+  let result = ref (Hypergraph.induce_copies h specs) in
+  let words =
+    Test_util.words_during (fun () ->
+        result := Hypergraph.induce_copies h specs)
+  in
+  let h', _ = !result in
+  let names =
+    Array.fold_left
+      (fun acc s -> acc + Obj.reachable_words (Obj.repr s))
+      0 h'.Hypergraph.net_names
+  in
+  let size = Obj.reachable_words (Obj.repr !result) - names in
+  if words > 2.0 *. float_of_int size then
+    Alcotest.failf "induce_copies allocated %.0f words for a %d-word result"
+      words size
+
 (* ------------------------------------------------------------------ *)
 (* Partition state                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -312,7 +486,7 @@ let qcheck_state_consistency =
       for _ = 1 to steps do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
         let m = random_mask rng (Partition_state.full_mask st c) in
-        ignore (Partition_state.apply st c m);
+        Partition_state.apply st c m;
         if not (Result.is_ok (Partition_state.check_consistency st)) then
           ok := false
       done;
@@ -336,26 +510,17 @@ let qcheck_eval_predicts_apply =
         let tb0 = Partition_state.terminals st Partition_state.B in
         let aa0 = Partition_state.area st Partition_state.A in
         let ab0 = Partition_state.area st Partition_state.B in
-        let actual = Partition_state.apply st c m in
-        if predicted <> actual then ok := false;
-        if Partition_state.cut st <> cut0 + predicted.Partition_state.d_cut then
-          ok := false;
-        if
-          Partition_state.terminals st Partition_state.A
-          <> ta0 + predicted.Partition_state.d_term_a
-        then ok := false;
-        if
-          Partition_state.terminals st Partition_state.B
-          <> tb0 + predicted.Partition_state.d_term_b
-        then ok := false;
-        if
-          Partition_state.area st Partition_state.A
-          <> aa0 + predicted.Partition_state.d_area_a
-        then ok := false;
-        if
-          Partition_state.area st Partition_state.B
-          <> ab0 + predicted.Partition_state.d_area_b
-        then ok := false
+        Partition_state.apply st c m;
+        let actual =
+          {
+            Partition_state.d_cut = Partition_state.cut st - cut0;
+            d_term_a = Partition_state.terminals st Partition_state.A - ta0;
+            d_term_b = Partition_state.terminals st Partition_state.B - tb0;
+            d_area_a = Partition_state.area st Partition_state.A - aa0;
+            d_area_b = Partition_state.area st Partition_state.B - ab0;
+          }
+        in
+        if predicted <> actual then ok := false
       done;
       !ok)
 
@@ -373,8 +538,8 @@ let qcheck_apply_involution =
         let old_mask = Partition_state.mask st c in
         let m = random_mask rng (Partition_state.full_mask st c) in
         let cut0 = Partition_state.cut st in
-        ignore (Partition_state.apply st c m);
-        ignore (Partition_state.apply st c old_mask);
+        Partition_state.apply st c m;
+        Partition_state.apply st c old_mask;
         if Partition_state.cut st <> cut0 then ok := false;
         if not (Bitvec.equal (Partition_state.mask st c) old_mask) then
           ok := false
@@ -403,7 +568,7 @@ let qcheck_eval_into_matches_eval =
           || sc.Partition_state.sc_area_b <> d.Partition_state.d_area_b
         then ok := false;
         (* Occasionally commit so later iterations see varied states. *)
-        if Netlist.Rng.int rng 3 = 0 then ignore (Partition_state.apply st c m)
+        if Netlist.Rng.int rng 3 = 0 then Partition_state.apply st c m
       done;
       !ok)
 
@@ -426,7 +591,7 @@ let qcheck_changed_nets_exact =
         in
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
         let m = random_mask rng (Partition_state.full_mask st c) in
-        ignore (Partition_state.apply st c m);
+        Partition_state.apply st c m;
         let expected = ref [] in
         for net = nn - 1 downto 0 do
           if before.(net) <> (cat Partition_state.A net, cat Partition_state.B net)
@@ -491,7 +656,7 @@ let test_state_fig4_single_move () =
   let _, st = fig4_state () in
   let d = Partition_state.eval st 0 (Partition_state.full_mask st 0) in
   checki "single-move gain = -1" 1 d.Partition_state.d_cut;
-  ignore (Partition_state.apply st 0 (Partition_state.full_mask st 0));
+  Partition_state.apply st 0 (Partition_state.full_mask st 0);
   checki "cut becomes 4" 4 (Partition_state.cut st)
 
 let test_state_fig4_functional_replication () =
@@ -501,7 +666,7 @@ let test_state_fig4_functional_replication () =
   let _, st = fig4_state () in
   let d = Partition_state.eval st 0 (Bitvec.singleton 1) in
   checki "functional replication gain = +2" (-2) d.Partition_state.d_cut;
-  ignore (Partition_state.apply st 0 (Bitvec.singleton 1));
+  Partition_state.apply st 0 (Bitvec.singleton 1);
   checki "cut becomes 1" 1 (Partition_state.cut st);
   checkb "M replicated" true (Partition_state.is_replicated st 0);
   checki "one replicated cell" 1 (Partition_state.num_replicated st);
@@ -513,10 +678,10 @@ let test_state_fig4_functional_replication () =
 
 let test_state_fig4_unreplication () =
   let _, st = fig4_state () in
-  ignore (Partition_state.apply st 0 (Bitvec.singleton 1));
+  Partition_state.apply st 0 (Bitvec.singleton 1);
   let cut_replicated = Partition_state.cut st in
   (* Merging the copies back onto side A restores the initial situation. *)
-  ignore (Partition_state.apply st 0 Bitvec.empty);
+  Partition_state.apply st 0 Bitvec.empty;
   checkb "unreplicated" false (Partition_state.is_replicated st 0);
   checki "cut restored" 3 (Partition_state.cut st);
   checkb "replication had helped" true (cut_replicated < 3)
@@ -525,7 +690,7 @@ let test_state_areas_and_replication () =
   let _, st = fig4_state () in
   checki "area A: M + D3 D4 D5 + RX1" 5 (Partition_state.area st Partition_state.A);
   checki "area B: D1 D2 RX2" 3 (Partition_state.area st Partition_state.B);
-  ignore (Partition_state.apply st 0 (Bitvec.singleton 1));
+  Partition_state.apply st 0 (Bitvec.singleton 1);
   (* Replication pays one extra CLB on side B. *)
   checki "area A unchanged" 5 (Partition_state.area st Partition_state.A);
   checki "area B + 1" 4 (Partition_state.area st Partition_state.B)
@@ -537,14 +702,14 @@ let test_state_terminals () =
   checki "term A" 3 (Partition_state.terminals st Partition_state.A);
   checki "term B" 0 (Partition_state.terminals st Partition_state.B);
   (* Move SY to B: net Y crosses (term on both), B gains terminal Y. *)
-  ignore (Partition_state.apply st 2 (Bitvec.full 1));
+  Partition_state.apply st 2 (Bitvec.full 1);
   checki "term A after" 4 (Partition_state.terminals st Partition_state.A);
   checki "term B after" 1 (Partition_state.terminals st Partition_state.B)
 
 let test_side_copies () =
   let h = fig1_hypergraph () in
   let st = Partition_state.create h ~init_on_b:(fun c -> c = 2) in
-  ignore (Partition_state.apply st 0 (Bitvec.singleton 1));
+  Partition_state.apply st 0 (Bitvec.singleton 1);
   let copies_a = Partition_state.side_copies st Partition_state.A in
   let copies_b = Partition_state.side_copies st Partition_state.B in
   check
@@ -563,12 +728,14 @@ let qcheck_induction_matches_terminals =
     (fun (seed, n_cells) ->
       let h = Test_util.random_hypergraph seed n_cells in
       let rng = Netlist.Rng.create (seed + 4000) in
-      let st = Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng) in
+      let st =
+    Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
+  in
       (* Random replication too. *)
       for _ = 1 to 15 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
         let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
-        ignore (Partition_state.apply st c m)
+        Partition_state.apply st c m
       done;
       let check side =
         match Partition_state.side_copies st side with
@@ -632,6 +799,11 @@ let () =
           Alcotest.test_case "induce partial copy" `Quick
             test_hypergraph_induce_partial_copy;
           qc qcheck_connected_nets_reference;
+          qc qcheck_induce_copies_reference;
+          Alcotest.test_case "induce_copies bad specs" `Quick
+            test_induce_copies_bad_specs;
+          Alcotest.test_case "induce_copies allocation" `Quick
+            test_induce_copies_allocation;
         ] );
       ( "partition_state",
         [

@@ -86,3 +86,18 @@ let fig4_state () =
   let h = fig4_hypergraph () in
   let on_b = function 1 | 2 | 7 -> true | _ -> false in
   (h, Partition_state.create h ~init_on_b:on_b)
+
+(* Words allocated while [f ()] runs, less what an empty measurement
+   reads. [Gc.minor_words] is current at every call (unlike
+   [Gc.quick_stat], which only advances at a collection); [Gc.counters]
+   adds what went straight to the major heap. *)
+let words_during f =
+  let measure f =
+    let _, p0, j0 = Gc.counters () in
+    let m0 = Gc.minor_words () in
+    f ();
+    let m1 = Gc.minor_words () in
+    let _, p1, j1 = Gc.counters () in
+    m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+  in
+  measure f -. measure ignore
