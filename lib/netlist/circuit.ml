@@ -11,6 +11,7 @@ type t = {
   inputs : int array;
   outputs : int array;
   name : string;
+  topo_order : int array;
 }
 
 (* Shared by the builder and by [validate]. *)
@@ -18,52 +19,83 @@ let check_node ~num_nodes n =
   if not (Gate.arity_ok n.kind (Array.length n.fanins)) then
     Error (Printf.sprintf "node %s: kind %s cannot have %d fanins" n.name
              (Gate.to_string n.kind) (Array.length n.fanins))
-  else if Array.exists (fun f -> f < 0 || f >= num_nodes) n.fanins then
-    Error (Printf.sprintf "node %s: fanin id out of range" n.name)
-  else Ok ()
+  else
+    let p = ref 0 in
+    while
+      !p < Array.length n.fanins && n.fanins.(!p) >= 0
+      && n.fanins.(!p) < num_nodes
+    do
+      incr p
+    done;
+    if !p < Array.length n.fanins then
+      Error (Printf.sprintf "node %s: fanin id out of range" n.name)
+    else Ok ()
 
 (* Kahn's algorithm over combinational dependencies only: Input, Dff and
    constant nodes are sources; a Dff's fanin is not a dependency of its
    output. Returns [Error names_on_cycle] when a combinational cycle
-   exists. *)
+   exists. Successors are one offset array and one flat array, filled
+   from the last consumer down, so each node's combinational consumers
+   are visited in descending id order, a gate reading it on two pins
+   twice. That is the order of the first, list-based definition, which
+   every stored order must keep. *)
 let topo_or_cycle nodes =
   let n = Array.length nodes in
-  let indeg = Array.make n 0 in
   let is_source nd =
     match nd.kind with
     | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> true
     | _ -> false
   in
-  Array.iter
-    (fun nd -> if not (is_source nd) then indeg.(nd.id) <- Array.length nd.fanins)
-    nodes;
+  let indeg = Array.make n 0 in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let nd = nodes.(i) in
+    if not (is_source nd) then begin
+      let fanins = nd.fanins in
+      indeg.(nd.id) <- Array.length fanins;
+      for p = 0 to Array.length fanins - 1 do
+        let f = fanins.(p) in
+        start.(f + 1) <- start.(f + 1) + 1
+      done
+    end
+  done;
+  for f = 1 to n do
+    start.(f) <- start.(f) + start.(f - 1)
+  done;
+  let succs = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  for i = n - 1 downto 0 do
+    let nd = nodes.(i) in
+    if not (is_source nd) then begin
+      let fanins = nd.fanins in
+      for p = 0 to Array.length fanins - 1 do
+        let f = fanins.(p) in
+        succs.(fill.(f)) <- nd.id;
+        fill.(f) <- fill.(f) + 1
+      done
+    end
+  done;
   let order = Array.make n (-1) in
-  let head = ref 0 and tail = ref 0 in
-  Array.iter
-    (fun nd ->
-      if indeg.(nd.id) = 0 then begin
-        order.(!tail) <- nd.id;
-        incr tail
-      end)
-    nodes;
-  (* Successor lists restricted to combinational consumers. *)
-  let succs = Array.make n [] in
-  Array.iter
-    (fun nd ->
-      if not (is_source nd) then
-        Array.iter (fun f -> succs.(f) <- nd.id :: succs.(f)) nd.fanins)
-    nodes;
+  let tail = ref 0 in
+  for i = 0 to n - 1 do
+    let nd = nodes.(i) in
+    if indeg.(nd.id) = 0 then begin
+      order.(!tail) <- nd.id;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
   while !head < !tail do
     let u = order.(!head) in
     incr head;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then begin
-          order.(!tail) <- v;
-          incr tail
-        end)
-      succs.(u)
+    for e = start.(u) to start.(u + 1) - 1 do
+      let v = succs.(e) in
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        order.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   if !tail = n then Ok order
   else begin
@@ -157,23 +189,41 @@ module Builder = struct
           invalid_arg
             ("Circuit.Builder.finish: flip-flop " ^ nd.name ^ " never connected"))
       nodes;
-    (match topo_or_cycle nodes with
-    | Ok _ -> ()
-    | Error names ->
-        invalid_arg
-          ("Circuit.Builder.finish: combinational cycle through "
-          ^ String.concat ", " (List.filteri (fun i _ -> i < 5) names)));
-    let fanout_lists = Array.make (Array.length nodes) [] in
-    Array.iter
-      (fun nd ->
-        Array.iter (fun f -> fanout_lists.(f) <- nd.id :: fanout_lists.(f)) nd.fanins)
-      nodes;
+    let topo_order =
+      match topo_or_cycle nodes with
+      | Ok order -> order
+      | Error names ->
+          invalid_arg
+            ("Circuit.Builder.finish: combinational cycle through "
+            ^ String.concat ", " (List.filteri (fun i _ -> i < 5) names))
+    in
+    (* Readers of each node in ascending id order, a reader that reads it
+       twice listed twice: a count pass, then a fill pass. *)
+    let n = Array.length nodes in
+    let counts = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let fanins = nodes.(i).fanins in
+      for p = 0 to Array.length fanins - 1 do
+        counts.(fanins.(p)) <- counts.(fanins.(p)) + 1
+      done
+    done;
+    let fanouts = Array.map (fun k -> Array.make k 0) counts in
+    Array.fill counts 0 n 0;
+    for i = 0 to n - 1 do
+      let fanins = nodes.(i).fanins in
+      for p = 0 to Array.length fanins - 1 do
+        let f = fanins.(p) in
+        fanouts.(f).(counts.(f)) <- i;
+        counts.(f) <- counts.(f) + 1
+      done
+    done;
     {
       nodes;
-      fanouts = Array.map (fun l -> Array.of_list (List.rev l)) fanout_lists;
+      fanouts;
       inputs = Vec.to_array b.inputs;
       outputs = Vec.to_array b.outputs;
       name = b.circuit_name;
+      topo_order;
     }
 end
 
@@ -203,10 +253,7 @@ let find c name =
 
 let is_output c i = Array.exists (fun o -> o = i) c.outputs
 
-let topological_order c =
-  match topo_or_cycle c.nodes with
-  | Ok order -> order
-  | Error _ -> assert false (* established by Builder.finish *)
+let topological_order c = c.topo_order
 
 let levels c =
   let order = topological_order c in

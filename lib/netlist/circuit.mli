@@ -19,6 +19,8 @@ type t = private {
   inputs : int array;         (** ids of [Input] nodes, in creation order *)
   outputs : int array;        (** ids of primary-output driver nodes *)
   name : string;              (** circuit name, e.g. ["c6288"] *)
+  topo_order : int array;     (** {!topological_order}, computed once by
+                                  {!Builder.finish}; never mutate it *)
 }
 
 (** {1 Construction} *)
@@ -78,7 +80,9 @@ val is_output : t -> int -> bool
 val topological_order : t -> int array
 (** Every node, combinational sources ([Input], [Dff], constants) first,
     then gates in dependency order. DFF fanins are not dependencies (the
-    [D] pin is consumed at the clock edge). *)
+    [D] pin is consumed at the clock edge). Kahn's pass runs once, in
+    {!Builder.finish}; this returns the stored array itself, not a copy,
+    so callers must not mutate it. *)
 
 val levels : t -> int array
 (** [levels.(i)] = length of the longest combinational path from a source

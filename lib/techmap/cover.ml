@@ -22,57 +22,167 @@ let is_source c i =
   | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> true
   | _ -> false
 
-(* Truth table of the cone rooted at [root] with the given support, by
-   exhaustive evaluation. [in_cone] marks cone members. *)
-let cone_table c ~root ~support ~in_cone =
-  let topo_pos = ref [] in
-  (* Gather cone nodes in topological order by DFS from the root. *)
-  let visited = Hashtbl.create 16 in
-  let rec visit i =
-    if not (Hashtbl.mem visited i) then begin
-      Hashtbl.add visited i ();
-      if Hashtbl.mem in_cone i then begin
-        Array.iter visit (Circuit.node c i).Circuit.fanins;
-        topo_pos := i :: !topo_pos
+(* [proj.(p)]: the truth table of support pin [p] over five pins, bit [a]
+   set when assignment [a] sets the pin. Its low [2^n] bits are the pin's
+   table over [n] pins. *)
+let proj = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
+
+(* Cone-growth workspace, node-indexed and reused across roots: a node is in
+   the current root's cone (support) when its [in_cone] ([in_support])
+   stamp is that root. [cone] lists the cone in absorption order, root
+   first. [sup] holds the support in the order the first definition's
+   16-bucket [Hashtbl] visited it: hash bucket ascending, then most
+   recently added first. [tt] holds each evaluated node's truth table. *)
+type workspace = {
+  in_cone : int array;
+  in_support : int array;
+  cone : int array;
+  mutable cone_len : int;
+  sup : int array;
+  sup_bucket : int array;
+  mutable sup_len : int;
+  tt : int array;
+}
+
+let bucket f = Hashtbl.hash f land 15
+
+let add_support s f =
+  let b = bucket f in
+  let pos = ref 0 in
+  while !pos < s.sup_len && s.sup_bucket.(!pos) < b do
+    incr pos
+  done;
+  for j = s.sup_len downto !pos + 1 do
+    s.sup.(j) <- s.sup.(j - 1);
+    s.sup_bucket.(j) <- s.sup_bucket.(j - 1)
+  done;
+  s.sup.(!pos) <- f;
+  s.sup_bucket.(!pos) <- b;
+  s.sup_len <- s.sup_len + 1
+
+let remove_support s pos =
+  for j = pos to s.sup_len - 2 do
+    s.sup.(j) <- s.sup.(j + 1);
+    s.sup_bucket.(j) <- s.sup_bucket.(j + 1)
+  done;
+  s.sup_len <- s.sup_len - 1
+
+let add_to_cone s f r =
+  s.in_cone.(f) <- r;
+  s.cone.(s.cone_len) <- f;
+  s.cone_len <- s.cone_len + 1
+
+(* Add [f]'s fanins that are neither in the cone nor already support. *)
+let add_fanins s c f r =
+  let fanins = (Circuit.node c f).Circuit.fanins in
+  for p = 0 to Array.length fanins - 1 do
+    let g = fanins.(p) in
+    if s.in_cone.(g) <> r && s.in_support.(g) <> r then begin
+      s.in_support.(g) <- r;
+      add_support s g
+    end
+  done
+
+(* A support node may join the cone when it is a gate that must not stay
+   visible and every reader of it is already inside. *)
+let absorbable c ~must_root s f r =
+  (not (is_source c f))
+  && (not must_root.(f))
+  &&
+  let readers = c.Circuit.fanouts.(f) in
+  let i = ref 0 in
+  while !i < Array.length readers && s.in_cone.(readers.(!i)) = r do
+    incr i
+  done;
+  !i = Array.length readers
+
+(* One greedy step: absorb the support node that leaves the smallest
+   support within [k], the first such in [sup] order on a tie. *)
+let try_absorb c ~k ~must_root s r =
+  let best = ref (-1) and best_size = ref max_int in
+  for pos = 0 to s.sup_len - 1 do
+    let f = s.sup.(pos) in
+    if absorbable c ~must_root s f r then begin
+      let fanins = (Circuit.node c f).Circuit.fanins in
+      let gain = ref 0 in
+      for p = 0 to Array.length fanins - 1 do
+        let g = fanins.(p) in
+        if s.in_support.(g) <> r && s.in_cone.(g) <> r then incr gain
+      done;
+      let new_size = s.sup_len - 1 + !gain in
+      if new_size <= k && new_size < !best_size then begin
+        best := pos;
+        best_size := new_size
       end
     end
-  in
-  visit root;
-  let cone_order = List.rev !topo_pos in
-  let n_sup = Array.length support in
-  let values = Hashtbl.create 16 in
-  let table = ref 0 in
-  for assignment = 0 to (1 lsl n_sup) - 1 do
-    Hashtbl.reset values;
-    Array.iteri
-      (fun pin node ->
-        Hashtbl.replace values node (assignment land (1 lsl pin) <> 0))
-      support;
-    (* Constants inside the support are still sources; give them their
-       fixed value (overriding the assignment makes those table entries
-       don't-cares, which is harmless). *)
-    List.iter
-      (fun i ->
-        let nd = Circuit.node c i in
-        let ins =
-          Array.map
-            (fun f ->
-              match Hashtbl.find_opt values f with
-              | Some v -> v
-              | None -> (
-                  match (Circuit.node c f).Circuit.kind with
-                  | Gate.Const0 -> false
-                  | Gate.Const1 -> true
-                  | _ -> assert false))
-            nd.Circuit.fanins
-        in
-        Hashtbl.replace values i (Gate.eval nd.Circuit.kind ins))
-      cone_order;
-    if Hashtbl.find values root then table := !table lor (1 lsl assignment)
   done;
-  !table
+  if !best < 0 then false
+  else begin
+    let f = s.sup.(!best) in
+    remove_support s !best;
+    s.in_support.(f) <- -1;
+    add_to_cone s f r;
+    add_fanins s c f r;
+    true
+  end
+
+(* Truth table of [f] over the [n] support pins: every fanin is a support
+   pin or a cone node evaluated before it, so one bitwise operation per
+   fanin covers all [2^n] assignments at once. *)
+let and_tables s ~full fanins =
+  let acc = ref full in
+  for p = 0 to Array.length fanins - 1 do
+    acc := !acc land s.tt.(fanins.(p))
+  done;
+  !acc
+
+let or_tables s fanins =
+  let acc = ref 0 in
+  for p = 0 to Array.length fanins - 1 do
+    acc := !acc lor s.tt.(fanins.(p))
+  done;
+  !acc
+
+let xor_tables s fanins =
+  let acc = ref 0 in
+  for p = 0 to Array.length fanins - 1 do
+    acc := !acc lxor s.tt.(fanins.(p))
+  done;
+  !acc
+
+let node_table c s ~full f =
+  let nd = Circuit.node c f in
+  let fanins = nd.Circuit.fanins in
+  match nd.Circuit.kind with
+  | Gate.Const0 -> 0
+  | Gate.Const1 -> full
+  | Gate.And -> and_tables s ~full fanins
+  | Gate.Nand -> full lxor and_tables s ~full fanins
+  | Gate.Or -> or_tables s fanins
+  | Gate.Nor -> full lxor or_tables s fanins
+  | Gate.Xor -> xor_tables s fanins
+  | Gate.Xnor -> full lxor xor_tables s fanins
+  | Gate.Not -> full lxor s.tt.(fanins.(0))
+  | Gate.Buf -> s.tt.(fanins.(0))
+  | Gate.Input | Gate.Dff -> assert false
+
+(* Sort a support array of at most [Mapped.max_inputs] node ids in place. *)
+let insertion_sort a =
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 let run ?(k = 4) c =
+  if k < 1 || k > Mapped.max_inputs then
+    invalid_arg
+      (Printf.sprintf "Cover.run: LUT size k = %d outside 1..%d" k
+         Mapped.max_inputs);
   let num = Circuit.num_nodes c in
   for i = 0 to num - 1 do
     let nd = Circuit.node c i in
@@ -97,79 +207,66 @@ let run ?(k = 4) c =
   let order = Circuit.topological_order c in
   let luts = Vec.create () in
   let lut_of_root = Array.make num (-1) in
+  let s =
+    {
+      in_cone = Array.make num (-1);
+      in_support = Array.make num (-1);
+      cone = Array.make num 0;
+      cone_len = 0;
+      sup = Array.make k 0;
+      sup_bucket = Array.make k 0;
+      sup_len = 0;
+      tt = Array.make num 0;
+    }
+  in
   (* Reverse topological order: a root's support marks deeper nodes
      referenced before they are themselves considered. *)
   for idx = Array.length order - 1 downto 0 do
     let r = order.(idx) in
     if referenced.(r) && not (is_source c r) then begin
       (* Grow the cone greedily. *)
-      let in_cone = Hashtbl.create 16 in
-      Hashtbl.add in_cone r ();
-      let support = Hashtbl.create 8 in
-      let add_support f = Hashtbl.replace support f () in
-      Array.iter add_support (Circuit.node c r).Circuit.fanins;
-      let absorbable f =
-        (not (is_source c f))
-        && (not must_root.(f))
-        && Array.for_all
-             (fun reader -> Hashtbl.mem in_cone reader)
-             c.Circuit.fanouts.(f)
-      in
-      let try_absorb () =
-        (* Candidate minimising the resulting support size. *)
-        let best = ref None in
-        Hashtbl.iter
-          (fun f () ->
-            if absorbable f then begin
-              let gain_support =
-                Array.fold_left
-                  (fun acc g ->
-                    if Hashtbl.mem support g || Hashtbl.mem in_cone g then acc
-                    else acc + 1)
-                  0
-                  (Circuit.node c f).Circuit.fanins
-              in
-              let new_size = Hashtbl.length support - 1 + gain_support in
-              if new_size <= k then
-                match !best with
-                | Some (_, s) when s <= new_size -> ()
-                | _ -> best := Some (f, new_size)
-            end)
-          support;
-        match !best with
-        | None -> false
-        | Some (f, _) ->
-            Hashtbl.remove support f;
-            Hashtbl.add in_cone f ();
-            Array.iter
-              (fun g -> if not (Hashtbl.mem in_cone g) then add_support g)
-              (Circuit.node c f).Circuit.fanins;
-            true
-      in
-      while try_absorb () do
+      s.cone_len <- 0;
+      s.sup_len <- 0;
+      add_to_cone s r r;
+      add_fanins s c r r;
+      while try_absorb c ~k ~must_root s r do
         ()
       done;
-      (* Split support into constants (folded) and real pins. *)
-      let pins = ref [] in
-      Hashtbl.iter
-        (fun f () ->
-          match (Circuit.node c f).Circuit.kind with
-          | Gate.Const0 | Gate.Const1 -> Hashtbl.add in_cone f ()
-          | _ -> pins := f :: !pins)
-        support;
-      let support_arr = Array.of_list (List.sort compare !pins) in
-      assert (Array.length support_arr <= k);
-      let table = cone_table c ~root:r ~support:support_arr ~in_cone in
-      let lut =
-        {
-          root = r;
-          support = support_arr;
-          table;
-          cone_size = Hashtbl.length in_cone;
-        }
-      in
-      lut_of_root.(r) <- Vec.push luts lut;
-      Array.iter (fun f -> referenced.(f) <- true) support_arr
+      (* Split support into constants (folded into the cone) and real
+         pins. *)
+      let n_pins = ref 0 in
+      for pos = 0 to s.sup_len - 1 do
+        let f = s.sup.(pos) in
+        match (Circuit.node c f).Circuit.kind with
+        | Gate.Const0 | Gate.Const1 -> add_to_cone s f r
+        | _ -> incr n_pins
+      done;
+      let support = Array.make !n_pins 0 in
+      let n = ref 0 in
+      for pos = 0 to s.sup_len - 1 do
+        let f = s.sup.(pos) in
+        if s.in_cone.(f) <> r then begin
+          support.(!n) <- f;
+          incr n
+        end
+      done;
+      insertion_sort support;
+      let full = (1 lsl (1 lsl !n_pins)) - 1 in
+      for p = 0 to !n_pins - 1 do
+        s.tt.(support.(p)) <- proj.(p) land full
+      done;
+      (* Reverse absorption order is topological: a node joins the cone
+         only once all its readers have. *)
+      for j = s.cone_len - 1 downto 0 do
+        let f = s.cone.(j) in
+        s.tt.(f) <- node_table c s ~full f
+      done;
+      lut_of_root.(r) <-
+        Vec.push luts
+          { root = r; support; table = s.tt.(r); cone_size = s.cone_len };
+      for p = 0 to !n_pins - 1 do
+        referenced.(support.(p)) <- true
+      done
     end
   done;
   { luts = Vec.to_array luts; lut_of_root }

@@ -24,6 +24,18 @@ type cover = {
 }
 
 val run : ?k:int -> Netlist.Circuit.t -> cover
-(** [k] defaults to 4 (XC3000). Raises [Invalid_argument] if the circuit
-    has a combinational gate with more than [k] fanins (decompose first) —
-    such a gate could not be covered. *)
+(** [k] defaults to 4 (XC3000) and must lie in [1 .. Mapped.max_inputs]
+    (5): a table over [k] pins has [2^k] bits, and a CLB has five input
+    pins. Raises [Invalid_argument] for a [k] outside that range, or if
+    the circuit has a combinational gate with more than [k] fanins
+    (decompose first) — such a gate could not be covered.
+
+    Roots are visited in reverse topological order. Each cone grows one
+    support node at a time, absorbing the candidate that leaves the
+    smallest support within [k]. Ties go to the candidate with the lowest
+    [Hashtbl.hash f land 15], then to the most recently added to the
+    support: the order in which the first definition's 16-bucket hash
+    table happened to visit them. The rule uses the unseeded
+    [Hashtbl.hash], so the cover does not depend on [OCAMLRUNPARAM=R] or
+    [Hashtbl.randomize]. Tables are computed bit-parallel, one bitwise
+    operation per cone gate input. *)

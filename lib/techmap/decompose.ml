@@ -2,24 +2,20 @@ open Netlist
 
 module B = Circuit.Builder
 
-(* Balanced binary tree over [ids] using [mk] to create nodes; the final
-   combining step uses [root_kind] so that NAND(a,b,c,d) becomes
-   NAND(AND(a,b), AND(c,d)), folding the inversion into the root. *)
-let rec build_tree mk kind root_kind ids =
-  match ids with
-  | [] -> invalid_arg "Decompose.build_tree: empty"
-  | [ x ] -> x
-  | [ x; y ] -> mk root_kind [ x; y ]
-  | _ ->
-      let n = List.length ids in
-      let rec split k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | x :: rest -> split (k - 1) (x :: acc) rest
-        | [] -> assert false
-      in
-      let left, right = split (n / 2) [] ids in
-      let l = build_tree mk kind kind left in
-      let r = build_tree mk kind kind right in
+(* Balanced binary tree over [ids.(lo .. hi - 1)] using [mk] to create
+   nodes; the final combining step uses [root_kind] so that
+   NAND(a,b,c,d) becomes NAND(AND(a,b), AND(c,d)), folding the inversion
+   into the root. The left half holds the first [(hi - lo) / 2] ids and is
+   built first. *)
+let rec build_tree mk kind root_kind ids lo hi =
+  match hi - lo with
+  | 0 -> invalid_arg "Decompose.build_tree: empty"
+  | 1 -> ids.(lo)
+  | 2 -> mk root_kind [ ids.(lo); ids.(lo + 1) ]
+  | n ->
+      let mid = lo + (n / 2) in
+      let l = build_tree mk kind kind ids lo mid in
+      let r = build_tree mk kind kind ids mid hi in
       mk root_kind [ l; r ]
 
 (* The positive-tree kind corresponding to each wide gate. *)
@@ -51,7 +47,7 @@ let run c =
   in
   let counter = ref 0 in
   let mk kind fanins =
-    let name = Printf.sprintf "%s%d" prefix !counter in
+    let name = prefix ^ Int.to_string !counter in
     incr counter;
     B.gate b ~name kind fanins
   in
@@ -72,12 +68,12 @@ let run c =
       match nd.Circuit.kind with
       | Gate.Input | Gate.Dff -> ()
       | kind ->
-          let fanins =
-            Array.to_list (Array.map (fun f -> new_id.(f)) nd.Circuit.fanins)
-          in
+          let name = nd.Circuit.name in
+          let fanins = nd.Circuit.fanins in
+          let n = Array.length fanins in
           let id =
-            match (tree_kinds kind, fanins) with
-            | _, [ x ] ->
+            match tree_kinds kind with
+            | _ when n = 1 ->
                 (* Degenerate 1-input instance of a wide gate, or NOT/BUF. *)
                 let k =
                   match kind with
@@ -86,22 +82,19 @@ let run c =
                   | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 ->
                       assert false
                 in
-                B.gate b ~name:nd.Circuit.name k [ x ]
-            | Some _, [ x; y ] -> B.gate b ~name:nd.Circuit.name kind [ x; y ]
-            | Some tree_kind, ids ->
+                B.gate b ~name k [ new_id.(fanins.(0)) ]
+            | Some _ when n = 2 ->
+                B.gate b ~name kind [ new_id.(fanins.(0)); new_id.(fanins.(1)) ]
+            | Some tree_kind ->
                 (* Inner tree nodes are anonymous; the root keeps the
                    original signal name (readers reference it). *)
-                let n = List.length ids in
-                let rec split k acc = function
-                  | rest when k = 0 -> (List.rev acc, rest)
-                  | x :: rest -> split (k - 1) (x :: acc) rest
-                  | [] -> assert false
-                in
-                let left, right = split (n / 2) [] ids in
-                let l = build_tree mk tree_kind tree_kind left in
-                let r = build_tree mk tree_kind tree_kind right in
-                B.gate b ~name:nd.Circuit.name kind [ l; r ]
-            | None, ids -> B.gate b ~name:nd.Circuit.name kind ids
+                let ids = Array.map (fun f -> new_id.(f)) fanins in
+                let l = build_tree mk tree_kind tree_kind ids 0 (n / 2) in
+                let r = build_tree mk tree_kind tree_kind ids (n / 2) n in
+                B.gate b ~name kind [ l; r ]
+            | None ->
+                B.gate b ~name kind
+                  (Array.to_list (Array.map (fun f -> new_id.(f)) fanins))
           in
           new_id.(i) <- id)
     order;

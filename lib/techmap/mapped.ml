@@ -38,48 +38,80 @@ let eval_output clb o net_value =
     out.pins;
   out.table land (1 lsl !idx) <> 0
 
+let err fmt = Printf.ksprintf (fun s -> Error s) fmt
+
+(* The CLB checks of [validate], in the order it applies them; each runs
+   only once the checks before it have passed. *)
+let distinct_inputs c =
+  let ok = ref true in
+  for a = 0 to Array.length c.inputs - 1 do
+    for b = a + 1 to Array.length c.inputs - 1 do
+      if c.inputs.(a) = c.inputs.(b) then ok := false
+    done
+  done;
+  !ok
+
+let pins_in_range c =
+  let ok = ref true in
+  for o = 0 to Array.length c.outputs - 1 do
+    let pins = c.outputs.(o).pins in
+    for p = 0 to Array.length pins - 1 do
+      if pins.(p) < 0 || pins.(p) >= Array.length c.inputs then ok := false
+    done
+  done;
+  !ok
+
+let pins_distinct c =
+  let ok = ref true in
+  for o = 0 to Array.length c.outputs - 1 do
+    let pins = c.outputs.(o).pins in
+    let seen = ref Bitvec.empty in
+    for p = 0 to Array.length pins - 1 do
+      if Bitvec.mem pins.(p) !seen then ok := false;
+      seen := Bitvec.add pins.(p) !seen
+    done
+  done;
+  !ok
+
+let used_pins c =
+  let used = ref Bitvec.empty in
+  for o = 0 to Array.length c.outputs - 1 do
+    used := Bitvec.union !used (support_mask c o)
+  done;
+  !used
+
 let validate t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let driver = Array.make t.num_nets (-1) in
   let rec check_clbs i =
     if i >= Array.length t.clbs then Ok ()
     else begin
       let c = t.clbs.(i) in
       let n_in = Array.length c.inputs in
-      let distinct arr =
-        let l = Array.to_list arr in
-        List.length (List.sort_uniq compare l) = List.length l
-      in
+      let n_out = Array.length c.outputs in
       if n_in > max_inputs then err "CLB %s: %d inputs" c.name n_in
-      else if not (distinct c.inputs) then err "CLB %s: duplicate input nets" c.name
-      else if Array.length c.outputs = 0 || Array.length c.outputs > max_outputs
-      then err "CLB %s: %d outputs" c.name (Array.length c.outputs)
-      else if
-        Array.exists
-          (fun o -> Array.exists (fun p -> p < 0 || p >= n_in) o.pins)
-          c.outputs
-      then err "CLB %s: pin index out of range" c.name
-      else if Array.exists (fun o -> not (distinct o.pins)) c.outputs then
+      else if not (distinct_inputs c) then
+        err "CLB %s: duplicate input nets" c.name
+      else if n_out = 0 || n_out > max_outputs then
+        err "CLB %s: %d outputs" c.name n_out
+      else if not (pins_in_range c) then
+        err "CLB %s: pin index out of range" c.name
+      else if not (pins_distinct c) then
         err "CLB %s: duplicate pins in one output" c.name
       else if
-        n_in > 0
-        &&
-        let union =
-          Array.to_list c.outputs
-          |> List.mapi (fun o _ -> support_mask c o)
-          |> List.fold_left Bitvec.union Bitvec.empty
-        in
-        not (Bitvec.equal union (Bitvec.full n_in))
-      then err "CLB %s: unused input pin" c.name
+        n_in > 0 && not (Bitvec.equal (used_pins c) (Bitvec.full n_in))
+      then
+        err "CLB %s: unused input pin" c.name
       else begin
-        let dup = ref None in
-        Array.iter
-          (fun o ->
-            if o.net < 0 || o.net >= t.num_nets then dup := Some "net range"
-            else if driver.(o.net) >= 0 then dup := Some "double driver"
-            else driver.(o.net) <- i)
-          c.outputs;
-        match !dup with
+        (* Every output claims its net; the last fault found is the one
+           reported. *)
+        let fault = ref None in
+        for o = 0 to n_out - 1 do
+          let net = c.outputs.(o).net in
+          if net < 0 || net >= t.num_nets then fault := Some "net range"
+          else if driver.(net) >= 0 then fault := Some "double driver"
+          else driver.(net) <- i
+        done;
+        match !fault with
         | Some msg -> err "CLB %s: %s" c.name msg
         | None -> check_clbs (i + 1)
       end
@@ -87,21 +119,23 @@ let validate t =
   in
   match check_clbs 0 with
   | Error _ as e -> e
-  | Ok () -> (
-      let bad = ref None in
-      Array.iter
-        (fun n ->
-          if driver.(n) >= 0 then bad := Some n else driver.(n) <- -2)
-        t.pi_nets;
-      match !bad with
-      | Some n -> err "net %s driven by both a pad and a CLB" t.net_names.(n)
-      | None ->
-          let rec check_driven n =
-            if n >= t.num_nets then Ok ()
-            else if driver.(n) = -1 then err "net %s has no driver" t.net_names.(n)
-            else check_driven (n + 1)
-          in
-          check_driven 0)
+  | Ok () ->
+      (* A pad-driven net must have no CLB driver; the last such net is
+         the one reported. *)
+      let bad = ref (-1) in
+      for k = 0 to Array.length t.pi_nets - 1 do
+        let n = t.pi_nets.(k) in
+        if driver.(n) >= 0 then bad := n else driver.(n) <- -2
+      done;
+      if !bad >= 0 then
+        err "net %s driven by both a pad and a CLB" t.net_names.(!bad)
+      else
+        let rec check_driven n =
+          if n >= t.num_nets then Ok ()
+          else if driver.(n) = -1 then err "net %s has no driver" t.net_names.(n)
+          else check_driven (n + 1)
+        in
+        check_driven 0
 
 (* Topological order of combinational (clb, output) pairs; registered
    outputs and pads are sources. Returns None on a combinational cycle. *)
@@ -114,8 +148,6 @@ let comb_plan t =
         c.outputs)
     t.clbs;
   let n = Vec.length pairs in
-  let index = Hashtbl.create 64 in
-  Vec.iteri (fun k (ci, oi) -> Hashtbl.add index (ci, oi) k) pairs;
   (* Net -> producing comb pair (if any). *)
   let producer = Array.make t.num_nets (-1) in
   Vec.iteri

@@ -121,24 +121,28 @@ let run ?(pair = true) ?(pair_disjoint = true) c cover =
         net_of_node.(o))
       c.Circuit.outputs
   in
-  (* Pair slots into CLBs. *)
-  let slot_nets s =
-    let nets = Array.map (fun f -> net_of_node.(f)) s.support_nodes in
-    Array.iter
-      (fun n -> if n < 0 then invalid_arg "Pack.run: unmapped support net")
-      nets;
-    nets
-  in
+  (* Pair slots into CLBs. Each slot's input nets, in pin order, once. *)
   let n_slots = Vec.length slots in
+  let slot_nets =
+    Array.init n_slots (fun i ->
+        let nets =
+          Array.map (fun f -> net_of_node.(f)) (Vec.get slots i).support_nodes
+        in
+        Array.iter
+          (fun n -> if n < 0 then invalid_arg "Pack.run: unmapped support net")
+          nets;
+        nets)
+  in
   let partner = Array.make n_slots (-1) in
   if pair then begin
     (* Sorted distinct input-net arrays per slot; shared count by merge. *)
     let sorted_nets =
-      Array.init n_slots (fun i ->
-          let nets = slot_nets (Vec.get slots i) in
+      Array.map
+        (fun nets ->
           let nets = Array.copy nets in
           Array.sort compare nets;
           nets)
+        slot_nets
     in
     let shared_count a b =
       let i = ref 0 and j = ref 0 and s = ref 0 in
@@ -156,14 +160,27 @@ let run ?(pair = true) ?(pair_disjoint = true) c cover =
     in
     (* Candidate restriction: a feasible partner either shares a net with us
        or has few enough inputs that the disjoint union fits. Index slots by
-       net for the first kind; scan a small-input bucket for the second. *)
-    let by_net = Hashtbl.create 256 in
-    for i = 0 to n_slots - 1 do
-      Array.iter
-        (fun n ->
-          Hashtbl.replace by_net n
-            (i :: (try Hashtbl.find by_net n with Not_found -> [])))
-        sorted_nets.(i)
+       net for the first kind ([by_net.(net_start.(n) ..)], readers of net
+       [n] by descending slot index, from a count pass and a fill pass);
+       scan a small-input bucket for the second. *)
+    let num_nets = Vec.length net_names in
+    let net_start = Array.make (num_nets + 1) 0 in
+    Array.iter
+      (fun nets ->
+        Array.iter (fun n -> net_start.(n + 1) <- net_start.(n + 1) + 1) nets)
+      sorted_nets;
+    for n = 1 to num_nets do
+      net_start.(n) <- net_start.(n) + net_start.(n - 1)
+    done;
+    let by_net = Array.make net_start.(num_nets) 0 in
+    let fill = Array.sub net_start 0 num_nets in
+    for i = n_slots - 1 downto 0 do
+      let nets = sorted_nets.(i) in
+      for p = 0 to Array.length nets - 1 do
+        let n = nets.(p) in
+        by_net.(fill.(n)) <- i;
+        fill.(n) <- fill.(n) + 1
+      done
     done;
     (* Small slots (≤ 2 inputs) bucketed by input count, ascending slot
        index, with a lazily advancing cursor per bucket. Scanning every
@@ -186,25 +203,36 @@ let run ?(pair = true) ?(pair_disjoint = true) c cover =
       Array.map Array.of_list buckets
     in
     let cursors = Array.make 3 0 in
+    (* The best partner of the slot being matched so far: [best_j] (-1 for
+       none) with its shared and union net counts. *)
+    let best_j = ref (-1) and best_shared = ref 0 and best_union = ref 0 in
+    let consider i j =
+      if j <> i && partner.(j) = -1 then begin
+        let nets_i = sorted_nets.(i) and nets_j = sorted_nets.(j) in
+        let shared = shared_count nets_i nets_j in
+        let u = Array.length nets_i + Array.length nets_j - shared in
+        if
+          u <= Mapped.max_inputs
+          && (!best_j < 0 || !best_shared < shared
+             || (!best_shared = shared && !best_union > u))
+        then begin
+          best_j := j;
+          best_shared := shared;
+          best_union := u
+        end
+      end
+    in
     for i = 0 to n_slots - 1 do
       if partner.(i) = -1 then begin
         let nets_i = sorted_nets.(i) in
         let ni = Array.length nets_i in
-        let best = ref None in
-        let consider j =
-          if j <> i && partner.(j) = -1 then begin
-            let nets_j = sorted_nets.(j) in
-            let shared = shared_count nets_i nets_j in
-            let u = ni + Array.length nets_j - shared in
-            if u <= Mapped.max_inputs then
-              match !best with
-              | Some (_, s, u') when s > shared || (s = shared && u' <= u) -> ()
-              | _ -> best := Some (j, shared, u)
-          end
-        in
-        Array.iter
-          (fun n -> List.iter consider (Hashtbl.find by_net n))
-          nets_i;
+        best_j := -1;
+        for p = 0 to ni - 1 do
+          let n = nets_i.(p) in
+          for e = net_start.(n) to net_start.(n + 1) - 1 do
+            consider i by_net.(e)
+          done
+        done;
         if pair_disjoint && ni + 2 <= Mapped.max_inputs then
           for b = 0 to 2 do
             let arr = small_buckets.(b) in
@@ -218,63 +246,79 @@ let run ?(pair = true) ?(pair_disjoint = true) c cover =
             done;
             if cursors.(b) < len then begin
               let head = arr.(cursors.(b)) in
-              if head <> i then consider head
+              if head <> i then consider i head
               else begin
                 (* The head is the slot being matched: its first live
                    successor stands in (without moving the cursor — [i]
                    itself is still live). *)
                 let k = ref (cursors.(b) + 1) in
                 while !k < len && partner.(arr.(!k)) <> -1 do incr k done;
-                if !k < len then consider arr.(!k)
+                if !k < len then consider i arr.(!k)
               end
             end
           done;
-        match !best with
-        | Some (j, _, _) ->
-            partner.(i) <- j;
-            partner.(j) <- i
-        | None -> partner.(i) <- -2 (* stays single *)
+        if !best_j >= 0 then begin
+          partner.(i) <- !best_j;
+          partner.(!best_j) <- i
+        end
+        else partner.(i) <- -2 (* stays single *)
       end
     done
   end;
-  (* Materialise CLBs. *)
+  (* Materialise CLBs: slot [a] alone ([b] = -1) or with slot [b]. Inputs
+     are the members' nets in pin order, first occurrence kept; at most
+     [Mapped.max_inputs], so pins are found by a linear scan. *)
   let clbs = Vec.create () in
-  let emit members =
-    let input_set = Hashtbl.create 8 in
-    let inputs = Vec.create () in
-    List.iter
-      (fun s ->
-        Array.iter
-          (fun n ->
-            if not (Hashtbl.mem input_set n) then
-              Hashtbl.add input_set n (Vec.push inputs n))
-          (slot_nets s))
-      members;
-    let inputs = Vec.to_array inputs in
-    let outputs =
-      List.map
-        (fun s ->
-          {
-            Mapped.net = net_of_node.(s.out_node);
-            table = s.table;
-            pins =
-              Array.map (fun f -> Hashtbl.find input_set net_of_node.(f))
-                s.support_nodes;
-            registered = s.registered;
-          })
-        members
-      |> Array.of_list
+  let input_buf = Array.make Mapped.max_inputs 0 in
+  let add_inputs len nets =
+    let len = ref len in
+    for p = 0 to Array.length nets - 1 do
+      let n = nets.(p) in
+      let q = ref 0 in
+      while !q < !len && input_buf.(!q) <> n do incr q done;
+      if !q = !len then begin
+        input_buf.(!len) <- n;
+        incr len
+      end
+    done;
+    !len
+  in
+  let output inputs s =
+    let slot = Vec.get slots s in
+    let nets = slot_nets.(s) in
+    let pins = Array.make (Array.length nets) 0 in
+    for p = 0 to Array.length nets - 1 do
+      let q = ref 0 in
+      while inputs.(!q) <> nets.(p) do incr q done;
+      pins.(p) <- !q
+    done;
+    {
+      Mapped.net = net_of_node.(slot.out_node);
+      table = slot.table;
+      pins;
+      registered = slot.registered;
+    }
+  in
+  let slot_name s = (Circuit.node c (Vec.get slots s).out_node).Circuit.name in
+  let emit a b =
+    let len = add_inputs 0 slot_nets.(a) in
+    let len = if b < 0 then len else add_inputs len slot_nets.(b) in
+    let inputs = Array.sub input_buf 0 len in
+    let clb =
+      if b < 0 then
+        { Mapped.name = slot_name a; inputs; outputs = [| output inputs a |] }
+      else
+        {
+          Mapped.name = String.concat "+" [ slot_name a; slot_name b ];
+          inputs;
+          outputs = [| output inputs a; output inputs b |];
+        }
     in
-    let name =
-      members
-      |> List.map (fun s -> (Circuit.node c s.out_node).Circuit.name)
-      |> String.concat "+"
-    in
-    ignore (Vec.push clbs { Mapped.name; inputs; outputs })
+    ignore (Vec.push clbs clb)
   in
   for i = 0 to n_slots - 1 do
-    if partner.(i) < 0 then emit [ Vec.get slots i ]
-    else if partner.(i) > i then emit [ Vec.get slots i; Vec.get slots partner.(i) ]
+    if partner.(i) < 0 then emit i (-1)
+    else if partner.(i) > i then emit i partner.(i)
   done;
   {
     Mapped.clbs = Vec.to_array clbs;

@@ -227,6 +227,83 @@ let test_topological_order () =
           nd.Circuit.fanins
   done
 
+(* The first definitions of the order and the fanouts, with successor and
+   reader lists: Kahn's pass visiting each node's consumers most recent
+   first, and readers in ascending id order, repeats kept. *)
+let reference_topological_order c =
+  let nodes = c.Circuit.nodes in
+  let n = Array.length nodes in
+  let indeg = Array.make n 0 in
+  let is_source (nd : Circuit.node) =
+    match nd.Circuit.kind with
+    | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> true
+    | _ -> false
+  in
+  Array.iter
+    (fun nd ->
+      if not (is_source nd) then
+        indeg.(nd.Circuit.id) <- Array.length nd.Circuit.fanins)
+    nodes;
+  let order = Array.make n (-1) in
+  let head = ref 0 and tail = ref 0 in
+  Array.iter
+    (fun nd ->
+      if indeg.(nd.Circuit.id) = 0 then begin
+        order.(!tail) <- nd.Circuit.id;
+        incr tail
+      end)
+    nodes;
+  let succs = Array.make n [] in
+  Array.iter
+    (fun nd ->
+      if not (is_source nd) then
+        Array.iter
+          (fun f -> succs.(f) <- nd.Circuit.id :: succs.(f))
+          nd.Circuit.fanins)
+    nodes;
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    List.iter
+      (fun v ->
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then begin
+          order.(!tail) <- v;
+          incr tail
+        end)
+      succs.(u)
+  done;
+  order
+
+let reference_fanouts c =
+  let lists = Array.make (Circuit.num_nodes c) [] in
+  Array.iter
+    (fun nd ->
+      Array.iter
+        (fun f -> lists.(f) <- nd.Circuit.id :: lists.(f))
+        nd.Circuit.fanins)
+    c.Circuit.nodes;
+  Array.map (fun l -> Array.of_list (List.rev l)) lists
+
+let qcheck_order_and_fanouts_reference =
+  QCheck.Test.make ~name:"topological order and fanouts = list reference"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 500) in
+      let c =
+        Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 8)
+          ~num_gates:(Rng.int_in rng 1 120) ~num_dff:(Rng.int rng 10)
+          ~num_outputs:(Rng.int_in rng 1 8) ()
+      in
+      (* Re-parsing renumbers the nodes in text order. *)
+      let reparsed =
+        Result.get_ok (Bench_format.parse (Bench_format.to_string c))
+      in
+      List.for_all
+        (fun c ->
+          Circuit.topological_order c = reference_topological_order c
+          && c.Circuit.fanouts = reference_fanouts c)
+        [ c; reparsed ])
+
 (* ------------------------------------------------------------------ *)
 (* Bench format                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1053,6 +1130,7 @@ let () =
           Alcotest.test_case "unconnected dff" `Quick test_builder_unconnected_dff;
           Alcotest.test_case "levels/depth" `Quick test_levels_and_depth;
           Alcotest.test_case "topological order" `Quick test_topological_order;
+          qc qcheck_order_and_fanouts_reference;
         ] );
       ( "bench_format",
         [

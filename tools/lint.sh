@@ -37,5 +37,16 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
   fi
 done
 
+# One mapping per circuit: in lib/techmap no result may depend on the
+# order a hash table is iterated in, since that order changes with the
+# hash seed (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
+for f in $(git ls-files 'lib/techmap/*.ml'); do
+  if grep -qE 'Hashtbl\.(iter|fold|to_seq)' "$f"; then
+    echo "lint: hash-table iteration in $f" \
+      "(iteration order must not decide a mapping result)" >&2
+    status=1
+  fi
+done
+
 [ "$status" -eq 0 ] && echo "lint: ok"
 exit "$status"
