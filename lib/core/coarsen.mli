@@ -24,8 +24,26 @@ val coarsen :
 (** One level of heavy-edge matching: each cell merges with its most
     connected unmatched neighbour (connectivity = sum over shared nets of
     [1 / (pins - 1)]). Returns the coarse hypergraph and the fine-to-coarse
-    cell map. The coarse graph has at least half as many... at most the
-    same number of cells; callers should stop when the reduction stalls.
+    cell map. Every cluster holds one or two cells, so the coarse graph
+    has at least half and at most all of the fine graph's cells; callers
+    should stop when the reduction stalls.
+
+    Cluster [k] is named ["cl" ^ Int.to_string k]. Its outputs are its
+    members' driven nets that leave the cluster (external, or touched by
+    another cluster), in ascending member order; its inputs are the
+    distinct nets its members read and do not drive, in first-read
+    order. Coarse nets
+    are numbered by first use in that order, cluster by cluster, and keep
+    their fine names. A cluster whose driven nets are all internal still
+    exposes one of them as its single output (an internal net touches
+    only this cluster, so it cannot be cut). Which one is fixed and
+    independent of the hash seed: take the cluster's [d] distinct driven
+    nets in first-driven order, let [B] be 16 doubled while [d > 2B], and
+    pick the net with the highest [Hashtbl.hash net land (B - 1)],
+    earliest driven among ties. (It is the net a [Hashtbl] of the driven
+    nets returned last from [Hashtbl.fold] at the default seed.)
+
+    Cost: the coarse graph plus O(cells + nets) scratch.
 
     [max_weight] caps cluster growth {e per demand axis}: a merge is
     refused when any axis of the summed demand vectors (zero-extended to
@@ -63,6 +81,7 @@ val hierarchy :
   ?max_weight:int array ->
   ?max_nets:int ->
   ?wrap:(int -> (unit -> Hypergraph.t * int array) -> Hypergraph.t * int array) ->
+  ?should_stop:(unit -> bool) ->
   rng:Netlist.Rng.t ->
   Hypergraph.t ->
   hierarchy
@@ -71,7 +90,13 @@ val hierarchy :
     stalls (the coarse graph keeps at least [stall_ratio] of the fine
     cells, default 0.9). [wrap] is called around each coarsening step with
     the 0-based level index — the k-way driver passes an [Obs.span] so
-    per-level [coarsenN] timings land in the trace. *)
+    per-level [coarsenN] timings land in the trace.
+
+    [should_stop] (default: never) is polled before each level; once it
+    answers [true] no further level is built and the hierarchy built so
+    far is returned, so a cancelled caller waits for at most one level.
+    The caller decides what a stopped hierarchy means: [Kway]'s multilevel
+    run polls its own flag again and returns [Error "cancelled"]. *)
 
 val num_levels : hierarchy -> int
 

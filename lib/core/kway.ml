@@ -1307,9 +1307,12 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
       ~max_weight:(cluster_caps library options.objective)
       ~max_nets
       ~wrap:(fun d f -> Obs.span obs (Printf.sprintf "coarsen%d" d) f)
-      ~rng hg
+      ~should_stop:options.should_stop ~rng hg
   in
-  if Obs.enabled obs then begin
+  (* A stop seen during coarsening ends the run before the coarse solve,
+     and the levels it left unfinished are not reported. *)
+  let stopped = options.should_stop () in
+  if Obs.enabled obs && not stopped then begin
     let rec emit depth = function
       | [] -> ()
       | (fine, _) :: rest ->
@@ -1334,7 +1337,8 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
     Obs.observe obs "ml.cells_per_level"
       (Hypergraph.num_cells hier.Coarsen.coarsest)
   end;
-  if hier.Coarsen.levels = [] then
+  if stopped then Error cancelled
+  else if hier.Coarsen.levels = [] then
     (* Already at coarse scale: the V-cycle adds nothing, run flat. *)
     flat_partition ~obs ~options ~library hg
   else begin

@@ -10,8 +10,29 @@
     v} *)
 
 val parse : string -> (Circuit.t, string) result
-(** Parse from the contents of a [.bench] file. The error message carries a
-    line number. *)
+(** Parse from the contents of a [.bench] file. Lines split at ['\n'] and
+    count from 1; [#] starts a comment; [String.trim]'s whitespace is
+    insignificant around names, [=], parentheses and commas; keywords and
+    gate names are case-insensitive; empty call arguments are dropped, and
+    the argument of [INPUT]/[OUTPUT] is not checked for identifier
+    characters.
+
+    Every error message starts with ["line N: "], except the
+    [Circuit.Builder] errors (a gate's arity), which are passed through.
+    When a text has several faults, the one reported is decided in this
+    order:
+    + the first syntactically bad line, in line order;
+    + then the first duplicate definition, in line order;
+    + then the first resolution error: an undefined signal, a
+      combinational cycle or a gate of the wrong arity met by the
+      depth-first resolution, which visits
+      declarations in line order and each gate's fanins left to right
+      (this also assigns node ids), then a flip-flop without exactly one
+      fanin or with an undefined D, then an undefined output, both in
+      line order.
+
+    Cost: the circuit plus O(lines + distinct names) scratch; each
+    distinct name is copied out of the text once. *)
 
 val parse_file : string -> (Circuit.t, string) result
 (** Read and parse a file; errors include I/O failures. *)

@@ -28,21 +28,44 @@ let to_string = function
   | Const0 -> "CONST0"
   | Const1 -> "CONST1"
 
-let of_string s =
-  match String.uppercase_ascii s with
-  | "INPUT" -> Some Input
-  | "AND" -> Some And
-  | "NAND" -> Some Nand
-  | "OR" -> Some Or
-  | "NOR" -> Some Nor
-  | "XOR" -> Some Xor
-  | "XNOR" -> Some Xnor
-  | "NOT" | "INV" -> Some Not
-  | "BUF" | "BUFF" -> Some Buf
-  | "DFF" -> Some Dff
-  | "CONST0" -> Some Const0
-  | "CONST1" -> Some Const1
-  | _ -> None
+(* Every accepted spelling, upper case, with its (static) answer. *)
+let spellings =
+  [
+    ("INPUT", Some Input);
+    ("AND", Some And);
+    ("NAND", Some Nand);
+    ("OR", Some Or);
+    ("NOR", Some Nor);
+    ("XOR", Some Xor);
+    ("XNOR", Some Xnor);
+    ("NOT", Some Not);
+    ("INV", Some Not);
+    ("BUF", Some Buf);
+    ("BUFF", Some Buf);
+    ("DFF", Some Dff);
+    ("CONST0", Some Const0);
+    ("CONST1", Some Const1);
+  ]
+
+(* [s.[pos + i]], upper-cased, equals [word.[i]] for every [i >= from]. *)
+let rec matches_from word s pos from =
+  from = String.length word
+  || Char.uppercase_ascii (String.unsafe_get s (pos + from))
+     = String.unsafe_get word from
+     && matches_from word s pos (from + 1)
+
+let rec find_spelling s pos len = function
+  | [] -> None
+  | (word, kind) :: rest ->
+      if String.length word = len && matches_from word s pos 0 then kind
+      else find_spelling s pos len rest
+
+let of_substring s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Gate.of_substring";
+  find_spelling s pos len spellings
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 let is_combinational = function
   | Input | Dff -> false

@@ -24,7 +24,13 @@ val to_string : kind -> string
 (** Upper-case [.bench] spelling, e.g. ["NAND"]. *)
 
 val of_string : string -> kind option
-(** Case-insensitive inverse of {!to_string}. *)
+(** Case-insensitive inverse of {!to_string}; also accepts [INV] for
+    [Not] and [BUFF] for [Buf]. *)
+
+val of_substring : string -> pos:int -> len:int -> kind option
+(** [of_substring s ~pos ~len] is [of_string (String.sub s pos len)]
+    without the copy: it allocates nothing. Raises [Invalid_argument] on
+    an invalid range. *)
 
 val is_combinational : kind -> bool
 (** True for every kind except [Input] and [Dff]. *)

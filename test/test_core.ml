@@ -832,6 +832,443 @@ let test_two_device_config () =
 (* Multilevel coarsening                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The first [Coarsen.coarsen]: closures and tuples in the matching loop,
+   per-cluster member lists and two [Hashtbl]s per cluster. Kept verbatim
+   as the reference, so it must run before [Hashtbl.randomize]: its
+   fallback output is whatever [Hashtbl.fold] meets last. *)
+module Reference_coarsen = struct
+  (* Per-axis weight guard for a candidate merge. Cluster demand vectors are
+     the per-axis sums of their members' vectors (zero-extended), so checking
+     every axis of [cap] — not just the scalar CLB weight — keeps coarse
+     clusters packable on vector devices: a BRAM-heavy pair whose CLB sum is
+     tiny must still refuse to merge past the BRAM cap. *)
+  let weight_ok ~cap (h : Hypergraph.t) c0 c1 =
+    let d0 = (Hypergraph.cell h c0).Hypergraph.demand in
+    let d1 = (Hypergraph.cell h c1).Hypergraph.demand in
+    let axis d a = if a < Array.length d then d.(a) else 0 in
+    let ok = ref true in
+    for a = 0 to Array.length cap - 1 do
+      if axis d0 a + axis d1 a > cap.(a) then ok := false
+    done;
+    !ok
+
+  (* Exact pin counts of a candidate merge: what the merged cluster's
+     surface will be. Driven nets whose every pin sits inside the pair
+     internalise (a net touches at most two distinct cells when all its
+     pins are in the pair, so the check is O(1)); inputs are the distinct
+     union of both cells' input nets minus anything driven inside the
+     pair. Far tighter than the per-cell pin-count sums when the pair
+     shares support or feeds itself — exactly the high-affinity case
+     heavy-edge matching favours. Without this, coarsening of
+     region-structured circuits stalls an order of magnitude above the
+     target: the sums hit the bit-mask width while the true surfaces are
+     still small. Uses two stamps from [seen]: [stamp] marks driven
+     nets, [stamp + 1] counted inputs. *)
+  let merged_pin_counts (h : Hypergraph.t) seen stamp c0 c1 =
+    let pair_internal net =
+      (not h.Hypergraph.net_external.(net))
+      &&
+      let cells = h.Hypergraph.net_cells.(net) in
+      Array.length cells <= 2
+      && Array.for_all (fun c -> c = c0 || c = c1) cells
+    in
+    let outs = ref 0 in
+    let visit_out c =
+      Array.iter
+        (fun net ->
+          if seen.(net) <> stamp then begin
+            seen.(net) <- stamp;
+            if not (pair_internal net) then Stdlib.incr outs
+          end)
+        (Hypergraph.cell h c).Hypergraph.outputs
+    in
+    visit_out c0;
+    visit_out c1;
+    let ins = ref 0 in
+    let in_stamp = stamp + 1 in
+    let visit_in c =
+      Array.iter
+        (fun net ->
+          if seen.(net) <> stamp && seen.(net) <> in_stamp then begin
+            seen.(net) <- in_stamp;
+            Stdlib.incr ins
+          end)
+        (Hypergraph.cell h c).Hypergraph.inputs
+    in
+    visit_in c0;
+    visit_in c1;
+    (!ins, !outs)
+
+  (* Distinct-net count of a candidate merge: |nets(c0) ∪ nets(c1)|. Both
+     full-net arrays are memoised on the cells, so this is O(degree). *)
+  let merged_net_count (h : Hypergraph.t) seen stamp c0 c1 =
+    let count = ref 0 in
+    let visit c =
+      Array.iter
+        (fun net ->
+          if seen.(net) <> stamp then begin
+            seen.(net) <- stamp;
+            Stdlib.incr count
+          end)
+        (Hypergraph.cell_nets (Hypergraph.cell h c))
+    in
+    visit c0;
+    visit c1;
+    !count
+
+  let coarsen ?max_weight ?max_nets ~rng (h : Hypergraph.t) =
+    let n = Hypergraph.num_cells h in
+    (* Scratch for merged_net_count, stamped per query so it never needs
+       clearing. *)
+    let seen = Array.make h.Hypergraph.num_nets (-1) in
+    let stamp = ref 0 in
+    (* Connectivity scores between cells sharing nets: the classic
+       1/(pins-1) weighting so huge nets contribute little. Scratch
+       arrays instead of a per-cell hash table — scoring runs once per
+       cell per level and is the coarsening hot loop at 100k cells. *)
+    let score_arr = Array.make n 0.0 in
+    let touched = Array.make n (-1) in
+    let touched_len = ref 0 in
+    let score_with cell =
+      Array.iter
+        (fun net ->
+          let others = h.Hypergraph.net_cells.(net) in
+          let pins = Array.length others in
+          if pins > 1 then begin
+            let w = 1.0 /. float_of_int (pins - 1) in
+            Array.iter
+              (fun o ->
+                if o <> cell then begin
+                  if score_arr.(o) = 0.0 then begin
+                    touched.(!touched_len) <- o;
+                    Stdlib.incr touched_len
+                  end;
+                  score_arr.(o) <- score_arr.(o) +. w
+                end)
+              others
+          end)
+        (Hypergraph.cell_nets (Hypergraph.cell h cell))
+    in
+    let clear_scores () =
+      for t = 0 to !touched_len - 1 do
+        score_arr.(touched.(t)) <- 0.0
+      done;
+      touched_len := 0
+    in
+    let cluster_of = Array.make n (-1) in
+    let order = Array.init n Fun.id in
+    Netlist.Rng.shuffle rng order;
+    let next_cluster = ref 0 in
+    Array.iter
+      (fun cell ->
+        if cluster_of.(cell) < 0 then begin
+          score_with cell;
+          let pins c =
+            let cc = Hypergraph.cell h c in
+            ( Array.length cc.Hypergraph.inputs,
+              Array.length cc.Hypergraph.outputs )
+          in
+          let in0, out0 = pins cell in
+          let deg0 =
+            Array.length (Hypergraph.cell_nets (Hypergraph.cell h cell))
+          in
+          let best = ref None in
+          for t = 0 to !touched_len - 1 do
+            let other = touched.(t) in
+            let w = score_arr.(other) in
+            (* The score comparison runs first: guards are only evaluated
+               on candidates that would displace the incumbent, which
+               turns the O(degree) net-union count from per-candidate into
+               per-improvement. The winner is the highest-scoring
+               candidate passing every guard; equal scores keep the
+               earliest candidate in discovery order. *)
+            let improves =
+              match !best with Some (_, bw) -> w > bw | None -> true
+            in
+            if improves && cluster_of.(other) < 0 then begin
+                (* Merged clusters must stay within the bit-mask pin
+                   budget. The pin-count sums are a cheap sufficient
+                   check; when they overflow the exact distinct unions
+                   decide (shared support and internally-driven inputs
+                   both shrink the true surface well below the sums). *)
+                let in1, out1 = pins other in
+                if
+                  (in0 + in1 <= Bitvec.max_width
+                   && out0 + out1 <= Bitvec.max_width
+                  || (stamp := !stamp + 2;
+                      let ins, outs =
+                        merged_pin_counts h seen !stamp cell other
+                      in
+                      ins <= Bitvec.max_width && outs <= Bitvec.max_width))
+                  && (match max_weight with
+                     | None -> true
+                     | Some cap -> weight_ok ~cap h cell other)
+                  && (match max_nets with
+                     | None -> true
+                     | Some cap ->
+                         (* Bounds before the exact count: the union is at
+                            least max(deg0, deg1) and at most their sum. *)
+                         let deg1 =
+                           Array.length
+                             (Hypergraph.cell_nets (Hypergraph.cell h other))
+                         in
+                         deg0 + deg1 <= cap
+                         || max deg0 deg1 <= cap
+                            && ((* advance past both stamps a preceding
+                                  [merged_pin_counts] may have used *)
+                                stamp := !stamp + 2;
+                                merged_net_count h seen !stamp cell other <= cap))
+                then best := Some (other, w)
+            end
+          done;
+          clear_scores ();
+          let id = !next_cluster in
+          incr next_cluster;
+          cluster_of.(cell) <- id;
+          match !best with
+          | Some (mate, _) -> cluster_of.(mate) <- id
+          | None -> ()
+        end)
+      order;
+    let num_clusters = !next_cluster in
+    (* Nets falling entirely inside one cluster vanish from the coarse
+       graph: they can never be cut again, and dropping them keeps cluster
+       pin counts (and F-M gain evaluation) small. *)
+    let internal net =
+      (not h.Hypergraph.net_external.(net))
+      &&
+      match h.Hypergraph.net_cells.(net) with
+      | [||] -> true
+      | cells ->
+          let k = cluster_of.(cells.(0)) in
+          Array.for_all (fun c -> cluster_of.(c) = k) cells
+    in
+    (* Build cluster cells; surviving nets are renumbered densely. *)
+    let members = Array.make num_clusters [] in
+    for cell = n - 1 downto 0 do
+      members.(cluster_of.(cell)) <- cell :: members.(cluster_of.(cell))
+    done;
+    let net_map = Array.make h.Hypergraph.num_nets (-1) in
+    let new_names = Netlist.Vec.create () in
+    let map_net net =
+      if net_map.(net) < 0 then
+        net_map.(net) <-
+          Netlist.Vec.push new_names h.Hypergraph.net_names.(net);
+      net_map.(net)
+    in
+    let specs =
+      Array.to_list
+        (Array.mapi
+           (fun k cells ->
+             let outputs = Netlist.Vec.create () in
+             let driven = Hashtbl.create 8 in
+             List.iter
+               (fun c ->
+                 Array.iter
+                   (fun net ->
+                     Hashtbl.replace driven net ();
+                     if not (internal net) then
+                       ignore (Netlist.Vec.push outputs (map_net net)))
+                   (Hypergraph.cell h c).Hypergraph.outputs)
+               cells;
+             (* A cluster whose driven nets are all internal still needs one
+                output pin to be a well-formed cell; an internal net touches
+                only this cluster, so exposing it cannot create cut. *)
+             if Netlist.Vec.length outputs = 0 then
+               (match Hashtbl.fold (fun net () _ -> Some net) driven None with
+               | Some net -> ignore (Netlist.Vec.push outputs (map_net net))
+               | None -> ());
+             let inputs = Netlist.Vec.create () in
+             let seen = Hashtbl.create 8 in
+             List.iter
+               (fun c ->
+                 Array.iter
+                   (fun net ->
+                     if not (Hashtbl.mem driven net || Hashtbl.mem seen net)
+                     then begin
+                       Hashtbl.add seen net ();
+                       ignore (Netlist.Vec.push inputs (map_net net))
+                     end)
+                   (Hypergraph.cell h c).Hypergraph.inputs)
+               cells;
+             let n_in = Netlist.Vec.length inputs in
+             let area =
+               List.fold_left
+                 (fun acc c -> acc + (Hypergraph.cell h c).Hypergraph.area)
+                 0 cells
+             in
+             let demand = Array.make Hypergraph.demand_arity 0 in
+             List.iter
+               (fun c ->
+                 let d = (Hypergraph.cell h c).Hypergraph.demand in
+                 for a = 0 to Array.length d - 1 do
+                   demand.(a) <- demand.(a) + d.(a)
+                 done)
+               cells;
+             {
+               Hypergraph.s_name = Printf.sprintf "cl%d" k;
+               s_area = area;
+               s_demand = demand;
+               s_inputs = Netlist.Vec.to_array inputs;
+               s_outputs = Netlist.Vec.to_array outputs;
+               (* Clusters are opaque: every output depends on every input. *)
+               s_supports =
+                 Array.make (Netlist.Vec.length outputs) (Bitvec.full n_in);
+             })
+           members)
+    in
+    let externals = ref [] in
+    Array.iteri
+      (fun net ext ->
+        (* External nets always survive: every cell pin on them was kept
+           (external nets are never internal). Only externals actually
+           touched by cells exist in the coarse graph. *)
+        if ext && net_map.(net) >= 0 then externals := net_map.(net) :: !externals)
+      h.Hypergraph.net_external;
+    let coarse =
+      Hypergraph.create
+        ~net_names:(Netlist.Vec.to_array new_names)
+        ~num_nets:(Netlist.Vec.length new_names)
+        ~external_nets:!externals specs
+    in
+    (coarse, cluster_of)
+end
+
+(* Random hypergraphs whose cells drive up to 60 nets, most of them read by
+   nobody: clusters whose driven nets are all internal — the fallback
+   output, at 16, 32 and 64 buckets — come up on most levels. *)
+let wide_hypergraph seed n_cells =
+  let rng = Netlist.Rng.create seed in
+  let next_net = ref 4 in
+  let available = ref [| 0; 1; 2; 3 |] in
+  let specs =
+    List.init n_cells (fun k ->
+        let n_in = 1 + Netlist.Rng.int rng (min 4 (Array.length !available)) in
+        let picks = Netlist.Rng.sample rng n_in (Array.length !available) in
+        let inputs = Array.map (fun i -> !available.(i)) picks in
+        let n_out =
+          if Netlist.Rng.bool rng then 1 + Netlist.Rng.int rng 60
+          else 1 + Netlist.Rng.int rng 3
+        in
+        let outputs = Array.init n_out (fun o -> !next_net + o) in
+        next_net := !next_net + n_out;
+        (* Only the first output is offered to later cells. *)
+        available := Array.append !available [| outputs.(0) |];
+        Test_util.spec (Printf.sprintf "w%d" k) (Array.to_list inputs)
+          (Array.to_list outputs)
+          (List.init n_out (fun _ -> Bitvec.full n_in)))
+  in
+  Hypergraph.create ~num_nets:!next_net ~external_nets:[ 0; 1; 2; 3 ] specs
+
+(* Coarsen level by level with both definitions from the same seed, until
+   [levels] levels or a stall, and compare every level's graph and map. *)
+let coarsen_matches_reference ?max_weight ?max_nets ~seed ~levels h =
+  let rng = Netlist.Rng.create seed and ref_rng = Netlist.Rng.create seed in
+  let rec go h depth =
+    depth >= levels
+    ||
+    let ((coarse, _) as got) = Coarsen.coarsen ?max_weight ?max_nets ~rng h in
+    got = Reference_coarsen.coarsen ?max_weight ?max_nets ~rng:ref_rng h
+    && (Hypergraph.num_cells coarse = Hypergraph.num_cells h
+       || go coarse (depth + 1))
+  in
+  go h 0
+
+(* No caps, loose per-axis and net caps, and tight ones. *)
+let coarsen_caps =
+  [
+    (None, None);
+    (Some [| 64; 64; 16; 16 |], Some 40);
+    (Some [| 12 |], Some 10);
+  ]
+
+let qcheck_coarsen_reference =
+  QCheck.Test.make
+    ~name:"coarsen = reference (random graphs, with and without caps)"
+    ~count:120
+    QCheck.(triple small_int (int_range 2 300) (int_range 0 2))
+    (fun (seed, n_cells, caps) ->
+      let max_weight, max_nets = List.nth coarsen_caps caps in
+      List.for_all
+        (fun h ->
+          coarsen_matches_reference ?max_weight ?max_nets ~seed ~levels:8 h)
+        [
+          Test_util.random_hypergraph seed n_cells;
+          wide_hypergraph seed n_cells;
+        ])
+
+let test_coarsen_reference_suite () =
+  List.iter
+    (fun e ->
+      let h = Lazy.force e.Experiments.Suite.hypergraph in
+      List.iter
+        (fun (max_weight, max_nets) ->
+          checkb e.Experiments.Suite.name true
+            (coarsen_matches_reference ?max_weight ?max_nets ~seed:1
+               ~levels:12 h))
+        coarsen_caps)
+    (Experiments.Suite.all ())
+
+let s38584_hypergraph () =
+  Lazy.force
+    (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.hypergraph
+
+(* One level allocates its coarse graph plus O(cells + nets) scratch. The
+   result's size leaves out the net-name strings, which the coarse graph
+   shares with the fine one; the reference read about 5.5x. *)
+let test_coarsen_allocation () =
+  let h = s38584_hypergraph () in
+  let result = ref None in
+  let words =
+    Test_util.words_during (fun () ->
+        result := Some (Coarsen.coarsen ~rng:(Netlist.Rng.create 1) h))
+  in
+  let coarse, map = Option.get !result in
+  let names = coarse.Hypergraph.net_names in
+  let own =
+    Obj.reachable_words (Obj.repr (coarse, map))
+    - Obj.reachable_words (Obj.repr names)
+    + 1 + Array.length names
+  in
+  let ratio = words /. float_of_int own in
+  if ratio > 2.5 then
+    Alcotest.failf
+      "coarsen allocated %.0f words for a %d-word result on s38584 (%.2fx, \
+       bound 2.5x)"
+      words own ratio
+
+(* The fallback output was once the last net [Hashtbl.fold] met, so a
+   randomized hash seed ([OCAMLRUNPARAM=R]) changed the coarse graphs'
+   net numbering and names. The randomization is process-global: this
+   case runs last. *)
+let test_coarsen_hash_seed_independent () =
+  let graphs =
+    [
+      s38584_hypergraph ();
+      Test_util.random_hypergraph 5 300;
+      wide_hypergraph 3 400;
+      wide_hypergraph 4 150;
+    ]
+  in
+  let hierarchies () =
+    List.concat_map
+      (fun h ->
+        List.map
+          (fun (max_weight, max_nets) ->
+            let hier =
+              Coarsen.hierarchy ~coarsest:20 ?max_weight ?max_nets
+                ~rng:(Netlist.Rng.create 7) h
+            in
+            (hier.Coarsen.coarsest, hier.Coarsen.levels))
+          coarsen_caps)
+      graphs
+  in
+  let before = hierarchies () in
+  Hashtbl.randomize ();
+  List.iteri
+    (fun i (b, a) -> checkb (Printf.sprintf "hierarchy %d" i) true (a = b))
+    (List.combine before (hierarchies ()))
+
 let test_coarsen_structure () =
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:10 ()) in
   let rng = Netlist.Rng.create 3 in
@@ -1505,6 +1942,33 @@ let test_kway_cancellation () =
   | Ok _ -> Alcotest.fail "expected mid-run cancellation");
   checkb "hook was polled" true (!poll_count > 5)
 
+(* Coarsening polls the stop hook before each level: a stop that is
+   already set builds nothing, so a multilevel [Kway.partition] reports
+   no level and returns before the coarse solve. *)
+let test_multilevel_cancellation () =
+  (* Large enough that the multilevel run coarsens it. *)
+  let h = s38584_hypergraph () in
+  let polls = ref 0 in
+  let hier =
+    Coarsen.hierarchy
+      ~should_stop:(fun () ->
+        incr polls;
+        !polls > 1)
+      ~rng:(Netlist.Rng.create 1) h
+  in
+  checki "one level, then the stop" 1 (Coarsen.num_levels hier);
+  let obs = Obs.create () in
+  let options =
+    Kway.Options.make ~runs:2 ~should_stop:(fun () -> true)
+      ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+  in
+  (match Kway.partition ~obs ~options ~library:Fpga.Library.xc3000 h with
+  | Error msg -> checkb "cancelled error" true (String.equal msg Kway.cancelled)
+  | Ok _ -> Alcotest.fail "expected cancellation");
+  checki "no ml.level" 0
+    (Option.value ~default:0
+       (List.assoc_opt "ml.level" (Obs.snapshot obs).Obs.Snapshot.counters))
+
 let test_kway_default_hook_inert () =
   (* The default hook must not change results: same seed, with and
      without an explicitly-false hook, byte-identical telemetry. *)
@@ -1598,6 +2062,11 @@ let () =
           qc qcheck_projection_sound;
           Alcotest.test_case "multilevel jobs-independent" `Quick
             test_multilevel_jobs_stable;
+          qc qcheck_coarsen_reference;
+          Alcotest.test_case "= reference on the suite" `Quick
+            test_coarsen_reference_suite;
+          Alcotest.test_case "allocation (s38584)" `Quick
+            test_coarsen_allocation;
         ] );
       ( "kway",
         [
@@ -1628,7 +2097,15 @@ let () =
             test_kway_options_validation;
           Alcotest.test_case "fm validation" `Quick test_fm_config_validation;
           Alcotest.test_case "cancellation" `Quick test_kway_cancellation;
+          Alcotest.test_case "multilevel cancellation" `Quick
+            test_multilevel_cancellation;
           Alcotest.test_case "default hook inert" `Quick
             test_kway_default_hook_inert;
+        ] );
+      (* Last: it randomizes every hash table created after it. *)
+      ( "hash seed",
+        [
+          Alcotest.test_case "coarsening independent of Hashtbl.randomize"
+            `Quick test_coarsen_hash_seed_independent;
         ] );
     ]

@@ -129,6 +129,32 @@ let test_gate_string_roundtrip () =
     [ Gate.Input; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor;
       Gate.Not; Gate.Buf; Gate.Dff; Gate.Const0; Gate.Const1 ]
 
+(* [of_substring] reads a range in place: it must agree with [of_string]
+   of the copied range, spellings in any case and aliases included. *)
+let qcheck_gate_of_substring =
+  let spelling =
+    QCheck.Gen.(
+      oneofl
+        [ "INPUT"; "and"; "Nand"; "oR"; "NOR"; "xor"; "XNOR"; "not"; "INV";
+          "buf"; "BUFF"; "dff"; "Const0"; "CONST1"; "FROB"; ""; "AN"; "ANDD" ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (string_size ~gen:printable (int_bound 3)) spelling
+        (string_size ~gen:printable (int_bound 3)))
+  in
+  QCheck.Test.make ~name:"of_substring = of_string of the copy" ~count:300
+    (QCheck.make gen) (fun (pre, word, post) ->
+      let s = pre ^ word ^ post in
+      List.for_all
+        (fun (pos, len) ->
+          Gate.of_substring s ~pos ~len = Gate.of_string (String.sub s pos len))
+        [
+          (String.length pre, String.length word);
+          (0, String.length s);
+          (0, String.length pre);
+        ])
+
 let test_gate_bad_arity () =
   Alcotest.check_raises "not/2" (Invalid_argument "Gate.eval: bad arity for NOT")
     (fun () -> ignore (Gate.eval Gate.Not [| true; false |]));
@@ -428,6 +454,419 @@ let qcheck_bench_roundtrip =
       match Bench_format.parse (Bench_format.to_string c) with
       | Error _ -> false
       | Ok c' -> equivalent_comb c c')
+
+(* The first [Bench_format.parse]: a line list, per-line substrings and
+   three name [Hashtbl]s. Kept verbatim as the reference for the in-place
+   scanner, which must agree with it on every circuit and every error
+   string. The first [to_string], built from [Printf.sprintf] lines, is
+   kept too: the writer must give the same bytes. *)
+module Reference_bench = struct
+  let strip s = String.trim s
+
+  let is_ident_char ch =
+    (ch >= 'a' && ch <= 'z')
+    || (ch >= 'A' && ch <= 'Z')
+    || (ch >= '0' && ch <= '9')
+    || ch = '_' || ch = '.' || ch = '[' || ch = ']' || ch = '$'
+
+  let is_ident s = String.length s > 0 && String.for_all is_ident_char s
+
+  (* A parsed statement, before name resolution. *)
+  type stmt =
+    | Input_decl of string
+    | Output_decl of string
+    | Assign of string * Gate.kind * string list
+
+  let parse_line lineno line =
+    let line =
+      match String.index_opt line '#' with
+      | Some i -> String.sub line 0 i
+      | None -> line
+    in
+    let line = strip line in
+    if String.length line = 0 then Ok None
+    else
+      let err msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+      let parse_call s =
+        match String.index_opt s '(' with
+        | None -> err "expected '('"
+        | Some lp ->
+            if s.[String.length s - 1] <> ')' then err "expected ')'"
+            else
+              let head = strip (String.sub s 0 lp) in
+              let inner = String.sub s (lp + 1) (String.length s - lp - 2) in
+              let args =
+                String.split_on_char ',' inner
+                |> List.map strip
+                |> List.filter (fun a -> String.length a > 0)
+              in
+              Ok (head, args)
+      in
+      match String.index_opt line '=' with
+      | Some eq -> (
+          let target = strip (String.sub line 0 eq) in
+          let rhs = strip (String.sub line (eq + 1) (String.length line - eq - 1)) in
+          if not (is_ident target) then err ("bad signal name: " ^ target)
+          else
+            match parse_call rhs with
+            | Error _ as e -> e
+            | Ok (g, args) -> (
+                if not (List.for_all is_ident args) then err "bad argument name"
+                else
+                  match Gate.of_string g with
+                  | None -> err ("unknown gate type: " ^ g)
+                  | Some kind -> Ok (Some (Assign (target, kind, args)))))
+      | None -> (
+          match parse_call line with
+          | Error _ as e -> e
+          | Ok (head, args) -> (
+              match (String.uppercase_ascii head, args) with
+              | "INPUT", [ a ] -> Ok (Some (Input_decl a))
+              | "OUTPUT", [ a ] -> Ok (Some (Output_decl a))
+              | ("INPUT" | "OUTPUT"), _ -> err "INPUT/OUTPUT take one argument"
+              | _ -> err ("unknown statement: " ^ head)))
+
+  (* Name resolution. Signals may be used before their defining line, and a
+     flip-flop's D cone may read its own Q (sequential feedback), so gates are
+     resolved by depth-first search and DFFs get placeholder nodes wired at
+     the end. Statements arrive paired with their source line so resolution
+     errors (duplicates, undefined signals, cycles) name a line too. *)
+  let build stmts =
+    let decls = Hashtbl.create 256 in
+    (* name -> lineno * kind * args *)
+    let order = Vec.create () in
+    (* declaration order of names *)
+    let outputs = Vec.create () in
+    let declare lineno name kind args =
+      match Hashtbl.find_opt decls name with
+      | Some (first, _, _) ->
+          Error
+            (Printf.sprintf "line %d: duplicate definition of %s (first at line %d)"
+               lineno name first)
+      | None ->
+          Hashtbl.add decls name (lineno, kind, args);
+          ignore (Vec.push order name);
+          Ok ()
+    in
+    let rec scan = function
+      | [] -> Ok ()
+      | (lineno, Input_decl n) :: rest -> (
+          match declare lineno n Gate.Input [] with
+          | Error _ as e -> e
+          | Ok () -> scan rest)
+      | (lineno, Output_decl n) :: rest ->
+          ignore (Vec.push outputs (lineno, n));
+          scan rest
+      | (lineno, Assign (target, kind, args)) :: rest -> (
+          match declare lineno target kind args with
+          | Error _ as e -> e
+          | Ok () -> scan rest)
+    in
+    match scan stmts with
+    | Error _ as e -> e
+    | Ok () -> (
+        let b = Circuit.Builder.create ~name:"bench" () in
+        let ids = Hashtbl.create 256 in
+        let visiting = Hashtbl.create 16 in
+        let exception Fail of string in
+        (* [at] is the line of the statement whose fanin list we are
+           resolving — the best source position for a dangling name. *)
+        let rec resolve ~at name =
+          match Hashtbl.find_opt ids name with
+          | Some id -> id
+          | None -> (
+              if Hashtbl.mem visiting name then
+                raise
+                  (Fail
+                     (Printf.sprintf "line %d: combinational cycle at %s" at name));
+              match Hashtbl.find_opt decls name with
+              | None ->
+                  raise
+                    (Fail (Printf.sprintf "line %d: undefined signal: %s" at name))
+              | Some (lineno, kind, args) ->
+                  let id =
+                    match kind with
+                    | Gate.Input -> Circuit.Builder.input b name
+                    | Gate.Dff ->
+                        (* Q is a sequential source; D wired after the pass. *)
+                        Circuit.Builder.dff_placeholder b name
+                    | _ ->
+                        Hashtbl.replace visiting name ();
+                        let fanins = List.map (resolve ~at:lineno) args in
+                        Hashtbl.remove visiting name;
+                        Circuit.Builder.gate b ~name kind fanins
+                  in
+                  Hashtbl.replace ids name id;
+                  id)
+        in
+        try
+          Vec.iter
+            (fun name ->
+              let at, _, _ = Hashtbl.find decls name in
+              ignore (resolve ~at name))
+            order;
+          (* Wire flip-flop D pins. *)
+          Vec.iter
+            (fun name ->
+              match Hashtbl.find_opt decls name with
+              | Some (lineno, Gate.Dff, [ d ]) ->
+                  Circuit.Builder.connect_dff b (Hashtbl.find ids name)
+                    (resolve ~at:lineno d)
+              | Some (lineno, Gate.Dff, _) ->
+                  raise
+                    (Fail
+                       (Printf.sprintf "line %d: DFF %s needs one fanin" lineno
+                          name))
+              | _ -> ())
+            order;
+          Vec.iter
+            (fun (lineno, name) ->
+              match Hashtbl.find_opt ids name with
+              | Some id -> Circuit.Builder.mark_output b id
+              | None ->
+                  raise
+                    (Fail
+                       (Printf.sprintf "line %d: undefined output signal: %s"
+                          lineno name)))
+            outputs;
+          Ok (Circuit.Builder.finish b)
+        with
+        | Fail msg -> Error msg
+        | Invalid_argument msg -> Error msg)
+
+  let parse text =
+    let lines = String.split_on_char '\n' text in
+    let rec collect lineno acc = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest -> (
+          match parse_line lineno line with
+          | Error _ as e -> e
+          | Ok None -> collect (lineno + 1) acc rest
+          | Ok (Some s) -> collect (lineno + 1) ((lineno, s) :: acc) rest)
+    in
+    match collect 1 [] lines with Error _ as e -> e | Ok stmts -> build stmts
+
+  let to_string c =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf (Printf.sprintf "# %s\n" c.Circuit.name);
+    Array.iter
+      (fun i ->
+        Buffer.add_string buf
+          (Printf.sprintf "INPUT(%s)\n" (Circuit.node c i).Circuit.name))
+      c.Circuit.inputs;
+    Array.iter
+      (fun i ->
+        Buffer.add_string buf
+          (Printf.sprintf "OUTPUT(%s)\n" (Circuit.node c i).Circuit.name))
+      c.Circuit.outputs;
+    let emit i =
+      let nd = Circuit.node c i in
+      match nd.Circuit.kind with
+      | Gate.Input -> ()
+      | kind ->
+          let args =
+            Array.to_list nd.Circuit.fanins
+            |> List.map (fun f -> (Circuit.node c f).Circuit.name)
+            |> String.concat ", "
+          in
+          Buffer.add_string buf
+            (Printf.sprintf "%s = %s(%s)\n" nd.Circuit.name (Gate.to_string kind)
+               args)
+    in
+    let order = Circuit.topological_order c in
+    (* Topological order lists DFFs among sources; emit them last for
+       readability. *)
+    Array.iter
+      (fun i ->
+        if not (Gate.equal (Circuit.node c i).Circuit.kind Gate.Dff) then emit i)
+      order;
+    Array.iter
+      (fun i ->
+        if Gate.equal (Circuit.node c i).Circuit.kind Gate.Dff then emit i)
+      order;
+    Buffer.contents buf
+end
+
+let parse_outcome parse text =
+  match parse text with
+  | result -> `Returned result
+  | exception e -> `Raised (Printexc.to_string e)
+
+let same_parse text =
+  parse_outcome Bench_format.parse text
+  = parse_outcome Reference_bench.parse text
+
+(* Text edits that reach every branch of the grammar: byte edits, dropped
+   and duplicated lines, renamed signals, and stray syntax characters. *)
+let mutate rng text =
+  let len = String.length text in
+  let pos () = if len = 0 then 0 else Rng.int rng (len + 1) in
+  let insert at piece =
+    String.sub text 0 at ^ piece ^ String.sub text at (len - at)
+  in
+  let lines () = String.split_on_char '\n' text in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  match Rng.int rng 7 with
+  | 0 when len > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Rng.int rng len)
+        (pick
+           [| 'a'; 'Z'; '0'; '_'; ' '; '\t'; '\r'; '\n'; '#'; '='; ',';
+              '('; ')'; '\000'; '\012'; '-'; '$'; '[' |]);
+      Bytes.to_string b
+  | 1 ->
+      let ls = Array.of_list (lines ()) in
+      let drop = Rng.int rng (Array.length ls) in
+      String.concat "\n"
+        (List.filteri (fun i _ -> i <> drop) (Array.to_list ls))
+  | 2 ->
+      let ls = Array.of_list (lines ()) in
+      let dup = pick ls and at = Rng.int rng (Array.length ls + 1) in
+      let before = Array.to_list (Array.sub ls 0 at)
+      and after = Array.to_list (Array.sub ls at (Array.length ls - at)) in
+      String.concat "\n" (before @ (dup :: after))
+  | 3 ->
+      (* Rename a name (a maximal run of identifier characters, so
+         keywords too), at one occurrence or at all of them, to a fresh
+         name or to another name of the text: dangling uses, second
+         definitions, aliases and consistent renamings. *)
+      let runs = ref [] and start = ref (-1) in
+      for k = 0 to len do
+        let ident =
+          k < len
+          &&
+          match text.[k] with
+          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '[' | ']' | '$'
+            ->
+              true
+          | _ -> false
+        in
+        if ident && !start < 0 then start := k
+        else if (not ident) && !start >= 0 then begin
+          runs := (!start, k) :: !runs;
+          start := -1
+        end
+      done;
+      let runs = Array.of_list (List.rev !runs) in
+      if Array.length runs = 0 then text
+      else begin
+        let name (s, e) = String.sub text s (e - s) in
+        let victim = Rng.int rng (Array.length runs) in
+        let old_name = name runs.(victim) in
+        let fresh = if Rng.bool rng then "zz9" else name (pick runs) in
+        let everywhere = Rng.bool rng in
+        let buf = Buffer.create (len + 16) in
+        let last = ref 0 in
+        Array.iteri
+          (fun k (s, e) ->
+            if k = victim || (everywhere && String.equal (name (s, e)) old_name)
+            then begin
+              Buffer.add_string buf (String.sub text !last (s - !last));
+              Buffer.add_string buf fresh;
+              last := e
+            end)
+          runs;
+        Buffer.add_string buf (String.sub text !last (len - !last));
+        Buffer.contents buf
+      end
+  | 4 ->
+      insert (pos ())
+        (pick [| "#"; "="; ","; "()"; "("; ")"; " = "; ",,"; "\n"; "\r\n" |])
+  | 5 ->
+      insert (pos ())
+        (pick
+           [| "\ninput(zz)\n"; "\nOutput(zz)\n"; "\nzz = inv(zz)\n";
+              "\nzz = BUFF(zz)\n"; "\nzz = CONST1()\n"; "\nzz = DFF()\n";
+              "\nzz = dff(zz, zz)\n"; "\nINPUT()\n"; "\nINPUT(a,b)\n";
+              "\nOUTPUT( , zz ,)\n"; "\nzz = AND( ,zz)\n"; "\nFOO(zz)\n";
+              "\nzz = NOT(zz)#c\n"; "\nzz = XOR\n"; "\nzz = OR(zz\n";
+              "\n = AND(zz)\n"; "\nzz z = AND(a)\n"; "\nzz = AND(a b)\n";
+              "\nzy = NOT(zw, zw)\nzw = CONST0()\n"; "\nzx = CONST1(zw)\n" |])
+  | _ -> text ^ pick [| ""; "\n"; "OUTPUT(zz)"; "zz = NOT(zz)"; "#" |]
+
+let random_bench_text rng =
+  let c =
+    if Rng.bool rng then
+      Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 8)
+        ~num_gates:(Rng.int_in rng 1 120) ~num_dff:(Rng.int rng 10)
+        ~num_outputs:(Rng.int_in rng 1 8) ()
+    else
+      Generator.scale
+        {
+          Generator.default_scale with
+          sc_gates = Rng.int_in rng 60 400;
+          sc_block_gates = Rng.int_in rng 8 40;
+          sc_blocks_per_region = Rng.int_in rng 2 6;
+          sc_seed = Rng.int rng 1000;
+        }
+  in
+  Bench_format.to_string c
+
+let qcheck_bench_parse_reference =
+  QCheck.Test.make
+    ~name:"parse and to_string = reference (generated and mutated texts)"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 7919) + 11) in
+      let text = random_bench_text rng in
+      (* [random_bench_text] writes with [to_string]; so does the
+         reference writer, to the byte. *)
+      let c = Result.get_ok (Bench_format.parse text) in
+      let written =
+        String.equal (Bench_format.to_string c) (Reference_bench.to_string c)
+      in
+      let mutated = ref text in
+      let ok = ref (written && same_parse text) in
+      for _ = 1 to Rng.int_in rng 1 4 do
+        mutated := mutate rng !mutated;
+        ok := !ok && same_parse !mutated
+      done;
+      !ok)
+
+let test_bench_parse_reference_cases () =
+  List.iter
+    (fun text ->
+      checkb (String.escaped text) true (same_parse text))
+    [
+      "";
+      "\n\n";
+      "# only a comment";
+      "INPUT(a)\r\nOUTPUT(a)\r\n";
+      "  INPUT ( a )  # c\n\tOUTPUT(a)\x0c\n";
+      "INPUT(a)\nz = and(a, a)\nOUTPUT(z)";
+      "INPUT(a b)\nOUTPUT(a b)\n";
+      "INPUT((a))\nOUTPUT((a))\n";
+      "INPUT(a)\nz = NOT(a, a)\nOUTPUT(z)\n";
+      "INPUT(a)\nz = CONST0(a)\n";
+      "q = DFF(q)\nOUTPUT(q)\n";
+      "q = DFF()\nOUTPUT(q)\n";
+      "q = DFF(ghost)\n";
+      "x = INPUT(y)\nOUTPUT(x)\n";
+      "a = b = AND(x)\n";
+      "=\n";
+      "(\n";
+      ")(\n";
+      "INPUT(a)\nINPUT(a)\nz = FROB(a)\n";
+      "INPUT(a)\nx = NOT(y)\ny = NOT(x)\nz = FROB(a)\n";
+      "INPUT(a)\nINPUT(a)\nOUTPUT(ghost)\n";
+    ]
+
+(* The scanner allocates its circuit plus line- and name-indexed scratch;
+   the reference read 1.0 Mw on s38584's text. *)
+let test_bench_parse_allocation () =
+  let c =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.circuit
+  in
+  let text = Bench_format.to_string c in
+  checkb "s38584 written as the reference writes it" true
+    (String.equal text (Reference_bench.to_string c));
+  checkb "s38584 text parses as the reference does" true (same_parse text);
+  let words =
+    Test_util.words_during (fun () -> ignore (Bench_format.parse text))
+  in
+  if words > 0.45e6 then
+    Alcotest.failf "Bench_format.parse allocated %.3f Mw on s38584 (bound 0.45)"
+      (words /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation & generators                                            *)
@@ -1118,6 +1557,7 @@ let () =
         [
           Alcotest.test_case "truth tables" `Quick test_gate_truth_tables;
           Alcotest.test_case "string roundtrip" `Quick test_gate_string_roundtrip;
+          qc qcheck_gate_of_substring;
           Alcotest.test_case "bad arity" `Quick test_gate_bad_arity;
           qc qcheck_demorgan;
           qc qcheck_xor_assoc;
@@ -1142,6 +1582,11 @@ let () =
           Alcotest.test_case "error line numbers" `Quick test_bench_error_lines;
           Alcotest.test_case "roundtrip" `Quick test_bench_roundtrip;
           qc qcheck_bench_roundtrip;
+          Alcotest.test_case "= reference on edge cases" `Quick
+            test_bench_parse_reference_cases;
+          qc qcheck_bench_parse_reference;
+          Alcotest.test_case "allocation (s38584)" `Quick
+            test_bench_parse_allocation;
         ] );
       ( "transform",
         [
