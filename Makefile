@@ -55,14 +55,12 @@ metrics: build
 fleet: build
 	sh tools/check_fleet.sh
 
-# Perf-regression smoke gate for the incremental F-M engine: the
-# hot-loop microbenchmark must run and report moves/sec plus
-# allocations/move, the stats JSON must export the v4 rescoring
-# telemetry, and the multilevel V-cycle must partition gen100k inside
-# its wall budget (see tools/check_perf.sh). Then the bench harness
-# regenerates BENCH_partition.json (fixed seeds; only *_secs fields vary
-# run to run), including the end-to-end service latency row, so the perf
-# trajectory accrues with every perf run.
+# Perf-regression smoke gate: the multilevel V-cycle must partition
+# gen100k inside its wall budget (see tools/check_perf.sh; the F-M
+# allocation bounds run in test_core under `dune runtest`). Then the
+# bench harness regenerates BENCH_partition.json (fixed seeds; only
+# *_secs fields vary run to run), including the end-to-end service
+# latency row, so the perf trajectory accrues with every perf run.
 perf: build
 	sh tools/check_perf.sh
 	dune exec --no-print-directory bench/main.exe -- partition

@@ -95,25 +95,22 @@ let table7 () =
 (* ------------------------------------------------------------------ *)
 
 (* Pure [Fm.run] throughput — no technology mapping, no k-way driver, no
-   multi-start pool — on one circuit at a fixed seed, for both gain
-   modes. Two sweeps per mode over identical fresh states: a counting
-   sweep under a collecting sink reads the deterministic op counts
-   (telemetry never steers the engine, so the timed sweep applies exactly
-   the same ops), then a timed sweep under the no-op sink measures wall
-   clock and words allocated per applied move — the perf-regression
-   gate's two numbers. The words come from [Gc.minor_words] and
-   [Gc.counters], which are current at every call; [Gc.quick_stat]'s
-   word counts only advance at a collection, so a sweep too short to
-   trigger one would read 0. *)
-let hotloop_measure ~gain_mode ~runs ~seed hg ~total_area =
+   multi-start pool — on one circuit at a fixed seed. Two sweeps over
+   identical fresh states: a counting sweep under a collecting sink reads
+   the deterministic op counts (telemetry never steers the engine, so the
+   timed sweep applies exactly the same ops), then a timed sweep under the
+   no-op sink measures wall clock and words allocated per applied move.
+   The words come from [Gc.minor_words] and [Gc.counters], which are
+   current at every call; [Gc.quick_stat]'s word counts only advance at a
+   collection, so a sweep too short to trigger one would read 0. *)
+let hotloop_measure ~runs ~seed hg ~total_area =
   let module J = Obs.Json in
   let states () =
     List.init runs (fun r ->
         Core.Fm.random_state (Netlist.Rng.create (seed + r)) hg)
   in
   let cfg =
-    Core.Fm.balance_config ~replication:(`Functional 0) ~gain_mode ~total_area
-      ()
+    Core.Fm.balance_config ~replication:(`Functional 0) ~total_area ()
   in
   let obs = Obs.create () in
   List.iter (fun st -> ignore (Core.Fm.run ~obs cfg st)) (states ());
@@ -139,20 +136,19 @@ let hotloop_measure ~gain_mode ~runs ~seed hg ~total_area =
      words would be double-counted). *)
   let alloc_words = m1 -. m0 +. (j1 -. j0) -. (p1 -. p0) in
   let per_move d = d /. float_of_int (max 1 applied) in
-  J.Obj
-    [
-      ("applied_ops", J.Int applied);
-      ("rescored_cells", J.Int rescored);
-      ("rescored_per_move", J.Float (per_move (float_of_int rescored)));
-      ("passes", J.Int passes);
-      ("wall_secs", J.Float wall);
-      ("moves_per_sec", J.Float (float_of_int applied /. Float.max wall 1e-9));
-      ("alloc_words_per_move", J.Float (per_move alloc_words));
-      ( "minor_collections",
-        J.Int (g1.Gc.minor_collections - g0.Gc.minor_collections) );
-      ( "major_collections",
-        J.Int (g1.Gc.major_collections - g0.Gc.major_collections) );
-    ]
+  [
+    ("applied_ops", J.Int applied);
+    ("rescored_cells", J.Int rescored);
+    ("rescored_per_move", J.Float (per_move (float_of_int rescored)));
+    ("passes", J.Int passes);
+    ("wall_secs", J.Float wall);
+    ("moves_per_sec", J.Float (float_of_int applied /. Float.max wall 1e-9));
+    ("alloc_words_per_move", J.Float (per_move alloc_words));
+    ( "minor_collections",
+      J.Int (g1.Gc.minor_collections - g0.Gc.minor_collections) );
+    ( "major_collections",
+      J.Int (g1.Gc.major_collections - g0.Gc.major_collections) );
+  ]
 
 let hotloop_doc () =
   let module J = Obs.Json in
@@ -163,46 +159,36 @@ let hotloop_doc () =
       let hg = Lazy.force e.Experiments.Suite.hypergraph in
       let total_area = Hypergraph.total_area hg in
       let runs = !hotloop_runs and seed = !seed in
-      progress "hotloop: %s, %d F-M runs/mode, seed %d..." name runs seed;
-      let eager = hotloop_measure ~gain_mode:`Eager ~runs ~seed hg ~total_area in
-      let lzy = hotloop_measure ~gain_mode:`Lazy ~runs ~seed hg ~total_area in
+      progress "hotloop: %s, %d F-M runs, seed %d..." name runs seed;
       Ok
         (J.Obj
-           [
-             ("circuit", J.String name);
-             ("seed", J.Int seed);
-             ("fm_runs", J.Int runs);
-             ("replication", J.String "functional(0)");
-             ("modes", J.Obj [ ("eager", eager); ("lazy", lzy) ]);
-           ])
+           ([
+              ("circuit", J.String name);
+              ("seed", J.Int seed);
+              ("fm_runs", J.Int runs);
+              ("replication", J.String "functional(0)");
+            ]
+           @ hotloop_measure ~runs ~seed hg ~total_area))
 
 let pp_hotloop j =
-  let module J = Obs.Json in
-  let fstr get k o =
-    match Option.bind (J.member k o) get with
-    | Some v -> v
-    | None -> nan
+  let num k =
+    Option.value ~default:nan
+      (Option.bind (Obs.Json.member k j) Obs.Json.to_float)
   in
-  match J.member "modes" j with
-  | Some (J.Obj modes) ->
-      Format.printf "%-8s %12s %14s %12s %12s@." "mode" "applied"
-        "moves/sec" "resc/move" "words/move";
-      List.iter
-        (fun (mode, o) ->
-          Format.printf "%-8s %12.0f %14.0f %12.2f %12.1f@." mode
-            (fstr J.to_float "applied_ops" o)
-            (fstr J.to_float "moves_per_sec" o)
-            (fstr J.to_float "rescored_per_move" o)
-            (fstr J.to_float "alloc_words_per_move" o))
-        modes
-  | _ -> ()
+  Format.printf "%12s %14s %12s %12s@." "applied" "moves/sec" "resc/move"
+    "words/move";
+  Format.printf "%12.0f %14.0f %12.2f %12.1f@." (num "applied_ops")
+    (num "moves_per_sec") (num "rescored_per_move")
+    (num "alloc_words_per_move")
 
 let hotloop () =
   section
     (Printf.sprintf "Hot-loop microbenchmark: pure F-M throughput (%s)"
        !hotloop_circuit);
   match hotloop_doc () with
-  | Error msg -> prerr_endline ("bench: " ^ msg)
+  | Error msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2
   | Ok j ->
       Format.printf "%s@." (Obs.Json.to_string j);
       pp_hotloop j
@@ -912,7 +898,7 @@ let main =
   in
   let cut_runs_arg =
     Arg.(
-      value & opt int 20
+      value & opt Cli_common.positive_int 20
       & info [ "cut-runs" ] ~docv:"N"
           ~doc:"Table III bipartitions per circuit (default 20).")
   in
@@ -926,12 +912,19 @@ let main =
   in
   let hotloop_runs_arg =
     Arg.(
-      value & opt int 3
+      value & opt Cli_common.positive_int 3
       & info [ "hotloop-runs" ] ~docv:"N"
-          ~doc:"F-M runs per gain mode in the hot-loop microbenchmark \
-                (default 3).")
+          ~doc:"F-M runs in the hot-loop microbenchmark (default 3).")
   in
-  Cmd.v (Cmd.info "bench" ~doc)
+  let exits =
+    Cmd.Exit.info 2
+      ~doc:"on a usage error: a bad flag value or an unknown artifact or \
+            hotloop circuit."
+    :: List.filter
+         (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error)
+         Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "bench" ~doc ~exits)
     Term.(
       const run $ artifacts_arg $ cut_runs_arg
       $ Cli_common.runs ~extra_names:[ "kway-runs" ] ()
@@ -939,4 +932,10 @@ let main =
       $ Cli_common.jobs ~default:4 ()
       $ Cli_common.trace () $ hotloop_circuit_arg $ hotloop_runs_arg)
 
-let () = exit (Cmd.eval main)
+(* Every usage error exits 2: an unknown artifact or hotloop circuit, and
+   a flag value Cmdliner rejects (which it would report as 124). *)
+let () =
+  exit
+    (match Cmd.eval main with
+    | code when code = Cmd.Exit.cli_error -> 2
+    | code -> code)

@@ -7,6 +7,10 @@
     harness seeds with 7 and calls the multi-start knob [--kway-runs] — but
     must agree on everything else. *)
 
+val positive_int : int Cmdliner.Arg.conv
+(** An integer converter that rejects values below 1 with a message
+    naming the value; Cmdliner adds the flag or variable. *)
+
 val seed : ?default:int -> unit -> int Cmdliner.Term.t
 (** [--seed N] — random seed (default 1). *)
 

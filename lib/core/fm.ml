@@ -20,7 +20,6 @@ type config = {
   area_ok : int -> int -> bool;
   score : Partition_state.t -> score;
   should_stop : unit -> bool;
-  gain_mode : [ `Eager | `Lazy ];
   oracle : bool;
   active : int -> bool;
 }
@@ -29,8 +28,8 @@ module Config = struct
   type t = config
 
   let make ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
-      ?(should_stop = never_stop) ?(gain_mode = `Eager) ?(oracle = false)
-      ?(active = every_cell) ~area_ok ~score () =
+      ?(should_stop = never_stop) ?(oracle = false) ?(active = every_cell)
+      ~area_ok ~score () =
     if max_passes <= 0 then
       invalid_arg
         (Printf.sprintf "Fm.Config.make: max_passes must be positive (got %d)"
@@ -42,7 +41,6 @@ module Config = struct
       area_ok;
       score;
       should_stop;
-      gain_mode;
       oracle;
       active;
     }
@@ -59,11 +57,11 @@ let env_oracle =
   | _ -> false
 
 let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
-    ?(gain_mode = `Eager) ?(slack = 0.10) ~total_area () =
+    ?(slack = 0.10) ~total_area () =
   let cap =
     int_of_float (ceil ((1.0 +. slack) *. float_of_int total_area /. 2.0))
   in
-  Config.make ~objective ~replication ~max_passes ~gain_mode
+  Config.make ~objective ~replication ~max_passes
     ~area_ok:(fun a b -> a <= cap && b <= cap)
     ~score:(fun st ->
       let a = Partition_state.area st Partition_state.A in
@@ -165,20 +163,13 @@ let is_replication_op ~old_mask ~new_mask ~full =
     ((Bitvec.is_empty old_mask && Bitvec.equal new_mask full)
     || (Bitvec.equal old_mask full && Bitvec.is_empty new_mask))
 
-(* Raised (and caught) inside find_best when a lazy rescore moved the
-   inspected item to another slot: the intrusive lists were relinked under
-   the scan, so the scan restarts from the top. A constant exception —
-   raising it allocates nothing. *)
-exception Relocated
-
 (* Everything a run allocates in proportion to the graph: the bucket, the
    chosen op per cell unpacked into int arrays (Bitvec.t = int; masks are
-   >= 0, so op_mask = -1 encodes "no candidate"), the lock and dirty
-   flags, the epoch stamps and the rollback trail. [run_staged] builds one
-   and hands it to both stages; every run starts with [reset], so the
-   second stage starts from exactly the state the first one did. *)
+   >= 0, so op_mask = -1 encodes "no candidate"), the lock flags, the
+   epoch stamps and the rollback trail. [run_staged] builds one and hands
+   it to both stages; every run starts with [reset], so the second stage
+   starts from exactly the state the first one did. *)
 type workspace = {
-  max_gain : int;
   bucket : Bucket.t;
   op_mask : int array;
   op_gain : int array;  (* the bucket key: -delta of the objective *)
@@ -187,7 +178,6 @@ type workspace = {
   op_db : int array;
   locked : bool array;
   stamp : int array;
-  dirty : bool array;
   trail_cell : int array;
   trail_old : int array;
   sc : Partition_state.scratch;
@@ -198,7 +188,6 @@ let workspace hg =
   let n = Hypergraph.num_cells hg in
   let max_gain = (2 * Hypergraph.max_cell_degree hg) + 2 in
   {
-    max_gain;
     bucket = Bucket.create ~num_items:n ~max_gain;
     op_mask = Array.make n 0;
     op_gain = Array.make n 0;
@@ -207,7 +196,6 @@ let workspace hg =
     op_db = Array.make n 0;
     locked = Array.make n false;
     stamp = Array.make n 0;
-    dirty = Array.make n false;
     trail_cell = Array.make n 0;
     trail_old = Array.make n 0;
     sc = Partition_state.make_scratch ();
@@ -224,15 +212,13 @@ let reset ws =
   Array.fill ws.op_da 0 n 0;
   Array.fill ws.op_db 0 n 0;
   Array.fill ws.locked 0 n false;
-  Array.fill ws.stamp 0 n (-1);
-  Array.fill ws.dirty 0 n false
+  Array.fill ws.stamp 0 n (-1)
 
 let run_in ws ~obs cfg st =
   let hg = Partition_state.hypergraph st in
   let n = Hypergraph.num_cells hg in
   reset ws;
   let {
-    max_gain;
     bucket;
     op_mask;
     op_gain;
@@ -241,7 +227,6 @@ let run_in ws ~obs cfg st =
     op_db;
     locked;
     stamp;
-    dirty;
     trail_cell;
     trail_old;
     sc;
@@ -250,7 +235,6 @@ let run_in ws ~obs cfg st =
   in
   let observing = Obs.enabled obs in
   let oracle = cfg.oracle || env_oracle in
-  let lazy_gains = cfg.gain_mode = `Lazy in
   let pass_idx = ref 0 in
   (* Epoch stamps dedupe the per-move dirty set: a neighbour shared by
      several state-changed nets of the moved cell is visited once per
@@ -313,49 +297,26 @@ let run_in ws ~obs cfg st =
          (Partition_state.area st Partition_state.A + op_da.(cell))
          (Partition_state.area st Partition_state.B + op_db.(cell))
   in
-  let clamp g =
-    if g > max_gain then max_gain else if g < -max_gain then -max_gain else g
-  in
   (* Bucket-scan length: how many candidates find_best inspected before
-     one passed the legality predicate (accumulated across lazy-rescore
-     restarts). Observed into a histogram only when a sink listens. *)
+     one passed the legality predicate. Observed into a histogram only
+     when a sink listens. *)
   let scanned = ref 0 in
   let select_pred cell =
     Stdlib.incr scanned;
-    if lazy_gains && dirty.(cell) then begin
-      dirty.(cell) <- false;
-      let old_slot = clamp op_gain.(cell) in
-      Stdlib.incr rescored;
-      rescore cell;
-      if op_mask.(cell) < 0 || clamp op_gain.(cell) <> old_slot then
-        raise Relocated
-    end;
     legal cell
   in
-  let rec scan_best () =
-    match Bucket.find_best bucket select_pred with
-    | r -> r
-    | exception Relocated -> scan_best ()
-  in
   let find_best () =
-    if observing then begin
-      scanned := 0;
-      let r = scan_best () in
-      Obs.observe obs "fm.scan_len" !scanned;
-      r
-    end
-    else scan_best ()
+    scanned := 0;
+    let r = Bucket.find_best bucket select_pred in
+    if observing then Obs.observe obs "fm.scan_len" !scanned;
+    r
   in
-  (* Visit one cell of a state-changed net: rescore now (eager) or mark
-     dirty for a pop-time rescore in select_pred (lazy). *)
+  (* Visit one cell of a state-changed net: rescore it once per move. *)
   let visit_cell cell =
     if (not locked.(cell)) && stamp.(cell) <> !epoch then begin
       stamp.(cell) <- !epoch;
-      if lazy_gains && Bucket.mem bucket cell then dirty.(cell) <- true
-      else begin
-        Stdlib.incr rescored;
-        rescore cell
-      end
+      Stdlib.incr rescored;
+      rescore cell
     end
   in
   let visit_net net =
@@ -369,16 +330,11 @@ let run_in ws ~obs cfg st =
      could have changed (apply only touches counts of the moved cell's
      incident nets) — and compare against the cached op. The sweep only
      reads state, so an oracle run makes byte-identical decisions; it can
-     only abort. Cells marked dirty by the lazy mode are deliberately
-     stale and skipped. *)
+     only abort. *)
   let oracle_check moved =
     let seen = Hashtbl.create 64 in
     let check cell =
-      if
-        (not locked.(cell))
-        && (not dirty.(cell))
-        && not (Hashtbl.mem seen cell)
-      then begin
+      if (not locked.(cell)) && not (Hashtbl.mem seen cell) then begin
         Hashtbl.add seen cell ();
         let had = op_mask.(cell) >= 0 in
         let cm = op_mask.(cell)
@@ -413,7 +369,6 @@ let run_in ws ~obs cfg st =
   let one_pass () =
     Bucket.clear bucket;
     Array.fill locked 0 n false;
-    if lazy_gains then Array.fill dirty 0 n false;
     (* Inactive cells are pre-locked: they never enter the bucket, are
        never rescored (pass initialisation included) and never move, so a
        warm start pays per pass only for the blast radius it declared.

@@ -589,30 +589,6 @@ let qcheck_incremental_gains_exact =
       done;
       !ok)
 
-let test_fm_lazy_gain_mode () =
-  (* `Lazy defers rescoring to bucket-pop time: a deliberately inexact
-     pick order, but deterministic, consistent, and still never worse
-     than the initial state. *)
-  let h = mapped_hypergraph (Netlist.Generator.alu ~bits:8 ()) in
-  let total = Hypergraph.total_area h in
-  let cfg =
-    Fm.balance_config ~replication:(`Functional 0) ~gain_mode:`Lazy
-      ~total_area:total ()
-  in
-  let st = Fm.random_state (Netlist.Rng.create 5) h in
-  let cut0 = Partition_state.cut st in
-  let _, cut, _ = Fm.run cfg st in
-  checkb "lazy mode improves the cut" true (cut <= cut0);
-  checkb "lazy mode leaves a consistent state" true
-    (Result.is_ok (Partition_state.check_consistency st));
-  let st2 = Fm.random_state (Netlist.Rng.create 5) h in
-  let _, cut2, _ = Fm.run cfg st2 in
-  checki "lazy mode deterministic (cut)" cut cut2;
-  for c = 0 to Hypergraph.num_cells h - 1 do
-    if not (Bitvec.equal (Partition_state.mask st c) (Partition_state.mask st2 c))
-    then Alcotest.failf "lazy mode nondeterministic at cell %d" c
-  done
-
 let test_fm_oracle_mode_identical () =
   (* Oracle mode recomputes every affected cell's best op from scratch
      after every applied move and compares with the incremental cache
@@ -694,31 +670,45 @@ let test_fm_candidates_allocation_free () =
   check_candidates_allocation_free "s9234 clusters" cst
     ~replication:ccfg.Fm.replication
 
-let test_fm_run_words_per_move () =
-  (* The per-move residue is the score tuple; the per-run workspace
-     (bucket, op registers, stamps, trail) amortises over the moves. *)
-  let h = s9234_hypergraph () in
-  let cfg = alloc_config h in
-  let fresh () = Fm.random_state (Netlist.Rng.create 3) h in
-  ignore (Fm.run cfg (fresh ()));
+(* The per-move residue is the score tuple; the per-run workspace
+   (bucket, op registers, stamps, trail) amortises over the moves. *)
+let check_words_per_move label h cfg ~seed ~bound =
+  let fresh () = Fm.random_state (Netlist.Rng.create seed) h in
   let obs = Obs.create () in
   ignore (Fm.run ~obs cfg (fresh ()));
   let applied =
     List.assoc "fm.applied_ops" (Obs.snapshot obs).Obs.Snapshot.counters
   in
-  checkb "the run applies moves" true (applied > 0);
+  checkb (label ^ ": the run applies moves") true (applied > 0);
   let st = fresh () in
   let words = Test_util.words_during (fun () -> ignore (Fm.run cfg st)) in
   let per_move = words /. float_of_int applied in
-  if per_move > 12.0 then
-    Alcotest.failf "Fm.run allocated %.1f words per applied move (%d moves)"
-      per_move applied
+  if per_move > bound then
+    Alcotest.failf "%s: Fm.run allocated %.1f words per applied move (%d \
+                    moves, bound %.0f)"
+      label per_move applied bound
+
+let test_fm_run_words_per_move () =
+  let h = s9234_hypergraph () in
+  check_words_per_move "s9234" h (alloc_config h) ~seed:3 ~bound:12.0;
+  (* The hot-loop microbenchmark's protocol (bench/main.exe hotloop
+     --hotloop-circuit c6288 --hotloop-runs 1): balance config with
+     replication at threshold 0, seed 7, one run. *)
+  let h =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "c6288")).Experiments.Suite.hypergraph
+  in
+  let cfg =
+    Fm.balance_config ~replication:(`Functional 0)
+      ~total_area:(Hypergraph.total_area h) ()
+  in
+  check_words_per_move "c6288" h cfg ~seed:7 ~bound:16.0
 
 let qcheck_fm_staged_workspace_fresh =
   (* run_staged hands one workspace to both stages; each stage must see
-     it exactly as fresh (stamps, dirty flags, op registers, locks,
-     bucket), so the staged run equals two fresh runs on a copy. The
-     oracle (which makes identical decisions) on the staged side trips
+     it exactly as fresh (stamps, op registers, locks, bucket), so the
+     staged run equals two fresh runs on a copy. The oracle (which makes
+     identical decisions) on the staged side trips
      on a rescore a stale epoch stamp skipped, even when the skip happens
      not to change the outcome. *)
   QCheck.Test.make ~name:"run_staged = fresh plain run, then fresh run"
@@ -2036,7 +2026,6 @@ let () =
             test_fm_replication_reduces_cut_on_clustered;
           qc qcheck_fm_leaves_consistent_state;
           qc qcheck_incremental_gains_exact;
-          Alcotest.test_case "lazy gain mode" `Quick test_fm_lazy_gain_mode;
           Alcotest.test_case "oracle mode identical" `Quick
             test_fm_oracle_mode_identical;
           qc qcheck_fm_oracle_never_trips;
