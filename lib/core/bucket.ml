@@ -1,10 +1,14 @@
+(* The arrays may be longer than the active range, [max_gain] and the
+   first [num_items] items, when the bucket is reused for a smaller graph
+   (see {!reset}); nothing past the active range is read. *)
 type t = {
-  max_gain : int;
-  heads : int array;      (* per gain slot: first item or -1 *)
-  next : int array;       (* per item *)
-  prev : int array;       (* per item; -(slot+2) when head of its list *)
-  gain_of : int array;    (* per item; min_int when absent *)
-  mutable top : int;      (* upper bound on the best occupied slot *)
+  mutable max_gain : int;
+  mutable num_items : int;
+  mutable heads : int array;   (* per gain slot: first item or -1 *)
+  mutable next : int array;    (* per item *)
+  mutable prev : int array;    (* per item; -(slot+2) when head of its list *)
+  mutable gain_of : int array; (* per item; min_int when absent *)
+  mutable top : int;           (* upper bound on the best occupied slot *)
   mutable count : int;
 }
 
@@ -14,6 +18,7 @@ let create ~num_items ~max_gain =
   if max_gain < 0 then invalid_arg "Bucket.create: negative max_gain";
   {
     max_gain;
+    num_items;
     heads = Array.make ((2 * max_gain) + 1) (-1);
     next = Array.make num_items (-1);
     prev = Array.make num_items (-1);
@@ -97,7 +102,20 @@ let find_best t pred =
   !found
 
 let clear t =
-  Array.fill t.heads 0 (Array.length t.heads) (-1);
-  Array.fill t.gain_of 0 (Array.length t.gain_of) absent;
+  Array.fill t.heads 0 ((2 * t.max_gain) + 1) (-1);
+  Array.fill t.gain_of 0 t.num_items absent;
   t.top <- -1;
   t.count <- 0
+
+let reset t ~num_items ~max_gain =
+  if max_gain < 0 then invalid_arg "Bucket.reset: negative max_gain";
+  let slots = (2 * max_gain) + 1 in
+  if slots > Array.length t.heads then t.heads <- Array.make slots (-1);
+  if num_items > Array.length t.gain_of then begin
+    t.next <- Array.make num_items (-1);
+    t.prev <- Array.make num_items (-1);
+    t.gain_of <- Array.make num_items absent
+  end;
+  t.max_gain <- max_gain;
+  t.num_items <- num_items;
+  clear t

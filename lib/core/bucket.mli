@@ -39,3 +39,11 @@ val find_best : t -> (int -> bool) -> int
     unchanged does not count as moving). *)
 
 val clear : t -> unit
+(** Empty the bucket. Costs O(items + gain range), the active ones only
+    after a {!reset} to a smaller range. *)
+
+val reset : t -> num_items:int -> max_gain:int -> unit
+(** [reset t ~num_items ~max_gain] empties [t] and makes it equal to a
+    fresh [create ~num_items ~max_gain]: gains clamp to the new range, so
+    tie order never depends on an earlier, wider one. The arrays grow
+    only when the new range or item count exceeds every earlier one. *)

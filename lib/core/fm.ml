@@ -9,6 +9,13 @@ let objective_value obj st =
 
 type score = int * int * int
 
+type registers = { mutable pen : int; mutable obj : int; mutable pref : int }
+
+let set_score r pen obj pref =
+  r.pen <- pen;
+  r.obj <- obj;
+  r.pref <- pref
+
 let never_stop () = false
 
 let every_cell _ = true
@@ -18,7 +25,7 @@ type config = {
   replication : [ `None | `Functional of int ];
   max_passes : int;
   area_ok : int -> int -> bool;
-  score : Partition_state.t -> score;
+  score : Partition_state.t -> registers -> unit;
   should_stop : unit -> bool;
   oracle : bool;
   active : int -> bool;
@@ -46,6 +53,11 @@ module Config = struct
     }
 end
 
+let score_of cfg st =
+  let r = { pen = 0; obj = 0; pref = 0 } in
+  cfg.score st r;
+  (r.pen, r.obj, r.pref)
+
 (* FPGAPART_FM_ORACLE=1 turns on the oracle cross-check in every run of the
    process — the tooling's way to prove the incremental engine right
    without threading a flag through every CLI. Read once at start-up, not
@@ -63,10 +75,10 @@ let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
   in
   Config.make ~objective ~replication ~max_passes
     ~area_ok:(fun a b -> a <= cap && b <= cap)
-    ~score:(fun st ->
+    ~score:(fun st r ->
       let a = Partition_state.area st Partition_state.A in
       let b = Partition_state.area st Partition_state.B in
-      (max 0 (max a b - cap), objective_value objective st, 0))
+      set_score r (max 0 (max a b - cap)) (objective_value objective st) 0)
     ()
 
 type device_bounds = {
@@ -109,7 +121,7 @@ let device_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
     (* Hard cap keeps side A from overshooting the device wildly; the rest
        of the feasibility hunt happens through the penalty. *)
     ~area_ok:(fun a _b -> a <= bounds.max_clbs + (bounds.max_clbs / 4) + 1)
-    ~score:(fun st ->
+    ~score:(fun st r ->
       let a = Partition_state.area st Partition_state.A in
       let ta = Partition_state.terminals st Partition_state.A in
       let pen =
@@ -121,7 +133,8 @@ let device_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
       (* Prefer a smaller remainder at equal cut: it fills the split-off
          device (fewer, better-used devices cost less — objective 1)
          without rewarding gratuitous replication into side A. *)
-      (pen, objective_value objective st, Partition_state.area st Partition_state.B))
+      set_score r pen (objective_value objective st)
+        (Partition_state.area st Partition_state.B))
     ()
 
 let two_device_config ?(objective = Terminals) ?(replication = `None)
@@ -130,7 +143,7 @@ let two_device_config ?(objective = Terminals) ?(replication = `None)
   let slack bounds = bounds.max_clbs + (bounds.max_clbs / 4) + 1 in
   Config.make ~objective ~replication ~max_passes ~should_stop ~active
     ~area_ok:(fun a b -> a <= slack bounds_a && b <= slack bounds_b)
-    ~score:(fun st ->
+    ~score:(fun st r ->
       let a = Partition_state.area st Partition_state.A in
       let b = Partition_state.area st Partition_state.B in
       let ta = Partition_state.terminals st Partition_state.A in
@@ -141,10 +154,11 @@ let two_device_config ?(objective = Terminals) ?(replication = `None)
         + max 0 (terms - bounds.max_terminals)
         + res_pen st side bounds.res_max
       in
-      ( pen_of bounds_a Partition_state.A a ta
-        + pen_of bounds_b Partition_state.B b tb,
-        objective_value objective st,
-        a + b (* prefer shedding replicas at equal objective *) ))
+      set_score r
+        (pen_of bounds_a Partition_state.A a ta
+        + pen_of bounds_b Partition_state.B b tb)
+        (objective_value objective st)
+        (a + b) (* prefer shedding replicas at equal objective *))
     ()
 
 let random_state rng hg =
@@ -163,49 +177,65 @@ let is_replication_op ~old_mask ~new_mask ~full =
     ((Bitvec.is_empty old_mask && Bitvec.equal new_mask full)
     || (Bitvec.equal old_mask full && Bitvec.is_empty new_mask))
 
-(* Everything a run allocates in proportion to the graph: the bucket, the
+(* Everything a run needs in proportion to the graph: the bucket, the
    chosen op per cell unpacked into int arrays (Bitvec.t = int; masks are
    >= 0, so op_mask = -1 encodes "no candidate"), the lock flags, the
-   epoch stamps and the rollback trail. [run_staged] builds one and hands
-   it to both stages; every run starts with [reset], so the second stage
-   starts from exactly the state the first one did. *)
+   epoch stamps, the rollback trail and the score registers. The arrays
+   may be longer than the graph: a workspace outlives its run (see
+   [with_workspace]) and only grows. Every run starts with [reset], so it
+   sees exactly what a fresh workspace for its graph would hold. *)
 type workspace = {
   bucket : Bucket.t;
-  op_mask : int array;
-  op_gain : int array;  (* the bucket key: -delta of the objective *)
-  op_tie : int array;   (* the area tie-break *)
-  op_da : int array;    (* area deltas legality needs *)
-  op_db : int array;
-  locked : bool array;
-  stamp : int array;
-  trail_cell : int array;
-  trail_old : int array;
+  mutable op_mask : int array;
+  mutable op_gain : int array;  (* the bucket key: -delta of the objective *)
+  mutable op_tie : int array;   (* the area tie-break *)
+  mutable op_da : int array;    (* area deltas legality needs *)
+  mutable op_db : int array;
+  mutable locked : bool array;
+  mutable stamp : int array;
+  mutable trail_cell : int array;
+  mutable trail_old : int array;
   sc : Partition_state.scratch;
+  regs : registers;
 }
 
-(* The arrays get their starting values from [reset]. *)
-let workspace hg =
-  let n = Hypergraph.num_cells hg in
-  let max_gain = (2 * Hypergraph.max_cell_degree hg) + 2 in
+let workspace () =
   {
-    bucket = Bucket.create ~num_items:n ~max_gain;
-    op_mask = Array.make n 0;
-    op_gain = Array.make n 0;
-    op_tie = Array.make n 0;
-    op_da = Array.make n 0;
-    op_db = Array.make n 0;
-    locked = Array.make n false;
-    stamp = Array.make n 0;
-    trail_cell = Array.make n 0;
-    trail_old = Array.make n 0;
+    bucket = Bucket.create ~num_items:0 ~max_gain:0;
+    op_mask = [||];
+    op_gain = [||];
+    op_tie = [||];
+    op_da = [||];
+    op_db = [||];
+    locked = [||];
+    stamp = [||];
+    trail_cell = [||];
+    trail_old = [||];
     sc = Partition_state.make_scratch ();
+    regs = { pen = 0; obj = 0; pref = 0 };
   }
 
-(* The starting state of every run. The trail and the scratch are written
-   before they are read, so they need none. *)
-let reset ws =
-  let n = Array.length ws.op_mask in
-  Bucket.clear ws.bucket;
+(* The starting state of a run on [hg]: the bucket clamps to this graph's
+   gain range, as a fresh one would (a wider range left from an earlier
+   graph would clamp differently), and the first [n] slots of each array
+   hold their fresh values.
+   The trail, the scratch and the registers are written before they are
+   read, so they need none. *)
+let reset ws hg =
+  let n = Hypergraph.num_cells hg in
+  Bucket.reset ws.bucket ~num_items:n
+    ~max_gain:((2 * Hypergraph.max_cell_degree hg) + 2);
+  if n > Array.length ws.op_mask then begin
+    ws.op_mask <- Array.make n 0;
+    ws.op_gain <- Array.make n 0;
+    ws.op_tie <- Array.make n 0;
+    ws.op_da <- Array.make n 0;
+    ws.op_db <- Array.make n 0;
+    ws.locked <- Array.make n false;
+    ws.stamp <- Array.make n 0;
+    ws.trail_cell <- Array.make n 0;
+    ws.trail_old <- Array.make n 0
+  end;
   Array.fill ws.op_mask 0 n (-1);
   Array.fill ws.op_gain 0 n 0;
   Array.fill ws.op_tie 0 n 0;
@@ -214,10 +244,34 @@ let reset ws =
   Array.fill ws.locked 0 n false;
   Array.fill ws.stamp 0 n (-1)
 
+(* One workspace per domain, kept between runs. A run takes it out of
+   the slot and puts it back when done, so a second run on the same
+   domain meanwhile (another systhread, or a run nested in a config
+   callback) finds the slot empty and works in a workspace of its own;
+   the exchange is atomic, so two threads never take the same one. A run
+   that raises does not put its workspace back. Pool domains are spawned
+   per [Parallel.Pool.run], so their workspaces die with them. *)
+let slot = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let with_workspace f =
+  let cell = Domain.DLS.get slot in
+  let ws =
+    match Atomic.exchange cell None with Some ws -> ws | None -> workspace ()
+  in
+  let r = f ws in
+  Atomic.set cell (Some ws);
+  r
+
+(* Lexicographic [<] on (penalty, objective, preference) triples, the
+   order of the [score] tuple's polymorphic compare. *)
+let[@inline] lex_lt (p : int) (o : int) (q : int) (p' : int) (o' : int)
+    (q' : int) =
+  p < p' || (p = p' && (o < o' || (o = o' && q < q')))
+
 let run_in ws ~obs cfg st =
   let hg = Partition_state.hypergraph st in
   let n = Hypergraph.num_cells hg in
-  reset ws;
+  reset ws hg;
   let {
     bucket;
     op_mask;
@@ -230,6 +284,7 @@ let run_in ws ~obs cfg st =
     trail_cell;
     trail_old;
     sc;
+    regs;
   } =
     ws
   in
@@ -385,8 +440,13 @@ let run_in ws ~obs cfg st =
     let repl_attempted = ref 0 in
     let pass_rescored0 = !rescored in
     let t_wall0 = if observing then Obs.Clock.wall () else 0.0 in
-    let start_score = cfg.score st in
-    let best = ref start_score in
+    (* The prefix scores live in int registers, not tuples: [cfg.score]
+       runs after every move. *)
+    cfg.score st regs;
+    let start_pen = regs.pen and start_obj = regs.obj
+    and start_pref = regs.pref in
+    let best_pen = ref start_pen and best_obj = ref start_obj
+    and best_pref = ref start_pref in
     let best_prefix = ref 0 in
     let continue = ref true in
     while !continue do
@@ -416,9 +476,12 @@ let run_in ws ~obs cfg st =
         incr epoch;
         Partition_state.iter_changed_nets st visit_net;
         if oracle then oracle_check cell;
-        let s = cfg.score st in
-        if s < !best then begin
-          best := s;
+        cfg.score st regs;
+        if lex_lt regs.pen regs.obj regs.pref !best_pen !best_obj !best_pref
+        then begin
+          best_pen := regs.pen;
+          best_obj := regs.obj;
+          best_pref := regs.pref;
           best_prefix := !trail_len
         end
       end
@@ -438,7 +501,9 @@ let run_in ws ~obs cfg st =
       then incr repl_undone;
       Partition_state.apply st cell old_mask
     done;
-    let improved = !best < start_score in
+    let improved =
+      lex_lt !best_pen !best_obj !best_pref start_pen start_obj start_pref
+    in
     if observing then begin
       Obs.incr obs "fm.passes";
       Obs.incr obs ~by:!trail_len "fm.applied_ops";
@@ -487,19 +552,20 @@ let run_in ws ~obs cfg st =
   do
     incr passes
   done;
-  cfg.score st
+  score_of cfg st
 
 let run ?(obs = Obs.noop) cfg st =
-  run_in (workspace (Partition_state.hypergraph st)) ~obs cfg st
+  with_workspace (fun ws -> run_in ws ~obs cfg st)
 
 let run_staged ?(obs = Obs.noop) cfg st =
   match cfg.replication with
   | `None -> run ~obs cfg st
   | `Functional _ ->
-      let ws = workspace (Partition_state.hypergraph st) in
-      if Obs.enabled obs then
-        Obs.event obs "fm.stage" [ ("stage", Obs.Json.String "plain") ];
-      ignore (run_in ws ~obs { cfg with replication = `None } st);
-      if Obs.enabled obs then
-        Obs.event obs "fm.stage" [ ("stage", Obs.Json.String "replication") ];
-      run_in ws ~obs cfg st
+      with_workspace (fun ws ->
+          if Obs.enabled obs then
+            Obs.event obs "fm.stage" [ ("stage", Obs.Json.String "plain") ];
+          ignore (run_in ws ~obs { cfg with replication = `None } st);
+          if Obs.enabled obs then
+            Obs.event obs "fm.stage"
+              [ ("stage", Obs.Json.String "replication") ];
+          run_in ws ~obs cfg st)

@@ -29,6 +29,16 @@ type score = int * int * int
     (the device-window config uses it to prefer fuller devices, which
     lowers total cost). *)
 
+type registers = { mutable pen : int; mutable obj : int; mutable pref : int }
+(** A {!score} as three mutable ints: a config's [score] writes the
+    penalty, objective and preference of the current state here. The
+    engine scores the state after every applied move and compares the
+    registers with the same lexicographic order as the tuple's, so
+    scoring a prefix allocates nothing. *)
+
+val set_score : registers -> int -> int -> int -> unit
+(** [set_score r pen obj pref] writes all three registers. *)
+
 (** The engine keeps every unlocked cell's best operation cached (gain
     buckets) and, after each applied move, refreshes only the cells on
     nets reported state-changed by {!Partition_state.apply} — the
@@ -45,8 +55,9 @@ type config = {
   max_passes : int;
   area_ok : int -> int -> bool;
       (** hard legality of intermediate states: [area_ok area_a area_b] *)
-  score : Partition_state.t -> score;
-      (** prefix quality; the pass rolls back to the best-scoring prefix *)
+  score : Partition_state.t -> registers -> unit;
+      (** prefix quality, written into the registers; the pass rolls back
+          to the best-scoring prefix *)
   should_stop : unit -> bool;
       (** cooperative-cancellation hook, polled between passes (never
           mid-pass, so an abort still leaves the state at a best prefix
@@ -91,7 +102,7 @@ module Config : sig
     ?oracle:bool ->
     ?active:(int -> bool) ->
     area_ok:(int -> int -> bool) ->
-    score:(Partition_state.t -> score) ->
+    score:(Partition_state.t -> registers -> unit) ->
     unit ->
     t
   (** Defaults: [Cut], [`None], 12 passes, never stop, no oracle, every
@@ -102,6 +113,9 @@ module Config : sig
       of zero passes silently degrades every caller to "return the initial
       state", which is never what was meant. *)
 end
+
+val score_of : config -> Partition_state.t -> score
+(** The config's score of the state, as a tuple. *)
 
 val balance_config :
   ?objective:objective ->
@@ -209,9 +223,15 @@ val run_staged : ?obs:Obs.t -> config -> Partition_state.t -> score
     {!run} when the config has no replication. Both stages share one
     workspace (bucket, per-cell op registers, flags, epoch stamps and
     trail), reset to its fresh state at the start of each stage, so the
-    result equals a plain {!run} followed by a replication {!run} while
-    the per-cell arrays are allocated once; the workspace lives inside
-    the call, so concurrent calls on different domains share nothing.
+    result equals a plain {!run} followed by a replication {!run}.
+
+    Every {!run} and [run_staged] takes its workspace from a slot of the
+    executing domain and returns it afterwards, so runs one after another
+    on a domain reuse one set of per-cell arrays, grown only when a graph
+    is larger than every earlier one. A run that finds the slot empty
+    (another systhread of the domain is mid-run) works in a fresh
+    workspace; concurrent runs share nothing, and no run can tell whether
+    its workspace was fresh or reused.
     With a collecting [obs], a ["fm.stage"] event separates the plain
     and replication stages. *)
 

@@ -178,7 +178,7 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
     for a = 0 to opts.fm_attempts - 1 do
       let init = inits.(a) in
       for c = 0 to n - 1 do
-        init.(c) <- Netlist.Rng.float rng 1.0 >= p_a
+        init.(c) <- not (Netlist.Rng.chance rng p_a)
       done
     done;
     let attempts =
@@ -383,10 +383,14 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                 Array.map
                   (fun (old_c, mask) ->
                     let orig, out_map = orig_of.(old_c) in
-                    let out_map' =
-                      Array.of_list
-                        (List.map (fun o -> out_map.(o)) (Bitvec.to_list mask))
-                    in
+                    let out_map' = Array.make (Bitvec.norm mask) 0 in
+                    let k = ref 0 in
+                    for o = 0 to Array.length out_map - 1 do
+                      if Bitvec.mem o mask then begin
+                        out_map'.(!k) <- out_map.(o);
+                        incr k
+                      end
+                    done;
                     (orig, out_map'))
                   spec_arr
               in
@@ -400,48 +404,56 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
 (* Pairwise refinement                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* [compress um m]: the bits of [m] at the positions [um] keeps,
+   renumbered densely (the copy's output index of each kept output);
+   [expand um m] is its inverse. *)
+let compress um m =
+  let acc = ref Bitvec.empty and pos = ref 0 in
+  for o = 0 to Bitvec.max_width - 1 do
+    if Bitvec.mem o um then begin
+      if Bitvec.mem o m then acc := Bitvec.add !pos !acc;
+      incr pos
+    end
+  done;
+  !acc
+
+let expand um m =
+  let acc = ref Bitvec.empty and pos = ref 0 in
+  for o = 0 to Bitvec.max_width - 1 do
+    if Bitvec.mem o um then begin
+      if Bitvec.mem !pos m then acc := Bitvec.add o !acc;
+      incr pos
+    end
+  done;
+  !acc
+
 (* Re-bipartition the union of two finished parts under both device
    windows, optimising total terminal usage (eq. 2 restricted to the
    pair). Cells of other parts appear as external context, so their IOB
    counts cannot change. [active] (original-cell coordinates) restricts
    which cells may move — the warm-start path passes the edit's dirty set
-   so refinement costs O(blast radius). Returns the improved pair or
-   [None]. *)
-let refine_pair ~opts ~obs ?active hg library (pi : part) (pj : part) =
-  let masks_of p =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun (c, m) -> Hashtbl.replace tbl c m) p.members;
-    tbl
-  in
-  let mi = masks_of pi and mj = masks_of pj in
-  let union = Hashtbl.create 128 in
-  let add tbl =
-    Hashtbl.iter
-      (fun c m ->
-        Hashtbl.replace union c
-          (Bitvec.union m (try Hashtbl.find union c with Not_found -> Bitvec.empty)))
-      tbl
-  in
-  add mi;
-  add mj;
-  let specs =
-    Hashtbl.fold (fun c m acc -> (c, m) :: acc) union []
-    |> List.sort compare
-  in
-  let hu, spec_arr = Hypergraph.induce_copies hg specs in
+   so refinement costs O(blast radius). [mask_i] and [mask_j] are
+   all-empty cell-indexed scratch arrays, handed back all-empty. Returns
+   the improved pair or [None]. *)
+let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
+    (pj : part) =
+  List.iter (fun (c, m) -> mask_i.(c) <- m) pi.members;
+  List.iter (fun (c, m) -> mask_j.(c) <- m) pj.members;
+  (* Ascending cell order: the specs come out sorted. *)
+  let specs = ref [] in
+  for c = Array.length mask_i - 1 downto 0 do
+    let m = Bitvec.union mask_i.(c) mask_j.(c) in
+    if not (Bitvec.is_empty m) then specs := (c, m) :: !specs
+  done;
+  let hu, spec_arr = Hypergraph.induce_copies hg !specs in
   (* Initial assignment: part j's share of each cell sits on side B. *)
-  let init k =
-    let orig, um = spec_arr.(k) in
-    let mask_j = try Hashtbl.find mj orig with Not_found -> Bitvec.empty in
-    let bit = ref 0 and acc = ref Bitvec.empty in
-    Bitvec.iter
-      (fun o ->
-        if Bitvec.mem o mask_j then acc := Bitvec.add !bit !acc;
-        incr bit)
-      um;
-    !acc
+  let st =
+    Partition_state.create_with_masks hu ~masks:(fun k ->
+        let orig, um = spec_arr.(k) in
+        compress um mask_j.(orig))
   in
-  let st = Partition_state.create_with_masks hu ~masks:init in
+  List.iter (fun (c, _) -> mask_i.(c) <- Bitvec.empty) pi.members;
+  List.iter (fun (c, _) -> mask_j.(c) <- Bitvec.empty) pj.members;
   let obj = opts.objective in
   let bounds (p : part) =
     Fm.bounds
@@ -460,7 +472,7 @@ let refine_pair ~opts ~obs ?active hg library (pi : part) (pj : part) =
       ~should_stop:opts.should_stop ?active:sub_active ~bounds_a:(bounds pi)
       ~bounds_b:(bounds pj) ()
   in
-  let s0 = cfg.Fm.score st in
+  let s0 = Fm.score_of cfg st in
   let s1 = Fm.run_staged ~obs cfg st in
   let pen, _, _ = s1 in
   if pen <> 0 || s1 >= s0 then None
@@ -469,13 +481,7 @@ let refine_pair ~opts ~obs ?active hg library (pi : part) (pj : part) =
       Partition_state.side_copies st side
       |> List.map (fun (k, m) ->
              let orig, um = spec_arr.(k) in
-             let outs = Bitvec.to_list um in
-             let om =
-               Bitvec.fold
-                 (fun pos acc -> Bitvec.add (List.nth outs pos) acc)
-                 m Bitvec.empty
-             in
-             (orig, om))
+             (orig, expand um m))
     in
     let rebuild side (p : part) =
       let clbs = Partition_state.area st side in
@@ -532,6 +538,8 @@ let refine ~opts ~obs ?dirty hg library parts =
           Some dn
     in
     let active = Option.map (fun d c -> d.(c)) dirty in
+    let mask_i = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
+    let mask_j = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
     for round = 1 to opts.refine_rounds do
       (* Shared-net counts per pair. *)
       let touch = Array.make hg.Hypergraph.num_nets [] in
@@ -552,20 +560,24 @@ let refine ~opts ~obs ?dirty hg library parts =
                 (Hypergraph.connected_nets (Hypergraph.cell hg c) ~out_mask:m))
             p.members)
         parts;
-      let shared = Hashtbl.create 32 in
-      Array.iter
-        (fun l ->
-          let l = List.sort_uniq compare l in
-          List.iteri
-            (fun a i ->
-              List.iteri
-                (fun b j ->
-                  if b > a then
-                    Hashtbl.replace shared (i, j)
-                      (1 + try Hashtbl.find shared (i, j) with Not_found -> 0))
-                l)
-            l)
-        touch;
+      (* [shared.(i * k + j)], i < j: nets part i and part j share. Parts
+         are visited in ascending order and pushed once per net, so each
+         [touch] list is strictly decreasing: every pair in it is counted
+         once, with no sort. *)
+      let shared = Array.make (k * k) 0 in
+      let rec bump j = function
+        | [] -> ()
+        | i :: rest ->
+            shared.((i * k) + j) <- shared.((i * k) + j) + 1;
+            bump j rest
+      in
+      let rec count_pairs = function
+        | [] -> ()
+        | j :: rest ->
+            bump j rest;
+            count_pairs rest
+      in
+      Array.iter count_pairs touch;
       (* Most-connected pairs first; cap the sweep so refinement stays a
          small fraction of the driver's own cost on many-part results.
          Each [refine_pair] hauls every net touching the pair into an
@@ -574,9 +586,15 @@ let refine ~opts ~obs ?dirty hg library parts =
          the k best-connected pairs — the sorted order ensures those
          carry most of the recoverable gain. Paper-suite graphs stay
          far below the net threshold and keep the wide sweep. *)
+      let counted = ref [] in
+      for i = 0 to k - 1 do
+        for j = i + 1 to k - 1 do
+          let n = shared.((i * k) + j) in
+          if n > 0 then counted := (n, (i, j)) :: !counted
+        done
+      done;
       let pairs =
-        Hashtbl.fold (fun p n acc -> (n, p) :: acc) shared []
-        |> List.sort (fun a b -> compare b a)
+        List.sort (fun a b -> compare b a) !counted
         |> List.map snd
         |> List.filteri (fun i _ -> i < 4 * k)
       in
@@ -588,7 +606,8 @@ let refine ~opts ~obs ?dirty hg library parts =
               if opts.should_stop () then ()
               else
               match
-                refine_pair ~opts ~obs ?active hg library parts.(i) parts.(j)
+                refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library
+                  parts.(i) parts.(j)
               with
               | Some (pi, pj, t_before, t_after) ->
                   parts.(i) <- pi;
@@ -842,17 +861,15 @@ let summarize_parts hg parts =
       parts
   in
   let summary = Fpga.Cost.summarize placements in
-  let appearances = Hashtbl.create 64 in
+  let appearances = Array.make (Hypergraph.num_cells hg) 0 in
   List.iter
     (fun p ->
       List.iter
-        (fun (c, _) ->
-          Hashtbl.replace appearances c
-            (1 + try Hashtbl.find appearances c with Not_found -> 0))
+        (fun (c, _) -> appearances.(c) <- appearances.(c) + 1)
         p.members)
     parts;
   let replicated =
-    Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) appearances 0
+    Array.fold_left (fun acc n -> if n > 1 then acc + 1 else acc) 0 appearances
   in
   (summary, replicated, Hypergraph.num_cells hg)
 

@@ -288,7 +288,7 @@ let clustered ?(name = "clustered") p =
     done;
     for _ = 1 to p.cluster_inputs do
       let foreign =
-        Rng.float rng 1.0 < p.foreign_fraction
+        Rng.chance rng p.foreign_fraction
         && (Vec.length exported > 0 || p.clusters > 1)
       in
       let s =
@@ -459,7 +459,7 @@ let scale ?(name = "scale") p =
     done;
     let regional = region_exports.(r) in
     for _ = 1 to p.sc_region_imports do
-      let global = Rng.float rng 1.0 < p.sc_global_fraction in
+      let global = Rng.chance rng p.sc_global_fraction in
       let s =
         if global && Vec.length global_exports > 0 then
           Vec.get global_exports (Rng.int rng (Vec.length global_exports))

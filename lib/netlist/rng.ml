@@ -1,22 +1,31 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: an [int64] record field boxes every
+   update, and a draw that returns an [int] or a [bool] then allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -31,9 +40,14 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t x =
-  let raw = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  x *. (raw /. 9007199254740992.0 (* 2^53 *))
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
+  /. 9007199254740992.0 (* 2^53 *)
+
+let float t x = x *. unit_float t
+
+(* [float t 1.0 < p] without boxing the float: [1.0 *. u] is [u]. *)
+let chance t p = unit_float t < p
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
@@ -48,7 +62,7 @@ let shuffle t arr =
   done
 
 let sample t n bound =
-  if n > bound then invalid_arg "Rng.sample: n > bound";
+  if n < 0 || n > bound then invalid_arg "Rng.sample: need 0 <= n <= bound";
   (* Partial Fisher-Yates over an index table; O(bound) space, O(bound+n)
      time, which is fine at netlist scale. *)
   let table = Array.init bound (fun i -> i) in

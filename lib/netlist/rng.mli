@@ -6,7 +6,8 @@
     seed, independently of the OCaml runtime's [Random] state. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: {!int}, {!bool} and {!chance}
+    allocate nothing per draw. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
@@ -37,6 +38,10 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: true with probability [p], drawing
+    the same stream as {!float}. It allocates nothing. *)
+
 val pick : t -> 'a array -> 'a
 (** [pick t arr] is a uniformly random element. Raises [Invalid_argument] on
     an empty array. *)
@@ -46,4 +51,4 @@ val shuffle : t -> 'a array -> unit
 
 val sample : t -> int -> int -> int array
 (** [sample t n bound] draws [n] distinct integers from [\[0, bound)] in
-    random order. Raises [Invalid_argument] if [n > bound]. *)
+    random order. Raises [Invalid_argument] unless [0 <= n <= bound]. *)

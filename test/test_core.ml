@@ -670,8 +670,10 @@ let test_fm_candidates_allocation_free () =
   check_candidates_allocation_free "s9234 clusters" cst
     ~replication:ccfg.Fm.replication
 
-(* The per-move residue is the score tuple; the per-run workspace
-   (bucket, op registers, stamps, trail) amortises over the moves. *)
+(* The measured run reuses the workspace (bucket, op registers, stamps,
+   trail) the first run left in this domain's slot, and scores prefixes
+   into registers, so a move allocates nothing; what is left is per
+   run: the closures [Fm.run] builds and its result tuple. *)
 let check_words_per_move label h cfg ~seed ~bound =
   let fresh () = Fm.random_state (Netlist.Rng.create seed) h in
   let obs = Obs.create () in
@@ -690,7 +692,7 @@ let check_words_per_move label h cfg ~seed ~bound =
 
 let test_fm_run_words_per_move () =
   let h = s9234_hypergraph () in
-  check_words_per_move "s9234" h (alloc_config h) ~seed:3 ~bound:12.0;
+  check_words_per_move "s9234" h (alloc_config h) ~seed:3 ~bound:1.0;
   (* The hot-loop microbenchmark's protocol (bench/main.exe hotloop
      --hotloop-circuit c6288 --hotloop-runs 1): balance config with
      replication at threshold 0, seed 7, one run. *)
@@ -702,19 +704,41 @@ let test_fm_run_words_per_move () =
     Fm.balance_config ~replication:(`Functional 0)
       ~total_area:(Hypergraph.total_area h) ()
   in
-  check_words_per_move "c6288" h cfg ~seed:7 ~bound:16.0
+  check_words_per_move "c6288" h cfg ~seed:7 ~bound:1.0
+
+(* A chain of [n] buffers and one hub cell reading the first 40 chain
+   nets: more cells than [random_hypergraph] makes in the property below,
+   and a far higher maximum degree (41), so a workspace left by a run on
+   it has more items and a wider bucket range. *)
+let hub_hypergraph n =
+  let buffers =
+    List.init n (fun k ->
+        Test_util.spec (Printf.sprintf "b%d" k) [ k ] [ k + 1 ]
+          [ Bitvec.singleton 0 ])
+  in
+  let hub =
+    Test_util.spec "hub" (List.init 40 (fun k -> k + 1)) [ n + 1 ]
+      [ Bitvec.full 40 ]
+  in
+  Hypergraph.create ~num_nets:(n + 2) ~external_nets:[ 0 ] (buffers @ [ hub ])
+
+(* [f ()] on a domain of its own, whose workspace slot starts empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
 
 let qcheck_fm_staged_workspace_fresh =
   (* run_staged hands one workspace to both stages; each stage must see
      it exactly as fresh (stamps, op registers, locks, bucket), so the
-     staged run equals two fresh runs on a copy. The oracle (which makes
-     identical decisions) on the staged side trips
-     on a rescore a stale epoch stamp skipped, even when the skip happens
-     not to change the outcome. *)
+     staged run equals two fresh runs on a copy, each on a new domain.
+     With [leftover], the staged run's domain first runs F-M on a larger
+     graph of higher degree, so it reuses a workspace with more items and
+     a wider gain range than its own graph needs. The oracle (which makes
+     identical decisions) on the staged side trips on a rescore a stale
+     epoch stamp skipped, even when the skip happens not to change the
+     outcome. *)
   QCheck.Test.make ~name:"run_staged = fresh plain run, then fresh run"
     ~count:100
-    QCheck.(pair small_int (int_range 6 60))
-    (fun (seed, n_cells) ->
+    QCheck.(triple small_int (int_range 6 60) bool)
+    (fun (seed, n_cells, leftover) ->
       let h = Test_util.random_hypergraph seed n_cells in
       let cfg =
         Fm.balance_config ~replication:(`Functional 0)
@@ -722,15 +746,75 @@ let qcheck_fm_staged_workspace_fresh =
       in
       let st = Fm.random_state (Netlist.Rng.create (seed + 1)) h in
       let fresh = Partition_state.copy st in
-      let staged = Fm.run_staged { cfg with Fm.oracle = true } st in
-      ignore (Fm.run { cfg with Fm.replication = `None } fresh);
-      let score = Fm.run cfg fresh in
+      let staged =
+        on_fresh_domain (fun () ->
+            (if leftover then
+               let big = hub_hypergraph 150 in
+               ignore
+                 (Fm.run_staged
+                    (Fm.balance_config ~replication:(`Functional 0)
+                       ~total_area:(Hypergraph.total_area big) ())
+                    (Fm.random_state (Netlist.Rng.create seed) big)));
+            Fm.run_staged { cfg with Fm.oracle = true } st)
+      in
+      on_fresh_domain (fun () ->
+          ignore (Fm.run { cfg with Fm.replication = `None } fresh));
+      let score = on_fresh_domain (fun () -> Fm.run cfg fresh) in
       staged = score
       && List.for_all
            (fun c ->
              Bitvec.equal (Partition_state.mask st c)
                (Partition_state.mask fresh c))
            (List.init n_cells Fun.id))
+
+(* Staged runs on different graphs at once, in two systhreads of one
+   domain and in two domains, end exactly as when run one after another:
+   same masks, score and applied-op count. *)
+let test_fm_concurrent_runs () =
+  let graphs =
+    List.map
+      (fun name ->
+        Lazy.force
+          (Option.get (Experiments.Suite.find name)).Experiments.Suite.hypergraph)
+      [ "c6288"; "s9234" ]
+  in
+  let run h =
+    let st = Fm.random_state (Netlist.Rng.create 5) h in
+    let obs = Obs.create () in
+    let score = Fm.run_staged ~obs (alloc_config h) st in
+    let applied =
+      List.assoc "fm.applied_ops" (Obs.snapshot obs).Obs.Snapshot.counters
+    in
+    ( score,
+      applied,
+      Array.init (Hypergraph.num_cells h) (Partition_state.mask st) )
+  in
+  let expected = List.map run graphs in
+  let check how got =
+    List.iteri
+      (fun i ((s, a, m), (s', a', m')) ->
+        let label = Printf.sprintf "%s, graph %d" how i in
+        checkb (label ^ ": score") true (s = s');
+        checki (label ^ ": fm.applied_ops") a a';
+        checkb (label ^ ": masks") true (m = m'))
+      (List.combine expected got)
+  in
+  let in_threads =
+    List.map
+      (fun h ->
+        let r = ref None in
+        (Thread.create (fun () -> r := Some (run h)) (), r))
+      graphs
+    |> List.map (fun (t, r) ->
+           Thread.join t;
+           Option.get !r)
+  in
+  check "systhreads" in_threads;
+  let in_domains =
+    List.map (fun h -> Domain.spawn (fun () -> run h)) graphs
+    |> List.map Domain.join
+  in
+  check "domains" in_domains
 
 let qcheck_fm_oracle_never_trips =
   (* The oracle cross-check aborts the run on any stale cached gain; it
@@ -744,7 +828,8 @@ let qcheck_fm_oracle_never_trips =
         Fm.Config.make ~oracle:true
           ~replication:(if functional then `Functional 0 else `None)
           ~area_ok:(fun _ _ -> true)
-          ~score:(fun st -> (0, Fm.objective_value Fm.Cut st, 0))
+          ~score:(fun st r ->
+            Fm.set_score r 0 (Fm.objective_value Fm.Cut st) 0)
           ()
       in
       let st = Fm.random_state (Netlist.Rng.create (seed + 13)) h in
@@ -1517,6 +1602,36 @@ let test_kway_objectives () =
               Alcotest.fail (objective.Fpga.Objective.name ^ " unsound: " ^ e)))
     Fpga.Objective.builtins
 
+(* One paper-suite job's partition (the e2ebench options: one run, seed
+   100, replication T=1, XC3000) of s15850, on a fresh domain so that no
+   earlier test's F-M workspace is reused. The bound holds what the k-way
+   search allocates beyond its result: the F-M workspace once per domain,
+   prefix scores in registers, unboxed RNG draws, array-built split and
+   refinement bookkeeping. *)
+let test_kway_allocation () =
+  let h =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "s15850")).Experiments.Suite.hypergraph
+  in
+  let options =
+    Kway.Options.make ~runs:1 ~seed:100 ~replication:(`Functional 1) ()
+  in
+  let words, ok =
+    on_fresh_domain (fun () ->
+        let ok = ref false in
+        let words =
+          Test_util.words_during (fun () ->
+              ok :=
+                Result.is_ok
+                  (Kway.partition ~options ~library:Fpga.Library.xc3000 h))
+        in
+        (words, !ok))
+  in
+  checkb "s15850 partitions" true ok;
+  if words > 2.0e6 then
+    Alcotest.failf "Kway.partition of s15850 allocated %.2f Mw (bound 2.0)"
+      (words /. 1e6)
+
 let test_kway_xc4000 () =
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
   match Kway.partition ~options:small_options ~library:Fpga.Library.xc4000 h with
@@ -1903,12 +2018,12 @@ let test_fm_config_validation () =
   expect_invalid "fm max_passes 0" (fun () ->
       Fm.Config.make ~max_passes:0
         ~area_ok:(fun _ _ -> true)
-        ~score:(fun _ -> (0, 0, 0))
+        ~score:(fun _ r -> Fm.set_score r 0 0 0)
         ());
   expect_invalid "fm max_passes negative" (fun () ->
       Fm.Config.make ~max_passes:(-2)
         ~area_ok:(fun _ _ -> true)
-        ~score:(fun _ -> (0, 0, 0))
+        ~score:(fun _ r -> Fm.set_score r 0 0 0)
         ())
 
 let test_kway_cancellation () =
@@ -2031,6 +2146,8 @@ let () =
           qc qcheck_fm_oracle_never_trips;
           Alcotest.test_case "staged never worse" `Quick test_fm_staged_never_worse;
           qc qcheck_fm_staged_workspace_fresh;
+          Alcotest.test_case "concurrent runs = sequential runs" `Quick
+            test_fm_concurrent_runs;
           Alcotest.test_case "traditional model weaker" `Quick
             test_fm_traditional_model_weaker;
           Alcotest.test_case "two-device refinement config" `Quick
@@ -2073,6 +2190,7 @@ let () =
           Alcotest.test_case "demand arity pinned" `Quick test_demand_arity_pin;
           Alcotest.test_case "all builtin objectives" `Quick
             test_kway_objectives;
+          Alcotest.test_case "allocation (s15850)" `Quick test_kway_allocation;
         ] );
       ( "telemetry",
         [

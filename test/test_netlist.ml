@@ -67,8 +67,123 @@ let test_rng_invalid () =
     (fun () -> ignore (Rng.int rng 0));
   Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range")
     (fun () -> ignore (Rng.int_in rng 3 2));
-  Alcotest.check_raises "sample too big" (Invalid_argument "Rng.sample: n > bound")
-    (fun () -> ignore (Rng.sample rng 5 4))
+  let bad_sample = Invalid_argument "Rng.sample: need 0 <= n <= bound" in
+  Alcotest.check_raises "sample too big" bad_sample (fun () ->
+      ignore (Rng.sample rng 5 4));
+  Alcotest.check_raises "sample negative count" bad_sample (fun () ->
+      ignore (Rng.sample rng (-1) 5));
+  Alcotest.check_raises "sample negative bound" bad_sample (fun () ->
+      ignore (Rng.sample rng (-2) (-1)))
+
+(* The generator as it was with its state in a boxed [int64] field: the
+   reference the unboxed one must match draw for draw. *)
+module Rng_reference = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+  let create seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let mix z =
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next_int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix t.state
+
+  let split t = { state = next_int64 t }
+
+  let int t bound =
+    let raw = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
+    raw mod bound
+
+  let int_in t lo hi = lo + int t (hi - lo + 1)
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+  let float t x =
+    let raw = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+    x *. (raw /. 9007199254740992.0)
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+
+  let sample t n bound =
+    let table = Array.init bound (fun i -> i) in
+    for i = 0 to n - 1 do
+      let j = int_in t i (bound - 1) in
+      let tmp = table.(i) in
+      table.(i) <- table.(j);
+      table.(j) <- tmp
+    done;
+    Array.sub table 0 n
+end
+
+(* Random op sequences from one seed give equal results on both
+   generators. [split] moves the sequence onto the child, so later ops
+   draw from it; [copy] draws from the copy and leaves the original, which
+   later ops then show was not advanced. *)
+let qcheck_rng_matches_reference =
+  QCheck.Test.make ~name:"Rng = boxed-state reference, op for op" ~count:300
+    QCheck.(pair int (list (pair (int_bound 8) (int_range 1 1000))))
+    (fun (seed, ops) ->
+      let t = ref (Rng.create seed) and r = ref (Rng_reference.create seed) in
+      List.for_all
+        (fun (op, a) ->
+          match op with
+          | 0 -> Rng.int !t a = Rng_reference.int !r a
+          | 1 -> Rng.int_in !t (-a) a = Rng_reference.int_in !r (-a) a
+          | 2 -> Rng.bool !t = Rng_reference.bool !r
+          | 3 ->
+              let x = float_of_int a /. 7.0 in
+              Rng.float !t x = Rng_reference.float !r x
+          | 4 ->
+              let p = float_of_int a /. 1000.0 in
+              Rng.chance !t p = (Rng_reference.float !r 1.0 < p)
+          | 5 ->
+              t := Rng.split !t;
+              r := Rng_reference.split !r;
+              true
+          | 6 ->
+              Rng.int (Rng.copy !t) a
+              = Rng_reference.int (Rng_reference.copy !r) a
+          | 7 ->
+              let xs = Array.init (a mod 40) Fun.id in
+              let ys = Array.copy xs in
+              Rng.shuffle !t xs;
+              Rng_reference.shuffle !r ys;
+              xs = ys
+          | _ ->
+              let bound = a mod 50 in
+              let n = a mod (bound + 1) in
+              Rng.sample !t n bound = Rng_reference.sample !r n bound)
+        ops)
+
+(* A boolean draw allocates nothing; [float 1.0 < p], its spelling before
+   [chance], allocated the boxed state update, the boxed raw draw and the
+   boxed result. *)
+let test_rng_chance_allocation () =
+  let rng = Rng.create 9 in
+  let words =
+    Test_util.words_during (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Rng.chance rng 0.5)
+        done)
+  in
+  if words <> 0.0 then
+    Alcotest.failf "10,000 Rng.chance draws allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                *)
@@ -1546,6 +1661,9 @@ let () =
           Alcotest.test_case "sample" `Quick test_rng_sample;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid;
+          qc qcheck_rng_matches_reference;
+          Alcotest.test_case "chance allocates nothing" `Quick
+            test_rng_chance_allocation;
         ] );
       ( "vec",
         [

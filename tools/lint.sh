@@ -37,12 +37,12 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
   fi
 done
 
-# One result per input: in lib/techmap, coarsening and the .bench parser
-# no result may depend on the order a hash table is iterated in, since
-# that order changes with the hash seed (OCAMLRUNPARAM=R). Look entries
-# up; iterate arrays.
+# One result per input: in lib/techmap, coarsening, the .bench parser,
+# F-M and the k-way partitioner no result may depend on the order a hash
+# table is iterated in, since that order changes with the hash seed
+# (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
 for f in $(git ls-files 'lib/techmap/*.ml' lib/core/coarsen.ml \
-  lib/netlist/bench_format.ml); do
+  lib/netlist/bench_format.ml lib/core/fm.ml lib/core/kway.ml); do
   if grep -qE 'Hashtbl\.(iter|fold|to_seq)' "$f"; then
     echo "lint: hash-table iteration in $f" \
       "(iteration order must not decide a result)" >&2
