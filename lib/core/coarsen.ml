@@ -410,24 +410,3 @@ let hierarchy ?(coarsest = 150) ?(max_levels = 12) ?(stall_ratio = 0.9)
   in
   let levels, coarsest_h = build [] h 0 in
   { coarsest = coarsest_h; levels }
-
-let multilevel_init ?(coarsest = 150) ?(max_levels = 12) ~rng cfg h =
-  let plain_cfg = { cfg with Fm.replication = `None } in
-  let hier = hierarchy ~coarsest ~max_levels ~rng h in
-  (* Initial partition of the coarsest graph: random halves + F-M. *)
-  let st = Fm.random_state rng hier.coarsest in
-  ignore (Fm.run plain_cfg st);
-  (* Uncoarsening: project the assignment, refine at each level. *)
-  let rec project st_coarse = function
-    | [] -> st_coarse
-    | (h_fine, map) :: rest ->
-        let st_fine =
-          Partition_state.create h_fine ~init_on_b:(fun c ->
-              match Partition_state.single_side st_coarse map.(c) with
-              | Some Partition_state.B -> true
-              | _ -> false)
-        in
-        ignore (Fm.run plain_cfg st_fine);
-        project st_fine rest
-  in
-  project st hier.levels

@@ -3,10 +3,9 @@
     The paper's 1994 flat F-M struggles on the largest circuits; the
     multilevel scheme that later became standard (coarsen by heavy-edge
     matching, partition the small graph, project and refine level by
-    level) is implemented here. Two consumers exist: {!multilevel_init}
-    keeps the historical role of seeding a single bipartition (the bench
-    ablation baseline), and {!hierarchy} feeds the k-way V-cycle driver
-    ([Kway] with [~strategy:(Multilevel _)]).
+    level) is implemented here: {!hierarchy} feeds the k-way V-cycle
+    driver ([Kway] with [~strategy:(Multilevel _)]) and the bench
+    ablation's multilevel bipartition ([Experiments.Ablation]).
 
     Coarse cells are clusters: their area and demand vector are the
     per-axis sums over their members and their per-output supports are
@@ -106,19 +105,3 @@ val project_labels : map:int array -> int array -> int array
     preserves per-label areas, demand vectors and cut exactly — coarsening
     drops only nets internal to one cluster, which are internal to one
     label by construction. *)
-
-val multilevel_init :
-  ?coarsest:int ->
-  ?max_levels:int ->
-  rng:Netlist.Rng.t ->
-  Fm.config ->
-  Hypergraph.t ->
-  Partition_state.t
-(** Build an initial bipartition of the fine hypergraph by the multilevel
-    scheme: coarsen until at most [coarsest] cells (default 150) or
-    [max_levels] (default 12) levels, random-partition and F-M the
-    coarsest graph, then project and F-M-refine upward. The given config's
-    [score]/[area_ok] are reused at every level (areas are preserved by
-    the cluster weights); replication is disabled during the multilevel
-    phase regardless of the config. The returned state belongs to the
-    original hypergraph and is ready for {!Fm.run} or {!Fm.run_staged}. *)

@@ -130,6 +130,24 @@ type multilevel_row = {
   ml_repl : int;
 }
 
+let multilevel_init ~rng cfg h =
+  let hier = Core.Coarsen.hierarchy ~rng h in
+  let st = Core.Fm.random_state rng hier.Core.Coarsen.coarsest in
+  ignore (Core.Fm.run cfg st);
+  let rec project st_coarse = function
+    | [] -> st_coarse
+    | (h_fine, map) :: rest ->
+        let st_fine =
+          Partition_state.create h_fine ~init_on_b:(fun c ->
+              match Partition_state.single_side st_coarse map.(c) with
+              | Some Partition_state.B -> true
+              | _ -> false)
+        in
+        ignore (Core.Fm.run cfg st_fine);
+        project st_fine rest
+  in
+  project st hier.Core.Coarsen.levels
+
 let multilevel ?(runs = 5) ?(seed = 7) (e : Suite.entry) =
   let h = Lazy.force e.Suite.hypergraph in
   let total = Hypergraph.total_area h in
@@ -149,8 +167,9 @@ let multilevel ?(runs = 5) ?(seed = 7) (e : Suite.entry) =
     let _, cut, _ = runner cfg st in
     cut
   in
+  (* The coarse levels never replicate; [runner] refines with [cfg]. *)
   let ml cfg runner rng =
-    let st = Core.Coarsen.multilevel_init ~rng cfg h in
+    let st = multilevel_init ~rng plain_cfg h in
     let _, cut, _ = runner cfg st in
     cut
   in

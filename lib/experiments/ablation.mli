@@ -52,5 +52,15 @@ type multilevel_row = {
   ml_repl : int;
 }
 
+val multilevel_init :
+  rng:Netlist.Rng.t -> Core.Fm.config -> Hypergraph.t -> Partition_state.t
+(** An initial bipartition of the fine hypergraph by the multilevel
+    scheme: {!Core.Coarsen.hierarchy} with its defaults, random halves of
+    the coarsest graph, F-M there, then project and F-M-refine level by
+    level with the given config. Coarse cells are opaque clusters, so the
+    config should not replicate. The returned state belongs to the
+    original hypergraph and is ready for {!Core.Fm.run} or
+    {!Core.Fm.run_staged}. *)
+
 val multilevel : ?runs:int -> ?seed:int -> Suite.entry -> multilevel_row
 val pp_multilevel : Format.formatter -> multilevel_row list -> unit

@@ -9,8 +9,8 @@
     {b Scrub mode} renders each record through [Scrub.null_mask Log]:
     the stats determinism contract plus ["_ms"] (see {!Scrub}), which
     nulls ["ts_secs"] itself too. Two identical serialized runs must then
-    produce byte-identical logs — `tools/check_metrics.sh` enforces
-    exactly that against the live daemon. *)
+    produce byte-identical logs — test_service enforces exactly that
+    against a live daemon. *)
 
 type level = Debug | Info | Warn | Error
 

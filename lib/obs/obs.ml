@@ -452,7 +452,7 @@ module Trace = struct
         | None -> []
         | Some tr ->
             (* Global begin-time order makes the per-tid timestamp stream
-               non-decreasing (what tools/check_trace.sh validates); on
+               non-decreasing (what test_contracts validates); on
                equal begins the longer (enclosing) span comes first so
                viewers nest children correctly. *)
             List.rev tr.spans_rev

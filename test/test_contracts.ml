@@ -1,98 +1,62 @@
-(* The fixed contracts on the nine MCNC-profile circuits, checked through
-   the built fpgapart binary (dune passes its path in FPGAPART_BIN) and
-   compared only through Obs.Scrub:
+(* The acceptance contracts, checked through the built fpgapart binary
+   (dune passes its path in FPGAPART_BIN); stats documents are compared
+   only through Obs.Scrub:
 
    - golden identity: a default run (paper objective, flat strategy, the
      outer FPGAPART_JOBS) reduces under Scrub.stable to exactly
      test/golden/<circuit>.baseline.json, the scalar partitioner's
      decisions before the objective API existed; s9234 --multilevel and
      c1355 --objective multi-personality have goldens of their own;
+   - schema keys: the c6288 default run and the s9234 --multilevel run
+     (golden runs) carry every documented stats key;
    - jobs independence: against a FPGAPART_JOBS=1 baseline, a same-seed
      run, --jobs 4 --trace, FPGAPART_JOBS=4, the default run and a
      multilevel run at jobs 4 are byte-identical after the null mask, and
-     the stats document records neither jobs nor the trace;
+     the stats document records neither jobs nor the trace, while the
+     trace itself is a valid Chrome trace-event document;
    - oracle identity: FPGAPART_FM_ORACLE=1 (every cached F-M gain
      cross-checked from scratch) changes nothing after the null mask, at
      the outer FPGAPART_JOBS, on c6288, or on all nine circuits when
      FPGAPART_PERF_FULL is set;
    - the non-paper objectives run, and an unknown one is refused;
-   - an output path that cannot be written exits 1 with a message. *)
+   - an output path that cannot be written exits 1 with a message;
+   - the daemon through the CLI (`fpgapart serve`): a permuted netlist is
+     answered byte-identically from the cache and shutdown unlinks the
+     socket; a 1% ECO of s38584 resubmitted warm is at least 10x faster
+     than the cold run and within 2% of its cost, and the empty delta
+     replies the base bytes without running F-M; the svc-metrics
+     exposition follows the OpenMetrics rules and --log-scrub
+     --log-file writes the scrubbed lifecycle log;
+   - scale: the multilevel V-cycle partitions gen100k within its
+     result.wall_secs budget (30 s, FPGAPART_ML_BUDGET_SECS), and gen1m
+     within 300 s (FPGAPART_ML_BUDGET_1M_SECS) under FPGAPART_PERF_FULL.
+
+   The fleet's contracts through the CLI (`serve --workers N`) are in
+   test_fleet. *)
 
 module J = Obs.Json
+module U = Test_util
 
 let circuits =
   [ "c1355"; "c5315"; "c6288"; "c7552"; "s13207"; "s15850"; "s38584";
     "s5378"; "s9234" ]
 
-let exe =
-  match Sys.getenv_opt "FPGAPART_BIN" with
-  | Some p -> p
-  | None -> Filename.concat (Sys.getcwd ()) "../bin/fpgapart.exe"
-
-(* Children inherit the caller's environment, so the golden and oracle
-   runs execute at the outer FPGAPART_JOBS; a variable a check sets itself
-   replaces the inherited one, and FPGAPART_FM_ORACLE is only ever set by
-   the oracle check. *)
-let child_env env =
-  let name kv =
-    match String.index_opt kv '=' with
-    | Some i -> String.sub kv 0 i
-    | None -> kv
-  in
-  let own = "FPGAPART_FM_ORACLE" :: List.map name env in
-  env
-  @ List.filter
-      (fun kv -> not (List.mem (name kv) own))
-      (Array.to_list (Unix.environment ()))
-
-let temp suffix = Filename.temp_file "contracts" suffix
-
-let read_file path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
+let take path =
+  let s = U.read_file path in
   Sys.remove path;
   s
 
-(* Run fpgapart with stdout discarded; the exit code and stderr. *)
-let run ?(env = []) args =
-  let err = temp ".err" in
-  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process_env exe
-      (Array.of_list (exe :: args))
-      (Array.of_list (child_env env))
-      Unix.stdin null err_fd
-  in
-  Unix.close err_fd;
-  Unix.close null;
-  let code =
-    match snd (Unix.waitpid [] pid) with Unix.WEXITED n -> n | _ -> -1
-  in
-  (code, read_file err)
-
-let parse what text =
-  match J.of_string text with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "%s: %s" what e
-
 (* The stats document of a seed-1 partition of [circuit]. *)
 let stats ?env circuit args =
-  let out = temp ".json" in
+  let out = U.temp ".json" in
   let flags = [ "--circuit"; circuit; "--seed"; "1"; "--stats-json"; out ] in
-  let code, err = run ?env (("partition" :: flags) @ args) in
-  if code <> 0 then
-    Alcotest.failf "partition %s exited %d: %s" circuit code err;
-  parse circuit (read_file out)
+  ignore (U.run_ok ?env (("partition" :: flags) @ args));
+  U.parse_json circuit (take out)
 
 (* Default runs feed the golden, determinism and oracle checks alike. *)
 let defaults = List.map (fun c -> (c, lazy (stats c []))) circuits
 
 let default_run circuit = Lazy.force (List.assoc circuit defaults)
-
-let rec has_key k = function
-  | J.Obj fields -> List.exists (fun (k', v) -> k = k' || has_key k v) fields
-  | J.List items -> List.exists (has_key k) items
-  | _ -> false
 
 let objective doc =
   Option.bind (J.member "options" doc) (J.member "objective")
@@ -128,15 +92,57 @@ let goldens =
         "multi-personality" );
     ]
 
+(* Every key the README documents for stats schema v6, and the fields
+   that must hold a given value, on two of the golden runs. The flat
+   run: the per-pass F-M event fields, the per-split device attempts,
+   the split wall/CPU timing, the histograms of F-M gains and bucket-scan
+   lengths, the incremental-rescoring telemetry, the objective name and
+   per-axis resource_util, and the strategy. The multilevel run: the
+   V-cycle counters, histograms and events, and the knob object. *)
+let schema =
+  let event e = ("event", J.String e) in
+  [
+    ( "c6288",
+      ( [
+          ("schema_version", J.Int 6); event "fm.pass";
+          event "kway.device_attempt"; event "kway.split";
+          ("objective", J.String "paper"); ("strategy", J.String "flat");
+        ],
+        [
+          "circuit"; "seed"; "options"; "result"; "obs"; "counters"; "timers";
+          "events"; "parts"; "wall_secs"; "cpu_secs"; "pass"; "applied";
+          "rolled_back"; "repl_attempted"; "repl_accepted"; "cut";
+          "terminals"; "improved"; "feasible"; "span"; "fm.passes";
+          "kway.device_attempts"; "kway.splits"; "fm.rescored_cells";
+          "resource_util"; "clb_util"; "io_util"; "histograms"; "fm.gain";
+          "fm.scan_len"; "fm.moves_per_sec"; "kway.attempt_cut";
+          "kway.split_cut"; "count"; "sum"; "buckets";
+        ] ) );
+    ( "s9234.multilevel",
+      ( [ event "ml.coarsen"; event "ml.refine" ],
+        [
+          "ml.level"; "ml.cells_per_level"; "ml.coarsen_ratio"; "max_levels";
+          "coarsen_ratio"; "refine_passes";
+        ] ) );
+  ]
+
 let test_golden (stem, circuit, args, name) () =
   let doc = if args = [] then default_run circuit else stats circuit args in
   Alcotest.(check (option json))
     "objective" (Some (J.String name)) (objective doc);
+  let fields, keys =
+    Option.value ~default:([], []) (List.assoc_opt stem schema)
+  in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check bool)
+        (k ^ ": " ^ J.to_string v)
+        true (U.has_field k v doc))
+    fields;
+  List.iter (fun k -> Alcotest.(check bool) k true (U.has_key k doc)) keys;
   let golden =
-    parse "golden"
-      (In_channel.with_open_bin
-         (Printf.sprintf "golden/%s.baseline.json" stem)
-         In_channel.input_all)
+    U.parse_json "golden"
+      (U.read_file (Printf.sprintf "golden/%s.baseline.json" stem))
   in
   Alcotest.check json "stable subset equals the golden" golden
     (Obs.Scrub.stable doc)
@@ -148,22 +154,68 @@ let test_objective_smoke () =
         ("stamps " ^ name) (Some (J.String name))
         (objective (stats "c1355" [ "--objective"; name ])))
     [ "multi-personality"; "chiplet" ];
-  let code, _ =
-    run [ "partition"; "--circuit"; "c1355"; "--objective"; "no-such" ]
+  let code, _, _ =
+    U.run [ "partition"; "--circuit"; "c1355"; "--objective"; "no-such" ]
   in
   Alcotest.(check bool) "unknown objective refused" true (code <> 0)
+
+(* The Chrome trace-event document Perfetto loads: complete ("X") events
+   carrying name, pid, tid, ts and dur; dur >= 0; ts non-decreasing per
+   (pid, tid) in file order (spans are sorted by begin time); more than
+   one tid; F-M pass and multi-start run spans (span names are
+   slash-separated paths such as "run0/split0/dev-XC3090/pass4"). *)
+let check_trace doc =
+  let num k e =
+    match Option.bind (J.member k e) J.to_float with
+    | Some v -> v
+    | None -> failwith ("X event without " ^ k ^ ": " ^ J.to_string e)
+  in
+  try
+    let xs =
+      match J.member "traceEvents" doc with
+      | Some (J.List l) ->
+          List.filter (fun e -> J.member "ph" e = Some (J.String "X")) l
+      | _ -> failwith "no traceEvents"
+    in
+    if xs = [] then failwith "no complete (X) events";
+    let last = Hashtbl.create 8 in
+    let names =
+      List.map
+        (fun e ->
+          let lane = (num "pid" e, num "tid" e) and ts = num "ts" e in
+          if num "dur" e < 0.0 then failwith ("negative dur: " ^ J.to_string e);
+          if ts < Option.value ~default:0.0 (Hashtbl.find_opt last lane) then
+            failwith ("ts went backwards on its pid/tid: " ^ J.to_string e);
+          Hashtbl.replace last lane ts;
+          match Option.bind (J.member "name" e) J.to_str with
+          | Some name -> name
+          | None -> failwith ("X event without name: " ^ J.to_string e))
+        xs
+    in
+    if List.length (List.sort_uniq compare (List.map (num "tid") xs)) < 2 then
+      failwith "expected more than one tid";
+    let segments = List.concat_map (String.split_on_char '/') names in
+    List.iter
+      (fun p ->
+        if not (List.exists (String.starts_with ~prefix:p) segments) then
+          failwith ("no " ^ p ^ " spans in the trace"))
+      [ "pass"; "run" ];
+    Ok ()
+  with Failure e -> Error e
 
 (* Every comparison is against runs pinned to FPGAPART_JOBS=1, so the
    baseline does not follow the outer setting. *)
 let test_jobs_independence () =
   let one = [ "FPGAPART_JOBS=1" ] in
   let a = stats ~env:one "c6288" [] in
-  Alcotest.(check bool) "options record no jobs" false (has_key "jobs" a);
+  Alcotest.(check bool) "options record no jobs" false (U.has_key "jobs" a);
   check_scrubbed "same seed" a (stats ~env:one "c6288" []);
-  let trace = temp ".trace.json" in
+  let trace = U.temp ".trace.json" in
   let j4 = stats ~env:one "c6288" [ "--jobs"; "4"; "--trace"; trace ] in
-  Sys.remove trace;
-  Alcotest.(check bool) "no trace in stats" false (has_key "traceEvents" j4);
+  (match check_trace (U.parse_json "trace" (take trace)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "--trace: %s" e);
+  Alcotest.(check bool) "no trace in stats" false (U.has_key "traceEvents" j4);
   check_scrubbed "--jobs 4 --trace" a j4;
   check_scrubbed "FPGAPART_JOBS=4" a
     (stats ~env:[ "FPGAPART_JOBS=4" ] "c6288" []);
@@ -177,15 +229,15 @@ let test_oracle circuit () =
     (stats ~env:[ "FPGAPART_FM_ORACLE=1" ] circuit [])
 
 let test_unwritable_outputs () =
-  let bench = temp ".bench" in
+  let bench = U.temp ".bench" in
   let refused what args =
-    let code, err = run args in
+    let code, _, err = U.run args in
     Alcotest.(check int) (what ^ " exit") 1 code;
     Alcotest.(check bool)
       (what ^ " message") true
       (String.starts_with ~prefix:"fpgapart: cannot write" err)
   in
-  Alcotest.(check int) "generate" 0 (fst (run [ "generate"; "c1355"; bench ]));
+  ignore (U.run_ok [ "generate"; "c1355"; bench ]);
   refused "generate" [ "generate"; "c1355"; "/nonexistent/x.bench" ];
   refused "convert" [ "convert"; bench; "/nonexistent/x.blif" ];
   refused "delta-out"
@@ -197,9 +249,286 @@ let test_unwritable_outputs () =
       "--log-file"; "/nonexistent/l.jsonl" ];
   Sys.remove bench
 
+let generate circuit =
+  let path = U.temp ".bench" in
+  ignore (U.run_ok [ "generate"; circuit; path ]);
+  path
+
+let submit d bench =
+  U.run_ok
+    [ "submit"; "--socket"; d.U.socket; "--bench"; bench; "--runs"; "2";
+      "--seed"; "1" ]
+
+(* A counter of a svc-stats document; an absent counter is 0. *)
+let count stats name =
+  Option.value ~default:0
+    (Option.bind (J.member "obs" stats) (fun o ->
+         Option.bind (J.member "counters" o) (fun c ->
+             Option.bind (J.member name c) J.to_int)))
+
+(* A semantics-preserving byte permutation of a .bench netlist: INPUT
+   declarations first, every other non-blank statement reversed. The
+   parser resolves names independent of statement order. *)
+let permute text =
+  let inputs, rest =
+    List.partition
+      (String.starts_with ~prefix:"INPUT")
+      (String.split_on_char '\n' text)
+  in
+  let rest = List.filter (fun l -> String.trim l <> "") rest in
+  String.concat "\n" (inputs @ List.rev rest) ^ "\n"
+
+let write path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let test_cli_cache_hit () =
+  let bench = generate "c1355" and permuted = U.temp ".bench" in
+  write permuted (permute (U.read_file bench));
+  U.with_daemon [ "--queue-cap"; "4" ] (fun d ->
+      let h = U.run_json [ "svc-health"; "--socket"; d.U.socket ] in
+      Alcotest.(check string)
+        "accepting" "accepting" (U.get J.to_str [ "state" ] h);
+      List.iter
+        (fun (k, v) -> Alcotest.(check int) k v (U.get J.to_int [ k ] h))
+        [ ("protocol_version", 3); ("queue_cap", 4); ("queue_depth", 0);
+          ("inflight", 0) ];
+      Alcotest.(check bool)
+        "uptime" true (U.get J.to_float [ "uptime_secs" ] h >= 0.0);
+      let computed = submit d bench in
+      Alcotest.(check string)
+        "permuted netlist answered byte-identically from the cache" computed
+        (submit d permuted);
+      let stats = U.run_json [ "svc-stats"; "--socket"; d.U.socket ] in
+      Alcotest.(check int) "one cache hit" 1 (count stats "service.cache_hit");
+      Alcotest.(check bool)
+        "a miss" true (count stats "service.cache_miss" >= 1);
+      Alcotest.(check bool)
+        "cached" true (U.get J.to_int [ "cache"; "len" ] stats >= 1);
+      Alcotest.(check int) "clean shutdown" 0 (U.stop_daemon d);
+      Alcotest.(check bool)
+        "socket file removed" false (Sys.file_exists d.U.socket));
+  List.iter Sys.remove [ bench; permuted ]
+
+(* A 1% ECO of s38584 resubmitted against the base partition's digest is
+   served warm at least 10x faster than the cold run of the edited
+   netlist and lands within 2% of the cold cost; the empty delta replies
+   the cached base document byte-for-byte without running F-M. *)
+let test_cli_eco_resubmit () =
+  let base = generate "s38584" in
+  let delta = U.temp ".json" and edited = U.temp ".bench" in
+  let empty = U.temp ".json" in
+  ignore
+    (U.run_ok
+       [ "perturb"; "--bench"; base; "--seed"; "7"; "--frac"; "0.01";
+         "--delta-out"; delta; "--edited-out"; edited ]);
+  write empty {|{"ops":[]}|};
+  U.with_daemon [ "--queue-cap"; "4" ] (fun d ->
+      let base_reply = submit d base in
+      let digest =
+        U.get J.to_str [ "digest" ] (U.parse_json "base reply" base_reply)
+      in
+      let resubmit delta =
+        U.run_ok
+          [ "resubmit"; "--socket"; d.U.socket; "--base-digest"; digest;
+            "--delta"; delta ]
+      in
+      let ms () = int_of_float (Unix.gettimeofday () *. 1000.0) in
+      let t0 = ms () in
+      let cold = submit d edited in
+      let t1 = ms () in
+      let warm = resubmit delta in
+      let cold_ms = t1 - t0 and warm_ms = ms () - t1 in
+      if warm_ms * 10 > cold_ms then
+        Alcotest.failf "warm %d ms vs cold %d ms: not 10x faster" warm_ms
+          cold_ms;
+      let cost r =
+        U.get J.to_float [ "result"; "total_cost" ] (U.parse_json "reply" r)
+      in
+      let cold = cost cold and warm = cost warm in
+      if Float.abs (warm -. cold) > 0.02 *. cold then
+        Alcotest.failf "warm cost %g not within 2%% of cold %g" warm cold;
+      let stats () = U.run_json [ "svc-stats"; "--socket"; d.U.socket ] in
+      let applied = count (stats ()) "service.fm_applied_ops" in
+      Alcotest.(check string)
+        "empty delta replies the base bytes" base_reply (resubmit empty);
+      let stats = stats () in
+      List.iter
+        (fun (k, v) -> Alcotest.(check int) k v (count stats k))
+        [ ("service.resubmit_warm", 1); ("service.resubmit_warm_failed", 0);
+          ("service.resubmit_cold_fallback", 0); ("service.resubmit_noop", 1);
+          ("service.fm_applied_ops", applied) ]);
+  List.iter Sys.remove [ base; delta; edited; empty ]
+
+let check_exposition text =
+  match U.Openmetrics.check text with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "svc-metrics: %s" e
+
+(* One miss and one hit on a daemon logging scrubbed info lines to a
+   file: the exposition follows the OpenMetrics rules and counts the
+   workload, and every log line is a JSON record with a null timestamp,
+   the lifecycle in order. *)
+let test_cli_metrics_and_log () =
+  let bench = generate "c1355" and log = U.temp ".jsonl" in
+  let metrics =
+    U.with_daemon
+      [ "--queue-cap"; "4"; "--log-level"; "info"; "--log-scrub";
+        "--log-file"; log ]
+      (fun d ->
+        ignore (submit d bench);
+        ignore (submit d bench);
+        U.run_ok [ "svc-metrics"; "--socket"; d.U.socket ])
+  in
+  let m = check_exposition metrics in
+  let value family =
+    match U.Openmetrics.samples m family with
+    | (_, v) :: _ -> v
+    | [] -> Alcotest.failf "no %s sample" family
+  in
+  List.iter
+    (fun g ->
+      let family = "fpgapart_" ^ g in
+      Alcotest.(check (option string))
+        family (Some "gauge")
+        (List.assoc_opt family m.U.Openmetrics.types);
+      ignore (value family))
+    [ "queue_depth"; "queue_capacity"; "inflight_jobs"; "cache_entries";
+      "cache_capacity"; "cache_hit_ratio"; "uptime_seconds"; "gc_heap_words";
+      "gc_major_collections" ];
+  (* One miss and one hit: one executed job, two end-to-end replies. *)
+  List.iter
+    (fun (family, v) -> Alcotest.(check (float 0.)) family v (value family))
+    [ ("fpgapart_queue_depth", 0.); ("fpgapart_queue_capacity", 4.);
+      ("fpgapart_cache_hit_ratio", 0.5);
+      ("fpgapart_service_cache_hit_total", 1.);
+      ("fpgapart_service_queue_wait_seconds_count", 1.);
+      ("fpgapart_service_run_seconds_count", 1.);
+      ("fpgapart_service_e2e_seconds_count", 2.) ];
+  Alcotest.(check bool)
+    "requests" true
+    (value "fpgapart_service_requests_total" >= 2.);
+  let events =
+    List.filter_map
+      (fun line ->
+        if line = "" then None
+        else
+          let r = U.parse_json "log line" line in
+          let event = U.get J.to_str [ "event" ] r in
+          ignore (U.get J.to_str [ "level" ] r);
+          Alcotest.(check bool)
+            ("scrubbed: " ^ line) true
+            (J.member "ts_secs" r = Some J.Null);
+          if String.starts_with ~prefix:"job." event then
+            ignore (U.get J.to_str [ "corr" ] r);
+          Some event)
+      (String.split_on_char '\n' (take log))
+  in
+  let index e =
+    match List.find_index (String.equal e) events with
+    | Some i -> i
+    | None -> Alcotest.failf "log lacks %s" e
+  in
+  List.iter
+    (fun e -> ignore (index e))
+    [ "server.start"; "server.drain"; "server.stopped" ];
+  let order =
+    List.map index [ "job.enqueue"; "job.dequeue"; "job.done"; "job.cache_hit" ]
+  in
+  Alcotest.(check (list int)) "lifecycle order" (List.sort compare order) order;
+  Sys.remove bench
+
+(* The validators refuse what they exist to catch. *)
+
+let exposition =
+  [
+    "# TYPE fpgapart_jobs counter";
+    "fpgapart_jobs_total 3";
+    "# TYPE fpgapart_wait_seconds histogram";
+    {|fpgapart_wait_seconds_bucket{le="0.1"} 1|};
+    {|fpgapart_wait_seconds_bucket{le="+Inf"} 2|};
+    "fpgapart_wait_seconds_sum 0.5";
+    "fpgapart_wait_seconds_count 2";
+    "# EOF";
+  ]
+
+let test_openmetrics_rejects () =
+  let text lines = String.concat "\n" lines ^ "\n" in
+  let swap a b = List.map (fun l -> if l = a then b else l) exposition in
+  ignore (check_exposition (text exposition));
+  List.iter
+    (fun (what, lines, reason) ->
+      match U.Openmetrics.check (text lines) with
+      | Ok _ -> Alcotest.failf "accepted %s" what
+      | Error e ->
+          Alcotest.(check bool)
+            (what ^ ": " ^ e) true
+            (U.contains ~sub:reason e))
+    [
+      ("no # EOF", List.filter (( <> ) "# EOF") exposition, "# EOF");
+      ( "non-cumulative buckets",
+        swap {|fpgapart_wait_seconds_bucket{le="0.1"} 1|}
+          {|fpgapart_wait_seconds_bucket{le="0.1"} 3|},
+        "non-cumulative" );
+      ( "+Inf <> _count",
+        swap "fpgapart_wait_seconds_count 2" "fpgapart_wait_seconds_count 5",
+        "+Inf" );
+      ( "a sample before its # TYPE",
+        "fpgapart_jobs_total 3" :: "# TYPE fpgapart_jobs counter"
+        :: List.tl (List.tl exposition),
+        "before its # TYPE" );
+    ]
+
+let test_trace_rejects () =
+  let span name tid ts =
+    J.Obj
+      [ ("name", J.String name); ("ph", J.String "X"); ("pid", J.Int 0);
+        ("tid", J.Int tid); ("ts", J.Float ts); ("dur", J.Float 1.0) ]
+  in
+  let doc second =
+    J.Obj
+      [ ( "traceEvents",
+          J.List [ span "run0/pass0" 0 5.0; second; span "run1" 1 1.0 ] ) ]
+  in
+  Alcotest.(check (result unit string))
+    "valid" (Ok ())
+    (check_trace (doc (span "run0/pass1" 0 6.0)));
+  Alcotest.(check bool)
+    "decreasing ts on one (pid, tid)" true
+    (Result.is_error (check_trace (doc (span "run0/pass1" 0 4.0))))
+
+(* The V-cycle takes a seeded Rent-profile circuit to a feasible
+   partition inside the wall budget. The partition phase lands in
+   single-digit seconds on a typical desktop core at 100k cells; the
+   budget leaves headroom for slow CI hosts. Feasibility shows in the
+   result itself: a partition error exits non-zero, and the document
+   carries the parts of a Kway.check-clean result. *)
+let test_scale (circuit, budget_var, budget) () =
+  let budget =
+    Option.value ~default:budget
+      (Option.bind (Sys.getenv_opt budget_var) float_of_string_opt)
+  in
+  let doc =
+    stats circuit
+      [ "--device-lib"; "../bench/scale_devices.json"; "--multilevel" ]
+  in
+  let parts =
+    U.get (function J.List l -> Some l | _ -> None) [ "result"; "parts" ] doc
+  in
+  Alcotest.(check bool) "parts" true (parts <> []);
+  Alcotest.(check bool)
+    "a feasible run" true
+    (U.get J.to_int [ "result"; "feasible_runs" ] doc >= 1);
+  let wall = U.get J.to_float [ "result"; "wall_secs" ] doc in
+  if wall > budget then
+    Alcotest.failf "%s partition took %.1fs (budget %.0fs)" circuit wall budget
+
 let () =
-  let oracle =
-    if Sys.getenv_opt "FPGAPART_PERF_FULL" = None then [ "c6288" ] else circuits
+  let full = Sys.getenv_opt "FPGAPART_PERF_FULL" <> None in
+  let oracle = if full then circuits else [ "c6288" ] in
+  let scale =
+    ("gen100k", "FPGAPART_ML_BUDGET_SECS", 30.0)
+    :: (if full then [ ("gen1m", "FPGAPART_ML_BUDGET_1M_SECS", 300.0) ]
+        else [])
   in
   let cases f = List.map (fun c -> Alcotest.test_case c `Slow (f c)) in
   Alcotest.run "contracts"
@@ -219,4 +548,22 @@ let () =
       ( "cli",
         [ Alcotest.test_case "unwritable outputs" `Quick
             test_unwritable_outputs ] );
+      ( "daemon cli",
+        [
+          Alcotest.test_case "permuted netlist cache hit" `Slow
+            test_cli_cache_hit;
+          Alcotest.test_case "1% ECO resubmit" `Slow test_cli_eco_resubmit;
+          Alcotest.test_case "metrics and scrubbed log file" `Slow
+            test_cli_metrics_and_log;
+        ] );
+      ( "validators",
+        [
+          Alcotest.test_case "openmetrics rejects" `Quick
+            test_openmetrics_rejects;
+          Alcotest.test_case "trace rejects" `Quick test_trace_rejects;
+        ] );
+      ( "scale",
+        List.map
+          (fun ((c, _, _) as s) -> Alcotest.test_case c `Slow (test_scale s))
+          scale );
     ]

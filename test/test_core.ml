@@ -1378,38 +1378,6 @@ let test_coarsen_respects_pin_budget () =
   in
   check_levels h 0
 
-let test_multilevel_init_quality () =
-  (* The multilevel initial solution must not lose to random init + F-M on
-     a clustered circuit (it usually wins clearly). *)
-  let h = mapped_hypergraph
-      (Netlist.Generator.clustered
-         { Netlist.Generator.default_clustered with clusters = 10; seed = 17 })
-  in
-  let total = Hypergraph.total_area h in
-  let cfg = Fm.balance_config ~total_area:total () in
-  let best f =
-    let b = ref max_int in
-    for s = 1 to 4 do
-      b := min !b (f (Netlist.Rng.create s))
-    done;
-    !b
-  in
-  let flat =
-    best (fun rng ->
-        let st = Fm.random_state rng h in
-        let _, cut, _ = Fm.run cfg st in
-        cut)
-  in
-  let ml =
-    best (fun rng ->
-        let st = Coarsen.multilevel_init ~rng cfg h in
-        checkb "consistent" true (Result.is_ok (Partition_state.check_consistency st));
-        let _, cut, _ = Fm.run cfg st in
-        cut)
-  in
-  checkb "multilevel at least competitive" true
-    (float_of_int ml <= 1.1 *. float_of_int flat)
-
 let test_coarsen_weight_caps () =
   (* Per-axis cluster weight caps: a chain of BRAM-heavy cells (demand
      8 on axis 2, cap 10) must not merge with each other — any pair
@@ -2161,8 +2129,6 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_coarsen_structure;
           Alcotest.test_case "pin budget" `Quick test_coarsen_respects_pin_budget;
-          Alcotest.test_case "multilevel init quality" `Quick
-            test_multilevel_init_quality;
           Alcotest.test_case "per-axis weight caps" `Quick
             test_coarsen_weight_caps;
           qc qcheck_projection_sound;

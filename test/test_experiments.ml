@@ -168,6 +168,41 @@ let test_objectives_rows () =
         ]
   | _ -> Alcotest.fail "rows_to_json shape"
 
+let test_multilevel_init_quality () =
+  (* The multilevel initial solution must not lose to random init + F-M on
+     a clustered circuit (it usually wins clearly). *)
+  let h =
+    Techmap.Mapper.to_hypergraph
+      (Techmap.Mapper.map
+         (Netlist.Generator.clustered
+            { Netlist.Generator.default_clustered with clusters = 10; seed = 17 }))
+  in
+  let total = Hypergraph.total_area h in
+  let cfg = Core.Fm.balance_config ~total_area:total () in
+  let best f =
+    let b = ref max_int in
+    for s = 1 to 4 do
+      b := min !b (f (Netlist.Rng.create s))
+    done;
+    !b
+  in
+  let flat =
+    best (fun rng ->
+        let st = Core.Fm.random_state rng h in
+        let _, cut, _ = Core.Fm.run cfg st in
+        cut)
+  in
+  let ml =
+    best (fun rng ->
+        let st = Experiments.Ablation.multilevel_init ~rng cfg h in
+        checkb "consistent" true
+          (Result.is_ok (Partition_state.check_consistency st));
+        let _, cut, _ = Core.Fm.run cfg st in
+        cut)
+  in
+  checkb "multilevel at least competitive" true
+    (float_of_int ml <= 1.1 *. float_of_int flat)
+
 (* ------------------------------------------------------------------ *)
 (* Partition expansion (end-to-end functional soundness)              *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +326,11 @@ let () =
           Alcotest.test_case "k-way campaign row" `Slow test_kway_campaign_row;
           Alcotest.test_case "objectives ablation rows" `Slow
             test_objectives_rows;
+        ] );
+      ( "ablation",
+        [
+          Alcotest.test_case "multilevel init quality" `Quick
+            test_multilevel_init_quality;
         ] );
       ( "timing",
         [

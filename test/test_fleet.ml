@@ -6,12 +6,19 @@
    SIGKILL fault injection with exactly-once requeue, portfolio racing,
    and disk-cache persistence across a fleet restart.
 
+   The "fleet cli" cases drive `fpgapart serve --workers N` itself: 1000
+   load-generator jobs, a `--workers 1` reply byte-identical to the solo
+   daemon's, the fleet-stats keys, the OpenMetrics exposition and the
+   refusal of `--trace`.
+
    The end-to-end tests spawn real worker processes and need the
-   fpgapart binary; dune passes its path in FPGAPART_BIN. *)
+   fpgapart binary; dune passes its path in FPGAPART_BIN, and the load
+   generator's in FPGAPART_LOADGEN. *)
 
 module J = Obs.Json
 module P = Service.Protocol
 module C = Service.Client
+module U = Test_util
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -369,16 +376,8 @@ let test_submit_batch_roundtrip () =
 (* Fleet end-to-end (real worker processes)                           *)
 (* ------------------------------------------------------------------ *)
 
-let worker_exe () =
-  match Sys.getenv_opt "FPGAPART_BIN" with
-  | Some p when Sys.file_exists p -> Some p
-  | _ ->
-      (* dune runs tests from _build/default/test. *)
-      let guess = Filename.concat (Sys.getcwd ()) "../bin/fpgapart.exe" in
-      if Sys.file_exists guess then Some guess else None
-
 let with_fleet ?(config = fun c -> c) f =
-  match worker_exe () with
+  match U.fpgapart_bin () with
   | None -> Alcotest.skip ()
   | Some exe ->
       let path = temp_socket () in
@@ -408,35 +407,12 @@ let with_fleet ?(config = fun c -> c) f =
         (match C.rpc ~socket:path P.Shutdown with Ok _ | Error _ -> ());
         Thread.join sched
       in
-      Fun.protect ~finally:shutdown (fun () -> f path);
+      Fun.protect ~finally:shutdown (fun () ->
+          U.wait_workers_up path cfg.Fleet.Scheduler.workers;
+          f path);
       match !result with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("scheduler: " ^ e)
-
-let wait_workers_up path n =
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  let rec loop () =
-    let up =
-      match C.rpc ~socket:path P.Health with
-      | Error _ -> 0
-      | Ok reply -> (
-          match
-            Option.bind
-              (Option.bind (J.member "health" reply) (J.member "workers_up"))
-              J.to_int
-          with
-          | Some n -> n
-          | None -> 0)
-    in
-    if up >= n then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "only %d/%d workers came up" up n
-    else begin
-      Thread.delay 0.1;
-      loop ()
-    end
-  in
-  loop ()
 
 let fleet_counters path =
   let reply = rpc_ok path P.Fleet_stats in
@@ -465,7 +441,6 @@ let await path id =
 
 let test_fleet_end_to_end () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       (* Miss, compute on a worker, then hit — byte-identical replies
          come free because cached replies re-serialize the same doc. *)
       let r1 = rpc_ok path (submit_req "e2e" ~seed:5) in
@@ -480,7 +455,6 @@ let test_fleet_end_to_end () =
 
 let test_fleet_portfolio () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       let envelope = { P.tenant = "race"; priority = 0; portfolio = true } in
       let r = rpc_ok path (submit_req "folio" ~seed:31 ~envelope) in
       let id = int_field "job" r in
@@ -496,7 +470,6 @@ let test_fleet_portfolio () =
 
 let test_fleet_kill_worker_requeues_once () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       (* A job slow enough to catch mid-flight: many runs of the tiny
          circuit are still fast, so use a bigger builtin. *)
       let big =
@@ -566,25 +539,28 @@ let test_fleet_kill_worker_requeues_once () =
       wait_restart ())
 
 let test_fleet_disk_cache_restart () =
-  match worker_exe () with
+  match U.fpgapart_bin () with
   | None -> Alcotest.skip ()
   | Some _ ->
       let dir = temp_dir () in
       let config c = { c with Fleet.Scheduler.cache_dir = Some dir } in
       with_fleet ~config (fun path ->
-          wait_workers_up path 2;
           let r = rpc_ok path (submit_req "persist" ~seed:77) in
           ignore (await path (int_field "job" r)));
       (* Same cache dir, fresh fleet: the first submission must be
          served from disk without touching a worker. *)
       with_fleet ~config (fun path ->
-          wait_workers_up path 2;
           let r = rpc_ok path (submit_req "persist" ~seed:77) in
           checkb "served from disk" true
             (Option.bind (J.member "cached" r) J.to_bool = Some true);
           let c = fleet_counters path in
           checkb "disk hit counted" true
-            (counter "fleet.disk_cache_hit" c >= 1))
+            (counter "fleet.disk_cache_hit" c >= 1);
+          checkb "keys on disk" true
+            (U.get J.to_int
+               [ "fleet"; "disk_cache"; "len" ]
+               (rpc_ok path P.Fleet_stats)
+            >= 1))
 
 let str_field name reply =
   match Option.bind (J.member name reply) J.to_str with
@@ -626,7 +602,6 @@ let expect_error code reply =
 
 let test_fleet_resubmit_by_digest () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       let base = rpc_ok path (submit_req "eco" ~seed:11) in
       let base_doc = J.member "result" (await path (int_field "job" base)) in
       (* A cache hit spends a scheduler job id that no worker sees, so the
@@ -650,7 +625,6 @@ let test_fleet_resubmit_by_digest () =
 
 let test_fleet_cancel_dispatched () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       let before = counter "service.cancelled" (fleet_counters path) in
       let id = int_field "job" (rpc_ok path (slow_submit 41)) in
       let deadline = Unix.gettimeofday () +. 20.0 in
@@ -684,7 +658,6 @@ let health_int name path =
 let test_fleet_refusal_spends_no_id () =
   let config c = { c with Fleet.Scheduler.queue_cap = 1 } in
   with_fleet ~config (fun path ->
-      wait_workers_up path 2;
       (* Distinct slow jobs: two run, one queues, the next is refused. *)
       let rec fill seed accepted =
         if seed > 60 then Alcotest.fail "the fleet never refused a job"
@@ -712,7 +685,6 @@ let test_fleet_refusal_spends_no_id () =
 
 let test_fleet_bad_delta_counted () =
   with_fleet (fun path ->
-      wait_workers_up path 2;
       let base = rpc_ok path (submit_req "eco" ~seed:13) in
       ignore (await path (int_field "job" base));
       let before = counter "service.bad_requests" (fleet_counters path) in
@@ -726,6 +698,116 @@ let test_fleet_bad_delta_counted () =
       | Error e -> Alcotest.fail e);
       checki "service.bad_requests advanced" (before + 1)
         (counter "service.bad_requests" (fleet_counters path)))
+
+(* ------------------------------------------------------------------ *)
+(* Acceptance through the CLI: fpgapart serve --workers N             *)
+(* ------------------------------------------------------------------ *)
+
+(* A 4-worker fleet takes 1000 concurrent jobs from 32 clients over 4
+   tenants; the load generator itself exits 1 on a lost or duplicated
+   reply or a p99 over the budget. *)
+let test_cli_loadgen () =
+  let cache = temp_dir () in
+  U.with_daemon ~workers:4
+    [ "--workers"; "4"; "--queue-cap"; "512"; "--cache-dir"; cache ]
+    (fun d ->
+      let h = U.run_json [ "svc-health"; "--socket"; d.U.socket ] in
+      Alcotest.(check string)
+        "accepting" "accepting" (U.get J.to_str [ "state" ] h);
+      Alcotest.(check int) "workers" 4 (U.get J.to_int [ "workers" ] h);
+      Alcotest.(check int) "workers up" 4 (U.get J.to_int [ "workers_up" ] h);
+      let loadgen =
+        match Sys.getenv_opt "FPGAPART_LOADGEN" with
+        | Some p -> p
+        | None -> Alcotest.fail "no loadgen binary (set FPGAPART_LOADGEN)"
+      in
+      let code, out, err =
+        U.run ~exe:loadgen
+          [ "--socket"; d.U.socket; "--jobs"; "1000"; "--clients"; "32";
+            "--tenants"; "4"; "--seeds"; "2"; "--p99-ms"; "30000" ]
+      in
+      if code <> 0 then Alcotest.failf "loadgen exited %d: %s" code err;
+      let s = U.parse_json "loadgen summary" out in
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check int) name want (U.get J.to_int [ name ] s))
+        [ ("jobs", 1000); ("received", 1000); ("lost", 0); ("duplicated", 0) ])
+
+(* One worker behind the scheduler answers byte-for-byte what the
+   single-process daemon answers. Its fleet-stats document carries the
+   documented key set. *)
+let test_cli_one_worker_is_the_daemon () =
+  let submit d =
+    U.run_ok
+      [ "submit"; "--socket"; d.U.socket; "--circuit"; "c1355"; "--seed";
+        "9" ]
+  in
+  U.with_daemon [] (fun solo ->
+      U.with_daemon ~workers:1
+        [ "--workers"; "1"; "--cache-dir"; temp_dir () ]
+        (fun one ->
+          let stats = U.run_json [ "fleet-stats"; "--socket"; one.U.socket ] in
+          checkb "artifact" true
+            (U.has_field "artifact" (J.String "service.fleet_stats") stats);
+          List.iter
+            (fun k -> checkb ("fleet stats has " ^ k) true (U.has_key k stats))
+            [ "workers"; "tenants"; "queue_len"; "tenant_cap"; "inflight";
+              "cache"; "disk_cache"; "restarts"; "segments";
+              "corrupt_skipped"; "obs" ];
+          Alcotest.(check string)
+            "--workers 1 reply byte-identical to the daemon's" (submit solo)
+            (submit one)))
+
+(* The lifecycle trace belongs to the single-process daemon: a fleet
+   asked for one refuses to start instead of running without it. *)
+let test_cli_fleet_refuses_trace () =
+  let socket = U.temp_socket () and trace = U.temp ".trace.json" in
+  let code, _, err =
+    U.run [ "serve"; "--socket"; socket; "--workers"; "1"; "--trace"; trace ]
+  in
+  Sys.remove trace;
+  checkb "refused" true (code <> 0);
+  checkb "names --trace" true (U.contains ~sub:"--trace" err);
+  checkb "socket never bound" false (Sys.file_exists socket)
+
+(* A 2-worker fleet scrapes as valid OpenMetrics, with one labelled
+   sample per worker in the per-worker gauges, every worker up. *)
+let test_cli_fleet_exposition () =
+  let text =
+    U.with_daemon ~workers:2 [ "--workers"; "2"; "--queue-cap"; "8" ]
+      (fun d ->
+        ignore
+          (U.run_ok
+             [ "submit"; "--socket"; d.U.socket; "--circuit"; "c1355";
+               "--runs"; "2"; "--seed"; "1" ]);
+        U.run_ok [ "svc-metrics"; "--socket"; d.U.socket ])
+  in
+  let m =
+    match U.Openmetrics.check text with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (family, typ) ->
+      Alcotest.(check (option string))
+        family (Some typ)
+        (List.assoc_opt family m.U.Openmetrics.types))
+    [ ("fpgapart_fleet_worker_up", "gauge");
+      ("fpgapart_fleet_worker_restarts", "gauge");
+      ("fpgapart_fleet_workers", "gauge");
+      ("fpgapart_service_e2e_seconds", "histogram") ];
+  let samples = U.Openmetrics.samples m in
+  let workers = [ {|worker="0"|}; {|worker="1"|} ] in
+  Alcotest.(check (list string))
+    "restarts per worker" workers
+    (List.map fst (samples "fpgapart_fleet_worker_restarts"));
+  Alcotest.(check (list (pair string (float 0.))))
+    "every worker up"
+    (List.map (fun w -> (w, 1.0)) workers)
+    (samples "fpgapart_fleet_worker_up");
+  Alcotest.(check (list (pair string (float 0.))))
+    "two workers" [ ("", 2.0) ]
+    (samples "fpgapart_fleet_workers")
 
 let () =
   Random.self_init ();
@@ -780,5 +862,15 @@ let () =
             test_fleet_refusal_spends_no_id;
           Alcotest.test_case "bad-delta resubmit counted" `Slow
             test_fleet_bad_delta_counted;
+        ] );
+      ( "fleet cli",
+        [
+          Alcotest.test_case "loadgen 1000 jobs" `Slow test_cli_loadgen;
+          Alcotest.test_case "one worker equals the daemon" `Slow
+            test_cli_one_worker_is_the_daemon;
+          Alcotest.test_case "fleet refuses --trace" `Quick
+            test_cli_fleet_refuses_trace;
+          Alcotest.test_case "fleet exposition" `Slow
+            test_cli_fleet_exposition;
         ] );
     ]

@@ -797,7 +797,7 @@ let test_log_scrub_masks_volatile_fields () =
        (fun k -> List.assoc k stats = J.Null)
        [ "b_secs"; "c_per_sec"; "d_util" ])
 
-(* The determinism contract behind tools/check_metrics.sh: two scrubbed
+(* The log determinism contract, at the logger: two scrubbed
    loggers fed the same records emit byte-identical streams, whatever
    wall-clock values the volatile fields carried. *)
 let qcheck_scrubbed_log_deterministic =

@@ -701,10 +701,12 @@ let test_server_survives_garbage () =
       Unix.connect fd (Unix.ADDR_UNIX path);
       ignore (Unix.write fd (Bytes.of_string "\x7f\xff\xff\xff") 0 4);
       (match Service.Codec.read_frame fd with
-      | Ok reply ->
-          checkb "oversized refused" true
-            (Result.is_error (Service.Client.ok_or_error reply))
-      | Error `Eof -> ()
+      | Ok reply -> (
+          match Service.Client.ok_or_error reply with
+          | Error (code, _) ->
+              checks "oversized: typed bad_request"
+                Service.Protocol.code_bad_request code
+          | Ok _ -> Alcotest.fail "oversized frame accepted")
       | Error e -> Alcotest.fail (Service.Codec.read_error_to_string e));
       Unix.close fd;
       (* ...while the daemon keeps serving. *)

@@ -50,5 +50,14 @@ for f in $(git ls-files 'lib/techmap/*.ml' lib/core/coarsen.ml \
   fi
 done
 
+# One acceptance suite, in OCaml: the tooling, the tests and CI call no
+# Python.
+for f in $(git ls-files tools test Makefile .github); do
+  if grep -qI 'python[3]' "$f"; then
+    echo "lint: Python call in $f (checks belong in dune runtest)" >&2
+    status=1
+  fi
+done
+
 [ "$status" -eq 0 ] && echo "lint: ok"
 exit "$status"

@@ -3,7 +3,7 @@
    semantics — every submission gets exactly one terminal reply, no job
    id is ever issued twice, and the p99 submit-to-terminal latency stays
    under a bound. Prints a JSON summary; a broken assertion exits 1, so
-   the CI wrapper (tools/check_fleet.sh) needs no parsing to fail.
+   its caller (test_fleet) needs no parsing to fail.
 
    The job mix is deliberately cache-heavy (few distinct (circuit, seed)
    keys): the point is to stress the scheduler's queuing, fan-out and
