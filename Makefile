@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint perf ci clean
+.PHONY: all build test bench lint ci clean
 
 all: build
 
@@ -23,12 +23,6 @@ bench:
 
 lint:
 	sh tools/lint.sh
-
-# The bench harness regenerates BENCH_partition.json (fixed seeds; only
-# *_secs fields vary run to run), including the end-to-end service
-# latency row, so the perf trajectory accrues with every perf run.
-perf: build
-	dune exec --no-print-directory bench/main.exe -- partition
 
 # CI runs the suite under both FPGAPART_JOBS=1 and FPGAPART_JOBS=4 (the
 # tests read the variable to size the domain pool; the contracts test

@@ -63,10 +63,10 @@ let trace () =
            and execution-dependent — the trace is never part of the \
            $(b,--stats-json) document.")
 
-let jobs ?(default = 1) () =
+let jobs () =
   Arg.(
     value
-    & opt positive_int default
+    & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~env:(Cmd.Env.info "FPGAPART_JOBS")
         ~doc:

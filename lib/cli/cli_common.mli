@@ -33,16 +33,15 @@ val trace : unit -> string option Cmdliner.Term.t
     (Perfetto-loadable; pid = run index, tid = domain). Absent means no
     tracing. *)
 
-val jobs : ?default:int -> unit -> int Cmdliner.Term.t
+val jobs : unit -> int Cmdliner.Term.t
 (** [--jobs N] / [-j N] — domains for the parallel multi-start search.
     When the flag is absent, the [FPGAPART_JOBS] environment variable
-    supplies the value; when that is unset too, [default] (default 1)
-    applies. The result never depends on it (see README,
-    "Parallelism"). Non-integer and non-positive values — from the flag
-    or from [FPGAPART_JOBS] — are rejected at parse time with a Cmdliner
-    error naming the offending flag or variable ([--runs] validates the
-    same way), so a bad budget never reaches
-    {!Core.Kway.Options.make}. *)
+    supplies the value; when that is unset too, 1 applies. The result
+    never depends on it (see README, "Parallelism"). Non-integer and
+    non-positive values — from the flag or from [FPGAPART_JOBS] — are
+    rejected at parse time with a Cmdliner error naming the offending
+    flag or variable ([--runs] validates the same way), so a bad budget
+    never reaches {!Core.Kway.Options.make}. *)
 
 val objective : unit -> Fpga.Objective.t Cmdliner.Term.t
 (** [--objective NAME] — the cost objective (default

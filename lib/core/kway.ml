@@ -578,14 +578,12 @@ let refine ~opts ~obs ?dirty hg library parts =
             count_pairs rest
       in
       Array.iter count_pairs touch;
-      (* Most-connected pairs first; cap the sweep so refinement stays a
-         small fraction of the driver's own cost on many-part results.
-         Each [refine_pair] hauls every net touching the pair into an
-         induced subgraph, so on net-heavy graphs (coarse multilevel
-         clusters carry most of the original nets) the sweep narrows to
-         the k best-connected pairs — the sorted order ensures those
-         carry most of the recoverable gain. Paper-suite graphs stay
-         far below the net threshold and keep the wide sweep. *)
+      (* Most-connected pairs first; cap the sweep at the 4k
+         best-connected pairs so refinement stays a small fraction of
+         the driver's own cost on many-part results — the sorted order
+         puts most of the recoverable gain in those. The cap is the same
+         on every graph; net-heavy graphs are tamed by the pass budget
+         above instead. *)
       let counted = ref [] in
       for i = 0 to k - 1 do
         for j = i + 1 to k - 1 do

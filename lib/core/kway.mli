@@ -171,9 +171,11 @@ val partition :
 
     Dispatches on [options.strategy]: [Flat] runs the classic driver
     described above; [Multilevel] coarsens first ({!Coarsen.hierarchy}
-    under per-axis cluster weight caps of half the largest device
-    window), runs the flat driver on the coarsest graph (with narrowed
-    search budgets when the estimated device count exceeds 16), then
+    under per-axis cluster weight caps of a quarter of the smallest
+    device window), runs the flat driver on the coarsest graph (with
+    narrowed search budgets when the estimated device count exceeds 16
+    or the coarsest graph holds more than 512 cells per estimated
+    part), then
     uncoarsens V-cycle style — {!project_parts} per level, then pairwise
     F-M refinement restricted to the labelling's boundary cells (the
     warm-start [active] machinery), with [refine_passes] sweeps per

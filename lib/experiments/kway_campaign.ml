@@ -1,9 +1,5 @@
 type setting = Baseline | Threshold of int
 
-let setting_label = function
-  | Baseline -> "base"
-  | Threshold t -> Printf.sprintf "T=%d" t
-
 type outcome = {
   feasible : bool;
   cost : float;

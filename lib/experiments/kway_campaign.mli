@@ -9,8 +9,6 @@
 
 type setting = Baseline | Threshold of int
 
-val setting_label : setting -> string
-
 type outcome = {
   feasible : bool;
   cost : float;              (** eq. (1) *)

@@ -1,8 +1,6 @@
 (* Per-objective ablation: the same circuit partitioned under each
    builtin cost objective, tabulating what the objective changed. *)
 
-module J = Obs.Json
-
 type row = {
   circuit : string;
   objective : string;
@@ -29,35 +27,6 @@ let objective_total name (r : Core.Kway.result) =
       Fpga.Objective.total_cost obj
         ~device_cost:r.Core.Kway.summary.Fpga.Cost.total_cost
         ~cut_nets:r.Core.Kway.summary.Fpga.Cost.total_iobs
-
-let row_to_json row =
-  let base =
-    [
-      ("circuit", J.String row.circuit);
-      ("objective", J.String row.objective);
-    ]
-  in
-  match row.outcome with
-  | Error msg -> J.Obj (base @ [ ("error", J.String msg) ])
-  | Ok r ->
-      let s = r.Core.Kway.summary in
-      J.Obj
-        (base
-        @ [
-            ("num_partitions", J.Int s.Fpga.Cost.num_partitions);
-            ("device_cost", J.Float s.Fpga.Cost.total_cost);
-            ("objective_cost", J.Float (objective_total row.objective r));
-            ("total_iobs", J.Int s.Fpga.Cost.total_iobs);
-            ("avg_iob_utilization", J.Float s.Fpga.Cost.avg_iob_utilization);
-            ("replicated_cells", J.Int r.Core.Kway.replicated_cells);
-            ( "resource_util",
-              J.Obj
-                (List.map
-                   (fun (k, v) -> (k, J.Float v))
-                   s.Fpga.Cost.resource_util) );
-          ])
-
-let rows_to_json rows = J.List (List.map row_to_json rows)
 
 let pp fmt rows =
   Format.fprintf fmt "@[<v>objective ablation@,";

@@ -23,12 +23,4 @@ val run :
 (** One row per objective (default {!Fpga.Objective.builtins}), same
     seed and multi-start budget for all of them. *)
 
-val rows_to_json : row list -> Obs.Json.t
-(** Rows for [BENCH_partition.json]: [{"circuit"; "objective";
-    "num_partitions"; "device_cost"; "objective_cost"; "total_iobs";
-    "avg_iob_utilization"; "replicated_cells"; "resource_util"}] (or
-    [{"circuit"; "objective"; "error"}] for an infeasible combination).
-    The ["resource_util"] keys all end in [_util], so the determinism
-    scrub masks them like the timers. *)
-
 val pp : Format.formatter -> row list -> unit

@@ -85,88 +85,6 @@ let doc ~name ~options ~result ~snapshot =
       ("obs", Obs.Snapshot.to_json snapshot);
     ]
 
-let partition_doc ?(options = Core.Kway.Options.default) ~library ~name hg =
-  let obs = Obs.create () in
-  match Core.Kway.partition ~obs ~options ~library hg with
-  | Error _ as e -> e
-  | Ok result -> Ok (doc ~name ~options ~result ~snapshot:(Obs.snapshot obs))
-
-type speedup = {
-  circuit : string;
-  jobs : int;
-  jobs1_wall : float;
-  jobsn_wall : float;
-}
-
-(* Wall-clock of one partition call under a no-op sink (the collecting
-   sink would tax both sides, but the comparison should measure the
-   engine, not the telemetry). *)
-let time_partition ~options ~library hg =
-  match Core.Kway.partition ~options ~library hg with
-  | Ok r -> Some r.Core.Kway.wall_secs
-  | Error _ -> None
-
-let speedup_to_json s =
-  J.Obj
-    [
-      ("jobs", J.Int s.jobs);
-      ("jobs1_wall_secs", J.Float s.jobs1_wall);
-      ("jobsn_wall_secs", J.Float s.jobsn_wall);
-    ]
-
-let suite_doc ?(runs = 5) ?(seed = 1) ?(jobs = 1) () =
-  let speedups = ref [] in
-  let circuits =
-    List.map
-      (fun e ->
-        let options = Core.Kway.Options.make ~runs ~seed ~jobs () in
-        let hg = Lazy.force e.Suite.hypergraph in
-        match
-          partition_doc ~options ~library:Fpga.Library.xc3000 ~name:e.Suite.name
-            hg
-        with
-        | Error msg ->
-            J.Obj
-              [ ("circuit", J.String e.Suite.name); ("error", J.String msg) ]
-        | Ok (J.Obj fields) when jobs > 1 ->
-            (* Per-circuit jobs=1 vs jobs=N wall clock, next to the paper's
-               CPU-time tables. Only the two *_secs fields (scrubbed by the
-               determinism gate) and the requested job count are stored;
-               speedup is their ratio, computed by the reader. *)
-            let t1 =
-              time_partition
-                ~options:(Core.Kway.Options.make ~runs ~seed ~jobs:1 ())
-                ~library:Fpga.Library.xc3000 hg
-            in
-            let tn =
-              time_partition ~options ~library:Fpga.Library.xc3000 hg
-            in
-            let fields =
-              match (t1, tn) with
-              | Some jobs1_wall, Some jobsn_wall ->
-                  let s =
-                    { circuit = e.Suite.name; jobs; jobs1_wall; jobsn_wall }
-                  in
-                  speedups := s :: !speedups;
-                  fields @ [ ("parallel", speedup_to_json s) ]
-              | _ -> fields
-            in
-            J.Obj fields
-        | Ok j -> j)
-      (Suite.all ())
-  in
-  let doc =
-    J.Obj
-      [
-        ("schema_version", J.Int schema_version);
-        ("artifact", J.String "partition");
-        ("kway_runs", J.Int runs);
-        ("seed", J.Int seed);
-        ("circuits", J.List circuits);
-      ]
-  in
-  (doc, List.rev !speedups)
-
 let write ~path j = J.write_file ~path j
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 (** Aggregation of partitioning telemetry into the stable JSON document
-    behind [fpgapart partition --stats-json] and [BENCH_partition.json].
+    behind [fpgapart partition --stats-json] and the service's result
+    documents.
 
     Schema (version 6) of a per-circuit document:
     - ["schema_version"]: [6];
@@ -56,36 +57,6 @@ val doc :
   Obs.Json.t
 (** Assemble the per-circuit document from an already-finished run (the
     CLI path: it has the result and the sink in hand). *)
-
-val partition_doc :
-  ?options:Core.Kway.options ->
-  library:Fpga.Library.t ->
-  name:string ->
-  Hypergraph.t ->
-  (Obs.Json.t, string) result
-(** Run {!Core.Kway.partition} under a fresh collecting sink and build the
-    document. [Error] propagates the driver's failure. *)
-
-type speedup = {
-  circuit : string;
-  jobs : int;
-  jobs1_wall : float;  (** wall-clock seconds of the [jobs = 1] run *)
-  jobsn_wall : float;  (** wall-clock seconds of the [jobs = jobs] run *)
-}
-(** One per-circuit parallel measurement; the speedup is
-    [jobs1_wall /. jobsn_wall]. *)
-
-val suite_doc :
-  ?runs:int -> ?seed:int -> ?jobs:int -> unit -> Obs.Json.t * speedup list
-(** The bench aggregate: one {!partition_doc} per built-in benchmark
-    circuit (infeasible circuits degrade to [{"circuit", "error"}]
-    entries), wrapped as [{"schema_version"; "artifact": "partition";
-    "kway_runs"; "seed"; "circuits": [...]}]. With [jobs > 1] (default 1)
-    each feasible circuit additionally runs twice more under a no-op sink
-    — once at [jobs = 1], once at [jobs] — and gains a ["parallel"] object
-    [{"jobs"; "jobs1_wall_secs"; "jobsn_wall_secs"}]; those measurements
-    are also returned as the {!speedup} list for rendering. This is what
-    [bench/main.exe partition] writes to [BENCH_partition.json]. *)
 
 val write : path:string -> Obs.Json.t -> unit
 

@@ -1,7 +1,6 @@
 type side = A | B
 
 let opposite = function A -> B | B -> A
-let side_to_string = function A -> "A" | B -> "B"
 
 type model = Functional | Traditional
 
@@ -129,8 +128,6 @@ let single_side t c =
 
 let connections t side n =
   match side with A -> t.conn_a.(n) | B -> t.conn_b.(n)
-
-let net_cut t n = t.conn_a.(n) > 0 && t.conn_b.(n) > 0
 
 let mask_on t c = function
   | B -> t.out_on_b.(c)

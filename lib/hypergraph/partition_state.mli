@@ -27,7 +27,6 @@
 type side = A | B
 
 val opposite : side -> side
-val side_to_string : side -> string
 
 type t
 
@@ -91,9 +90,6 @@ val single_side : t -> int -> side option
 val connections : t -> side -> int -> int
 (** [connections t s n] — number of cell copies connected to net [n] on
     side [s] (the per-net counters behind cut and terminal tracking). *)
-
-val net_cut : t -> int -> bool
-(** Whether a net currently has connections on both sides. *)
 
 (** {1 Mask changes} *)
 

@@ -45,7 +45,3 @@ let pp fmt s =
     \  nets    %d@,  pins    %d@,  depth   %d@,  max fanin %d, max fanout %d@]"
     s.name s.num_inputs s.num_outputs s.num_gates s.num_dff s.num_nets
     s.num_pins s.depth s.max_fanin s.max_fanout
-
-let pp_row fmt s =
-  Format.fprintf fmt "%-10s %6d %6d %6d %6d %6d %6d" s.name s.num_inputs
-    s.num_outputs s.num_gates s.num_dff s.num_nets s.num_pins

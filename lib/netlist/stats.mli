@@ -18,6 +18,3 @@ val compute : Circuit.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable rendering. *)
-
-val pp_row : Format.formatter -> t -> unit
-(** One fixed-width table row: name, gates, DFF, nets, pins. *)

@@ -1,5 +1,3 @@
-let wall_clock = Obs.Clock.wall
-
 (* Worker track ids: 0 in the calling domain, 1..jobs in spawned workers.
    Domain-local, so nested pools reuse the same small id space rather than
    growing one per domain ever spawned. *)
@@ -12,8 +10,6 @@ let jobs_from_env ?(var = "FPGAPART_JOBS") () =
   | Some s -> ( match int_of_string_opt (String.trim s) with
     | Some j when j >= 1 -> j
     | _ -> 1)
-
-let recommended_jobs () = Domain.recommended_domain_count ()
 
 let run_sequential n f =
   let results = Array.make n None in

@@ -30,12 +30,6 @@ val run : ?chunk:int -> jobs:int -> int -> (int -> 'a) -> 'a array
     loop would have surfaced first. Results of other indices are
     discarded. *)
 
-val wall_clock : unit -> float
-(** {!Obs.Clock.wall}, kept here as an alias because the pool is where
-    parallel callers already look for it. The engine's CPU figures
-    ({!Obs.Clock.cpu}) sum over all domains and exceed elapsed time under
-    parallelism; this is the companion clock for [wall_secs] fields. *)
-
 val worker_id : unit -> int
 (** Track id of the executing domain: [0] in the calling domain (and in
     any {!run} with [jobs <= 1] or [n <= 1], which runs inline), [1..jobs]
@@ -48,7 +42,3 @@ val jobs_from_env : ?var:string -> unit -> int
     (default ["FPGAPART_JOBS"]) when set to a positive integer, else [1].
     Malformed values are ignored rather than fatal — an environment
     variable must never break a run. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], the runtime's estimate of how
-    many domains this machine runs well. *)

@@ -81,10 +81,3 @@ let analyze ?(model = default_model) ~crossing (m : Mapped.t) =
     critical_path = path;
     arrival;
   }
-
-let pp_report (m : Mapped.t) fmt r =
-  Format.fprintf fmt "critical delay %.1f with %d device crossings: %s"
-    r.critical_delay r.critical_crossings
-    (r.critical_path
-    |> List.map (fun n -> m.Mapped.net_names.(n))
-    |> String.concat " -> ")

@@ -34,5 +34,3 @@ type report = {
 val analyze :
   ?model:delay_model -> crossing:(int -> bool) -> Mapped.t -> report
 (** Raises [Invalid_argument] on a combinational cycle. *)
-
-val pp_report : Mapped.t -> Format.formatter -> report -> unit

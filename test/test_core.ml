@@ -670,41 +670,65 @@ let test_fm_candidates_allocation_free () =
   check_candidates_allocation_free "s9234 clusters" cst
     ~replication:ccfg.Fm.replication
 
-(* The measured run reuses the workspace (bucket, op registers, stamps,
-   trail) the first run left in this domain's slot, and scores prefixes
-   into registers, so a move allocates nothing; what is left is per
-   run: the closures [Fm.run] builds and its result tuple. *)
-let check_words_per_move label h cfg ~seed ~bound =
-  let fresh () = Fm.random_state (Netlist.Rng.create seed) h in
-  let obs = Obs.create () in
-  ignore (Fm.run ~obs cfg (fresh ()));
-  let applied =
-    List.assoc "fm.applied_ops" (Obs.snapshot obs).Obs.Snapshot.counters
+(* The measured runs reuse the workspace (bucket, op registers, stamps,
+   trail) the counting runs left in this domain's slot, and score
+   prefixes into registers, so a move allocates nothing; what is left is
+   per run: the closures [Fm.run] builds and its result tuple. One F-M
+   run per seed, each from a fresh random state: a counting sweep under a
+   collecting sink, then a measured sweep under the no-op sink (telemetry
+   never steers the engine, so both apply the same moves). Returns the
+   counting sweep's applied ops, rescored cells and passes, summed over
+   the runs. *)
+let check_words_per_move label h cfg ~seeds ~bound =
+  let states () =
+    List.map (fun seed -> Fm.random_state (Netlist.Rng.create seed) h) seeds
   in
-  checkb (label ^ ": the run applies moves") true (applied > 0);
-  let st = fresh () in
-  let words = Test_util.words_during (fun () -> ignore (Fm.run cfg st)) in
+  let obs = Obs.create () in
+  List.iter (fun st -> ignore (Fm.run ~obs cfg st)) (states ());
+  let counter k =
+    Option.value ~default:0
+      (List.assoc_opt k (Obs.snapshot obs).Obs.Snapshot.counters)
+  in
+  let applied = counter "fm.applied_ops" in
+  checkb (label ^ ": the runs apply moves") true (applied > 0);
+  let sts = states () in
+  let words =
+    Test_util.words_during (fun () ->
+        List.iter (fun st -> ignore (Fm.run cfg st)) sts)
+  in
   let per_move = words /. float_of_int applied in
   if per_move > bound then
     Alcotest.failf "%s: Fm.run allocated %.1f words per applied move (%d \
                     moves, bound %.0f)"
-      label per_move applied bound
+      label per_move applied bound;
+  (applied, counter "fm.rescored_cells", counter "fm.passes")
 
+(* The F-M hot-loop protocol: balance config with replication at
+   threshold 0, one run per seed. Its counters pin the engine's decisions
+   on c6288 and s38584: a change to the F-M inner loop that claims to
+   leave the moves unchanged must keep them exactly. *)
 let test_fm_run_words_per_move () =
   let h = s9234_hypergraph () in
-  check_words_per_move "s9234" h (alloc_config h) ~seed:3 ~bound:1.0;
-  (* The hot-loop microbenchmark's protocol (bench/main.exe hotloop
-     --hotloop-circuit c6288 --hotloop-runs 1): balance config with
-     replication at threshold 0, seed 7, one run. *)
-  let h =
-    Lazy.force
-      (Option.get (Experiments.Suite.find "c6288")).Experiments.Suite.hypergraph
+  ignore
+    (check_words_per_move "s9234" h (alloc_config h) ~seeds:[ 3 ] ~bound:1.0);
+  let hotloop name ~seeds =
+    let h =
+      Lazy.force
+        (Option.get (Experiments.Suite.find name)).Experiments.Suite.hypergraph
+    in
+    let cfg =
+      Fm.balance_config ~replication:(`Functional 0)
+        ~total_area:(Hypergraph.total_area h) ()
+    in
+    check_words_per_move name h cfg ~seeds ~bound:1.0
   in
-  let cfg =
-    Fm.balance_config ~replication:(`Functional 0)
-      ~total_area:(Hypergraph.total_area h) ()
-  in
-  check_words_per_move "c6288" h cfg ~seed:7 ~bound:1.0
+  let counters = Alcotest.(triple int int int) in
+  Alcotest.check counters "c6288 applied ops / rescored cells / passes"
+    (617, 1_820, 5)
+    (hotloop "c6288" ~seeds:[ 7 ]);
+  Alcotest.check counters "s38584 applied ops / rescored cells / passes"
+    (8_469, 43_291, 15)
+    (hotloop "s38584" ~seeds:[ 7; 8; 9 ])
 
 (* A chain of [n] buffers and one hub cell reading the first 40 chain
    nets: more cells than [random_hypergraph] makes in the property below,

@@ -155,18 +155,7 @@ let test_objectives_rows () =
       | Ok result ->
           checkb "cost positive" true
             (result.Core.Kway.summary.Fpga.Cost.total_cost > 0.0))
-    rows;
-  (* The JSON rows carry the schema the bench document promises. *)
-  match Experiments.Objectives.rows_to_json rows with
-  | Obs.Json.List (Obs.Json.Obj fields :: _) ->
-      List.iter
-        (fun key ->
-          checkb ("row has " ^ key) true (List.mem_assoc key fields))
-        [
-          "circuit"; "objective"; "num_partitions"; "device_cost";
-          "objective_cost"; "total_iobs"; "resource_util";
-        ]
-  | _ -> Alcotest.fail "rows_to_json shape"
+    rows
 
 let test_multilevel_init_quality () =
   (* The multilevel initial solution must not lose to random init + F-M on
