@@ -57,7 +57,8 @@ type multilevel = {
           round keeps at least this fraction of the cells *)
   refine_passes : int;
       (** boundary-restricted refinement sweeps per uncoarsening level
-          (becomes [refine_rounds] for the per-level pairwise F-M) *)
+          (becomes [refine_rounds] for the per-level pairwise F-M, and
+          the greedy mover's sweep count above the pairwise cap) *)
 }
 
 type strategy =
@@ -67,9 +68,10 @@ type strategy =
   | Multilevel of multilevel
       (** V-cycle: coarsen by heavy-edge matching under per-axis cluster
           weight caps, run the flat driver on the coarsest graph, then
-          project labels down level by level, refining each level with
-          F-M restricted to boundary cells. Functional replication is
-          applied only at the finest {!repl_fine_levels} levels. *)
+          project labels down level by level, refining each level's
+          boundary cells (pairwise F-M up to 4,096 finest cells, a
+          greedy mover above; see {!partition}). Functional replication
+          is applied only at the finest {!repl_fine_levels} levels. *)
 
 type options = {
   runs : int;          (** multi-start count (the paper generates 5
@@ -176,14 +178,21 @@ val partition :
     narrowed search budgets when the estimated device count exceeds 16
     or the coarsest graph holds more than 512 cells per estimated
     part), then
-    uncoarsens V-cycle style — {!project_parts} per level, then pairwise
-    F-M refinement restricted to the labelling's boundary cells (the
-    warm-start [active] machinery), with [refine_passes] sweeps per
-    level. Multilevel telemetry adds counter ["ml.level"], histograms
-    ["ml.cells_per_level"] / ["ml.coarsen_ratio"] (percent), events
-    ["ml.coarsen"] / ["ml.refine"], and spans ["coarsen<l>"] /
-    ["refine<l>"]; the flat path emits none of these, and its event
-    stream is byte-identical to the pre-multilevel driver.
+    uncoarsens V-cycle style — {!project_parts} per level, then
+    [refine_passes] refinement sweeps restricted to the labelling's
+    boundary cells ({!Hypergraph.boundary}). When the input hypergraph
+    has at most 4,096 cells, each level refines with pairwise F-M (the
+    warm-start [active] machinery); above that, every level runs a
+    deterministic greedy mover instead, which moves whole boundary cells
+    to the adjacent part that most reduces total terminals within the
+    parts' device windows and never changes a device. Multilevel
+    telemetry adds counters ["ml.level"] and (greedy levels)
+    ["kway.greedy_moves"], histograms ["ml.cells_per_level"] /
+    ["ml.coarsen_ratio"] (percent), events ["ml.coarsen"] /
+    ["ml.refine"] (and ["kway.greedy_round"]), and spans ["coarsen<l>"]
+    / ["refine<l>"], the latter wrapping the level's ["refine<r>"] or
+    ["greedy<r>"] sweeps; the flat path emits none of these, and its
+    event stream is byte-identical to the pre-multilevel driver.
 
     With a collecting [obs] (default {!Obs.noop}: record nothing, cost
     nothing), the driver emits its full telemetry: each multi-start run
@@ -219,8 +228,9 @@ val repl_fine_levels : int
 val result_of_parts : Hypergraph.t -> part list -> result
 (** Wrap a part list into a {!result} by recounting the summary and
     replication figures from the members ([wall_secs]/[cpu_secs] zero,
-    [runs = feasible_runs = 1]) — the shape {!check} expects. Used by the
-    projection tests and the multilevel driver's level hand-offs. *)
+    [runs = feasible_runs = 1]) — the shape {!check} expects, for
+    checking hand-built or projected parts. The drivers do not call it;
+    the projection tests do. *)
 
 val project_parts :
   ?options:options ->
@@ -239,7 +249,11 @@ val project_parts :
     window relaxed, as {!check} allows) and otherwise takes
     {!Fpga.Objective.cheapest}. [Error] on a malformed labelling (length
     mismatch, label outside [0, Array.length devices), no devices) or when
-    some part fits no library device. *)
+    some part fits no library device.
+
+    Cost: O(cells + pins) time. Besides the parts it returns (their
+    member lists), it allocates flat per-net tables of O(nets + pins)
+    words, whatever the number of parts, and nothing per net or cell. *)
 
 val labels_of_parts : Hypergraph.t -> part list -> int array * bool array
 (** Flatten a finished partition to per-cell form for projection onto an

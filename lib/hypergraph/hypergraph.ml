@@ -282,14 +282,23 @@ let boundary h ~labels =
   if Array.length labels <> num_cells h then
     invalid_arg "Hypergraph.boundary: labels do not cover the cells";
   let flags = Array.make (num_cells h) false in
-  Array.iter
-    (fun cells ->
-      if Array.length cells > 1 then begin
-        let l0 = labels.(cells.(0)) in
-        if Array.exists (fun c -> labels.(c) <> l0) cells then
-          Array.iter (fun c -> flags.(c) <- true) cells
-      end)
-    h.net_cells;
+  (* Plain loops: no closure per net, so the flag array is the only
+     allocation. *)
+  for n = 0 to Array.length h.net_cells - 1 do
+    let cells = h.net_cells.(n) in
+    let len = Array.length cells in
+    if len > 1 then begin
+      let l0 = labels.(cells.(0)) in
+      let i = ref 1 in
+      while !i < len && labels.(cells.(!i)) = l0 do
+        incr i
+      done;
+      if !i < len then
+        for j = 0 to len - 1 do
+          flags.(cells.(j)) <- true
+        done
+    end
+  done;
   flags
 
 let max_cell_degree h =

@@ -117,7 +117,8 @@ val boundary : t -> labels:int array -> bool array
     carry at least two distinct labels — the cells whose moves can change
     the cut of the labelling. Cells on single-label (internal) nets only
     are left unflagged, external or not: an external net touched by one
-    part costs the same IOB wherever that part's cells sit. O(pins). *)
+    part costs the same IOB wherever that part's cells sit. O(pins) time;
+    the returned flag array is its only allocation. *)
 
 val validate : t -> (unit, string) result
 

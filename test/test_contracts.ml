@@ -28,8 +28,9 @@
      exposition follows the OpenMetrics rules and --log-scrub
      --log-file writes the scrubbed lifecycle log;
    - scale: the multilevel V-cycle partitions gen100k within its
-     result.wall_secs budget (30 s, FPGAPART_ML_BUDGET_SECS), and gen1m
-     within 300 s (FPGAPART_ML_BUDGET_1M_SECS) under FPGAPART_PERF_FULL.
+     result.wall_secs budget (30 s, FPGAPART_ML_BUDGET_SECS) into its
+     pinned result (the greedy-refinement path), and gen1m within 300 s
+     (FPGAPART_ML_BUDGET_1M_SECS) under FPGAPART_PERF_FULL.
 
    The fleet's contracts through the CLI (`serve --workers N`) are in
    test_fleet. *)
@@ -496,12 +497,25 @@ let test_trace_rejects () =
     "decreasing ts on one (pid, tid)" true
     (Result.is_error (check_trace (doc (span "run0/pass1" 0 4.0))))
 
+(* gen100k's seed-1 result: total cost, total IOBs and each part's
+   (device, CLBs, IOBs). It is the one pinned result above the pairwise
+   refinement cap (4,096 finest cells), so every uncoarsening level runs
+   the greedy boundary mover. A change meant to move multilevel results
+   re-records it. *)
+let gen100k_pin =
+  ( 14700.0,
+    19174,
+    [ ("S4K", 2082, 515); ("S32K", 24450, 4222); ("S32K", 13618, 2749);
+      ("S32K", 21872, 3886); ("S32K", 24011, 4046); ("S32K", 19644, 3753);
+      ("S4K", 1, 3) ] )
+
 (* The V-cycle takes a seeded Rent-profile circuit to a feasible
    partition inside the wall budget. The partition phase lands in
    single-digit seconds on a typical desktop core at 100k cells; the
    budget leaves headroom for slow CI hosts. Feasibility shows in the
    result itself: a partition error exits non-zero, and the document
-   carries the parts of a Kway.check-clean result. *)
+   carries the parts of a Kway.check-clean result. gen100k's result is
+   pinned too ([gen100k_pin]). *)
 let test_scale (circuit, budget_var, budget) () =
   let budget =
     Option.value ~default:budget
@@ -518,6 +532,21 @@ let test_scale (circuit, budget_var, budget) () =
   Alcotest.(check bool)
     "a feasible run" true
     (U.get J.to_int [ "result"; "feasible_runs" ] doc >= 1);
+  if circuit = "gen100k" then begin
+    let cost, iobs, pinned = gen100k_pin in
+    let part p =
+      ( U.get (function J.String s -> Some s | _ -> None) [ "device" ] p,
+        U.get J.to_int [ "clbs" ] p,
+        U.get J.to_int [ "iobs" ] p )
+    in
+    Alcotest.(check (float 0.0))
+      "total cost" cost
+      (U.get J.to_float [ "result"; "total_cost" ] doc);
+    Alcotest.(check int) "total IOBs" iobs
+      (U.get J.to_int [ "result"; "total_iobs" ] doc);
+    Alcotest.(check (list (triple string int int)))
+      "parts" pinned (List.map part parts)
+  end;
   let wall = U.get J.to_float [ "result"; "wall_secs" ] doc in
   if wall > budget then
     Alcotest.failf "%s partition took %.1fs (budget %.0fs)" circuit wall budget

@@ -1539,6 +1539,189 @@ let test_multilevel_jobs_stable () =
   Alcotest.check (Alcotest.float 0.0) "cost jobs-independent" cost1 cost4;
   checkb "parts jobs-independent" true (parts1 = parts4)
 
+(* The scale ladder of bench/scale_devices.json. *)
+let scale_library =
+  let dev name capacity terminals price util_low =
+    Fpga.Device.make ~name ~capacity ~terminals ~price ~util_low
+      ~util_high:0.95 ()
+  in
+  Fpga.Library.make
+    [
+      dev "S4K" 4096 2400 400.0 0.0; dev "S8K" 8192 4000 760.0 0.5;
+      dev "S16K" 16384 6400 1450.0 0.5; dev "S32K" 32768 9600 2780.0 0.5;
+    ]
+
+(* The list-built [Kway.project_parts] the flat tally replaced, kept as
+   the reference: per-net part lists, IOBs from list scans. *)
+let reference_project_parts ~options ~library ~labels
+    ~(devices : Fpga.Device.t array) hg =
+  let n = Hypergraph.num_cells hg in
+  let k = Array.length devices in
+  let on_net = Array.make hg.Hypergraph.num_nets [] in
+  let clbs = Array.make k 0 in
+  let used = Array.make_matrix k Hypergraph.demand_arity 0 in
+  Array.iteri
+    (fun c p ->
+      let cell = Hypergraph.cell hg c in
+      clbs.(p) <- clbs.(p) + cell.Hypergraph.area;
+      Array.iteri
+        (fun a d -> used.(p).(a) <- used.(p).(a) + d)
+        cell.Hypergraph.demand;
+      Array.iter
+        (fun nt -> if not (List.mem p on_net.(nt)) then on_net.(nt) <- p :: on_net.(nt))
+        (Hypergraph.cell_nets cell))
+    labels;
+  let members = Array.make k [] in
+  for c = n - 1 downto 0 do
+    let full =
+      Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
+    in
+    members.(labels.(c)) <- (c, full) :: members.(labels.(c))
+  done;
+  let iobs = Array.make k 0 in
+  Array.iteri
+    (fun nt touchers ->
+      List.iter
+        (fun j ->
+          if
+            hg.Hypergraph.net_external.(nt)
+            || List.exists (fun q -> q <> j) touchers
+          then iobs.(j) <- iobs.(j) + 1)
+        touchers)
+    on_net;
+  let obj = options.Kway.objective in
+  let rec build p acc =
+    if p < 0 then Ok acc
+    else if members.(p) = [] then build (p - 1) acc
+    else
+      let demand = used.(p) and io = iobs.(p) in
+      let dev =
+        if Fpga.Objective.fits ~relax_low:true obj devices.(p) ~demand ~iobs:io
+        then Some devices.(p)
+        else Fpga.Objective.cheapest ~relax_low:true obj library ~demand ~iobs:io
+      in
+      match dev with
+      | None -> Error p
+      | Some device ->
+          build (p - 1)
+            ({ Kway.device; members = members.(p); clbs = clbs.(p); iobs = io;
+               used = demand }
+            :: acc)
+  in
+  build (k - 1) []
+
+(* Random whole-cell labellings over up to six devices: random
+   hypergraphs into XC3000 (parts that outgrow their device move to the
+   cheapest fitting one, or fail) and mapped generated circuits into the
+   scale ladder. The same parts (members, CLBs, IOBs, demand, device), or
+   an error on the same labellings. *)
+let qcheck_project_parts_reference =
+  QCheck.Test.make ~name:"project_parts = reference on random labellings"
+    ~count:150
+    QCheck.(triple small_int (int_range 1 60) (int_range 1 6))
+    (fun (seed, n_cells, k) ->
+      let h, library =
+        if seed mod 3 = 0 then
+          ( mapped_hypergraph
+              (Netlist.Generator.clustered
+                 { Netlist.Generator.default_clustered with clusters = 3; seed }),
+            scale_library )
+        else (Test_util.random_hypergraph seed n_cells, Fpga.Library.xc3000)
+      in
+      let rng = Netlist.Rng.create (seed + 11) in
+      let lib = Fpga.Library.devices library in
+      let devices =
+        Array.init k (fun _ ->
+            List.nth lib (Netlist.Rng.int rng (List.length lib)))
+      in
+      let labels =
+        Array.init (Hypergraph.num_cells h) (fun _ -> Netlist.Rng.int rng k)
+      in
+      let options = Kway.Options.default in
+      match
+        ( Kway.project_parts ~options ~library ~labels ~devices h,
+          reference_project_parts ~options ~library ~labels ~devices h )
+      with
+      | Ok got, Ok want -> got = want
+      | Error _, Error _ -> true
+      | _ -> false)
+
+(* [project_parts] of mapped s38584 under a random 16-way labelling
+   allocates its member lists (a cons and a pair, six words a cell) plus
+   the tally's flat per-net tables (offsets, counts and part slots, about
+   five words a net here) and O(k) per-part records; the list-built
+   reference allocated a cons per (net, part) and closures per net and
+   per toucher. *)
+let test_project_parts_allocation () =
+  let h =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.hypergraph
+  in
+  let k = 16 in
+  let n = Hypergraph.num_cells h in
+  let rng = Netlist.Rng.create 3 in
+  let labels = Array.init n (fun _ -> Netlist.Rng.int rng k) in
+  let devices =
+    Array.make k (List.hd (Fpga.Library.devices scale_library))
+  in
+  let run () =
+    Kway.project_parts ~library:scale_library ~labels ~devices h
+  in
+  let parts = ref (run ()) in
+  checki "16 parts" k
+    (match !parts with Ok p -> List.length p | Error e -> Alcotest.fail e);
+  let words = Test_util.words_during (fun () -> parts := run ()) in
+  let bound = float_of_int ((6 * n) + (6 * h.Hypergraph.num_nets) + 4096) in
+  if words > bound then
+    Alcotest.failf "project_parts allocated %.0f words (bound %.0f)" words
+      bound
+
+(* A multilevel partition past the pairwise refinement cap (4,096 finest
+   cells), so every level refines with the greedy mover, on a fresh
+   domain; the S4K rung alone, so the circuit splits in two. The walk's
+   per-level steps (projection, boundary, greedy sweeps) allocate their
+   flat tables and the parts they return, nothing per net, cell or
+   candidate: about 1.8 Mw in all, where the closure- and list-built walk
+   took 3.9. *)
+let test_multilevel_greedy_allocation () =
+  let circuit =
+    Netlist.Generator.scale ~name:"scale10k"
+      { Netlist.Generator.default_scale with sc_gates = 10_000; sc_seed = 3 }
+  in
+  let h =
+    Techmap.Mapper.to_hypergraph
+      (Techmap.Mapper.map
+         ~options:{ Techmap.Mapper.default_options with pair_disjoint = false }
+         circuit)
+  in
+  checkb "above the pairwise cap" true (Hypergraph.num_cells h > 4096);
+  let library =
+    Fpga.Library.make [ List.hd (Fpga.Library.devices scale_library) ]
+  in
+  let options =
+    Kway.Options.make ~runs:1 ~seed:3
+      ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+  in
+  let words, result =
+    on_fresh_domain (fun () ->
+        let result = ref (Error "not run") in
+        let words =
+          Test_util.words_during (fun () ->
+              result := Kway.partition ~options ~library h)
+        in
+        (words, !result))
+  in
+  (match result with
+  | Ok r -> (
+      checki "two parts" 2 (List.length r.Kway.parts);
+      match Kway.check h r with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail ("unsound: " ^ e))
+  | Error e -> Alcotest.fail e);
+  if words > 2.8e6 then
+    Alcotest.failf "multilevel partition allocated %.2f Mw (bound 2.8)"
+      (words /. 1e6)
+
 (* ------------------------------------------------------------------ *)
 (* k-way driver                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -2163,6 +2346,11 @@ let () =
             test_coarsen_reference_suite;
           Alcotest.test_case "allocation (s38584)" `Quick
             test_coarsen_allocation;
+          qc qcheck_project_parts_reference;
+          Alcotest.test_case "project_parts allocation (s38584)" `Quick
+            test_project_parts_allocation;
+          Alcotest.test_case "greedy walk allocation" `Quick
+            test_multilevel_greedy_allocation;
         ] );
       ( "kway",
         [

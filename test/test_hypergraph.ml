@@ -411,6 +411,49 @@ let test_induce_copies_allocation () =
     Alcotest.failf "induce_copies allocated %.0f words for a %d-word result"
       words size
 
+(* The closure-built [boundary] the flat-loop rewrite replaced, kept as
+   the reference. *)
+let reference_boundary h ~labels =
+  let flags = Array.make (Hypergraph.num_cells h) false in
+  Array.iter
+    (fun cells ->
+      if Array.length cells > 1 then begin
+        let l0 = labels.(cells.(0)) in
+        if Array.exists (fun c -> labels.(c) <> l0) cells then
+          Array.iter (fun c -> flags.(c) <- true) cells
+      end)
+    h.Hypergraph.net_cells;
+  flags
+
+let qcheck_boundary_reference =
+  QCheck.Test.make ~name:"boundary = reference on random labellings"
+    ~count:200
+    QCheck.(triple small_int (int_range 1 40) (int_range 1 5))
+    (fun (seed, n_cells, k) ->
+      let h = Test_util.random_hypergraph seed n_cells in
+      let rng = Netlist.Rng.create (seed + 7000) in
+      let labels =
+        Array.init (Hypergraph.num_cells h) (fun _ -> Netlist.Rng.int rng k)
+      in
+      Hypergraph.boundary h ~labels = reference_boundary h ~labels)
+
+(* [boundary] allocates its flag array and nothing per net: on mapped
+   s38584 under a 4-way labelling, at most the array's words plus a
+   constant (the reference allocated two closures per multi-pin net). *)
+let test_boundary_allocation () =
+  let s38584 = Option.get (Experiments.Suite.find "s38584") in
+  let h = Lazy.force s38584.Experiments.Suite.hypergraph in
+  let n = Hypergraph.num_cells h in
+  let labels = Array.init n (fun c -> c * 4 / n) in
+  let flags = ref (Hypergraph.boundary h ~labels) in
+  checkb "some cells on the boundary" true (Array.exists Fun.id !flags);
+  let words =
+    Test_util.words_during (fun () -> flags := Hypergraph.boundary h ~labels)
+  in
+  let bound = float_of_int (Obj.reachable_words (Obj.repr !flags) + 16) in
+  if words > bound then
+    Alcotest.failf "boundary allocated %.0f words (bound %.0f)" words bound
+
 (* ------------------------------------------------------------------ *)
 (* Partition state                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -804,6 +847,9 @@ let () =
             test_induce_copies_bad_specs;
           Alcotest.test_case "induce_copies allocation" `Quick
             test_induce_copies_allocation;
+          qc qcheck_boundary_reference;
+          Alcotest.test_case "boundary allocation" `Quick
+            test_boundary_allocation;
         ] );
       ( "partition_state",
         [
