@@ -18,6 +18,7 @@ type result = {
 }
 
 let never_stop () = false
+let count_true = Array.fold_left (fun a b -> if b then a + 1 else a) 0
 
 type multilevel = {
   max_levels : int;
@@ -647,6 +648,190 @@ let refine ~opts ~obs ?dirty hg library parts =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Whole-cell labellings                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Running per-part sums of a whole-cell labelling over [k] parts: CLBs,
+   demand vectors, and each net's parts with their pins (the part's cells
+   on the net). Net [nt] owns the slots [t_first.(nt) ..] of [t_slots],
+   [min k (cells on nt)] of them, [t_count.(nt)] in use, each one word
+   packing [part lsl pin_bits + pins] and kept ascending, so in part
+   order. Each cell sits in one part, so a net never carries more parts
+   than cells: a tally costs O(nets + pins) words whatever [k]. Cells are
+   added and moved in place, allocating nothing. *)
+type tally = {
+  t_hg : Hypergraph.t;
+  t_first : int array;  (** nets + 1 slot offsets *)
+  t_count : int array;  (** distinct parts on each net *)
+  t_slots : int array;  (** (part, pins) slots, net by net *)
+  t_clbs : int array;
+  t_used : int array array;
+}
+
+let pin_bits = Sys.int_size / 2
+let slot_part s = s lsr pin_bits
+let slot_pins s = s land ((1 lsl pin_bits) - 1)
+
+(* Part [p]'s slot on net [nt] when [p] is there, else [-1 - x] for the
+   slot [x] it would take: the first whose part is above [p]. *)
+let slot t nt p =
+  let x = ref t.t_first.(nt) in
+  let stop = !x + t.t_count.(nt) in
+  while !x < stop && slot_part t.t_slots.(!x) < p do
+    incr x
+  done;
+  if !x < stop && slot_part t.t_slots.(!x) = p then !x else -1 - !x
+
+(* Part [p]'s pins on net [nt]. *)
+let pins t nt p =
+  let x = slot t nt p in
+  if x >= 0 then slot_pins t.t_slots.(x) else 0
+
+(* Cell [c] joins ([by] = 1) or leaves ([by] = -1) part [p]. *)
+let tally_add t c p by =
+  let cell = Hypergraph.cell t.t_hg c in
+  t.t_clbs.(p) <- t.t_clbs.(p) + (by * cell.Hypergraph.area);
+  let d = cell.Hypergraph.demand and used = t.t_used.(p) in
+  for a = 0 to Array.length d - 1 do
+    used.(a) <- used.(a) + (by * d.(a))
+  done;
+  let nets = Hypergraph.cell_nets cell in
+  for y = 0 to Array.length nets - 1 do
+    let nt = nets.(y) in
+    let x = slot t nt p in
+    let stop = t.t_first.(nt) + t.t_count.(nt) in
+    if x >= 0 then begin
+      t.t_slots.(x) <- t.t_slots.(x) + by;
+      if slot_pins t.t_slots.(x) = 0 then begin
+        Array.blit t.t_slots (x + 1) t.t_slots x (stop - x - 1);
+        t.t_count.(nt) <- t.t_count.(nt) - 1
+      end
+    end
+    else begin
+      let x = -1 - x in
+      Array.blit t.t_slots x t.t_slots (x + 1) (stop - x);
+      t.t_slots.(x) <- (p lsl pin_bits) + 1;
+      t.t_count.(nt) <- t.t_count.(nt) + 1
+    end
+  done
+
+(* Move cell [c] whole from part [src] to part [dst]. Leaving first keeps
+   every net within its slots. *)
+let tally_move t c ~src ~dst =
+  tally_add t c src (-1);
+  tally_add t c dst 1
+
+(* The tally of [labels] over [k] parts; a cell labelled [-1] is left
+   out. *)
+let tally hg k labels =
+  let net_cells = hg.Hypergraph.net_cells in
+  let nn = Array.length net_cells in
+  let first = Array.make (nn + 1) 0 in
+  for nt = 0 to nn - 1 do
+    first.(nt + 1) <- first.(nt) + min k (Array.length net_cells.(nt))
+  done;
+  let t =
+    {
+      t_hg = hg;
+      t_first = first;
+      t_count = Array.make nn 0;
+      t_slots = Array.make first.(nn) 0;
+      t_clbs = Array.make k 0;
+      t_used = Array.make_matrix k Hypergraph.demand_arity 0;
+    }
+  in
+  Array.iteri (fun c p -> if p >= 0 then tally_add t c p 1) labels;
+  t
+
+(* Step one of materialising a whole-cell labelling, after its tally:
+   count each part's IOBs and settle its device. A part pays an IOB for
+   each net it shares with another part or with the outside. It keeps its
+   device unless it outgrew it, and then takes the cheapest accepting
+   device (lower window relaxed); a part with no CLBs, so no cell, keeps
+   its device. *)
+let settle_devices ~options ~library ~(devices : Fpga.Device.t array) t =
+  let k = Array.length devices in
+  let iobs = Array.make k 0 in
+  for nt = 0 to Array.length t.t_count - 1 do
+    let len = t.t_count.(nt) in
+    if len >= 2 || (len = 1 && t.t_hg.Hypergraph.net_external.(nt)) then
+      for x = t.t_first.(nt) to t.t_first.(nt) + len - 1 do
+        let j = slot_part t.t_slots.(x) in
+        iobs.(j) <- iobs.(j) + 1
+      done
+  done;
+  let devices = Array.copy devices in
+  let obj = options.objective in
+  (* Downwards, so an error names the highest part that fits nothing. *)
+  let rec settle p =
+    if p < 0 then Ok (iobs, devices)
+    else
+      let demand = t.t_used.(p) and io = iobs.(p) in
+      if
+        t.t_clbs.(p) = 0
+        || Fpga.Objective.fits ~relax_low:true obj devices.(p) ~demand ~iobs:io
+      then settle (p - 1)
+      else
+        match
+          Fpga.Objective.cheapest ~relax_low:true obj library ~demand ~iobs:io
+        with
+        | Some d ->
+            devices.(p) <- d;
+            settle (p - 1)
+        | None ->
+            Error
+              (Printf.sprintf "Kway.project_parts: no device accepts part %d \
+                 (%d CLBs / %d IOBs)" p t.t_clbs.(p) io)
+  in
+  settle (k - 1)
+
+(* Step two: the parts themselves, each with its member list. Parts no
+   cell carries are dropped. *)
+let parts_of_tally t ~labels ~iobs ~(devices : Fpga.Device.t array) =
+  let members = Array.make (Array.length devices) [] in
+  for c = Array.length labels - 1 downto 0 do
+    let full =
+      Bitvec.full (Array.length (Hypergraph.cell t.t_hg c).Hypergraph.outputs)
+    in
+    members.(labels.(c)) <- (c, full) :: members.(labels.(c))
+  done;
+  let parts = ref [] in
+  for p = Array.length devices - 1 downto 0 do
+    if members.(p) <> [] then
+      parts :=
+        { device = devices.(p); members = members.(p); clbs = t.t_clbs.(p);
+          iobs = iobs.(p); used = t.t_used.(p) }
+        :: !parts
+  done;
+  !parts
+
+(* The parts a tally's labelling puts at least one cell in (every cell
+   has an area of at least 1). *)
+let live_parts t =
+  Array.fold_left (fun a cl -> if cl > 0 then a + 1 else a) 0 t.t_clbs
+
+(* Both steps: the warm start's and each pairwise uncoarsening level's
+   parts. Labels carry no replication: every cell sits whole in its
+   labelled part. *)
+let materialise ~options ~library ~labels ~devices t =
+  Result.map
+    (fun (iobs, devices) -> parts_of_tally t ~labels ~iobs ~devices)
+    (settle_devices ~options ~library ~devices t)
+
+let project_parts ?(options = Options.default) ~library ~labels
+    ~(devices : Fpga.Device.t array) hg =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let n = Hypergraph.num_cells hg in
+  let k = Array.length devices in
+  if Array.length labels <> n then
+    err "Kway.project_parts: labels cover %d cells, hypergraph has %d"
+      (Array.length labels) n
+  else if k = 0 then err "Kway.project_parts: empty device array"
+  else if Array.exists (fun l -> l < 0 || l >= k) labels then
+    err "Kway.project_parts: label out of range (only %d devices)" k
+  else materialise ~options ~library ~labels ~devices (tally hg k labels)
+
+(* ------------------------------------------------------------------ *)
 (* Greedy boundary k-way refinement                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -657,199 +842,119 @@ let refine ~opts ~obs ?dirty hg library parts =
    part pair, which is superlinear in level size, while a greedy sweep
    costs O(pins) per pass — the only refinement shape that survives
    100k-cell levels. Only [dirty] cells (the projected boundary) are
-   candidates. The parts come from [project_parts], so every member is a
-   whole cell in exactly one part. Devices are kept as-is: cell moves
-   cannot make a part outgrow its device (the windows are checked per
-   move), and cheapening is the flat driver's job.
-
-   The state is flat and updated in place: per-part pin counts on every
-   net, distinct parts per net, live terminal counts per part, and a
-   [k]-slot candidate buffer. Past those arrays, a call allocates only
-   the parts it returns: nothing per net, cell or candidate. *)
-let greedy_refine ~opts ~obs ~dirty ~rounds hg parts =
-  let parts = Array.of_list parts in
-  let k = Array.length parts in
-  if k < 2 then Array.to_list parts
-  else begin
-    let n = Hypergraph.num_cells hg in
-    let nn = hg.Hypergraph.num_nets in
-    let full_of c =
-      Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-    in
-    (* cell -> owning part *)
-    let owner = Array.make n (-1) in
-    Array.iteri
-      (fun j p ->
-        List.iter
-          (fun (c, m) ->
-            if owner.(c) <> -1 || not (Bitvec.equal m (full_of c)) then
-              invalid_arg "Kway.greedy_refine: a member is not a whole cell";
-            owner.(c) <- j)
-          p.members)
-      parts;
-    (* Per-part pin counts on every net, flattened [j * nn + net]. *)
-    let cnt = Array.make (k * nn) 0 in
-    for c = 0 to n - 1 do
-      let j = owner.(c) in
-      if j >= 0 then begin
-        let nets = Hypergraph.cell_nets (Hypergraph.cell hg c) in
-        for x = 0 to Array.length nets - 1 do
-          let jj = (j * nn) + nets.(x) in
-          cnt.(jj) <- cnt.(jj) + 1
-        done
-      end
-    done;
-    let touchers = Array.make nn 0 in
-    for nt = 0 to nn - 1 do
-      for j = 0 to k - 1 do
-        if cnt.((j * nn) + nt) > 0 then touchers.(nt) <- touchers.(nt) + 1
-      done
-    done;
-    let ext = hg.Hypergraph.net_external in
-    (* Live terminal counts per part (kept in sync with every move). *)
-    let terms = Array.make k 0 in
-    for j = 0 to k - 1 do
-      for nt = 0 to nn - 1 do
-        if cnt.((j * nn) + nt) > 0 && (ext.(nt) || touchers.(nt) >= 2) then
-          terms.(j) <- terms.(j) + 1
-      done
-    done;
-    let clbs = Array.map (fun p -> p.clbs) parts in
-    let used = Array.map (fun p -> Array.copy p.used) parts in
-    let max_clbs = Array.map (fun p -> Fpga.Device.max_clbs p.device) parts in
-    let res_max =
-      Array.map (fun p -> Fpga.Objective.res_max opts.objective p.device) parts
-    in
-    let max_terms =
-      Array.map (fun p -> p.device.Fpga.Device.terminals) parts
-    in
-    (* The parts adjacent to the cell under consideration, in discovery
-       order (its nets ascending, then parts ascending). *)
-    let adjacent = Array.make k false in
-    let cands = Array.make k 0 in
-    for round = 1 to rounds do
-      let moved = ref 0 in
-      let shed = ref 0 in
-      Obs.span obs (Printf.sprintf "greedy%d" round) (fun () ->
-          for c = 0 to n - 1 do
-            let i = owner.(c) in
-            if dirty.(c) && i >= 0 && not (opts.should_stop ()) then begin
-              let cell = Hypergraph.cell hg c in
-              let nets = Hypergraph.cell_nets cell in
-              let ncands = ref 0 in
+   candidates. A move updates [labels], the tally [t] and the live IOB
+   counts [iobs] in place; devices are kept, since the windows are
+   checked per move and cheapening is the flat driver's job. Past its
+   per-part windows and a [k]-slot candidate buffer it allocates
+   nothing. *)
+let greedy_refine ~opts ~obs ~dirty ~rounds ~labels ~iobs ~devices t =
+  let hg = t.t_hg in
+  let k = Array.length devices in
+  let ext = hg.Hypergraph.net_external in
+  let clbs = t.t_clbs and used = t.t_used in
+  let max_clbs = Array.map Fpga.Device.max_clbs devices in
+  let res_max = Array.map (Fpga.Objective.res_max opts.objective) devices in
+  let adjacent = Array.make k false in
+  let cands = Array.make k 0 in
+  for round = 1 to rounds do
+    let moved = ref 0 in
+    let shed = ref 0 in
+    Obs.span obs (Printf.sprintf "greedy%d" round) (fun () ->
+        for c = 0 to Hypergraph.num_cells hg - 1 do
+          if dirty.(c) && not (opts.should_stop ()) then begin
+            let i = labels.(c) in
+            let cell = Hypergraph.cell hg c in
+            let nets = Hypergraph.cell_nets cell in
+            (* The other parts on the cell's nets, in discovery order (its
+               nets ascending, then parts ascending). *)
+            let ncands = ref 0 in
+            adjacent.(i) <- true;
+            for x = 0 to Array.length nets - 1 do
+              let nt = nets.(x) in
+              for y = t.t_first.(nt) to t.t_first.(nt) + t.t_count.(nt) - 1 do
+                let j = slot_part t.t_slots.(y) in
+                if not adjacent.(j) then begin
+                  adjacent.(j) <- true;
+                  cands.(!ncands) <- j;
+                  incr ncands
+                end
+              done
+            done;
+            adjacent.(i) <- false;
+            for y = 0 to !ncands - 1 do
+              adjacent.(cands.(y)) <- false
+            done;
+            let a = cell.Hypergraph.area in
+            let d = cell.Hypergraph.demand in
+            (* The best fitting move so far; the first wins a tie. *)
+            let best = ref (-1) in
+            let best_di = ref 0 and best_dj = ref 0 in
+            for y = 0 to !ncands - 1 do
+              let j = cands.(y) in
+              (* Terminal delta for parts [i] (source) and [j] (target)
+                 when the full cell moves. Every other part keeps its pins
+                 and at least as many co-touchers on each affected net, so
+                 only these two change. *)
+              let di = ref 0 and dj = ref 0 in
               for x = 0 to Array.length nets - 1 do
                 let nt = nets.(x) in
-                for j = 0 to k - 1 do
-                  if (not adjacent.(j)) && cnt.((j * nn) + nt) > 0 then begin
-                    adjacent.(j) <- true;
-                    if j <> i then begin
-                      cands.(!ncands) <- j;
-                      incr ncands
-                    end
-                  end
-                done
-              done;
-              Array.fill adjacent 0 k false;
-              let a = cell.Hypergraph.area in
-              let d = cell.Hypergraph.demand in
-              (* The best fitting move so far; the first wins a tie. *)
-              let best = ref (-1) in
-              let best_di = ref 0 and best_dj = ref 0 in
-              for y = 0 to !ncands - 1 do
-                let j = cands.(y) in
-                (* Terminal delta for parts [i] (source) and [j] (target)
-                   when the full cell moves. Every other part keeps its
-                   pins and at least as many co-touchers on each affected
-                   net, so only these two change. *)
-                let di = ref 0 and dj = ref 0 in
-                for x = 0 to Array.length nets - 1 do
-                  let nt = nets.(x) in
-                  let ci = cnt.((i * nn) + nt) and cj = cnt.((j * nn) + nt) in
-                  let tc = touchers.(nt) in
-                  let tc' =
-                    tc - (if ci = 1 then 1 else 0) + (if cj = 0 then 1 else 0)
-                  in
-                  let e = ext.(nt) in
-                  let outside = e || tc >= 2 and outside' = e || tc' >= 2 in
-                  if outside then decr di;
-                  if ci > 1 && outside' then incr di;
-                  if cj > 0 && outside then decr dj;
-                  if outside' then incr dj
-                done;
-                let di = !di and dj = !dj in
-                let fits =
-                  clbs.(j) + a <= max_clbs.(j)
-                  && clbs.(i) - a >= 1
-                  && terms.(j) + dj <= max_terms.(j)
-                  && terms.(i) + di <= max_terms.(i)
-                  &&
-                  let caps = res_max.(j) and uj = used.(j) in
-                  let ok = ref true in
-                  for ax = 0 to Array.length caps - 1 do
-                    let dem = if ax < Array.length d then d.(ax) else 0 in
-                    if uj.(ax) + dem > caps.(ax) then ok := false
-                  done;
-                  !ok
+                let ci = pins t nt i and cj = pins t nt j in
+                let tc = t.t_count.(nt) in
+                let tc' =
+                  tc - (if ci = 1 then 1 else 0) + if cj = 0 then 1 else 0
                 in
-                if
-                  fits && di + dj < 0
-                  && (!best < 0 || di + dj < !best_di + !best_dj)
-                then begin
-                  best := j;
-                  best_di := di;
-                  best_dj := dj
-                end
+                let e = ext.(nt) in
+                let outside = e || tc >= 2 and outside' = e || tc' >= 2 in
+                if outside then decr di;
+                if ci > 1 && outside' then incr di;
+                if cj > 0 && outside then decr dj;
+                if outside' then incr dj
               done;
-              if !best >= 0 then begin
-                let j = !best and di = !best_di and dj = !best_dj in
-                owner.(c) <- j;
-                clbs.(i) <- clbs.(i) - a;
-                clbs.(j) <- clbs.(j) + a;
-                for ax = 0 to Array.length d - 1 do
-                  used.(i).(ax) <- used.(i).(ax) - d.(ax);
-                  used.(j).(ax) <- used.(j).(ax) + d.(ax)
+              let di = !di and dj = !dj in
+              let fits =
+                clbs.(j) + a <= max_clbs.(j)
+                && clbs.(i) - a >= 1
+                && iobs.(j) + dj <= devices.(j).Fpga.Device.terminals
+                && iobs.(i) + di <= devices.(i).Fpga.Device.terminals
+                &&
+                let caps = res_max.(j) and uj = used.(j) in
+                let ok = ref true in
+                for ax = 0 to Array.length caps - 1 do
+                  let dem = if ax < Array.length d then d.(ax) else 0 in
+                  if uj.(ax) + dem > caps.(ax) then ok := false
                 done;
-                terms.(i) <- terms.(i) + di;
-                terms.(j) <- terms.(j) + dj;
-                for x = 0 to Array.length nets - 1 do
-                  let nt = nets.(x) in
-                  let ii = (i * nn) + nt and jj = (j * nn) + nt in
-                  cnt.(ii) <- cnt.(ii) - 1;
-                  if cnt.(ii) = 0 then touchers.(nt) <- touchers.(nt) - 1;
-                  if cnt.(jj) = 0 then touchers.(nt) <- touchers.(nt) + 1;
-                  cnt.(jj) <- cnt.(jj) + 1
-                done;
-                incr moved;
-                shed := !shed - (di + dj)
+                !ok
+              in
+              if
+                fits && di + dj < 0
+                && (!best < 0 || di + dj < !best_di + !best_dj)
+              then begin
+                best := j;
+                best_di := di;
+                best_dj := dj
               end
+            done;
+            if !best >= 0 then begin
+              let j = !best in
+              labels.(c) <- j;
+              iobs.(i) <- iobs.(i) + !best_di;
+              iobs.(j) <- iobs.(j) + !best_dj;
+              tally_move t c ~src:i ~dst:j;
+              incr moved;
+              shed := !shed - (!best_di + !best_dj)
             end
-          done);
-      if Obs.enabled obs then begin
-        Obs.incr obs ~by:!moved "kway.greedy_moves";
-        Obs.event obs "kway.greedy_round"
-          [
-            ("round", Obs.Json.Int round);
-            ("moved", Obs.Json.Int !moved);
-            ("terminals_shed", Obs.Json.Int !shed);
-          ]
-      end
-    done;
-    Array.to_list
-      (Array.mapi
-         (fun j p ->
-           let members = ref [] in
-           for c = n - 1 downto 0 do
-             if owner.(c) = j then members := (c, full_of c) :: !members
-           done;
-           {
-             p with
-             members = !members;
-             clbs = clbs.(j);
-             iobs = terms.(j);
-             used = used.(j);
-           })
-         parts)
-  end
+          end
+        done);
+    if Obs.enabled obs then begin
+      Obs.incr obs ~by:!moved "kway.greedy_moves";
+      Obs.event obs "kway.greedy_round"
+        [
+          ("round", Obs.Json.Int round);
+          ("moved", Obs.Json.Int !moved);
+          ("terminals_shed", Obs.Json.Int !shed);
+        ]
+    end
+  done
 
 let summarize_parts hg parts =
   let placements =
@@ -1017,6 +1122,8 @@ let labels_of_parts hg parts =
     parts;
   (labels, Array.map (fun k -> k > 1) appearances)
 
+let devices_of parts = Array.of_list (List.map (fun p -> p.device) parts)
+
 type warm = {
   w_labels : int array;
   w_dirty : bool array;
@@ -1032,146 +1139,20 @@ let project_warm ~base ~base_parts edited =
   ( {
       w_labels = proj.Projection.labels;
       w_dirty = proj.Projection.dirty;
-      w_devices = Array.of_list (List.map (fun p -> p.device) base_parts);
+      w_devices = devices_of base_parts;
     },
     proj )
-
-(* Running per-part sums of a whole-cell labelling over [k] parts: CLBs,
-   demand vectors, and the distinct parts present on each net. The net
-   sets are flat: net [nt] owns the slots [t_first.(nt) ..] of [t_on_net],
-   [min k (cells on nt)] of them (a net cannot carry more distinct parts
-   than cells), [t_count.(nt)] in use. So a tally costs O(nets + pins)
-   words whatever [k], and {!tally_add} allocates nothing. *)
-type tally = {
-  t_hg : Hypergraph.t;
-  t_first : int array;  (** nets + 1 slot offsets *)
-  t_count : int array;  (** distinct parts on each net *)
-  t_on_net : int array;  (** the parts, net by net, in arrival order *)
-  t_clbs : int array;
-  t_used : int array array;
-}
-
-let tally hg k =
-  let net_cells = hg.Hypergraph.net_cells in
-  let nn = Array.length net_cells in
-  let first = Array.make (nn + 1) 0 in
-  for nt = 0 to nn - 1 do
-    first.(nt + 1) <- first.(nt) + min k (Array.length net_cells.(nt))
-  done;
-  {
-    t_hg = hg;
-    t_first = first;
-    t_count = Array.make nn 0;
-    t_on_net = Array.make first.(nn) 0;
-    t_clbs = Array.make k 0;
-    t_used = Array.make_matrix k Hypergraph.demand_arity 0;
-  }
-
-(* Place cell [c] whole in part [p]; each cell is placed at most once. *)
-let tally_add t c p =
-  let cell = Hypergraph.cell t.t_hg c in
-  t.t_clbs.(p) <- t.t_clbs.(p) + cell.Hypergraph.area;
-  let d = cell.Hypergraph.demand and used = t.t_used.(p) in
-  for a = 0 to Array.length d - 1 do
-    used.(a) <- used.(a) + d.(a)
-  done;
-  let nets = Hypergraph.cell_nets cell in
-  for x = 0 to Array.length nets - 1 do
-    let nt = nets.(x) in
-    let lo = t.t_first.(nt) and len = t.t_count.(nt) in
-    (* Newest first: runs of one part's cells on a net hit at once. *)
-    let i = ref (len - 1) in
-    while !i >= 0 && t.t_on_net.(lo + !i) <> p do
-      decr i
-    done;
-    if !i < 0 then begin
-      t.t_on_net.(lo + len) <- p;
-      t.t_count.(nt) <- len + 1
-    end
-  done
-
-(* Materialise a whole-cell labelling into parts: the warm start's and
-   each uncoarsening level's parts come from here. IOBs are recounted
-   from net touchers; devices are kept unless the part outgrew them (then
-   the cheapest accepting device, lower window relaxed). Labels carry no
-   replication: every cell sits whole in its labelled part. *)
-let project_parts ?(options = Options.default) ~library ~labels
-    ~(devices : Fpga.Device.t array) hg =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let n = Hypergraph.num_cells hg in
-  let k = Array.length devices in
-  if Array.length labels <> n then
-    err "Kway.project_parts: labels cover %d cells, hypergraph has %d"
-      (Array.length labels) n
-  else if k = 0 then err "Kway.project_parts: empty device array"
-  else if Array.exists (fun l -> l < 0 || l >= k) labels then
-    err "Kway.project_parts: label out of range (only %d devices)" k
-  else begin
-    let t = tally hg k in
-    for c = 0 to n - 1 do
-      tally_add t c labels.(c)
-    done;
-    let members = Array.make k [] in
-    for c = n - 1 downto 0 do
-      let full =
-        Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-      in
-      members.(labels.(c)) <- (c, full) :: members.(labels.(c))
-    done;
-    (* A part pays an IOB for each net it shares with another part or
-       with the outside. *)
-    let iobs = Array.make k 0 in
-    for nt = 0 to Array.length t.t_count - 1 do
-      let len = t.t_count.(nt) in
-      if len >= 2 || (len = 1 && hg.Hypergraph.net_external.(nt)) then
-        for x = t.t_first.(nt) to t.t_first.(nt) + len - 1 do
-          let j = t.t_on_net.(x) in
-          iobs.(j) <- iobs.(j) + 1
-        done
-    done;
-    let clbs = t.t_clbs and used = t.t_used in
-    let obj = options.objective in
-    let rec build p acc =
-      if p < 0 then Ok acc
-      else if members.(p) = [] then build (p - 1) acc
-      else
-        let cl = clbs.(p) and io = iobs.(p) and demand = used.(p) in
-        let dev =
-          if
-            Fpga.Objective.fits ~relax_low:true obj devices.(p) ~demand
-              ~iobs:io
-          then Some devices.(p)
-          else
-            Fpga.Objective.cheapest ~relax_low:true obj library ~demand
-              ~iobs:io
-        in
-        match dev with
-        | None ->
-            err "Kway.project_parts: no device accepts part %d (%d CLBs / %d \
-                 IOBs)"
-              p cl io
-        | Some device ->
-            build (p - 1)
-              ({ device; members = members.(p); clbs = cl; iobs = io;
-                 used = demand }
-              :: acc)
-    in
-    build (k - 1) []
-  end
 
 (* Seed cells with no inherited label (new cells of the edit) where their
    connectivity pulls them: most incident nets already present, ties
    broken towards parts with capacity headroom, then towards the emptier
    part. Greedy in ascending id — deterministic, and the dirty-restricted
    refinement cleans up any misplacement. Seeded cells become dirty;
-   returns how many there were. *)
+   returns the finished labelling's tally and how many there were. *)
 let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
   let k = Array.length devices in
   let n = Array.length labels in
-  let t = tally hg k in
-  for c = 0 to n - 1 do
-    if labels.(c) >= 0 then tally_add t c labels.(c)
-  done;
+  let t = tally hg k labels in
   let clbs = t.t_clbs in
   let affinity = Array.make k 0 in
   let seeded = ref 0 in
@@ -1182,7 +1163,7 @@ let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
       for x = 0 to Array.length nets - 1 do
         let nt = nets.(x) in
         for y = t.t_first.(nt) to t.t_first.(nt) + t.t_count.(nt) - 1 do
-          let p = t.t_on_net.(y) in
+          let p = slot_part t.t_slots.(y) in
           affinity.(p) <- affinity.(p) + 1
         done
       done;
@@ -1210,11 +1191,11 @@ let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
       done;
       labels.(c) <- !best;
       dirty.(c) <- true;
-      tally_add t c !best;
+      tally_add t c !best 1;
       incr seeded
     end
   done;
-  !seeded
+  (t, !seeded)
 
 let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
     =
@@ -1234,7 +1215,7 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
   else begin
     let labels = Array.copy warm.w_labels in
     let dirty = Array.copy warm.w_dirty in
-    let seeded = seed_unlabelled hg ~devices:warm.w_devices labels dirty in
+    let t, seeded = seed_unlabelled hg ~devices:warm.w_devices labels dirty in
     (* Refine only inside the edit's blast radius: at least one round even
        when the options say zero, since refinement is the entire
        optimisation a warm start performs. *)
@@ -1244,7 +1225,7 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
         (fun parts ->
           Obs.span obs "warm" (fun () ->
               refine ~opts ~obs ~dirty hg library parts))
-        (project_parts ~options ~library ~labels ~devices:warm.w_devices hg)
+        (materialise ~options ~library ~labels ~devices:warm.w_devices t)
     in
     let result =
       finish ~since ~should_stop:options.should_stop ~runs:1 ~feasible_runs:1
@@ -1252,9 +1233,7 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
     in
     (match result with
     | Ok r when Obs.enabled obs ->
-        let dirty_cells =
-          Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty
-        in
+        let dirty_cells = count_true dirty in
         Obs.incr obs "kway.warm_starts";
         Obs.observe obs "kway.warm_seeded_cells" seeded;
         Obs.observe obs "kway.warm_dirty_cells" dirty_cells;
@@ -1441,76 +1420,95 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
     | Error _ as e -> e
     | Ok coarse_res ->
         let nlev = List.length hier.Coarsen.levels in
-        let rec walk idx cur_h cur_parts = function
-          | [] -> Ok cur_parts
-          | (fine, map) :: rest ->
-              if options.should_stop () then Error cancelled
-              else begin
-                let coarse_labels, coarse_repl =
-                  labels_of_parts cur_h cur_parts
+        let greedy = Hypergraph.num_cells hg > pairwise_refine_cap in
+        let start_of h parts =
+          let labels, repl = labels_of_parts h parts in
+          (labels, repl, devices_of parts)
+        in
+        (* Each level starts from the coarser level's labelling, its
+           replicated clusters and its devices. A pairwise level refines
+           parts, so it materialises them and the next level starts from
+           its result; a greedy level moves cells in the level's tally,
+           so parts are built once, from the finest level's. *)
+        let rec walk idx (coarse_labels, coarse_repl, devices) (fine, map)
+            finer =
+          if options.should_stop () then Error cancelled
+          else
+            let labels = Coarsen.project_labels ~map coarse_labels in
+            let t = tally fine (Array.length devices) labels in
+            match settle_devices ~options ~library ~devices t with
+            | Error _ as e -> e
+            | Ok (iobs, devices) -> (
+                let dirty = Hypergraph.boundary fine ~labels in
+                (* A cluster replicated at the coarser level was collapsed
+                   to its dominant part by labels_of_parts; mark its cells
+                   dirty so refinement re-decides the replication at this
+                   level's adjacency. *)
+                if Array.exists Fun.id coarse_repl then
+                  Array.iteri
+                    (fun c cl -> if coarse_repl.(cl) then dirty.(c) <- true)
+                    map;
+                let level_repl =
+                  if idx >= nlev - repl_fine_levels then options.replication
+                  else `None
                 in
-                let labels = Coarsen.project_labels ~map coarse_labels in
-                let devices =
-                  Array.of_list (List.map (fun p -> p.device) cur_parts)
+                let opts =
+                  {
+                    options with
+                    replication = level_repl;
+                    refine_rounds = ml.refine_passes;
+                  }
                 in
-                match project_parts ~options ~library ~labels ~devices fine with
-                | Error _ as e -> e
-                | Ok parts ->
-                    let dirty = Hypergraph.boundary fine ~labels in
-                    (* A cluster replicated at the coarser level was
-                       collapsed to its dominant part by labels_of_parts;
-                       mark its cells dirty so refinement re-decides the
-                       replication at this level's adjacency. *)
-                    if Array.exists Fun.id coarse_repl then
-                      Array.iteri
-                        (fun c cl -> if coarse_repl.(cl) then dirty.(c) <- true)
-                        map;
-                    let level_repl =
-                      if idx >= nlev - repl_fine_levels then options.replication
-                      else `None
-                    in
-                    let opts =
-                      {
-                        options with
-                        replication = level_repl;
-                        refine_rounds = ml.refine_passes;
-                      }
-                    in
-                    (* Span names are part of the benchmark:
-                       e2ebench/layers.ml splits "core.partition" by its
-                       child spans "coarsen<d>", "run<r>" and
-                       "refine<n>", and tells a walk level from the flat
-                       solve's winner refinement by the nested pairwise
-                       "refine<round>" or greedy "greedy<round>" sweep.
-                       Renaming any of them (the "refine<n>" clash on the
-                       roadmap included) waits for a change that updates
-                       the benchmark with it. *)
-                    let parts =
-                      Obs.span obs (Printf.sprintf "refine%d" idx) (fun () ->
-                          if Hypergraph.num_cells hg <= pairwise_refine_cap
-                          then refine ~opts ~obs ~dirty fine library parts
-                          else
-                            greedy_refine ~opts ~obs ~dirty
-                              ~rounds:ml.refine_passes fine parts)
-                    in
-                    if Obs.enabled obs then
-                      Obs.event obs "ml.refine"
-                        [
-                          ("level", Obs.Json.Int idx);
-                          ("cells", Obs.Json.Int (Hypergraph.num_cells fine));
-                          ( "dirty",
-                            Obs.Json.Int
-                              (Array.fold_left
-                                 (fun a d -> if d then a + 1 else a)
-                                 0 dirty) );
-                          ("parts", Obs.Json.Int (List.length parts));
-                        ];
-                    walk (idx + 1) fine parts rest
-              end
+                (* Span names are part of the benchmark:
+                   e2ebench/layers.ml splits "core.partition" by its child
+                   spans "coarsen<d>", "run<r>" and "refine<n>", and tells
+                   a walk level from the flat solve's winner refinement by
+                   the nested pairwise "refine<round>" or greedy
+                   "greedy<round>" sweep. Renaming any of them (the
+                   "refine<n>" clash on the roadmap included) waits for a
+                   change that updates the benchmark with it. *)
+                let parts =
+                  Obs.span obs (Printf.sprintf "refine%d" idx) (fun () ->
+                      if greedy then begin
+                        if live_parts t >= 2 then
+                          greedy_refine ~opts ~obs ~dirty
+                            ~rounds:ml.refine_passes ~labels ~iobs ~devices t;
+                        None
+                      end
+                      else
+                        Some
+                          (refine ~opts ~obs ~dirty fine library
+                             (parts_of_tally t ~labels ~iobs ~devices)))
+                in
+                if Obs.enabled obs then
+                  Obs.event obs "ml.refine"
+                    [
+                      ("level", Obs.Json.Int idx);
+                      ("cells", Obs.Json.Int (Hypergraph.num_cells fine));
+                      ("dirty", Obs.Json.Int (count_true dirty));
+                      ( "parts",
+                        Obs.Json.Int
+                          (match parts with
+                          | Some parts -> List.length parts
+                          | None -> live_parts t) );
+                    ];
+                match (parts, finer) with
+                | Some parts, [] -> Ok parts
+                | Some parts, next :: finer ->
+                    walk (idx + 1) (start_of fine parts) next finer
+                | None, [] -> Ok (parts_of_tally t ~labels ~iobs ~devices)
+                (* The greedy mover replicates nothing. *)
+                | None, next :: finer ->
+                    walk (idx + 1) (labels, [||], devices) next finer)
         in
         finish ~since ~should_stop:options.should_stop ~runs:coarse_options.runs
           ~feasible_runs:coarse_res.feasible_runs hg
-          (walk 0 hier.Coarsen.coarsest coarse_res.parts hier.Coarsen.levels)
+          (match hier.Coarsen.levels with
+          | [] -> Ok coarse_res.parts
+          | level :: finer ->
+              walk 0
+                (start_of hier.Coarsen.coarsest coarse_res.parts)
+                level finer)
   end
 
 let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =

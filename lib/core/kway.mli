@@ -185,7 +185,9 @@ val partition :
     warm-start [active] machinery); above that, every level runs a
     deterministic greedy mover instead, which moves whole boundary cells
     to the adjacent part that most reduces total terminals within the
-    parts' device windows and never changes a device. Multilevel
+    parts' device windows and never changes a device. The mover works on
+    the level's labelling and tally, so its member lists are built once,
+    after the finest level. Multilevel
     telemetry adds counters ["ml.level"] and (greedy levels)
     ["kway.greedy_moves"], histograms ["ml.cells_per_level"] /
     ["ml.coarsen_ratio"] (percent), events ["ml.coarsen"] /
@@ -251,9 +253,15 @@ val project_parts :
     mismatch, label outside [0, Array.length devices), no devices) or when
     some part fits no library device.
 
-    Cost: O(cells + pins) time. Besides the parts it returns (their
-    member lists), it allocates flat per-net tables of O(nets + pins)
-    words, whatever the number of parts, and nothing per net or cell. *)
+    Cost: O(cells + pins) time while nets carry few parts (a pin scans
+    its net's parts). It runs in two steps. The first tallies the
+    labelling into per-part CLB and demand sums and, per net, its parts
+    in part order with their pin counts, in flat tables of O(nets + pins)
+    words whatever the number of parts; it then counts IOBs and settles
+    devices. The second builds the member lists. Greedy V-cycle levels
+    ({!partition}) run only the first step and move cells in its tally.
+    Besides the parts it returns and those tables, it allocates nothing
+    per net or cell. *)
 
 val labels_of_parts : Hypergraph.t -> part list -> int array * bool array
 (** Flatten a finished partition to per-cell form for projection onto an

@@ -1676,41 +1676,56 @@ let test_project_parts_allocation () =
     Alcotest.failf "project_parts allocated %.0f words (bound %.0f)" words
       bound
 
-(* A multilevel partition past the pairwise refinement cap (4,096 finest
-   cells), so every level refines with the greedy mover, on a fresh
-   domain; the S4K rung alone, so the circuit splits in two. The walk's
-   per-level steps (projection, boundary, greedy sweeps) allocate their
-   flat tables and the parts they return, nothing per net, cell or
-   candidate: about 1.8 Mw in all, where the closure- and list-built walk
-   took 3.9. *)
+(* The 10k-gate scale circuit (5,333 mapped cells): past the pairwise
+   refinement cap (4,096 finest cells), so every level of its V-cycle
+   refines with the greedy mover. *)
+let scale10k =
+  lazy
+    (Techmap.Mapper.to_hypergraph
+       (Techmap.Mapper.map
+          ~options:{ Techmap.Mapper.default_options with pair_disjoint = false }
+          (Netlist.Generator.scale ~name:"scale10k"
+             {
+               Netlist.Generator.default_scale with
+               sc_gates = 10_000;
+               sc_seed = 3;
+             })))
+
+let greedy_options =
+  Kway.Options.make ~runs:1 ~seed:3
+    ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+
+(* The words and result of one [Kway.partition] on a fresh domain. *)
+let partition_words ~options ~library h =
+  on_fresh_domain (fun () ->
+      let result = ref (Error "not run") in
+      let words =
+        Test_util.words_during (fun () ->
+            result := Kway.partition ~options ~library h)
+      in
+      (words, !result))
+
+(* A one-device library: "D", 1,024 CLBs and 900 terminals at $100. *)
+let d_library util_low =
+  Fpga.Library.make
+    [
+      Fpga.Device.make ~name:"D" ~capacity:1024 ~terminals:900 ~price:100.0
+        ~util_low ~util_high:0.95 ();
+    ]
+
+(* A multilevel partition of the 10k-gate circuit on a fresh domain; the
+   S4K rung alone, so the circuit splits in two. The walk's per-level
+   steps (projection, boundary, greedy sweeps) allocate their flat tables,
+   nothing per net, cell or candidate, and the parts are built once, after
+   the finest level: about 1.5 Mw in all, where the closure- and
+   list-built walk took 3.9. *)
 let test_multilevel_greedy_allocation () =
-  let circuit =
-    Netlist.Generator.scale ~name:"scale10k"
-      { Netlist.Generator.default_scale with sc_gates = 10_000; sc_seed = 3 }
-  in
-  let h =
-    Techmap.Mapper.to_hypergraph
-      (Techmap.Mapper.map
-         ~options:{ Techmap.Mapper.default_options with pair_disjoint = false }
-         circuit)
-  in
+  let h = Lazy.force scale10k in
   checkb "above the pairwise cap" true (Hypergraph.num_cells h > 4096);
   let library =
     Fpga.Library.make [ List.hd (Fpga.Library.devices scale_library) ]
   in
-  let options =
-    Kway.Options.make ~runs:1 ~seed:3
-      ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
-  in
-  let words, result =
-    on_fresh_domain (fun () ->
-        let result = ref (Error "not run") in
-        let words =
-          Test_util.words_during (fun () ->
-              result := Kway.partition ~options ~library h)
-        in
-        (words, !result))
-  in
+  let words, result = partition_words ~options:greedy_options ~library h in
   (match result with
   | Ok r -> (
       checki "two parts" 2 (List.length r.Kway.parts);
@@ -1721,6 +1736,79 @@ let test_multilevel_greedy_allocation () =
   if words > 2.8e6 then
     Alcotest.failf "multilevel partition allocated %.2f Mw (bound 2.8)"
       (words /. 1e6)
+
+(* The 88-part case of the pins below, on a fresh domain. Each level
+   keeps its per-net part data once, in the tally the greedy mover moves
+   cells in: about 11.7 Mw in all, where the mover's dense [k x nets]
+   count table and the member lists rebuilt at every level took 15.3. *)
+let test_greedy_many_parts_allocation () =
+  let words, result =
+    partition_words ~options:greedy_options ~library:(d_library 0.0)
+      (Lazy.force scale10k)
+  in
+  (match result with
+  | Ok r -> checki "88 parts" 88 (List.length r.Kway.parts)
+  | Error e -> Alcotest.fail e);
+  if words > 13.0e6 then
+    Alcotest.failf "88-part multilevel partition allocated %.2f Mw (bound 13.0)"
+      (words /. 1e6)
+
+(* Two recorded greedy-path results: the 10k-gate circuit into the
+   one-device library at two lower utilisation bounds. The 88-part case
+   puts many parts on a net, so it pins the greedy mover's candidate
+   order (a cell's nets ascending, then parts ascending) and its
+   first-best tie-break. Parts are (CLBs, IOBs), every one on "D". A
+   change meant to move greedy-path results re-records them, as it does
+   gen100k's in test_contracts. *)
+let greedy_pins =
+  [
+    ( 0.5,
+      800.0,
+      1097,
+      [ (705, 165); (335, 67); (710, 148); (679, 96); (753, 158); (731, 146);
+        (696, 163); (724, 154) ] );
+    ( 0.0,
+      8800.0,
+      3374,
+      [ (3, 8); (1, 3); (1, 3); (1, 3); (1, 3); (62, 43); (29, 34); (79, 77);
+        (1, 5); (27, 28); (59, 58); (46, 51); (1, 3); (29, 33); (24, 27);
+        (33, 29); (91, 102); (1, 4); (1, 4); (55, 63); (32, 31); (1, 4);
+        (32, 31); (1, 5); (1, 3); (1, 5); (26, 28); (28, 33); (26, 34);
+        (20, 29); (1, 7); (1, 3); (25, 24); (25, 35); (62, 65); (29, 30);
+        (95, 100); (32, 38); (57, 69); (1, 5); (1, 6); (118, 85); (1, 6);
+        (50, 48); (34, 31); (26, 32); (30, 35); (66, 65); (32, 33);
+        (163, 142); (1, 3); (1, 5); (26, 32); (1, 3); (1, 5); (34, 23);
+        (34, 30); (209, 89); (1, 7); (33, 36); (1, 3); (1, 4); (29, 25);
+        (1, 3); (25, 32); (53, 52); (26, 37); (34, 38); (30, 35); (69, 66);
+        (64, 76); (27, 29); (27, 31); (29, 33); (171, 142); (22, 32); (1, 7);
+        (614, 224); (1, 6); (1, 5); (29, 36); (1, 7); (1, 6); (1, 7); (1, 6);
+        (648, 221); (799, 187); (724, 148) ] );
+  ]
+
+let test_greedy_pins () =
+  let h = Lazy.force scale10k in
+  List.iter
+    (fun (util_low, cost, iobs, parts) ->
+      let label what = Printf.sprintf "util_low %g: %s" util_low what in
+      match
+        Kway.partition ~options:greedy_options ~library:(d_library util_low) h
+      with
+      | Error e -> Alcotest.fail (label e)
+      | Ok r -> (
+          Alcotest.check (Alcotest.float 0.0) (label "total cost") cost
+            r.Kway.summary.Fpga.Cost.total_cost;
+          checki (label "total IOBs") iobs r.Kway.summary.Fpga.Cost.total_iobs;
+          Alcotest.(check (list (triple string int int)))
+            (label "parts")
+            (List.map (fun (clbs, iobs) -> ("D", clbs, iobs)) parts)
+            (List.map
+               (fun p ->
+                 (p.Kway.device.Fpga.Device.name, p.Kway.clbs, p.Kway.iobs))
+               r.Kway.parts);
+          match Kway.check h r with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail (label ("unsound: " ^ e))))
+    greedy_pins
 
 (* ------------------------------------------------------------------ *)
 (* k-way driver                                                       *)
@@ -2166,6 +2254,64 @@ let qcheck_warm_start_sound_and_close =
                       "clean warm start differs from project_parts"
                   else dirty_covers_unlabelled)))
 
+(* The identity edit at the engine level: projecting a partition onto its
+   own hypergraph marks no cell dirty and adds none, and the warm start
+   hands the base parts back unchanged. A replicated base cell is the one
+   exception: the projection keeps only its dominant part, so exactly
+   the replicated cells come back dirty. *)
+let test_warm_identity () =
+  let count_true = Array.fold_left (fun a d -> if d then a + 1 else a) 0 in
+  let shape (p : Kway.part) =
+    ( p.Kway.device.Fpga.Device.name,
+      p.Kway.members,
+      p.Kway.clbs,
+      p.Kway.iobs,
+      p.Kway.used )
+  in
+  let partition ~options ~library h =
+    match Kway.partition ~options ~library h with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, h, options, library) ->
+      let base = partition ~options ~library h in
+      checki (name ^ ": base replicates nothing") 0 base.Kway.replicated_cells;
+      let warm, proj = Kway.project_warm ~base:h ~base_parts:base.Kway.parts h in
+      checki (name ^ ": dirty cells") 0 (count_true proj.Projection.dirty);
+      checki (name ^ ": added cells") 0 proj.Projection.added;
+      match Kway.warm_start ~options ~library ~warm h with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok w ->
+          checkb (name ^ ": warm parts = base parts") true
+            (List.map shape w.Kway.parts = List.map shape base.Kway.parts))
+    [
+      ( "flat s38584",
+        Lazy.force
+          (Option.get (Experiments.Suite.find "s38584"))
+            .Experiments.Suite.hypergraph,
+        Kway.Options.make ~runs:1 ~seed:1 (),
+        Fpga.Library.xc3000 );
+      ("8-part greedy", Lazy.force scale10k, greedy_options, d_library 0.5);
+    ];
+  let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
+  let base =
+    partition
+      ~options:{ small_options with replication = `Functional 0 }
+      ~library:Fpga.Library.xc3000 h
+  in
+  checkb "the base replicates" true (base.Kway.replicated_cells > 0);
+  let appearances = Array.make (Hypergraph.num_cells h) 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (c, _) -> appearances.(c) <- appearances.(c) + 1)
+        p.Kway.members)
+    base.Kway.parts;
+  let _, proj = Kway.project_warm ~base:h ~base_parts:base.Kway.parts h in
+  checkb "dirty = replicated cells" true
+    (proj.Projection.dirty = Array.map (fun a -> a > 1) appearances)
+
 (* ------------------------------------------------------------------ *)
 (* Options validation and cooperative cancellation                    *)
 (* ------------------------------------------------------------------ *)
@@ -2351,6 +2497,10 @@ let () =
             test_project_parts_allocation;
           Alcotest.test_case "greedy walk allocation" `Quick
             test_multilevel_greedy_allocation;
+          Alcotest.test_case "greedy walk allocation (88 parts)" `Quick
+            test_greedy_many_parts_allocation;
+          Alcotest.test_case "greedy walk results (one device)" `Quick
+            test_greedy_pins;
         ] );
       ( "kway",
         [
@@ -2375,7 +2525,11 @@ let () =
           qc qcheck_fm_telemetry_invariants;
           qc qcheck_kway_sound_on_generated_circuits;
         ] );
-      ("warm start", [ qc qcheck_warm_start_sound_and_close ]);
+      ( "warm start",
+        [
+          qc qcheck_warm_start_sound_and_close;
+          Alcotest.test_case "empty-delta identity" `Quick test_warm_identity;
+        ] );
       ( "options",
         [
           Alcotest.test_case "kway validation" `Quick

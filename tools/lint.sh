@@ -37,12 +37,14 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
   fi
 done
 
-# One result per input: in lib/techmap, coarsening, the .bench parser,
-# F-M and the k-way partitioner no result may depend on the order a hash
+# One result per input: in lib/techmap, lib/hypergraph (the warm start's
+# projection and the walk's boundary), coarsening, the .bench parser, F-M
+# and the k-way partitioner no result may depend on the order a hash
 # table is iterated in, since that order changes with the hash seed
 # (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
-for f in $(git ls-files 'lib/techmap/*.ml' lib/core/coarsen.ml \
-  lib/netlist/bench_format.ml lib/core/fm.ml lib/core/kway.ml); do
+for f in $(git ls-files 'lib/techmap/*.ml' 'lib/hypergraph/*.ml' \
+  lib/core/coarsen.ml lib/netlist/bench_format.ml lib/core/fm.ml \
+  lib/core/kway.ml); do
   if grep -qE 'Hashtbl\.(iter|fold|to_seq)' "$f"; then
     echo "lint: hash-table iteration in $f" \
       "(iteration order must not decide a result)" >&2
