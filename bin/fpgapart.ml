@@ -13,22 +13,24 @@
 
 open Cmdliner
 
-(* Netlist format, usually inferred from a file extension. *)
-type format = Bench | Blif | Verilog
+let ( let* ) = Result.bind
 
-let format_of_path path =
+(* Netlist format, inferred from a file extension. *)
+let format_of_path path : (Service.Protocol.format, string) result =
   match Filename.extension path with
   | ".bench" -> Ok Bench
   | ".blif" -> Ok Blif
   | ".v" | ".verilog" -> Ok Verilog
   | ext -> Error ("cannot infer netlist format from extension '" ^ ext ^ "'")
 
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
+
 let read_netlist path =
-  match format_of_path path with
-  | Error _ as e -> e
-  | Ok Bench -> Netlist.Bench_format.parse_file path
-  | Ok Blif -> Netlist.Blif.parse_file path
-  | Ok Verilog -> Netlist.Verilog.parse_file path
+  let* format = format_of_path path in
+  let* text = read_file path in
+  Service.Protocol.parse_netlist format text
 
 (* An output path that cannot be written is a usage error: report it and
    exit 1 rather than escaping as an uncaught Sys_error. *)
@@ -41,7 +43,7 @@ let writing what f =
 let write_netlist path c =
   match format_of_path path with
   | Error _ as e -> e
-  | Ok format ->
+  | Ok (format : Service.Protocol.format) ->
       let write =
         match format with
         | Bench -> Netlist.Bench_format.write_file
@@ -606,26 +608,10 @@ let submit_cmd =
      built-in circuit is rendered to .bench. *)
   let load_netlist_text bench builtin =
     match (bench, builtin) with
-    | Some path, None -> (
-        match format_of_path path with
-        | Error _ as e -> e
-        | Ok fmt ->
-            let fmt =
-              match fmt with
-              | Bench -> Service.Protocol.Bench
-              | Blif -> Service.Protocol.Blif
-              | Verilog -> Service.Protocol.Verilog
-            in
-            let ic = open_in_bin path in
-            let text =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            let name =
-              Filename.remove_extension (Filename.basename path)
-            in
-            Ok (name, fmt, text))
+    | Some path, None ->
+        let* fmt = format_of_path path in
+        let* text = read_file path in
+        Ok (Filename.remove_extension (Filename.basename path), fmt, text)
     | None, Some name -> (
         match Experiments.Suite.find name with
         | Some e ->
@@ -845,16 +831,10 @@ let resubmit_cmd =
           exit 1
     in
     let delta =
-      let ic = open_in_bin delta_file in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
       match
-        Result.bind
-          (Obs.Json.of_string text)
-          Service.Protocol.delta_of_json
+        let* text = read_file delta_file in
+        let* json = Obs.Json.of_string text in
+        Service.Protocol.delta_of_json json
       with
       | Ok d -> d
       | Error msg ->

@@ -4,7 +4,7 @@
     The engine runs F-M passes over a {!Partition_state}: each pass
     tentatively applies the best legal operation per cell at most once
     (operations are mask changes: moves, output migrations,
-    un-replications — see {!Gain.best_mask_change}), then rolls back to the
+    un-replications — see {!Gain.iter_masks}), then rolls back to the
     best prefix. Gains are exact deltas from {!Partition_state.eval}; after
     each applied operation only the cells sharing a net with the moved cell
     are re-scored, preserving the F-M cost profile (the paper reports a
@@ -49,7 +49,7 @@ val set_score : registers -> int -> int -> int -> unit
     {!Gain.iter_masks} + {!Partition_state.eval_into} into preallocated
     scratch, so the steady-state loop does not allocate per candidate. *)
 
-type config = {
+type config = private {
   objective : objective;
   replication : [ `None | `Functional of int ];
   max_passes : int;
@@ -84,11 +84,9 @@ type config = {
           the unrestricted engine (the oracle identity cases in
           [test/test_contracts.ml] enforce exactly this). *)
 }
-(** @deprecated Constructing this record literally is deprecated — new
-    knobs would break literal builders. Use {!Config.make} or one of the
-    scenario builders ({!balance_config}, {!device_config},
-    {!two_device_config}), which default everything defaultable. The
-    record stays exposed for field access and functional update. *)
+(** Private: every value comes from {!Config.make} or a scenario builder
+    ({!balance_config}, {!device_config}, {!two_device_config}), so it has
+    passed their checks. *)
 
 (** Labelled constructor for {!config}. *)
 module Config : sig

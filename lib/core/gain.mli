@@ -73,5 +73,6 @@ val best_mask_change :
   int ->
   (Bitvec.t * Partition_state.delta) list
 (** The {!iter_masks} candidates with their exact deltas, as a list
-    (reverse generation order) — the allocating convenience used by tests
-    and the engine's oracle mode. *)
+    (reverse generation order) — the allocating convenience the tests
+    use. The engine, oracle mode included, scores candidates through
+    {!iter_masks} instead. *)

@@ -69,12 +69,11 @@ module Options = struct
       strategy = Flat;
     }
 
-  let make ?(runs = default.runs) ?(seed = default.seed)
-      ?(replication = default.replication) ?(max_passes = default.max_passes)
-      ?(fm_attempts = default.fm_attempts)
-      ?(refine_rounds = default.refine_rounds) ?(jobs = default.jobs)
-      ?(should_stop = default.should_stop) ?(objective = default.objective)
-      ?(strategy = default.strategy) () =
+  let make ?(base = default) ?(runs = base.runs) ?(seed = base.seed)
+      ?(replication = base.replication) ?(max_passes = base.max_passes)
+      ?(fm_attempts = base.fm_attempts) ?(refine_rounds = base.refine_rounds)
+      ?(jobs = base.jobs) ?(should_stop = base.should_stop)
+      ?(objective = base.objective) ?(strategy = base.strategy) () =
     (* Fail loudly at construction: a zero or negative budget otherwise
        surfaces far downstream as "no feasible partition" (runs = 0), an
        empty restart loop (fm_attempts = 0) or a pool that silently runs
@@ -131,18 +130,36 @@ let count_external (h : Hypergraph.t) =
     h.Hypergraph.net_external;
   !acc
 
-(* Translate copies expressed in a sub-hypergraph's coordinates back to the
-   original hypergraph. [orig_of.(c)] = (original cell, per-output index
-   map). *)
-let translate orig_of members =
-  List.map
-    (fun (c, m) ->
-      let orig, out_map = orig_of.(c) in
-      let om =
-        Bitvec.fold (fun o acc -> Bitvec.add out_map.(o) acc) m Bitvec.empty
-      in
-      (orig, om))
-    members
+(* [compress um m]: the bits of [m] at the positions [um] keeps,
+   renumbered densely (the copy's output index of each kept output);
+   [expand um m] is its inverse. *)
+let compress um m =
+  let acc = ref Bitvec.empty and pos = ref 0 in
+  for o = 0 to Bitvec.max_width - 1 do
+    if Bitvec.mem o um then begin
+      if Bitvec.mem o m then acc := Bitvec.add !pos !acc;
+      incr pos
+    end
+  done;
+  !acc
+
+let expand um m =
+  let acc = ref Bitvec.empty and pos = ref 0 in
+  for o = 0 to Bitvec.max_width - 1 do
+    if Bitvec.mem o um then begin
+      if Bitvec.mem !pos m then acc := Bitvec.add o !acc;
+      incr pos
+    end
+  done;
+  !acc
+
+(* A copy in a sub-hypergraph maps back to the original as [(orig, um)]:
+   the original cell and the original outputs the copy carries, which
+   [Hypergraph.induce_copies] numbers in ascending order. [lift orig_of]
+   takes a copy-coordinate member [(c, m)] to original coordinates. *)
+let lift orig_of (c, m) =
+  let orig, um = orig_of.(c) in
+  (orig, expand um m)
 
 (* One feasible split attempt: side A must fit the device window. Returns
    the best feasible state over [attempts] random restarts.
@@ -209,13 +226,10 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
 
 let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
   let obj = opts.objective in
-  let num_orig = Hypergraph.num_cells hg in
   let identity =
-    Array.init num_orig (fun c ->
-        ( c,
-          Array.init
-            (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-            Fun.id ))
+    Array.init (Hypergraph.num_cells hg) (fun c ->
+        let outputs = (Hypergraph.cell hg c).Hypergraph.outputs in
+        (c, Bitvec.full (Array.length outputs)))
   in
   let rec loop rest orig_of parts guard =
     if opts.should_stop () then Error cancelled
@@ -240,18 +254,10 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                 ("clbs", Obs.Json.Int area);
                 ("iobs", Obs.Json.Int ext);
               ];
-          let members =
-            translate orig_of
-              (List.init (Hypergraph.num_cells rest) (fun c ->
-                   ( c,
-                     Bitvec.full
-                       (Array.length
-                          (Hypergraph.cell rest c).Hypergraph.outputs) )))
-          in
           Ok
             (List.rev
-               ({ device = dev; members; clbs = area; iobs = ext;
-                  used = rest_demand }
+               ({ device = dev; members = Array.to_list orig_of; clbs = area;
+                  iobs = ext; used = rest_demand }
                :: parts))
       | None -> (
           (* Split off one device: evaluate every candidate device and keep
@@ -375,27 +381,14 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                 Partition_state.side_copies st Partition_state.A
               in
               let part =
-                { device = dev; members = translate orig_of members_a;
+                { device = dev; members = List.map (lift orig_of) members_a;
                   clbs; iobs; used }
               in
               let specs_b = Partition_state.side_copies st Partition_state.B in
               let rest', spec_arr = Hypergraph.induce_copies rest specs_b in
-              let orig_of' =
-                Array.map
-                  (fun (old_c, mask) ->
-                    let orig, out_map = orig_of.(old_c) in
-                    let out_map' = Array.make (Bitvec.norm mask) 0 in
-                    let k = ref 0 in
-                    for o = 0 to Array.length out_map - 1 do
-                      if Bitvec.mem o mask then begin
-                        out_map'.(!k) <- out_map.(o);
-                        incr k
-                      end
-                    done;
-                    (orig, out_map'))
-                  spec_arr
-              in
-              loop rest' orig_of' (part :: parts) (guard + 1))
+              loop rest'
+                (Array.map (lift orig_of) spec_arr)
+                (part :: parts) (guard + 1))
     end
   in
   loop hg identity [] 0
@@ -404,29 +397,6 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
 (* ------------------------------------------------------------------ *)
 (* Pairwise refinement                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* [compress um m]: the bits of [m] at the positions [um] keeps,
-   renumbered densely (the copy's output index of each kept output);
-   [expand um m] is its inverse. *)
-let compress um m =
-  let acc = ref Bitvec.empty and pos = ref 0 in
-  for o = 0 to Bitvec.max_width - 1 do
-    if Bitvec.mem o um then begin
-      if Bitvec.mem o m then acc := Bitvec.add !pos !acc;
-      incr pos
-    end
-  done;
-  !acc
-
-let expand um m =
-  let acc = ref Bitvec.empty and pos = ref 0 in
-  for o = 0 to Bitvec.max_width - 1 do
-    if Bitvec.mem o um then begin
-      if Bitvec.mem !pos m then acc := Bitvec.add o !acc;
-      incr pos
-    end
-  done;
-  !acc
 
 (* Re-bipartition the union of two finished parts under both device
    windows, optimising total terminal usage (eq. 2 restricted to the
@@ -478,12 +448,6 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
   let pen, _, _ = s1 in
   if pen <> 0 || s1 >= s0 then None
   else begin
-    let translate_side side =
-      Partition_state.side_copies st side
-      |> List.map (fun (k, m) ->
-             let orig, um = spec_arr.(k) in
-             (orig, expand um m))
-    in
     let rebuild side (p : part) =
       let clbs = Partition_state.area st side in
       let iobs = Partition_state.terminals st side in
@@ -499,7 +463,10 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
             d
         | _ -> p.device
       in
-      { device; members = translate_side side; clbs; iobs; used }
+      let members =
+        List.map (lift spec_arr) (Partition_state.side_copies st side)
+      in
+      { device; members; clbs; iobs; used }
     in
     let _, t0, _ = s0 and _, t1, _ = s1 in
     Some (rebuild Partition_state.A pi, rebuild Partition_state.B pj, t0, t1)

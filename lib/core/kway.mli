@@ -73,7 +73,7 @@ type strategy =
           greedy mover above; see {!partition}). Functional replication
           is applied only at the finest {!repl_fine_levels} levels. *)
 
-type options = {
+type options = private {
   runs : int;          (** multi-start count (the paper generates 5
                            feasible partitions per run) *)
   seed : int;
@@ -97,28 +97,21 @@ type options = {
           [Error] {!cancelled}. Defaults to [fun () -> false] — the
           default hook never changes behaviour or telemetry. The service
           daemon points it at the job's cancel flag and deadline; the CLI
-          points it at the SIGINT/SIGTERM flag. Like [jobs], it is an
-          execution knob: it is never serialised into the stats schema. *)
+          points it at the SIGINT/SIGTERM flag. *)
   objective : Fpga.Objective.t;
       (** the cost model driving every pricing and feasibility decision:
           device choice, split-efficiency ranking, F-M objectives, run
           ranking. Defaults to {!Fpga.Objective.paper}, which is
           bit-identical to the pre-objective scalar driver (its net cost
           is the constant [0.0] and its feasibility mode keeps the scalar
-          device test). Unlike [jobs]/[should_stop] it {e is} part of the
-          result's identity, so the service serialises its [name] into
-          options fingerprints and digests. *)
+          device test). *)
   strategy : strategy;
-      (** {!Flat} (default) or {!Multilevel}. Like [objective] it is part
-          of the result's identity and is serialised (only when not
-          [Flat], so existing flat stats and digests stay
-          byte-identical). *)
+      (** {!Flat} (default) or {!Multilevel}. *)
 }
-(** @deprecated Constructing this record literally is deprecated: every new
-    knob (like [jobs] or [should_stop]) is a breaking change for literal
-    builders. Use {!Options.make} (or functional update of
-    {!Options.default}), which defaults every field. The record stays
-    exposed for field access and functional update. *)
+(** Private: every value has passed {!Options.make}'s checks. To vary a
+    few fields of an existing value, pass it to {!Options.make} as
+    [~base]. Which fields identify a result, and how they are spelled in
+    JSON, is stated once, in {!Experiments.Obs_report}. *)
 
 val cancelled : string
 (** The exact [Error] payload {!partition} returns when [should_stop]
@@ -139,6 +132,7 @@ module Options : sig
       no numbers (the CLI's bare [--multilevel]). *)
 
   val make :
+    ?base:t ->
     ?runs:int ->
     ?seed:int ->
     ?replication:[ `None | `Functional of int ] ->
@@ -151,8 +145,9 @@ module Options : sig
     ?strategy:strategy ->
     unit ->
     t
-  (** Every argument defaults to its {!default} value, so adding future
-      knobs never breaks a caller.
+  (** Every argument left out takes [base]'s value ([base] defaults to
+      {!default}), so adding future knobs never breaks a caller, and
+      [make ~base ~seed ()] is [base] with another seed.
 
       Raises [Invalid_argument] when [runs], [max_passes], [fm_attempts]
       or [jobs] is non-positive, or [refine_rounds] is negative: a bad

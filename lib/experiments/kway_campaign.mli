@@ -25,14 +25,12 @@ type row = {
   results : (setting * outcome) list;
 }
 
-val default_settings : setting list
-(** Baseline, then T = 0, 1, 2, 3. *)
-
 val run :
   ?runs:int -> ?seed:int -> ?settings:setting list ->
   ?library:Fpga.Library.t -> Suite.entry -> row
 (** [runs] is the paper's "5 feasible partitions per bipartitioning run"
-    (default 5). *)
+    (default 5); [settings] defaults to the baseline, then T = 0, 1, 2,
+    3. *)
 
 val run_all :
   ?runs:int -> ?seed:int -> ?settings:setting list ->

@@ -39,6 +39,73 @@ let options_to_json (o : Core.Kway.options) =
       ("strategy", strategy_to_json o.Core.Kway.strategy);
     ]
 
+let ( let* ) = Result.bind
+
+let replication_of_json = function
+  | J.String "none" -> Ok `None
+  | J.Obj _ as o -> (
+      match Option.bind (J.member "functional_threshold" o) J.to_int with
+      | Some t -> Ok (`Functional t)
+      | None -> Error "ill-typed field \"replication\"")
+  | _ -> Error "ill-typed field \"replication\""
+
+(* "flat", or an object carrying the multilevel knobs (absent knobs take
+   the library defaults). *)
+let strategy_of_json = function
+  | J.String "flat" -> Ok Core.Kway.Flat
+  | J.Obj _ as o ->
+      let dm = Core.Kway.Options.default_multilevel in
+      let* max_levels =
+        J.opt_field "max_levels" J.to_int ~default:dm.Core.Kway.max_levels o
+      in
+      let* coarsen_ratio =
+        J.opt_field "coarsen_ratio" J.to_float
+          ~default:dm.Core.Kway.coarsen_ratio o
+      in
+      let* refine_passes =
+        J.opt_field "refine_passes" J.to_int
+          ~default:dm.Core.Kway.refine_passes o
+      in
+      Ok (Core.Kway.Multilevel { Core.Kway.max_levels; coarsen_ratio; refine_passes })
+  | _ -> Error "ill-typed field \"strategy\""
+
+let options_of_json json =
+  let d = Core.Kway.Options.default in
+  let* runs = J.opt_field "runs" J.to_int ~default:d.Core.Kway.runs json in
+  let* seed = J.opt_field "seed" J.to_int ~default:d.Core.Kway.seed json in
+  let* replication =
+    match J.member "replication" json with
+    | None -> Ok d.Core.Kway.replication
+    | Some r -> replication_of_json r
+  in
+  let* max_passes =
+    J.opt_field "max_passes" J.to_int ~default:d.Core.Kway.max_passes json
+  in
+  let* fm_attempts =
+    J.opt_field "fm_attempts" J.to_int ~default:d.Core.Kway.fm_attempts json
+  in
+  let* refine_rounds =
+    J.opt_field "refine_rounds" J.to_int ~default:d.Core.Kway.refine_rounds
+      json
+  in
+  let* objective =
+    match J.member "objective" json with
+    | None -> Ok d.Core.Kway.objective
+    | Some (J.String s) -> Fpga.Objective.of_name s
+    | Some _ -> Error "ill-typed field \"objective\""
+  in
+  let* strategy =
+    match J.member "strategy" json with
+    | None -> Ok d.Core.Kway.strategy
+    | Some s -> strategy_of_json s
+  in
+  match
+    Core.Kway.Options.make ~runs ~seed ~replication ~max_passes ~fm_attempts
+      ~refine_rounds ~objective ~strategy ()
+  with
+  | options -> Ok options
+  | exception Invalid_argument msg -> Error msg
+
 let part_to_json (p : Core.Kway.part) =
   J.Obj
     [

@@ -5,16 +5,8 @@
     Schema (version 6) of a per-circuit document:
     - ["schema_version"]: [6];
     - ["circuit"], ["seed"]: identification;
-    - ["options"]: the {!Core.Kway.options} used ([runs], [seed],
-      [replication], [max_passes], [fm_attempts], [refine_rounds],
-      new in v5 ["objective"] — the {!Fpga.Objective} name — and new in
-      v6 ["strategy"] — ["flat"] or the multilevel knob object
-      [{max_levels; coarsen_ratio; refine_passes}]; both are part of
-      the result's identity and therefore of the service's options
-      fingerprint). [jobs] is deliberately omitted: it is an execution
-      knob that never shapes the result, and its absence is what lets the
-      determinism gate require byte-identical scrubbed documents across
-      [--jobs] settings;
+    - ["options"]: the {!Core.Kway.options} used, as {!options_to_json}
+      renders them (new in v5 ["objective"], new in v6 ["strategy"]);
     - ["result"]: outcome summary — [num_partitions], [total_cost],
       [avg_clb_utilization], [avg_iob_utilization], [total_clbs],
       [total_iobs], [replicated_cells], [total_cells], [feasible_runs],
@@ -45,7 +37,34 @@
 
 val schema_version : int
 
+(** {1 Options}
+
+    The one codec of {!Core.Kway.options}: the stats document's
+    ["options"] object, the service protocol's ["options"] field and the
+    service's options fingerprint (the MD5 of its {!Obs.Json.to_string}
+    rendering) all use it.
+
+    The serialised fields are exactly the ones that identify a result:
+    ["runs"], ["seed"], ["replication"] (["none"] or
+    [{"functional_threshold": T}]), ["max_passes"], ["fm_attempts"],
+    ["refine_rounds"], ["objective"] (the {!Fpga.Objective} name) and
+    ["strategy"] (["flat"] or [{"max_levels"; "coarsen_ratio";
+    "refine_passes"}]), always all of them, in this order. [jobs] and
+    [should_stop] are execution knobs that never shape the result and are
+    never serialised: their absence is what lets the determinism gate
+    require byte-identical scrubbed documents across [--jobs] settings,
+    and lets one cache entry serve any [jobs]. *)
+
 val options_to_json : Core.Kway.options -> Obs.Json.t
+
+val options_of_json : Obs.Json.t -> (Core.Kway.options, string) result
+(** Inverse of {!options_to_json} on every serialised field; [jobs] and
+    [should_stop] take their {!Core.Kway.Options.default}. A missing field
+    takes its {!Core.Kway.Options.default} value (a missing multilevel
+    knob its {!Core.Kway.Options.default_multilevel} value). [Error] on an
+    ill-typed field (["ill-typed field \"runs\""]), an unknown objective
+    name, or values {!Core.Kway.Options.make} rejects (its
+    [Invalid_argument] message). *)
 
 val result_to_json : Core.Kway.result -> Obs.Json.t
 

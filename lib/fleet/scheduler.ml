@@ -479,10 +479,9 @@ let relay p (w : worker) (job : job) =
 
 let relay_racer p (w : worker) (job : job) (r : racer) ~idx =
   let options =
-    {
-      job.options with
-      Core.Kway.seed = job.options.Core.Kway.seed + (idx * 65537);
-    }
+    Core.Kway.Options.make ~base:job.options
+      ~seed:(job.options.Core.Kway.seed + (idx * 65537))
+      ()
   in
   let outcome =
     run_on_worker w (request_of job ~options) ~on_worker_job:(fun wj ->

@@ -101,8 +101,6 @@ type delta = {
   d_area_b : int;
 }
 
-val zero_delta : delta
-
 val eval : t -> int -> Bitvec.t -> delta
 (** [eval t c m] — exact effect of setting cell [c]'s mask to [m], without
     applying it. The paper's gains are recovered as [- d_cut]. Raises

@@ -338,3 +338,16 @@ let to_int = function Int i -> Some i | _ -> None
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_str = function String s -> Some s | _ -> None
+
+let field name conv json =
+  match Option.bind (member name json) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
+
+let opt_field name conv ~default json =
+  match member name json with
+  | None -> Ok default
+  | Some v -> (
+      match conv v with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "ill-typed field %S" name))

@@ -51,3 +51,15 @@ val to_int : t -> int option
 val to_float : t -> float option
 val to_bool : t -> bool option
 val to_str : t -> string option
+
+(** {1 Decoding} — typed field reads with the wire protocol's error
+    strings. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name conv json]: the converted field; [Error "missing or
+    ill-typed field \"name\""] when it is absent or [conv] rejects it. *)
+
+val opt_field :
+  string -> (t -> 'a option) -> default:'a -> t -> ('a, string) result
+(** As {!field}, but an absent field is [Ok default]; a present one that
+    [conv] rejects is [Error "ill-typed field \"name\""]. *)

@@ -237,11 +237,9 @@ module Metrics_export : sig
   module Slo : sig
     type t
 
-    val default_buckets_ms : int list
-    (** [1ms … 30s], a generic latency ladder. *)
-
     val create : ?buckets_ms:int list -> unit -> t
-    (** Bounds are sorted and deduplicated; counts start at zero. *)
+    (** Bounds are sorted and deduplicated; counts start at zero. The
+        default is a generic latency ladder, [1ms … 30s]. *)
 
     val observe : t -> int -> unit
     (** Record one latency in ms (incrementing every bucket whose bound

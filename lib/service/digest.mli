@@ -20,8 +20,7 @@
     The key itself is an MD5 over the canonical {e hypergraph} (cells with
     areas, pins, nets and per-output supports — what the partitioner
     actually sees), the device library, and the result-shaping options
-    (execution knobs — [jobs], [should_stop] — excluded, exactly the
-    fields the stats schema serialises). *)
+    (the fields {!Experiments.Obs_report.options_to_json} serialises). *)
 
 val canonical_circuit : Netlist.Circuit.t -> Netlist.Circuit.t
 (** Rebuild the circuit with nodes in sorted-by-name order (inputs,
@@ -37,20 +36,18 @@ val hypergraph_fingerprint : Hypergraph.t -> string
     order. Index order is only meaningful downstream of
     {!canonical_circuit}. *)
 
-val library_fingerprint : Fpga.Library.t -> string
-(** MD5 hex digest of the device list (name, capacity, terminals, price,
-    and the full per-axis resource capacities and utilization windows per
-    device — two devices differing only on a secondary axis hash
-    differently). *)
-
 val options_fingerprint : Core.Kway.options -> string
-(** MD5 hex digest of the result-shaping options, i.e. the exact fields
-    {!Experiments.Obs_report.options_to_json} serialises — [jobs] and
-    [should_stop] never influence the partition, so they are absent. *)
+(** MD5 hex digest of the {!Obs.Json.to_string} rendering of
+    {!Experiments.Obs_report.options_to_json}, which states which fields
+    identify a result. *)
 
 val job_key :
   library:Fpga.Library.t -> options:Core.Kway.options -> Hypergraph.t -> string
-(** The cache key: MD5 over the three fingerprints above. *)
+(** The cache key: MD5 over {!hypergraph_fingerprint}, a fingerprint of
+    the device list (name, capacity, terminals, price, and the full
+    per-axis resource capacities and utilization windows per device — two
+    devices differing only on a secondary axis hash differently) and
+    {!options_fingerprint}. *)
 
 val lineage_key : base:string -> edited:string -> string
 (** Cache key for a warm (resubmit) result: MD5 over the base partition's

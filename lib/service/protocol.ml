@@ -209,8 +209,8 @@ let batch_item_to_json { b_name; b_format; b_netlist; b_options } =
       ("options", Experiments.Obs_report.options_to_json b_options);
     ]
 
-(* The options wire encoding is the stats-schema encoding
-   (Obs_report.options_to_json), so a client can lift the "options"
+(* The options wire encoding is the stats-schema encoding, whose codec
+   and field set Obs_report owns, so a client can lift the "options"
    object straight out of a stats document and resubmit with it. *)
 let request_to_json = function
   | Submit { name; format; netlist; options; envelope } ->
@@ -274,82 +274,6 @@ let request_to_json = function
   | Shutdown ->
       J.Obj [ ("v", J.Int protocol_version); ("verb", J.String "shutdown") ]
 
-let field name conv json =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let opt_field name conv ~default json =
-  match J.member name json with
-  | None -> Ok default
-  | Some v -> (
-      match conv v with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
-
-let replication_of_json = function
-  | J.String "none" -> Ok `None
-  | J.Obj _ as o -> (
-      match Option.bind (J.member "functional_threshold" o) J.to_int with
-      | Some t -> Ok (`Functional t)
-      | None -> Error "ill-typed field \"replication\"")
-  | _ -> Error "ill-typed field \"replication\""
-
-(* Mirrors Obs_report.strategy_to_json: "flat", or an object carrying
-   the multilevel knobs (absent knobs take the library defaults). *)
-let strategy_of_json = function
-  | J.String "flat" -> Ok Core.Kway.Flat
-  | J.Obj _ as o ->
-      let dm = Core.Kway.Options.default_multilevel in
-      let* max_levels =
-        opt_field "max_levels" J.to_int ~default:dm.Core.Kway.max_levels o
-      in
-      let* coarsen_ratio =
-        opt_field "coarsen_ratio" J.to_float ~default:dm.Core.Kway.coarsen_ratio
-          o
-      in
-      let* refine_passes =
-        opt_field "refine_passes" J.to_int ~default:dm.Core.Kway.refine_passes o
-      in
-      Ok (Core.Kway.Multilevel { Core.Kway.max_levels; coarsen_ratio; refine_passes })
-  | _ -> Error "ill-typed field \"strategy\""
-
-let options_of_json json =
-  let d = Core.Kway.Options.default in
-  let* runs = opt_field "runs" J.to_int ~default:d.Core.Kway.runs json in
-  let* seed = opt_field "seed" J.to_int ~default:d.Core.Kway.seed json in
-  let* replication =
-    match J.member "replication" json with
-    | None -> Ok d.Core.Kway.replication
-    | Some r -> replication_of_json r
-  in
-  let* max_passes =
-    opt_field "max_passes" J.to_int ~default:d.Core.Kway.max_passes json
-  in
-  let* fm_attempts =
-    opt_field "fm_attempts" J.to_int ~default:d.Core.Kway.fm_attempts json
-  in
-  let* refine_rounds =
-    opt_field "refine_rounds" J.to_int ~default:d.Core.Kway.refine_rounds json
-  in
-  let* objective =
-    match J.member "objective" json with
-    | None -> Ok d.Core.Kway.objective
-    | Some (J.String s) -> Fpga.Objective.of_name s
-    | Some _ -> Error "ill-typed field \"objective\""
-  in
-  let* strategy =
-    match J.member "strategy" json with
-    | None -> Ok d.Core.Kway.strategy
-    | Some s -> strategy_of_json s
-  in
-  match
-    Core.Kway.Options.make ~runs ~seed ~replication ~max_passes ~fm_attempts
-      ~refine_rounds ~objective ~strategy ()
-  with
-  | options -> Ok options
-  | exception Invalid_argument msg -> Error msg
-
 (* The version gate runs before any verb dispatch: a frame without a
    recognised ["v"] gets the typed [unsupported_version] error naming
    what this server speaks, so an old client (or a future one) fails
@@ -385,7 +309,7 @@ let rec request_of_json json =
 
 and envelope_of_json json =
   let* tenant =
-    opt_field "tenant" J.to_str ~default:default_envelope.tenant json
+    J.opt_field "tenant" J.to_str ~default:default_envelope.tenant json
   in
   let* () =
     if String.length tenant = 0 || String.length tenant > 64 then
@@ -393,31 +317,31 @@ and envelope_of_json json =
     else Ok ()
   in
   let* priority =
-    opt_field "priority" J.to_int ~default:default_envelope.priority json
+    J.opt_field "priority" J.to_int ~default:default_envelope.priority json
   in
   let* portfolio =
-    opt_field "portfolio" J.to_bool ~default:default_envelope.portfolio json
+    J.opt_field "portfolio" J.to_bool ~default:default_envelope.portfolio json
   in
   Ok { tenant; priority; portfolio }
 
 and submit_body_of_json json =
-  let* name = field "name" J.to_str json in
-  let* format_s = field "format" J.to_str json in
+  let* name = J.field "name" J.to_str json in
+  let* format_s = J.field "format" J.to_str json in
   let* format =
     match format_of_string format_s with
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "unknown netlist format %S" format_s)
   in
-  let* netlist = field "netlist" J.to_str json in
+  let* netlist = J.field "netlist" J.to_str json in
   let* options =
     match J.member "options" json with
     | None -> Ok Core.Kway.Options.default
-    | Some o -> options_of_json o
+    | Some o -> Experiments.Obs_report.options_of_json o
   in
   Ok { b_name = name; b_format = format; b_netlist = netlist; b_options = options }
 
 and decode_request json =
-  let* verb = field "verb" J.to_str json in
+  let* verb = J.field "verb" J.to_str json in
   match verb with
   | "submit" ->
       let* { b_name; b_format; b_netlist; b_options } =
@@ -456,7 +380,7 @@ and decode_request json =
       in
       Ok (Submit_batch { items; envelope })
   | "resubmit" ->
-      let* name = field "name" J.to_str json in
+      let* name = J.field "name" J.to_str json in
       let* base =
         match (J.member "base_job" json, J.member "base_digest" json) with
         | Some j, None -> (
@@ -480,18 +404,19 @@ and decode_request json =
       let* options =
         match J.member "options" json with
         | None -> Ok None
-        | Some o -> Result.map Option.some (options_of_json o)
+        | Some o ->
+            Result.map Option.some (Experiments.Obs_report.options_of_json o)
       in
       Ok (Resubmit { name; base; delta; options })
   | "status" ->
-      let* job = field "job" J.to_int json in
+      let* job = J.field "job" J.to_int json in
       Ok (Status job)
   | "result" ->
-      let* job = field "job" J.to_int json in
-      let* wait = opt_field "wait" J.to_bool ~default:false json in
+      let* job = J.field "job" J.to_int json in
+      let* wait = J.opt_field "wait" J.to_bool ~default:false json in
       Ok (Result { job; wait })
   | "cancel" ->
-      let* job = field "job" J.to_int json in
+      let* job = J.field "job" J.to_int json in
       Ok (Cancel job)
   | "stats" -> Ok Stats
   | "fleet-stats" -> Ok Fleet_stats

@@ -9,9 +9,9 @@
     Verbs:
     - [submit]: ["name"], ["format"] ("bench" | "blif" | "verilog"),
       ["netlist"] (the full netlist text) and an optional ["options"]
-      object with the result-shaping knobs in the stats-schema encoding
-      ([runs], [seed], [replication], [max_passes], [fm_attempts],
-      [refine_rounds]). Optional envelope fields (v3): ["tenant"] (fair-
+      object, the stats document's encoding
+      ({!Experiments.Obs_report.options_of_json}; absent fields take
+      their defaults). Optional envelope fields (v3): ["tenant"] (fair-
       queue tenant id, default "default"), ["priority"] (higher runs
       first within the tenant, default 0) and ["portfolio"] (race the
       job across idle workers, default false; only a worker pool
@@ -57,9 +57,6 @@
     - [shutdown]: graceful drain-then-exit. *)
 
 type format = Bench | Blif | Verilog
-
-val format_to_string : format -> string
-val format_of_string : string -> format option
 
 val parse_netlist : format -> string -> (Netlist.Circuit.t, string) result
 

@@ -81,7 +81,9 @@ let run_job (t : t) cfg (job : job) =
        | Some d -> Obs.Clock.wall () > d
        | None -> false
   in
-  let options = { job.options with Core.Kway.jobs = cfg.jobs; should_stop } in
+  let options =
+    Core.Kway.Options.make ~base:job.options ~jobs:cfg.jobs ~should_stop ()
+  in
   let objective = options.Core.Kway.objective in
   (* Per-job collecting sink: the engine's F-M telemetry rolls up into the
      service-wide throughput metrics below (the sink itself is discarded —

@@ -69,7 +69,8 @@ type config = {
       (** per-job wall-clock budget in seconds; exceeding it fails the
           job with the [timeout] error code (cooperatively — the engine
           stops at the next pass boundary) *)
-  jobs : int;  (** domains per job, as [fpgapart partition --jobs] *)
+  jobs : int;
+      (** domains per job (positive), as [fpgapart partition --jobs] *)
   log : Obs.Log.t;
       (** structured-log sink; {!Obs.Log.null} silences the server *)
   trace_path : string option;

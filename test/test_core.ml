@@ -589,6 +589,14 @@ let qcheck_incremental_gains_exact =
       done;
       !ok)
 
+(* [cfg] in oracle mode, rebuilt through [Fm.Config.make] ([Fm.config] is
+   private). *)
+let with_oracle (cfg : Fm.config) =
+  Fm.Config.make ~objective:cfg.Fm.objective ~replication:cfg.Fm.replication
+    ~max_passes:cfg.Fm.max_passes ~should_stop:cfg.Fm.should_stop
+    ~active:cfg.Fm.active ~oracle:true ~area_ok:cfg.Fm.area_ok
+    ~score:cfg.Fm.score ()
+
 let test_fm_oracle_mode_identical () =
   (* Oracle mode recomputes every affected cell's best op from scratch
      after every applied move and compares with the incremental cache
@@ -602,7 +610,7 @@ let test_fm_oracle_mode_identical () =
   let st = Fm.random_state (Netlist.Rng.create 7) h in
   let sto = Fm.random_state (Netlist.Rng.create 7) h in
   let score = Fm.run cfg st in
-  let score_o = Fm.run { cfg with Fm.oracle = true } sto in
+  let score_o = Fm.run (with_oracle cfg) sto in
   checkb "oracle run returns the same score" true (score = score_o);
   for c = 0 to Hypergraph.num_cells h - 1 do
     if not (Bitvec.equal (Partition_state.mask st c) (Partition_state.mask sto c))
@@ -779,10 +787,13 @@ let qcheck_fm_staged_workspace_fresh =
                     (Fm.balance_config ~replication:(`Functional 0)
                        ~total_area:(Hypergraph.total_area big) ())
                     (Fm.random_state (Netlist.Rng.create seed) big)));
-            Fm.run_staged { cfg with Fm.oracle = true } st)
+            Fm.run_staged (with_oracle cfg) st)
       in
       on_fresh_domain (fun () ->
-          ignore (Fm.run { cfg with Fm.replication = `None } fresh));
+          ignore
+            (Fm.run
+               (Fm.balance_config ~total_area:(Hypergraph.total_area h) ())
+               fresh));
       let score = on_fresh_domain (fun () -> Fm.run cfg fresh) in
       staged = score
       && List.for_all
@@ -1825,7 +1836,7 @@ let test_kway_refinement_not_worse () =
   (* Refinement may only improve the (cost, interconnect) outcome. *)
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
   let go refine_rounds =
-    let options = { small_options with refine_rounds } in
+    let options = Kway.Options.make ~base:small_options ~refine_rounds () in
     match Kway.partition ~options ~library:Fpga.Library.xc3000 h with
     | Error e -> Alcotest.fail e
     | Ok r ->
@@ -1933,7 +1944,9 @@ let test_kway_multi_device () =
 
 let test_kway_with_replication () =
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
-  let options = { small_options with replication = `Functional 0 } in
+  let options =
+    Kway.Options.make ~base:small_options ~replication:(`Functional 0) ()
+  in
   match Kway.partition ~options ~library:Fpga.Library.xc3000 h with
   | Error e -> Alcotest.fail e
   | Ok r -> (
@@ -2014,7 +2027,7 @@ let test_kway_check_catches_bad_iobs_and_summary () =
              ~num_gates:200 ~num_dff:24 ~num_outputs:8 ())
       in
       let objective = Fpga.Objective.multi_personality in
-      let options = { small_options with Kway.objective } in
+      let options = Kway.Options.make ~base:small_options ~objective () in
       match Kway.partition ~options ~library:Fpga.Library.xc3000 h with
       | Error e -> Alcotest.fail e
       | Ok r -> (
@@ -2297,7 +2310,8 @@ let test_warm_identity () =
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
   let base =
     partition
-      ~options:{ small_options with replication = `Functional 0 }
+      ~options:
+        (Kway.Options.make ~base:small_options ~replication:(`Functional 0) ())
       ~library:Fpga.Library.xc3000 h
   in
   checkb "the base replicates" true (base.Kway.replicated_cells > 0);
@@ -2334,6 +2348,37 @@ let test_kway_options_validation () =
       ~refine_rounds:0 ()
   in
   checki "boundary accepted" 1 o.Kway.runs
+
+let test_kway_options_base () =
+  (* [make ~base] takes every field the caller leaves out from [base], and
+     validates its result like any other [make]. *)
+  let stop () = true in
+  let base =
+    Kway.Options.make ~runs:7 ~seed:42 ~replication:(`Functional 2)
+      ~max_passes:3 ~fm_attempts:4 ~refine_rounds:0 ~jobs:2 ~should_stop:stop
+      ~objective:Fpga.Objective.chiplet
+      ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+  in
+  let o = Kway.Options.make ~base ~seed:43 () in
+  checki "seed overridden" 43 o.Kway.seed;
+  checki "runs kept" 7 o.Kway.runs;
+  checkb "replication kept" true (o.Kway.replication = `Functional 2);
+  checki "max_passes kept" 3 o.Kway.max_passes;
+  checki "fm_attempts kept" 4 o.Kway.fm_attempts;
+  checki "refine_rounds kept" 0 o.Kway.refine_rounds;
+  checki "jobs kept" 2 o.Kway.jobs;
+  checkb "should_stop kept" true (o.Kway.should_stop == stop);
+  checkb "objective kept" true
+    (o.Kway.objective == Fpga.Objective.chiplet);
+  checkb "strategy kept" true
+    (o.Kway.strategy = Kway.Multilevel Kway.Options.default_multilevel);
+  expect_invalid "base, runs 0" (fun () -> Kway.Options.make ~base ~runs:0 ());
+  expect_invalid "base, coarsen_ratio 1" (fun () ->
+      Kway.Options.make ~base
+        ~strategy:
+          (Kway.Multilevel
+             { Kway.Options.default_multilevel with Kway.coarsen_ratio = 1.0 })
+        ())
 
 let test_fm_config_validation () =
   expect_invalid "fm max_passes 0" (fun () ->
@@ -2534,6 +2579,7 @@ let () =
         [
           Alcotest.test_case "kway validation" `Quick
             test_kway_options_validation;
+          Alcotest.test_case "kway make ~base" `Quick test_kway_options_base;
           Alcotest.test_case "fm validation" `Quick test_fm_config_validation;
           Alcotest.test_case "cancellation" `Quick test_kway_cancellation;
           Alcotest.test_case "multilevel cancellation" `Quick

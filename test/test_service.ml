@@ -152,7 +152,7 @@ let test_digest_permutation_invariant () =
 
 let test_digest_options () =
   let base = Core.Kway.Options.make ~runs:3 ~seed:9 () in
-  let same_but_jobs = { base with Core.Kway.jobs = 8 } in
+  let same_but_jobs = Core.Kway.Options.make ~base ~jobs:8 () in
   let other_seed = Core.Kway.Options.make ~runs:3 ~seed:10 () in
   checks "jobs never shapes the key"
     (Service.Digest.options_fingerprint base)
@@ -160,6 +160,78 @@ let test_digest_options () =
   checkb "seed shapes the key" true
     (Service.Digest.options_fingerprint base
      <> Service.Digest.options_fingerprint other_seed)
+
+(* ------------------------------------------------------------------ *)
+(* Options codec                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The renderings recorded before the codec moved into Obs_report: the
+   options fingerprint, and so every cache key, is the MD5 of exactly
+   these bytes. *)
+let test_options_json_pinned () =
+  let render o =
+    J.to_string (Experiments.Obs_report.options_to_json o)
+  in
+  checks "default"
+    "{\n  \"runs\": 5,\n  \"seed\": 1,\n  \"replication\": \"none\",\n  \
+     \"max_passes\": 10,\n  \"fm_attempts\": 3,\n  \"refine_rounds\": 1,\n  \
+     \"objective\": \"paper\",\n  \"strategy\": \"flat\"\n}"
+    (render Core.Kway.Options.default);
+  checks "multilevel, functional 1, chiplet"
+    "{\n  \"runs\": 5,\n  \"seed\": 1,\n  \"replication\": {\n    \
+     \"functional_threshold\": 1\n  },\n  \"max_passes\": 10,\n  \
+     \"fm_attempts\": 3,\n  \"refine_rounds\": 1,\n  \"objective\": \
+     \"chiplet\",\n  \"strategy\": {\n    \"max_levels\": 12,\n    \
+     \"coarsen_ratio\": 0.9,\n    \"refine_passes\": 2\n  }\n}"
+    (render
+       (Core.Kway.Options.make ~replication:(`Functional 1)
+          ~objective:Fpga.Objective.chiplet
+          ~strategy:(Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+          ()))
+
+(* Random valid options over both strategies, both replication modes and
+   every builtin objective. The coarsening ratio is drawn in hundredths,
+   which the JSON float format renders exactly. *)
+let gen_options st =
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let replication =
+    if Random.State.bool st then `None else `Functional (int 0 6)
+  in
+  let strategy =
+    if Random.State.bool st then Core.Kway.Flat
+    else
+      Core.Kway.Multilevel
+        {
+          Core.Kway.max_levels = int 1 20;
+          coarsen_ratio = float_of_int (int 1 99) /. 100.0;
+          refine_passes = int 1 5;
+        }
+  in
+  let objectives = Fpga.Objective.builtins in
+  let objective = List.nth objectives (int 0 (List.length objectives - 1)) in
+  Core.Kway.Options.make ~runs:(int 1 20) ~seed:(int (-1000) 1_000_000)
+    ~replication ~max_passes:(int 1 30) ~fm_attempts:(int 1 9)
+    ~refine_rounds:(int 0 4) ~jobs:(int 1 8) ~objective ~strategy ()
+
+let qcheck_options_codec_roundtrip =
+  QCheck.Test.make ~name:"options codec roundtrips every serialised field"
+    ~count:300
+    (QCheck.make gen_options)
+    (fun o ->
+      match
+        Experiments.Obs_report.(options_of_json (options_to_json o))
+      with
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+      | Ok d ->
+          let open Core.Kway in
+          d.runs = o.runs && d.seed = o.seed && d.replication = o.replication
+          && d.max_passes = o.max_passes
+          && d.fm_attempts = o.fm_attempts
+          && d.refine_rounds = o.refine_rounds
+          && String.equal d.objective.Fpga.Objective.name
+               o.objective.Fpga.Objective.name
+          && d.strategy = o.strategy
+          && d.jobs = Options.default.jobs)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                           *)
@@ -1097,6 +1169,11 @@ let () =
           Alcotest.test_case "permutation invariant" `Quick
             test_digest_permutation_invariant;
           Alcotest.test_case "options fingerprint" `Quick test_digest_options;
+        ] );
+      ( "options codec",
+        [
+          Alcotest.test_case "pinned renderings" `Quick test_options_json_pinned;
+          QCheck_alcotest.to_alcotest qcheck_options_codec_roundtrip;
         ] );
       ( "protocol",
         [

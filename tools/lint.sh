@@ -52,6 +52,24 @@ for f in $(git ls-files 'lib/techmap/*.ml' 'lib/hypergraph/*.ml' \
   fi
 done
 
+# One options codec: Experiments.Obs_report owns the JSON spelling of
+# Kway.options (the stats document, the wire protocol and the cache key
+# share it). No other program file spells its keys; lib/core/kway.ml
+# names fields in its validation messages.
+for f in $(git ls-files lib bin bench examples tools); do
+  case "$f" in
+    lib/experiments/obs_report.ml | lib/experiments/obs_report.mli) continue ;;
+    lib/core/kway.ml) continue ;;
+  esac
+  if grep -qE \
+    '"(fm_attempts|refine_rounds|coarsen_ratio|refine_passes|max_levels|functional_threshold)"' \
+    "$f"; then
+    echo "lint: options JSON key spelled in $f" \
+      "(use Experiments.Obs_report.options_to_json/options_of_json)" >&2
+    status=1
+  fi
+done
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do

@@ -68,8 +68,7 @@ let record_error st code msg =
 
 let backoff = { C.Backoff.attempts = 10; base = 0.05; cap = 1.0; jitter = 0.5 }
 
-let options ~seed =
-  { Core.Kway.Options.default with Core.Kway.runs = !runs; seed }
+let options ~seed = Core.Kway.Options.make ~runs:!runs ~seed ()
 
 let tenant_of i = Printf.sprintf "tenant%d" (i mod !tenants)
 let seed_of i = 1 + (i mod !seeds)
@@ -206,8 +205,8 @@ let percentile sorted p =
 let () =
   Arg.parse args (fun a -> die "unexpected argument %S" a) usage;
   if !socket = "" then die "--socket is required";
-  if !jobs <= 0 || !clients <= 0 || !tenants <= 0 || !seeds <= 0 then
-    die "--jobs/--clients/--tenants/--seeds must be positive";
+  if !jobs <= 0 || !clients <= 0 || !tenants <= 0 || !seeds <= 0 || !runs <= 0
+  then die "--jobs/--clients/--tenants/--seeds/--runs must be positive";
   let netlist =
     match Experiments.Suite.find !circuit with
     | Some e ->
