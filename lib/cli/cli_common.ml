@@ -129,8 +129,9 @@ let multilevel () =
           ~doc:
             "Partition via the multilevel V-cycle: coarsen the netlist by \
              heavy-edge matching, run the k-way device-selection driver \
-             on the coarsest graph, then uncoarsen level by level with \
-             F-M refinement restricted to boundary cells. Orders of \
+             on the coarsest graph, then uncoarsen level by level, \
+             moving boundary cells greedily; with $(b,--replicate), one \
+             F-M replication round follows at the finest level. Orders of \
              magnitude faster on large (100k+ cell) circuits; without \
              this flag the classic flat driver runs and output is \
              byte-identical to previous releases.")

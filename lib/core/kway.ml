@@ -777,9 +777,8 @@ let parts_of_tally t ~labels ~iobs ~(devices : Fpga.Device.t array) =
 let live_parts t =
   Array.fold_left (fun a cl -> if cl > 0 then a + 1 else a) 0 t.t_clbs
 
-(* Both steps: the warm start's and each pairwise uncoarsening level's
-   parts. Labels carry no replication: every cell sits whole in its
-   labelled part. *)
+(* Both steps: the parts of a warm start and of [project_parts]. Labels
+   carry no replication: every cell sits whole in its labelled part. *)
 let materialise ~options ~library ~labels ~devices t =
   Result.map
     (fun (iobs, devices) -> parts_of_tally t ~labels ~iobs ~devices)
@@ -804,10 +803,10 @@ let project_parts ?(options = Options.default) ~library ~labels
 
 (* Deterministic greedy passes moving whole cells to the neighbouring
    part that most reduces total terminal usage (eq. 2), under the fixed
-   per-part device windows. The multilevel walk uses this at scale:
-   [refine_pair] builds an induced subgraph and runs multi-pass F-M per
-   part pair, which is superlinear in level size, while a greedy sweep
-   costs O(pins) per pass — the only refinement shape that survives
+   per-part device windows. The multilevel walk refines every level with
+   this: [refine_pair] builds an induced subgraph and runs multi-pass F-M
+   per part pair, which is superlinear in level size, while a greedy
+   sweep costs O(pins) per pass — the only refinement shape that survives
    100k-cell levels. Only [dirty] cells (the projected boundary) are
    candidates. A move updates [labels], the tally [t] and the live IOB
    counts [iobs] in place; devices are kept, since the windows are
@@ -1257,21 +1256,10 @@ let cluster_caps library (objective : Fpga.Objective.t) =
 (* The V-cycle: coarsen under the weight caps, run the flat
    heterogeneous-device k-way on the coarsest graph, then project the
    labelling down level by level, refining each level's boundary cells
-   (pairwise F-M through the warm-start [active] machinery, or the greedy
-   mover above [pairwise_refine_cap]). Functional
-   replication only participates at the finest levels: coarse clusters
-   are opaque (every output depends on every input), so replication above
-   them has no adjacency slack to exploit — the RePart argument. *)
-let repl_fine_levels = 2
-
-(* Above this many cells in the finest graph, the V-cycle refines with
-   the greedy boundary mover instead of pairwise F-M: the pairwise
-   sweep costs an induced-subgraph F-M per part pair per level and
-   stops being affordable somewhere past a few thousand cells. Every
-   paper-suite circuit maps below the cap, so their refinement — and
-   results — are untouched. *)
-let pairwise_refine_cap = 4096
-
+   with the greedy mover. Functional replication runs once, after the
+   finest level: coarse clusters are opaque (every output depends on
+   every input), so replication above them has no adjacency slack to
+   exploit — the RePart argument. *)
 let multilevel_run ~obs ~(options : options) ~ml ~library hg =
   let since = clock () in
   let total = Hypergraph.total_area hg in
@@ -1386,19 +1374,10 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
     with
     | Error _ as e -> e
     | Ok coarse_res ->
-        let nlev = List.length hier.Coarsen.levels in
-        let greedy = Hypergraph.num_cells hg > pairwise_refine_cap in
-        let start_of h parts =
-          let labels, repl = labels_of_parts h parts in
-          (labels, repl, devices_of parts)
-        in
-        (* Each level starts from the coarser level's labelling, its
-           replicated clusters and its devices. A pairwise level refines
-           parts, so it materialises them and the next level starts from
-           its result; a greedy level moves cells in the level's tally,
-           so parts are built once, from the finest level's. *)
-        let rec walk idx (coarse_labels, coarse_repl, devices) (fine, map)
-            finer =
+        (* Each level starts from the coarser level's labelling and
+           devices, and the greedy mover moves cells in the level's
+           tally, so parts are built once, from the finest level's. *)
+        let rec walk idx (coarse_labels, devices) (fine, map) finer =
           if options.should_stop () then Error cancelled
           else
             let labels = Coarsen.project_labels ~map coarse_labels in
@@ -1407,45 +1386,34 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
             | Error _ as e -> e
             | Ok (iobs, devices) -> (
                 let dirty = Hypergraph.boundary fine ~labels in
-                (* A cluster replicated at the coarser level was collapsed
-                   to its dominant part by labels_of_parts; mark its cells
-                   dirty so refinement re-decides the replication at this
-                   level's adjacency. *)
-                if Array.exists Fun.id coarse_repl then
-                  Array.iteri
-                    (fun c cl -> if coarse_repl.(cl) then dirty.(c) <- true)
-                    map;
-                let level_repl =
-                  if idx >= nlev - repl_fine_levels then options.replication
-                  else `None
-                in
-                let opts =
-                  {
-                    options with
-                    replication = level_repl;
-                    refine_rounds = ml.refine_passes;
-                  }
-                in
                 (* Span names are part of the benchmark:
                    e2ebench/layers.ml splits "core.partition" by its child
                    spans "coarsen<d>", "run<r>" and "refine<n>", and tells
                    a walk level from the flat solve's winner refinement by
-                   the nested pairwise "refine<round>" or greedy
-                   "greedy<round>" sweep. Renaming any of them (the
-                   "refine<n>" clash on the roadmap included) waits for a
-                   change that updates the benchmark with it. *)
+                   the nested "greedy<round>" sweep (and, at the finest
+                   level, the replication round's "refine<round>").
+                   Renaming any of them (the "refine<n>" clash on the
+                   roadmap included) waits for a change that updates the
+                   benchmark with it; test_core pins the shape. *)
                 let parts =
                   Obs.span obs (Printf.sprintf "refine%d" idx) (fun () ->
-                      if greedy then begin
-                        if live_parts t >= 2 then
-                          greedy_refine ~opts ~obs ~dirty
-                            ~rounds:ml.refine_passes ~labels ~iobs ~devices t;
-                        None
-                      end
-                      else
-                        Some
-                          (refine ~opts ~obs ~dirty fine library
-                             (parts_of_tally t ~labels ~iobs ~devices)))
+                      if live_parts t >= 2 then
+                        greedy_refine ~opts:options ~obs ~dirty
+                          ~rounds:ml.refine_passes ~labels ~iobs ~devices t;
+                      match (finer, options.replication) with
+                      | _ :: _, _ -> []
+                      | [], `None -> parts_of_tally t ~labels ~iobs ~devices
+                      | [], `Functional _ ->
+                          (* Replication, once: the flat driver's pairwise
+                             F-M over the finest boundary, as a warm start
+                             refines. *)
+                          let opts =
+                            { options with refine_rounds = ml.refine_passes }
+                          in
+                          refine ~opts ~obs
+                            ~dirty:(Hypergraph.boundary fine ~labels)
+                            fine library
+                            (parts_of_tally t ~labels ~iobs ~devices))
                 in
                 if Obs.enabled obs then
                   Obs.event obs "ml.refine"
@@ -1453,29 +1421,21 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
                       ("level", Obs.Json.Int idx);
                       ("cells", Obs.Json.Int (Hypergraph.num_cells fine));
                       ("dirty", Obs.Json.Int (count_true dirty));
-                      ( "parts",
-                        Obs.Json.Int
-                          (match parts with
-                          | Some parts -> List.length parts
-                          | None -> live_parts t) );
+                      ("parts", Obs.Json.Int (live_parts t));
                     ];
-                match (parts, finer) with
-                | Some parts, [] -> Ok parts
-                | Some parts, next :: finer ->
-                    walk (idx + 1) (start_of fine parts) next finer
-                | None, [] -> Ok (parts_of_tally t ~labels ~iobs ~devices)
-                (* The greedy mover replicates nothing. *)
-                | None, next :: finer ->
-                    walk (idx + 1) (labels, [||], devices) next finer)
+                match finer with
+                | [] -> Ok parts
+                | next :: finer -> walk (idx + 1) (labels, devices) next finer)
         in
         finish ~since ~should_stop:options.should_stop ~runs:coarse_options.runs
           ~feasible_runs:coarse_res.feasible_runs hg
           (match hier.Coarsen.levels with
           | [] -> Ok coarse_res.parts
           | level :: finer ->
-              walk 0
-                (start_of hier.Coarsen.coarsest coarse_res.parts)
-                level finer)
+              let labels, _ =
+                labels_of_parts hier.Coarsen.coarsest coarse_res.parts
+              in
+              walk 0 (labels, devices_of coarse_res.parts) level finer)
   end
 
 let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =

@@ -57,8 +57,8 @@ type multilevel = {
           round keeps at least this fraction of the cells *)
   refine_passes : int;
       (** boundary-restricted refinement sweeps per uncoarsening level
-          (becomes [refine_rounds] for the per-level pairwise F-M, and
-          the greedy mover's sweep count above the pairwise cap) *)
+          (the greedy mover's sweep count; also [refine_rounds] for the
+          finest level's replication round) *)
 }
 
 type strategy =
@@ -69,9 +69,8 @@ type strategy =
       (** V-cycle: coarsen by heavy-edge matching under per-axis cluster
           weight caps, run the flat driver on the coarsest graph, then
           project labels down level by level, refining each level's
-          boundary cells (pairwise F-M up to 4,096 finest cells, a
-          greedy mover above; see {!partition}). Functional replication
-          is applied only at the finest {!repl_fine_levels} levels. *)
+          boundary cells with a greedy mover (see {!partition}).
+          Functional replication runs once, after the finest level. *)
 
 type options = private {
   runs : int;          (** multi-start count (the paper generates 5
@@ -175,21 +174,23 @@ val partition :
     part), then
     uncoarsens V-cycle style — {!project_parts} per level, then
     [refine_passes] refinement sweeps restricted to the labelling's
-    boundary cells ({!Hypergraph.boundary}). When the input hypergraph
-    has at most 4,096 cells, each level refines with pairwise F-M (the
-    warm-start [active] machinery); above that, every level runs a
-    deterministic greedy mover instead, which moves whole boundary cells
-    to the adjacent part that most reduces total terminals within the
-    parts' device windows and never changes a device. The mover works on
-    the level's labelling and tally, so its member lists are built once,
-    after the finest level. Multilevel
-    telemetry adds counters ["ml.level"] and (greedy levels)
-    ["kway.greedy_moves"], histograms ["ml.cells_per_level"] /
-    ["ml.coarsen_ratio"] (percent), events ["ml.coarsen"] /
-    ["ml.refine"] (and ["kway.greedy_round"]), and spans ["coarsen<l>"]
-    / ["refine<l>"], the latter wrapping the level's ["refine<r>"] or
-    ["greedy<r>"] sweeps; the flat path emits none of these, and its
-    event stream is byte-identical to the pre-multilevel driver.
+    boundary cells ({!Hypergraph.boundary}). Every level runs a
+    deterministic greedy mover, which moves whole boundary cells to the
+    adjacent part that most reduces total terminals within the parts'
+    device windows and never changes a device. The mover works on the
+    level's labelling and tally, so member lists are built once, after
+    the finest level. When [options.replication] is not [`None], those
+    parts then get the flat driver's pairwise refinement once, with
+    replication, restricted to the finest labelling's boundary cells —
+    the refinement {!warm_start} runs. Multilevel
+    telemetry adds counters ["ml.level"] and ["kway.greedy_moves"],
+    histograms ["ml.cells_per_level"] / ["ml.coarsen_ratio"] (percent),
+    events ["ml.coarsen"] / ["ml.refine"] (and ["kway.greedy_round"]),
+    and spans ["coarsen<l>"] / ["refine<l>"], the latter wrapping the
+    level's ["greedy<r>"] sweeps and, at the finest level, the
+    replication round's ["refine<r>"] sweeps; the flat path emits none
+    of these, and its event stream is byte-identical to the
+    pre-multilevel driver.
 
     With a collecting [obs] (default {!Obs.noop}: record nothing, cost
     nothing), the driver emits its full telemetry: each multi-start run
@@ -214,13 +215,6 @@ val partition :
     with [Obs.fork ~pid]) and [tid] the {!Parallel.Pool.worker_id} of the
     domain that executed it — lanes shape the trace only, never the
     scrubbed stats. *)
-
-val repl_fine_levels : int
-(** Number of finest uncoarsening levels (2) at which a [Multilevel] run
-    honours [options.replication]; every coarser level refines with
-    replication forced off, because coarse clusters are opaque (every
-    output depends on every input — see {!Coarsen}) and so offer
-    functional replication no adjacency slack to exploit. *)
 
 val result_of_parts : Hypergraph.t -> part list -> result
 (** Wrap a part list into a {!result} by recounting the summary and

@@ -86,6 +86,15 @@ let hypergraph_fingerprint (h : Hypergraph.t) =
     h.Hypergraph.net_names;
   md5_hex (Buffer.contents buf)
 
+(* Identity floats: [s], a float's rendering, when it reads back as
+   [f], else [f]'s exact hex form, so every two distinct floats hash
+   apart. A hex form has an 'x', which no decimal rendering has, and a
+   float that reads back keeps its bytes, so existing keys hold. *)
+let reads_back s f =
+  match float_of_string_opt s with Some g -> Float.equal g f | None -> false
+
+let exact s f = if reads_back s f then s else Printf.sprintf "%h" f
+
 (* The scalar fields are cached views of the vectors, but both go into
    the hash anyway: two devices that differ only on a secondary axis
    (say BRAM capacity) are different parts and must not share job
@@ -94,26 +103,42 @@ let library_fingerprint lib =
   let buf = Buffer.create 256 in
   List.iter
     (fun (d : Fpga.Device.t) ->
+      let f x = exact (Printf.sprintf "%.6f" x) x in
       Buffer.add_string buf
-        (Printf.sprintf "%s:%d:%d:%.6f:%.6f:%.6f;res:" d.Fpga.Device.name
-           d.Fpga.Device.capacity d.Fpga.Device.terminals d.Fpga.Device.price
-           d.Fpga.Device.util_low d.Fpga.Device.util_high);
+        (Printf.sprintf "%s:%d:%d:%s:%s:%s;res:" d.Fpga.Device.name
+           d.Fpga.Device.capacity d.Fpga.Device.terminals
+           (f d.Fpga.Device.price) (f d.Fpga.Device.util_low)
+           (f d.Fpga.Device.util_high));
       add_ints buf d.Fpga.Device.resources;
       Buffer.add_string buf ";win:";
       Array.iteri
         (fun a low ->
           Buffer.add_string buf
-            (Printf.sprintf "%.6f..%.6f," low d.Fpga.Device.res_high.(a)))
+            (Printf.sprintf "%s..%s," (f low) (f d.Fpga.Device.res_high.(a))))
         d.Fpga.Device.res_low;
       Buffer.add_char buf '\n')
     (Fpga.Library.devices lib);
   md5_hex (Buffer.contents buf)
 
+(* A float the JSON format rounds (it keeps 12 digits) becomes its exact
+   hex form, as a string. *)
+let rec exact_floats = function
+  | Obs.Json.Float f as j ->
+      let s = Obs.Json.to_string j in
+      if reads_back s f then j else Obs.Json.String (Printf.sprintf "%h" f)
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj (List.map (fun (k, v) -> (k, exact_floats v)) fields)
+  | Obs.Json.List items -> Obs.Json.List (List.map exact_floats items)
+  | j -> j
+
 (* The options JSON of the stats schema is exactly the result-shaping
    subset (jobs and should_stop are execution knobs, deliberately absent
-   there), so its deterministic rendering is the right hash input. *)
+   there), so its deterministic rendering, with exact floats, is the
+   right hash input. *)
 let options_fingerprint options =
-  md5_hex (Obs.Json.to_string (Experiments.Obs_report.options_to_json options))
+  md5_hex
+    (Obs.Json.to_string
+       (exact_floats (Experiments.Obs_report.options_to_json options)))
 
 let job_key ~library ~options h =
   md5_hex

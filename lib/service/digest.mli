@@ -39,14 +39,18 @@ val hypergraph_fingerprint : Hypergraph.t -> string
 val options_fingerprint : Core.Kway.options -> string
 (** MD5 hex digest of the {!Obs.Json.to_string} rendering of
     {!Experiments.Obs_report.options_to_json}, which states which fields
-    identify a result. *)
+    identify a result. A float the JSON format would round (it keeps 12
+    significant digits) is hashed as its exact [%h] form instead, so two
+    options are fingerprinted alike exactly when their serialised fields
+    are equal. *)
 
 val job_key :
   library:Fpga.Library.t -> options:Core.Kway.options -> Hypergraph.t -> string
 (** The cache key: MD5 over {!hypergraph_fingerprint}, a fingerprint of
     the device list (name, capacity, terminals, price, and the full
     per-axis resource capacities and utilization windows per device — two
-    devices differing only on a secondary axis hash differently) and
+    devices differing only on a secondary axis hash differently; a price
+    or window that six decimals would round is hashed exactly) and
     {!options_fingerprint}. *)
 
 val lineage_key : base:string -> edited:string -> string

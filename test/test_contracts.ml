@@ -29,7 +29,7 @@
      --log-file writes the scrubbed lifecycle log;
    - scale: the multilevel V-cycle partitions gen100k within its
      result.wall_secs budget (30 s, FPGAPART_ML_BUDGET_SECS) into its
-     pinned result (the greedy-refinement path), and gen1m within 300 s
+     pinned result, and gen1m within 300 s
      (FPGAPART_ML_BUDGET_1M_SECS) under FPGAPART_PERF_FULL.
 
    The fleet's contracts through the CLI (`serve --workers N`) are in
@@ -498,10 +498,9 @@ let test_trace_rejects () =
     (Result.is_error (check_trace (doc (span "run0/pass1" 0 4.0))))
 
 (* gen100k's seed-1 result: total cost, total IOBs and each part's
-   (device, CLBs, IOBs). It is the one pinned result above the pairwise
-   refinement cap (4,096 finest cells), so every uncoarsening level runs
-   the greedy boundary mover. A change meant to move multilevel results
-   re-records it. *)
+   (device, CLBs, IOBs). It is the one pinned multilevel result at
+   100k-cell scale; the run sets no replication. A change meant to move
+   multilevel results re-records it. *)
 let gen100k_pin =
   ( 14700.0,
     19174,

@@ -1687,9 +1687,8 @@ let test_project_parts_allocation () =
     Alcotest.failf "project_parts allocated %.0f words (bound %.0f)" words
       bound
 
-(* The 10k-gate scale circuit (5,333 mapped cells): past the pairwise
-   refinement cap (4,096 finest cells), so every level of its V-cycle
-   refines with the greedy mover. *)
+(* The 10k-gate scale circuit (5,333 mapped cells), the quick suite's
+   stand-in for the scale circuits' V-cycle. *)
 let scale10k =
   lazy
     (Techmap.Mapper.to_hypergraph
@@ -1732,7 +1731,7 @@ let d_library util_low =
    list-built walk took 3.9. *)
 let test_multilevel_greedy_allocation () =
   let h = Lazy.force scale10k in
-  checkb "above the pairwise cap" true (Hypergraph.num_cells h > 4096);
+  checkb "more than 4,096 cells" true (Hypergraph.num_cells h > 4096);
   let library =
     Fpga.Library.make [ List.hd (Fpga.Library.devices scale_library) ]
   in
@@ -1820,6 +1819,112 @@ let test_greedy_pins () =
           | Ok () -> ()
           | Error e -> Alcotest.fail (label ("unsound: " ^ e))))
     greedy_pins
+
+(* Functional replication above the old 4,096-cell switch: the 8-part
+   pin's run with [`Functional 1] replicates, uses fewer IOBs than the
+   same run without replication, and passes [Kway.check]. *)
+let test_greedy_walk_replicates () =
+  let h = Lazy.force scale10k in
+  let library = d_library 0.5 in
+  let run options =
+    match Kway.partition ~options ~library h with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let plain = run greedy_options in
+  let r =
+    run (Kway.Options.make ~base:greedy_options ~replication:(`Functional 1) ())
+  in
+  checkb "replicates a cell" true (r.Kway.replicated_cells >= 1);
+  checkb
+    (Printf.sprintf "fewer IOBs (%d, %d without replication)"
+       r.Kway.summary.Fpga.Cost.total_iobs
+       plain.Kway.summary.Fpga.Cost.total_iobs)
+    true
+    (r.Kway.summary.Fpga.Cost.total_iobs
+    < plain.Kway.summary.Fpga.Cost.total_iobs);
+  match Kway.check h r with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("unsound: " ^ e)
+
+(* The span shape e2ebench/layers.ml's [vcycle_split] reads from a traced
+   multilevel partition. The partition span's direct children are only
+   "coarsen<d>", "run<r>" and "refine<n>". A walk level is a "refine<idx>"
+   that wraps "greedy<r>" sweeps; the finest also wraps the replication
+   round's "refine<round>" sweeps; any other "refine<n>" child (the coarse
+   solve's winner refinement) wraps neither. *)
+let test_vcycle_span_shape () =
+  let obs = Obs.create ~trace:true () in
+  let options =
+    Kway.Options.make ~seed:1 ~replication:(`Functional 1)
+      ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+  in
+  (match
+     Obs.span obs "core.partition" (fun () ->
+         Kway.partition ~obs ~options ~library:Fpga.Library.xc3000
+           (s9234_hypergraph ()))
+   with
+  | Ok r -> checkb "replicates" true (r.Kway.replicated_cells > 0)
+  | Error e -> Alcotest.fail e);
+  let open Obs.Trace in
+  let spans = spans obs in
+  let after p s =
+    String.sub s (String.length p) (String.length s - String.length p)
+  in
+  let indexed p n =
+    String.starts_with ~prefix:p n
+    && String.length n > String.length p
+    && String.for_all (fun ch -> ch >= '0' && ch <= '9') (after p n)
+  in
+  let root = "core.partition/" in
+  let children =
+    List.filter_map
+      (fun sp ->
+        if not (String.starts_with ~prefix:root sp.span_name) then None
+        else
+          let n = after root sp.span_name in
+          if String.contains n '/' then None else Some (n, sp))
+      spans
+  in
+  List.iter
+    (fun (n, _) ->
+      checkb (n ^ " is a V-cycle phase") true
+        (List.exists (fun p -> indexed p n) [ "coarsen"; "run"; "refine" ]))
+    children;
+  let wraps p sweep =
+    List.exists
+      (fun s ->
+        s.begin_secs >= p.begin_secs && s.end_secs <= p.end_secs
+        && String.starts_with ~prefix:(p.span_name ^ "/" ^ sweep) s.span_name)
+      spans
+  in
+  let refines =
+    List.filter_map
+      (fun (n, sp) -> if indexed "refine" n then Some sp else None)
+      children
+  in
+  let levels = List.filter (fun sp -> wraps sp "greedy") refines in
+  let nlev =
+    Option.value ~default:0
+      (List.assoc_opt "ml.level" (Obs.snapshot obs).Obs.Snapshot.counters)
+  in
+  checkb "coarsened" true (nlev >= 1);
+  checki "one walk level per coarsening level" nlev (List.length levels);
+  Alcotest.(check (list string))
+    "walk levels in order"
+    (List.init nlev (fun i -> Printf.sprintf "core.partition/refine%d" i))
+    (List.map (fun sp -> sp.span_name) levels);
+  List.iteri
+    (fun i sp ->
+      checkb
+        (Printf.sprintf "level %d wraps replication iff finest" i)
+        (i = nlev - 1) (wraps sp "refine"))
+    levels;
+  List.iter
+    (fun sp ->
+      if not (List.memq sp levels) then
+        checkb "the winner refinement wraps no sweep" false (wraps sp "refine"))
+    refines
 
 (* ------------------------------------------------------------------ *)
 (* k-way driver                                                       *)
@@ -2546,6 +2651,9 @@ let () =
             test_greedy_many_parts_allocation;
           Alcotest.test_case "greedy walk results (one device)" `Quick
             test_greedy_pins;
+          Alcotest.test_case "greedy walk replicates" `Quick
+            test_greedy_walk_replicates;
+          Alcotest.test_case "V-cycle span shape" `Quick test_vcycle_span_shape;
         ] );
       ( "kway",
         [

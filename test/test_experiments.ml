@@ -196,21 +196,30 @@ let test_multilevel_init_quality () =
 (* Partition expansion (end-to-end functional soundness)              *)
 (* ------------------------------------------------------------------ *)
 
-let expand_roundtrip name circuit replication =
-  let m = Techmap.Mapper.map circuit in
+(* Partition [circuit] under [strategy] and [replication], simulate the
+   expanded multi-device netlist against it, and return the result with
+   the number of coarsening levels the run recorded. *)
+let expand_roundtrip ?(library = Fpga.Library.xc3000) ?map_options
+    ?(runs = 2) name circuit strategy replication =
+  let m = Techmap.Mapper.map ?options:map_options circuit in
   let h = Techmap.Mapper.to_hypergraph m in
-  let options = Core.Kway.Options.make ~runs:2 ~replication () in
-  match Core.Kway.partition ~options ~library:Fpga.Library.xc3000 h with
+  let options = Core.Kway.Options.make ~runs ~replication ~strategy () in
+  let obs = Obs.create () in
+  match Core.Kway.partition ~obs ~options ~library h with
   | Error e -> Alcotest.fail (name ^ ": k-way failed: " ^ e)
   | Ok r -> (
       match Experiments.Expand.verify circuit m r with
-      | Ok () -> r
+      | Ok () ->
+          ( r,
+            Option.value ~default:0
+              (List.assoc_opt "ml.level" (Obs.snapshot obs).Obs.Snapshot.counters)
+          )
       | Error e -> Alcotest.fail (name ^ ": " ^ e))
 
 let test_expand_combinational () =
   (* Forces multiple devices and actual replication. *)
   let c = Netlist.Generator.multiplier ~bits:16 () in
-  let r = expand_roundtrip "mult16" c (`Functional 0) in
+  let r, _ = expand_roundtrip "mult16" c Core.Kway.Flat (`Functional 0) in
   checkb "replication actually happened" true (r.Core.Kway.replicated_cells > 0)
 
 let test_expand_sequential () =
@@ -224,13 +233,42 @@ let test_expand_sequential () =
         seed = 21;
       }
   in
-  let r = expand_roundtrip "clustered" c (`Functional 1) in
+  let r, _ = expand_roundtrip "clustered" c Core.Kway.Flat (`Functional 1) in
   checkb "multi-device" true (List.length r.Core.Kway.parts >= 2)
 
 let test_expand_no_replication () =
   let c = Netlist.Generator.adder_comparator ~bits:48 () in
-  let r = expand_roundtrip "addcmp" c `None in
+  let r, _ = expand_roundtrip "addcmp" c Core.Kway.Flat `None in
   checki "no replicas in baseline" 0 r.Core.Kway.replicated_cells
+
+(* The V-cycle's results simulate like the circuit too, replication
+   included: s9234 under XC3000 as `partition --multilevel -T 1` runs it
+   (five runs), and a 10k-gate scale circuit (5,333 mapped cells) into a
+   one-device library. *)
+let expand_multilevel ?library ?map_options ?runs name circuit =
+  let r, levels =
+    expand_roundtrip ?library ?map_options ?runs name circuit
+      (Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+      (`Functional 1)
+  in
+  checkb (name ^ ": replicates") true (r.Core.Kway.replicated_cells >= 1);
+  checkb (name ^ ": coarsened") true (levels >= 1)
+
+let test_expand_multilevel_s9234 () =
+  expand_multilevel ~runs:Core.Kway.Options.default.Core.Kway.runs "s9234"
+    (Lazy.force (Option.get (Experiments.Suite.find "s9234")).Experiments.Suite.circuit)
+
+let test_expand_multilevel_scale () =
+  expand_multilevel "scale10k"
+    ~library:
+      (Fpga.Library.make
+         [
+           Fpga.Device.make ~name:"D" ~capacity:1024 ~terminals:900
+             ~price:100.0 ~util_low:0.5 ~util_high:0.95 ();
+         ])
+    ~map_options:{ Techmap.Mapper.default_options with pair_disjoint = false }
+    (Netlist.Generator.scale ~name:"scale10k"
+       { Netlist.Generator.default_scale with sc_gates = 10_000; sc_seed = 3 })
 
 let test_expand_detects_missing_output () =
   let c = Netlist.Generator.multiplier ~bits:16 () in
@@ -333,6 +371,10 @@ let () =
           Alcotest.test_case "sequential with replication" `Slow
             test_expand_sequential;
           Alcotest.test_case "baseline" `Slow test_expand_no_replication;
+          Alcotest.test_case "multilevel s9234 with replication" `Slow
+            test_expand_multilevel_s9234;
+          Alcotest.test_case "multilevel scale10k with replication" `Slow
+            test_expand_multilevel_scale;
           Alcotest.test_case "detects uncovered outputs" `Quick
             test_expand_detects_missing_output;
         ] );

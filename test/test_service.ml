@@ -161,6 +161,82 @@ let test_digest_options () =
     (Service.Digest.options_fingerprint base
      <> Service.Digest.options_fingerprint other_seed)
 
+(* Identity floats. A value the rendering rounds (the options JSON keeps
+   12 digits, the device list 6 decimals) hashes apart from its rounded
+   neighbour; a value the rendering keeps exactly keeps its bytes, so the
+   keys recorded before stay valid. *)
+let multilevel_ratio coarsen_ratio =
+  Core.Kway.Options.make
+    ~strategy:
+      (Core.Kway.Multilevel
+         { Core.Kway.Options.default_multilevel with coarsen_ratio })
+    ()
+
+let test_digest_exact_floats () =
+  let fp = Service.Digest.options_fingerprint in
+  checkb "0.9 and 0.9000000000001 hash apart" true
+    (fp (multilevel_ratio 0.9) <> fp (multilevel_ratio 0.9000000000001));
+  List.iter
+    (fun (what, o) ->
+      checks (what ^ " hashes its JSON rendering")
+        (Stdlib.Digest.to_hex
+           (Stdlib.Digest.string
+              (J.to_string (Experiments.Obs_report.options_to_json o))))
+        (fp o))
+    [ ("default", Core.Kway.Options.default);
+      ("ratio 0.9", multilevel_ratio 0.9) ];
+  let h =
+    Techmap.Mapper.to_hypergraph
+      (Techmap.Mapper.map
+         (Service.Digest.canonical_circuit (Netlist.Generator.alu ~bits:8 ())))
+  in
+  let d util_low =
+    Fpga.Library.make
+      [
+        Fpga.Device.make ~name:"D" ~capacity:4096 ~terminals:900 ~price:100.0
+          ~util_low ~util_high:0.95 ();
+      ]
+  in
+  let key library options = Service.Digest.job_key ~library ~options h in
+  let o = Core.Kway.Options.default in
+  checkb "util_low 0.5 and 0.5000001 key apart" true
+    (key (d 0.5) o <> key (d 0.5000001) o);
+  checks "equal libraries share a key" (key (d 0.5000001) o)
+    (key (d 0.5000001) o);
+  (* Recorded before the fingerprints rendered floats exactly. *)
+  checks "xc3000, default options" "3ba03b36dedb0d4a2c284381a351bafd"
+    (key Fpga.Library.xc3000 o);
+  checks "xc4000, multilevel with replication"
+    "6d8adc62d54e0165933da6ca4cb12eba"
+    (key Fpga.Library.xc4000
+       (Core.Kway.Options.make ~base:(multilevel_ratio 0.9)
+          ~replication:(`Functional 1) ()))
+
+(* Two full-precision ratios: a random one and, in turn, itself, its
+   successor, its 12-digit rounding or another random one. *)
+let qcheck_ratio_fingerprints =
+  let gen st =
+    let ratio () = Float.max 1e-9 (Random.State.float st 0.999) in
+    let r = ratio () in
+    let r' =
+      match Random.State.int st 4 with
+      | 0 -> r
+      | 1 -> Float.succ r
+      | 2 -> float_of_string (Printf.sprintf "%.12g" r)
+      | _ -> ratio ()
+    in
+    (r, r')
+  in
+  QCheck.Test.make
+    ~name:"options fingerprints are equal exactly when the ratios are"
+    ~count:500
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%h, %h" a b) gen)
+    (fun (r, r') ->
+      Bool.equal (Float.equal r r')
+        (String.equal
+           (Service.Digest.options_fingerprint (multilevel_ratio r))
+           (Service.Digest.options_fingerprint (multilevel_ratio r'))))
+
 (* ------------------------------------------------------------------ *)
 (* Options codec                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1169,6 +1245,8 @@ let () =
           Alcotest.test_case "permutation invariant" `Quick
             test_digest_permutation_invariant;
           Alcotest.test_case "options fingerprint" `Quick test_digest_options;
+          Alcotest.test_case "exact floats" `Quick test_digest_exact_floats;
+          QCheck_alcotest.to_alcotest qcheck_ratio_fingerprints;
         ] );
       ( "options codec",
         [
