@@ -407,15 +407,55 @@ let timing_cmd =
 
 let socket_arg = Cli_common.socket ()
 
-(* One RPC round trip; protocol-level errors become exit-1 messages
+(* A round trip's reply: protocol-level errors become exit-1 messages
    carrying the typed error code. *)
-let svc_rpc socket req =
-  match Service.Client.rpc ~socket req with
+let checked = function
   | Error msg -> Error msg
   | Ok reply -> (
       match Service.Client.ok_or_error reply with
       | Ok reply -> Ok reply
       | Error (code, msg) -> Error (Printf.sprintf "%s [%s]" msg code))
+
+(* One RPC round trip on a fresh connection. *)
+let svc_rpc socket req = checked (Service.Client.rpc ~socket req)
+
+let malformed what =
+  prerr_endline ("fpgapart: malformed reply (no " ^ what ^ ")");
+  exit 1
+
+(* Print a reply's [member] as JSON on stdout. *)
+let print_member reply member =
+  match Obs.Json.member member reply with
+  | Some doc -> print_endline (Obs.Json.to_string doc)
+  | None -> malformed member
+
+(* A submission's reply: a cache hit prints its result, [no_wait] prints
+   the bare job id on stdout (so scripts can capture it), and otherwise
+   the call waits for the result over [rpc]. *)
+let await_job ~rpc ~no_wait reply =
+  let job =
+    match Option.bind (Obs.Json.member "job" reply) Obs.Json.to_int with
+    | Some id -> id
+    | None -> malformed "job id"
+  in
+  let flag f =
+    Option.value ~default:false
+      (Option.bind (Obs.Json.member f reply) Obs.Json.to_bool)
+  in
+  (* Only a resubmit's reply carries the flag. *)
+  if flag "cold_fallback" then
+    Format.eprintf "job %d: base context evicted; running cold@." job;
+  if flag "cached" then (
+    Format.eprintf "job %d: cache hit@." job;
+    print_member reply "result")
+  else if no_wait then (
+    Format.eprintf "job %d queued@." job;
+    Format.printf "%d@." job)
+  else (
+    Format.eprintf "job %d queued; waiting@." job;
+    print_member
+      (or_die (rpc (Service.Protocol.Result { job; wait = true })))
+      "result")
 
 let serve_cmd =
   let doc =
@@ -666,57 +706,19 @@ let submit_cmd =
     in
     let envelope = { Service.Protocol.tenant; priority; portfolio } in
     let rpc req =
-      let raw =
-        if retries <= 0 then Service.Client.rpc ~socket req
-        else
-          Service.Client.rpc_retry
-            ~backoff:
-              { Service.Client.Backoff.default with attempts = retries + 1 }
-            ~socket req
-      in
-      match raw with
-      | Error msg -> Error msg
-      | Ok reply -> (
-          match Service.Client.ok_or_error reply with
-          | Ok reply -> Ok reply
-          | Error (code, msg) -> Error (Printf.sprintf "%s [%s]" msg code))
+      checked
+        (if retries <= 0 then Service.Client.rpc ~socket req
+         else
+           Service.Client.rpc_retry
+             ~backoff:
+               { Service.Client.Backoff.default with attempts = retries + 1 }
+             ~socket req)
     in
-    let reply =
-      or_die
-        (rpc
-           (Service.Protocol.Submit { name; format; netlist; options; envelope }))
-    in
-    let int_field f = Option.bind (Obs.Json.member f reply) Obs.Json.to_int in
-    let job =
-      match int_field "job" with
-      | Some id -> id
-      | None ->
-          prerr_endline "fpgapart: malformed reply (no job id)";
-          exit 1
-    in
-    let cached =
-      Option.value ~default:false
-        (Option.bind (Obs.Json.member "cached" reply) Obs.Json.to_bool)
-    in
-    if cached then (
-      Format.eprintf "job %d: cache hit@." job;
-      match Obs.Json.member "result" reply with
-      | Some doc -> print_endline (Obs.Json.to_string doc)
-      | None ->
-          prerr_endline "fpgapart: malformed reply (no result)";
-          exit 1)
-    else if no_wait then (
-      (* Bare id on stdout so scripts can capture it. *)
-      Format.eprintf "job %d queued@." job;
-      Format.printf "%d@." job)
-    else (
-      Format.eprintf "job %d queued; waiting@." job;
-      let reply = or_die (rpc (Service.Protocol.Result { job; wait = true })) in
-      match Obs.Json.member "result" reply with
-      | Some doc -> print_endline (Obs.Json.to_string doc)
-      | None ->
-          prerr_endline "fpgapart: malformed reply (no result)";
-          exit 1)
+    await_job ~rpc ~no_wait
+      (or_die
+         (rpc
+            (Service.Protocol.Submit
+               { name; format; netlist; options; envelope })))
   in
   Cmd.v
     (Cmd.info "submit" ~doc)
@@ -845,55 +847,12 @@ let resubmit_cmd =
     Fun.protect
       ~finally:(fun () -> Service.Client.close conn)
       (fun () ->
-        let rpc req =
-          match Service.Client.request conn req with
-          | Error msg -> Error msg
-          | Ok reply -> (
-              match Service.Client.ok_or_error reply with
-              | Ok reply -> Ok reply
-              | Error (code, msg) ->
-                  Error (Printf.sprintf "%s [%s]" msg code))
-        in
-        let reply =
-          or_die
-            (rpc
-               (Service.Protocol.Resubmit { name; base; delta; options = None }))
-        in
-        let job =
-          match
-            Option.bind (Obs.Json.member "job" reply) Obs.Json.to_int
-          with
-          | Some id -> id
-          | None ->
-              prerr_endline "fpgapart: malformed reply (no job id)";
-              exit 1
-        in
-        let flag f =
-          Option.value ~default:false
-            (Option.bind (Obs.Json.member f reply) Obs.Json.to_bool)
-        in
-        if flag "cold_fallback" then
-          Format.eprintf "job %d: base context evicted; running cold@." job;
-        if flag "cached" then (
-          Format.eprintf "job %d: cache hit@." job;
-          match Obs.Json.member "result" reply with
-          | Some doc -> print_endline (Obs.Json.to_string doc)
-          | None ->
-              prerr_endline "fpgapart: malformed reply (no result)";
-              exit 1)
-        else if no_wait then (
-          Format.eprintf "job %d queued@." job;
-          Format.printf "%d@." job)
-        else (
-          Format.eprintf "job %d queued; waiting@." job;
-          let reply =
-            or_die (rpc (Service.Protocol.Result { job; wait = true }))
-          in
-          match Obs.Json.member "result" reply with
-          | Some doc -> print_endline (Obs.Json.to_string doc)
-          | None ->
-              prerr_endline "fpgapart: malformed reply (no result)";
-              exit 1))
+        let rpc req = checked (Service.Client.request conn req) in
+        await_job ~rpc ~no_wait
+          (or_die
+             (rpc
+                (Service.Protocol.Resubmit
+                   { name; base; delta; options = None }))))
   in
   Cmd.v
     (Cmd.info "resubmit" ~doc)
@@ -901,38 +860,25 @@ let resubmit_cmd =
       const run $ socket_arg $ base_job_arg $ base_digest_arg $ delta_arg
       $ name_arg $ no_wait_arg)
 
+(* A query verb whose reply's [member] prints as JSON. *)
+let json_query_cmd name ~doc req member =
+  let run socket = print_member (or_die (svc_rpc socket req)) member in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg)
+
 let svc_stats_cmd =
-  let doc =
-    "Print a running daemon's counters, queue depth and cache state as \
-     JSON (requests, cache hits/misses, rejections, cancellations, \
-     queue-wait and run-time histograms)."
-  in
-  let run socket =
-    let reply = or_die (svc_rpc socket Service.Protocol.Stats) in
-    match Obs.Json.member "stats" reply with
-    | Some stats -> print_endline (Obs.Json.to_string stats)
-    | None ->
-        prerr_endline "fpgapart: malformed reply (no stats)";
-        exit 1
-  in
-  Cmd.v (Cmd.info "svc-stats" ~doc) Term.(const run $ socket_arg)
+  json_query_cmd "svc-stats" Service.Protocol.Stats "stats"
+    ~doc:
+      "Print a running daemon's counters, queue depth and cache state as \
+       JSON (requests, cache hits/misses, rejections, cancellations, \
+       queue-wait and run-time histograms)."
 
 let fleet_stats_cmd =
-  let doc =
-    "Print a running fleet's topology and queue state as JSON: per-worker \
-     state/pid/restarts, per-tenant queue depth and weight, in-flight \
-     count, LRU and disk-cache occupancy, and the scheduler's counters. \
-     Fails against a single-process daemon."
-  in
-  let run socket =
-    let reply = or_die (svc_rpc socket Service.Protocol.Fleet_stats) in
-    match Obs.Json.member "fleet" reply with
-    | Some fleet -> print_endline (Obs.Json.to_string fleet)
-    | None ->
-        prerr_endline "fpgapart: malformed reply (no fleet)";
-        exit 1
-  in
-  Cmd.v (Cmd.info "fleet-stats" ~doc) Term.(const run $ socket_arg)
+  json_query_cmd "fleet-stats" Service.Protocol.Fleet_stats "fleet"
+    ~doc:
+      "Print a running fleet's topology and queue state as JSON: \
+       per-worker state/pid/restarts, per-tenant queue depth and weight, \
+       in-flight count, LRU and disk-cache occupancy, and the scheduler's \
+       counters. Fails against a single-process daemon."
 
 let svc_metrics_cmd =
   let doc =
@@ -945,28 +891,17 @@ let svc_metrics_cmd =
     let reply = or_die (svc_rpc socket Service.Protocol.Metrics) in
     match Option.bind (Obs.Json.member "metrics" reply) Obs.Json.to_str with
     | Some text -> print_string text
-    | None ->
-        prerr_endline "fpgapart: malformed reply (no metrics)";
-        exit 1
+    | None -> malformed "metrics"
   in
   Cmd.v (Cmd.info "svc-metrics" ~doc) Term.(const run $ socket_arg)
 
 let svc_health_cmd =
-  let doc =
-    "Probe a running daemon's health: accepting|draining state, protocol \
-     and stats schema versions, uptime, queue depth/capacity, inflight \
-     jobs and cache occupancy, printed as JSON. Exits non-zero when the \
-     daemon is unreachable."
-  in
-  let run socket =
-    let reply = or_die (svc_rpc socket Service.Protocol.Health) in
-    match Obs.Json.member "health" reply with
-    | Some health -> print_endline (Obs.Json.to_string health)
-    | None ->
-        prerr_endline "fpgapart: malformed reply (no health)";
-        exit 1
-  in
-  Cmd.v (Cmd.info "svc-health" ~doc) Term.(const run $ socket_arg)
+  json_query_cmd "svc-health" Service.Protocol.Health "health"
+    ~doc:
+      "Probe a running daemon's health: accepting|draining state, \
+       protocol and stats schema versions, uptime, queue depth/capacity, \
+       inflight jobs and cache occupancy, printed as JSON. Exits non-zero \
+       when the daemon is unreachable."
 
 let svc_cancel_cmd =
   let doc = "Request cooperative cancellation of a job on the daemon." in

@@ -171,18 +171,17 @@ val partition :
     device window), runs the flat driver on the coarsest graph (with
     narrowed search budgets when the estimated device count exceeds 16
     or the coarsest graph holds more than 512 cells per estimated
-    part), then
-    uncoarsens V-cycle style — {!project_parts} per level, then
-    [refine_passes] refinement sweeps restricted to the labelling's
-    boundary cells ({!Hypergraph.boundary}). Every level runs a
-    deterministic greedy mover, which moves whole boundary cells to the
-    adjacent part that most reduces total terminals within the parts'
-    device windows and never changes a device. The mover works on the
-    level's labelling and tally, so member lists are built once, after
-    the finest level. When [options.replication] is not [`None], those
-    parts then get the flat driver's pairwise refinement once, with
-    replication, restricted to the finest labelling's boundary cells —
-    the refinement {!warm_start} runs. Multilevel
+    part), then uncoarsens V-cycle style — the first step of
+    {!project_parts} per level, then [refine_passes] refinement sweeps
+    restricted to the labelling's boundary cells ({!Hypergraph.boundary}).
+    Every level runs a deterministic greedy mover, which moves whole
+    boundary cells to the adjacent part that most reduces total terminals
+    within the parts' device windows and never changes a device. The mover
+    works on the level's labelling and tally, so member lists are built
+    once, after the finest level. When [options.replication] is not
+    [`None], those parts then get the flat driver's pairwise refinement
+    once, with replication, restricted to the finest labelling's boundary
+    cells — the refinement {!warm_start} runs. Multilevel
     telemetry adds counters ["ml.level"] and ["kway.greedy_moves"],
     histograms ["ml.cells_per_level"] / ["ml.coarsen_ratio"] (percent),
     events ["ml.coarsen"] / ["ml.refine"] (and ["kway.greedy_round"]),
@@ -230,9 +229,9 @@ val project_parts :
   devices:Fpga.Device.t array ->
   Hypergraph.t ->
   (part list, string) Stdlib.result
-(** Materialise a whole-cell labelling into parts. This is the one
-    labelling-to-parts path: each V-cycle uncoarsening level and
-    {!warm_start} build their parts here. [labels.(c)] indexes [devices];
+(** Materialise a whole-cell labelling into parts. No driver calls it;
+    {!warm_start} and the V-cycle walk run its two steps (below) directly.
+    [labels.(c)] indexes [devices];
     every cell joins its labelled part with its full output mask (no
     replication). Per-part CLB/demand sums and IOBs are recounted from
     scratch; each part keeps its given device when that still passes

@@ -29,7 +29,8 @@ type distribution = {
 }
 
 let distribution h =
-  let counts = Hashtbl.create 16 in
+  (* psi counts the inputs of one cell, so it is at most the width. *)
+  let counts = Array.make (Bitvec.max_width + 1) 0 in
   let single = ref 0 in
   let total = Hypergraph.num_cells h in
   for i = 0 to total - 1 do
@@ -37,15 +38,14 @@ let distribution h =
     if Array.length c.Hypergraph.outputs <= 1 then incr single
     else begin
       let psi = of_cell c in
-      Hashtbl.replace counts psi
-        (1 + try Hashtbl.find counts psi with Not_found -> 0)
+      counts.(psi) <- counts.(psi) + 1
     end
   done;
-  let multi =
-    Hashtbl.fold (fun psi n acc -> (psi, n) :: acc) counts []
-    |> List.sort compare
-  in
-  { single_output = !single; multi_by_psi = multi; total }
+  let multi = ref [] in
+  for psi = Bitvec.max_width downto 0 do
+    if counts.(psi) > 0 then multi := (psi, counts.(psi)) :: !multi
+  done;
+  { single_output = !single; multi_by_psi = !multi; total }
 
 let max_replication_factor d ~threshold =
   List.fold_left

@@ -421,18 +421,6 @@ let induce_copies h specs =
   let cells = Array.mapi (copy_cell h net_map pin_rank) specs in
   (assemble ~num_nets:num_new_nets ~net_external ~net_names cells, specs)
 
-let induce h ~keep =
-  if Array.length keep <> num_cells h then
-    invalid_arg "Hypergraph.induce: keep length mismatch";
-  let specs = ref [] in
-  for id = num_cells h - 1 downto 0 do
-    if keep.(id) then
-      specs :=
-        (id, Bitvec.full (Array.length h.cells.(id).outputs)) :: !specs
-  done;
-  let h', spec_arr = induce_copies h !specs in
-  (h', Array.map fst spec_arr)
-
 let pp_summary fmt h =
   let n_ext =
     Array.fold_left (fun acc e -> if e then acc + 1 else acc) 0 h.net_external

@@ -141,10 +141,4 @@ val induce_copies : t -> (int * Bitvec.t) list -> t * (int * Bitvec.t) array
     or per-element closures. The recursive k-way split calls it once per
     carved-off device. *)
 
-val induce : t -> keep:bool array -> t * int array
-(** [induce h ~keep] restricts [h] to the cells with [keep.(id)] true.
-    Nets touching a dropped cell or flagged external stay/become external;
-    nets with no kept cell disappear. Returns the sub-hypergraph and the
-    mapping from new cell ids to old ones. *)
-
 val pp_summary : Format.formatter -> t -> unit

@@ -22,7 +22,8 @@
    - an output path that cannot be written exits 1 with a message;
    - the daemon through the CLI (`fpgapart serve`): a permuted netlist is
      answered byte-identically from the cache and shutdown unlinks the
-     socket; a 1% ECO of s38584 resubmitted warm is at least 10x faster
+     socket; submit --no-wait prints the bare job id and svc-cancel the
+     job's state; a 1% ECO of s38584 resubmitted warm is at least 10x faster
      than the cold run and within 2% of its cost, and the empty delta
      replies the base bytes without running F-M; the svc-metrics
      exposition follows the OpenMetrics rules and --log-scrub
@@ -310,6 +311,34 @@ let test_cli_cache_hit () =
         "socket file removed" false (Sys.file_exists d.U.socket));
   List.iter Sys.remove [ bench; permuted ]
 
+(* [submit --no-wait] prints the bare job id on stdout; [svc-cancel] of
+   that id prints "job <id>: <state>", whichever state the job has
+   reached. *)
+let test_cli_no_wait_cancel () =
+  let bench = generate "c1355" in
+  U.with_daemon [] (fun d ->
+      let out =
+        U.run_ok
+          [ "submit"; "--socket"; d.U.socket; "--bench"; bench; "--runs";
+            "1"; "--no-wait" ]
+      in
+      let job =
+        match int_of_string_opt (String.trim out) with
+        | Some id -> id
+        | None -> Alcotest.failf "no bare job id on stdout: %S" out
+      in
+      Alcotest.(check string) "bare id" (Printf.sprintf "%d\n" job) out;
+      let out =
+        U.run_ok [ "svc-cancel"; "--socket"; d.U.socket; string_of_int job ]
+      in
+      let prefix = Printf.sprintf "job %d: " job in
+      Alcotest.(check bool)
+        ("cancel reply " ^ out) true
+        (List.exists
+           (fun state -> String.equal out (prefix ^ state ^ "\n"))
+           [ "queued"; "running"; "done"; "failed"; "cancelled" ]));
+  Sys.remove bench
+
 (* A 1% ECO of s38584 resubmitted against the base partition's digest is
    served warm at least 10x faster than the cold run of the edited
    netlist and lands within 2% of the cold cost; the empty delta replies
@@ -583,6 +612,8 @@ let () =
           Alcotest.test_case "1% ECO resubmit" `Slow test_cli_eco_resubmit;
           Alcotest.test_case "metrics and scrubbed log file" `Slow
             test_cli_metrics_and_log;
+          Alcotest.test_case "no-wait submit and cancel" `Slow
+            test_cli_no_wait_cancel;
         ] );
       ( "validators",
         [

@@ -270,6 +270,56 @@ let test_expand_multilevel_scale () =
     (Netlist.Generator.scale ~name:"scale10k"
        { Netlist.Generator.default_scale with sc_gates = 10_000; sc_seed = 3 })
 
+(* A warm start simulates like the edited circuit: a flat replicated
+   partition of the sequential case's clustered circuit, then 1% edits
+   remapped and warm started from it as the daemon's resubmit does. Every
+   warm start that succeeds must pass [Expand.verify] against the edited
+   circuit, and at least one must succeed and replicate. (A replicated
+   16-bit multiplier under XC3000 gives no such case: collapsing its
+   replicated cells overflows every device's IOBs, so each of its warm
+   starts returns [Error] and the daemon runs cold.) *)
+let test_expand_warm_start () =
+  let c =
+    Netlist.Generator.clustered
+      {
+        Netlist.Generator.default_clustered with
+        clusters = 10;
+        gates_per_cluster = 90;
+        dffs_per_cluster = 20;
+        seed = 21;
+      }
+  in
+  let replication = `Functional 1 and library = Fpga.Library.xc3000 in
+  let base, _ = expand_roundtrip "clustered" c Core.Kway.Flat replication in
+  let h = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map c) in
+  let options = Core.Kway.Options.make ~runs:2 ~replication () in
+  let warm_results =
+    List.filter_map
+      (fun seed ->
+        let delta = Netlist.Delta.random ~seed ~frac:0.01 c in
+        let edited =
+          match Netlist.Delta.apply c delta with
+          | Ok e -> e
+          | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
+        in
+        let m = Techmap.Mapper.map edited in
+        let h' = Techmap.Mapper.to_hypergraph m in
+        let warm, _ =
+          Core.Kway.project_warm ~base:h ~base_parts:base.Core.Kway.parts h'
+        in
+        match Core.Kway.warm_start ~options ~library ~warm h' with
+        | Error _ -> None
+        | Ok r -> (
+            match Experiments.Expand.verify edited m r with
+            | Ok () -> Some r
+            | Error e ->
+                Alcotest.failf "clustered delta seed %d: %s" seed e))
+      [ 1; 2; 3; 4 ]
+  in
+  checkb "a warm start succeeded" true (warm_results <> []);
+  checkb "a warm start replicates" true
+    (List.exists (fun r -> r.Core.Kway.replicated_cells > 0) warm_results)
+
 let test_expand_detects_missing_output () =
   let c = Netlist.Generator.multiplier ~bits:16 () in
   let m = Techmap.Mapper.map c in
@@ -377,5 +427,7 @@ let () =
             test_expand_multilevel_scale;
           Alcotest.test_case "detects uncovered outputs" `Quick
             test_expand_detects_missing_output;
+          Alcotest.test_case "warm start after a 1% edit" `Slow
+            test_expand_warm_start;
         ] );
     ]

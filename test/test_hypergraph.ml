@@ -209,11 +209,13 @@ let test_hypergraph_rejects_bad () =
 
 let test_hypergraph_induce () =
   let h = fig1_hypergraph () in
-  (* Keep only the consumer of X. *)
-  let keep = [| false; true; false |] in
-  let h', back = Hypergraph.induce h ~keep in
+  (* Keep only the consumer of X, whole. *)
+  let whole =
+    Bitvec.full (Array.length (Hypergraph.cell h 1).Hypergraph.outputs)
+  in
+  let h', specs = Hypergraph.induce_copies h [ (1, whole) ] in
   checki "one cell" 1 (Hypergraph.num_cells h');
-  check Alcotest.(array int) "mapping" [| 1 |] back;
+  check Alcotest.(array int) "mapping" [| 1 |] (Array.map fst specs);
   (* Its nets: X (external now: driver dropped) and z1 (not read: but z1 was
      never read by anyone, so it only touches the kept cell). *)
   checki "nets" 2 h'.Hypergraph.num_nets;

@@ -38,13 +38,12 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
 done
 
 # One result per input: in lib/techmap, lib/hypergraph (the warm start's
-# projection and the walk's boundary), coarsening, the .bench parser, F-M
-# and the k-way partitioner no result may depend on the order a hash
-# table is iterated in, since that order changes with the hash seed
-# (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
+# projection and the walk's boundary), the .bench parser and every module
+# of lib/core (coarsening, F-M, each k-way phase) no result may depend on
+# the order a hash table is iterated in, since that order changes with
+# the hash seed (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
 for f in $(git ls-files 'lib/techmap/*.ml' 'lib/hypergraph/*.ml' \
-  lib/core/coarsen.ml lib/netlist/bench_format.ml lib/core/fm.ml \
-  lib/core/kway.ml); do
+  'lib/core/*.ml' lib/netlist/bench_format.ml); do
   if grep -qE 'Hashtbl\.(iter|fold|to_seq)' "$f"; then
     echo "lint: hash-table iteration in $f" \
       "(iteration order must not decide a result)" >&2
@@ -54,12 +53,12 @@ done
 
 # One options codec: Experiments.Obs_report owns the JSON spelling of
 # Kway.options (the stats document, the wire protocol and the cache key
-# share it). No other program file spells its keys; lib/core/kway.ml
-# names fields in its validation messages.
+# share it). No other program file spells its keys; lib/core/kway_types.ml
+# (Kway.Options.make) names fields in its validation messages.
 for f in $(git ls-files lib bin bench examples tools); do
   case "$f" in
     lib/experiments/obs_report.ml | lib/experiments/obs_report.mli) continue ;;
-    lib/core/kway.ml) continue ;;
+    lib/core/kway_types.ml) continue ;;
   esac
   if grep -qE \
     '"(fm_attempts|refine_rounds|coarsen_ratio|refine_passes|max_levels|functional_threshold)"' \
@@ -69,6 +68,20 @@ for f in $(git ls-files lib bin bench examples tools); do
     status=1
   fi
 done
+
+# One independent verifier: Kway.check (lib/core/verifier.ml) recounts a
+# result from the hypergraph and the members, so a driver bug cannot make
+# the driver and its verifier agree. It calls only Fpga, Hypergraph and
+# Bitvec: it names no driver module, and Kway_types only for the result
+# types, never its helpers (the drivers' own result assembly).
+f=lib/core/verifier.ml
+if grep -qE '\b(Kway|Split|Pairwise|Tally|Warm|Vcycle|Fm|Coarsen|Gain|Bucket|Partition_state|Projection|Replication_potential)\.' "$f" \
+  || grep -oE '\bKway_types\.[A-Za-z_]+' "$f" | grep -qvE '\.(part|result)$'
+then
+  echo "lint: $f uses driver code" \
+    "(the verifier calls only Fpga, Hypergraph and Bitvec)" >&2
+  status=1
+fi
 
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
