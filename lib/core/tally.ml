@@ -98,7 +98,8 @@ let create hg k labels =
    device unless it outgrew it, and then takes the cheapest accepting
    device (lower window relaxed); a part with no CLBs, so no cell, keeps
    its device. *)
-let settle_devices ~options ~library ~(devices : Fpga.Device.t array) t =
+let settle_devices ~caller ~options ~library
+    ~(devices : Fpga.Device.t array) t =
   let k = Array.length devices in
   let iobs = Array.make k 0 in
   for nt = 0 to Array.length t.t_count - 1 do
@@ -129,8 +130,9 @@ let settle_devices ~options ~library ~(devices : Fpga.Device.t array) t =
             settle (p - 1)
         | None ->
             Error
-              (Printf.sprintf "Kway.project_parts: no device accepts part %d \
-                 (%d CLBs / %d IOBs)" p t.t_clbs.(p) io)
+              (Printf.sprintf
+                 "%s: no device accepts part %d (%d CLBs / %d IOBs)" caller p
+                 t.t_clbs.(p) io)
   in
   settle (k - 1)
 
@@ -161,10 +163,10 @@ let live_parts t =
 
 (* Both steps: the parts of a warm start and of [project_parts]. Labels
    carry no replication: every cell sits whole in its labelled part. *)
-let materialise ~options ~library ~labels ~devices t =
+let materialise ~caller ~options ~library ~labels ~devices t =
   Result.map
     (fun (iobs, devices) -> parts t ~labels ~iobs ~devices)
-    (settle_devices ~options ~library ~devices t)
+    (settle_devices ~caller ~options ~library ~devices t)
 
 let project_parts ?(options = Options.default) ~library ~labels
     ~(devices : Fpga.Device.t array) hg =
@@ -177,7 +179,9 @@ let project_parts ?(options = Options.default) ~library ~labels
   else if k = 0 then err "Kway.project_parts: empty device array"
   else if Array.exists (fun l -> l < 0 || l >= k) labels then
     err "Kway.project_parts: label out of range (only %d devices)" k
-  else materialise ~options ~library ~labels ~devices (create hg k labels)
+  else
+    materialise ~caller:"Kway.project_parts" ~options ~library ~labels ~devices
+      (create hg k labels)
 
 (* Deterministic greedy passes moving whole cells to the neighbouring
    part that most reduces total terminal usage (eq. 2), under the fixed

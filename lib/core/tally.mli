@@ -9,11 +9,14 @@ type t
 val create : Hypergraph.t -> int -> int array -> t
 
 val settle_devices :
+  caller:string ->
   options:Kway_types.options ->
   library:Fpga.Library.t ->
   devices:Fpga.Device.t array ->
   t ->
   (int array * Fpga.Device.t array, string) Stdlib.result
+(** A part no device accepts is an [Error] naming [caller], the public
+    entry point that asked (["Kway.warm_start: no device accepts ..."]). *)
 
 val parts :
   t ->
@@ -25,6 +28,7 @@ val parts :
 val live_parts : t -> int
 
 val materialise :
+  caller:string ->
   options:Kway_types.options ->
   library:Fpga.Library.t ->
   labels:int array ->

@@ -163,7 +163,10 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
           else
             let labels = Coarsen.project_labels ~map coarse_labels in
             let t = Tally.create fine (Array.length devices) labels in
-            match Tally.settle_devices ~options ~library ~devices t with
+            match
+              Tally.settle_devices ~caller:"Kway.partition" ~options ~library
+                ~devices t
+            with
             | Error _ as e -> e
             | Ok (iobs, devices) -> (
                 let dirty = Hypergraph.boundary fine ~labels in

@@ -74,7 +74,7 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
         (fun parts ->
           Obs.span obs "warm" (fun () ->
               Pairwise.refine ~opts ~obs ~dirty hg library parts))
-        (Tally.materialise ~options ~library ~labels
+        (Tally.materialise ~caller:"Kway.warm_start" ~options ~library ~labels
            ~devices:warm.w_devices t)
     in
     let result =

@@ -249,89 +249,24 @@ let scan st names text =
   in
   line 0 1
 
-(* Name resolution. Signals may be used before their defining line, and a
-   flip-flop's D cone may read its own Q (sequential feedback), so gates are
-   resolved by depth-first search and DFFs get placeholder nodes wired at
-   the end. Errors (duplicates, undefined signals, cycles) name a line
-   too. [decl] maps a name to its declaring statement; [ids] to its node,
-   [unresolved] before the search reaches it and [visiting] while its
-   fanins are being resolved. *)
-let unresolved = -1
-let visiting = -2
-
+(* Name resolution is {!Elaborate.run}'s: signals may be used before
+   their defining line, and a flip-flop's D cone may read its own Q. *)
 let build st names =
   let nm id = names.strings.(id) in
-  let decl = Array.make names.count (-1) in
-  for i = 0 to st.n - 1 do
-    if not (is_output st i) then begin
-      let id = st.name.(i) in
-      if decl.(id) >= 0 then
-        fail st.line.(i)
-          (Printf.sprintf "duplicate definition of %s (first at line %d)"
-             (nm id) st.line.(decl.(id)));
-      decl.(id) <- i
-    end
-  done;
-  let b = Circuit.Builder.create ~name:"bench" () in
-  let ids = Array.make names.count unresolved in
-  (* [at] is the line of the statement whose fanin list we are
-     resolving — the best source position for a dangling name. *)
-  let rec resolve at id =
-    let node = ids.(id) in
-    if node >= 0 then node
-    else begin
-      if node = visiting then
-        fail at ("combinational cycle at " ^ nm id);
-      let i = decl.(id) in
-      if i < 0 then fail at ("undefined signal: " ^ nm id);
-      let node =
-        match st.kind.(i) with
-        | Gate.Input -> Circuit.Builder.input b (nm id)
-        | Gate.Dff ->
-            (* Q is a sequential source; D wired after the pass. *)
-            Circuit.Builder.dff_placeholder b (nm id)
-        | kind ->
-            let lo = st.arg_start.(i) and hi = st.arg_start.(i + 1) in
-            ids.(id) <- visiting;
-            for j = lo to hi - 1 do
-              ignore (resolve st.line.(i) st.args.(j))
-            done;
-            ids.(id) <- unresolved;
-            let fanins = ref [] in
-            for j = hi - 1 downto lo do
-              fanins := ids.(st.args.(j)) :: !fanins
-            done;
-            Circuit.Builder.gate b ~name:(nm id) kind !fanins
-      in
-      ids.(id) <- node;
-      node
-    end
-  in
-  try
-    for i = 0 to st.n - 1 do
-      if not (is_output st i) then ignore (resolve st.line.(i) st.name.(i))
-    done;
-    (* Wire flip-flop D pins. *)
-    for i = 0 to st.n - 1 do
-      if (not (is_output st i)) && Gate.equal st.kind.(i) Gate.Dff then begin
-        let lo = st.arg_start.(i) and hi = st.arg_start.(i + 1) in
-        if hi - lo <> 1 then
-          fail st.line.(i)
-            (Printf.sprintf "DFF %s needs one fanin" (nm st.name.(i)));
-        let d = resolve st.line.(i) st.args.(lo) in
-        Circuit.Builder.connect_dff b ids.(st.name.(i)) d
-      end
-    done;
-    for i = 0 to st.n - 1 do
-      if is_output st i then begin
-        let node = ids.(st.name.(i)) in
-        if node < 0 then
-          fail st.line.(i) ("undefined output signal: " ^ nm st.name.(i));
-        Circuit.Builder.mark_output b node
-      end
-    done;
-    Ok (Circuit.Builder.finish b)
-  with Invalid_argument msg -> Error msg
+  Elaborate.run
+    (Circuit.Builder.create ~name:"bench" ())
+    {
+      statements = st.n;
+      signal = (fun i -> st.name.(i));
+      output = is_output st;
+      kind = (fun i -> st.kind.(i));
+      line = (fun i -> st.line.(i));
+      arity = (fun i -> st.arg_start.(i + 1) - st.arg_start.(i));
+      fanin = (fun i j -> st.args.(st.arg_start.(i) + j));
+      signals = names.count;
+      name = nm;
+    }
+  |> Result.map_error (Elaborate.error_to_string nm)
 
 let parse text =
   (* Upper bounds from one pass: a statement per line, and an argument

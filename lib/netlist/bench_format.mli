@@ -22,14 +22,11 @@ val parse : string -> (Circuit.t, string) result
     When a text has several faults, the one reported is decided in this
     order:
     + the first syntactically bad line, in line order;
-    + then the first duplicate definition, in line order;
-    + then the first resolution error: an undefined signal, a
-      combinational cycle or a gate of the wrong arity met by the
-      depth-first resolution, which visits
-      declarations in line order and each gate's fanins left to right
-      (this also assigns node ids), then a flip-flop without exactly one
-      fanin or with an undefined D, then an undefined output, both in
-      line order.
+    + then the first {!Elaborate.run} error, statements in line order:
+      a duplicate definition; an undefined signal, a combinational
+      cycle or a gate of the wrong arity met by the depth-first
+      resolution, which also assigns node ids; a flip-flop without
+      exactly one fanin or with an undefined D; an undefined output.
 
     Cost: the circuit plus O(lines + distinct names) scratch; each
     distinct name is copied out of the text once. *)

@@ -34,29 +34,32 @@ let words s =
 (* Parsing into statements                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Statements stay paired with their source line so the elaboration
-   phase can report duplicates and dangling references by line. *)
-type stmt =
-  | Model of string
-  | Inputs of string list
-  | Outputs of string list
-  | Names of string list * string * (string * char) list
-      (** input signals, output signal, cover rows (pattern, value) *)
-  | Latch of string * string  (* d, q *)
+module T = Elaborate.Table
 
-let parse_stmts lines =
+(* Statements go straight into the name table with their source line, so
+   elaboration can report duplicates and dangling references by line. A
+   cover carries its input ids and its rows (pattern, value). Returns the
+   model name. *)
+let parse_stmts t lines =
   let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
+  let rec loop model = function
+    | [] -> Ok model
     | (lineno, line) :: rest -> (
+        let declare decl name = T.add t ~line:lineno name decl in
         match words line with
-        | ".model" :: name :: _ -> loop ((lineno, Model name) :: acc) rest
-        | ".inputs" :: ins -> loop ((lineno, Inputs ins) :: acc) rest
-        | ".outputs" :: outs -> loop ((lineno, Outputs outs) :: acc) rest
+        | ".model" :: name :: _ -> loop name rest
+        | ".inputs" :: ins ->
+            List.iter (declare T.Input) ins;
+            loop model rest
+        | ".outputs" :: outs ->
+            List.iter (declare T.Output) outs;
+            loop model rest
         | ".latch" :: args -> (
             (* .latch input output [type control] [init] *)
             match args with
-            | d :: q :: _ -> loop ((lineno, Latch (d, q)) :: acc) rest
+            | d :: q :: _ ->
+                declare (T.Dff (T.id t d)) q;
+                loop model rest
             | _ -> err lineno ".latch needs input and output")
         | ".names" :: signals -> (
             match List.rev signals with
@@ -83,190 +86,73 @@ let parse_stmts lines =
                           rows (("", value.[0]) :: acc_rows) more
                       | _ -> err rl ("bad cover row: " ^ row))
                   | more ->
-                      loop ((lineno, Names (ins, out, List.rev acc_rows)) :: acc)
-                        more
+                      declare
+                        (T.Gate (List.map (T.id t) ins, List.rev acc_rows))
+                        out;
+                      loop model more
                 and err rl msg = Error (Printf.sprintf "line %d: %s" rl msg) in
                 rows [] rest)
-        | ".end" :: _ -> loop acc rest
+        | ".end" :: _ -> loop model rest
         | ".exdc" :: _ -> err lineno "external don't-cares are not supported"
         | dir :: _ when String.length dir > 0 && dir.[0] = '.' ->
             err lineno ("unsupported directive: " ^ dir)
         | _ -> err lineno ("unexpected line: " ^ line))
   in
-  loop [] lines
+  loop "blif" lines
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type decl =
-  | D_input
-  | D_latch of string  (* data signal *)
-  | D_names of string list * (string * char) list
-
-let build stmts =
-  let model = ref "blif" in
-  let decls = Hashtbl.create 256 in
-  (* name -> lineno * decl *)
-  let order = Vec.create () in
-  let outputs = Vec.create () in
-  let declare lineno name d =
-    match Hashtbl.find_opt decls name with
-    | Some (first, _) ->
-        Error
-          (Printf.sprintf "line %d: duplicate definition of %s (first at line %d)"
-             lineno name first)
-    | None ->
-        Hashtbl.add decls name (lineno, d);
-        ignore (Vec.push order name);
-        Ok ()
+(* A cover of [ins] as AND/OR/NOT gates: one AND (or literal) per row,
+   then the OR (or NOR, for an off-set) of the rows, named [name]. *)
+let synthesize_cover b ~fresh ~name in_ids rows =
+  (* All rows must agree on the output value: on-set (1) or off-set (0). *)
+  let values = List.map snd rows |> List.sort_uniq compare in
+  (match values with
+  | [] | [ _ ] -> ()
+  | _ -> invalid_arg ("mixed cover polarity for " ^ name));
+  let on_set = match values with [ '0' ] -> false | _ -> true in
+  let term pattern =
+    (* AND of the literals one row requires; None = always true. *)
+    let literals =
+      List.mapi (fun k id -> (pattern.[k], id)) in_ids
+      |> List.filter_map (fun (ch, id) ->
+             match ch with
+             | '1' -> Some id
+             | '0' -> Some (B.gate b ~name:(fresh ()) Gate.Not [ id ])
+             | _ -> None)
+    in
+    match literals with
+    | [] -> None
+    | [ x ] -> Some x
+    | xs -> Some (B.gate b ~name:(fresh ()) Gate.And xs)
   in
-  let rec scan = function
-    | [] -> Ok ()
-    | (_, Model name) :: rest ->
-        model := name;
-        scan rest
-    | (lineno, Inputs ins) :: rest -> (
-        let rec each = function
-          | [] -> scan rest
-          | i :: more -> (
-              match declare lineno i D_input with
-              | Error _ as e -> e
-              | Ok () -> each more)
-        in
-        each ins)
-    | (lineno, Outputs outs) :: rest ->
-        List.iter (fun o -> ignore (Vec.push outputs (lineno, o))) outs;
-        scan rest
-    | (lineno, Latch (d, q)) :: rest -> (
-        match declare lineno q (D_latch d) with
-        | Error _ as e -> e
-        | Ok () -> scan rest)
-    | (lineno, Names (ins, out, rows)) :: rest -> (
-        match declare lineno out (D_names (ins, rows)) with
-        | Error _ as e -> e
-        | Ok () -> scan rest)
-  in
-  match scan stmts with
-  | Error _ as e -> e
-  | Ok () -> (
-      let b = B.create ~name:!model () in
-      (* Fresh names for synthesised cover terms. *)
-      let clashes p =
-        Vec.fold_left
-          (fun acc name -> acc || String.starts_with ~prefix:p name)
-          false order
-      in
-      let prefix =
-        let rec search p = if clashes p then search ("$" ^ p) else p in
-        search "$b"
-      in
-      let counter = ref 0 in
-      let fresh () =
-        let name = Printf.sprintf "%s%d" prefix !counter in
-        incr counter;
-        name
-      in
-      let ids = Hashtbl.create 256 in
-      let visiting = Hashtbl.create 16 in
-      let exception Fail of string in
-      (* [at] is the line whose fanin list is being resolved — the best
-         source position for a dangling reference. *)
-      let rec resolve ~at name =
-        match Hashtbl.find_opt ids name with
-        | Some id -> id
-        | None -> (
-            if Hashtbl.mem visiting name then
-              raise
-                (Fail
-                   (Printf.sprintf "line %d: combinational cycle at %s" at name));
-            match Hashtbl.find_opt decls name with
-            | None ->
-                raise
-                  (Fail (Printf.sprintf "line %d: undefined signal: %s" at name))
-            | Some (lineno, d) ->
-                let id =
-                  match d with
-                  | D_input -> B.input b name
-                  | D_latch _ -> B.dff_placeholder b name
-                  | D_names (ins, rows) ->
-                      Hashtbl.replace visiting name ();
-                      let in_ids = List.map (resolve ~at:lineno) ins in
-                      Hashtbl.remove visiting name;
-                      synthesize_cover b ~fresh ~name in_ids rows
-                in
-                Hashtbl.replace ids name id;
-                id)
-      and synthesize_cover b ~fresh ~name in_ids rows =
-        (* All rows must agree on the output value: on-set (1) or
-           off-set (0). *)
-        let values = List.map snd rows |> List.sort_uniq compare in
-        (match values with
-        | [] | [ _ ] -> ()
-        | _ -> raise (Fail ("mixed cover polarity for " ^ name)));
-        let on_set = match values with [ '0' ] -> false | _ -> true in
-        let term pattern =
-          (* AND of the literals one row requires; None = always true. *)
-          let literals =
-            List.filteri (fun _ _ -> true) in_ids
-            |> List.mapi (fun k id -> (pattern.[k], id))
-            |> List.filter_map (fun (ch, id) ->
-                   match ch with
-                   | '1' -> Some id
-                   | '0' -> Some (B.gate b ~name:(fresh ()) Gate.Not [ id ])
-                   | _ -> None)
-          in
-          match literals with
-          | [] -> None
-          | [ x ] -> Some x
-          | xs -> Some (B.gate b ~name:(fresh ()) Gate.And xs)
-        in
-        let terms = List.map (fun (p, _) -> term p) rows in
-        if List.exists Option.is_none terms then
-          (* Some row accepts everything: the cover is constant. *)
-          B.gate b ~name (if on_set then Gate.Const1 else Gate.Const0) []
-        else
-          let terms = List.map Option.get terms in
-          match (terms, on_set) with
-          | [], true -> B.gate b ~name Gate.Const0 []
-          | [], false -> B.gate b ~name Gate.Const1 []
-          | [ x ], true -> B.gate b ~name Gate.Buf [ x ]
-          | [ x ], false -> B.gate b ~name Gate.Not [ x ]
-          | xs, true -> B.gate b ~name Gate.Or xs
-          | xs, false -> B.gate b ~name Gate.Nor xs
-      in
-      try
-        Vec.iter
-          (fun name ->
-            let at, _ = Hashtbl.find decls name in
-            ignore (resolve ~at name))
-          order;
-        Vec.iter
-          (fun name ->
-            match Hashtbl.find_opt decls name with
-            | Some (lineno, D_latch d) ->
-                B.connect_dff b (Hashtbl.find ids name) (resolve ~at:lineno d)
-            | _ -> ())
-          order;
-        Vec.iter
-          (fun (lineno, name) ->
-            match Hashtbl.find_opt ids name with
-            | Some id -> B.mark_output b id
-            | None ->
-                raise
-                  (Fail
-                     (Printf.sprintf "line %d: undefined output signal: %s"
-                        lineno name)))
-          outputs;
-        Ok (B.finish b)
-      with
-      | Fail msg -> Error msg
-      | Invalid_argument msg -> Error msg)
+  let terms = List.map (fun (p, _) -> term p) rows in
+  if List.exists Option.is_none terms then
+    (* Some row accepts everything: the cover is constant. *)
+    B.gate b ~name (if on_set then Gate.Const1 else Gate.Const0) []
+  else
+    let terms = List.map Option.get terms in
+    match (terms, on_set) with
+    | [], true -> B.gate b ~name Gate.Const0 []
+    | [], false -> B.gate b ~name Gate.Const1 []
+    | [ x ], true -> B.gate b ~name Gate.Buf [ x ]
+    | [ x ], false -> B.gate b ~name Gate.Not [ x ]
+    | xs, true -> B.gate b ~name Gate.Or xs
+    | xs, false -> B.gate b ~name Gate.Nor xs
 
 let parse text =
-  match parse_stmts (logical_lines text) with
+  let t = T.create () in
+  match parse_stmts t (logical_lines text) with
   | Error _ as e -> e
-  | Ok stmts -> build stmts
+  | Ok model -> (
+      let b = B.create ~name:model () in
+      (* Fresh names for synthesised cover terms. *)
+      let fresh = T.fresh_names t "$b" in
+      T.run t b ~build:(fun resolve name (ins, rows) ->
+          synthesize_cover b ~fresh ~name (List.map resolve ins) rows)
+      |> Result.map_error (Elaborate.error_to_string (T.name t)))
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -19,7 +19,11 @@
     0) and are accepted but treated as 0. Writing emits one [.names] per
     gate (XOR/XNOR as explicit minterm covers) and one [.latch] per
     flip-flop, so [parse (to_string c)] is functionally equivalent to
-    [c]. *)
+    [c].
+
+    Names resolve through {!Elaborate.run}, declarations in file order.
+    A syntax error comes first; resolution errors read ["line N: ..."]
+    but for a cover of mixed polarity and a builder rejection. *)
 
 val parse : string -> (Circuit.t, string) result
 val parse_file : string -> (Circuit.t, string) result

@@ -295,3 +295,14 @@ let pp_summary fmt c =
   Format.fprintf fmt "%s: %d PI, %d PO, %d gates (%d DFF), depth %d" c.name
     (Array.length c.inputs) (Array.length c.outputs) (num_gates c) (num_dff c)
     (depth c)
+
+let fresh_names base exists =
+  let rec search p =
+    if exists (String.starts_with ~prefix:p) then search ("$" ^ p) else p
+  in
+  let prefix = search base in
+  let counter = ref 0 in
+  fun () ->
+    let name = prefix ^ Int.to_string !counter in
+    incr counter;
+    name

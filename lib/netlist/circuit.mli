@@ -75,6 +75,11 @@ val find : t -> string -> int option
 
 val is_output : t -> int -> bool
 
+val fresh_names : string -> ((string -> bool) -> bool) -> unit -> string
+(** [fresh_names base exists] names invented nodes [p ^ "0"], [p ^ "1"],
+    … where [p] is [base] with as many ["$"] put in front as it takes for
+    no name [exists] ranges over to start with [p]. *)
+
 (** {1 Structure} *)
 
 val topological_order : t -> int array

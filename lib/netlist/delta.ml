@@ -38,9 +38,10 @@ let ( let* ) = Result.bind
 (* Edits run against a name-keyed view of the circuit; cross-references
    (fanins of surviving cells, the removed set) are validated only after
    the last op so a delta may add cells in any order and a flip-flop's D
-   may read forward. The edited circuit is then rebuilt in sorted-name DFS
-   order — the canonical order of the service digest — so equal edited
-   circuits are equal values regardless of op order or base node order. *)
+   may read forward. The edited circuit is then built in canonical form
+   ({!Elaborate.canonical}, the form the service digest hashes), so equal
+   edited circuits are equal values regardless of op order or base node
+   order. *)
 let apply (c : Circuit.t) (ops : t) =
   let defs = Hashtbl.create (Array.length c.Circuit.nodes * 2) in
   let removed = Hashtbl.create 8 in
@@ -108,77 +109,46 @@ let apply (c : Circuit.t) (ops : t) =
   in
   let* () = steps ops in
   let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) defs []
-    |> List.sort String.compare
+    Array.of_list (Hashtbl.fold (fun name _ acc -> name :: acc) defs [])
   in
+  Array.sort String.compare names;
   (* Reference check, in sorted-name order so the reported error is a pure
      function of the edited circuit. *)
-  let rec check_refs = function
-    | [] -> Ok ()
-    | name :: rest -> (
-        let def = Hashtbl.find defs name in
-        let bad =
-          Array.fold_left
-            (fun acc f ->
-              match acc with
-              | Some _ -> acc
-              | None -> if Hashtbl.mem defs f then None else Some f)
-            None def.fanins
-        in
-        match bad with
-        | Some f when Hashtbl.mem removed f ->
-            Error (Still_referenced { removed = f; by = name })
-        | Some f -> Error (Unknown_net { cell = name; net = f })
-        | None -> check_refs rest)
+  let rec check_refs i =
+    if i = Array.length names then Ok ()
+    else
+      let name = names.(i) in
+      let fanins = (Hashtbl.find defs name).fanins in
+      match Array.find_opt (fun f -> not (Hashtbl.mem defs f)) fanins with
+      | Some f when Hashtbl.mem removed f ->
+          Error (Still_referenced { removed = f; by = name })
+      | Some f -> Error (Unknown_net { cell = name; net = f })
+      | None -> check_refs (i + 1)
   in
-  let* () = check_refs names in
-  (* Canonical rebuild: sorted-name DFS with DFF placeholders (a
-     flip-flop's D cone may read its own Q). *)
+  let* () = check_refs 0 in
+  (* The edited circuit, numbered by sorted name, in canonical form. *)
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let ids = Array.map (Hashtbl.find index) in
+  let defs = Array.map (Hashtbl.find defs) names in
+  let fanins = Array.map (fun d -> ids d.fanins) defs in
+  let outputs = Hashtbl.fold (fun o () acc -> o :: acc) outputs [] in
   match
-    let b = Circuit.Builder.create ~name:c.Circuit.name () in
-    let ids = Hashtbl.create (List.length names) in
-    (* Grey set for the DFS: an edit can close a combinational cycle,
-       which must surface as [Invalid], not unbounded recursion. Cycles
-       through a flip-flop are fine — its Q resolves as a placeholder
-       without visiting the D cone. *)
-    let visiting = Hashtbl.create 16 in
-    let rec resolve name =
-      match Hashtbl.find_opt ids name with
-      | Some id -> id
-      | None ->
-          if Hashtbl.mem visiting name then
-            invalid_arg
-              (Printf.sprintf "combinational cycle through [%s]" name);
-          Hashtbl.replace visiting name ();
-          let def = Hashtbl.find defs name in
-          let id =
-            match def.kind with
-            | Gate.Input -> Circuit.Builder.input b name
-            | Gate.Dff -> Circuit.Builder.dff_placeholder b name
-            | kind ->
-                Circuit.Builder.gate b ~name kind
-                  (Array.to_list (Array.map resolve def.fanins))
-          in
-          Hashtbl.remove visiting name;
-          Hashtbl.replace ids name id;
-          id
-    in
-    List.iter (fun name -> ignore (resolve name)) names;
-    List.iter
-      (fun name ->
-        let def = Hashtbl.find defs name in
-        if Gate.equal def.kind Gate.Dff then
-          Circuit.Builder.connect_dff b (Hashtbl.find ids name)
-            (resolve def.fanins.(0)))
-      names;
-    Hashtbl.fold (fun name _ acc -> name :: acc) outputs []
-    |> List.sort String.compare
-    |> List.iter (fun name ->
-           Circuit.Builder.mark_output b (Hashtbl.find ids name));
-    Circuit.Builder.finish b
+    Elaborate.canonical ~name:c.Circuit.name ~signals:(Array.length names)
+      ~signal_name:(Array.get names)
+      ~kind:(fun i -> defs.(i).kind)
+      ~fanins:(Array.get fanins)
+      ~outputs:(ids (Array.of_list outputs))
   with
-  | circuit -> Ok circuit
-  | exception Invalid_argument msg -> Error (Invalid msg)
+  | Ok circuit -> Ok circuit
+  | Error (Elaborate.Cycle { signal; _ }) ->
+      Error
+        (Invalid
+           (Printf.sprintf "combinational cycle through [%s]" names.(signal)))
+  | Error e ->
+      (* A builder rejection; [check_refs] and [Add_cell]'s arity check
+         leave no other. *)
+      Error (Invalid (Elaborate.error_to_string (Array.get names) e))
 
 (* ------------------------------------------------------------------ *)
 (* Random deltas                                                      *)

@@ -3,11 +3,11 @@
     A delta is an ordered list of edit operations against a base
     {!Circuit.t}: add a cell, remove a cell, rewire one fanin pin, or
     change a signal's primary-output mark. {!apply} validates the edits
-    and rebuilds the edited circuit in {e canonical} (sorted-signal-name)
-    node order — the same order the service layer's content digest uses —
-    so applying the empty delta to an already-canonical circuit is the
-    identity, and two textual permutations of the same edit sequence
-    produce byte-identical canonical circuits.
+    and builds the edited circuit with {!Elaborate.canonical}, the form
+    the service layer's content digest hashes, so applying the empty
+    delta to an already-canonical circuit is the identity, and two
+    textual permutations of the same edit sequence produce
+    byte-identical canonical circuits.
 
     Errors are typed and carry the offending names, mirroring the parser's
     line-numbered diagnostics: a resubmit client gets "removing [g12]
@@ -55,9 +55,11 @@ val error_to_string : error -> string
 val is_empty : t -> bool
 
 val apply : Circuit.t -> t -> (Circuit.t, error) result
-(** Apply the delta and rebuild canonically. The base circuit is not
-    modified. The result satisfies every {!Circuit.Builder} invariant or
-    the apply fails — no partially edited circuit escapes. *)
+(** Apply the delta and build the result with {!Elaborate.canonical}:
+    it is node for node its own canonical form. The base circuit is not
+    modified. A cycle the edits close is [Invalid "combinational cycle
+    through [x]"]. The result satisfies every {!Circuit.Builder}
+    invariant or the apply fails — no partially edited circuit escapes. *)
 
 val random : seed:int -> frac:float -> Circuit.t -> t
 (** A seeded pseudo-random delta editing roughly [frac] of the base

@@ -1,19 +1,5 @@
 module B = Circuit.Builder
 
-(* A name prefix no signal of [c] starts with: invented nodes (materialised
-   constants, for instance) can then never collide with source names. *)
-let fresh_prefix c base =
-  let num = Circuit.num_nodes c in
-  let rec search p =
-    let clash = ref false in
-    for i = 0 to num - 1 do
-      if String.starts_with ~prefix:p (Circuit.node c i).Circuit.name then
-        clash := true
-    done;
-    if !clash then search ("$" ^ p) else p
-  in
-  search base
-
 (* Replacement of an original node in the rebuilt circuit. *)
 type repl =
   | Const of bool
@@ -28,12 +14,13 @@ type repl =
 let rebuild c simplify =
   let b = B.create ~name:c.Circuit.name () in
   let num = Circuit.num_nodes c in
-  let prefix = fresh_prefix c "$k" in
-  let counter = ref 0 in
-  let fresh_name () =
-    let name = Printf.sprintf "%s%d" prefix !counter in
-    incr counter;
-    name
+  (* Invented nodes (materialised constants) never collide with source
+     names. *)
+  let fresh_name =
+    Circuit.fresh_names "$k" (fun f ->
+        Array.exists
+          (fun (nd : Circuit.node) -> f nd.Circuit.name)
+          c.Circuit.nodes)
   in
   let repl = Array.make num (Const false) in
   Array.iter

@@ -5,8 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make n x; len = n }
-
 let length v = v.len
 
 let check v i name =

@@ -9,9 +9,6 @@ type 'a t
 val create : unit -> 'a t
 (** A fresh empty vector. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of length [n] filled with [x]. *)
-
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a

@@ -22,7 +22,11 @@
     ISCAS'89 three-port form [dff (CK, Q, D)] (the clock is implicit in
     the circuit model). [assign] right-hand sides may use [~ & | ^],
     parentheses, identifiers and the constants [1'b0] / [1'b1]. Comments
-    ([//] and [/* */]) are ignored. *)
+    ([//] and [/* */]) are ignored.
+
+    Names resolve through {!Elaborate.run}, declarations in file order;
+    a syntax error (["line N: ..."]) comes first, and resolution errors
+    carry no line (["undriven signal: x"]). *)
 
 val parse : string -> (Circuit.t, string) result
 val parse_file : string -> (Circuit.t, string) result

@@ -18,7 +18,8 @@ let request fd req =
   match Codec.write_frame fd (Protocol.request_to_json req) with
   | exception Unix.Unix_error (e, _, _) ->
       Error ("connection lost: " ^ Unix.error_message e)
-  | () -> (
+  | Error err -> Error (Codec.read_error_to_string err)
+  | Ok () -> (
       match Codec.read_frame fd with
       | Ok reply -> Ok reply
       | Error err -> Error (Codec.read_error_to_string err)

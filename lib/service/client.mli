@@ -14,8 +14,9 @@ val connect : string -> (conn, string) result
 
 val request : conn -> Protocol.request -> (Obs.Json.t, string) result
 (** Send one request, wait for its reply frame. [Error] on connection
-    loss or a malformed reply; protocol-level failures come back as
-    [Ok] [{"ok": false, ...}] documents — use {!ok_or_error}. *)
+    loss, a malformed reply, or a request past {!Codec.max_frame} (not
+    sent; the message names the cap); protocol-level failures come back
+    as [Ok] [{"ok": false, ...}] documents — use {!ok_or_error}. *)
 
 val close : conn -> unit
 

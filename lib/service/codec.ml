@@ -5,7 +5,9 @@ type read_error =
 
 let read_error_to_string = function
   | `Eof -> "end of stream"
-  | `Oversized n -> Printf.sprintf "frame of %d bytes exceeds the limit" n
+  | `Oversized n ->
+      Printf.sprintf "frame of %d bytes exceeds the %d MiB (%d-byte) frame limit"
+        n (max_frame / (1024 * 1024)) max_frame
   | `Truncated -> "stream ended mid-frame"
   | `Malformed msg -> msg
 
@@ -23,7 +25,7 @@ let read_exactly fd len =
   in
   loop 0
 
-let read_frame ?(max_frame = max_frame) fd =
+let read_frame fd =
   match read_exactly fd 4 with
   | `Eof -> Error `Eof
   | `Partial -> Error `Truncated
@@ -56,10 +58,14 @@ let write_all fd buf =
 let write_frame fd json =
   let payload = Obs.Json.to_string json in
   let len = String.length payload in
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xFF));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xFF));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xFF));
-  Bytes.set buf 3 (Char.chr (len land 0xFF));
-  Bytes.blit_string payload 0 buf 4 len;
-  write_all fd buf
+  if len > max_frame then Error (`Oversized len)
+  else begin
+    let buf = Bytes.create (4 + len) in
+    Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xFF));
+    Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xFF));
+    Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xFF));
+    Bytes.set buf 3 (Char.chr (len land 0xFF));
+    Bytes.blit_string payload 0 buf 4 len;
+    write_all fd buf;
+    Ok ()
+  end

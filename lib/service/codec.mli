@@ -5,15 +5,17 @@
     bytes of UTF-8 JSON (one {!Obs.Json.t} document). Both sides use the
     same codec, so the client and the daemon cannot drift on framing.
 
-    The reader enforces {!max_frame}: a length prefix beyond the limit is
-    reported as [`Oversized] {e without} allocating or reading the
+    Both sides enforce {!max_frame}. The reader reports a length prefix
+    beyond the limit as [`Oversized] {e without} allocating or reading the
     payload, which is what lets the daemon shrug off garbage bytes (a
     random 4-byte prefix is almost always a huge bogus length) as well as
     deliberate memory-exhaustion frames. After any read error the stream
-    position is unspecified — close the connection. *)
+    position is unspecified — close the connection. The writer refuses
+    a frame past the cap before writing a byte of it, so no peer is sent
+    a frame its reader would refuse. *)
 
 val max_frame : int
-(** Default payload cap, 16 MiB — generous for netlist texts, small
+(** The payload cap, 16 MiB — generous for netlist texts, small
     enough that a malicious length prefix cannot balloon the daemon. *)
 
 type read_error =
@@ -23,10 +25,13 @@ type read_error =
   | `Malformed of string  (** payload is not valid JSON *) ]
 
 val read_error_to_string : read_error -> string
+(** [`Oversized] names the cap: ["frame of N bytes exceeds the 16 MiB
+    (16777216-byte) frame limit"]. *)
 
-val read_frame :
-  ?max_frame:int -> Unix.file_descr -> (Obs.Json.t, read_error) result
+val read_frame : Unix.file_descr -> (Obs.Json.t, read_error) result
 
-val write_frame : Unix.file_descr -> Obs.Json.t -> unit
-(** Raises [Unix.Unix_error] if the peer is gone (the caller treats any
-    raise as "connection lost"). *)
+val write_frame :
+  Unix.file_descr -> Obs.Json.t -> (unit, [> `Oversized of int ]) result
+(** [Error (`Oversized n)], with nothing written, when the [n]-byte
+    payload exceeds {!max_frame}. Raises [Unix.Unix_error] if the peer is
+    gone (the caller treats any raise as "connection lost"). *)

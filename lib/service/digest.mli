@@ -23,8 +23,10 @@
     (the fields {!Experiments.Obs_report.options_to_json} serialises). *)
 
 val canonical_circuit : Netlist.Circuit.t -> Netlist.Circuit.t
-(** Rebuild the circuit with nodes in sorted-by-name order (inputs,
-    gates and flip-flops alike; primary outputs sorted too). Idempotent,
+(** {!Netlist.Elaborate.canonical} of the circuit's nodes: nodes
+    resolved in sorted-by-name order (inputs, gates and flip-flops alike;
+    primary outputs sorted too), as {!Netlist.Delta.apply} builds its
+    result, so an applied delta is already canonical. Idempotent,
     semantics-preserving, and independent of the node order of the
     input — two parses of line-permuted netlist files canonicalise to
     structurally identical circuits. *)

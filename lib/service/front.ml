@@ -650,6 +650,9 @@ let forget_conn t fd =
       t.open_conns <- List.filter (fun fd' -> fd' <> fd) t.open_conns);
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+let frame_error err =
+  P.error ~code:P.code_bad_request (Codec.read_error_to_string err)
+
 (* One thread per connection; frames are handled in order. A bad frame
    gets an error reply and the connection is closed (the stream position
    is unknowable); a bad *request* in a good frame only costs an error
@@ -664,9 +667,7 @@ let rec handle_conn t b fd =
       with_lock t (fun () ->
           Obs.incr t.obs "service.bad_requests";
           Log.warn t.log "request.bad_frame" []);
-      (try
-         Codec.write_frame fd
-           (P.error ~code:P.code_bad_request (Codec.read_error_to_string err))
+      (try ignore (Codec.write_frame fd (frame_error err))
        with Unix.Unix_error _ -> ());
       forget_conn t fd
   | Ok json -> (
@@ -683,9 +684,14 @@ let rec handle_conn t b fd =
               [ ("verb", J.String (verb_name req)) ];
             dispatch t b req
       in
-      match Codec.write_frame fd reply with
-      | () -> handle_conn t b fd
-      | exception Unix.Unix_error _ -> forget_conn t fd)
+      (* A reply past the frame cap is not sent; the client is told why. *)
+      match
+        match Codec.write_frame fd reply with
+        | Error err -> Codec.write_frame fd (frame_error err)
+        | ok -> ok
+      with
+      | Ok () -> handle_conn t b fd
+      | Error _ | exception Unix.Unix_error _ -> forget_conn t fd)
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop and lifecycle                                          *)

@@ -264,9 +264,9 @@ let handle_resubmit (t : t) b ~name ~base ~delta ~options =
               bad_request ("delta: " ^ Netlist.Delta.error_to_string e)
           | Ok edited ->
               let t_decoded = Obs.Clock.wall () in
-              (* Delta.apply rebuilds canonically — the edited circuit is
-                 already in digest node order, exactly like a submit's
-                 canonicalised circuit. *)
+              (* Delta.apply ends with Elaborate.canonical, so the edited
+                 circuit is already in digest node order, exactly like a
+                 submit's canonicalised circuit (test_service pins it). *)
               let h =
                 Techmap.Mapper.to_hypergraph (Techmap.Mapper.map edited)
               in

@@ -34,23 +34,13 @@ let run c =
   let num = Circuit.num_nodes c in
   (* A name prefix no source signal starts with, so invented tree-node
      names can never collide with source names emitted later. *)
-  let prefix =
-    let rec search p =
-      let clash = ref false in
-      for i = 0 to num - 1 do
-        if String.starts_with ~prefix:p (Circuit.node c i).Circuit.name then
-          clash := true
-      done;
-      if !clash then search ("$" ^ p) else p
-    in
-    search "$d"
+  let fresh =
+    Circuit.fresh_names "$d" (fun f ->
+        Array.exists
+          (fun (nd : Circuit.node) -> f nd.Circuit.name)
+          c.Circuit.nodes)
   in
-  let counter = ref 0 in
-  let mk kind fanins =
-    let name = prefix ^ Int.to_string !counter in
-    incr counter;
-    B.gate b ~name kind fanins
-  in
+  let mk kind fanins = B.gate b ~name:(fresh ()) kind fanins in
   let new_id = Array.make num (-1) in
   (* Inputs and flip-flop placeholders first so any gate can read them. *)
   Array.iter

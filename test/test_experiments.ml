@@ -270,14 +270,37 @@ let test_expand_multilevel_scale () =
     (Netlist.Generator.scale ~name:"scale10k"
        { Netlist.Generator.default_scale with sc_gates = 10_000; sc_seed = 3 })
 
-(* A warm start simulates like the edited circuit: a flat replicated
-   partition of the sequential case's clustered circuit, then 1% edits
-   remapped and warm started from it as the daemon's resubmit does. Every
-   warm start that succeeds must pass [Expand.verify] against the edited
-   circuit, and at least one must succeed and replicate. (A replicated
-   16-bit multiplier under XC3000 gives no such case: collapsing its
-   replicated cells overflows every device's IOBs, so each of its warm
-   starts returns [Error] and the daemon runs cold.) *)
+(* Warm starts from a flat XC3000 partition of [c] under [replication]
+   after each of four 1% edits, remapped and projected as the daemon's
+   resubmit does: per edit seed, the edited circuit, its mapping and the
+   outcome. *)
+let warm_starts name c replication =
+  let base, _ = expand_roundtrip name c Core.Kway.Flat replication in
+  let h = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map c) in
+  let options = Core.Kway.Options.make ~runs:2 ~replication () in
+  List.map
+    (fun seed ->
+      let delta = Netlist.Delta.random ~seed ~frac:0.01 c in
+      let edited =
+        match Netlist.Delta.apply c delta with
+        | Ok e -> e
+        | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
+      in
+      let m = Techmap.Mapper.map edited in
+      let h' = Techmap.Mapper.to_hypergraph m in
+      let warm, _ =
+        Core.Kway.project_warm ~base:h ~base_parts:base.Core.Kway.parts h'
+      in
+      ( seed,
+        edited,
+        m,
+        Core.Kway.warm_start ~options ~library:Fpga.Library.xc3000 ~warm h' ))
+    [ 1; 2; 3; 4 ]
+
+(* A warm start simulates like the edited circuit: on the sequential
+   case's clustered circuit, replicated, every warm start that succeeds
+   must pass [Expand.verify] against the edited circuit, and at least one
+   must succeed and replicate. *)
 let test_expand_warm_start () =
   let c =
     Netlist.Generator.clustered
@@ -289,36 +312,40 @@ let test_expand_warm_start () =
         seed = 21;
       }
   in
-  let replication = `Functional 1 and library = Fpga.Library.xc3000 in
-  let base, _ = expand_roundtrip "clustered" c Core.Kway.Flat replication in
-  let h = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map c) in
-  let options = Core.Kway.Options.make ~runs:2 ~replication () in
   let warm_results =
     List.filter_map
-      (fun seed ->
-        let delta = Netlist.Delta.random ~seed ~frac:0.01 c in
-        let edited =
-          match Netlist.Delta.apply c delta with
-          | Ok e -> e
-          | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
-        in
-        let m = Techmap.Mapper.map edited in
-        let h' = Techmap.Mapper.to_hypergraph m in
-        let warm, _ =
-          Core.Kway.project_warm ~base:h ~base_parts:base.Core.Kway.parts h'
-        in
-        match Core.Kway.warm_start ~options ~library ~warm h' with
+      (fun (seed, edited, m, outcome) ->
+        match outcome with
         | Error _ -> None
         | Ok r -> (
             match Experiments.Expand.verify edited m r with
             | Ok () -> Some r
             | Error e ->
                 Alcotest.failf "clustered delta seed %d: %s" seed e))
-      [ 1; 2; 3; 4 ]
+      (warm_starts "clustered" c (`Functional 1))
   in
   checkb "a warm start succeeded" true (warm_results <> []);
   checkb "a warm start replicates" true
     (List.exists (fun r -> r.Core.Kway.replicated_cells > 0) warm_results)
+
+(* A replicated 16-bit multiplier gives no such case: collapsing its
+   replicated cells overflows every device's IOBs, so each warm start
+   returns [Error] (and the daemon runs cold). The error must name the
+   entry point that was called, not a phase behind it. *)
+let test_warm_start_error_names_caller () =
+  let errors =
+    List.filter_map
+      (fun (_, _, _, outcome) ->
+        match outcome with Ok _ -> None | Error e -> Some e)
+      (warm_starts "mult16"
+         (Netlist.Generator.multiplier ~bits:16 ())
+         (`Functional 0))
+  in
+  checkb "a warm start failed" true (errors <> []);
+  List.iter
+    (fun e ->
+      checkb e true (String.starts_with ~prefix:"Kway.warm_start: " e))
+    errors
 
 let test_expand_detects_missing_output () =
   let c = Netlist.Generator.multiplier ~bits:16 () in
@@ -429,5 +456,7 @@ let () =
             test_expand_detects_missing_output;
           Alcotest.test_case "warm start after a 1% edit" `Slow
             test_expand_warm_start;
+          Alcotest.test_case "warm start errors name their caller" `Slow
+            test_warm_start_error_names_caller;
         ] );
     ]

@@ -899,23 +899,22 @@ let mutate rng text =
               "\nzy = NOT(zw, zw)\nzw = CONST0()\n"; "\nzx = CONST1(zw)\n" |])
   | _ -> text ^ pick [| ""; "\n"; "OUTPUT(zz)"; "zz = NOT(zz)"; "#" |]
 
-let random_bench_text rng =
-  let c =
-    if Rng.bool rng then
-      Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 8)
-        ~num_gates:(Rng.int_in rng 1 120) ~num_dff:(Rng.int rng 10)
-        ~num_outputs:(Rng.int_in rng 1 8) ()
-    else
-      Generator.scale
-        {
-          Generator.default_scale with
-          sc_gates = Rng.int_in rng 60 400;
-          sc_block_gates = Rng.int_in rng 8 40;
-          sc_blocks_per_region = Rng.int_in rng 2 6;
-          sc_seed = Rng.int rng 1000;
-        }
-  in
-  Bench_format.to_string c
+let random_circuit rng =
+  if Rng.bool rng then
+    Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 8)
+      ~num_gates:(Rng.int_in rng 1 120) ~num_dff:(Rng.int rng 10)
+      ~num_outputs:(Rng.int_in rng 1 8) ()
+  else
+    Generator.scale
+      {
+        Generator.default_scale with
+        sc_gates = Rng.int_in rng 60 400;
+        sc_block_gates = Rng.int_in rng 8 40;
+        sc_blocks_per_region = Rng.int_in rng 2 6;
+        sc_seed = Rng.int rng 1000;
+      }
+
+let random_bench_text rng = Bench_format.to_string (random_circuit rng)
 
 let qcheck_bench_parse_reference =
   QCheck.Test.make
@@ -1551,6 +1550,110 @@ let qcheck_parsers_never_raise_structured =
       safe Bench_format.parse && safe Blif.parse && safe Verilog.parse)
 
 (* ------------------------------------------------------------------ *)
+(* BLIF and Verilog against their references                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The BLIF and Verilog parsers as they were before name resolution
+   moved to [Elaborate] live in test/reference_blif.ml and
+   test/reference_verilog.ml. The current parsers must return the same
+   circuit or the same error string on every text. *)
+
+(* [mutate], plus statements of the format inserted at a line break. *)
+let mutate_with snippets rng text =
+  if Rng.int rng 3 > 0 then mutate rng text
+  else
+    let breaks = ref [ 0 ] in
+    String.iteri (fun k ch -> if ch = '\n' then breaks := (k + 1) :: !breaks) text;
+    let breaks = Array.of_list !breaks in
+    let at = breaks.(Rng.int rng (Array.length breaks)) in
+    String.sub text 0 at
+    ^ snippets.(Rng.int rng (Array.length snippets))
+    ^ String.sub text at (String.length text - at)
+
+let blif_snippets =
+  [| ".names zz zz\n1 1\n"; ".names a zz\n0 1\n"; ".latch zz zq 0\n";
+     ".latch zq zz\n"; ".inputs zz\n"; ".outputs zz\n"; ".outputs zq zz\n";
+     ".names zz\n1\n"; ".names zz\n"; ".names zy zw zz\n1- 1\n-1 0\n";
+     ".names zy zz\n- 1\n"; ".names zy zz\n0 0\n"; ".names zz zy\n11 1\n";
+     ".model other\n"; ".exdc\n"; ".latch zz\n"; ".names\n"; ".end\n";
+     ".names zw zy\n1 1\n\\\n"; ".names zy\n1\n" |]
+
+let verilog_snippets =
+  [| "assign zz = ~zz;\n"; "assign zz = zy & (zw | 1'b1);\n";
+     "assign zz = zy;\n"; "assign zy = 1'b0 ^ zz;\n"; "and g (zz, zz);\n";
+     "and g (zz, zy);\n"; "nand (zy, zz, zz);\n"; "dff d (zz, zz);\n";
+     "dff d (ck, zq, zz);\n"; "DFF (zq);\n"; "output zz;\n"; "input zz;\n";
+     "input zy, zw;\n"; "wire zz;\n"; "not (zz, zy);\n"; "buf b (zq, zz);\n";
+     "/*"; "// x\n"; "endmodule\n"; "xor x (zz, zy, zw);\n" |]
+
+let same_outcome parse reference text =
+  parse_outcome parse text = parse_outcome reference text
+
+(* Generated texts (random and [Generator.scale] circuits, written by the
+   format's own writer) and the same texts after 1–4 mutations. *)
+let differential ~name ~seed_salt ~write ~parse ~reference ~snippets =
+  QCheck.Test.make ~name ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 7919) + seed_salt) in
+      match write (random_circuit rng) with
+      | exception Invalid_argument _ -> true (* a wide XOR BLIF refuses *)
+      | text ->
+          let ok = ref (same_outcome parse reference text) in
+          let mutated = ref text in
+          for _ = 1 to Rng.int_in rng 1 4 do
+            mutated := mutate_with snippets rng !mutated;
+            ok := !ok && same_outcome parse reference !mutated
+          done;
+          !ok)
+
+let qcheck_blif_reference =
+  differential ~name:"parse = reference (generated and mutated texts)"
+    ~seed_salt:13 ~write:Blif.to_string ~parse:Blif.parse
+    ~reference:References.Reference_blif.parse ~snippets:blif_snippets
+
+let qcheck_verilog_reference =
+  differential ~name:"parse = reference (generated and mutated texts)"
+    ~seed_salt:17 ~write:Verilog.to_string ~parse:Verilog.parse
+    ~reference:References.Reference_verilog.parse ~snippets:verilog_snippets
+
+let test_blif_reference_cases () =
+  List.iter
+    (fun text ->
+      checkb (String.escaped text) true
+        (same_outcome Blif.parse References.Reference_blif.parse text))
+    [
+      "";
+      ".model m\n.inputs a b\n.outputs f\n.names a f\n1 1\n.names b f\n1 1\n.end\n";
+      ".model m\n.outputs f\n.names g f\n1 1\n.end\n";
+      ".model m\n.outputs f\n.end\n";
+      ".model m\n.inputs a\n.names g f\n1 1\n.names f g\n1 1\n.outputs f\n.end\n";
+      ".model m\n.inputs a b\n.outputs f\n.names a b f\n1- 1\n-1 0\n.end\n";
+      ".model m\n.inputs a\n.outputs q\n.latch q q 0\n.end\n";
+      ".model m\n.inputs a\n.outputs q\n.latch d q 0\n.end\n";
+      ".model m\n.inputs a\n.outputs f\n.names a f\n- 1\n.end\n";
+      ".model m\n.inputs $b0 a\n.outputs f\n.names a $b0 f\n01 1\n10 1\n.end\n";
+      ".model m\n.inputs a\n.outputs f g\n.names a f\n0 0\n.names f g\n.end\n";
+      ".model m\n.outputs f\n.outputs f\n.inputs f\n.end\n";
+    ]
+
+let test_verilog_reference_cases () =
+  List.iter
+    (fun text ->
+      checkb (String.escaped text) true
+        (same_outcome Verilog.parse References.Reference_verilog.parse text))
+    [
+      "";
+      "module m (a, z);\n input a;\n output z;\n and g (z, a);\nendmodule\n";
+      "module m;\n input a;\n output z;\n not (z, y);\nendmodule\n";
+      "module m;\n input a;\n output z;\n not (z, a);\n buf (z, a);\nendmodule\n";
+      "module m;\n input a;\n output z, w;\n buf (z, a);\nendmodule\n";
+      "module m;\n output z;\n assign z = ~y;\n assign y = z & 1'b1;\nendmodule\n";
+      "module m;\n input a, $v0;\n output z;\n assign z = ~(a ^ $v0) | a;\nendmodule\n";
+      "module m;\n input a;\n output q;\n dff (q, q);\n dff (ck, p, a);\nendmodule\n";
+      "module m;\n input a;\n output z;\n assign z = a;\n dff (q, z);\nendmodule\n";
+      "module m;\n input a;\n output z;\n assign z = 1'b0;\nendmodule\n";
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Delta (incremental edits)                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1647,6 +1750,102 @@ let qcheck_delta_random_applies =
                 (Bench_format.to_string again)
           | Error _ -> false))
 
+(* [Delta.apply] as it was before the rebuild moved to
+   [Elaborate.canonical] lives in test/reference_delta.ml. *)
+
+(* Random edits, valid or not: gates of every arity reading existing or
+   unknown names, removals of cells still read, rewires that close a
+   combinational cycle or point a pin out of range, duplicate adds and
+   output marks of unknown signals. *)
+let random_ops rng c =
+  let names =
+    Array.map (fun (nd : Circuit.node) -> nd.Circuit.name) c.Circuit.nodes
+  in
+  let any () =
+    if Rng.int rng 8 = 0 then Rng.pick rng [| "zz0"; "zz1"; "zz2" |]
+    else Rng.pick rng names
+  in
+  let pins name =
+    match Circuit.find c name with
+    | Some i -> Array.length (Circuit.node c i).Circuit.fanins
+    | None -> 0
+  in
+  (* A gate's combinational reader a few levels up, if it has one. *)
+  let rec reader i steps =
+    let up =
+      List.filter
+        (fun r -> Gate.is_combinational (Circuit.node c r).Circuit.kind)
+        (Array.to_list c.Circuit.fanouts.(i))
+    in
+    if up = [] || steps = 0 then i
+    else reader (List.nth up (Rng.int rng (List.length up))) (steps - 1)
+  in
+  let kinds =
+    [| Gate.And; Gate.Or; Gate.Not; Gate.Buf; Gate.Xor; Gate.Dff; Gate.Input;
+       Gate.Const1 |]
+  in
+  List.init (Rng.int_in rng 1 4) (fun _ ->
+      match Rng.int rng 6 with
+      | 0 ->
+          let kind = Rng.pick rng kinds in
+          let arity =
+            match kind with
+            | Gate.Not | Gate.Buf | Gate.Dff -> 1
+            | Gate.Input | Gate.Const1 -> 0
+            | _ -> Rng.int_in rng 1 3
+          in
+          Delta.Add_cell
+            { name = any (); kind; fanins = List.init arity (fun _ -> any ()) }
+      | 1 -> Delta.Remove_cell (any ())
+      | 2 ->
+          let cell = any () in
+          let n = pins cell in
+          let pin = if n = 0 || Rng.int rng 6 = 0 then n else Rng.int rng n in
+          Delta.Rewire { cell; pin; net = any () }
+      | 3 -> (
+          let i = Rng.int rng (Circuit.num_nodes c) in
+          let nd = Circuit.node c i in
+          match nd.Circuit.fanins with
+          | [||] -> Delta.Remove_cell nd.Circuit.name
+          | fanins ->
+              let r = reader i (Rng.int_in rng 1 4) in
+              Delta.Rewire
+                {
+                  cell = nd.Circuit.name;
+                  pin = Rng.int rng (Array.length fanins);
+                  net = (Circuit.node c r).Circuit.name;
+                })
+      | _ -> Delta.Set_output { net = any (); output = Rng.bool rng })
+
+let qcheck_delta_apply_reference =
+  QCheck.Test.make ~name:"apply = reference (random and invalid deltas)"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 104729) + 3) in
+      let c =
+        Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 6)
+          ~num_gates:(Rng.int_in rng 1 60) ~num_dff:(Rng.int rng 6)
+          ~num_outputs:(Rng.int_in rng 1 6) ()
+      in
+      let valid =
+        if Rng.bool rng then Delta.random ~seed ~frac:0.05 c else []
+      in
+      let ops = valid @ random_ops rng c in
+      Delta.apply c ops = References.Reference_delta.apply c ops)
+
+(* The reference read 0.677 Mw on s38584 with the seed-1 1% delta. *)
+let test_delta_apply_allocation () =
+  let c =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.circuit
+  in
+  let delta = Delta.random ~seed:1 ~frac:0.01 c in
+  checkb "s38584's delta applies as the reference applies it" true
+    (Delta.apply c delta = References.Reference_delta.apply c delta);
+  let words = Test_util.words_during (fun () -> ignore (Delta.apply c delta)) in
+  if words > 0.70e6 then
+    Alcotest.failf "Delta.apply allocated %.3f Mw on s38584 (bound 0.70)"
+      (words /. 1e6)
+
 let qc t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -1730,6 +1929,9 @@ let () =
           Alcotest.test_case "line continuations" `Quick
             test_blif_continuation_lines;
           qc qcheck_blif_roundtrip;
+          Alcotest.test_case "= reference on edge cases" `Quick
+            test_blif_reference_cases;
+          qc qcheck_blif_reference;
           qc qcheck_parsers_never_raise;
           qc qcheck_parsers_never_raise_structured;
         ] );
@@ -1743,6 +1945,9 @@ let () =
             test_verilog_comments_and_errors;
           Alcotest.test_case "roundtrip" `Quick test_verilog_roundtrip;
           qc qcheck_verilog_roundtrip;
+          Alcotest.test_case "= reference on edge cases" `Quick
+            test_verilog_reference_cases;
+          qc qcheck_verilog_reference;
         ] );
       ( "simulate+generators",
         [
@@ -1767,5 +1972,8 @@ let () =
           Alcotest.test_case "typed error paths" `Quick test_delta_error_paths;
           Alcotest.test_case "apply basics" `Quick test_delta_apply_basic;
           qc qcheck_delta_random_applies;
+          qc qcheck_delta_apply_reference;
+          Alcotest.test_case "allocation (s38584)" `Quick
+            test_delta_apply_allocation;
         ] );
     ]

@@ -24,8 +24,9 @@ let test_codec_roundtrip () =
         ("n", J.Int 42);
       ]
   in
-  Service.Codec.write_frame a doc;
-  Service.Codec.write_frame a (J.List [ J.Null ]);
+  checkb "first written" true (Result.is_ok (Service.Codec.write_frame a doc));
+  checkb "second written" true
+    (Result.is_ok (Service.Codec.write_frame a (J.List [ J.Null ])));
   (match Service.Codec.read_frame b with
   | Ok doc' -> checkb "first frame" true (doc = doc')
   | Error e -> Alcotest.fail (Service.Codec.read_error_to_string e));
@@ -67,6 +68,47 @@ let test_codec_bad_frames () =
   | _ -> Alcotest.fail "expected Malformed");
   Unix.close a;
   Unix.close b
+
+
+(* A request whose frame is past the cap is refused before a byte of it
+   is written: the daemon would read its length prefix and close. *)
+let test_codec_frame_cap () =
+  let path = Test_util.temp_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let conn =
+    match Service.Client.connect path with
+    | Ok conn -> conn
+    | Error e -> Alcotest.fail e
+  in
+  let peer, _ = Unix.accept listener in
+  let request =
+    Service.Protocol.Submit
+      {
+        name = "big";
+        format = Service.Protocol.Bench;
+        netlist = String.make (17 * 1024 * 1024) 'x';
+        options = Core.Kway.Options.default;
+        envelope = Service.Protocol.default_envelope;
+      }
+  in
+  (match Service.Client.request conn request with
+  | Ok _ -> Alcotest.fail "a 17 MiB request was answered"
+  | Error msg ->
+      checkb msg true
+        (String.starts_with ~prefix:"frame of " msg
+        && String.ends_with
+             ~suffix:" bytes exceeds the 16 MiB (16777216-byte) frame limit"
+             msg));
+  Unix.set_nonblock peer;
+  (match Unix.read peer (Bytes.create 1) 0 1 with
+  | n -> Alcotest.failf "the peer read %d bytes" n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  Service.Client.close conn;
+  Unix.close peer;
+  Unix.close listener;
+  Sys.remove path
 
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                *)
@@ -149,6 +191,81 @@ let test_digest_permutation_invariant () =
       checkb "canonical circuit equivalent" true
         (reindex out1 out2 row1 = r2.(cycle)))
     r1
+
+
+(* [Digest.canonical_circuit] as it was before its body became a call to
+   [Elaborate.canonical] lives in test/reference_digest.ml. *)
+let random_circuit seed =
+  let rng = Netlist.Rng.create seed in
+  if Netlist.Rng.bool rng then
+    Netlist.Generator.random ~rng
+      ~num_inputs:(Netlist.Rng.int_in rng 1 8)
+      ~num_gates:(Netlist.Rng.int_in rng 1 120)
+      ~num_dff:(Netlist.Rng.int rng 10)
+      ~num_outputs:(Netlist.Rng.int_in rng 1 8) ()
+  else
+    Netlist.Generator.scale
+      {
+        Netlist.Generator.default_scale with
+        sc_gates = Netlist.Rng.int_in rng 60 400;
+        sc_seed = Netlist.Rng.int rng 1000;
+      }
+
+let qcheck_canonical_reference =
+  QCheck.Test.make ~name:"canonical_circuit = reference" ~count:100
+    QCheck.small_int (fun seed ->
+      let c = random_circuit seed in
+      (* The parser's order too: a permuted text numbers nodes apart. *)
+      let permuted =
+        parse_ok (permute_bench (Netlist.Bench_format.to_string c))
+      in
+      List.for_all
+        (fun c ->
+          Service.Digest.canonical_circuit c
+          = References.Reference_digest.canonical_circuit c)
+        [ c; permuted ])
+
+(* The resubmit path hashes and runs [Delta.apply]'s circuit as it is,
+   because it is already in the digest's canonical form: node for node
+   what [canonical_circuit] makes of it. *)
+let applied_is_canonical c delta =
+  match Netlist.Delta.apply c delta with
+  | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
+  | Ok edited -> edited = Service.Digest.canonical_circuit edited
+
+let qcheck_applied_is_canonical =
+  QCheck.Test.make ~name:"Delta.apply output is canonical" ~count:100
+    QCheck.small_int (fun seed ->
+      let c = random_circuit (seed + 7) in
+      applied_is_canonical c (Netlist.Delta.random ~seed ~frac:0.05 c))
+
+let test_suite_deltas_canonical () =
+  List.iter
+    (fun (e : Experiments.Suite.entry) ->
+      let c = Lazy.force e.Experiments.Suite.circuit in
+      checkb
+        (e.Experiments.Suite.name ^ ": 1% delta applies in canonical form")
+        true
+        (applied_is_canonical c (Netlist.Delta.random ~seed:1 ~frac:0.01 c)))
+    (Experiments.Suite.all ())
+
+(* The reference read 0.583 Mw on s38584. *)
+let test_canonical_allocation () =
+  let c =
+    Lazy.force
+      (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.circuit
+  in
+  checkb "s38584 canonicalises as the reference does" true
+    (Service.Digest.canonical_circuit c
+    = References.Reference_digest.canonical_circuit c);
+  let words =
+    Test_util.words_during (fun () ->
+        ignore (Service.Digest.canonical_circuit c))
+  in
+  if words > 0.60e6 then
+    Alcotest.failf
+      "Digest.canonical_circuit allocated %.3f Mw on s38584 (bound 0.60)"
+      (words /. 1e6)
 
 let test_digest_options () =
   let base = Core.Kway.Options.make ~runs:3 ~seed:9 () in
@@ -795,6 +912,11 @@ let test_server_backpressure_and_cancel () =
       in
       let submit seed = rpc_ok path (submit_req ~runs:500 ~seed "slow" slow) in
       let j1 = int_field "job" (submit 1) in
+      (* The worker must have taken j1 before j2 arrives, or j2 finds j1
+         still queued and is refused in its place. *)
+      Test_util.poll_until ~timeout:10. "job 1 running" (fun () ->
+          String.equal Service.Protocol.state_running
+            (str_field "state" (rpc_ok path (Service.Protocol.Status j1))));
       let j2 = int_field "job" (submit 2) in
       let code = rpc_err path (submit_req ~runs:500 ~seed:3 "slow" slow) in
       checks "typed overload error" Service.Protocol.code_overloaded code;
@@ -1238,6 +1360,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "bad frames" `Quick test_codec_bad_frames;
+          Alcotest.test_case "frame cap" `Quick test_codec_frame_cap;
         ] );
       ("lru", [ Alcotest.test_case "eviction and refresh" `Quick test_lru ]);
       ( "digest",
@@ -1247,6 +1370,12 @@ let () =
           Alcotest.test_case "options fingerprint" `Quick test_digest_options;
           Alcotest.test_case "exact floats" `Quick test_digest_exact_floats;
           QCheck_alcotest.to_alcotest qcheck_ratio_fingerprints;
+          QCheck_alcotest.to_alcotest qcheck_canonical_reference;
+          QCheck_alcotest.to_alcotest qcheck_applied_is_canonical;
+          Alcotest.test_case "suite deltas apply canonically" `Quick
+            test_suite_deltas_canonical;
+          Alcotest.test_case "canonical allocation (s38584)" `Quick
+            test_canonical_allocation;
         ] );
       ( "options codec",
         [

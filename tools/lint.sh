@@ -38,15 +38,37 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
 done
 
 # One result per input: in lib/techmap, lib/hypergraph (the warm start's
-# projection and the walk's boundary), the .bench parser and every module
-# of lib/core (coarsening, F-M, each k-way phase) no result may depend on
-# the order a hash table is iterated in, since that order changes with
-# the hash seed (OCAMLRUNPARAM=R). Look entries up; iterate arrays.
+# projection and the walk's boundary), the three parsers, the elaborator
+# they share and every module of lib/core (coarsening, F-M, each k-way
+# phase) no result may depend on the order a hash table is iterated in,
+# since that order changes with the hash seed (OCAMLRUNPARAM=R). Look
+# entries up; iterate arrays.
 for f in $(git ls-files 'lib/techmap/*.ml' 'lib/hypergraph/*.ml' \
-  'lib/core/*.ml' lib/netlist/bench_format.ml); do
+  'lib/core/*.ml' lib/netlist/bench_format.ml lib/netlist/blif.ml \
+  lib/netlist/verilog.ml lib/netlist/elaborate.ml); do
   if grep -qE 'Hashtbl\.(iter|fold|to_seq)' "$f"; then
     echo "lint: hash-table iteration in $f" \
       "(iteration order must not decide a result)" >&2
+    status=1
+  fi
+done
+
+# One name resolver: named declarations become a circuit only through
+# Netlist.Elaborate (the parsers, Delta.apply and the digest's canonical
+# form), so every front end numbers nodes by the same search. Placeholder
+# flip-flops are the resolver's tool; besides it only the rebuilders
+# that walk an existing circuit in topological order (Transform,
+# Decompose) and the generators may create or wire them.
+for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bench/*.ml' \
+  'examples/*.ml' 'tools/*.ml'); do
+  case "$f" in
+    lib/netlist/circuit.ml | lib/netlist/circuit.mli) continue ;;
+    lib/netlist/elaborate.ml | lib/netlist/transform.ml) continue ;;
+    lib/netlist/generator.ml | lib/techmap/decompose.ml) continue ;;
+  esac
+  if grep -qE '\b(dff_placeholder|connect_dff)\b' "$f"; then
+    echo "lint: placeholder flip-flop built in $f" \
+      "(resolve named declarations with Netlist.Elaborate)" >&2
     status=1
   fi
 done
