@@ -50,12 +50,16 @@ type worker = {
   mutable w_not_before : float;  (* wall clock gating the respawn *)
 }
 
-(* One leg of a portfolio race. *)
-type racer = {
-  rc_worker : int;
-  mutable rc_wjob : int option;  (* worker-side job id, for cancels *)
-  mutable rc_outcome :
-    [ `Pending | `Doc of J.t | `Err of string * string | `Lost ];
+(* One leg of a dispatch: the job's request on one worker. A plain job
+   and a forwarded resubmit run one leg, a portfolio race one per idle
+   worker. [wjob] is the worker-side job id, for cancels; a leg's outcome
+   is the worker's result document with its first reply, its typed
+   refusal, or [`Lost] with the worker. *)
+type leg = {
+  worker : int;
+  mutable wjob : int option;
+  mutable outcome :
+    [ `Pending | `Doc of J.t * J.t | `Err of string * string | `Lost ];
 }
 
 (* What a worker is asked to do: run a submitted netlist, or apply a
@@ -72,8 +76,7 @@ type work =
 type payload = {
   work : work;
   mutable requeued : bool;
-  mutable worker_ref : (int * int) option;  (* (worker id, worker job id) *)
-  mutable racers : racer list;  (* non-empty only for portfolio jobs *)
+  mutable legs : leg list;  (* the current dispatch's, in seed order *)
   mutable forwarded : (string * J.t) list;
       (* a forward's reply fields from the worker: cached, digest,
          cold_fallback *)
@@ -90,8 +93,117 @@ type pool = {
   mutable supervising : bool;
 }
 
-let payload work =
-  { work; requeued = false; worker_ref = None; racers = []; forwarded = [] }
+let payload work = { work; requeued = false; legs = []; forwarded = [] }
+
+(* Only a plain submit's result is cached: a race's winner depends on
+   racing, not only on the key, and a forward's result stays with the
+   worker that holds its lineage. *)
+let cacheable (job : job) =
+  match job.payload.work with
+  | Run _ -> not job.envelope.P.portfolio
+  | Forward _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Settle: the one terminal step of a dispatched job                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Once no leg of [job] is pending, end it. The cheapest result wins (a
+   single leg's result is its own); with no result, the first refusal.
+   With neither, every leg lost its worker and the exactly-once rule
+   applies: a plain job's first loss re-enqueues it (its single credit);
+   a second loss — or a loss during drain, when the queue no longer
+   accepts work — fails it with the typed [worker_lost] code, so the
+   waiting client still gets exactly one terminal reply (a job its
+   client cancelled ends cancelled). A forward never requeues: its warm
+   context died with the worker. A race spent its credit on the race
+   itself. Caller holds the lock. *)
+let settle_locked p (job : job) =
+  let legs = job.payload.legs in
+  if job.state = F.Running && List.for_all (fun l -> l.outcome <> `Pending) legs
+  then begin
+    let t = p.t and race = job.envelope.P.portfolio in
+    let fields =
+      if race then [ ("racers", J.Int (List.length legs)) ]
+      else List.map (fun l -> ("worker", J.Int l.worker)) legs
+    in
+    let finish ?basis outcome =
+      F.record_run t job;
+      F.finish_job ~fields ?basis t job outcome
+    in
+    let lost msg = F.finish_job t job (Error (P.code_worker_lost, msg)) in
+    let cost doc =
+      Option.bind (Option.bind (J.member "result" doc) (J.member "total_cost"))
+        J.to_float
+      |> Option.value ~default:Float.max_float
+    in
+    let best =
+      List.fold_left
+        (fun acc l ->
+          match (l.outcome, acc) with
+          | `Doc (doc, _), Some (_, (prev, _)) when cost doc >= cost prev -> acc
+          | `Doc d, _ -> Some (l, d)
+          | _ -> acc)
+        None legs
+    in
+    let refusal =
+      List.find_map
+        (fun l -> match l.outcome with `Err e -> Some e | _ -> None)
+        legs
+    in
+    match (best, refusal) with
+    | Some (leg, (doc, first)), _ ->
+        if race then Obs.incr t.obs "fleet.portfolio_won"
+        else begin
+          (match job.payload.work with
+          | Run _ -> ()
+          | Forward _ ->
+              (* The reply names the result's own digest: the lineage
+                 key of a warm run, the edited circuit's of a cold one. *)
+              Option.iter
+                (fun d -> job.key <- d)
+                (Option.bind (J.member "digest" first) J.to_str);
+              job.payload.forwarded <-
+                List.filter
+                  (fun (k, _) ->
+                    List.mem k [ "cached"; "digest"; "cold_fallback" ])
+                  (match first with J.Obj f -> f | _ -> []));
+          Hashtbl.replace p.affinity job.key leg.worker
+        end;
+        finish ?basis:(if cacheable job then Some () else None) (Ok doc)
+    | None, Some e -> finish (Error e)
+    | None, None when race ->
+        finish
+          (Error
+             ( P.code_worker_lost,
+               "every portfolio worker died while racing this job" ))
+    | None, None -> (
+        match job.payload.work with
+        | _ when Atomic.get job.cancel ->
+            F.finish_job t job (Error (P.code_cancelled, ""))
+        | Forward _ ->
+            lost
+              "worker died mid-resubmit; its warm context is gone (submit \
+               cold to recompute)"
+        | Run _ when job.payload.requeued || t.stopping ->
+            lost
+              (if t.stopping then
+                 "worker died while draining; job not requeued"
+               else "worker died twice while running this job")
+        | Run _ -> (
+            job.payload.requeued <- true;
+            Obs.incr t.obs "service.requeues";
+            match
+              Fq.push t.queue ~tenant:job.envelope.P.tenant
+                ~priority:job.envelope.P.priority job
+            with
+            | Ok () ->
+                job.state <- F.Queued;
+                job.enqueued_at <- Obs.Clock.wall ();
+                Log.warn t.log "job.requeue" (F.job_fields job);
+                Condition.broadcast t.cond
+            | Error (`Tenant_full _) ->
+                lost "worker died and the tenant queue is full"))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Worker lifecycle                                                   *)
@@ -115,119 +227,33 @@ let spawn_args p w =
     | None -> []
     | Some s -> [ "--timeout"; string_of_float s ])
 
-(* The exactly-once requeue. Caller holds the lock; [job] was in flight
-   on a worker that died. The first loss re-enqueues the job (its single
-   credit); a second loss — or a loss during drain, when the queue no
-   longer accepts work — fails it with the typed [worker_lost] code so
-   the waiting client still gets exactly one terminal reply. A forward
-   never requeues: its warm context died with the worker. *)
-let job_lost_locked p (job : job) =
-  let t = p.t in
-  let lost msg = F.finish_job t job (Error (P.code_worker_lost, msg)) in
-  job.payload.worker_ref <- None;
-  match job.state with
-  | F.Running when Atomic.get job.cancel ->
-      F.finish_job t job (Error (P.code_cancelled, ""))
-  | F.Running -> (
-      match job.payload.work with
-      | Forward _ ->
-          lost
-            "worker died mid-resubmit; its warm context is gone (submit \
-             cold to recompute)"
-      | Run _ when job.payload.requeued || t.stopping ->
-          lost
-            (if t.stopping then "worker died while draining; job not requeued"
-             else "worker died twice while running this job")
-      | Run _ -> (
-          job.payload.requeued <- true;
-          Obs.incr t.obs "service.requeues";
-          match
-            Fq.push t.queue ~tenant:job.envelope.P.tenant
-              ~priority:job.envelope.P.priority job
-          with
-          | Ok () ->
-              job.state <- F.Queued;
-              job.enqueued_at <- Obs.Clock.wall ();
-              Log.warn t.log "job.requeue" (F.job_fields job);
-              Condition.broadcast t.cond
-          | Error (`Tenant_full _) ->
-              lost "worker died and the tenant queue is full"))
-  | _ -> ()
+(* Mark [w] dead and hold its respawn back by its backoff, which doubles
+   up to 8 s. *)
+let mark_dead (w : worker) =
+  w.w_state <- W_dead;
+  w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
+  w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0)
 
-(* Pick the cheapest feasible racer once every leg is terminal. Caller
-   holds the lock. *)
-let finalize_portfolio_locked p (job : job) =
-  let racers = job.payload.racers in
-  if
-    job.state = F.Running
-    && List.for_all (fun r -> r.rc_outcome <> `Pending) racers
-  then begin
-    let cost doc =
-      match
-        Option.bind
-          (Option.bind (J.member "result" doc) (J.member "total_cost"))
-          J.to_float
-      with
-      | Some c -> c
-      | None -> Float.max_float
-    in
-    let best =
-      List.fold_left
-        (fun acc r ->
-          match (r.rc_outcome, acc) with
-          | `Doc doc, None -> Some doc
-          | `Doc doc, Some prev when cost doc < cost prev -> Some doc
-          | _ -> acc)
-        None racers
-    in
-    let outcome =
-      match best with
-      | Some doc ->
-          Obs.incr p.t.obs "fleet.portfolio_won";
-          Ok doc
-      | None -> (
-          match
-            List.find_map
-              (fun r -> match r.rc_outcome with `Err e -> Some e | _ -> None)
-              racers
-          with
-          | Some e -> Error e
-          | None ->
-              (* Every leg lost its worker. Portfolio jobs spend their
-                 requeue credit on the race itself — fail typed. *)
-              Error
-                ( P.code_worker_lost,
-                  "every portfolio worker died while racing this job" ))
-    in
-    F.record_run p.t job;
-    F.finish_job p.t job
-      ~fields:[ ("racers", J.Int (List.length racers)) ]
-      outcome
-  end
-
-(* A worker stopped answering: SIGKILL it (idempotent; [kill = false]
-   when [waitpid] already reaped it), mark it dead and deal with its
-   in-flight job. Caller holds the lock. *)
+(* The one worker-death path. A worker stopped answering: SIGKILL it
+   (idempotent; [kill = false] when [waitpid] already reaped it), mark it
+   dead, mark its job's leg lost and settle the job. Caller holds the
+   lock. *)
 let worker_down_locked p (w : worker) ~kill =
   if w.w_state <> W_dead then begin
     if kill && w.w_pid > 0 then
       (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    w.w_state <- W_dead;
-    w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
-    w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0);
+    mark_dead w;
     Log.warn p.t.log "worker.down" [ ("worker", J.Int w.w_id) ];
-    let job = Option.bind w.w_job (Hashtbl.find_opt p.t.jobs_tbl) in
-    w.w_job <- None;
-    (match job with
-    | None -> ()
-    | Some job when job.payload.racers <> [] ->
+    Option.iter
+      (fun (job : job) ->
         List.iter
-          (fun r ->
-            if r.rc_worker = w.w_id && r.rc_outcome = `Pending then
-              r.rc_outcome <- `Lost)
-          job.payload.racers;
-        finalize_portfolio_locked p job
-    | Some job -> job_lost_locked p job);
+          (fun l ->
+            if l.worker = w.w_id && l.outcome = `Pending then
+              l.outcome <- `Lost)
+          job.payload.legs;
+        settle_locked p job)
+      (Option.bind w.w_job (Hashtbl.find_opt p.t.jobs_tbl));
+    w.w_job <- None;
     Condition.broadcast p.t.cond
   end
 
@@ -245,10 +271,8 @@ let spawn_worker_locked p w =
         [ ("worker", J.Int w.w_id); ("pid", J.Int pid) ];
       true
   | exception Unix.Unix_error (e, _, _) ->
-      w.w_state <- W_dead;
       w.w_pid <- -1;
-      w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
-      w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0);
+      mark_dead w;
       Log.error p.t.log "worker.spawn_failed"
         [
           ("worker", J.Int w.w_id);
@@ -256,8 +280,12 @@ let spawn_worker_locked p w =
         ];
       false
 
-let healthy reply =
-  match C.ok_or_error reply with Ok _ -> true | Error _ -> false
+(* The health check both the start-up probe and the supervisor's idle
+   probe run. *)
+let healthy (w : worker) =
+  match C.rpc ~socket:w.w_socket P.Health with
+  | Ok reply -> Result.is_ok (C.ok_or_error reply)
+  | Error _ -> false
 
 (* Probe a freshly spawned worker until its health verb answers, then
    mark it idle. Runs in its own thread; [pid] guards against the
@@ -266,12 +294,11 @@ let probe_ready p (w : worker) ~pid =
   let deadline = Obs.Clock.wall () +. 15.0 in
   let rec loop () =
     if Obs.Clock.wall () > deadline then false
-    else
-      match C.rpc ~socket:w.w_socket P.Health with
-      | Ok reply when healthy reply -> true
-      | _ ->
-          Thread.delay 0.05;
-          loop ()
+    else if healthy w then true
+    else begin
+      Thread.delay 0.05;
+      loop ()
+    end
   in
   let up = loop () in
   F.with_lock p.t (fun () ->
@@ -339,12 +366,7 @@ let supervisor p =
         in
         List.iter
           (fun ((w : worker), pid) ->
-            let ok =
-              match C.rpc ~socket:w.w_socket P.Health with
-              | Ok reply -> healthy reply
-              | Error _ -> false
-            in
-            if not ok then
+            if not (healthy w) then
               F.with_lock p.t (fun () ->
                   if w.w_pid = pid && w.w_state = W_idle then
                     worker_down_locked p w ~kill:true))
@@ -357,7 +379,7 @@ let supervisor p =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Relays: one per dispatched job (or racer leg)                      *)
+(* Relay: one thread per leg                                          *)
 (* ------------------------------------------------------------------ *)
 
 let free_worker_locked p (w : worker) =
@@ -405,8 +427,18 @@ let run_on_worker (w : worker) req ~(on_worker_job : int -> unit) =
                   ask (P.Result { job = wj; wait = true }) doc))
 
 (* Forward a cancel to the worker-side job, best effort. *)
-let forward_cancel socket wj =
+let forward_cancel (socket, wj) =
   match C.rpc ~socket (P.Cancel wj) with Ok _ | Error _ -> ()
+
+(* The worker-side jobs of [job]'s pending legs, as cancel targets.
+   Caller holds the lock. *)
+let pending_targets p (job : job) =
+  List.filter_map
+    (fun l ->
+      match (l.outcome, l.wjob) with
+      | `Pending, Some wj -> Some (p.workers.(l.worker).w_socket, wj)
+      | _ -> None)
+    job.payload.legs
 
 let request_of (job : job) ~options =
   match job.payload.work with
@@ -422,62 +454,13 @@ let request_of (job : job) ~options =
   | Forward { base; delta; options } ->
       P.Resubmit { name = job.name; base = `Digest base; delta; options }
 
-let relay p (w : worker) (job : job) =
-  let t = p.t in
-  let outcome =
-    run_on_worker w (request_of job ~options:job.options)
-      ~on_worker_job:(fun wj ->
-        let cancel_now =
-          F.with_lock t (fun () ->
-              job.payload.worker_ref <- Some (w.w_id, wj);
-              Atomic.get job.cancel)
-        in
-        if cancel_now then forward_cancel w.w_socket wj)
-  in
-  let fields = [ ("worker", J.Int w.w_id) ] in
-  F.with_lock t (fun () ->
-      match outcome with
-      | `Lost ->
-          (* worker_down requeues (or fails) the job and frees nothing:
-             the worker slot stays dead until the supervisor respawns
-             it. *)
-          worker_down_locked p w ~kill:true
-      | `Doc (doc, first) ->
-          job.payload.worker_ref <- None;
-          (match job.payload.work with
-          | Run _ -> ()
-          | Forward _ ->
-              (* The reply names the result's own digest: the lineage
-                 key of a warm run, the edited circuit's of a cold one. *)
-              Option.iter
-                (fun d -> job.key <- d)
-                (Option.bind (J.member "digest" first) J.to_str);
-              job.payload.forwarded <-
-                List.filter
-                  (fun (k, _) ->
-                    List.mem k [ "cached"; "digest"; "cold_fallback" ])
-                  (match first with J.Obj f -> f | _ -> []));
-          Hashtbl.replace p.affinity job.key w.w_id;
-          F.record_run t job;
-          (* Only submits cache here; a forward's result stays with the
-             worker that holds its lineage. *)
-          let basis =
-            match job.payload.work with Run _ -> Some () | Forward _ -> None
-          in
-          F.finish_job ~fields ?basis t job (Ok doc);
-          free_worker_locked p w
-      | `Err e ->
-          job.payload.worker_ref <- None;
-          F.record_run t job;
-          F.finish_job ~fields t job (Error e);
-          free_worker_locked p w);
-  (* The disk write happens outside the front-end lock; Disk_cache has
-     its own. Portfolio docs never reach here. *)
-  match (outcome, job.payload.work, p.disk) with
-  | `Doc (doc, _), Run _, Some d -> Disk_cache.add d job.key doc
-  | _ -> ()
-
-let relay_racer p (w : worker) (job : job) (r : racer) ~idx =
+(* Run leg [idx] of [job] on its worker with seed [seed + idx * 65537]
+   (leg 0 sends the job's own options), record its outcome, free the
+   worker and settle the job. A race's first result cancels its pending
+   legs. A leg whose worker was declared dead meanwhile has already been
+   settled as lost. *)
+let relay p (job : job) ~idx (leg : leg) =
+  let w = p.workers.(leg.worker) in
   let options =
     Core.Kway.Options.make ~base:job.options
       ~seed:(job.options.Core.Kway.seed + (idx * 65537))
@@ -487,41 +470,37 @@ let relay_racer p (w : worker) (job : job) (r : racer) ~idx =
     run_on_worker w (request_of job ~options) ~on_worker_job:(fun wj ->
         let cancel_now =
           F.with_lock p.t (fun () ->
-              r.rc_wjob <- Some wj;
-              Atomic.get job.cancel || job.state <> F.Running)
+              leg.wjob <- Some wj;
+              Atomic.get job.cancel)
         in
-        if cancel_now then forward_cancel w.w_socket wj)
+        if cancel_now then forward_cancel (w.w_socket, wj))
   in
-  let to_cancel =
+  let cancels =
     F.with_lock p.t (fun () ->
-        (match outcome with
-        | `Lost -> worker_down_locked p w ~kill:true
-        | `Doc (doc, _) ->
-            r.rc_outcome <- `Doc doc;
-            free_worker_locked p w
-        | `Err e ->
-            r.rc_outcome <- `Err e;
-            free_worker_locked p w);
-        (* First feasible leg: cancel the rest cooperatively. *)
-        let cancels =
-          match (outcome, job.state) with
-          | `Doc _, F.Running ->
-              List.filter_map
-                (fun r' ->
-                  match (r'.rc_outcome, r'.rc_wjob) with
-                  | `Pending, Some wj when r'.rc_worker <> w.w_id ->
-                      Some (p.workers.(r'.rc_worker).w_socket, wj)
-                  | _ -> None)
-                job.payload.racers
-          | _ -> []
-        in
-        finalize_portfolio_locked p job;
-        if cancels <> [] then
-          Obs.incr p.t.obs "fleet.portfolio_cancelled"
-            ~by:(List.length cancels);
-        cancels)
+        match (leg.outcome, outcome) with
+        | `Pending, `Lost ->
+            (* The slot stays dead until the supervisor respawns it. *)
+            worker_down_locked p w ~kill:true;
+            []
+        | `Pending, ((`Doc _ | `Err _) as o) ->
+            leg.outcome <- o;
+            free_worker_locked p w;
+            let cancels =
+              match o with `Doc _ -> pending_targets p job | `Err _ -> []
+            in
+            if cancels <> [] then
+              Obs.incr p.t.obs "fleet.portfolio_cancelled"
+                ~by:(List.length cancels);
+            settle_locked p job;
+            cancels
+        | _ -> [])
   in
-  List.iter (fun (socket, wj) -> forward_cancel socket wj) to_cancel
+  List.iter forward_cancel cancels;
+  (* The disk write happens outside the front-end lock; Disk_cache has
+     its own. *)
+  match (leg.outcome, p.disk) with
+  | `Doc (doc, _), Some d when cacheable job -> Disk_cache.add d job.key doc
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                         *)
@@ -530,44 +509,35 @@ let relay_racer p (w : worker) (job : job) (r : racer) ~idx =
 let idle_workers p =
   Array.to_list p.workers |> List.filter (fun w -> w.w_state = W_idle)
 
+(* Claim [w] for a leg of [job]. Caller holds the lock. *)
 let claim (w : worker) (job : job) =
   w.w_state <- W_busy;
-  w.w_job <- Some job.id
+  w.w_job <- Some job.id;
+  { worker = w.w_id; wjob = None; outcome = `Pending }
 
-(* Hand a dequeued job to the idle workers: all of them for a portfolio
-   race, the first otherwise. Caller holds the lock and has seen an idle
-   worker; the returned relays run on threads of their own. *)
+(* Hand a dequeued job to the idle workers: one leg on each for a
+   portfolio race, one on the first otherwise. Caller holds the lock and
+   has seen an idle worker; the returned relays run on threads of their
+   own. *)
 let assign p (job : job) =
-  let t = p.t in
+  let t = p.t and race = job.envelope.P.portfolio in
   let idle = idle_workers p in
-  if job.envelope.P.portfolio then begin
-    let racers =
-      List.map
-        (fun (w : worker) ->
-          { rc_worker = w.w_id; rc_wjob = None; rc_outcome = `Pending })
-        idle
-    in
-    job.payload.racers <- racers;
-    Obs.incr t.obs "fleet.portfolio_races";
-    Obs.observe t.obs "fleet.portfolio_width" (List.length racers);
-    Log.info t.log "job.dispatch"
-      (F.job_fields job
-      @ [ ("portfolio", J.Bool true); ("racers", J.Int (List.length racers)) ]
-      );
-    List.mapi
-      (fun idx (w, r) ->
-        claim w job;
-        fun () -> relay_racer p w job r ~idx)
-      (List.combine idle racers)
-  end
-  else begin
-    let w = List.hd idle in
-    claim w job;
-    Obs.incr t.obs "fleet.dispatched";
-    Log.info t.log "job.dispatch"
-      (F.job_fields job @ [ ("worker", J.Int w.w_id) ]);
-    [ (fun () -> relay p w job) ]
-  end
+  let workers = if race then idle else [ List.hd idle ] in
+  let legs = List.map (fun w -> claim w job) workers in
+  job.payload.legs <- legs;
+  let fields =
+    if race then begin
+      Obs.incr t.obs "fleet.portfolio_races";
+      Obs.observe t.obs "fleet.portfolio_width" (List.length legs);
+      [ ("portfolio", J.Bool true); ("racers", J.Int (List.length legs)) ]
+    end
+    else begin
+      Obs.incr t.obs "fleet.dispatched";
+      List.map (fun l -> ("worker", J.Int l.worker)) legs
+    end
+  in
+  Log.info t.log "job.dispatch" (F.job_fields job @ fields);
+  List.mapi (fun idx leg () -> relay p job ~idx leg) legs
 
 let rec dispatcher p =
   let relays =
@@ -612,8 +582,9 @@ let handle_resubmit p ~name ~base ~delta ~options =
             ~payload:(payload (Forward { base = base_key; delta; options }))
             F.Running
         in
-        claim w job;
-        Ok (w, job)
+        let leg = claim w job in
+        job.payload.legs <- [ leg ];
+        Ok (job, leg)
     | None, [] ->
         Condition.wait t.cond t.mutex;
         acquire base_key
@@ -630,8 +601,8 @@ let handle_resubmit p ~name ~base ~delta ~options =
   in
   match claimed with
   | Error reply -> reply
-  | Ok (w, job) ->
-      relay p w job;
+  | Ok (job, leg) ->
+      relay p job ~idx:0 leg;
       F.with_lock t (fun () ->
           F.result_reply ~extra:job.payload.forwarded job)
 
@@ -801,21 +772,8 @@ let backend p =
     resubmit = handle_resubmit p;
     on_cancel =
       (fun job ->
-        let targets =
-          match (job.payload.racers, job.payload.worker_ref) with
-          | [], Some (wid, wj) -> [ (p.workers.(wid).w_socket, wj) ]
-          | [], None -> []
-          | racers, _ ->
-              List.filter_map
-                (fun r ->
-                  match (r.rc_outcome, r.rc_wjob) with
-                  | `Pending, Some wj ->
-                      Some (p.workers.(r.rc_worker).w_socket, wj)
-                  | _ -> None)
-                racers
-        in
-        fun () ->
-          List.iter (fun (socket, wj) -> forward_cancel socket wj) targets);
+        let targets = pending_targets p job in
+        fun () -> List.iter forward_cancel targets);
     fleet_stats = (fun () -> handle_fleet_stats p);
     gauges = (fun () -> gauges p);
     health =

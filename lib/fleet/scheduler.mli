@@ -10,7 +10,7 @@
     path the workers run, so a single-worker fleet replies
     byte-identically to the single-process daemon), but every k-way
     computation happens inside a worker. What the scheduler adds on
-    top of the PR 4–8 engine:
+    top of the single-process engine:
 
     - {b Batched submission}: the [submit-batch] verb carries up to
       1024 circuits in one frame and replies per item.
@@ -23,16 +23,21 @@
       ratio (and its byte-identical replies) across fleet restarts.
     - {b Portfolio racing}: a submission with [portfolio = true] misses
       the cache onto {e all currently idle} workers at dispatch time,
-      each with a derived seed ([seed + i * 65537]); the first feasible
-      result cooperatively cancels the rest and the cheapest feasible
-      one wins. Portfolio results are not cached — the winner depends
-      on racing, not only on the key.
+      each with a derived seed ([seed + i * 65537]); the first result
+      cooperatively cancels the legs still running, and once every leg
+      has answered the cheapest result wins. Portfolio results are not
+      cached — the winner depends on racing, not only on the key.
     - {b Supervision}: dead workers (detected by [waitpid] and by
       health probes of idle workers) are respawned with bounded
       exponential backoff; a job in flight on a dead worker is requeued
       {e exactly once} — a second loss fails it with the typed
       [worker_lost] error, so a poison job cannot crash-loop the fleet
       while the client always gets exactly one reply.
+
+    Every dispatch runs as legs, one per worker it occupies (one for a
+    plain job or a forward, one per idle worker for a race), through one
+    relay, and ends in one settle step: the cheapest result, else the
+    first refusal, else the worker-loss rule above.
 
     [resubmit] is forwarded, through the same relay as a dispatched
     job, to the worker that computed the base (digest affinity) and

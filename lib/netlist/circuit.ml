@@ -240,9 +240,8 @@ let num_dff c =
     0 c.nodes
 
 let find c name =
-  (* Circuits are immutable; build the index lazily would complicate the
-     type, and circuits are consulted by name only in tests and parsers, so
-     a scan is acceptable. *)
+  (* Circuits are immutable and a lazily built index would complicate the
+     type; only tests look circuits up by name, so a scan is acceptable. *)
   let n = Array.length c.nodes in
   let rec loop i =
     if i >= n then None

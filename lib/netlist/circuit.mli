@@ -71,7 +71,9 @@ val num_gates : t -> int
 
 val num_dff : t -> int
 val find : t -> string -> int option
-(** Look a node up by signal name (linear scan is avoided; O(1) expected). *)
+(** Look a node up by signal name: a linear scan over every node, O(n)
+    per call. No library code calls it; the tests and
+    [Reference_digest] do. *)
 
 val is_output : t -> int -> bool
 

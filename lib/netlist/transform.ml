@@ -10,8 +10,11 @@ type repl =
    inputs, flip-flops, output marks and name preservation. [simplify]
    receives the original node and its fanin replacements; [Id] results it
    returns must be nodes it created through the builder, named after the
-   original node when a node of the same role is emitted. *)
-let rebuild c simplify =
+   original node when a node of the same role is emitted. Only nodes that
+   satisfy [live] are rebuilt, except the primary inputs, which always
+   survive; [live] must hold for every fanin of a live node and for every
+   primary output. *)
+let rebuild ?(live = fun _ -> true) c simplify =
   let b = B.create ~name:c.Circuit.name () in
   let num = Circuit.num_nodes c in
   (* Invented nodes (materialised constants) never collide with source
@@ -28,7 +31,7 @@ let rebuild c simplify =
     c.Circuit.inputs;
   for i = 0 to num - 1 do
     let nd = Circuit.node c i in
-    if Gate.equal nd.Circuit.kind Gate.Dff then
+    if live i && Gate.equal nd.Circuit.kind Gate.Dff then
       repl.(i) <- Id (B.dff_placeholder b nd.Circuit.name)
   done;
   let const_cache = Hashtbl.create 2 in
@@ -48,6 +51,7 @@ let rebuild c simplify =
       let nd = Circuit.node c i in
       match nd.Circuit.kind with
       | Gate.Input | Gate.Dff -> ()
+      | _ when not (live i) -> ()
       | _ ->
           let fanins = Array.map (fun f -> repl.(f)) nd.Circuit.fanins in
           repl.(i) <- simplify b nd fanins)
@@ -55,7 +59,7 @@ let rebuild c simplify =
   (* Flip-flop data pins. *)
   for i = 0 to num - 1 do
     let nd = Circuit.node c i in
-    if Gate.equal nd.Circuit.kind Gate.Dff then
+    if live i && Gate.equal nd.Circuit.kind Gate.Dff then
       match repl.(i) with
       | Id q -> B.connect_dff b q (as_id repl.(nd.Circuit.fanins.(0)))
       | Const _ -> assert false
@@ -76,6 +80,11 @@ let rebuild c simplify =
       B.mark_output b id)
     c.Circuit.outputs;
   B.finish b
+
+(* The fanins of a node whose fanins are all rebuilt nodes. *)
+let ids fanins =
+  Array.to_list fanins
+  |> List.map (function Id id -> id | Const _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Constant propagation                                               *)
@@ -166,12 +175,7 @@ let collapse_buffers c =
             let g = B.gate b ~name Gate.Not [ id ] in
             Hashtbl.replace inverter_of g id;
             Id g)
-    | kind, _ ->
-        let ids =
-          Array.to_list fanins
-          |> List.map (function Id id -> id | Const _ -> assert false)
-        in
-        Id (B.gate b ~name kind ids)
+    | kind, _ -> Id (B.gate b ~name kind (ids fanins))
   in
   rebuild c simplify
 
@@ -187,10 +191,7 @@ let commutative = function
 let strash c =
   let table = Hashtbl.create 256 in
   let simplify b (nd : Circuit.node) fanins =
-    let ids =
-      Array.to_list fanins
-      |> List.map (function Id id -> id | Const _ -> assert false)
-    in
+    let ids = ids fanins in
     let key =
       ( nd.Circuit.kind,
         if commutative nd.Circuit.kind then List.sort compare ids else ids )
@@ -209,8 +210,7 @@ let strash c =
 (* ------------------------------------------------------------------ *)
 
 let sweep c =
-  let num = Circuit.num_nodes c in
-  let live = Array.make num false in
+  let live = Array.make (Circuit.num_nodes c) false in
   let rec mark i =
     if not live.(i) then begin
       live.(i) <- true;
@@ -218,37 +218,10 @@ let sweep c =
     end
   in
   Array.iter mark c.Circuit.outputs;
-  (* Primary inputs always survive (the chip interface is part of the
-     specification even when a pin is unused). *)
-  let b = B.create ~name:c.Circuit.name () in
-  let new_id = Array.make num (-1) in
-  Array.iter
-    (fun i -> new_id.(i) <- B.input b (Circuit.node c i).Circuit.name)
-    c.Circuit.inputs;
-  for i = 0 to num - 1 do
-    let nd = Circuit.node c i in
-    if live.(i) && Gate.equal nd.Circuit.kind Gate.Dff then
-      new_id.(i) <- B.dff_placeholder b nd.Circuit.name
-  done;
-  let order = Circuit.topological_order c in
-  Array.iter
-    (fun i ->
-      let nd = Circuit.node c i in
-      match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff -> ()
-      | kind ->
-          if live.(i) then
-            new_id.(i) <-
-              B.gate b ~name:nd.Circuit.name kind
-                (Array.to_list (Array.map (fun f -> new_id.(f)) nd.Circuit.fanins)))
-    order;
-  for i = 0 to num - 1 do
-    let nd = Circuit.node c i in
-    if live.(i) && Gate.equal nd.Circuit.kind Gate.Dff then
-      B.connect_dff b new_id.(i) new_id.(nd.Circuit.fanins.(0))
-  done;
-  Array.iter (fun o -> B.mark_output b new_id.(o)) c.Circuit.outputs;
-  B.finish b
+  (* Primary inputs survive even when unused: the chip interface is part
+     of the specification. *)
+  rebuild ~live:(Array.get live) c (fun b (nd : Circuit.node) fanins ->
+      Id (B.gate b ~name:nd.Circuit.name nd.Circuit.kind (ids fanins)))
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                           *)

@@ -3,8 +3,10 @@
    client's retry backoff, the stale-socket bind probe, batched
    submission through the single-process engine, and the scheduler
    end-to-end — multi-worker fan-out over real forked worker processes,
-   SIGKILL fault injection with exactly-once requeue, portfolio racing,
-   and disk-cache persistence across a fleet restart.
+   SIGKILL fault injection with exactly-once requeue, portfolio racing
+   (the cheapest leg wins, a cancel reaches every leg, a race that loses
+   every worker fails without a requeue), and disk-cache persistence
+   across a fleet restart.
 
    The "fleet cli" cases drive `fpgapart serve --workers N` itself: 1000
    load-generator jobs, a `--workers 1` reply byte-identical to the solo
@@ -434,6 +436,12 @@ let submit_req ?(runs = 1) ?(seed = 1) ?(envelope = P.default_envelope) name =
       envelope;
     }
 
+let builtin_bench name =
+  match Experiments.Suite.find name with
+  | Some e ->
+      Netlist.Bench_format.to_string (Lazy.force e.Experiments.Suite.circuit)
+  | None -> Alcotest.failf "builtin %s missing" name
+
 let await path id =
   let r = rpc_ok path (P.Result { job = id; wait = true }) in
   checkb "terminal result" true (J.member "result" r <> None);
@@ -472,19 +480,12 @@ let test_fleet_kill_worker_requeues_once () =
   with_fleet (fun path ->
       (* A job slow enough to catch mid-flight: many runs of the tiny
          circuit are still fast, so use a bigger builtin. *)
-      let big =
-        match Experiments.Suite.find "s5378" with
-        | Some e ->
-            Netlist.Bench_format.to_string
-              (Lazy.force e.Experiments.Suite.circuit)
-        | None -> Alcotest.fail "builtin s5378 missing"
-      in
       let submit =
         P.Submit
           {
             name = "victim";
             format = P.Bench;
-            netlist = big;
+            netlist = builtin_bench "s5378";
             options = Core.Kway.Options.make ~runs:6 ~seed:3 ();
             envelope = P.default_envelope;
           }
@@ -580,17 +581,11 @@ let resubmit_req ?(delta = []) key =
   P.Resubmit { name = "eco"; base = `Digest key; delta; options = None }
 
 let slow_submit seed =
-  let big =
-    match Experiments.Suite.find "s5378" with
-    | Some e ->
-        Netlist.Bench_format.to_string (Lazy.force e.Experiments.Suite.circuit)
-    | None -> Alcotest.fail "builtin s5378 missing"
-  in
   P.Submit
     {
       name = Printf.sprintf "slow%d" seed;
       format = P.Bench;
-      netlist = big;
+      netlist = builtin_bench "s5378";
       options = Core.Kway.Options.make ~runs:6 ~seed ();
       envelope = P.default_envelope;
     }
@@ -649,6 +644,139 @@ let test_fleet_cancel_dispatched () =
         (str_field "state" (rpc_ok path (P.Status id)));
       checki "service.cancelled advanced" (before + 1)
         (counter "service.cancelled" (fleet_counters path)))
+
+(* ------------------------------------------------------------------ *)
+(* Portfolio races                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let race_envelope = { P.tenant = "race"; priority = 0; portfolio = true }
+
+let builtin_submit ?(envelope = P.default_envelope) ~runs ~seed name =
+  P.Submit
+    {
+      name;
+      format = P.Bench;
+      netlist = builtin_bench name;
+      options = Core.Kway.Options.make ~runs ~seed ();
+      envelope;
+    }
+
+let total_cost reply =
+  U.get J.to_float [ "result"; "result"; "total_cost" ] reply
+
+(* The workers' (state, pid, socket) triples from fleet-stats. *)
+let worker_states path =
+  let reply = rpc_ok path P.Fleet_stats in
+  match Option.bind (J.member "fleet" reply) (J.member "workers") with
+  | Some (J.List l) ->
+      List.map
+        (fun w ->
+          let field name conv default =
+            Option.value ~default (Option.bind (J.member name w) conv)
+          in
+          ( field "state" J.to_str "",
+            field "pid" J.to_int (-1),
+            field "socket" J.to_str "" ))
+        l
+  | _ -> []
+
+let wait_all_workers path state =
+  U.poll_until ~timeout:20.0
+    (Printf.sprintf "every worker %s" state)
+    (fun () ->
+      List.for_all
+        (fun (s, _, _) -> String.equal s state)
+        (worker_states path))
+
+(* Leg [i] of a race runs seed [seed + i * 65537], and a race must return
+   its cheapest leg. A leg still running when another leg's result comes
+   in is cancelled, so which legs finish would depend on timing. To take
+   timing out, both derived seeds first run on every worker through its
+   private socket: each leg is then a cache hit on its worker, none can
+   be cancelled, and the race must choose by cost, not by arrival. The
+   fleet's own cache holds none of these keys. *)
+let test_fleet_portfolio_cheapest () =
+  with_fleet (fun path ->
+      let sockets = List.map (fun (_, _, s) -> s) (worker_states path) in
+      let plain seed =
+        match
+          List.map
+            (fun socket ->
+              total_cost
+                (final_reply socket
+                   (rpc_ok socket (builtin_submit ~runs:1 ~seed "c5315"))))
+            sockets
+        with
+        | cost :: rest ->
+            List.iter
+              (Alcotest.(check (float 0.)) "same cost on every worker" cost)
+              rest;
+            cost
+        | [] -> Alcotest.fail "no workers"
+      in
+      let seeds = [ 1; 2; 3; 4 ] in
+      List.iter
+        (fun seed ->
+          let cheapest = Float.min (plain seed) (plain (seed + 65537)) in
+          wait_all_workers path "idle";
+          let race =
+            rpc_ok path
+              (builtin_submit ~envelope:race_envelope ~runs:1 ~seed "c5315")
+          in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "seed %d: the cheaper leg wins" seed)
+            cheapest
+            (total_cost (final_reply path race)))
+        seeds;
+      let c = fleet_counters path in
+      checki "one race per seed" (List.length seeds)
+        (counter "fleet.portfolio_races" c);
+      checki "every race won" (List.length seeds)
+        (counter "fleet.portfolio_won" c))
+
+let busy_pids path =
+  List.filter_map
+    (fun (s, pid, _) -> if String.equal s "busy" then Some pid else None)
+    (worker_states path)
+
+(* Start a slow race and wait until it holds both workers. *)
+let start_slow_race path =
+  wait_all_workers path "idle";
+  let id =
+    int_field "job"
+      (rpc_ok path
+         (builtin_submit ~envelope:race_envelope ~runs:6 ~seed:5 "s5378"))
+  in
+  U.poll_until ~timeout:20.0 "both workers racing" (fun () ->
+      List.length (busy_pids path) = 2);
+  id
+
+let test_fleet_portfolio_cancel () =
+  with_fleet (fun path ->
+      let before = counter "service.cancelled" (fleet_counters path) in
+      let id = start_slow_race path in
+      let c = rpc_ok path (P.Cancel id) in
+      checkb "cancelling" true (bool_field "cancelling" c = Some true);
+      (match C.rpc ~socket:path (P.Result { job = id; wait = true }) with
+      | Ok reply -> expect_error P.code_cancelled reply
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check string)
+        "terminal state" P.state_cancelled
+        (str_field "state" (rpc_ok path (P.Status id)));
+      checki "service.cancelled advanced" (before + 1)
+        (counter "service.cancelled" (fleet_counters path));
+      wait_all_workers path "idle")
+
+let test_fleet_portfolio_all_lost () =
+  with_fleet (fun path ->
+      let before = counter "service.requeues" (fleet_counters path) in
+      let id = start_slow_race path in
+      List.iter (fun pid -> Unix.kill pid Sys.sigkill) (busy_pids path);
+      (match C.rpc ~socket:path (P.Result { job = id; wait = true }) with
+      | Ok reply -> expect_error P.code_worker_lost reply
+      | Error e -> Alcotest.fail e);
+      checki "a race is never requeued" before
+        (counter "service.requeues" (fleet_counters path)))
 
 let health_int name path =
   match Option.bind (J.member "health" (rpc_ok path P.Health)) (J.member name) with
@@ -862,6 +990,12 @@ let () =
             test_fleet_refusal_spends_no_id;
           Alcotest.test_case "bad-delta resubmit counted" `Slow
             test_fleet_bad_delta_counted;
+          Alcotest.test_case "portfolio picks the cheapest leg" `Slow
+            test_fleet_portfolio_cheapest;
+          Alcotest.test_case "a cancel reaches every leg" `Slow
+            test_fleet_portfolio_cancel;
+          Alcotest.test_case "every racing worker lost" `Slow
+            test_fleet_portfolio_all_lost;
         ] );
       ( "fleet cli",
         [

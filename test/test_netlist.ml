@@ -1326,6 +1326,25 @@ let qcheck_optimize_equivalence =
       let opt = Transform.optimize noisy in
       equivalent_seq c opt && Circuit.num_gates opt <= Circuit.num_gates noisy)
 
+(* The sweep is a [rebuild] with a liveness predicate; the stand-alone
+   walk it replaced is kept in [References.Reference_sweep]. Both must
+   build the same circuit, node for node: on random circuits (dead gates
+   and flip-flops where no output reads them) and on their noisy,
+   buffer-collapsed copies (dead inverters and constants). *)
+let qcheck_sweep_reference =
+  QCheck.Test.make ~name:"sweep = reference (random circuits)" ~count:100
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create ((seed * 7919) + 5) in
+      let c =
+        Generator.random ~rng ~num_inputs:(Rng.int_in rng 1 8)
+          ~num_gates:(Rng.int_in rng 1 60) ~num_dff:(Rng.int rng 6)
+          ~num_outputs:(Rng.int_in rng 1 6) ()
+      in
+      let collapsed = Transform.collapse_buffers (inject_noise rng c) in
+      List.for_all
+        (fun c -> Transform.sweep c = References.Reference_sweep.sweep c)
+        [ c; collapsed ])
+
 let test_optimize_shrinks_generator () =
   let c = Generator.adder_comparator ~bits:8 () in
   let opt = Transform.optimize c in
@@ -1916,6 +1935,7 @@ let () =
           Alcotest.test_case "optimize on generator" `Quick
             test_optimize_shrinks_generator;
           qc qcheck_optimize_equivalence;
+          qc qcheck_sweep_reference;
         ] );
       ( "blif",
         [

@@ -105,6 +105,23 @@ then
   status=1
 fi
 
+# One dispatch path: the fleet scheduler runs a plain job, a portfolio
+# race and a forwarded resubmit as legs through one relay, and ends every
+# dispatched job in one settle step. Each line is tagged with the
+# top-level binding it sits in: one binding may end jobs (F.finish_job,
+# F.record_run) and one may call run_on_worker.
+f=lib/fleet/scheduler.ml
+for pat in 'F\.(finish_job|record_run)' 'run_on_worker'; do
+  fns=$(awk -v pat="$pat" '
+    /^(let|and) / { name = ($2 == "rec") ? $3 : $2 }
+    $0 ~ pat && name != pat { print name }' "$f" | sort -u)
+  if [ "$(echo "$fns" | grep -c .)" -ne 1 ]; then
+    echo "lint: $pat used in" $fns "in $f" \
+      "(one relay runs every leg, one settle step ends every job)" >&2
+    status=1
+  fi
+done
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
