@@ -17,8 +17,6 @@ let of_supports supports =
 
 let of_cell (c : Hypergraph.cell) = of_supports c.Hypergraph.supports
 
-let all h = Array.init (Hypergraph.num_cells h) (fun i -> of_cell (Hypergraph.cell h i))
-
 let replicable ~threshold (c : Hypergraph.cell) =
   Array.length c.Hypergraph.outputs > 1 && of_cell c >= threshold
 

@@ -17,9 +17,6 @@ val of_supports : Bitvec.t array -> int
 
 val of_cell : Hypergraph.cell -> int
 
-val all : Hypergraph.t -> int array
-(** Per-cell [psi]. *)
-
 val replicable : threshold:int -> Hypergraph.cell -> bool
 (** A cell may be replicated iff it has several outputs and
     [psi >= threshold]. *)

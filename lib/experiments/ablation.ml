@@ -5,18 +5,36 @@ type repl_row = {
   functional_best : int;
 }
 
-let best_cut ~runs ~seed ~model ~replication h =
+let traditional h =
+  let spec (c : Hypergraph.cell) =
+    {
+      Hypergraph.s_name = c.Hypergraph.name;
+      s_area = c.Hypergraph.area;
+      s_demand = c.Hypergraph.demand;
+      s_inputs = c.Hypergraph.inputs;
+      s_outputs = c.Hypergraph.outputs;
+      (* Opaque: every output depends on every input. *)
+      s_supports =
+        Array.map
+          (fun _ -> Bitvec.full (Array.length c.Hypergraph.inputs))
+          c.Hypergraph.outputs;
+    }
+  in
+  let external_nets =
+    List.filter
+      (fun n -> h.Hypergraph.net_external.(n))
+      (List.init h.Hypergraph.num_nets Fun.id)
+  in
+  Hypergraph.create ~net_names:h.Hypergraph.net_names
+    ~num_nets:h.Hypergraph.num_nets ~external_nets
+    (Array.to_list (Array.map spec h.Hypergraph.cells))
+
+let best_cut ~runs ~seed ~replication h =
   let total = Hypergraph.total_area h in
   let cfg = Core.Fm.balance_config ~replication ~total_area:total () in
   let best = ref max_int in
   for r = 0 to runs - 1 do
-    let rng = Netlist.Rng.create (seed + (r * 65537)) in
-    let n = Hypergraph.num_cells h in
-    let order = Array.init n Fun.id in
-    Netlist.Rng.shuffle rng order;
-    let on_b = Array.make n false in
-    Array.iteri (fun k c -> if k < n / 2 then on_b.(c) <- true) order;
-    let st = Partition_state.create ~model h ~init_on_b:(fun c -> on_b.(c)) in
+    let st = Core.Fm.random_state (Netlist.Rng.create (seed + (r * 65537))) h in
     let _, cut, _ = Core.Fm.run_staged cfg st in
     best := min !best cut
   done;
@@ -26,15 +44,10 @@ let replication_model ?(runs = 10) ?(seed = 7) (e : Suite.entry) =
   let h = Lazy.force e.Suite.hypergraph in
   {
     name = e.Suite.display;
-    plain_best =
-      best_cut ~runs ~seed ~model:Partition_state.Functional ~replication:`None
-        h;
+    plain_best = best_cut ~runs ~seed ~replication:`None h;
     traditional_best =
-      best_cut ~runs ~seed ~model:Partition_state.Traditional
-        ~replication:(`Functional 0) h;
-    functional_best =
-      best_cut ~runs ~seed ~model:Partition_state.Functional
-        ~replication:(`Functional 0) h;
+      best_cut ~runs ~seed ~replication:(`Functional 0) (traditional h);
+    functional_best = best_cut ~runs ~seed ~replication:(`Functional 0) h;
   }
 
 let pp_replication_model fmt rows =
@@ -83,9 +96,7 @@ let pairing ?(runs = 10) ?(seed = 7) (e : Suite.entry) =
       (Core.Replication_potential.distribution h)
       ~threshold:0
   in
-  let cut replication h =
-    best_cut ~runs ~seed ~model:Partition_state.Functional ~replication h
-  in
+  let cut replication h = best_cut ~runs ~seed ~replication h in
   {
     name = e.Suite.display;
     paired_clbs = Hypergraph.total_area paired;

@@ -1,9 +1,10 @@
 (** Ablations of the design choices DESIGN.md calls out.
 
     1. {e Functional vs traditional replication} (Section II's motivating
-       comparison, Figs. 1 and 4): the same staged F-M with the replica
-       connection rule switched between the paper's adjacency-vector model
-       and the all-inputs Kring-Newton model. The paper's claim to verify:
+       comparison, Figs. 1 and 4): the same staged functional F-M on the
+       mapped hypergraph and on its {!traditional} form, where every
+       replica connects every input (the Kring-Newton model the paper's
+       eq. 8 scores). The paper's claim to verify:
        traditional replication buys little because mapped cells have many
        inputs per output, while functional replication keeps winning.
 
@@ -20,7 +21,24 @@ type repl_row = {
   functional_best : int;   (** + functional replication, T = 0 *)
 }
 
+val traditional : Hypergraph.t -> Hypergraph.t
+(** [traditional h] — [h] with every output's support widened to all of
+    its cell's inputs: the opaque shape of a coarsening cluster. Nets,
+    pins, areas, demands, external flags, names and cell order are
+    unchanged. Functional replication on the result connects every
+    non-empty copy to every input net, which is traditional replication.
+
+    It models traditional replication only at threshold [T = 0]: the
+    replication potential psi of a widened multi-output cell is 0, so a
+    threshold above 0 would bar its replicas, while [T = 0] admits every
+    multi-output cell on either hypergraph. *)
+
 val replication_model : ?runs:int -> ?seed:int -> Suite.entry -> repl_row
+(** Ablation A: best equal-halves cut over [runs] random starts (seed
+    [seed + r * 65537]) without replication, with functional replication
+    at [T = 0] on {!traditional}, and with it at [T = 0] on the mapped
+    hypergraph. *)
+
 val pp_replication_model : Format.formatter -> repl_row list -> unit
 
 type pairing_row = {

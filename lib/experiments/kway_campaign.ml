@@ -67,9 +67,6 @@ let run ?(runs = 5) ?(seed = 1) ?(settings = default_settings)
   in
   { name = e.Suite.display; results = List.map one settings }
 
-let run_all ?runs ?seed ?settings ?library () =
-  List.map (run ?runs ?seed ?settings ?library) (Suite.all ())
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -32,10 +32,6 @@ val run :
     (default 5); [settings] defaults to the baseline, then T = 0, 1, 2,
     3. *)
 
-val run_all :
-  ?runs:int -> ?seed:int -> ?settings:setting list ->
-  ?library:Fpga.Library.t -> unit -> row list
-
 (** {1 The paper's tables} *)
 
 val pp_table4 : Format.formatter -> row list -> unit

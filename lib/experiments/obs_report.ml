@@ -6,13 +6,25 @@ let replication_to_json = function
   | `None -> J.String "none"
   | `Functional t -> J.Obj [ ("functional_threshold", J.Int t) ]
 
+(* [J] prints a float to 12 digits, so a ratio its printed form does not
+   read back as crosses the wire as its exact [%h] string instead. *)
+let exact_float f =
+  let j = J.Float f in
+  match float_of_string_opt (J.to_string j) with
+  | Some g when Float.equal g f -> j
+  | _ -> J.String (Printf.sprintf "%h" f)
+
+let exact_float_of_json = function
+  | J.String s -> float_of_string_opt s
+  | j -> J.to_float j
+
 let strategy_to_json = function
   | Core.Kway.Flat -> J.String "flat"
   | Core.Kway.Multilevel m ->
       J.Obj
         [
           ("max_levels", J.Int m.Core.Kway.max_levels);
-          ("coarsen_ratio", J.Float m.Core.Kway.coarsen_ratio);
+          ("coarsen_ratio", exact_float m.Core.Kway.coarsen_ratio);
           ("refine_passes", J.Int m.Core.Kway.refine_passes);
         ]
 
@@ -59,7 +71,7 @@ let strategy_of_json = function
         J.opt_field "max_levels" J.to_int ~default:dm.Core.Kway.max_levels o
       in
       let* coarsen_ratio =
-        J.opt_field "coarsen_ratio" J.to_float
+        J.opt_field "coarsen_ratio" exact_float_of_json
           ~default:dm.Core.Kway.coarsen_ratio o
       in
       let* refine_passes =

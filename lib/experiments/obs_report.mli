@@ -49,7 +49,10 @@ val schema_version : int
     [{"functional_threshold": T}]), ["max_passes"], ["fm_attempts"],
     ["refine_rounds"], ["objective"] (the {!Fpga.Objective} name) and
     ["strategy"] (["flat"] or [{"max_levels"; "coarsen_ratio";
-    "refine_passes"}]), always all of them, in this order. [jobs] and
+    "refine_passes"}]), always all of them, in this order.
+    ["coarsen_ratio"] is a number when {!Obs.Json.to_string}'s 12 digits
+    read back as the same float, and otherwise its exact ["%h"] string,
+    so the options cross the wire and into the fingerprint exactly. [jobs] and
     [should_stop] are execution knobs that never shape the result and are
     never serialised: their absence is what lets the determinism gate
     require byte-identical scrubbed documents across [--jobs] settings,

@@ -48,8 +48,6 @@ let run ?(runs = 20) ?(seed = 7) (e : Suite.entry) =
     repl_cpu_secs;
   }
 
-let run_all ?runs ?seed () = List.map (run ?runs ?seed) (Suite.all ())
-
 let average rows =
   let n = float_of_int (max 1 (List.length rows)) in
   let favg f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows /. n in

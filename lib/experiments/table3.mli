@@ -19,8 +19,6 @@ type row = {
 val run : ?runs:int -> ?seed:int -> Suite.entry -> row
 (** [runs] defaults to the paper's 20. *)
 
-val run_all : ?runs:int -> ?seed:int -> unit -> row list
-
 val average : row list -> row
 (** The paper's "Avg." line: arithmetic means of the reduction columns
     (best/avg fields hold per-circuit means of the respective columns). *)

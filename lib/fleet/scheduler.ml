@@ -456,9 +456,9 @@ let request_of (job : job) ~options =
 
 (* Run leg [idx] of [job] on its worker with seed [seed + idx * 65537]
    (leg 0 sends the job's own options), record its outcome, free the
-   worker and settle the job. A race's first result cancels its pending
-   legs. A leg whose worker was declared dead meanwhile has already been
-   settled as lost. *)
+   worker and settle the job. A race's legs all run to the end, so its
+   result depends only on the seeds it dispatched. A leg whose worker was
+   declared dead meanwhile has already been settled as lost. *)
 let relay p (job : job) ~idx (leg : leg) =
   let w = p.workers.(leg.worker) in
   let options =
@@ -475,27 +475,16 @@ let relay p (job : job) ~idx (leg : leg) =
         in
         if cancel_now then forward_cancel (w.w_socket, wj))
   in
-  let cancels =
-    F.with_lock p.t (fun () ->
-        match (leg.outcome, outcome) with
-        | `Pending, `Lost ->
-            (* The slot stays dead until the supervisor respawns it. *)
-            worker_down_locked p w ~kill:true;
-            []
-        | `Pending, ((`Doc _ | `Err _) as o) ->
-            leg.outcome <- o;
-            free_worker_locked p w;
-            let cancels =
-              match o with `Doc _ -> pending_targets p job | `Err _ -> []
-            in
-            if cancels <> [] then
-              Obs.incr p.t.obs "fleet.portfolio_cancelled"
-                ~by:(List.length cancels);
-            settle_locked p job;
-            cancels
-        | _ -> [])
-  in
-  List.iter forward_cancel cancels;
+  F.with_lock p.t (fun () ->
+      match (leg.outcome, outcome) with
+      | `Pending, `Lost ->
+          (* The slot stays dead until the supervisor respawns it. *)
+          worker_down_locked p w ~kill:true
+      | `Pending, ((`Doc _ | `Err _) as o) ->
+          leg.outcome <- o;
+          free_worker_locked p w;
+          settle_locked p job
+      | _ -> ());
   (* The disk write happens outside the front-end lock; Disk_cache has
      its own. *)
   match (leg.outcome, p.disk) with

@@ -23,10 +23,12 @@
       ratio (and its byte-identical replies) across fleet restarts.
     - {b Portfolio racing}: a submission with [portfolio = true] misses
       the cache onto {e all currently idle} workers at dispatch time,
-      each with a derived seed ([seed + i * 65537]); the first result
-      cooperatively cancels the legs still running, and once every leg
-      has answered the cheapest result wins. Portfolio results are not
-      cached — the winner depends on racing, not only on the key.
+      each with a derived seed ([seed + i * 65537]); every leg runs to
+      the end and the cheapest result wins, so a race lasts as long as
+      its slowest leg and its result depends only on the seeds it
+      dispatched. A client's cancel reaches every pending leg. Portfolio
+      results are not cached — how many legs run depends on how many
+      workers were idle, not only on the key.
     - {b Supervision}: dead workers (detected by [waitpid] and by
       health probes of idle workers) are respawned with bounded
       exponential backoff; a job in flight on a dead worker is requeued

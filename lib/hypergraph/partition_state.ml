@@ -2,23 +2,17 @@ type side = A | B
 
 let opposite = function A -> B | B -> A
 
-type model = Functional | Traditional
-
 type t = {
   hg : Hypergraph.t;
-  model : model;
   out_on_b : Bitvec.t array;
   conn_a : int array;  (* per net: copies connected on side A *)
   conn_b : int array;
   mutable cut : int;
   mutable term_a : int;
   mutable term_b : int;
-  mutable area_a : int;
-  mutable area_b : int;
-  (* Per-side resource totals over the cells' demand vectors (slot 0
-     restates area); fixed length [Hypergraph.demand_arity]. Same
-     replication semantics as area: a replicated cell pays its full
-     demand on both sides. *)
+  (* Per-side resource totals over the cells' demand vectors; slot 0 is
+     the CLB area. Fixed length [Hypergraph.demand_arity]. A replicated
+     cell pays its full demand on both sides. *)
   res_a : int array;
   res_b : int array;
   (* Scratch buffers for the per-operation net deltas (F-M evaluates one
@@ -58,8 +52,6 @@ and scratch = {
   sc_res_b : int array;
 }
 
-let zero_delta = { d_cut = 0; d_term_a = 0; d_term_b = 0; d_area_a = 0; d_area_b = 0 }
-
 let make_scratch () =
   {
     sc_cut = 0;
@@ -72,21 +64,15 @@ let make_scratch () =
   }
 
 let hypergraph t = t.hg
-let model t = t.model
 
-(* Input pins a copy carrying the outputs [m] connects under the state's
-   replication model: the support of [m] ([Functional]) or every input
-   pin of a non-empty copy ([Traditional]). [full] is the cell's
+(* Input pins a copy carrying the outputs [m] connects: the support of
+   [m]. Every input pin supports some output (Hypergraph.create checks
+   it), so a whole copy connects them all. [full] is the cell's
    all-outputs mask and [all_in] its all-inputs mask. *)
-let in_support t cell ~full ~all_in m =
+let in_support cell ~full ~all_in m =
   if Bitvec.is_empty m then Bitvec.empty
-  else
-    match t.model with
-    | Traditional -> all_in
-    | Functional ->
-        (* Every input pin supports some output (Hypergraph.create checks
-           it), so a whole copy connects them all. *)
-        if Bitvec.equal m full then all_in else Hypergraph.input_support cell m
+  else if Bitvec.equal m full then all_in
+  else Hypergraph.input_support cell m
 
 (* 1 when a copy carrying the outputs [out_mask] and connecting the input
    pins [in_mask] touches a net wired to the output pins [outs] and the
@@ -115,7 +101,7 @@ let num_replicated t =
 
 let cut t = t.cut
 let terminals t = function A -> t.term_a | B -> t.term_b
-let area t = function A -> t.area_a | B -> t.area_b
+let area t = function A -> t.res_a.(0) | B -> t.res_b.(0)
 let resource t side a = match side with A -> t.res_a.(a) | B -> t.res_b.(a)
 let resources t side =
   Array.copy (match side with A -> t.res_a | B -> t.res_b)
@@ -149,9 +135,9 @@ let term_b_of ~ext ca cb = if cb > 0 && (ca > 0 || ext) then 1 else 0
 
 (* Count a copy of [cell] carrying the outputs [m] into the per-net side
    counts [conn]. *)
-let count_copy t cell ~full m conn =
+let count_copy cell ~full m conn =
   if not (Bitvec.is_empty m) then begin
-    let in_mask = in_support t cell ~full ~all_in:(all_inputs cell) m in
+    let in_mask = in_support cell ~full ~all_in:(all_inputs cell) m in
     let nets = cell.Hypergraph.full_nets in
     for k = 0 to Array.length nets - 1 do
       let outs = cell.Hypergraph.full_out_pins.(k)
@@ -161,55 +147,30 @@ let count_copy t cell ~full m conn =
     done
   end
 
-let recompute t =
-  let hg = t.hg in
-  let ca = Array.make hg.Hypergraph.num_nets 0 in
-  let cb = Array.make hg.Hypergraph.num_nets 0 in
-  let area_a = ref 0 and area_b = ref 0 in
-  for c = 0 to Hypergraph.num_cells hg - 1 do
-    let cell = Hypergraph.cell hg c in
-    let full = full_mask t c in
-    let m_a = mask_on t c A and m_b = mask_on t c B in
-    if not (Bitvec.is_empty m_a) then area_a := !area_a + cell.Hypergraph.area;
-    if not (Bitvec.is_empty m_b) then area_b := !area_b + cell.Hypergraph.area;
-    count_copy t cell ~full m_a ca;
-    count_copy t cell ~full m_b cb
-  done;
-  let cut = ref 0 and term_a = ref 0 and term_b = ref 0 in
-  for n = 0 to hg.Hypergraph.num_nets - 1 do
-    let ext = hg.Hypergraph.net_external.(n) in
-    cut := !cut + cut_of ca.(n) cb.(n);
-    term_a := !term_a + term_a_of ~ext ca.(n) cb.(n);
-    term_b := !term_b + term_b_of ~ext ca.(n) cb.(n)
-  done;
-  (!cut, !term_a, !term_b, !area_a, !area_b)
+(* Add the demand of a copy carrying the outputs [m] to [res]. *)
+let count_demand cell m res =
+  if not (Bitvec.is_empty m) then begin
+    let dem = cell.Hypergraph.demand in
+    for a = 0 to Array.length dem - 1 do
+      res.(a) <- res.(a) + dem.(a)
+    done
+  end
 
-let create_with_masks ?(model = Functional) hg ~masks =
-  let n_cells = Hypergraph.num_cells hg in
-  let out_on_b =
-    Array.init n_cells (fun c ->
-        let full =
-          Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-        in
-        let m = masks c in
-        if not (Bitvec.subset m full) then
-          invalid_arg "Partition_state.create_with_masks: mask out of range";
-        m)
-  in
+(* A state over the masks [out_on_b] with every counter counted from
+   scratch: the one count behind [create_with_masks], [recompute] and
+   [check_consistency]. *)
+let counted hg out_on_b =
   (* Scratch capacity: the most nets one operation can touch. *)
   let len = Hypergraph.max_cell_degree hg in
   let t =
     {
       hg;
-      model;
       out_on_b;
       conn_a = Array.make hg.Hypergraph.num_nets 0;
       conn_b = Array.make hg.Hypergraph.num_nets 0;
       cut = 0;
       term_a = 0;
       term_b = 0;
-      area_a = 0;
-      area_b = 0;
       res_a = Array.make Hypergraph.demand_arity 0;
       res_b = Array.make Hypergraph.demand_arity 0;
       s_nets = Array.make len 0;
@@ -221,26 +182,14 @@ let create_with_masks ?(model = Functional) hg ~masks =
       sd = make_scratch ();
     }
   in
-  (* Fill the connection counts from scratch. *)
-  for c = 0 to n_cells - 1 do
+  for c = 0 to Hypergraph.num_cells hg - 1 do
     let cell = Hypergraph.cell hg c in
     let full = full_mask t c in
     let m_a = mask_on t c A and m_b = mask_on t c B in
-    let dem = cell.Hypergraph.demand in
-    if not (Bitvec.is_empty m_a) then begin
-      t.area_a <- t.area_a + cell.Hypergraph.area;
-      for a = 0 to Array.length dem - 1 do
-        t.res_a.(a) <- t.res_a.(a) + dem.(a)
-      done
-    end;
-    if not (Bitvec.is_empty m_b) then begin
-      t.area_b <- t.area_b + cell.Hypergraph.area;
-      for a = 0 to Array.length dem - 1 do
-        t.res_b.(a) <- t.res_b.(a) + dem.(a)
-      done
-    end;
-    count_copy t cell ~full m_a t.conn_a;
-    count_copy t cell ~full m_b t.conn_b
+    count_demand cell m_a t.res_a;
+    count_demand cell m_b t.res_b;
+    count_copy cell ~full m_a t.conn_a;
+    count_copy cell ~full m_b t.conn_b
   done;
   for n = 0 to hg.Hypergraph.num_nets - 1 do
     let ext = hg.Hypergraph.net_external.(n) in
@@ -251,29 +200,26 @@ let create_with_masks ?(model = Functional) hg ~masks =
   done;
   t
 
-let create ?model hg ~init_on_b =
-  create_with_masks ?model hg ~masks:(fun c ->
+let create_with_masks hg ~masks =
+  counted hg
+    (Array.init (Hypergraph.num_cells hg) (fun c ->
+         let full =
+           Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
+         in
+         let m = masks c in
+         if not (Bitvec.subset m full) then
+           invalid_arg "Partition_state.create_with_masks: mask out of range";
+         m))
+
+let create hg ~init_on_b =
+  create_with_masks hg ~masks:(fun c ->
       if init_on_b c then
         Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
       else Bitvec.empty)
 
-let copy t =
-  let len = Array.length t.s_nets in
-  {
-    t with
-    out_on_b = Array.copy t.out_on_b;
-    conn_a = Array.copy t.conn_a;
-    conn_b = Array.copy t.conn_b;
-    res_a = Array.copy t.res_a;
-    res_b = Array.copy t.res_b;
-    s_nets = Array.make len 0;
-    s_da = Array.make len 0;
-    s_db = Array.make len 0;
-    s_len = 0;
-    ch_nets = Array.make len 0;
-    ch_len = 0;
-    sd = make_scratch ();
-  }
+let recompute t =
+  let r = counted t.hg t.out_on_b in
+  (r.cut, r.term_a, r.term_b, r.res_a.(0), r.res_b.(0))
 
 (* Per-net connection deltas of a mask change into the scratch buffers:
    entries (net, da, db) with da/db in {-1, 0, +1}, in ascending net
@@ -287,10 +233,10 @@ let net_deltas t c new_mask =
   let full = full_mask t c in
   let old_a = Bitvec.diff full old_b and new_a = Bitvec.diff full new_mask in
   let all_in = all_inputs cell in
-  let in_old_a = in_support t cell ~full ~all_in old_a
-  and in_new_a = in_support t cell ~full ~all_in new_a
-  and in_old_b = in_support t cell ~full ~all_in old_b
-  and in_new_b = in_support t cell ~full ~all_in new_mask in
+  let in_old_a = in_support cell ~full ~all_in old_a
+  and in_new_a = in_support cell ~full ~all_in new_a
+  and in_old_b = in_support cell ~full ~all_in old_b
+  and in_new_b = in_support cell ~full ~all_in new_mask in
   let nets = cell.Hypergraph.full_nets in
   let in_pins = cell.Hypergraph.full_in_pins
   and out_pins = cell.Hypergraph.full_out_pins in
@@ -356,15 +302,6 @@ let reset_scratch (out : scratch) =
   Array.fill out.sc_res_a 0 Hypergraph.demand_arity 0;
   Array.fill out.sc_res_b 0 Hypergraph.demand_arity 0
 
-let delta_of_sd t =
-  {
-    d_cut = t.sd.sc_cut;
-    d_term_a = t.sd.sc_term_a;
-    d_term_b = t.sd.sc_term_b;
-    d_area_a = t.sd.sc_area_a;
-    d_area_b = t.sd.sc_area_b;
-  }
-
 let check_mask t c m =
   if not (Bitvec.subset m (full_mask t c)) then
     invalid_arg "Partition_state: mask not a subset of the cell's outputs"
@@ -378,13 +315,15 @@ let eval_into t c new_mask (out : scratch) =
   end
 
 let eval t c new_mask =
-  check_mask t c new_mask;
-  if Bitvec.equal new_mask t.out_on_b.(c) then zero_delta
-  else begin
-    net_deltas t c new_mask;
-    scratch_totals t c new_mask t.sd;
-    delta_of_sd t
-  end
+  let d = t.sd in
+  eval_into t c new_mask d;
+  {
+    d_cut = d.sc_cut;
+    d_term_a = d.sc_term_a;
+    d_term_b = d.sc_term_b;
+    d_area_a = d.sc_area_a;
+    d_area_b = d.sc_area_b;
+  }
 
 (* Connection-count category: gains of candidate operations on a cell
    depend on an incident net's side counts only through min(count, 2),
@@ -418,8 +357,6 @@ let apply t c new_mask =
     t.cut <- t.cut + d.sc_cut;
     t.term_a <- t.term_a + d.sc_term_a;
     t.term_b <- t.term_b + d.sc_term_b;
-    t.area_a <- t.area_a + d.sc_area_a;
-    t.area_b <- t.area_b + d.sc_area_b;
     for a = 0 to Hypergraph.demand_arity - 1 do
       t.res_a.(a) <- t.res_a.(a) + d.sc_res_a.(a);
       t.res_b.(a) <- t.res_b.(a) + d.sc_res_b.(a)
@@ -433,41 +370,21 @@ let iter_changed_nets t f =
     f t.ch_nets.(i)
   done
 
-let recompute_resources t =
-  let ra = Array.make Hypergraph.demand_arity 0 in
-  let rb = Array.make Hypergraph.demand_arity 0 in
-  for c = 0 to Hypergraph.num_cells t.hg - 1 do
-    let cell = Hypergraph.cell t.hg c in
-    let dem = cell.Hypergraph.demand in
-    if not (Bitvec.is_empty (mask_on t c A)) then
-      for a = 0 to Array.length dem - 1 do
-        ra.(a) <- ra.(a) + dem.(a)
-      done;
-    if not (Bitvec.is_empty (mask_on t c B)) then
-      for a = 0 to Array.length dem - 1 do
-        rb.(a) <- rb.(a) + dem.(a)
-      done
-  done;
-  (ra, rb)
-
 let check_consistency t =
-  let cut, ta, tb, aa, ab = recompute t in
+  let r = counted t.hg t.out_on_b in
   let pair name got want =
     if got = want then Ok ()
     else Error (Printf.sprintf "%s: tracked %d, recomputed %d" name got want)
   in
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  pair "cut" t.cut cut >>= fun () ->
-  pair "term_a" t.term_a ta >>= fun () ->
-  pair "term_b" t.term_b tb >>= fun () ->
-  pair "area_a" t.area_a aa >>= fun () ->
-  pair "area_b" t.area_b ab >>= fun () ->
-  let ra, rb = recompute_resources t in
+  pair "cut" t.cut r.cut >>= fun () ->
+  pair "term_a" t.term_a r.term_a >>= fun () ->
+  pair "term_b" t.term_b r.term_b >>= fun () ->
   let rec axes a =
     if a >= Hypergraph.demand_arity then Ok ()
     else
-      pair (Printf.sprintf "res_a.(%d)" a) t.res_a.(a) ra.(a) >>= fun () ->
-      pair (Printf.sprintf "res_b.(%d)" a) t.res_b.(a) rb.(a) >>= fun () ->
+      pair (Printf.sprintf "res_a.(%d)" a) t.res_a.(a) r.res_a.(a) >>= fun () ->
+      pair (Printf.sprintf "res_b.(%d)" a) t.res_b.(a) r.res_b.(a) >>= fun () ->
       axes (a + 1)
   in
   axes 0

@@ -10,6 +10,11 @@
       each side, each copy carrying its mask's outputs and connecting only
       the input nets those outputs depend on (their adjacency vectors).
 
+    That is the one replica-connection rule. A cell whose every output
+    depends on every input (an opaque cell, such as a coarsening cluster)
+    connects every input to every non-empty copy, so the traditional
+    all-inputs rule is a hypergraph, not a mode of this state.
+
     Moving a cell, creating a replica (one output migrates), adjusting a
     replica's output split, and un-replicating are all "change the mask"
     operations, so the unified gain model of Section III reduces to one
@@ -30,29 +35,14 @@ val opposite : side -> side
 
 type t
 
-type model = Functional | Traditional
-(** How a replicated copy connects to input nets: [Functional] uses the
-    per-output adjacency vectors (the paper's contribution); [Traditional]
-    connects every copy to all inputs (the Kring–Newton model the paper's
-    eq. 8 scores), kept as an ablation baseline. With single cells the two
-    models coincide. *)
+val create : Hypergraph.t -> init_on_b:(int -> bool) -> t
+(** Fresh state with every cell single, on the side given by [init_on_b]. *)
 
-val create :
-  ?model:model -> Hypergraph.t -> init_on_b:(int -> bool) -> t
-(** Fresh state with every cell single, on the side given by [init_on_b].
-    [model] defaults to [Functional]. *)
-
-val create_with_masks :
-  ?model:model -> Hypergraph.t -> masks:(int -> Bitvec.t) -> t
+val create_with_masks : Hypergraph.t -> masks:(int -> Bitvec.t) -> t
 (** Fresh state with an arbitrary initial output assignment: [masks c] is
     the set of cell [c]'s outputs starting on side [B] (so cells may start
     replicated). Raises [Invalid_argument] if a mask exceeds the cell's
     outputs. *)
-
-val model : t -> model
-
-val copy : t -> t
-(** Deep copy (for snapshotting the best solution of a pass). *)
 
 val hypergraph : t -> Hypergraph.t
 
@@ -103,7 +93,8 @@ type delta = {
 
 val eval : t -> int -> Bitvec.t -> delta
 (** [eval t c m] — exact effect of setting cell [c]'s mask to [m], without
-    applying it. The paper's gains are recovered as [- d_cut]. Raises
+    applying it: what {!eval_into} writes, copied into a fresh record.
+    The paper's gains are recovered as [- d_cut]. Raises
     [Invalid_argument] if [m] is not a subset of {!full_mask}. *)
 
 type scratch = {
@@ -127,7 +118,8 @@ val make_scratch : unit -> scratch
 
 val eval_into : t -> int -> Bitvec.t -> scratch -> unit
 (** [eval_into t c m out] — exactly {!eval}, but writing the delta into
-    [out] instead of returning a fresh record. Allocation-free. *)
+    [out] instead of returning a fresh record. Allocation-free. Raises
+    [Invalid_argument] if [m] is not a subset of {!full_mask}. *)
 
 val apply : t -> int -> Bitvec.t -> unit
 (** Commit a mask change: the counters shift by exactly the delta {!eval}
@@ -153,7 +145,8 @@ val iter_changed_nets : t -> (int -> unit) -> unit
 (** {1 Verification support} *)
 
 val recompute : t -> int * int * int * int * int
-(** [(cut, term_a, term_b, area_a, area_b)] recomputed from scratch. *)
+(** [(cut, term_a, term_b, area_a, area_b)] recomputed from scratch, by
+    the same count that fills a fresh state. *)
 
 val check_consistency : t -> (unit, string) result
 (** Compare the incrementally maintained counters against {!recompute};

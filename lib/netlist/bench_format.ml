@@ -299,11 +299,6 @@ let parse text =
   | result -> result
   | exception Parse_error msg -> Error msg
 
-let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> parse text
-
 let to_string c =
   let buf = Buffer.create 4096 in
   let name i = (Circuit.node c i).Circuit.name in

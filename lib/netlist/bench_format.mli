@@ -31,9 +31,6 @@ val parse : string -> (Circuit.t, string) result
     Cost: the circuit plus O(lines + distinct names) scratch; each
     distinct name is copied out of the text once. *)
 
-val parse_file : string -> (Circuit.t, string) result
-(** Read and parse a file; errors include I/O failures. *)
-
 val to_string : Circuit.t -> string
 (** Render a circuit back to [.bench] text, inputs first, then gates in
     topological order. [parse (to_string c)] is structurally identical to

@@ -154,11 +154,6 @@ let parse text =
           synthesize_cover b ~fresh ~name (List.map resolve ins) rows)
       |> Result.map_error (Elaborate.error_to_string (T.name t)))
 
-let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> parse text
-
 (* ------------------------------------------------------------------ *)
 (* Writing                                                            *)
 (* ------------------------------------------------------------------ *)

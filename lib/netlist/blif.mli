@@ -26,7 +26,6 @@
     but for a cover of mixed polarity and a builder rejection. *)
 
 val parse : string -> (Circuit.t, string) result
-val parse_file : string -> (Circuit.t, string) result
 
 val to_string : Circuit.t -> string
 (** Raises [Invalid_argument] on an XOR/XNOR gate wider than 12 inputs

@@ -29,7 +29,6 @@
     carry no line (["undriven signal: x"]). *)
 
 val parse : string -> (Circuit.t, string) result
-val parse_file : string -> (Circuit.t, string) result
 
 val to_string : Circuit.t -> string
 (** Emits one module with primitive instances and [dff] flip-flops.

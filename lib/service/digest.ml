@@ -82,25 +82,12 @@ let library_fingerprint lib =
     (Fpga.Library.devices lib);
   md5_hex (Buffer.contents buf)
 
-(* A float the JSON format rounds (it keeps 12 digits) becomes its exact
-   hex form, as a string. *)
-let rec exact_floats = function
-  | Obs.Json.Float f as j ->
-      let s = Obs.Json.to_string j in
-      if reads_back s f then j else Obs.Json.String (Printf.sprintf "%h" f)
-  | Obs.Json.Obj fields ->
-      Obs.Json.Obj (List.map (fun (k, v) -> (k, exact_floats v)) fields)
-  | Obs.Json.List items -> Obs.Json.List (List.map exact_floats items)
-  | j -> j
-
 (* The options JSON of the stats schema is exactly the result-shaping
    subset (jobs and should_stop are execution knobs, deliberately absent
-   there), so its deterministic rendering, with exact floats, is the
-   right hash input. *)
+   there), and it renders every float exactly, so its deterministic
+   rendering is the right hash input. *)
 let options_fingerprint options =
-  md5_hex
-    (Obs.Json.to_string
-       (exact_floats (Experiments.Obs_report.options_to_json options)))
+  md5_hex (Obs.Json.to_string (Experiments.Obs_report.options_to_json options))
 
 let job_key ~library ~options h =
   md5_hex

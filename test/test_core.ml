@@ -777,7 +777,9 @@ let qcheck_fm_staged_workspace_fresh =
           ~total_area:(Hypergraph.total_area h) ()
       in
       let st = Fm.random_state (Netlist.Rng.create (seed + 1)) h in
-      let fresh = Partition_state.copy st in
+      let fresh =
+        Partition_state.create_with_masks h ~masks:(Partition_state.mask st)
+      in
       let staged =
         on_fresh_domain (fun () ->
             (if leftover then
@@ -890,8 +892,9 @@ let test_fm_staged_never_worse () =
   done
 
 let test_fm_traditional_model_weaker () =
-  (* With the traditional (all-inputs) replica connection rule the gains
-     largely evaporate: the Fig. 1 motivation as a property. *)
+  (* With the traditional (all-inputs) replica connection rule -- the
+     same F-M on the opaque form of the hypergraph -- the gains largely
+     evaporate: the Fig. 1 motivation as a property. *)
   let c =
     Netlist.Generator.clustered
       { Netlist.Generator.default_clustered with clusters = 5; seed = 9 }
@@ -899,7 +902,7 @@ let test_fm_traditional_model_weaker () =
   let h = mapped_hypergraph c in
   let total = Hypergraph.total_area h in
   let cfg = Fm.balance_config ~replication:(`Functional 0) ~total_area:total () in
-  let best model =
+  let best h =
     let best = ref max_int in
     for seed = 1 to 4 do
       let n = Hypergraph.num_cells h in
@@ -907,14 +910,14 @@ let test_fm_traditional_model_weaker () =
       Netlist.Rng.shuffle (Netlist.Rng.create seed) order;
       let on_b = Array.make n false in
       Array.iteri (fun k cell -> if k < n / 2 then on_b.(cell) <- true) order;
-      let st = Partition_state.create ~model h ~init_on_b:(fun x -> on_b.(x)) in
+      let st = Partition_state.create h ~init_on_b:(fun x -> on_b.(x)) in
       let _, cut, _ = Fm.run_staged cfg st in
       best := min !best cut
     done;
     !best
   in
-  let functional = best Partition_state.Functional in
-  let traditional = best Partition_state.Traditional in
+  let functional = best h in
+  let traditional = best (Experiments.Ablation.traditional h) in
   checkb "functional beats traditional" true (functional < traditional)
 
 let test_two_device_config () =

@@ -192,6 +192,21 @@ let test_multilevel_init_quality () =
   checkb "multilevel at least competitive" true
     (float_of_int ml <= 1.1 *. float_of_int flat)
 
+(* Ablation A with its defaults (10 runs, seed 7) on two circuits, pinned
+   to the (no replication, traditional, functional) best cuts
+   [bench/main.exe ablation] prints. *)
+let test_replication_model_pinned () =
+  List.iter
+    (fun (entry, (plain, traditional, functional)) ->
+      let r = Experiments.Ablation.replication_model (entry ()) in
+      let name = r.Experiments.Ablation.name in
+      checki (name ^ " no replication") plain r.Experiments.Ablation.plain_best;
+      checki (name ^ " traditional") traditional
+        r.Experiments.Ablation.traditional_best;
+      checki (name ^ " functional") functional
+        r.Experiments.Ablation.functional_best)
+    [ (small_entry, (30, 25, 22)); (mid_entry, (80, 80, 34)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Partition expansion (end-to-end functional soundness)              *)
 (* ------------------------------------------------------------------ *)
@@ -435,6 +450,8 @@ let () =
         [
           Alcotest.test_case "multilevel init quality" `Quick
             test_multilevel_init_quality;
+          Alcotest.test_case "replication model pinned" `Quick
+            test_replication_model_pinned;
         ] );
       ( "timing",
         [

@@ -688,51 +688,69 @@ let wait_all_workers path state =
         (fun (s, _, _) -> String.equal s state)
         (worker_states path))
 
+(* The cost of c5315 ([runs:1], [seed]) run plain on every worker
+   through its private socket; the workers must agree. *)
+let plain_cost path seed =
+  match
+    List.map
+      (fun (_, _, socket) ->
+        total_cost
+          (final_reply socket
+             (rpc_ok socket (builtin_submit ~runs:1 ~seed "c5315"))))
+      (worker_states path)
+  with
+  | cost :: rest ->
+      List.iter
+        (Alcotest.(check (float 0.)) "same cost on every worker" cost)
+        rest;
+      cost
+  | [] -> Alcotest.fail "no workers"
+
+(* Race c5315 ([runs:1], [seed]) on both workers; its cost. *)
+let race_cost path seed =
+  wait_all_workers path "idle";
+  total_cost
+    (final_reply path
+       (rpc_ok path
+          (builtin_submit ~envelope:race_envelope ~runs:1 ~seed "c5315")))
+
+let race_seeds = [ 1; 2; 3; 4 ]
+
 (* Leg [i] of a race runs seed [seed + i * 65537], and a race must return
-   its cheapest leg. A leg still running when another leg's result comes
-   in is cancelled, so which legs finish would depend on timing. To take
-   timing out, both derived seeds first run on every worker through its
-   private socket: each leg is then a cache hit on its worker, none can
-   be cancelled, and the race must choose by cost, not by arrival. The
-   fleet's own cache holds none of these keys. *)
+   its cheapest leg: [race_cost path s] must equal the cheaper of
+   [plain_cost path s] and [plain_cost path (s + 65537)]. *)
+let check_cheapest path raced =
+  List.iter2
+    (fun seed cost ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "seed %d: the cheaper leg wins" seed)
+        (Float.min (plain_cost path seed) (plain_cost path (seed + 65537)))
+        cost)
+    race_seeds raced;
+  let c = fleet_counters path in
+  checki "one race per seed" (List.length race_seeds)
+    (counter "fleet.portfolio_races" c);
+  checki "every race won" (List.length race_seeds)
+    (counter "fleet.portfolio_won" c)
+
+(* Warmed: both derived seeds first run on every worker through its
+   private socket, so each leg is a cache hit on its worker. The fleet's
+   own cache holds none of these keys. *)
 let test_fleet_portfolio_cheapest () =
   with_fleet (fun path ->
-      let sockets = List.map (fun (_, _, s) -> s) (worker_states path) in
-      let plain seed =
-        match
-          List.map
-            (fun socket ->
-              total_cost
-                (final_reply socket
-                   (rpc_ok socket (builtin_submit ~runs:1 ~seed "c5315"))))
-            sockets
-        with
-        | cost :: rest ->
-            List.iter
-              (Alcotest.(check (float 0.)) "same cost on every worker" cost)
-              rest;
-            cost
-        | [] -> Alcotest.fail "no workers"
-      in
-      let seeds = [ 1; 2; 3; 4 ] in
       List.iter
         (fun seed ->
-          let cheapest = Float.min (plain seed) (plain (seed + 65537)) in
-          wait_all_workers path "idle";
-          let race =
-            rpc_ok path
-              (builtin_submit ~envelope:race_envelope ~runs:1 ~seed "c5315")
-          in
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "seed %d: the cheaper leg wins" seed)
-            cheapest
-            (total_cost (final_reply path race)))
-        seeds;
-      let c = fleet_counters path in
-      checki "one race per seed" (List.length seeds)
-        (counter "fleet.portfolio_races" c);
-      checki "every race won" (List.length seeds)
-        (counter "fleet.portfolio_won" c))
+          ignore (plain_cost path seed);
+          ignore (plain_cost path (seed + 65537)))
+        race_seeds;
+      check_cheapest path (List.map (race_cost path) race_seeds))
+
+(* Cold: the same races with no leg cached anywhere, so the legs finish
+   apart. Every leg runs to the end, so the race still settles on the
+   cheapest; the plain runs that price the legs come after the races. *)
+let test_fleet_portfolio_cheapest_cold () =
+  with_fleet (fun path ->
+      check_cheapest path (List.map (race_cost path) race_seeds))
 
 let busy_pids path =
   List.filter_map
@@ -992,6 +1010,8 @@ let () =
             test_fleet_bad_delta_counted;
           Alcotest.test_case "portfolio picks the cheapest leg" `Slow
             test_fleet_portfolio_cheapest;
+          Alcotest.test_case "portfolio picks the cheapest leg (cold)" `Slow
+            test_fleet_portfolio_cheapest_cold;
           Alcotest.test_case "a cancel reaches every leg" `Slow
             test_fleet_portfolio_cancel;
           Alcotest.test_case "every racing worker lost" `Slow

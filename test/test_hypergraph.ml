@@ -168,17 +168,14 @@ let qcheck_connected_nets_reference =
         if Array.to_list (Hypergraph.connected_nets c ~out_mask:m) <> want then
           ok := false;
         List.iter
-          (fun (model, in_pins) ->
-            let st =
-              Partition_state.create_with_masks ~model h ~masks:(fun _ -> m)
-            in
+          (fun (h, in_pins) ->
+            let st = Partition_state.create_with_masks h ~masks:(fun _ -> m) in
             if
               side_nets st Partition_state.B <> touched_reference c ~in_pins m
               || side_nets st Partition_state.A
                  <> touched_reference c ~in_pins (Bitvec.diff full m)
             then ok := false)
-          [ (Partition_state.Functional, functional);
-            (Partition_state.Traditional, traditional) ]
+          [ (h, functional); (Experiments.Ablation.traditional h, traditional) ]
       done;
       !ok)
 

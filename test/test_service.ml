@@ -383,12 +383,16 @@ let test_options_json_pinned () =
           ()))
 
 (* Random valid options over both strategies, both replication modes and
-   every builtin objective. The coarsening ratio is drawn in hundredths,
-   which the JSON float format renders exactly. *)
+   every builtin objective. The coarsening ratio is any float in (0, 1),
+   so most need more digits than the JSON float format prints. *)
 let gen_options st =
   let int lo hi = lo + Random.State.int st (hi - lo + 1) in
   let replication =
     if Random.State.bool st then `None else `Functional (int 0 6)
+  in
+  let rec ratio () =
+    let r = Random.State.float st 1.0 in
+    if r > 0.0 then r else ratio ()
   in
   let strategy =
     if Random.State.bool st then Core.Kway.Flat
@@ -396,7 +400,7 @@ let gen_options st =
       Core.Kway.Multilevel
         {
           Core.Kway.max_levels = int 1 20;
-          coarsen_ratio = float_of_int (int 1 99) /. 100.0;
+          coarsen_ratio = ratio ();
           refine_passes = int 1 5;
         }
   in
@@ -411,8 +415,13 @@ let qcheck_options_codec_roundtrip =
     ~count:300
     (QCheck.make gen_options)
     (fun o ->
+      (* Through the printed bytes, as the options cross the wire. *)
+      let bytes =
+        Obs.Json.to_string (Experiments.Obs_report.options_to_json o)
+      in
       match
-        Experiments.Obs_report.(options_of_json (options_to_json o))
+        Result.bind (Obs.Json.of_string bytes)
+          Experiments.Obs_report.options_of_json
       with
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
       | Ok d ->

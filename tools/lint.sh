@@ -37,6 +37,18 @@ for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
   fi
 done
 
+# One replica-connection rule: a copy connects the inputs its outputs'
+# supports name. The traditional all-inputs baseline is a hypergraph
+# (Experiments.Ablation.traditional), not a mode of the F-M kernel, so no
+# module of lib/hypergraph or lib/core names a model. test/ is exempt.
+for f in $(git ls-files 'lib/hypergraph/*.ml' 'lib/core/*.ml'); do
+  if grep -qE 'Traditional|~model|\?\(model' "$f"; then
+    echo "lint: replica-connection model in $f" \
+      "(widen the supports instead: Experiments.Ablation.traditional)" >&2
+    status=1
+  fi
+done
+
 # One result per input: in lib/techmap, lib/hypergraph (the warm start's
 # projection and the walk's boundary), the three parsers, the elaborator
 # they share and every module of lib/core (coarsening, F-M, each k-way
