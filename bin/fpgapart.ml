@@ -685,8 +685,8 @@ let submit_cmd =
       & info [ "portfolio" ]
           ~doc:
             "Ask a fleet scheduler to race the job across idle workers \
-             with derived seeds; the first feasible-and-cheapest result \
-             wins and the losers are cancelled.")
+             with derived seeds; every leg runs to the end and the \
+             cheapest answered leg wins.")
   in
   let retries_arg =
     Arg.(

@@ -81,85 +81,66 @@ let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
       set_score r (max 0 (max a b - cap)) (objective_value objective st) 0)
     ()
 
-type device_bounds = {
-  min_clbs : int;
-  max_clbs : int;
-  max_terminals : int;
-  res_max : int array;
-}
+(* How far one side lies outside its window: CLB window and terminal
+   budget, plus the secondary axes the window constrains (none under the
+   paper's scalar feasibility, so the loop runs zero times). Secondary
+   overflow is a soft penalty like the terminal budget, never part of
+   area_ok, so the hot loop's legality check stays two integer
+   compares. *)
+let window_pen (w : Fpga.Objective.window) st side =
+  let clbs = Partition_state.area st side in
+  let pen =
+    ref
+      (max 0 (w.lo.(0) - clbs)
+      + max 0 (clbs - w.hi.(0))
+      + max 0 (Partition_state.terminals st side - w.max_iobs))
+  in
+  for a = 1 to w.axes - 1 do
+    pen := !pen + max 0 (Partition_state.resource st side a - w.hi.(a))
+  done;
+  !pen
 
-let bounds ?(res_max = [||]) ~min_clbs ~max_clbs ~max_terminals () =
-  if min_clbs < 0 || max_clbs < min_clbs then
-    invalid_arg "Fm.bounds: need 0 <= min_clbs <= max_clbs";
-  if max_terminals < 0 then
-    invalid_arg "Fm.bounds: max_terminals must be non-negative";
-  if
-    Array.length res_max <> 0
-    && Array.length res_max <> Hypergraph.demand_arity
-  then
-    invalid_arg "Fm.bounds: res_max must be empty or demand_arity long";
-  { min_clbs; max_clbs; max_terminals; res_max }
-
-(* Secondary-axis overflow, as a soft penalty like the terminal budget
-   already is (never part of area_ok, so the hot loop's legality check
-   stays two integer compares). [res_max = [||]] — the scalar objectives —
-   skips the loop entirely and adds a literal 0 to the score, keeping the
-   legacy formula bit-identical. *)
-let res_pen st side res_max =
-  if Array.length res_max = 0 then 0
-  else begin
-    let p = ref 0 in
-    for a = 1 to Array.length res_max - 1 do
-      p := !p + max 0 (Partition_state.resource st side a - res_max.(a))
-    done;
-    !p
-  end
-
-let device_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
-    ?(should_stop = never_stop) ~bounds () =
-  Config.make ~objective ~replication ~max_passes ~should_stop
-    (* Hard cap keeps side A from overshooting the device wildly; the rest
-       of the feasibility hunt happens through the penalty. *)
-    ~area_ok:(fun a _b -> a <= bounds.max_clbs + (bounds.max_clbs / 4) + 1)
-    ~score:(fun st r ->
-      let a = Partition_state.area st Partition_state.A in
-      let ta = Partition_state.terminals st Partition_state.A in
-      let pen =
-        max 0 (bounds.min_clbs - a)
-        + max 0 (a - bounds.max_clbs)
-        + max 0 (ta - bounds.max_terminals)
-        + res_pen st Partition_state.A bounds.res_max
-      in
-      (* Prefer a smaller remainder at equal cut: it fills the split-off
-         device (fewer, better-used devices cost less — objective 1)
-         without rewarding gratuitous replication into side A. *)
-      set_score r pen (objective_value objective st)
-        (Partition_state.area st Partition_state.B))
-    ()
-
-let two_device_config ?(objective = Terminals) ?(replication = `None)
-    ?(max_passes = 12) ?(should_stop = never_stop) ?(active = every_cell)
-    ~bounds_a ~bounds_b () =
-  let slack bounds = bounds.max_clbs + (bounds.max_clbs / 4) + 1 in
-  Config.make ~objective ~replication ~max_passes ~should_stop ~active
-    ~area_ok:(fun a b -> a <= slack bounds_a && b <= slack bounds_b)
-    ~score:(fun st r ->
-      let a = Partition_state.area st Partition_state.A in
-      let b = Partition_state.area st Partition_state.B in
-      let ta = Partition_state.terminals st Partition_state.A in
-      let tb = Partition_state.terminals st Partition_state.B in
-      let pen_of bounds side clbs terms =
-        max 0 (bounds.min_clbs - clbs)
-        + max 0 (clbs - bounds.max_clbs)
-        + max 0 (terms - bounds.max_terminals)
-        + res_pen st side bounds.res_max
-      in
-      set_score r
-        (pen_of bounds_a Partition_state.A a ta
-        + pen_of bounds_b Partition_state.B b tb)
-        (objective_value objective st)
-        (a + b) (* prefer shedding replicas at equal objective *))
-    ()
+let window_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
+    ?(should_stop = never_stop) ?(active = every_cell)
+    ~(a : Fpga.Objective.window) ?(b : Fpga.Objective.window option) () =
+  (* A hard cap keeps a side from overshooting its device wildly; the rest
+     of the feasibility hunt happens through the penalty. *)
+  let cap (w : Fpga.Objective.window) =
+    if w.hi.(0) < w.lo.(0) then
+      invalid_arg "Fm.window_config: empty CLB window";
+    w.hi.(0) + (w.hi.(0) / 4) + 1
+  in
+  let cap_a = cap a in
+  let make =
+    Config.make ~objective ~replication ~max_passes ~should_stop ~active
+  in
+  match b with
+  | None ->
+      make
+        ~area_ok:(fun x _ -> x <= cap_a)
+        ~score:(fun st r ->
+          (* Prefer a smaller remainder at equal cut: it fills the
+             split-off device (fewer, better-used devices cost less —
+             objective 1) without rewarding gratuitous replication into
+             side A. *)
+          set_score r
+            (window_pen a st Partition_state.A)
+            (objective_value objective st)
+            (Partition_state.area st Partition_state.B))
+        ()
+  | Some b ->
+      let cap_b = cap b in
+      make
+        ~area_ok:(fun x y -> x <= cap_a && y <= cap_b)
+        ~score:(fun st r ->
+          set_score r
+            (window_pen a st Partition_state.A
+            + window_pen b st Partition_state.B)
+            (objective_value objective st)
+            (* prefer shedding replicas at equal objective *)
+            (Partition_state.area st Partition_state.A
+            + Partition_state.area st Partition_state.B))
+        ()
 
 let random_state rng hg =
   let n = Hypergraph.num_cells hg in

@@ -13,7 +13,12 @@
 
     With [replication = `None] and [objective = Cut] this is the classic
     min-cut F-M of the paper's first experiment; [`Functional T] enables
-    replication for cells with [psi >= T]. *)
+    replication for cells with [psi >= T].
+
+    The k-way driver's bipartitions keep a side inside a device: the
+    device's {!Fpga.Objective.window} (its CLB window, terminal budget and
+    the secondary axes the objective constrains) is all F-M reads of it,
+    through one config, {!window_config}, and one penalty. *)
 
 type objective = Cut | Terminals
 
@@ -26,8 +31,8 @@ type score = int * int * int
 (** [(penalty, objective, preference)]; lexicographically smaller is
     better. A prefix with penalty 0 satisfies the caller's feasibility
     constraints; [preference] breaks ties between equally good prefixes
-    (the device-window config uses it to prefer fuller devices, which
-    lowers total cost). *)
+    (the window config uses it to prefer fuller devices, which lowers
+    total cost). *)
 
 type registers = { mutable pen : int; mutable obj : int; mutable pref : int }
 (** A {!score} as three mutable ints: a config's [score] writes the
@@ -85,8 +90,8 @@ type config = private {
           [test/test_contracts.ml] enforce exactly this). *)
 }
 (** Private: every value comes from {!Config.make} or a scenario builder
-    ({!balance_config}, {!device_config}, {!two_device_config}), so it has
-    passed their checks. *)
+    ({!balance_config}, {!window_config}), so it has passed their
+    checks. *)
 
 (** Labelled constructor for {!config}. *)
 module Config : sig
@@ -128,61 +133,33 @@ val balance_config :
     (slack defaults to 0.10; replication can grow the total, so exact
     halves are not attainable in general). *)
 
-type device_bounds = private {
-  min_clbs : int;
-  max_clbs : int;
-  max_terminals : int;
-  res_max : int array;
-      (** per-axis caps over the demand axes ([Hypergraph.demand_arity]
-          long, axis 0 ignored — the CLB window already covers it), or
-          [[||]] for "primary axis only" (the paper's scalar model).
-          Violations are charged to the penalty leg of the score exactly
-          like the terminal budget, never to [area_ok], so the hot loop's
-          legality check stays scalar. *)
-}
-(** Built only by {!bounds}, which validates it; fields stay readable. *)
-
-val bounds :
-  ?res_max:int array ->
-  min_clbs:int ->
-  max_clbs:int ->
-  max_terminals:int ->
-  unit ->
-  device_bounds
-(** Labelled constructor for {!device_bounds}; [res_max] defaults to
-    [[||]]. Raises [Invalid_argument] on a negative or inverted CLB
-    window, a negative terminal budget, or a [res_max] that is neither
-    empty nor [Hypergraph.demand_arity] long. *)
-
-val device_config :
-  ?objective:objective ->
-  ?replication:[ `None | `Functional of int ] ->
-  ?max_passes:int ->
-  ?should_stop:(unit -> bool) ->
-  bounds:device_bounds ->
-  unit ->
-  config
-(** k-way inner bipartition: side [A] must fit a device window
-    ([min_clbs <= area A <= max_clbs], [terminals A <= max_terminals]);
-    penalty measures the violation, so passes hill-climb into
-    feasibility. *)
-
-val two_device_config :
+val window_config :
   ?objective:objective ->
   ?replication:[ `None | `Functional of int ] ->
   ?max_passes:int ->
   ?should_stop:(unit -> bool) ->
   ?active:(int -> bool) ->
-  bounds_a:device_bounds ->
-  bounds_b:device_bounds ->
+  a:Fpga.Objective.window ->
+  ?b:Fpga.Objective.window ->
   unit ->
   config
-(** Pairwise refinement between two already-assigned devices: both sides
-    must stay inside their device windows. Defaults the objective to
-    [Terminals] — with the devices fixed, total IOB usage is exactly what
-    eq. (2) charges for the pair. [active] restricts the movable cells
-    (see the {!config} field); the warm-start refinement passes the dirty
-    predicate here. *)
+(** F-M under device windows ({!Fpga.Objective.window}). The penalty is
+    each checked side's distance from its window: CLBs outside
+    [[lo.(clb), hi.(clb)]], terminals over [max_iobs], and demand over
+    [hi] on each secondary axis the window constrains. Passes hill-climb
+    into feasibility; [area_ok] only stops a side from growing past
+    [hi.(clb)] by more than a quarter.
+
+    - With [a] alone, the k-way split: side [A] must fit the device,
+      side [B] is the unconstrained remainder, and the preference is a
+      smaller side [B] (a fuller split-off device).
+    - With [b] too, pairwise refinement between two assigned devices:
+      both sides are checked, and the preference is less total area
+      (shedding replicas at an equal objective).
+
+    [active] restricts the movable cells (see the {!config} field); the
+    warm-start refinement passes the dirty predicate here. Raises
+    [Invalid_argument] on an empty CLB window. *)
 
 val run : ?obs:Obs.t -> config -> Partition_state.t -> score
 (** Improve the state in place until a pass brings no improvement (or

@@ -28,22 +28,19 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
   List.iter (fun (c, _) -> mask_i.(c) <- Bitvec.empty) pi.members;
   List.iter (fun (c, _) -> mask_j.(c) <- Bitvec.empty) pj.members;
   let obj = opts.objective in
-  let bounds (p : part) =
-    Fm.bounds
-      ~res_max:(Fpga.Objective.res_max obj p.device)
-      ~min_clbs:1
-      ~max_clbs:(Fpga.Device.max_clbs p.device)
-      ~max_terminals:p.device.Fpga.Device.terminals ()
-  in
+  (* Both parts already hold cells and keep their devices: each side
+     must stay inside its device's window, lower bound relaxed to one
+     CLB. *)
+  let window (p : part) = Fpga.Objective.window ~relax_low:true obj p.device in
   let sub_active =
     Option.map (fun act k -> act (fst spec_arr.(k))) active
   in
   let cfg =
-    Fm.two_device_config
+    Fm.window_config
       ~objective:(fm_obj_of obj.Fpga.Objective.refine_objective)
       ~replication:opts.replication ~max_passes:opts.max_passes
-      ~should_stop:opts.should_stop ?active:sub_active ~bounds_a:(bounds pi)
-      ~bounds_b:(bounds pj) ()
+      ~should_stop:opts.should_stop ?active:sub_active ~a:(window pi)
+      ~b:(window pj) ()
   in
   let s0 = Fm.score_of cfg st in
   let s1 = Fm.run_staged ~obs cfg st in

@@ -24,24 +24,23 @@ let count_external (h : Hypergraph.t) =
    order; and the winner fold applies the sequential first-best tie-break. *)
 let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
   let area = Hypergraph.total_area rest in
-  let min_clbs = max 1 (Fpga.Device.min_clbs dev) in
-  let max_clbs = min (Fpga.Device.max_clbs dev) (area - 1) in
-  if max_clbs < min_clbs then None
+  (* Side B keeps at least one CLB: the remainder is never empty. *)
+  let w =
+    Fpga.Objective.narrow ~hi:(area - 1)
+      (Fpga.Objective.window opts.objective dev)
+  in
+  let lo = w.lo.(Fpga.Resource.clb) and hi = w.hi.(Fpga.Resource.clb) in
+  if hi < lo then None
   else begin
-    let bounds =
-      Fm.bounds
-        ~res_max:(Fpga.Objective.res_max opts.objective dev)
-        ~min_clbs ~max_clbs ~max_terminals:dev.Fpga.Device.terminals ()
-    in
     let cfg =
-      Fm.device_config
+      Fm.window_config
         ~objective:(fm_obj_of opts.objective.Fpga.Objective.split_objective)
         ~replication:opts.replication ~max_passes:opts.max_passes
-        ~should_stop:opts.should_stop ~bounds ()
+        ~should_stop:opts.should_stop ~a:w ()
     in
     (* Aim near the top of the window: fuller devices mean fewer devices
        and lower total cost (objective 1). *)
-    let target = max bounds.Fm.min_clbs (bounds.Fm.max_clbs * 9 / 10) in
+    let target = max lo (hi * 9 / 10) in
     let p_a = float_of_int target /. float_of_int area in
     let n = Hypergraph.num_cells rest in
     let inits = Array.init opts.fm_attempts (fun _ -> Array.make n false) in

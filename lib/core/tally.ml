@@ -200,8 +200,7 @@ let greedy_refine ~opts ~obs ~dirty ~rounds ~labels ~iobs ~devices t =
   let k = Array.length devices in
   let ext = hg.Hypergraph.net_external in
   let clbs = t.t_clbs and used = t.t_used in
-  let max_clbs = Array.map Fpga.Device.max_clbs devices in
-  let res_max = Array.map (Fpga.Objective.res_max opts.objective) devices in
+  let windows = Array.map (Fpga.Objective.window opts.objective) devices in
   let adjacent = Array.make k false in
   let cands = Array.make k 0 in
   for round = 1 to rounds do
@@ -259,17 +258,19 @@ let greedy_refine ~opts ~obs ~dirty ~rounds ~labels ~iobs ~devices t =
                 if outside' then incr dj
               done;
               let di = !di and dj = !dj in
+              (* The target must stay under its window's caps, CLB axis
+                 included ([used.(j).(0)] is [clbs.(j)]); the source keeps
+                 at least one CLB. *)
               let fits =
-                clbs.(j) + a <= max_clbs.(j)
-                && clbs.(i) - a >= 1
-                && iobs.(j) + dj <= devices.(j).Fpga.Device.terminals
-                && iobs.(i) + di <= devices.(i).Fpga.Device.terminals
+                clbs.(i) - a >= 1
+                && iobs.(j) + dj <= windows.(j).max_iobs
+                && iobs.(i) + di <= windows.(i).max_iobs
                 &&
-                let caps = res_max.(j) and uj = used.(j) in
+                let w = windows.(j) and uj = used.(j) in
                 let ok = ref true in
-                for ax = 0 to Array.length caps - 1 do
+                for ax = 0 to w.axes - 1 do
                   let dem = if ax < Array.length d then d.(ax) else 0 in
-                  if uj.(ax) + dem > caps.(ax) then ok := false
+                  if uj.(ax) + dem > w.hi.(ax) then ok := false
                 done;
                 !ok
               in
@@ -310,8 +311,8 @@ let greedy_refine ~opts ~obs ~dirty ~rounds ~labels ~iobs ~devices t =
    part. Greedy in ascending id — deterministic, and the dirty-restricted
    refinement cleans up any misplacement. Seeded cells become dirty;
    returns the finished labelling's tally and how many there were. *)
-let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
-  let k = Array.length devices in
+let seed_unlabelled hg ~(windows : Fpga.Objective.window array) labels dirty =
+  let k = Array.length windows in
   let n = Array.length labels in
   let t = create hg k labels in
   let clbs = t.t_clbs in
@@ -336,7 +337,8 @@ let seed_unlabelled hg ~(devices : Fpga.Device.t array) labels dirty =
       let best_neg = ref min_int in
       for p = 0 to k - 1 do
         let fits =
-          if clbs.(p) + area <= Fpga.Device.max_clbs devices.(p) then 1 else 0
+          if clbs.(p) + area <= windows.(p).hi.(Fpga.Resource.clb) then 1
+          else 0
         in
         let aff = affinity.(p) and neg = -clbs.(p) in
         if

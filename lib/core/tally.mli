@@ -57,7 +57,7 @@ val greedy_refine :
 
 val seed_unlabelled :
   Hypergraph.t ->
-  devices:Fpga.Device.t array ->
+  windows:Fpga.Objective.window array ->
   int array ->
   bool array ->
   t * int

@@ -6,33 +6,23 @@ open Kway_types
    F-M retains packing freedom — capping by the largest window lets one
    cluster swallow half an XC3090, which no XC3030-sized part can then
    accept, and the IOB windows become unreachable at that granularity.
-   Secondary axes are capped only where the objective's [res_max] bounds
-   them: under the paper's scalar feasibility it is empty (capping them
-   would refuse merges the model cannot reject), so only the CLB axis
-   binds; under vector feasibility every demand axis is capped so coarse
-   clusters stay placeable. *)
-let cluster_caps library (objective : Fpga.Objective.t) =
-  let devices = Fpga.Library.devices library in
-  let arity = Hypergraph.demand_arity in
-  let caps = Array.make arity max_int in
+   Secondary axes are capped only where the objective's windows bound
+   them: under the paper's scalar feasibility they leave every secondary
+   axis at [max_int] (capping them would refuse merges the model cannot
+   reject), so only the CLB axis binds; under vector feasibility every
+   demand axis is capped so coarse clusters stay placeable. *)
+let cluster_caps windows =
   (* Devices without a resource (axis cap 0) don't constrain that axis:
      parts needing it simply never land there. *)
-  let min_positive_axis f =
+  let min_positive_axis a =
     List.fold_left
-      (fun acc d ->
-        let v = f d in
+      (fun acc (w : Fpga.Objective.window) ->
+        let v = w.hi.(a) in
         if v > 0 then min acc v else acc)
-      max_int devices
+      max_int windows
   in
   let cap_of v = if v = max_int then max_int else max 1 (v / 4) in
-  caps.(0) <- cap_of (min_positive_axis Fpga.Device.max_clbs);
-  for a = 1 to arity - 1 do
-    caps.(a) <-
-      cap_of
-        (min_positive_axis (fun d ->
-             Fpga.Resource.get (Fpga.Objective.res_max objective d) a))
-  done;
-  caps
+  Array.init Hypergraph.demand_arity (fun a -> cap_of (min_positive_axis a))
 
 (* The V-cycle: coarsen under the weight caps, run the flat
    heterogeneous-device k-way on the coarsest graph, then project the
@@ -44,10 +34,15 @@ let cluster_caps library (objective : Fpga.Objective.t) =
 let multilevel_run ~obs ~(options : options) ~ml ~library hg =
   let since = clock () in
   let total = Hypergraph.total_area hg in
-  let devices = Fpga.Library.devices library in
+  let windows =
+    List.map (Fpga.Objective.window options.objective)
+      (Fpga.Library.devices library)
+  in
   let fold_windows op init =
-    List.fold_left (fun acc d -> op acc (max 1 (Fpga.Device.max_clbs d))) init
-      devices
+    List.fold_left
+      (fun acc (w : Fpga.Objective.window) ->
+        op acc (max 1 w.hi.(Fpga.Resource.clb)))
+      init windows
   in
   let largest = fold_windows max 1 in
   let smallest = fold_windows min max_int in
@@ -73,15 +68,15 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
      coarsening is safe. *)
   let smallest_terminals =
     List.fold_left
-      (fun acc (d : Fpga.Device.t) -> min acc d.Fpga.Device.terminals)
-      max_int devices
+      (fun acc (w : Fpga.Objective.window) -> min acc w.max_iobs)
+      max_int windows
   in
   let max_nets = max 4 (smallest_terminals / 9) in
   let rng = Netlist.Rng.create options.seed in
   let hier =
     Coarsen.hierarchy ~coarsest:coarsest_target ~max_levels:ml.max_levels
       ~stall_ratio:ml.coarsen_ratio
-      ~max_weight:(cluster_caps library options.objective)
+      ~max_weight:(cluster_caps windows)
       ~max_nets
       ~wrap:(fun d f -> Obs.span obs (Printf.sprintf "coarsen%d" d) f)
       ~should_stop:options.should_stop ~rng hg

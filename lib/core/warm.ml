@@ -62,9 +62,10 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
   else begin
     let labels = Array.copy warm.w_labels in
     let dirty = Array.copy warm.w_dirty in
-    let t, seeded =
-      Tally.seed_unlabelled hg ~devices:warm.w_devices labels dirty
+    let windows =
+      Array.map (Fpga.Objective.window options.objective) warm.w_devices
     in
+    let t, seeded = Tally.seed_unlabelled hg ~windows labels dirty in
     (* Refine only inside the edit's blast radius: at least one round even
        when the options say zero, since refinement is the entire
        optimisation a warm start performs. *)

@@ -87,29 +87,8 @@ let axis_min d a =
 let axis_max d a =
   int_of_float (floor (d.res_high.(a) *. float_of_int d.resources.(a)))
 
-let demand_caps d = Array.init Resource.demand_arity (fun a -> axis_max d a)
-
-let fits ?(relax_low = false) d ~clbs ~iobs =
-  clbs <= max_clbs d
-  && (relax_low || clbs >= min_clbs d)
-  && clbs >= 1
-  && iobs <= d.terminals
-
-let fits_demand ?(relax_low = false) d ~demand ~iobs =
-  fits ~relax_low d ~clbs:(Resource.get demand Resource.clb) ~iobs
-  &&
-  let rec ok a =
-    a >= Resource.demand_arity
-    || (let x = Resource.get demand a in
-        x <= axis_max d a && (relax_low || x >= axis_min d a) && ok (a + 1))
-  in
-  ok 1
-
 let price_per_clb d = d.price /. float_of_int d.capacity
 
 let clb_utilization d ~clbs = float_of_int clbs /. float_of_int d.capacity
 let iob_utilization d ~iobs = float_of_int iobs /. float_of_int d.terminals
 
-let pp fmt d =
-  Format.fprintf fmt "%s (%d CLB, %d IOB, $%.0f, util %.2f-%.2f)" d.name
-    d.capacity d.terminals d.price d.util_low d.util_high

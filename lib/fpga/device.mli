@@ -10,7 +10,12 @@
     The record is [private]: construct through {!make} or {!make_vector}
     only (the {!Kway.Options.make} pattern from PR 2, enforced at the type
     level rather than by [[@@deprecated]] so stale literal construction is
-    a compile error, not a warning). Field reads remain ordinary. *)
+    a compile error, not a warning). Field reads remain ordinary.
+
+    A device only states its bounds. Which of them a partition must
+    respect under an objective — the CLB window and terminal budget
+    alone, or every demand axis — is decided in one place,
+    {!Objective.window}, and every feasibility test reads that window. *)
 
 type t = private {
   name : string;
@@ -59,29 +64,11 @@ val axis_min : t -> int -> int
     [axis_min d Resource.clb = min_clbs d]. *)
 
 val axis_max : t -> int -> int
-(** Per-axis upper bound, [floor (res_high.(a) * resources.(a))]. *)
-
-val demand_caps : t -> int array
-(** The per-axis caps a partition's demand vector must respect, as an
-    array of length [Resource.demand_arity]: [axis_max] on each demand
-    axis. Used as [Fm]'s [res_max] bound under vector feasibility. *)
-
-val fits : ?relax_low:bool -> t -> clbs:int -> iobs:int -> bool
-(** Feasibility of one partition on this device under the paper's scalar
-    model: CLB count within the utilization window and IOB count within
-    the terminal budget. [relax_low] ignores the lower bound (used for
-    the final remainder partition of a k-way decomposition). Secondary
-    axes are not consulted. *)
-
-val fits_demand : ?relax_low:bool -> t -> demand:int array -> iobs:int -> bool
-(** Vector feasibility: {!fits} on the primary axis ([demand.(0)]) and
-    IO, plus every other demand axis within its own utilization window.
-    [demand] may be shorter than [Resource.demand_arity] (missing axes
-    read as 0). *)
+(** Per-axis upper bound, [floor (res_high.(a) * resources.(a))];
+    [axis_max d Resource.clb = max_clbs d]. *)
 
 val price_per_clb : t -> float
 
 val clb_utilization : t -> clbs:int -> float
 val iob_utilization : t -> iobs:int -> float
 
-val pp : Format.formatter -> t -> unit

@@ -68,16 +68,14 @@ let by_cheapest a b =
       | c -> c)
   | c -> c
 
-let cheapest_matching t pred =
-  Array.to_list t |> List.filter pred |> List.sort by_cheapest |> function
-  | [] -> None
-  | d :: _ -> Some d
-
-let smallest_fitting ?relax_low t ~clbs ~iobs =
-  cheapest_matching t (fun d -> Device.fits ?relax_low d ~clbs ~iobs)
-
-let smallest_fitting_demand ?relax_low t ~demand ~iobs =
-  cheapest_matching t (fun d -> Device.fits_demand ?relax_low d ~demand ~iobs)
+let cheapest t accepts =
+  Array.fold_left
+    (fun best d ->
+      match best with
+      | _ when not (accepts d) -> best
+      | Some b when by_cheapest b d <= 0 -> best
+      | _ -> Some d)
+    None t
 
 let largest t = t.(Array.length t - 1)
 

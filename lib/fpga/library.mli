@@ -6,7 +6,11 @@
     Xilinx XC3000 values; the price column of the original table is not
     recoverable from the available copy, so prices are reconstructed with
     the qualitative structure the paper relies on (larger devices cheaper
-    per CLB, poorer in terminals per CLB). *)
+    per CLB, poorer in terminals per CLB).
+
+    The library only lists devices and orders them. Which devices admit a
+    partition is a question for the device's window under an objective
+    ({!Objective.window}); {!cheapest} is the one scan that answers it. *)
 
 type t = private Device.t array
 (** Sorted by ascending capacity. *)
@@ -27,17 +31,13 @@ val xc4000 : t
 val devices : t -> Device.t list
 val find : t -> string -> Device.t option
 
-val smallest_fitting : ?relax_low:bool -> t -> clbs:int -> iobs:int -> Device.t option
-(** Cheapest device that can host the given partition. Deterministic
+val cheapest : t -> (Device.t -> bool) -> Device.t option
+(** The cheapest device [accepts] admits, in one scan. Deterministic
     tie-breaking: ties on price go to the smaller capacity, and ties on
     both price and capacity to the lexicographically smaller name — so
-    the choice never depends on library construction order. *)
-
-val smallest_fitting_demand :
-  ?relax_low:bool -> t -> demand:int array -> iobs:int -> Device.t option
-(** {!smallest_fitting} under vector feasibility ({!Device.fits_demand}):
-    every axis of [demand] must land in the device's per-axis utilization
-    window. Same price/capacity/name tie-breaking. *)
+    the choice never depends on library construction order. Which
+    devices admit a partition under an objective is
+    {!Objective.fits}; {!Objective.cheapest} is this scan over it. *)
 
 val largest : t -> Device.t
 

@@ -62,25 +62,41 @@ let of_name name =
         (Printf.sprintf "unknown objective %S (choose from: %s)" name
            (String.concat ", " names))
 
+type window = { lo : int array; hi : int array; max_iobs : int; axes : int }
+
+let window ?(relax_low = false) t dev =
+  let axes =
+    match t.feasibility with Primary -> 1 | Vector -> Resource.demand_arity
+  in
+  let lo a = if a >= axes || relax_low then 0 else Device.axis_min dev a in
+  {
+    lo =
+      Array.init Resource.demand_arity (fun a ->
+          if a = Resource.clb then max 1 (lo a) else lo a);
+    hi =
+      Array.init Resource.demand_arity (fun a ->
+          if a < axes then Device.axis_max dev a else max_int);
+    max_iobs = dev.Device.terminals;
+    axes;
+  }
+
+let narrow ~hi w =
+  let hi' = Array.copy w.hi in
+  hi'.(Resource.clb) <- min hi w.hi.(Resource.clb);
+  { w with hi = hi' }
+
 let fits ?relax_low t dev ~demand ~iobs =
-  match t.feasibility with
-  | Primary ->
-      Device.fits ?relax_low dev ~clbs:(Resource.get demand Resource.clb) ~iobs
-  | Vector -> Device.fits_demand ?relax_low dev ~demand ~iobs
+  let w = window ?relax_low t dev in
+  let rec within a =
+    a >= w.axes
+    ||
+    let x = Resource.get demand a in
+    w.lo.(a) <= x && x <= w.hi.(a) && within (a + 1)
+  in
+  iobs <= w.max_iobs && within 0
 
 let cheapest ?relax_low t library ~demand ~iobs =
-  match t.feasibility with
-  | Primary ->
-      Library.smallest_fitting ?relax_low library
-        ~clbs:(Resource.get demand Resource.clb) ~iobs
-  | Vector -> Library.smallest_fitting_demand ?relax_low library ~demand ~iobs
-
-let res_max t dev =
-  match t.feasibility with
-  | Primary -> [||]
-  | Vector -> Device.demand_caps dev
+  Library.cheapest library (fun d -> fits ?relax_low t d ~demand ~iobs)
 
 let total_cost t ~device_cost ~cut_nets =
   device_cost +. t.net_cost ~nets:cut_nets
-
-let pp fmt t = Format.fprintf fmt "%s (%s)" t.name t.description

@@ -12,9 +12,15 @@
     {!Primary}, so every total it contributes to is the same float the
     scalar code path computed ([x +. 0.0 = x] for the finite positive
     prices involved) — bit-identical results, enforced by the golden
-    telemetry cases of [test/test_contracts.ml]. Every device test the
-    partitioner makes goes through {!fits}, {!cheapest} and {!res_max},
-    so the feasibility mode is read nowhere else. *)
+    telemetry cases of [test/test_contracts.ml].
+
+    Every bound the partitioner puts on a part comes from one record, the
+    device's {!window} under the objective: the CLB utilization window
+    [[l_i c_i, u_i c_i]], the terminal budget [t_i], and the secondary
+    axes the objective constrains. {!fits} and {!cheapest} test it, and
+    F-M, the split loop, the pair refiner, the greedy mover and the
+    coarsening caps read it, so the feasibility mode is matched once, in
+    {!window}, and read nowhere else. *)
 
 type fm_objective = [ `Cut | `Terminals ]
 (** Which quantity the F-M engine minimises (mirrors [Fm.objective];
@@ -22,14 +28,13 @@ type fm_objective = [ `Cut | `Terminals ]
 
 type feasibility =
   | Primary
-      (** The paper's scalar test: CLB window + terminal budget only
-          ({!Device.fits}). Exactly the pre-redesign behaviour. *)
+      (** The paper's scalar test: CLB window + terminal budget only. The
+          {!window} constrains the CLB axis alone. *)
   | Vector
-      (** Per-axis feasibility ({!Device.fits_demand}): every resource
-          axis of a partition's demand must land in the device's window.
-          During F-M the secondary axes are soft penalties (like the
-          terminal budget already is), so the hot loop stays
-          allocation-free. *)
+      (** Per-axis feasibility: every demand axis of a partition must
+          land in the device's window. During F-M the secondary axes are
+          soft penalties (like the terminal budget already is), so the
+          hot loop stays allocation-free. *)
 
 type t = {
   name : string;
@@ -77,17 +82,42 @@ val of_name : string -> (t, string) result
 (** {2 Feasibility}
 
     The one place that decides which device test a partition must pass
-    under an objective. [demand] is the partition's demand vector
-    ([demand.(Resource.clb)] is its CLB count; missing axes read as 0).
-    Under {!Primary} only that CLB count and [iobs] are consulted, through
-    the very {!Device.fits} / {!Library.smallest_fitting} calls of the
-    scalar model; under {!Vector} every demand axis is. *)
+    under an objective. [demand] is a partition's demand vector
+    ([demand.(Resource.clb)] is its CLB count; missing axes read as 0). *)
+
+type window = private {
+  lo : int array;
+      (** per demand axis ([Resource.demand_arity] long), the least a
+          partition may use: [Device.axis_min], or 0 when the lower
+          bounds are relaxed. [lo.(Resource.clb) >= 1], since a partition
+          holds at least one CLB. *)
+  hi : int array;
+      (** per demand axis, the most a partition may use:
+          [Device.axis_max]. *)
+  max_iobs : int;  (** the terminal budget [t_i] *)
+  axes : int;
+      (** how many demand axes, from [Resource.clb] on, the objective
+          constrains: 1 (the CLB axis) under {!Primary}, all of them
+          under {!Vector}. The rest are unconstrained, with [lo] 0 and
+          [hi] [max_int]. *)
+}
+
+val window : ?relax_low:bool -> t -> Device.t -> window
+(** The device's window under the objective; [relax_low] drops every
+    lower utilization bound but the one-CLB floor (the final remainder
+    partition of a k-way decomposition, and parts whose device is
+    already chosen). *)
+
+val narrow : hi:int -> window -> window
+(** The window with its CLB cap lowered to [min hi hi.(clb)] (the split
+    loop keeps it below the remainder's area); the result may be
+    empty. *)
 
 val fits :
   ?relax_low:bool -> t -> Device.t -> demand:int array -> iobs:int -> bool
-(** Whether a partition of [demand] with [iobs] terminals fits the device
-    ({!Device.fits} or {!Device.fits_demand}); [relax_low] ignores the
-    lower utilization bounds. *)
+(** Whether a partition of [demand] with [iobs] terminals lies in the
+    device's {!window}: [iobs <= max_iobs] and [lo.(a) <= demand.(a) <=
+    hi.(a)] on each of its first [axes] axes. *)
 
 val cheapest :
   ?relax_low:bool ->
@@ -96,17 +126,9 @@ val cheapest :
   demand:int array ->
   iobs:int ->
   Device.t option
-(** The cheapest library device that {!fits} the partition, with the
-    library's price/capacity/name tie-breaking ({!Library.smallest_fitting}
-    or {!Library.smallest_fitting_demand}). *)
-
-val res_max : t -> Device.t -> int array
-(** Secondary-axis caps for F-M's soft penalty ([Fm.bounds ~res_max]):
-    [[||]] under {!Primary}, which consults no secondary axis, and
-    {!Device.demand_caps} under {!Vector}. *)
+(** The cheapest library device that {!fits} the partition
+    ({!Library.cheapest}: ties by capacity, then name). *)
 
 val total_cost : t -> device_cost:float -> cut_nets:int -> float
 (** [device_cost +. net_cost ~nets:cut_nets] — the scalar a k-way
     solution is ranked by. *)
-
-val pp : Format.formatter -> t -> unit

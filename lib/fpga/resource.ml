@@ -42,13 +42,3 @@ let covers ~cap v =
   let rec ok a = a >= n || (get cap a >= get v a && ok (a + 1)) in
   ok 0
 
-let pp fmt v =
-  Format.fprintf fmt "@[<h>[";
-  Array.iteri
-    (fun a x ->
-      if x <> 0 || a = clb then
-        Format.fprintf fmt "%s%s:%d" (if a = 0 then "" else " ")
-          (if a < arity then names.(a) else string_of_int a)
-          x)
-    v;
-  Format.fprintf fmt "]@]"

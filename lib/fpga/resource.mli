@@ -60,5 +60,3 @@ val sub_into : t -> t -> unit
 val covers : cap:t -> t -> bool
 (** [covers ~cap v]: [get cap a >= get v a] on every axis of either
     vector. Allocation-free. *)
-
-val pp : Format.formatter -> t -> unit

@@ -421,9 +421,3 @@ let induce_copies h specs =
   let cells = Array.mapi (copy_cell h net_map pin_rank) specs in
   (assemble ~num_nets:num_new_nets ~net_external ~net_names cells, specs)
 
-let pp_summary fmt h =
-  let n_ext =
-    Array.fold_left (fun acc e -> if e then acc + 1 else acc) 0 h.net_external
-  in
-  Format.fprintf fmt "%d cells (area %d), %d nets (%d external), %d pins"
-    (num_cells h) (total_area h) h.num_nets n_ext (pins h)

@@ -140,5 +140,3 @@ val induce_copies : t -> (int * Bitvec.t) list -> t * (int * Bitvec.t) array
     [h] and a [Bitvec.max_width] pin-rank scratch: no lists, [Hashtbl]s
     or per-element closures. The recursive k-way split calls it once per
     carved-off device. *)
-
-val pp_summary : Format.formatter -> t -> unit

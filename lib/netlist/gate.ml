@@ -96,5 +96,3 @@ let eval kind ins =
   | Const0 -> false
   | Const1 -> true
   | Input | Dff -> invalid_arg "Gate.eval: not a combinational gate"
-
-let pp fmt kind = Format.pp_print_string fmt (to_string kind)

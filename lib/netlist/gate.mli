@@ -42,5 +42,3 @@ val eval : kind -> bool array -> bool
 (** [eval k ins] evaluates a combinational gate on its fanin values. Raises
     [Invalid_argument] for [Input] and [Dff] (which have no combinational
     semantics) or when the arity is illegal. *)
-
-val pp : Format.formatter -> kind -> unit

@@ -41,11 +41,6 @@ let to_buffer ?level ?scrub buf =
       Buffer.add_string buf line;
       Buffer.add_char buf '\n')
 
-let enabled t lvl =
-  match t with
-  | None -> false
-  | Some s -> severity lvl >= severity s.min_level
-
 let line ~scrub lvl event fields =
   (* Obs.Clock.wall without the cycle (Obs re-exports this module). *)
   let record =

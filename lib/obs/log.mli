@@ -46,10 +46,6 @@ val to_buffer : ?level:level -> ?scrub:bool -> Buffer.t -> t
 (** {!make} appending [line ^ "\n"] to a buffer — the test harness's way
     of capturing a daemon's log for byte-comparison. *)
 
-val enabled : t -> level -> bool
-(** Whether a record at this level would be emitted. Guard costly field
-    construction with it, as with {!Obs.enabled}. *)
-
 val log : t -> level -> string -> (string * Json.t) list -> unit
 (** [log t lvl event fields] emits one record. [event] is a stable
     dot-separated name (["job.enqueue"], ["server.drain"]); [fields]

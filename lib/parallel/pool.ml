@@ -18,27 +18,24 @@ let run_sequential n f =
   done;
   Array.map Option.get results
 
-let run ?(chunk = 1) ~jobs n f =
+let run ~jobs n f =
   if n <= 0 then [||]
   else if jobs <= 1 || n <= 1 then run_sequential n f
   else begin
     let jobs = min jobs n in
-    let chunk = max 1 chunk in
     let results = Array.make n None in
     let failures = Array.make n None in
     let next = Atomic.make 0 in
     let worker () =
       let continue = ref true in
       while !continue do
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo >= n then continue := false
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n then continue := false
         else
-          for i = lo to min (lo + chunk) n - 1 do
-            match f i with
-            | v -> results.(i) <- Some v
-            | exception e ->
-                failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
-          done
+          match f i with
+          | v -> results.(i) <- Some v
+          | exception e ->
+              failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
       done
     in
     let domains =

@@ -12,14 +12,13 @@
     No dependencies beyond the standard library and [obs] (the shared
     clock helper). *)
 
-val run : ?chunk:int -> jobs:int -> int -> (int -> 'a) -> 'a array
+val run : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [run ~jobs n f] is [[| f 0; …; f (n-1) |]].
 
     With [jobs <= 1] or [n <= 1] the calls happen in the calling domain, in
     index order, with no domain spawned. Otherwise [min jobs n] domains are
-    spawned and indices are dispatched in chunks of [chunk] (default 1)
-    through an atomic counter; every index runs exactly once, on exactly
-    one domain.
+    spawned and indices are dispatched one at a time through an atomic
+    counter; every index runs exactly once, on exactly one domain.
 
     [f] must only share immutable (or index-private) state across calls —
     the pool provides no synchronisation beyond the final join.

@@ -620,13 +620,21 @@ let test_fm_oracle_mode_identical () =
 let s9234_hypergraph () =
   Lazy.force (Option.get (Experiments.Suite.find "s9234")).Experiments.Suite.hypergraph
 
+(* The window of a one-off device: CLBs in [[lo, hi]], [terminals] IOBs.
+   The lower utilization bound sits half a CLB under [lo], so its ceiling
+   is [lo] whatever the float rounding. *)
+let device_window ?relax_low ~lo ~hi ~terminals () =
+  let util_low = max 0.0 ((float_of_int lo -. 0.5) /. float_of_int hi) in
+  Fpga.Objective.window ?relax_low Fpga.Objective.paper
+    (Fpga.Device.make ~name:"window" ~capacity:hi ~terminals ~price:1.0
+       ~util_low ())
+
 let alloc_config ?(threshold = 1) h =
   let total = Hypergraph.total_area h in
-  Fm.device_config ~replication:(`Functional threshold)
-    ~bounds:
-      (Fm.bounds ~min_clbs:(total / 3) ~max_clbs:(total / 2) ~max_terminals:64
-         ())
-    ()
+  let a = device_window ~lo:(total / 3) ~hi:(total / 2) ~terminals:64 () in
+  checki "window lo" (total / 3) a.lo.(Fpga.Resource.clb);
+  checki "window hi" (total / 2) a.hi.(Fpga.Resource.clb);
+  Fm.window_config ~replication:(`Functional threshold) ~a ()
 
 (* Every (cell, mask) F-M would evaluate in [st], scored through the same
    enumerate-and-evaluate path the engine's rescoring takes. *)
@@ -926,11 +934,9 @@ let test_two_device_config () =
   let h = mapped_hypergraph (Netlist.Generator.ripple_adder ~bits:16 ()) in
   let n = Hypergraph.num_cells h in
   let st = Partition_state.create h ~init_on_b:(fun c -> c >= n / 4) in
-  let bounds cap = Fm.bounds ~min_clbs:1 ~max_clbs:cap ~max_terminals:1000 () in
   let total = Hypergraph.total_area h in
-  let cfg =
-    Fm.two_device_config ~bounds_a:(bounds total) ~bounds_b:(bounds total) ()
-  in
+  let w = device_window ~relax_low:true ~lo:1 ~hi:total ~terminals:1000 () in
+  let cfg = Fm.window_config ~objective:Fm.Terminals ~a:w ~b:w () in
   let t0 =
     Partition_state.terminals st Partition_state.A
     + Partition_state.terminals st Partition_state.B

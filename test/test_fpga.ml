@@ -17,12 +17,15 @@ let test_device_bounds () =
   checkf "iob util" 0.5 (Device.iob_utilization sample ~iobs:25)
 
 let test_device_fits () =
-  checkb "in window" true (Device.fits sample ~clbs:70 ~iobs:30);
-  checkb "below low" false (Device.fits sample ~clbs:40 ~iobs:30);
-  checkb "below low relaxed" true (Device.fits ~relax_low:true sample ~clbs:40 ~iobs:30);
-  checkb "above high" false (Device.fits sample ~clbs:95 ~iobs:30);
-  checkb "too many terminals" false (Device.fits sample ~clbs:70 ~iobs:51);
-  checkb "zero clbs never fits" false (Device.fits ~relax_low:true sample ~clbs:0 ~iobs:0)
+  let fits ?relax_low clbs iobs =
+    Objective.fits ?relax_low Objective.paper sample ~demand:[| clbs |] ~iobs
+  in
+  checkb "in window" true (fits 70 30);
+  checkb "below low" false (fits 40 30);
+  checkb "below low relaxed" true (fits ~relax_low:true 40 30);
+  checkb "above high" false (fits 95 30);
+  checkb "too many terminals" false (fits 70 51);
+  checkb "zero clbs never fits" false (fits ~relax_low:true 0 0)
 
 let test_device_rejects_bad () =
   let reject f =
@@ -67,14 +70,18 @@ let test_library_lookup () =
   (match Library.by_efficiency Library.xc3000 with
   | first :: _ -> Alcotest.check Alcotest.string "most efficient" "XC3090" first.Device.name
   | [] -> Alcotest.fail "empty library");
-  (match Library.smallest_fitting Library.xc3000 ~clbs:60 ~iobs:60 with
+  let cheapest ?relax_low clbs iobs =
+    Objective.cheapest ?relax_low Objective.paper Library.xc3000
+      ~demand:[| clbs |] ~iobs
+  in
+  (match cheapest 60 60 with
   | Some d -> Alcotest.check Alcotest.string "smallest fitting" "XC3020" d.Device.name
   | None -> Alcotest.fail "expected a fit");
   (* 60 CLBs but 70 terminals: XC3020 runs out of IOBs. *)
-  (match Library.smallest_fitting ~relax_low:true Library.xc3000 ~clbs:60 ~iobs:70 with
+  (match cheapest ~relax_low:true 60 70 with
   | Some d -> Alcotest.check Alcotest.string "terminal driven" "XC3030" d.Device.name
   | None -> Alcotest.fail "expected a fit");
-  (match Library.smallest_fitting Library.xc3000 ~clbs:1000 ~iobs:10 with
+  (match cheapest 1000 10 with
   | Some _ -> Alcotest.fail "nothing should fit 1000 CLBs"
   | None -> ())
 
@@ -137,11 +144,14 @@ let test_cost_feasibility () =
   checkb "vector cheapest" true
     (Objective.cheapest Objective.multi_personality lib ~demand ~iobs:30
     = None);
-  checki "primary res_max" 0
-    (Array.length (Objective.res_max Objective.paper sample));
-  checkb "vector res_max" true
-    (Objective.res_max Objective.multi_personality sample
-    = Device.demand_caps sample)
+  let primary = Objective.window Objective.paper sample in
+  checki "primary window constrains the CLB axis" 1 primary.axes;
+  checkb "primary window leaves secondary axes open" true
+    (Array.for_all (( = ) max_int)
+       (Array.sub primary.hi 1 (Resource.demand_arity - 1)));
+  checkb "vector window caps every demand axis" true
+    ((Objective.window Objective.multi_personality sample).hi
+    = Array.init Resource.demand_arity (Device.axis_max sample))
 
 let test_xc4000 () =
   let l = Library.xc4000 in
@@ -206,20 +216,22 @@ let test_make_vector () =
   checkf "util_high cached" 0.9 d.Device.util_high;
   checki "axis_max floor" 4 (Device.axis_max d Resource.bram);
   checki "axis_min ceil" 50 (Device.axis_min d Resource.clb);
-  let caps = Device.demand_caps d in
-  checki "demand_caps length" Resource.demand_arity (Array.length caps);
-  checki "demand_caps primary" 90 caps.(Resource.clb);
-  checkb "vector fit" true (Device.fits_demand d ~demand:[| 70; 150; 4; 2 |] ~iobs:30);
-  checkb "secondary axis over" false
-    (Device.fits_demand d ~demand:[| 70; 150; 5; 2 |] ~iobs:30);
-  checkb "short demand fits" true (Device.fits_demand d ~demand:[| 70 |] ~iobs:30);
-  checkb "primary window applies" false (Device.fits_demand d ~demand:[| 40 |] ~iobs:30);
-  checkb "relax_low" true (Device.fits_demand ~relax_low:true d ~demand:[| 40 |] ~iobs:30);
-  checkb "terminal budget applies" false
-    (Device.fits_demand d ~demand:[| 70 |] ~iobs:51);
+  let w = Objective.window Objective.multi_personality d in
+  checki "window axes" Resource.demand_arity w.axes;
+  checki "window CLB cap" 90 w.hi.(Resource.clb);
+  checki "window terminal budget" 50 w.max_iobs;
+  let fits ?relax_low dev demand iobs =
+    Objective.fits ?relax_low Objective.multi_personality dev ~demand ~iobs
+  in
+  checkb "vector fit" true (fits d [| 70; 150; 4; 2 |] 30);
+  checkb "secondary axis over" false (fits d [| 70; 150; 5; 2 |] 30);
+  checkb "short demand fits" true (fits d [| 70 |] 30);
+  checkb "primary window applies" false (fits d [| 40 |] 30);
+  checkb "relax_low" true (fits ~relax_low:true d [| 40 |] 30);
+  checkb "terminal budget applies" false (fits d [| 70 |] 51);
   (* A scalar-built device has no BRAM/DSP, so any such demand is over. *)
   checkb "scalar device rejects bram demand" false
-    (Device.fits_demand sample ~demand:[| 70; 0; 1; 0 |] ~iobs:30);
+    (fits sample [| 70; 0; 1; 0 |] 30);
   match
     Device.make_vector ~name:"x"
       ~resources:(Resource.make ~clbs:10 ~iobs:10 ())
@@ -267,11 +279,13 @@ let test_objective_costs () =
         (fun n -> checkb ("error lists " ^ n) true (contains msg n))
         names
 
-let test_smallest_fitting_ties () =
+let test_cheapest_ties () =
   let mk name cap = Device.make ~name ~capacity:cap ~terminals:100 ~price:50.0 () in
   let a = mk "alpha" 64 and b = mk "beta" 64 and big = mk "gamma" 128 in
-  let pick devs =
-    match Library.smallest_fitting (Library.make devs) ~clbs:32 ~iobs:10 with
+  let pick ?(objective = Objective.paper) devs =
+    match
+      Objective.cheapest objective (Library.make devs) ~demand:[| 32 |] ~iobs:10
+    with
     | Some d -> d.Device.name
     | None -> Alcotest.fail "expected a fit"
   in
@@ -281,15 +295,8 @@ let test_smallest_fitting_ties () =
     (pick [ b; a ]);
   Alcotest.check Alcotest.string "construction order irrelevant" "alpha"
     (pick [ a; b; big ]);
-  let pick_demand devs =
-    match
-      Library.smallest_fitting_demand (Library.make devs) ~demand:[| 32 |] ~iobs:10
-    with
-    | Some d -> d.Device.name
-    | None -> Alcotest.fail "expected a fit"
-  in
   Alcotest.check Alcotest.string "demand path ties identically" "alpha"
-    (pick_demand [ big; b; a ]);
+    (pick ~objective:Objective.multi_personality [ big; b; a ]);
   (* by_efficiency uses the same deterministic key. *)
   match Library.by_efficiency (Library.make [ b; a; big ]) with
   | first :: second :: _ ->
@@ -379,17 +386,89 @@ let test_scalar_vector_equivalence =
       let relax_low = Random.State.bool rng in
       List.iter
         (fun d ->
-          if
-            Device.fits ~relax_low d ~clbs ~iobs
-            <> Device.fits_demand ~relax_low d ~demand:[| clbs |] ~iobs
-          then
+          let fits o = Objective.fits ~relax_low o d ~demand:[| clbs |] ~iobs in
+          if fits Objective.paper <> fits Objective.multi_personality then
             QCheck.Test.fail_reportf "fits disagrees on %s for clbs=%d iobs=%d"
               d.Device.name clbs iobs)
         devs;
       let name = function Some (d : Device.t) -> d.Device.name | None -> "-" in
+      let cheapest o = Objective.cheapest ~relax_low o lib ~demand:[| clbs |] ~iobs in
       String.equal
-        (name (Library.smallest_fitting ~relax_low lib ~clbs ~iobs))
-        (name (Library.smallest_fitting_demand ~relax_low lib ~demand:[| clbs |] ~iobs)))
+        (name (cheapest Objective.paper))
+        (name (cheapest Objective.multi_personality)))
+
+(* Windows on vector devices: random per-axis utilization windows,
+   demands on every demand axis, both [relax_low] values and every builtin
+   objective. [Objective.fits] and [Objective.cheapest] must agree with a
+   per-axis reference written out here: the terminal budget, at least one
+   CLB, and [ceil (low * r) <= x <= floor (high * r)] on the CLB axis alone
+   under primary feasibility and on every demand axis under vector
+   feasibility (the lower bound dropped when relaxed); the cheapest fit by
+   price, then capacity, then name. *)
+let test_vector_windows =
+  QCheck.Test.make ~name:"windows on vector devices = per-axis reference"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 0x3d0 |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let frac lo hi = float_of_int (int lo hi) /. 100.0 in
+      (* Few capacities and prices, so ties on both are common. *)
+      let devs =
+        List.init (int 1 6) (fun i ->
+            let res_low = Array.init Resource.arity (fun _ -> frac 0 60) in
+            let res_high = Array.map (fun l -> Float.max l (frac 40 100)) res_low in
+            Device.make_vector
+              ~name:(Printf.sprintf "V%d" i)
+              ~resources:
+                (Resource.make ~clbs:(8 * int 2 4) ~ffs:(int 0 64) ~brams:(int 0 8)
+                   ~dsps:(int 0 8) ~iobs:(int 1 30) ())
+              ~price:(float_of_int (100 * int 1 2))
+              ~res_low ~res_high ())
+      in
+      let lib = Library.make devs in
+      let demand =
+        Array.init Resource.demand_arity (fun a -> int 0 (if a = 0 then 32 else 8))
+      in
+      let iobs = int 0 30 in
+      let reference (o : Objective.t) ~relax_low (d : Device.t) =
+        let axes =
+          match o.feasibility with
+          | Objective.Primary -> 1
+          | Objective.Vector -> Resource.demand_arity
+        in
+        let within a =
+          let r = float_of_int d.resources.(a) and x = demand.(a) in
+          x <= int_of_float (floor (d.res_high.(a) *. r))
+          && (relax_low || x >= int_of_float (ceil (d.res_low.(a) *. r)))
+        in
+        iobs <= d.terminals
+        && demand.(Resource.clb) >= 1
+        && List.for_all within (List.init axes Fun.id)
+      in
+      let by_price (a : Device.t) (b : Device.t) =
+        compare (a.price, a.capacity, a.name) (b.price, b.capacity, b.name)
+      in
+      let name = function Some (d : Device.t) -> d.name | None -> "-" in
+      List.for_all
+        (fun o ->
+          List.for_all
+            (fun relax_low ->
+              let fits = List.filter (reference o ~relax_low) devs in
+              List.iter
+                (fun d ->
+                  if
+                    Objective.fits ~relax_low o d ~demand ~iobs
+                    <> List.memq d fits
+                  then
+                    QCheck.Test.fail_reportf "%s: fits disagrees on %s"
+                      o.Objective.name d.Device.name)
+                devs;
+              let expected =
+                match List.sort by_price fits with [] -> None | d :: _ -> Some d
+              in
+              String.equal (name expected)
+                (name (Objective.cheapest ~relax_low o lib ~demand ~iobs)))
+            [ false; true ])
+        Objective.builtins)
 
 let test_paper_total_bitwise =
   QCheck.Test.make ~name:"paper total_cost bitwise-preserves device cost"
@@ -424,7 +503,7 @@ let () =
           Alcotest.test_case "xc4000 family" `Quick test_xc4000;
           Alcotest.test_case "fractional lower bound" `Quick test_min_feasible_cost;
           Alcotest.test_case "deterministic tie-breaking" `Quick
-            test_smallest_fitting_ties;
+            test_cheapest_ties;
           Alcotest.test_case "JSON loading" `Quick test_library_load;
         ] );
       ( "cost",
@@ -436,6 +515,7 @@ let () =
         [
           Alcotest.test_case "hand-computed costs" `Quick test_objective_costs;
           qc test_scalar_vector_equivalence;
+          qc test_vector_windows;
           qc test_paper_total_bitwise;
         ] );
     ]

@@ -15,12 +15,7 @@ let test_pool_index_order () =
   Alcotest.(check (array int))
     "results land at their index"
     (Array.init 10 (fun i -> i * i))
-    squares;
-  let chunked = Parallel.Pool.run ~chunk:3 ~jobs:2 11 (fun i -> i + 100) in
-  Alcotest.(check (array int))
-    "chunked dispatch preserves index order"
-    (Array.init 11 (fun i -> i + 100))
-    chunked
+    squares
 
 let test_pool_edge_cases () =
   checki "n = 0 yields an empty array" 0

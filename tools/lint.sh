@@ -24,15 +24,29 @@ for f in $files; do
 done
 
 # One feasibility rule: which device test applies under an objective is
-# decided in lib/fpga (Fpga.Objective.fits, cheapest, res_max). No other
-# program code names the modes or reads the field. test/ is exempt: it
-# asserts each builtin's mode.
+# decided in lib/fpga (Fpga.Objective.window, and fits and cheapest over
+# it). No other program code names the modes or reads the field. test/ is
+# exempt: it asserts each builtin's mode.
 for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
   'tools/*.ml'); do
   case "$f" in lib/fpga/*) continue ;; esac
   if grep -qE 'Objective\.(Primary|Vector)|\.feasibility\b' "$f"; then
     echo "lint: feasibility mode read outside lib/fpga in $f" \
-      "(use Fpga.Objective.fits/cheapest/res_max)" >&2
+      "(use Fpga.Objective.window/fits/cheapest)" >&2
+    status=1
+  fi
+done
+
+# One device window: a part's CLB window, terminal budget and per-axis caps
+# come from Fpga.Objective.window, so no partitioner phase in lib/core
+# re-derives them from the device. The verifier (Kway.check) is exempt: it
+# recounts a result on its own.
+for f in $(git ls-files 'lib/core/*.ml'); do
+  case "$f" in lib/core/verifier.ml) continue ;; esac
+  if grep -qE '\bDevice\.(min_clbs|max_clbs|axis_min|axis_max|terminals)\b' "$f"
+  then
+    echo "lint: device bound read outside the window in $f" \
+      "(use Fpga.Objective.window)" >&2
     status=1
   fi
 done
