@@ -504,7 +504,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Fleet only: persist results to append-only segment files in \
+            "Fleet only: persist results to an append-only file in \
              $(docv) and reload them on startup, so cache hits (and their \
              byte-identical replies) survive restarts.")
   in

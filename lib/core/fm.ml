@@ -1,9 +1,9 @@
-type objective = Cut | Terminals
+type objective = Fpga.Objective.fm_objective
 
 let objective_value obj st =
   match obj with
-  | Cut -> Partition_state.cut st
-  | Terminals ->
+  | `Cut -> Partition_state.cut st
+  | `Terminals ->
       Partition_state.terminals st Partition_state.A
       + Partition_state.terminals st Partition_state.B
 
@@ -34,7 +34,7 @@ type config = {
 module Config = struct
   type t = config
 
-  let make ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
+  let make ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
       ?(should_stop = never_stop) ?(oracle = false) ?(active = every_cell)
       ~area_ok ~score () =
     if max_passes <= 0 then
@@ -68,7 +68,7 @@ let env_oracle =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-let balance_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
+let balance_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
     ?(slack = 0.10) ~total_area () =
   let cap =
     int_of_float (ceil ((1.0 +. slack) *. float_of_int total_area /. 2.0))
@@ -100,7 +100,7 @@ let window_pen (w : Fpga.Objective.window) st side =
   done;
   !pen
 
-let window_config ?(objective = Cut) ?(replication = `None) ?(max_passes = 12)
+let window_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
     ?(should_stop = never_stop) ?(active = every_cell)
     ~(a : Fpga.Objective.window) ?(b : Fpga.Objective.window option) () =
   (* A hard cap keeps a side from overshooting its device wildly; the rest
@@ -285,8 +285,8 @@ let run_in ws ~obs cfg st =
   let bda = ref 0 and bdb = ref 0 in
   let scratch_obj () =
     match cfg.objective with
-    | Cut -> sc.Partition_state.sc_cut
-    | Terminals -> sc.Partition_state.sc_term_a + sc.Partition_state.sc_term_b
+    | `Cut -> sc.Partition_state.sc_cut
+    | `Terminals -> sc.Partition_state.sc_term_a + sc.Partition_state.sc_term_b
   in
   (* Maximise gain, tie-break on the smallest area growth (prefer plain
      moves over creating replicas when equal). First generated wins

@@ -11,7 +11,7 @@
     34% CPU surcharge for replication; this implementation is in the same
     regime).
 
-    With [replication = `None] and [objective = Cut] this is the classic
+    With [replication = `None] and [objective = `Cut] this is the classic
     min-cut F-M of the paper's first experiment; [`Functional T] enables
     replication for cells with [psi >= T].
 
@@ -20,10 +20,10 @@
     the secondary axes the objective constrains) is all F-M reads of it,
     through one config, {!window_config}, and one penalty. *)
 
-type objective = Cut | Terminals
+type objective = Fpga.Objective.fm_objective
 
 val objective_value : objective -> Partition_state.t -> int
-(** [Cut]: nets spanning both sides. [Terminals]: total IOBs consumed by
+(** [`Cut]: nets spanning both sides. [`Terminals]: total IOBs consumed by
     the two sides ([terminals A + terminals B]), the k-way driver's view of
     eq. (2). *)
 
@@ -108,7 +108,7 @@ module Config : sig
     score:(Partition_state.t -> registers -> unit) ->
     unit ->
     t
-  (** Defaults: [Cut], [`None], 12 passes, never stop, no oracle, every
+  (** Defaults: [`Cut], [`None], 12 passes, never stop, no oracle, every
       cell active. [area_ok] and [score] have no meaningful
       default — pick a scenario builder if you don't want to write them.
 

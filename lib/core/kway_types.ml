@@ -41,12 +41,6 @@ type options = {
   strategy : strategy;
 }
 
-(* The objective's F-M preferences are structural variants (lib/fpga sits
-   below this library); map them onto the engine's own type. *)
-let fm_obj_of : Fpga.Objective.fm_objective -> Fm.objective = function
-  | `Cut -> Fm.Cut
-  | `Terminals -> Fm.Terminals
-
 let cancelled = "cancelled"
 
 module Options = struct

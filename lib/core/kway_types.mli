@@ -47,7 +47,6 @@ type options = {
 }
 
 val count_true : bool array -> int
-val fm_obj_of : Fpga.Objective.fm_objective -> Fm.objective
 val cancelled : string
 
 module Options : sig

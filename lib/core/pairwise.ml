@@ -37,7 +37,7 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
   in
   let cfg =
     Fm.window_config
-      ~objective:(fm_obj_of obj.Fpga.Objective.refine_objective)
+      ~objective:obj.Fpga.Objective.refine_objective
       ~replication:opts.replication ~max_passes:opts.max_passes
       ~should_stop:opts.should_stop ?active:sub_active ~a:(window pi)
       ~b:(window pj) ()

@@ -34,7 +34,7 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
   else begin
     let cfg =
       Fm.window_config
-        ~objective:(fm_obj_of opts.objective.Fpga.Objective.split_objective)
+        ~objective:opts.objective.Fpga.Objective.split_objective
         ~replication:opts.replication ~max_passes:opts.max_passes
         ~should_stop:opts.should_stop ~a:w ()
     in

@@ -7,8 +7,7 @@ type row = {
   outcome : (Core.Kway.result, string) result;
 }
 
-let run ?(runs = 5) ?(seed = 1) ?(objectives = Fpga.Objective.builtins)
-    (e : Suite.entry) =
+let run ?(runs = 5) ?(seed = 1) (e : Suite.entry) =
   let hg = Lazy.force e.Suite.hypergraph in
   List.map
     (fun objective ->
@@ -18,7 +17,7 @@ let run ?(runs = 5) ?(seed = 1) ?(objectives = Fpga.Objective.builtins)
       in
       { circuit = e.Suite.name; objective = objective.Fpga.Objective.name;
         outcome })
-    objectives
+    Fpga.Objective.builtins
 
 let objective_total name (r : Core.Kway.result) =
   match Fpga.Objective.of_name name with

@@ -14,13 +14,8 @@ type row = {
   outcome : (Core.Kway.result, string) result;
 }
 
-val run :
-  ?runs:int ->
-  ?seed:int ->
-  ?objectives:Fpga.Objective.t list ->
-  Suite.entry ->
-  row list
-(** One row per objective (default {!Fpga.Objective.builtins}), same
-    seed and multi-start budget for all of them. *)
+val run : ?runs:int -> ?seed:int -> Suite.entry -> row list
+(** One row per {!Fpga.Objective.builtins} objective, same seed and
+    multi-start budget for all of them. *)
 
 val pp : Format.formatter -> row list -> unit

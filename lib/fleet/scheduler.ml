@@ -634,7 +634,6 @@ let handle_fleet_stats p =
             J.Obj
               [
                 ("len", J.Int (Disk_cache.length d));
-                ("segments", J.Int (Disk_cache.segments d));
                 ("corrupt_skipped", J.Int (Disk_cache.corrupt_skipped d));
               ]
       in
@@ -677,9 +676,6 @@ let gauges p =
           gauge "fleet_disk_cache_entries"
             "Result documents indexed in the persistent cache."
             (float_of_int (Disk_cache.length d));
-          gauge "fleet_disk_cache_segments"
-            "Segment files in the persistent cache."
-            (float_of_int (Disk_cache.segments d));
           gauge "fleet_disk_cache_corrupt_skipped"
             "Corrupt records skipped since startup."
             (float_of_int (Disk_cache.corrupt_skipped d));
@@ -752,11 +748,7 @@ let backend p =
         (fun d key ->
           (* Disk lookups do their own locking; this probe runs outside
              the front-end lock, ahead of the LRU lookup. *)
-          if Disk_cache.mem d key then
-            Option.map
-              (fun doc -> { F.doc; basis = () })
-              (Disk_cache.find d key)
-          else None)
+          Option.map (fun doc -> { F.doc; basis = () }) (Disk_cache.find d key))
         p.disk;
     resubmit = handle_resubmit p;
     on_cancel =

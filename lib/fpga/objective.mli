@@ -23,8 +23,8 @@
     {!window}, and read nowhere else. *)
 
 type fm_objective = [ `Cut | `Terminals ]
-(** Which quantity the F-M engine minimises (mirrors [Fm.objective];
-    [lib/fpga] sits below [lib/core] so the variant is structural). *)
+(** Which quantity the F-M engine minimises; [Fm.objective] is this
+    type. *)
 
 type feasibility =
   | Primary

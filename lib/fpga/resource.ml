@@ -32,13 +32,3 @@ let add_into dst src =
     dst.(a) <- dst.(a) + get src a
   done
 
-let sub_into dst src =
-  for a = 0 to Array.length dst - 1 do
-    dst.(a) <- dst.(a) - get src a
-  done
-
-let covers ~cap v =
-  let n = max (Array.length cap) (Array.length v) in
-  let rec ok a = a >= n || (get cap a >= get v a && ok (a + 1)) in
-  ok 0
-

@@ -54,9 +54,3 @@ val add_into : t -> t -> unit
 (** [add_into dst src]: [dst.(a) <- dst.(a) + get src a] for every axis
     of [dst]. Allocation-free. *)
 
-val sub_into : t -> t -> unit
-(** Pointwise subtraction, same conventions as {!add_into}. *)
-
-val covers : cap:t -> t -> bool
-(** [covers ~cap v]: [get cap a >= get v a] on every axis of either
-    vector. Allocation-free. *)

@@ -277,7 +277,7 @@ let span t name f =
    covers (a job's queue wait spans two threads; its decode happens before
    the job id that names its trace lane exists). Absolute Clock.wall
    stamps come in; epoch-relative spans come out, like [span]'s. *)
-let add_span ?pid ?tid t name ~begin_wall ~end_wall =
+let add_span ?pid t name ~begin_wall ~end_wall =
   match t with
   | Noop -> ()
   | Active c -> (
@@ -288,7 +288,7 @@ let add_span ?pid ?tid t name ~begin_wall ~end_wall =
             {
               span_name = name;
               span_pid = Option.value pid ~default:tr.t_pid;
-              span_tid = Option.value tid ~default:tr.t_tid;
+              span_tid = tr.t_tid;
               begin_secs = begin_wall -. tr.epoch;
               end_secs = end_wall -. tr.epoch;
               gc =

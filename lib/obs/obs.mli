@@ -101,13 +101,13 @@ val current_span : t -> string
 (** Current span path, ["/"]-joined, [""] at top level or on {!noop}. *)
 
 val add_span :
-  ?pid:int -> ?tid:int -> t -> string -> begin_wall:float -> end_wall:float ->
-  unit
+  ?pid:int -> t -> string -> begin_wall:float -> end_wall:float -> unit
 (** Append a trace span with explicit bounds, for lifetimes no single call
     scope covers (a queued job's wait spans two threads; its decode happens
     before the job id that names its trace lane exists). The bounds are
     absolute {!Clock.wall} stamps; they are stored relative to the sink's
-    epoch like {!span}'s. [pid]/[tid] default to the sink's lane; the GC
+    epoch like {!span}'s. [pid] defaults to the sink's lane, and the
+    span takes the sink's thread lane; the GC
     delta is zero (nobody ran "inside" the span). No-op on a non-tracing
     sink. *)
 

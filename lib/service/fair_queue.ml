@@ -17,7 +17,6 @@ type 'a tenant_q = {
 
 type 'a t = {
   cap : int;
-  default_weight : int;
   pinned : (string * int) list;
   tbl : (string, 'a tenant_q) Hashtbl.t;
   ring : string Queue.t;  (* active (non-empty) tenants, rotation order *)
@@ -25,10 +24,8 @@ type 'a t = {
   mutable seq : int;
 }
 
-let create ?(default_weight = 1) ?(weights = []) ~cap () =
+let create ?(weights = []) ~cap () =
   if cap <= 0 then invalid_arg "Fair_queue.create: cap must be positive";
-  if default_weight <= 0 then
-    invalid_arg "Fair_queue.create: default_weight must be positive";
   List.iter
     (fun (tenant, w) ->
       if w <= 0 then
@@ -38,7 +35,6 @@ let create ?(default_weight = 1) ?(weights = []) ~cap () =
     weights;
   {
     cap;
-    default_weight;
     pinned = weights;
     tbl = Hashtbl.create 8;
     ring = Queue.create ();
@@ -47,9 +43,7 @@ let create ?(default_weight = 1) ?(weights = []) ~cap () =
   }
 
 let weight_for t tenant =
-  match List.assoc_opt tenant t.pinned with
-  | Some w -> w
-  | None -> t.default_weight
+  Option.value (List.assoc_opt tenant t.pinned) ~default:1
 
 let tenant_q t tenant =
   match Hashtbl.find_opt t.tbl tenant with

@@ -21,12 +21,9 @@
 
 type 'a t
 
-val create :
-  ?default_weight:int -> ?weights:(string * int) list -> cap:int -> unit ->
-  'a t
+val create : ?weights:(string * int) list -> cap:int -> unit -> 'a t
 (** [cap] bounds each tenant's queue (not the total). [weights] pins
-    per-tenant weights; unlisted tenants get [default_weight] (default
-    1). Raises [Invalid_argument] on a non-positive cap or weight. *)
+    per-tenant weights; unlisted tenants weigh 1. Raises [Invalid_argument] on a non-positive cap or weight. *)
 
 val push :
   'a t -> tenant:string -> priority:int -> 'a -> (unit, [ `Tenant_full of int ]) result

@@ -874,7 +874,7 @@ let qcheck_fm_oracle_never_trips =
           ~replication:(if functional then `Functional 0 else `None)
           ~area_ok:(fun _ _ -> true)
           ~score:(fun st r ->
-            Fm.set_score r 0 (Fm.objective_value Fm.Cut st) 0)
+            Fm.set_score r 0 (Fm.objective_value `Cut st) 0)
           ()
       in
       let st = Fm.random_state (Netlist.Rng.create (seed + 13)) h in
@@ -936,7 +936,7 @@ let test_two_device_config () =
   let st = Partition_state.create h ~init_on_b:(fun c -> c >= n / 4) in
   let total = Hypergraph.total_area h in
   let w = device_window ~relax_low:true ~lo:1 ~hi:total ~terminals:1000 () in
-  let cfg = Fm.window_config ~objective:Fm.Terminals ~a:w ~b:w () in
+  let cfg = Fm.window_config ~objective:`Terminals ~a:w ~b:w () in
   let t0 =
     Partition_state.terminals st Partition_state.A
     + Partition_state.terminals st Partition_state.B

@@ -134,7 +134,7 @@ let test_disk_cache_roundtrip () =
   done;
   checki "len" 20 (Fleet.Disk_cache.length d);
   checkb "find" true (Fleet.Disk_cache.find d "key7" = Some (doc_of_int 7));
-  checkb "mem" true (Fleet.Disk_cache.mem d "key20");
+  checkb "key20 present" true (Fleet.Disk_cache.find d "key20" <> None);
   checkb "miss" true (Fleet.Disk_cache.find d "absent" = None);
   (* First write for a key wins; a duplicate add is a no-op. *)
   Fleet.Disk_cache.add d "key7" (doc_of_int 999);
@@ -181,8 +181,7 @@ let test_disk_cache_torn_tail () =
   Fleet.Disk_cache.close d;
   (* Append half a record: a plausible header whose lengths run past
      EOF — the crash-mid-append shape. The scan must stop at the last
-     whole record, and new writes must rotate to a fresh segment so
-     index offsets keep matching the O_APPEND write position. *)
+     whole record. *)
   let seg = Filename.concat dir "cache-0.seg" in
   let fd = Unix.openfile seg [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
   let torn = Bytes.make 30 '\x01' in
@@ -202,6 +201,49 @@ let test_disk_cache_torn_tail () =
   checkb "fresh reloads" true
     (Fleet.Disk_cache.find d3 "fresh" = Some (doc_of_int 2));
   Fleet.Disk_cache.close d3
+
+let test_disk_cache_rot_after_open () =
+  let dir = temp_dir () in
+  let d = open_cache dir in
+  Fleet.Disk_cache.add d "alpha" (doc_of_int 1);
+  Fleet.Disk_cache.add d "beta" (doc_of_int 2);
+  (* Overwrite the 2 of beta's "v":2 with a 7 behind the open cache's
+     back: the lengths still frame the record and the JSON still parses,
+     so only the stored checksum can tell. *)
+  let seg = Filename.concat dir "cache-0.seg" in
+  let text = In_channel.with_open_bin seg In_channel.input_all in
+  let digit = Str.search_forward (Str.regexp_string {|"v":2|}) text 0 + 4 in
+  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
+  ignore (Unix.lseek fd digit Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.of_string "7") 0 1);
+  Unix.close fd;
+  checkb "alpha still served" true
+    (Fleet.Disk_cache.find d "alpha" = Some (doc_of_int 1));
+  checkb "rotted beta refused" true (Fleet.Disk_cache.find d "beta" = None);
+  checki "rot counted" 1 (Fleet.Disk_cache.corrupt_skipped d);
+  Fleet.Disk_cache.close d
+
+let test_disk_cache_torn_tail_cut () =
+  let dir = temp_dir () in
+  let d = open_cache dir in
+  Fleet.Disk_cache.add d "whole" (doc_of_int 1);
+  Fleet.Disk_cache.close d;
+  let seg = Filename.concat dir "cache-0.seg" in
+  let fd = Unix.openfile seg [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+  let torn = Bytes.make 30 '\x01' in
+  ignore (Unix.write fd torn 0 (Bytes.length torn));
+  Unix.close fd;
+  let d2 = open_cache dir in
+  Fleet.Disk_cache.add d2 "fresh" (doc_of_int 2);
+  Fleet.Disk_cache.close d2;
+  (* The tail was cut at the reopen: nothing is left to count, and the
+     fresh record went into the same file. *)
+  let d3 = open_cache dir in
+  checki "torn tail gone" 0 (Fleet.Disk_cache.corrupt_skipped d3);
+  checki "both keys" 2 (Fleet.Disk_cache.length d3);
+  Fleet.Disk_cache.close d3;
+  Alcotest.(check (list string)) "one cache file" [ "cache-0.seg" ]
+    (Array.to_list (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
 (* Client retry backoff                                               *)
@@ -898,8 +940,7 @@ let test_cli_one_worker_is_the_daemon () =
           List.iter
             (fun k -> checkb ("fleet stats has " ^ k) true (U.has_key k stats))
             [ "workers"; "tenants"; "queue_len"; "tenant_cap"; "inflight";
-              "cache"; "disk_cache"; "restarts"; "segments";
-              "corrupt_skipped"; "obs" ];
+              "cache"; "disk_cache"; "restarts"; "corrupt_skipped"; "obs" ];
           Alcotest.(check string)
             "--workers 1 reply byte-identical to the daemon's" (submit solo)
             (submit one)))
@@ -977,6 +1018,10 @@ let () =
             test_disk_cache_corrupt_record_skipped;
           Alcotest.test_case "torn tail recovery" `Quick
             test_disk_cache_torn_tail;
+          Alcotest.test_case "rot after open" `Quick
+            test_disk_cache_rot_after_open;
+          Alcotest.test_case "torn tail cut" `Quick
+            test_disk_cache_torn_tail_cut;
         ] );
       ( "client retry",
         [

@@ -148,6 +148,16 @@ for pat in 'F\.(finish_job|record_run)' 'run_on_worker'; do
   fi
 done
 
+# One cache file: the fleet's persistent cache is cache-0.seg alone. It
+# cuts a torn tail instead of starting a second file, so it neither lists
+# the directory nor names numbered files.
+f=lib/fleet/disk_cache.ml
+if grep -qE 'Sys\.readdir|cache-%d' "$f"; then
+  echo "lint: $f lists or numbers cache files" \
+    "(one append-only file, a torn tail is cut at open)" >&2
+  status=1
+fi
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
