@@ -469,8 +469,9 @@ let serve_cmd =
       value & opt int 16
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
-            "Bound on queued (not yet running) jobs; submissions past it \
-             are refused with the $(b,overloaded) error.")
+            "Bound on each tenant's queued (not yet running) jobs; a \
+             submission past it is refused with the $(b,overloaded) \
+             error.")
   in
   let cache_cap_arg =
     Arg.(
@@ -495,8 +496,8 @@ let serve_cmd =
             "Run a fleet: a scheduler on the public socket fanning jobs out \
              to $(docv) worker processes (each a full daemon on a private \
              socket). 0 (the default) keeps the single-process daemon. \
-             With a fleet, $(b,--queue-cap) bounds each tenant's queue \
-             rather than the global one.")
+             Both queue jobs in the same per-tenant fair queue; \
+             portfolio racing and $(b,--tenant-weight) need a fleet.")
   in
   let cache_dir_arg =
     Arg.(

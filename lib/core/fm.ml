@@ -9,53 +9,101 @@ let objective_value obj st =
 
 type score = int * int * int
 
+(* A score as three mutable ints: the engine scores the state after every
+   applied move into these and compares them with the tuple's
+   lexicographic order, so scoring a prefix allocates nothing. *)
 type registers = { mutable pen : int; mutable obj : int; mutable pref : int }
-
-let set_score r pen obj pref =
-  r.pen <- pen;
-  r.obj <- obj;
-  r.pref <- pref
 
 let never_stop () = false
 
 let every_cell _ = true
 
+type bounds =
+  | Halves of { cap : int }
+  | Split of Fpga.Objective.window
+  | Pair of Fpga.Objective.window * Fpga.Objective.window
+
 type config = {
   objective : objective;
   replication : [ `None | `Functional of int ];
   max_passes : int;
-  area_ok : int -> int -> bool;
-  score : Partition_state.t -> registers -> unit;
+  bounds : bounds;
   should_stop : unit -> bool;
   oracle : bool;
   active : int -> bool;
 }
 
-module Config = struct
-  type t = config
+let make ~objective ~replication ~max_passes ?(should_stop = never_stop)
+    ?(active = every_cell) bounds =
+  if max_passes <= 0 then
+    invalid_arg
+      (Printf.sprintf "Fm: max_passes must be positive (got %d)" max_passes);
+  { objective; replication; max_passes; bounds; should_stop; oracle = false;
+    active }
 
-  let make ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
-      ?(should_stop = never_stop) ?(oracle = false) ?(active = every_cell)
-      ~area_ok ~score () =
-    if max_passes <= 0 then
-      invalid_arg
-        (Printf.sprintf "Fm.Config.make: max_passes must be positive (got %d)"
-           max_passes);
-    {
-      objective;
-      replication;
-      max_passes;
-      area_ok;
-      score;
-      should_stop;
-      oracle;
-      active;
-    }
-end
+let with_oracle cfg = { cfg with oracle = true }
+
+(* The hard area cap of one side: a window's cap keeps the side from
+   overshooting its device wildly (the rest of the feasibility hunt
+   happens through the penalty); the split's remainder has none. *)
+let window_cap (w : Fpga.Objective.window) = w.hi.(0) + (w.hi.(0) / 4) + 1
+
+let cap_a = function
+  | Halves { cap } -> cap
+  | Split a | Pair (a, _) -> window_cap a
+
+let cap_b = function
+  | Halves { cap } -> cap
+  | Split _ -> max_int
+  | Pair (_, b) -> window_cap b
+
+(* How far one side lies outside its window: CLB window and terminal
+   budget, plus the secondary axes the window constrains (none under the
+   paper's scalar feasibility, so the loop runs zero times). Secondary
+   overflow is a soft penalty like the terminal budget, never part of the
+   area caps, so the hot loop's legality check stays two integer
+   compares. *)
+let window_pen (w : Fpga.Objective.window) st side =
+  let clbs = Partition_state.area st side in
+  let pen =
+    ref
+      (max 0 (w.lo.(0) - clbs)
+      + max 0 (clbs - w.hi.(0))
+      + max 0 (Partition_state.terminals st side - w.max_iobs))
+  in
+  for a = 1 to w.axes - 1 do
+    pen := !pen + max 0 (Partition_state.resource st side a - w.hi.(a))
+  done;
+  !pen
+
+(* The one scoring function: penalty, objective and preference of the
+   state under the config's bounds, written into [r].
+   - Halves: the larger side's overflow of the cap; no preference.
+   - Split: side A's distance from its window, preferring a smaller
+     remainder at equal objective: it fills the split-off device (fewer,
+     better-used devices cost less — objective 1) without rewarding
+     gratuitous replication into side A.
+   - Pair: both sides' distances, preferring less total area (shedding
+     replicas at an equal objective). *)
+let score_into cfg st r =
+  let area_a = Partition_state.area st Partition_state.A
+  and area_b = Partition_state.area st Partition_state.B in
+  r.obj <- objective_value cfg.objective st;
+  match cfg.bounds with
+  | Halves { cap } ->
+      r.pen <- max 0 (max area_a area_b - cap);
+      r.pref <- 0
+  | Split a ->
+      r.pen <- window_pen a st Partition_state.A;
+      r.pref <- area_b
+  | Pair (a, b) ->
+      r.pen <-
+        window_pen a st Partition_state.A + window_pen b st Partition_state.B;
+      r.pref <- area_a + area_b
 
 let score_of cfg st =
   let r = { pen = 0; obj = 0; pref = 0 } in
-  cfg.score st r;
+  score_into cfg st r;
   (r.pen, r.obj, r.pref)
 
 (* FPGAPART_FM_ORACLE=1 turns on the oracle cross-check in every run of the
@@ -73,74 +121,19 @@ let balance_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
   let cap =
     int_of_float (ceil ((1.0 +. slack) *. float_of_int total_area /. 2.0))
   in
-  Config.make ~objective ~replication ~max_passes
-    ~area_ok:(fun a b -> a <= cap && b <= cap)
-    ~score:(fun st r ->
-      let a = Partition_state.area st Partition_state.A in
-      let b = Partition_state.area st Partition_state.B in
-      set_score r (max 0 (max a b - cap)) (objective_value objective st) 0)
-    ()
-
-(* How far one side lies outside its window: CLB window and terminal
-   budget, plus the secondary axes the window constrains (none under the
-   paper's scalar feasibility, so the loop runs zero times). Secondary
-   overflow is a soft penalty like the terminal budget, never part of
-   area_ok, so the hot loop's legality check stays two integer
-   compares. *)
-let window_pen (w : Fpga.Objective.window) st side =
-  let clbs = Partition_state.area st side in
-  let pen =
-    ref
-      (max 0 (w.lo.(0) - clbs)
-      + max 0 (clbs - w.hi.(0))
-      + max 0 (Partition_state.terminals st side - w.max_iobs))
-  in
-  for a = 1 to w.axes - 1 do
-    pen := !pen + max 0 (Partition_state.resource st side a - w.hi.(a))
-  done;
-  !pen
+  make ~objective ~replication ~max_passes (Halves { cap })
 
 let window_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
-    ?(should_stop = never_stop) ?(active = every_cell)
-    ~(a : Fpga.Objective.window) ?(b : Fpga.Objective.window option) () =
-  (* A hard cap keeps a side from overshooting its device wildly; the rest
-     of the feasibility hunt happens through the penalty. *)
-  let cap (w : Fpga.Objective.window) =
+    ?should_stop ?active ~(a : Fpga.Objective.window)
+    ?(b : Fpga.Objective.window option) () =
+  let check (w : Fpga.Objective.window) =
     if w.hi.(0) < w.lo.(0) then
-      invalid_arg "Fm.window_config: empty CLB window";
-    w.hi.(0) + (w.hi.(0) / 4) + 1
+      invalid_arg "Fm.window_config: empty CLB window"
   in
-  let cap_a = cap a in
-  let make =
-    Config.make ~objective ~replication ~max_passes ~should_stop ~active
-  in
-  match b with
-  | None ->
-      make
-        ~area_ok:(fun x _ -> x <= cap_a)
-        ~score:(fun st r ->
-          (* Prefer a smaller remainder at equal cut: it fills the
-             split-off device (fewer, better-used devices cost less —
-             objective 1) without rewarding gratuitous replication into
-             side A. *)
-          set_score r
-            (window_pen a st Partition_state.A)
-            (objective_value objective st)
-            (Partition_state.area st Partition_state.B))
-        ()
-  | Some b ->
-      let cap_b = cap b in
-      make
-        ~area_ok:(fun x y -> x <= cap_a && y <= cap_b)
-        ~score:(fun st r ->
-          set_score r
-            (window_pen a st Partition_state.A
-            + window_pen b st Partition_state.B)
-            (objective_value objective st)
-            (* prefer shedding replicas at equal objective *)
-            (Partition_state.area st Partition_state.A
-            + Partition_state.area st Partition_state.B))
-        ()
+  check a;
+  Option.iter check b;
+  make ~objective ~replication ~max_passes ?should_stop ?active
+    (match b with None -> Split a | Some b -> Pair (a, b))
 
 let random_state rng hg =
   let n = Hypergraph.num_cells hg in
@@ -327,11 +320,13 @@ let run_in ws ~obs cfg st =
       Bucket.update bucket cell !bg
     end
   in
+  (* The one legality test: after the cell's op, neither side exceeds
+     its hard area cap. *)
+  let cap_a = cap_a cfg.bounds and cap_b = cap_b cfg.bounds in
   let legal cell =
     op_mask.(cell) >= 0
-    && cfg.area_ok
-         (Partition_state.area st Partition_state.A + op_da.(cell))
-         (Partition_state.area st Partition_state.B + op_db.(cell))
+    && Partition_state.area st Partition_state.A + op_da.(cell) <= cap_a
+    && Partition_state.area st Partition_state.B + op_db.(cell) <= cap_b
   in
   (* Bucket-scan length: how many candidates find_best inspected before
      one passed the legality predicate. Observed into a histogram only
@@ -421,9 +416,9 @@ let run_in ws ~obs cfg st =
     let repl_attempted = ref 0 in
     let pass_rescored0 = !rescored in
     let t_wall0 = if observing then Obs.Clock.wall () else 0.0 in
-    (* The prefix scores live in int registers, not tuples: [cfg.score]
-       runs after every move. *)
-    cfg.score st regs;
+    (* The prefix scores live in int registers, not tuples: the state is
+       scored after every move. *)
+    score_into cfg st regs;
     let start_pen = regs.pen and start_obj = regs.obj
     and start_pref = regs.pref in
     let best_pen = ref start_pen and best_obj = ref start_obj
@@ -457,7 +452,7 @@ let run_in ws ~obs cfg st =
         incr epoch;
         Partition_state.iter_changed_nets st visit_net;
         if oracle then oracle_check cell;
-        cfg.score st regs;
+        score_into cfg st regs;
         if lex_lt regs.pen regs.obj regs.pref !best_pen !best_obj !best_pref
         then begin
           best_pen := regs.pen;

@@ -34,16 +34,6 @@ type score = int * int * int
     (the window config uses it to prefer fuller devices, which lowers
     total cost). *)
 
-type registers = { mutable pen : int; mutable obj : int; mutable pref : int }
-(** A {!score} as three mutable ints: a config's [score] writes the
-    penalty, objective and preference of the current state here. The
-    engine scores the state after every applied move and compares the
-    registers with the same lexicographic order as the tuple's, so
-    scoring a prefix allocates nothing. *)
-
-val set_score : registers -> int -> int -> int -> unit
-(** [set_score r pen obj pref] writes all three registers. *)
-
 (** The engine keeps every unlocked cell's best operation cached (gain
     buckets) and, after each applied move, refreshes only the cells on
     nets reported state-changed by {!Partition_state.apply} — the
@@ -54,15 +44,34 @@ val set_score : registers -> int -> int -> int -> unit
     {!Gain.iter_masks} + {!Partition_state.eval_into} into preallocated
     scratch, so the steady-state loop does not allocate per candidate. *)
 
+type bounds = private
+  | Halves of { cap : int }
+      (** The paper's bipartition experiment: neither side may exceed
+          [cap] CLBs; the penalty is the larger side's overflow of it and
+          there is no preference. *)
+  | Split of Fpga.Objective.window
+      (** The k-way split: side [A] must fit the window, side [B] is the
+          unconstrained remainder; the preference is a smaller side [B]
+          (a fuller split-off device). *)
+  | Pair of Fpga.Objective.window * Fpga.Objective.window
+      (** Pairwise refinement between two assigned devices: each side
+          must fit its window; the preference is less total area
+          (shedding replicas at an equal objective). *)
+(** The bounds a bipartition keeps, as data. One legality test and one
+    scoring function ({!score_of}) read them. Under a window the penalty
+    is the side's distance from it: CLBs outside
+    [[lo.(clb), hi.(clb)]], terminals over [max_iobs], and demand over
+    [hi] on each secondary axis the window constrains. Passes hill-climb
+    into feasibility; the legality test only stops a windowed side from
+    growing past [hi.(clb)] by more than a quarter. *)
+
 type config = private {
   objective : objective;
   replication : [ `None | `Functional of int ];
   max_passes : int;
-  area_ok : int -> int -> bool;
-      (** hard legality of intermediate states: [area_ok area_a area_b] *)
-  score : Partition_state.t -> registers -> unit;
-      (** prefix quality, written into the registers; the pass rolls back
-          to the best-scoring prefix *)
+  bounds : bounds;
+      (** hard legality of intermediate states and prefix quality: the
+          pass rolls back to the best-scoring prefix *)
   should_stop : unit -> bool;
       (** cooperative-cancellation hook, polled between passes (never
           mid-pass, so an abort still leaves the state at a best prefix
@@ -76,8 +85,9 @@ type config = private {
           {!Partition_state.iter_changed_nets}) and compare with the
           incrementally maintained op, failing loudly on any mismatch.
           Decisions are byte-identical to a non-oracle run; only the cost
-          changes (roughly the pre-filtering engine's). Also forced
-          process-wide by the environment variable [FPGAPART_FM_ORACLE=1]. *)
+          changes (roughly the pre-filtering engine's). Set by
+          {!with_oracle}; also forced process-wide by the environment
+          variable [FPGAPART_FM_ORACLE=1]. *)
   active : int -> bool;
       (** Move eligibility per cell. Cells for which it returns [false]
           are pre-locked at the start of every pass: never rescored, never
@@ -89,33 +99,14 @@ type config = private {
           the unrestricted engine (the oracle identity cases in
           [test/test_contracts.ml] enforce exactly this). *)
 }
-(** Private: every value comes from {!Config.make} or a scenario builder
+(** Private: every value comes from a scenario builder
     ({!balance_config}, {!window_config}), so it has passed their
-    checks. *)
+    checks. Both raise [Invalid_argument] on a non-positive
+    [max_passes]: a budget of zero passes silently degrades every caller
+    to "return the initial state", which is never what was meant. *)
 
-(** Labelled constructor for {!config}. *)
-module Config : sig
-  type t = config
-
-  val make :
-    ?objective:objective ->
-    ?replication:[ `None | `Functional of int ] ->
-    ?max_passes:int ->
-    ?should_stop:(unit -> bool) ->
-    ?oracle:bool ->
-    ?active:(int -> bool) ->
-    area_ok:(int -> int -> bool) ->
-    score:(Partition_state.t -> registers -> unit) ->
-    unit ->
-    t
-  (** Defaults: [`Cut], [`None], 12 passes, never stop, no oracle, every
-      cell active. [area_ok] and [score] have no meaningful
-      default — pick a scenario builder if you don't want to write them.
-
-      Raises [Invalid_argument] on a non-positive [max_passes]: a budget
-      of zero passes silently degrades every caller to "return the initial
-      state", which is never what was meant. *)
-end
+val with_oracle : config -> config
+(** The same config in oracle mode. *)
 
 val score_of : config -> Partition_state.t -> score
 (** The config's score of the state, as a tuple. *)
@@ -128,8 +119,9 @@ val balance_config :
   total_area:int ->
   unit ->
   config
-(** The paper's first experiment: minimise [objective] subject to
-    [max (area A) (area B) <= ceil ((1 + slack) * total_area / 2)]
+(** The paper's first experiment ({!Halves}): minimise [objective]
+    subject to [max (area A) (area B) <= ceil ((1 + slack) * total_area /
+    2)]
     (slack defaults to 0.10; replication can grow the total, so exact
     halves are not attainable in general). *)
 
@@ -143,19 +135,8 @@ val window_config :
   ?b:Fpga.Objective.window ->
   unit ->
   config
-(** F-M under device windows ({!Fpga.Objective.window}). The penalty is
-    each checked side's distance from its window: CLBs outside
-    [[lo.(clb), hi.(clb)]], terminals over [max_iobs], and demand over
-    [hi] on each secondary axis the window constrains. Passes hill-climb
-    into feasibility; [area_ok] only stops a side from growing past
-    [hi.(clb)] by more than a quarter.
-
-    - With [a] alone, the k-way split: side [A] must fit the device,
-      side [B] is the unconstrained remainder, and the preference is a
-      smaller side [B] (a fuller split-off device).
-    - With [b] too, pairwise refinement between two assigned devices:
-      both sides are checked, and the preference is less total area
-      (shedding replicas at an equal objective).
+(** F-M under device windows ({!Fpga.Objective.window}): with [a] alone
+    the k-way split ({!Split}), with [b] too the pair refiner ({!Pair}).
 
     [active] restricts the movable cells (see the {!config} field); the
     warm-start refinement passes the dirty predicate here. Raises

@@ -99,11 +99,12 @@ type options = private {
           points it at the SIGINT/SIGTERM flag. *)
   objective : Fpga.Objective.t;
       (** the cost model driving every pricing and feasibility decision:
-          device choice, split-efficiency ranking, F-M objectives, run
-          ranking. Defaults to {!Fpga.Objective.paper}, which is
-          bit-identical to the pre-objective scalar driver (its net cost
-          is the constant [0.0] and its feasibility mode keeps the scalar
-          device test). *)
+          its [net_price] joins each device's [price] in the
+          split-efficiency and run rankings, its F-M objectives drive
+          both searches, and its feasibility mode sets the device test.
+          Defaults to {!Fpga.Objective.paper}, which is bit-identical to
+          the pre-objective scalar driver (its net price is [0.0] and its
+          feasibility mode keeps the scalar device test). *)
   strategy : strategy;
       (** {!Flat} (default) or {!Multilevel}. *)
 }

@@ -146,10 +146,7 @@ let lift orig_of (c, m) =
    accepts the same demand and terminals. *)
 let right_size ~relax_low obj library ~demand ~iobs (dev : Fpga.Device.t) =
   match Fpga.Objective.cheapest ~relax_low obj library ~demand ~iobs with
-  | Some d
-    when obj.Fpga.Objective.device_cost d < obj.Fpga.Objective.device_cost dev
-    ->
-      d
+  | Some d when d.Fpga.Device.price < dev.Fpga.Device.price -> d
   | _ -> dev
 
 let devices_of parts = Array.of_list (List.map (fun p -> p.device) parts)
@@ -157,7 +154,7 @@ let devices_of parts = Array.of_list (List.map (fun p -> p.device) parts)
 let summarize_parts hg parts =
   let placements =
     List.map
-      (fun p -> Fpga.Cost.place p.device ~used:p.used ~clbs:p.clbs ~iobs:p.iobs ())
+      (fun p -> Fpga.Cost.place p.device ~used:p.used ~clbs:p.clbs ~iobs:p.iobs)
       parts
   in
   let summary = Fpga.Cost.summarize placements in

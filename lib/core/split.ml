@@ -173,12 +173,12 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                             ];
                         (* Local cost efficiency under the objective: what
                            this split spends (device plus interconnect) per
-                           CLB covered. The paper's net cost is 0.0, so the
+                           CLB covered. The paper's net price is 0.0, so the
                            sum is bitwise the legacy price-per-CLB. *)
                         let rate =
-                          (obj.Fpga.Objective.device_cost dev
-                          +. obj.Fpga.Objective.net_cost
-                               ~nets:(Partition_state.cut st))
+                          Fpga.Objective.total_cost obj
+                            ~device_cost:dev.Fpga.Device.price
+                            ~cut_nets:(Partition_state.cut st)
                           /. float_of_int (max 1 clbs)
                         in
                         Some
@@ -299,7 +299,7 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
       | Some ((_, summary) as v) ->
           incr feasible;
           (* Rank by the objective's total (devices plus interconnect; the
-             paper's net cost is 0.0, so this is bitwise the legacy device
+             paper's net price is 0.0, so this is bitwise the legacy device
              total), IOB utilization as the paper's tie-break. *)
           let key =
             ( Fpga.Objective.total_cost options.objective

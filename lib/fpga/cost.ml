@@ -5,8 +5,8 @@ type placement = {
   used : int array;
 }
 
-let place device ?(used = [||]) ~clbs ~iobs () =
-  if Array.length used > 0 && Resource.get used Resource.clb <> clbs then
+let place device ~used ~clbs ~iobs =
+  if Resource.get used Resource.clb <> clbs then
     invalid_arg "Cost.place: used.(clb) must equal clbs";
   { device; clbs; iobs; used }
 

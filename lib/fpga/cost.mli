@@ -14,14 +14,12 @@ type placement = {
   clbs : int;  (** CLBs of the partition implemented on this device *)
   iobs : int;  (** terminals (used IOBs) of that partition *)
   used : int array;
-      (** demand over the first [Resource.demand_arity] axes;
-          [used.(Resource.clb) = clbs]. [[||]] means "primary axis only"
-          (scalar-era placements). *)
+      (** demand over the first [Resource.demand_arity] axes (missing axes
+          read as 0); [used.(Resource.clb) = clbs]. *)
 }
 
-val place : Device.t -> ?used:int array -> clbs:int -> iobs:int -> unit -> placement
-(** The only way to build a placement ([used] defaults to [[||]]).
-    Raises [Invalid_argument] if [used] is non-empty and
+val place : Device.t -> used:int array -> clbs:int -> iobs:int -> placement
+(** The only way to build a placement. Raises [Invalid_argument] if
     [used.(Resource.clb) <> clbs]. *)
 
 type summary = {

@@ -4,8 +4,7 @@ type feasibility = Primary | Vector
 type t = {
   name : string;
   description : string;
-  device_cost : Device.t -> float;
-  net_cost : nets:int -> float;
+  net_price : float;
   split_objective : fm_objective;
   refine_objective : fm_objective;
   feasibility : feasibility;
@@ -16,8 +15,7 @@ let paper =
     name = "paper";
     description =
       "total device cost (eq. 1), avg IOB utilization tie-break (eq. 2)";
-    device_cost = (fun d -> d.Device.price);
-    net_cost = (fun ~nets:_ -> 0.0);
+    net_price = 0.0;
     split_objective = `Cut;
     refine_objective = `Terminals;
     feasibility = Primary;
@@ -29,8 +27,7 @@ let multi_personality =
     description =
       "Gregerson heterogeneous resources: per-axis demand (CLB/FF/BRAM/DSP) \
        must fit each device's utilization windows";
-    device_cost = (fun d -> d.Device.price);
-    net_cost = (fun ~nets:_ -> 0.0);
+    net_price = 0.0;
     split_objective = `Cut;
     refine_objective = `Terminals;
     feasibility = Vector;
@@ -44,8 +41,7 @@ let chiplet =
     description =
       "ChipletPart-style 2.5D: cut signals price in interposer cost, both \
        F-M stages minimise crossings";
-    device_cost = (fun d -> d.Device.price);
-    net_cost = (fun ~nets -> chiplet_net_cost *. float_of_int nets);
+    net_price = chiplet_net_cost;
     split_objective = `Terminals;
     refine_objective = `Terminals;
     feasibility = Primary;
@@ -99,4 +95,4 @@ let cheapest ?relax_low t library ~demand ~iobs =
   Library.cheapest library (fun d -> fits ?relax_low t d ~demand ~iobs)
 
 let total_cost t ~device_cost ~cut_nets =
-  device_cost +. t.net_cost ~nets:cut_nets
+  device_cost +. (t.net_price *. float_of_int cut_nets)

@@ -2,17 +2,18 @@
 
     The paper minimises total device cost (eq. 1) with average IOB
     utilization (eq. 2) as the interconnect tie-breaker; every other cost
-    model the partitioner supports differs only in how a device and a cut
-    net are priced and in which feasibility test a partition must pass.
-    An objective packages those choices as a record of closures so the
+    model the partitioner supports differs only in what a cut net costs
+    and in which feasibility test a partition must pass. An objective is
+    plain data: a device costs its [price], a cut net costs [net_price],
+    and two F-M objectives and a feasibility mode complete it, so the
     k-way driver stays objective-agnostic.
 
     The paper objective is the identity element of the design: its
-    [net_cost] is the constant [0.0] and its feasibility mode is
-    {!Primary}, so every total it contributes to is the same float the
-    scalar code path computed ([x +. 0.0 = x] for the finite positive
-    prices involved) — bit-identical results, enforced by the golden
-    telemetry cases of [test/test_contracts.ml].
+    [net_price] is [0.0] and its feasibility mode is {!Primary}, so every
+    total it contributes to is the same float the scalar code path
+    computed ([x +. 0.0 *. n = x] for the finite positive prices and
+    non-negative net counts involved) — bit-identical results, enforced
+    by the golden telemetry cases of [test/test_contracts.ml].
 
     Every bound the partitioner puts on a part comes from one record, the
     device's {!window} under the objective: the CLB utilization window
@@ -39,12 +40,11 @@ type feasibility =
 type t = {
   name : string;
   description : string;
-  device_cost : Device.t -> float;
-      (** Price of using one instance of a device. *)
-  net_cost : nets:int -> float;
-      (** Interconnect cost of [nets] cut (partition-external) signals;
-          added to device totals when ranking candidate devices and
-          k-way solutions. *)
+  net_price : float;
+      (** Interconnect cost of one cut (partition-external) signal; [n]
+          cut signals add [net_price *. float n] to device totals when
+          ranking candidate devices and k-way solutions. A device always
+          costs its [Device.price]. *)
   split_objective : fm_objective;
       (** F-M objective while carving one partition out of the rest. *)
   refine_objective : fm_objective;
@@ -53,7 +53,7 @@ type t = {
 }
 
 val paper : t
-(** ["paper"]: eq. (1) device cost, zero net cost, cut-driven split,
+(** ["paper"]: eq. (1) device cost, zero net price, cut-driven split,
     terminal-driven refinement, primary feasibility. The default, and
     bit-identical to the pre-objective scalar code path. *)
 
@@ -64,8 +64,8 @@ val multi_personality : t
 
 val chiplet : t
 (** ["chiplet"]: ChipletPart-style 2.5D model — every cut signal crosses
-    the interposer and carries {!chiplet_net_cost}, so both F-M stages
-    minimise terminals and solution ranking pays for interconnect. *)
+    the interposer, priced at {!chiplet_net_cost} as its [net_price], so
+    both F-M stages minimise terminals and solution ranking pays for interconnect. *)
 
 val chiplet_net_cost : float
 (** Interposer cost per crossing signal, in the same reconstructed
@@ -130,5 +130,5 @@ val cheapest :
     ({!Library.cheapest}: ties by capacity, then name). *)
 
 val total_cost : t -> device_cost:float -> cut_nets:int -> float
-(** [device_cost +. net_cost ~nets:cut_nets] — the scalar a k-way
+(** [device_cost +. t.net_price *. float cut_nets] — the scalar a k-way
     solution is ranked by. *)

@@ -260,6 +260,76 @@ let default_clustered =
 
 let comb_kinds = [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor |]
 
+(* The block recipe [clustered] and [scale] share. A block imports into a
+   pool seeded with its own flip-flops (the caller pushes its foreign
+   imports), builds a local DAG over the pool, wires its D pins and
+   folds every unread import into the first one; at the end the stray
+   primary inputs become one parity output. [used] records every signal
+   something reads. *)
+
+let own_pool dffs =
+  let pool = Vec.create () in
+  Array.iter (fun q -> ignore (Vec.push pool q)) dffs;
+  pool
+
+(* Local random DAG of [n] gates over [pool], with a quadratic bias
+   toward the most recently created signals (locality): the bias
+   concentrates fanout on a few recent signals, giving the long-tailed
+   fanout distribution of real logic. *)
+let local_dag rng b ~used pool n =
+  let gates = Vec.create () in
+  let pick_operand () =
+    let n_pool = Vec.length pool and n_gates = Vec.length gates in
+    let total = n_pool + n_gates in
+    let r1 = Rng.int rng total in
+    let r2 = Rng.int rng total in
+    let idx = max r1 r2 in
+    let s =
+      if idx < n_pool then Vec.get pool idx else Vec.get gates (idx - n_pool)
+    in
+    Hashtbl.replace used s ();
+    s
+  in
+  for _ = 1 to n do
+    let kind = Rng.pick rng comb_kinds in
+    let arity = Rng.int_in rng 2 4 in
+    let fanins = List.init arity (fun _ -> pick_operand ()) in
+    ignore (Vec.push gates (B.gate b kind fanins))
+  done;
+  gates
+
+(* Wire the block's D pins: pin [k] gets [drive local] for a fresh
+   [local ()] signal, except that the first pin XORs its local signal
+   with every still-unread pool import, so every import is genuinely
+   read. *)
+let wire_dffs b ~used pool dffs ~local ~drive =
+  let unused =
+    Vec.fold_left
+      (fun acc s -> if Hashtbl.mem used s then acc else s :: acc)
+      [] pool
+  in
+  List.iter (fun s -> Hashtbl.replace used s ()) unused;
+  Array.iteri
+    (fun k q ->
+      let local = local () in
+      let d =
+        if k = 0 && unused <> [] then tree b Gate.Xor (local :: unused)
+        else drive local
+      in
+      B.connect_dff b q d)
+    dffs
+
+(* Every primary input must be read: fold strays into one extra parity
+   output. *)
+let read_strays b ~used pis =
+  let stray =
+    List.filter (fun pi -> not (Hashtbl.mem used pi)) (Array.to_list pis)
+  in
+  match stray with
+  | [] -> ()
+  | [ s ] -> B.mark_output b (B.gate b Gate.Buf [ s ])
+  | _ -> B.mark_output b (tree b Gate.Xor stray)
+
 let clustered ?(name = "clustered") p =
   if p.clusters < 1 || p.num_pi < 2 || p.num_po < 1 then
     invalid_arg "Generator.clustered: bad parameters";
@@ -280,8 +350,7 @@ let clustered ?(name = "clustered") p =
   for c = 0 to p.clusters - 1 do
     (* Import pool: own flip-flops, a slice of the primary inputs, and a few
        foreign signals (earlier clusters' exports or other clusters' Qs). *)
-    let pool = Vec.create () in
-    Array.iter (fun q -> ignore (Vec.push pool q)) dffs.(c);
+    let pool = own_pool dffs.(c) in
     let pi_share = max 2 (p.num_pi / p.clusters) in
     for _ = 1 to pi_share do
       ignore (Vec.push pool (Rng.pick rng pis))
@@ -303,45 +372,13 @@ let clustered ?(name = "clustered") p =
       in
       ignore (Vec.push pool s)
     done;
-    (* Local random DAG with a bias toward recent signals (locality). *)
-    let gates = Vec.create () in
-    let pick_operand () =
-      let n_pool = Vec.length pool and n_gates = Vec.length gates in
-      let total = n_pool + n_gates in
-      (* Quadratic bias toward the most recently created signals. *)
-      let r = Rng.int rng total in
-      let r2 = Rng.int rng total in
-      let idx = max r r2 in
-      let s = if idx < n_pool then Vec.get pool idx else Vec.get gates (idx - n_pool) in
-      Hashtbl.replace used s ();
-      s
-    in
-    for _ = 1 to p.gates_per_cluster do
-      let kind = Rng.pick rng comb_kinds in
-      let arity = Rng.int_in rng 2 4 in
-      let fanins = List.init arity (fun _ -> pick_operand ()) in
-      let g = B.gate b kind fanins in
-      ignore (Vec.push gates g)
-    done;
-    (* Wire flip-flop D pins to local signals; fold any still-unused pool
-       imports into the first D so that every import is genuinely read. *)
-    let unused =
-      Vec.fold_left
-        (fun acc s -> if Hashtbl.mem used s then acc else s :: acc)
-        [] pool
-    in
-    List.iter (fun s -> Hashtbl.replace used s ()) unused;
-    Array.iteri
-      (fun k q ->
-        let local =
-          if Vec.length gates > 0 then Vec.get gates (Rng.int rng (Vec.length gates))
-          else Rng.pick rng pis
-        in
-        let d =
-          if k = 0 && unused <> [] then tree b Gate.Xor (local :: unused) else local
-        in
-        B.connect_dff b q d)
-      dffs.(c);
+    let gates = local_dag rng b ~used pool p.gates_per_cluster in
+    (* Each D pin reads a local signal. *)
+    wire_dffs b ~used pool dffs.(c)
+      ~local:(fun () ->
+        if Vec.length gates > 0 then Vec.get gates (Rng.int rng (Vec.length gates))
+        else Rng.pick rng pis)
+      ~drive:Fun.id;
     let signals = Vec.to_array gates in
     cluster_signals.(c) <- signals;
     (* Export a handful of signals for later clusters. *)
@@ -354,19 +391,12 @@ let clustered ?(name = "clustered") p =
   (* Primary outputs: spread across clusters. *)
   let all_gates = Array.concat (Array.to_list cluster_signals) in
   if Array.length all_gates = 0 then invalid_arg "Generator.clustered: no gates";
-  for k = 0 to p.num_po - 1 do
+  for _ = 1 to p.num_po do
     let g = all_gates.(Rng.int rng (Array.length all_gates)) in
-    ignore k;
     B.mark_output b g;
     Hashtbl.replace used g ()
   done;
-  (* Guarantee every primary input is read: fold strays into one extra
-     parity output. *)
-  let stray = Array.to_list (Array.of_seq (Seq.filter (fun pi -> not (Hashtbl.mem used pi)) (Array.to_seq pis))) in
-  (match stray with
-  | [] -> ()
-  | [ s ] -> B.mark_output b (B.gate b Gate.Buf [ s ])
-  | _ -> B.mark_output b (tree b Gate.Xor stray));
+  read_strays b ~used pis;
   B.finish b
 
 type scale_params = {
@@ -450,8 +480,7 @@ let scale ?(name = "scale") p =
   let po_pool = Vec.create () in
   for bi = 0 to num_blocks - 1 do
     let r = region_of bi in
-    let pool = Vec.create () in
-    Array.iter (fun q -> ignore (Vec.push pool q)) dffs.(bi);
+    let pool = own_pool dffs.(bi) in
     (* A couple of primary inputs reach every block directly; the rest of
        the import budget is regional with a global minority. *)
     for _ = 1 to 2 do
@@ -472,55 +501,20 @@ let scale ?(name = "scale") p =
       in
       ignore (Vec.push pool s)
     done;
-    (* Local random DAG, quadratic recency bias as in [clustered]: the
-       bias concentrates fanout on a few recent signals, giving the
-       long-tailed fanout distribution of real logic. *)
-    let gates = Vec.create () in
-    let pick_operand () =
-      let n_pool = Vec.length pool and n_gates = Vec.length gates in
-      let total = n_pool + n_gates in
-      let r1 = Rng.int rng total in
-      let r2 = Rng.int rng total in
-      let idx = max r1 r2 in
-      let s =
-        if idx < n_pool then Vec.get pool idx else Vec.get gates (idx - n_pool)
-      in
-      Hashtbl.replace used s ();
-      s
-    in
-    for _ = 1 to p.sc_block_gates do
-      let kind = Rng.pick rng comb_kinds in
-      let arity = Rng.int_in rng 2 4 in
-      let fanins = List.init arity (fun _ -> pick_operand ()) in
-      ignore (Vec.push gates (B.gate b kind fanins))
-    done;
-    (* Wire the block's D pins locally; fold unread imports into the first
-       D so every import is genuinely consumed. *)
-    let unused =
-      Vec.fold_left
-        (fun acc s -> if Hashtbl.mem used s then acc else s :: acc)
-        [] pool
-    in
-    List.iter (fun s -> Hashtbl.replace used s ()) unused;
-    Array.iteri
-      (fun k q ->
-        let local = Vec.get gates (Rng.int rng (Vec.length gates)) in
-        let d =
-          if k = 0 && unused <> [] then tree b Gate.Xor (local :: unused)
-          else
-            (* A dedicated fanout-1 driver per D pin, never exported and
-               never a PO, so technology mapping fuses every flip-flop
-               with its input cone into one cell. Reusing a shared local
-               gate here leaves the flip-flop as a 1-input identity cell,
-               and the packer then pairs those leftovers with whatever
-               unrelated cell is available — tens of thousands of random
-               cross-region links that erase the Rent profile this
-               generator exists to produce. *)
-            B.gate b (Rng.pick rng comb_kinds)
-              [ local; Vec.get gates (Rng.int rng (Vec.length gates)) ]
-        in
-        B.connect_dff b q d)
-      dffs.(bi);
+    let gates = local_dag rng b ~used pool p.sc_block_gates in
+    wire_dffs b ~used pool dffs.(bi)
+      ~local:(fun () -> Vec.get gates (Rng.int rng (Vec.length gates)))
+      ~drive:(fun local ->
+        (* A dedicated fanout-1 driver per D pin, never exported and
+           never a PO, so technology mapping fuses every flip-flop with
+           its input cone into one cell. Reusing a shared local gate
+           here leaves the flip-flop as a 1-input identity cell, and the
+           packer then pairs those leftovers with whatever unrelated
+           cell is available — tens of thousands of random cross-region
+           links that erase the Rent profile this generator exists to
+           produce. *)
+        B.gate b (Rng.pick rng comb_kinds)
+          [ local; Vec.get gates (Rng.int rng (Vec.length gates)) ]);
     (* Exports: a slice of the block's signals feeds the region, a trickle
        feeds the global pool. *)
     let n = Vec.length gates in
@@ -535,16 +529,7 @@ let scale ?(name = "scale") p =
     B.mark_output b g;
     Hashtbl.replace used g ()
   done;
-  (* Every primary input must be read: fold strays into a parity output. *)
-  let stray =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter (fun pi -> not (Hashtbl.mem used pi)) (Array.to_seq pis)))
-  in
-  (match stray with
-  | [] -> ()
-  | [ s ] -> B.mark_output b (B.gate b Gate.Buf [ s ])
-  | _ -> B.mark_output b (tree b Gate.Xor stray));
+  read_strays b ~used pis;
   B.finish b
 
 let random ~rng ?(name = "random") ~num_inputs ~num_gates ~num_dff ~num_outputs () =

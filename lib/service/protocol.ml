@@ -22,8 +22,10 @@ let parse_netlist format text =
 (* The submission envelope shared by [submit] and [submit-batch]: who is
    asking (the fair-queue tenant), how urgently (priority within the
    tenant's queue), and whether the fleet scheduler may race the job
-   across idle workers (portfolio mode). A single-process daemon accepts
-   and ignores all three — FIFO semantics are its contract. *)
+   across idle workers (portfolio mode). Both the single-process daemon
+   and the fleet queue jobs in the front end's per-tenant fair queue, so
+   both honour the tenant and the priority; only [portfolio] is fleet-only,
+   and a single-process daemon accepts and ignores it. *)
 type envelope = { tenant : string; priority : int; portfolio : bool }
 
 let default_envelope = { tenant = "default"; priority = 0; portfolio = false }

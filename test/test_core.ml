@@ -589,14 +589,6 @@ let qcheck_incremental_gains_exact =
       done;
       !ok)
 
-(* [cfg] in oracle mode, rebuilt through [Fm.Config.make] ([Fm.config] is
-   private). *)
-let with_oracle (cfg : Fm.config) =
-  Fm.Config.make ~objective:cfg.Fm.objective ~replication:cfg.Fm.replication
-    ~max_passes:cfg.Fm.max_passes ~should_stop:cfg.Fm.should_stop
-    ~active:cfg.Fm.active ~oracle:true ~area_ok:cfg.Fm.area_ok
-    ~score:cfg.Fm.score ()
-
 let test_fm_oracle_mode_identical () =
   (* Oracle mode recomputes every affected cell's best op from scratch
      after every applied move and compares with the incremental cache
@@ -610,7 +602,7 @@ let test_fm_oracle_mode_identical () =
   let st = Fm.random_state (Netlist.Rng.create 7) h in
   let sto = Fm.random_state (Netlist.Rng.create 7) h in
   let score = Fm.run cfg st in
-  let score_o = Fm.run (with_oracle cfg) sto in
+  let score_o = Fm.run (Fm.with_oracle cfg) sto in
   checkb "oracle run returns the same score" true (score = score_o);
   for c = 0 to Hypergraph.num_cells h - 1 do
     if not (Bitvec.equal (Partition_state.mask st c) (Partition_state.mask sto c))
@@ -797,7 +789,7 @@ let qcheck_fm_staged_workspace_fresh =
                     (Fm.balance_config ~replication:(`Functional 0)
                        ~total_area:(Hypergraph.total_area big) ())
                     (Fm.random_state (Netlist.Rng.create seed) big)));
-            Fm.run_staged (with_oracle cfg) st)
+            Fm.run_staged (Fm.with_oracle cfg) st)
       in
       on_fresh_domain (fun () ->
           ignore
@@ -869,13 +861,13 @@ let qcheck_fm_oracle_never_trips =
     QCheck.(triple small_int (int_range 8 26) bool)
     (fun (seed, n_cells, functional) ->
       let h = Test_util.random_hypergraph seed n_cells in
+      (* Slack 1.0 caps each side at the total area, which no side can
+         exceed: every state is legal and the score is the cut alone. *)
       let cfg =
-        Fm.Config.make ~oracle:true
-          ~replication:(if functional then `Functional 0 else `None)
-          ~area_ok:(fun _ _ -> true)
-          ~score:(fun st r ->
-            Fm.set_score r 0 (Fm.objective_value `Cut st) 0)
-          ()
+        Fm.with_oracle
+          (Fm.balance_config ~slack:1.0
+             ~replication:(if functional then `Functional 0 else `None)
+             ~total_area:(Hypergraph.total_area h) ())
       in
       let st = Fm.random_state (Netlist.Rng.create (seed + 13)) h in
       let cut0 = Partition_state.cut st in
@@ -946,6 +938,136 @@ let test_two_device_config () =
   checkb "terminals not worse" true (terms <= t0);
   checkb "state consistent" true
     (Result.is_ok (Partition_state.check_consistency st))
+
+(* F-M's scoring as it was when a config carried [area_ok] and [score]
+   closures, kept as the reference [Fm.score_of] must agree with: the
+   window penalty and the balance, split and pair score closures. *)
+module Reference_fm_score = struct
+  let window_pen (w : Fpga.Objective.window) st side =
+    let clbs = Partition_state.area st side in
+    let pen =
+      ref
+        (max 0 (w.lo.(0) - clbs)
+        + max 0 (clbs - w.hi.(0))
+        + max 0 (Partition_state.terminals st side - w.max_iobs))
+    in
+    for a = 1 to w.axes - 1 do
+      pen := !pen + max 0 (Partition_state.resource st side a - w.hi.(a))
+    done;
+    !pen
+
+  let balance ~objective ~slack ~total_area st =
+    let cap =
+      int_of_float (ceil ((1.0 +. slack) *. float_of_int total_area /. 2.0))
+    in
+    let a = Partition_state.area st Partition_state.A in
+    let b = Partition_state.area st Partition_state.B in
+    (max 0 (max a b - cap), Fm.objective_value objective st, 0)
+
+  let split ~objective a st =
+    ( window_pen a st Partition_state.A,
+      Fm.objective_value objective st,
+      Partition_state.area st Partition_state.B )
+
+  let pair ~objective a b st =
+    ( window_pen a st Partition_state.A + window_pen b st Partition_state.B,
+      Fm.objective_value objective st,
+      Partition_state.area st Partition_state.A
+      + Partition_state.area st Partition_state.B )
+end
+
+(* [h] with random per-axis demand on every cell (1-3 CLBs, up to 4 FFs,
+   2 BRAMs and 1 DSP), so the secondary axes of a vector window bind. *)
+let with_random_demand rng (h : Hypergraph.t) =
+  let r k = Netlist.Rng.int rng k in
+  let specs =
+    Array.to_list
+      (Array.map
+         (fun (c : Hypergraph.cell) ->
+           let clbs = 1 + r 3 in
+           let ff = r 5 in
+           let bram = r 3 in
+           let dsp = r 2 in
+           {
+             Hypergraph.s_name = c.Hypergraph.name;
+             s_area = clbs;
+             s_demand = [| clbs; ff; bram; dsp |];
+             s_inputs = c.Hypergraph.inputs;
+             s_outputs = c.Hypergraph.outputs;
+             s_supports = c.Hypergraph.supports;
+           })
+         h.Hypergraph.cells)
+  in
+  let external_nets =
+    List.filter
+      (fun n -> h.Hypergraph.net_external.(n))
+      (List.init h.Hypergraph.num_nets Fun.id)
+  in
+  Hypergraph.create ~num_nets:h.Hypergraph.num_nets ~external_nets specs
+
+(* A random device window on every axis, scaled to [total] CLBs, under
+   [obj]: [paper] constrains the CLB axis alone, [multi-personality] all
+   four. Sometimes relaxed, sometimes narrowed below the CLB cap. *)
+let random_window rng obj ~total =
+  let r k = Netlist.Rng.int rng k in
+  let frac () = float_of_int (r 101) /. 100.0 in
+  let low = Array.init Fpga.Resource.arity (fun _ -> frac () *. 0.6) in
+  let high = Array.map (fun l -> Float.min 1.0 (l +. ((1.0 -. l) *. frac ()))) low in
+  let dev =
+    Fpga.Device.make_vector ~name:"w"
+      ~resources:
+        (Fpga.Resource.make ~ffs:(r (2 * total)) ~brams:(r total)
+           ~dsps:(r (total / 2 + 1)) ~clbs:(1 + r (total + 1))
+           ~iobs:(1 + r 40) ())
+      ~price:1.0 ~res_low:low ~res_high:high ()
+  in
+  let w = Fpga.Objective.window ~relax_low:(Netlist.Rng.bool rng) obj dev in
+  if Netlist.Rng.int rng 4 = 0 then Fpga.Objective.narrow ~hi:(r (total + 1)) w
+  else w
+
+let qcheck_fm_score_matches_reference =
+  QCheck.Test.make ~name:"Fm.score_of = closure-scoring reference" ~count:60
+    QCheck.(pair small_int (int_range 6 30))
+    (fun (seed, n_cells) ->
+      let rng = Netlist.Rng.create (seed + 101) in
+      let h = with_random_demand rng (Test_util.random_hypergraph seed n_cells) in
+      let total = Hypergraph.total_area h in
+      let st =
+        Partition_state.create_with_masks h ~masks:(fun c ->
+            Test_util.random_mask rng
+              (Bitvec.full
+                 (Array.length (Hypergraph.cell h c).Hypergraph.outputs)))
+      in
+      let obj =
+        if Netlist.Rng.bool rng then Fpga.Objective.paper
+        else Fpga.Objective.multi_personality
+      in
+      let a = random_window rng obj ~total in
+      let b = random_window rng obj ~total in
+      let slack = float_of_int (Netlist.Rng.int rng 120) /. 100.0 in
+      let empty (w : Fpga.Objective.window) = w.hi.(0) < w.lo.(0) in
+      let agrees cfg reference = Fm.score_of cfg st = reference st in
+      let window_case ?b reference =
+        match Fm.window_config ~objective:`Cut ~a ?b () with
+        | exception Invalid_argument _ ->
+            empty a || Option.fold ~none:false ~some:empty b
+        | _ when empty a || Option.fold ~none:false ~some:empty b -> false
+        | _ ->
+            List.for_all
+              (fun objective ->
+                agrees
+                  (Fm.window_config ~objective ~a ?b ())
+                  (reference ~objective))
+              [ `Cut; `Terminals ]
+      in
+      List.for_all
+        (fun objective ->
+          agrees
+            (Fm.balance_config ~objective ~slack ~total_area:total ())
+            (Reference_fm_score.balance ~objective ~slack ~total_area:total))
+        [ `Cut; `Terminals ]
+      && window_case (fun ~objective -> Reference_fm_score.split ~objective a)
+      && window_case ~b (fun ~objective -> Reference_fm_score.pair ~objective a b))
 
 (* ------------------------------------------------------------------ *)
 (* Multilevel coarsening                                              *)
@@ -2495,15 +2617,16 @@ let test_kway_options_base () =
         ())
 
 let test_fm_config_validation () =
-  expect_invalid "fm max_passes 0" (fun () ->
-      Fm.Config.make ~max_passes:0
-        ~area_ok:(fun _ _ -> true)
-        ~score:(fun _ r -> Fm.set_score r 0 0 0)
+  expect_invalid "fm balance max_passes 0" (fun () ->
+      Fm.balance_config ~max_passes:0 ~total_area:10 ());
+  expect_invalid "fm window max_passes negative" (fun () ->
+      Fm.window_config ~max_passes:(-2)
+        ~a:(device_window ~lo:2 ~hi:10 ~terminals:8 ())
         ());
-  expect_invalid "fm max_passes negative" (fun () ->
-      Fm.Config.make ~max_passes:(-2)
-        ~area_ok:(fun _ _ -> true)
-        ~score:(fun _ r -> Fm.set_score r 0 0 0)
+  expect_invalid "fm empty window" (fun () ->
+      Fm.window_config
+        ~a:(device_window ~lo:2 ~hi:10 ~terminals:8 ())
+        ~b:(Fpga.Objective.narrow ~hi:1 (device_window ~lo:2 ~hi:10 ~terminals:8 ()))
         ())
 
 let test_kway_cancellation () =
@@ -2632,6 +2755,7 @@ let () =
             test_fm_traditional_model_weaker;
           Alcotest.test_case "two-device refinement config" `Quick
             test_two_device_config;
+          qc qcheck_fm_score_matches_reference;
           Alcotest.test_case "candidate evaluation allocates nothing" `Quick
             test_fm_candidates_allocation_free;
           Alcotest.test_case "words per applied move" `Quick

@@ -1137,6 +1137,28 @@ let test_clustered_deterministic () =
   let c = Bench_format.to_string (Generator.clustered { p with seed = 2 }) in
   checkb "different seed differs" true (not (String.equal a c))
 
+(* The statistical generators' output, pinned by the MD5 of its .bench
+   text: any change to the order or the arguments of their RNG draws
+   moves these. *)
+let test_generators_pinned () =
+  let md5 c = Digest.to_hex (Digest.string (Bench_format.to_string c)) in
+  let pin label expected c = check Alcotest.string label expected (md5 c) in
+  pin "clustered default" "616d61a3a6c7cd60e2720f69c5e16a7c"
+    (Generator.clustered Generator.default_clustered);
+  pin "clustered, more flip-flops than gates"
+    "3f02e52e0439d0c593b9b9121607332c"
+    (Generator.clustered
+       {
+         Generator.default_clustered with
+         clusters = 3;
+         gates_per_cluster = 4;
+         dffs_per_cluster = 6;
+         seed = 5;
+       });
+  pin "scale 3k seed 7" "ad538dc45f7c9451947bf1898574658f"
+    (Generator.scale
+       { Generator.default_scale with sc_gates = 3_000; sc_seed = 7 })
+
 let qcheck_random_circuit_valid =
   QCheck.Test.make ~name:"random circuits are well-formed" ~count:50
     QCheck.(small_int)
@@ -1984,6 +2006,8 @@ let () =
             test_clustered_wellformed;
           Alcotest.test_case "clustered deterministic" `Quick
             test_clustered_deterministic;
+          Alcotest.test_case "generators pinned" `Quick
+            test_generators_pinned;
           qc qcheck_random_circuit_valid;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );

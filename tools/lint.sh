@@ -63,6 +63,22 @@ for f in $(git ls-files 'lib/hypergraph/*.ml' 'lib/core/*.ml'); do
   fi
 done
 
+# Cost and bounds are data: an objective prices a device at its price and
+# a cut net at its net_price, and an F-M config names its bounds (built by
+# Fm.balance_config or Fm.window_config). No program code builds a config
+# from closures or reads a cost closure off an objective. test/ is exempt:
+# it keeps the closure scoring as a reference.
+for f in $(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml' \
+  'tools/*.ml'); do
+  if grep -qE 'Fm\.Config\b|~area_ok\b|~score:|\.(device_cost|net_cost)\b' \
+    "$f"; then
+    echo "lint: cost or F-M bounds as a closure in $f" \
+      "(read net_price and Device.price; use Fm.balance_config or" \
+      "Fm.window_config)" >&2
+    status=1
+  fi
+done
+
 # One result per input: in lib/techmap, lib/hypergraph (the warm start's
 # projection and the walk's boundary), the three parsers, the elaborator
 # they share and every module of lib/core (coarsening, F-M, each k-way
