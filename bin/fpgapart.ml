@@ -193,19 +193,9 @@ let bipartition_cmd =
     let total = Hypergraph.total_area h in
     let replication = Cli_common.replication_of_threshold threshold in
     let cfg = Core.Fm.balance_config ~replication ~total_area:total () in
-    let best = ref None in
-    for r = 0 to runs - 1 do
-      let st =
-        Core.Fm.random_state (Netlist.Rng.create (seed + (r * 65537))) h
-      in
-      let _, cut, _ = Core.Fm.run_staged cfg st in
-      match !best with
-      | Some (c, _) when c <= cut -> ()
-      | _ -> best := Some (cut, st)
-    done;
-    match !best with
-    | None -> prerr_endline "no bipartition found"
-    | Some (cut, st) ->
+    match Core.Fm.multi_start ~runs ~seed cfg h with
+    | None, _ -> prerr_endline "no bipartition found"
+    | Some (cut, st), _ ->
         Format.printf "cut: %d nets (best of %d runs)@." cut runs;
         Format.printf "side A: %d CLBs, side B: %d CLBs, %d replicated cells@."
           (Partition_state.area st Partition_state.A)
@@ -496,8 +486,10 @@ let serve_cmd =
             "Run a fleet: a scheduler on the public socket fanning jobs out \
              to $(docv) worker processes (each a full daemon on a private \
              socket). 0 (the default) keeps the single-process daemon. \
-             Both queue jobs in the same per-tenant fair queue; \
-             portfolio racing and $(b,--tenant-weight) need a fleet.")
+             Both take every other setting, queue jobs in the same \
+             weighted per-tenant fair queue and write the same \
+             $(b,--trace); portfolio racing and $(b,--cache-dir) need a \
+             fleet.")
   in
   let cache_dir_arg =
     Arg.(
@@ -515,9 +507,10 @@ let serve_cmd =
       & opt_all (pair ~sep:'=' string int) []
       & info [ "tenant-weight" ] ~docv:"TENANT=W"
           ~doc:
-            "Fleet only: weighted fair-share for a tenant (repeatable). A \
-             tenant's turn serves up to W jobs before rotating; unlisted \
-             tenants weigh 1.")
+            "Weighted fair-share for a tenant (repeatable). A tenant's \
+             turn serves up to W jobs before rotating; unlisted tenants \
+             weigh 1. TENANT is 1-64 characters, weighted once, and W is \
+             at least 1.")
   in
   let log_level_arg = Cli_common.log_level () in
   let log_file_arg = Cli_common.log_file () in
@@ -530,9 +523,10 @@ let serve_cmd =
           ~doc:
             "Write a per-job lifecycle trace to $(docv) at shutdown as \
              Chrome trace-event JSON (Perfetto-loadable): one track per \
-             job id with its decode, canonicalise, queue_wait, partition \
-             and encode_reply spans. Single-process daemon only; refused \
-             with $(b,--workers).")
+             job id with its decode, canonicalise, queue_wait and \
+             partition spans, and the single-process daemon's \
+             encode_reply span (a fleet's workers encode the reply \
+             untraced).")
   in
   let run socket queue_cap cache_cap timeout jobs workers cache_dir
       tenant_weights log_level log_file log_scrub trace_path =
@@ -542,20 +536,14 @@ let serve_cmd =
     if workers < 0 then (
       prerr_endline "fpgapart: --workers must be >= 0";
       exit 1);
-    if workers = 0 && (cache_dir <> None || tenant_weights <> []) then (
-      prerr_endline
-        "fpgapart: --cache-dir and --tenant-weight need a fleet (--workers N)";
+    if workers = 0 && cache_dir <> None then (
+      prerr_endline "fpgapart: --cache-dir needs a fleet (--workers N)";
       exit 1);
-    if workers > 0 && trace_path <> None then (
-      prerr_endline
-        "fpgapart: --trace needs the single-process daemon (no --workers)";
-      exit 1);
-    List.iter
-      (fun (tenant, w) ->
-        if w <= 0 || String.length tenant = 0 then (
-          prerr_endline "fpgapart: --tenant-weight wants TENANT=W with W >= 1";
-          exit 1))
-      tenant_weights;
+    Result.iter_error
+      (fun msg ->
+        prerr_endline ("fpgapart: --tenant-weight: " ^ msg);
+        exit 1)
+      (Service.Fair_queue.check_weights tenant_weights);
     let stop = Service.Signals.install_stop_flag () in
     (* The log channel outlives Server.run (the final server.stopped line
        lands after the drain), so it is closed on the way out, not
@@ -572,41 +560,27 @@ let serve_cmd =
       Obs.Log.to_channel ~level:log_level ~scrub:log_scrub
         (Option.value log_oc ~default:stderr)
     in
+    let service =
+      {
+        Service.Front.socket_path = socket;
+        queue_cap;
+        cache_cap;
+        tenant_weights;
+        timeout;
+        jobs;
+        log;
+        trace_path;
+      }
+    in
     let outcome =
-      if workers = 0 then begin
-        let cfg =
-          {
-            Service.Server.socket_path = socket;
-            queue_cap;
-            cache_cap;
-            timeout;
-            jobs;
-            log;
-            trace_path;
-          }
-        in
+      if workers = 0 then
         let on_ready () =
           Format.printf
             "fpgapart: listening on %s (queue %d, cache %d, jobs %d)@." socket
             queue_cap cache_cap jobs
         in
-        Service.Server.run ~on_ready ~external_stop:stop cfg
-      end
-      else begin
-        let cfg =
-          {
-            Fleet.Scheduler.socket_path = socket;
-            workers;
-            worker_exe = Sys.executable_name;
-            queue_cap;
-            tenant_weights;
-            cache_cap;
-            cache_dir;
-            timeout;
-            jobs;
-            log;
-          }
-        in
+        Service.Server.run ~on_ready ~external_stop:stop service
+      else
         let on_ready () =
           Format.printf
             "fpgapart: fleet listening on %s (%d workers, tenant queue %d, \
@@ -616,8 +590,13 @@ let serve_cmd =
             | Some d -> Printf.sprintf ", disk %s" d
             | None -> "")
         in
-        Fleet.Scheduler.run ~on_ready ~external_stop:stop cfg
-      end
+        Fleet.Scheduler.run ~on_ready ~external_stop:stop
+          {
+            Fleet.Scheduler.service;
+            workers;
+            worker_exe = Sys.executable_name;
+            cache_dir;
+          }
     in
     Option.iter close_out log_oc;
     or_die outcome;
@@ -630,20 +609,20 @@ let serve_cmd =
       $ jobs_arg $ workers_arg $ cache_dir_arg $ tenant_weight_arg
       $ log_level_arg $ log_file_arg $ log_scrub_arg $ trace_arg)
 
+let no_wait_arg =
+  Arg.(
+    value & flag
+    & info [ "no-wait" ]
+        ~doc:
+          "Print the bare job id on stdout and return instead of waiting \
+           for the result.")
+
 let submit_cmd =
   let doc =
     "Submit a circuit to a running daemon ($(b,fpgapart serve)) and, by \
      default, wait for the result document (printed to stdout as JSON; \
      status goes to stderr, so stdout is byte-comparable across \
      submissions)."
-  in
-  let no_wait_arg =
-    Arg.(
-      value & flag
-      & info [ "no-wait" ]
-          ~doc:
-            "Print the bare job id on stdout and return instead of \
-             waiting for the result.")
   in
   (* The daemon wants netlist text: a file is passed through verbatim, a
      built-in circuit is rendered to .bench. *)
@@ -811,14 +790,6 @@ let resubmit_cmd =
     Arg.(
       value & opt string "resubmit"
       & info [ "name" ] ~docv:"NAME" ~doc:"Job name for the result document.")
-  in
-  let no_wait_arg =
-    Arg.(
-      value & flag
-      & info [ "no-wait" ]
-          ~doc:
-            "Print the bare job id on stdout and return instead of waiting \
-             for the result.")
   in
   let run socket base_job base_digest delta_file name no_wait =
     let base =

@@ -545,3 +545,15 @@ let run_staged ?(obs = Obs.noop) cfg st =
             Obs.event obs "fm.stage"
               [ ("stage", Obs.Json.String "replication") ];
           run_in ws ~obs cfg st)
+
+let multi_start ~runs ~seed cfg hg =
+  let best = ref None and sum = ref 0 in
+  for r = 0 to runs - 1 do
+    let st = random_state (Netlist.Rng.create (seed + (r * 65537))) hg in
+    let _, cut, _ = run_staged cfg st in
+    (match !best with
+    | Some (c, _) when c <= cut -> ()
+    | _ -> best := Some (cut, st));
+    sum := !sum + cut
+  done;
+  (!best, float_of_int !sum /. float_of_int runs)

@@ -195,3 +195,13 @@ val random_state : Netlist.Rng.t -> Hypergraph.t -> Partition_state.t
 (** Fresh state with a uniformly random half/half assignment (by cell
     count), the multi-start initialisation of the paper's 20-run
     experiments. *)
+
+val multi_start :
+  runs:int ->
+  seed:int ->
+  config ->
+  Hypergraph.t ->
+  (int * Partition_state.t) option * float
+(** The paper's equal-halves campaign: [runs] {!run_staged} runs, run [r]
+    from {!random_state} seeded [seed + r * 65537]. Returns the best cut
+    with the first state reaching it, and the mean cut. *)

@@ -32,13 +32,8 @@ let traditional h =
 let best_cut ~runs ~seed ~replication h =
   let total = Hypergraph.total_area h in
   let cfg = Core.Fm.balance_config ~replication ~total_area:total () in
-  let best = ref max_int in
-  for r = 0 to runs - 1 do
-    let st = Core.Fm.random_state (Netlist.Rng.create (seed + (r * 65537))) h in
-    let _, cut, _ = Core.Fm.run_staged cfg st in
-    best := min !best cut
-  done;
-  !best
+  let best, _ = Core.Fm.multi_start ~runs ~seed cfg h in
+  Option.fold ~none:max_int ~some:fst best
 
 let replication_model ?(runs = 10) ?(seed = 7) (e : Suite.entry) =
   let h = Lazy.force e.Suite.hypergraph in

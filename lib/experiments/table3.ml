@@ -14,15 +14,8 @@ type row = {
    configuration. *)
 let campaign ~runs ~seed cfg h =
   let t0 = Obs.Clock.cpu () in
-  let best = ref max_int and sum = ref 0 in
-  for r = 0 to runs - 1 do
-    let rng = Netlist.Rng.create (seed + (r * 65537)) in
-    let st = Core.Fm.random_state rng h in
-    let _, cut, _ = Core.Fm.run_staged cfg st in
-    best := min !best cut;
-    sum := !sum + cut
-  done;
-  (!best, float_of_int !sum /. float_of_int runs, Obs.Clock.cpu () -. t0)
+  let best, mean = Core.Fm.multi_start ~runs ~seed cfg h in
+  (Option.fold ~none:max_int ~some:fst best, mean, Obs.Clock.cpu () -. t0)
 
 let run ?(runs = 20) ?(seed = 7) (e : Suite.entry) =
   let h = Lazy.force e.Suite.hypergraph in

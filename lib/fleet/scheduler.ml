@@ -4,40 +4,27 @@ module C = Service.Client
 module F = Service.Front
 module Fq = Service.Fair_queue
 module Log = Obs.Log
-module ME = Obs.Metrics_export
 
 type config = {
-  socket_path : string;
+  service : F.config;
   workers : int;
   worker_exe : string;
-  queue_cap : int;
-  tenant_weights : (string * int) list;
-  cache_cap : int;
   cache_dir : string option;
-  timeout : float option;
-  jobs : int;
-  log : Log.t;
 }
 
 let default_config ~socket_path ~workers ~worker_exe =
   {
-    socket_path;
+    service = { (F.default_config ~socket_path) with queue_cap = 64 };
     workers;
     worker_exe;
-    queue_cap = 64;
-    tenant_weights = [];
-    cache_cap = 64;
     cache_dir = None;
-    timeout = None;
-    jobs = 1;
-    log = Log.null;
   }
 
 (* ------------------------------------------------------------------ *)
 (* State                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type wstate = W_starting | W_idle | W_busy | W_dead
+type wstate = F.Pool.state = Starting | Idle | Busy | Dead
 
 type worker = {
   w_id : int;
@@ -212,25 +199,19 @@ let settle_locked p (job : job) =
 let devnull =
   lazy (Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0)
 
-let wstate_string = function
-  | W_starting -> "starting"
-  | W_idle -> "idle"
-  | W_busy -> "busy"
-  | W_dead -> "dead"
-
 let spawn_args p w =
   [ p.cfg.worker_exe; "serve"; "--socket"; w.w_socket; "--queue-cap"; "8" ]
-  @ [ "--cache-cap"; string_of_int (max 8 p.cfg.cache_cap) ]
-  @ [ "--jobs"; string_of_int p.cfg.jobs ]
+  @ [ "--cache-cap"; string_of_int (max 8 p.cfg.service.cache_cap) ]
+  @ [ "--jobs"; string_of_int p.cfg.service.jobs ]
   @ [ "--log-level"; "error" ]
-  @ (match p.cfg.timeout with
+  @ (match p.cfg.service.timeout with
     | None -> []
     | Some s -> [ "--timeout"; string_of_float s ])
 
 (* Mark [w] dead and hold its respawn back by its backoff, which doubles
    up to 8 s. *)
 let mark_dead (w : worker) =
-  w.w_state <- W_dead;
+  w.w_state <- Dead;
   w.w_not_before <- Obs.Clock.wall () +. w.w_backoff;
   w.w_backoff <- Float.min 8.0 (w.w_backoff *. 2.0)
 
@@ -239,7 +220,7 @@ let mark_dead (w : worker) =
    dead, mark its job's leg lost and settle the job. Caller holds the
    lock. *)
 let worker_down_locked p (w : worker) ~kill =
-  if w.w_state <> W_dead then begin
+  if w.w_state <> Dead then begin
     if kill && w.w_pid > 0 then
       (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
     mark_dead w;
@@ -265,7 +246,7 @@ let spawn_worker_locked p w =
   with
   | pid ->
       w.w_pid <- pid;
-      w.w_state <- W_starting;
+      w.w_state <- Starting;
       w.w_job <- None;
       Log.info p.t.log "worker.spawn"
         [ ("worker", J.Int w.w_id); ("pid", J.Int pid) ];
@@ -302,9 +283,9 @@ let probe_ready p (w : worker) ~pid =
   in
   let up = loop () in
   F.with_lock p.t (fun () ->
-      if w.w_pid = pid && w.w_state = W_starting then
+      if w.w_pid = pid && w.w_state = Starting then
         if up then begin
-          w.w_state <- W_idle;
+          w.w_state <- Idle;
           w.w_backoff <- 0.5;
           Log.info p.t.log "worker.up" [ ("worker", J.Int w.w_id) ];
           Condition.broadcast p.t.cond
@@ -347,7 +328,7 @@ let supervisor p =
               Array.iter
                 (fun w ->
                   if
-                    w.w_state = W_dead && w.w_pid = -1
+                    w.w_state = Dead && w.w_pid = -1
                     && Obs.Clock.wall () >= w.w_not_before
                   then start_worker_locked p w ~restart:true)
                 p.workers;
@@ -362,13 +343,13 @@ let supervisor p =
           F.with_lock p.t (fun () ->
               Array.to_list p.workers
               |> List.filter_map (fun w ->
-                     if w.w_state = W_idle then Some (w, w.w_pid) else None))
+                     if w.w_state = Idle then Some (w, w.w_pid) else None))
         in
         List.iter
           (fun ((w : worker), pid) ->
             if not (healthy w) then
               F.with_lock p.t (fun () ->
-                  if w.w_pid = pid && w.w_state = W_idle then
+                  if w.w_pid = pid && w.w_state = Idle then
                     worker_down_locked p w ~kill:true))
           idle
       end;
@@ -383,8 +364,8 @@ let supervisor p =
 (* ------------------------------------------------------------------ *)
 
 let free_worker_locked p (w : worker) =
-  if w.w_state = W_busy then begin
-    w.w_state <- W_idle;
+  if w.w_state = Busy then begin
+    w.w_state <- Idle;
     w.w_job <- None;
     Condition.broadcast p.t.cond
   end
@@ -496,11 +477,11 @@ let relay p (job : job) ~idx (leg : leg) =
 (* ------------------------------------------------------------------ *)
 
 let idle_workers p =
-  Array.to_list p.workers |> List.filter (fun w -> w.w_state = W_idle)
+  Array.to_list p.workers |> List.filter (fun w -> w.w_state = Idle)
 
 (* Claim [w] for a leg of [job]. Caller holds the lock. *)
 let claim (w : worker) (job : job) =
-  w.w_state <- W_busy;
+  w.w_state <- Busy;
   w.w_job <- Some job.id;
   { worker = w.w_id; wjob = None; outcome = `Pending }
 
@@ -557,7 +538,7 @@ let handle_resubmit p ~name ~base ~delta ~options =
   let rec acquire base_key =
     let preferred =
       Option.bind (Hashtbl.find_opt p.affinity base_key) (fun id ->
-          if p.workers.(id).w_state = W_idle then Some p.workers.(id)
+          if p.workers.(id).w_state = Idle then Some p.workers.(id)
           else None)
     in
     match (preferred, idle_workers p) with
@@ -596,105 +577,32 @@ let handle_resubmit p ~name ~base ~delta ~options =
           F.result_reply ~extra:job.payload.forwarded job)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet introspection                                                *)
+(* Pool state                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_up w =
-  match w.w_state with W_idle | W_busy -> true | W_starting | W_dead -> false
-
-let handle_fleet_stats p =
-  let t = p.t in
-  F.with_lock t (fun () ->
-      let workers =
-        Array.to_list p.workers
-        |> List.map (fun w ->
-               J.Obj
-                 [
-                   ("id", J.Int w.w_id);
-                   ("state", J.String (wstate_string w.w_state));
-                   ("pid", J.Int w.w_pid);
-                   ("restarts", J.Int w.w_restarts);
-                   ("socket", J.String w.w_socket);
-                 ])
-      in
-      let tenants =
-        Fq.tenants t.queue
-        |> List.map (fun (tenant, depth) ->
-               J.Obj
-                 [
-                   ("tenant", J.String tenant);
-                   ("depth", J.Int depth);
-                   ("weight", J.Int (Fq.weight t.queue tenant));
-                 ])
-      in
-      let disk =
-        match p.disk with
-        | None -> J.Null
-        | Some d ->
-            J.Obj
-              [
-                ("len", J.Int (Disk_cache.length d));
-                ("corrupt_skipped", J.Int (Disk_cache.corrupt_skipped d));
-              ]
-      in
-      P.ok
-        [
-          ( "fleet",
-            J.Obj
-              [
-                ( "schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
-                ("artifact", J.String "service.fleet_stats");
-                ("workers", J.List workers);
-                ("tenants", J.List tenants);
-                ("queue_len", J.Int (Fq.length t.queue));
-                ("tenant_cap", J.Int p.cfg.queue_cap);
-                ("inflight", J.Int (F.inflight t));
-                ("cache", F.cache_json t);
-                ("disk_cache", disk);
-                ("obs", Obs.Snapshot.to_json (Obs.snapshot t.obs));
-              ] );
-        ])
-
-(* The pool's gauges, after the front end's. Caller holds the lock. *)
-let gauges p =
-  let gauge ?(labels = []) g_name g_help g_value =
-    { ME.g_name; g_help; g_value; g_labels = labels }
-  in
-  let per_worker name help value =
-    Array.to_list p.workers
-    |> List.map (fun w ->
-           gauge
-             ~labels:[ ("worker", string_of_int w.w_id) ]
-             name help (value w))
-  in
-  let disk =
-    match p.disk with
-    | None -> []
-    | Some d ->
-        [
-          gauge "fleet_disk_cache_entries"
-            "Result documents indexed in the persistent cache."
-            (float_of_int (Disk_cache.length d));
-          gauge "fleet_disk_cache_corrupt_skipped"
-            "Corrupt records skipped since startup."
-            (float_of_int (Disk_cache.corrupt_skipped d));
-        ]
-  in
-  gauge "fleet_workers" "Configured worker pool size."
-    (float_of_int p.cfg.workers)
-  :: per_worker "fleet_worker_up" "1 when the worker answers, 0 otherwise."
-       (fun w -> if is_up w then 1.0 else 0.0)
-  @ per_worker "fleet_worker_restarts" "Times this worker was respawned."
-      (fun w -> float_of_int w.w_restarts)
-  @ List.map
-      (fun (tenant, depth) ->
-        gauge
-          ~labels:[ ("tenant", tenant) ]
-          "fleet_tenant_queue_depth" "Jobs queued per tenant."
-          (float_of_int depth))
-      (Fq.tenants p.t.queue)
-  @ disk
+(* The pool as data, for the front end to render. Caller holds the
+   lock. *)
+let pool_state p () =
+  {
+    F.Pool.workers =
+      Array.to_list p.workers
+      |> List.map (fun w ->
+             {
+               F.Pool.id = w.w_id;
+               state = w.w_state;
+               pid = w.w_pid;
+               restarts = w.w_restarts;
+               socket = w.w_socket;
+             });
+    disk =
+      Option.map
+        (fun d ->
+          {
+            F.Pool.entries = Disk_cache.length d;
+            corrupt = Disk_cache.corrupt_skipped d;
+          })
+        p.disk;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                          *)
@@ -755,15 +663,7 @@ let backend p =
       (fun job ->
         let targets = pending_targets p job in
         fun () -> List.iter forward_cancel targets);
-    fleet_stats = (fun () -> handle_fleet_stats p);
-    gauges = (fun () -> gauges p);
-    health =
-      (fun () ->
-        [
-          ("workers", J.Int p.cfg.workers);
-          ( "workers_up",
-            J.Int (Array.fold_left (fun n w -> if is_up w then n + 1 else n) 0 p.workers) );
-        ]);
+    pool = Some (pool_state p);
     start =
       (fun () ->
         F.with_lock t (fun () ->
@@ -794,22 +694,13 @@ let run ?on_ready ?external_stop (cfg : config) =
     match
       Option.fold ~none:(Ok None)
         ~some:(fun dir ->
-          Result.map Option.some (Disk_cache.open_dir ~log:cfg.log dir))
+          Result.map Option.some
+            (Disk_cache.open_dir ~log:cfg.service.log dir))
         cfg.cache_dir
     with
     | Error e -> Error e
     | Ok disk ->
-      let t =
-        F.create
-          {
-            F.socket_path = cfg.socket_path;
-            queue_cap = cfg.queue_cap;
-            cache_cap = cfg.cache_cap;
-            tenant_weights = cfg.tenant_weights;
-            log = cfg.log;
-            trace_path = None;
-          }
-      in
+      let t = F.create cfg.service in
       let p =
         {
           cfg;
@@ -820,9 +711,10 @@ let run ?on_ready ?external_stop (cfg : config) =
             Array.init cfg.workers (fun i ->
                 {
                   w_id = i;
-                  w_socket = Printf.sprintf "%s.worker%d" cfg.socket_path i;
+                  w_socket =
+                    Printf.sprintf "%s.worker%d" cfg.service.socket_path i;
                   w_pid = -1;
-                  w_state = W_dead;
+                  w_state = Dead;
                   w_job = None;
                   w_restarts = 0;
                   w_backoff = 0.5;

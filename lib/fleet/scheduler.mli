@@ -2,8 +2,11 @@
     a forked-worker pool backend. One process owns the public Unix
     socket and fans jobs out to worker processes, each a full
     single-process service engine ({!Service.Server}) on its own private
-    socket ([<socket>.worker<i>]). Job table, admission, verbs,
-    lifecycle logs and drain are the daemon's own code.
+    socket ([<socket>.worker<i>]). Job table, admission, the weighted
+    per-tenant queue, verbs, lifecycle logs, the per-job trace (without
+    [encode_reply]: workers run untraced) and drain are the daemon's own
+    code, run on the daemon's own settings record; the scheduler reports
+    its pool as data ({!Service.Front.Pool.t}) and renders no reply.
 
     The scheduler itself is I/O-only: it parses, canonicalises and
     digests submissions (deterministic preprocessing — the same code
@@ -12,12 +15,6 @@
     computation happens inside a worker. What the scheduler adds on
     top of the single-process engine:
 
-    - {b Batched submission}: the [submit-batch] verb carries up to
-      1024 circuits in one frame and replies per item.
-    - {b Weighted fair queuing}: jobs queue per tenant
-      ({!Service.Fair_queue}) under [tenant_weights]; backpressure
-      ([overloaded]) is per tenant, so one noisy tenant cannot starve or
-      lock out the others.
     - {b Persistent result cache}: an in-memory LRU over a
       {!Disk_cache}; a restart reloads the disk index, keeping the hit
       ratio (and its byte-identical replies) across fleet restarts.
@@ -46,35 +43,30 @@
     answers synchronously under the scheduler's job id; its warm context
     lives in that worker's memory, so a worker lost mid-resubmit fails
     with [worker_lost] rather than requeueing cold under warm-lineage
-    semantics. The per-job lifecycle trace is the daemon's alone. *)
+    semantics. *)
 
 type config = {
-  socket_path : string;  (** public socket; workers get [.worker<i>] *)
+  service : Service.Front.config;
+      (** the daemon's settings; the workers enforce its timeout and
+          engine domains *)
   workers : int;  (** pool size, >= 1 *)
   worker_exe : string;
       (** binary spawned as [<exe> serve --socket <private> ...] — the
           CLI passes its own [Sys.executable_name] *)
-  queue_cap : int;  (** {e per-tenant} queue bound *)
-  tenant_weights : (string * int) list;
-      (** fair-share weights; unlisted tenants weigh 1 *)
-  cache_cap : int;  (** in-memory LRU entries *)
   cache_dir : string option;  (** persistent cache directory; [None] = off *)
-  timeout : float option;  (** per-job budget, enforced by the workers *)
-  jobs : int;  (** engine domains per worker *)
-  log : Obs.Log.t;
 }
 
 val default_config :
   socket_path:string -> workers:int -> worker_exe:string -> config
-(** [queue_cap = 64] per tenant, no pinned weights, [cache_cap = 64],
-    no disk cache, no timeout, [jobs = 1], no log. *)
+(** {!Service.Front.default_config} with [queue_cap = 64] per tenant, and
+    no disk cache. *)
 
 val run :
   ?on_ready:(unit -> unit) ->
   ?external_stop:(unit -> bool) ->
   config ->
   (unit, string) result
-(** Bind the public socket ({!Service.Server.bind_socket} semantics),
+(** Bind the public socket ({!Service.Front.bind_socket} semantics),
     spawn the workers, serve until shutdown (verb or [external_stop]),
     then drain: finish queued and in-flight jobs, shut the workers down
     gracefully (SIGKILL stragglers), close the disk cache, unlink the

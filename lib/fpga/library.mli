@@ -49,9 +49,13 @@ val by_efficiency : t -> Device.t list
 val min_feasible_cost : t -> clbs:int -> float
 (** A lower bound on the cost of hosting [clbs] CLBs: fractional covering
     by the most cost-efficient device, but never below the cheapest single
-    device. Used for reporting, and as an optimistic bound in search.
-    Being a [Float.max] of two library-wide minima, the bound is
-    insensitive to device order and needs no tie-breaking. *)
+    device. It is a reporting figure: examples/custom_library.ml prints
+    it, and no partitioner phase reads it. It bounds the CLB axis only,
+    ignoring terminal budgets and vector resources, so a search should
+    not prune with it; the bound the search will read is
+    [Objective.lower_bound], planned in ROADMAP item 9. Being a
+    [Float.max] of two library-wide minima, the bound is insensitive to
+    device order and needs no tie-breaking. *)
 
 val of_json : Obs.Json.t -> (t, string) result
 (** Parse a JSON device library. Expected shape:

@@ -24,15 +24,29 @@ type 'a t = {
   mutable seq : int;
 }
 
+let valid_tenant tenant =
+  let n = String.length tenant in
+  n >= 1 && n <= 64
+
+let check_weights weights =
+  let rec go seen = function
+    | [] -> Ok ()
+    | (tenant, w) :: rest ->
+        if not (valid_tenant tenant) then
+          Error (Printf.sprintf "tenant %S must be 1..64 characters" tenant)
+        else if w <= 0 then
+          Error (Printf.sprintf "weight for %S must be positive" tenant)
+        else if List.mem tenant seen then
+          Error (Printf.sprintf "tenant %S is weighted twice" tenant)
+        else go (tenant :: seen) rest
+  in
+  go [] weights
+
 let create ?(weights = []) ~cap () =
   if cap <= 0 then invalid_arg "Fair_queue.create: cap must be positive";
-  List.iter
-    (fun (tenant, w) ->
-      if w <= 0 then
-        invalid_arg
-          (Printf.sprintf "Fair_queue.create: weight for %S must be positive"
-             tenant))
-    weights;
+  Result.iter_error
+    (fun msg -> invalid_arg ("Fair_queue.create: " ^ msg))
+    (check_weights weights);
   {
     cap;
     pinned = weights;

@@ -21,9 +21,21 @@
 
 type 'a t
 
+val valid_tenant : string -> bool
+(** A tenant id is 1..64 characters; {!Protocol} refuses any other in a
+    submission envelope. *)
+
+val check_weights : (string * int) list -> (unit, string) result
+(** Pinned weights are usable when every tenant is {!valid_tenant}, is
+    weighted once and weighs at least 1. A weight for a name no envelope
+    can carry, or a second weight for one tenant, would be dropped
+    silently, so both are refused. *)
+
 val create : ?weights:(string * int) list -> cap:int -> unit -> 'a t
 (** [cap] bounds each tenant's queue (not the total). [weights] pins
-    per-tenant weights; unlisted tenants weigh 1. Raises [Invalid_argument] on a non-positive cap or weight. *)
+    per-tenant weights; unlisted tenants weigh 1. Raises
+    [Invalid_argument] on a non-positive cap or on weights that
+    {!check_weights} refuses. *)
 
 val push :
   'a t -> tenant:string -> priority:int -> 'a -> (unit, [ `Tenant_full of int ]) result

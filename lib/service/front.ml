@@ -8,9 +8,41 @@ type config = {
   queue_cap : int;
   cache_cap : int;
   tenant_weights : (string * int) list;
+  timeout : float option;
+  jobs : int;
   log : Log.t;
   trace_path : string option;
 }
+
+let default_config ~socket_path =
+  {
+    socket_path;
+    queue_cap = 16;
+    cache_cap = 64;
+    tenant_weights = [];
+    timeout = None;
+    jobs = 1;
+    log = Log.null;
+    trace_path = None;
+  }
+
+module Pool = struct
+  type state = Starting | Idle | Busy | Dead
+
+  type worker =
+    { id : int; state : state; pid : int; restarts : int; socket : string }
+
+  type disk = { entries : int; corrupt : int }
+  type t = { workers : worker list; disk : disk option }
+
+  let up = function Idle | Busy -> true | Starting | Dead -> false
+
+  let state_string = function
+    | Starting -> "starting"
+    | Idle -> "idle"
+    | Busy -> "busy"
+    | Dead -> "dead"
+end
 
 type state =
   | Queued
@@ -74,9 +106,7 @@ type ('p, 'b) backend = {
     options:Core.Kway.options option ->
     J.t;
   on_cancel : 'p job -> unit -> unit;
-  fleet_stats : unit -> J.t;
-  gauges : unit -> ME.gauge list;
-  health : unit -> (string * J.t) list;
+  pool : (unit -> Pool.t) option;
   start : unit -> unit;
   drain : unit -> unit;
 }
@@ -497,6 +527,9 @@ let handle_cancel t b id =
 let cache_json t =
   J.Obj [ ("len", J.Int (Lru.length t.cache)); ("cap", J.Int (Lru.cap t.cache)) ]
 
+let schema_version = J.Int Experiments.Obs_report.schema_version
+let obs_json t = Obs.Snapshot.to_json (Obs.snapshot t.obs)
+
 let handle_stats t =
   with_lock t (fun () ->
       P.ok
@@ -504,13 +537,12 @@ let handle_stats t =
           ( "stats",
             J.Obj
               [
-                ( "schema_version",
-                  J.Int Experiments.Obs_report.schema_version );
+                ("schema_version", schema_version);
                 ("artifact", J.String "service.stats");
                 ("queue_len", J.Int (Fair_queue.length t.queue));
                 ("queue_cap", J.Int t.cfg.queue_cap);
                 ("cache", cache_json t);
-                ("obs", Obs.Snapshot.to_json (Obs.snapshot t.obs));
+                ("obs", obs_json t);
               ] );
         ])
 
@@ -519,10 +551,99 @@ let inflight t =
     (fun _ j acc -> match j.state with Running -> acc + 1 | _ -> acc)
     t.jobs_tbl 0
 
+(* The [fleet-stats] document: the pool's workers and disk cache beside
+   the front end's tenants, queue and cache. *)
+let handle_fleet_stats t b =
+  match b.pool with
+  | None ->
+      P.error ~code:P.code_bad_request
+        "fleet-stats requires a fleet scheduler (serve --workers N)"
+  | Some pool ->
+      with_lock t (fun () ->
+          let { Pool.workers; disk } = pool () in
+          let worker (w : Pool.worker) =
+            J.Obj
+              [
+                ("id", J.Int w.id);
+                ("state", J.String (Pool.state_string w.state));
+                ("pid", J.Int w.pid);
+                ("restarts", J.Int w.restarts);
+                ("socket", J.String w.socket);
+              ]
+          in
+          let tenant (name, depth) =
+            J.Obj
+              [
+                ("tenant", J.String name);
+                ("depth", J.Int depth);
+                ("weight", J.Int (Fair_queue.weight t.queue name));
+              ]
+          in
+          let disk_json { Pool.entries; corrupt } =
+            J.Obj [ ("len", J.Int entries); ("corrupt_skipped", J.Int corrupt) ]
+          in
+          P.ok
+            [
+              ( "fleet",
+                J.Obj
+                  [
+                    ("schema_version", schema_version);
+                    ("artifact", J.String "service.fleet_stats");
+                    ("workers", J.List (List.map worker workers));
+                    ( "tenants",
+                      J.List (List.map tenant (Fair_queue.tenants t.queue)) );
+                    ("queue_len", J.Int (Fair_queue.length t.queue));
+                    ("tenant_cap", J.Int t.cfg.queue_cap);
+                    ("inflight", J.Int (inflight t));
+                    ("cache", cache_json t);
+                    ( "disk_cache",
+                      Option.fold disk ~none:J.Null ~some:disk_json );
+                    ("obs", obs_json t);
+                  ] );
+            ])
+
+let gauge ?(labels = []) g_name g_help g_value =
+  { ME.g_name; g_help; g_value; g_labels = labels }
+
+(* A pool's gauges, after the front end's. *)
+let pool_gauges t { Pool.workers; disk } =
+  let per_worker name help value =
+    List.map
+      (fun (w : Pool.worker) ->
+        gauge ~labels:[ ("worker", string_of_int w.id) ] name help (value w))
+      workers
+  in
+  let disk =
+    match disk with
+    | None -> []
+    | Some { Pool.entries; corrupt } ->
+        [
+          gauge "fleet_disk_cache_entries"
+            "Result documents indexed in the persistent cache."
+            (float_of_int entries);
+          gauge "fleet_disk_cache_corrupt_skipped"
+            "Corrupt records skipped since startup." (float_of_int corrupt);
+        ]
+  in
+  gauge "fleet_workers" "Configured worker pool size."
+    (float_of_int (List.length workers))
+  :: per_worker "fleet_worker_up" "1 when the worker answers, 0 otherwise."
+       (fun w -> if Pool.up w.state then 1.0 else 0.0)
+  @ per_worker "fleet_worker_restarts" "Times this worker was respawned."
+      (fun w -> float_of_int w.restarts)
+  @ List.map
+      (fun (tenant, depth) ->
+        gauge
+          ~labels:[ ("tenant", tenant) ]
+          "fleet_tenant_queue_depth" "Jobs queued per tenant."
+          (float_of_int depth))
+      (Fair_queue.tenants t.queue)
+  @ disk
+
 (* The OpenMetrics exposition (the [metrics] verb). Counters and
    histograms come straight from the Obs snapshot; gauges are sampled
    here, under the lock, so depth/inflight/cache readings are a
-   consistent cut of server state. The backend appends its own. *)
+   consistent cut of server state. A pool's gauges follow. *)
 let handle_metrics t b =
   with_lock t (fun () ->
       let snap = Obs.snapshot t.obs in
@@ -532,9 +653,6 @@ let handle_metrics t b =
       let hits = counter "service.cache_hit" in
       let lookups = hits + counter "service.cache_miss" in
       let g = Gc.quick_stat () in
-      let gauge g_name g_help g_value =
-        { ME.g_name; g_help; g_value; g_labels = [] }
-      in
       let gauges =
         [
           gauge "queue_depth" "Jobs queued and not yet running."
@@ -561,7 +679,8 @@ let handle_metrics t b =
           gauge "gc_minor_collections" "Minor GC cycles since startup."
             (float_of_int g.Gc.minor_collections);
         ]
-        @ b.gauges ()
+        @ Option.fold b.pool ~none:[] ~some:(fun pool ->
+              pool_gauges t (pool ()))
       in
       let slos =
         [
@@ -578,6 +697,16 @@ let handle_metrics t b =
 
 let handle_health t b =
   with_lock t (fun () ->
+      let pool =
+        match Option.map (fun pool -> pool ()) b.pool with
+        | None -> []
+        | Some { Pool.workers; _ } ->
+            let up = List.filter (fun (w : Pool.worker) -> Pool.up w.state) in
+            [
+              ("workers", J.Int (List.length workers));
+              ("workers_up", J.Int (List.length (up workers)));
+            ]
+      in
       P.ok
         [
           ( "health",
@@ -586,8 +715,7 @@ let handle_health t b =
                  ( "state",
                    J.String (if t.stopping then "draining" else "accepting") );
                  ("protocol_version", J.Int P.protocol_version);
-                 ( "stats_schema_version",
-                   J.Int Experiments.Obs_report.schema_version );
+                 ("stats_schema_version", schema_version);
                  ("uptime_secs", J.Float (Obs.Clock.wall () -. t.up_since));
                  ("queue_depth", J.Int (Fair_queue.length t.queue));
                  ("queue_cap", J.Int t.cfg.queue_cap);
@@ -595,7 +723,7 @@ let handle_health t b =
                  ("cache", cache_json t);
                  ("jobs_total", J.Int (t.next_id - 1));
                ]
-              @ b.health ()) );
+              @ pool) );
         ])
 
 (* Enter the drain (once: the verb and a signal may both ask). Caller
@@ -623,7 +751,7 @@ let dispatch t b = function
   | P.Result { job; wait } -> handle_result t ~id:job ~wait
   | P.Cancel id -> handle_cancel t b id
   | P.Stats -> handle_stats t
-  | P.Fleet_stats -> b.fleet_stats ()
+  | P.Fleet_stats -> handle_fleet_stats t b
   | P.Metrics -> handle_metrics t b
   | P.Health -> handle_health t b
   | P.Shutdown -> handle_shutdown t

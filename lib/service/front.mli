@@ -5,30 +5,74 @@
     one handler thread per connection; the job table and job ids; the
     per-tenant {!Fair_queue} with its bound; the LRU result cache; the
     verbs [submit], [submit-batch], [status], [result], [cancel],
-    [stats], [metrics], [health] and [shutdown]; reply [timings];
-    correlation ids and the info-level lifecycle log; the SLO
-    histograms and the per-job trace; and the graceful drain.
+    [stats], [fleet-stats], [metrics], [health] and [shutdown]; reply
+    [timings]; correlation ids and the info-level lifecycle log; the SLO
+    histograms and the per-job trace; and the graceful drain: no new
+    work is accepted, queued jobs still run, waiting clients get their
+    replies. Its settings are one record ({!config}), so every setting
+    means the same on both servers.
 
     What runs a job is a {!backend}, a record of closures: an in-process
     executor (the daemon) or a pool of forked workers (the fleet). A
     backend pops jobs with {!next_job}, reports the run with
     {!record_run} and ends every job through {!finish_job}, so one
     admission path ({!admit}) and one terminal transition count every
-    outcome the same way in both servers.
+    outcome the same way in both servers. A pool backend reports its
+    workers and disk cache as data ({!Pool.t}); every reply document,
+    the pool's included, is rendered here.
 
-    Shared state is touched only under one lock ({!with_lock}). Info
-    lifecycle lines are emitted under it, so a serialized workload logs
-    in a deterministic order. *)
+    Shared state is touched only under one lock ({!with_lock}). The
+    observability channels each keep a determinism contract:
+    - {e structured logs} ({!Obs.Log}): JSON lines with a correlation id
+      ([corr] = digest prefix [:] job id) on every lifecycle line.
+      Info-level lifecycle events are emitted under the lock, so a
+      serialized workload logs them in a deterministic order, and with
+      scrub on in deterministic bytes; accept/decode chatter stays at
+      debug, outside the contract;
+    - {e reply timings}: a wall-clock [timings] breakdown in the reply
+      envelope, never inside the cached result document, which keeps
+      cache-hit byte identity;
+    - {e per-job trace} ([trace_path]): one span lane per job id
+      (decode, canonicalise, queue_wait, partition, and the backend's
+      own spans), written as a Chrome trace-event file at shutdown;
+    - [stats], [metrics] (an OpenMetrics exposition of the same sink
+      plus gauges and SLO histograms) and [health], which answers
+      without touching the queue. *)
 
 type config = {
-  socket_path : string;
-  queue_cap : int;  (** per-tenant queue bound *)
-  cache_cap : int;  (** LRU entries *)
-  tenant_weights : (string * int) list;  (** fair-share weights *)
-  log : Obs.Log.t;
+  socket_path : string;  (** the public socket *)
+  queue_cap : int;  (** max queued (not yet running) jobs per tenant *)
+  cache_cap : int;  (** max cached result documents (LRU entries) *)
+  tenant_weights : (string * int) list;  (** unlisted tenants weigh 1 *)
+  timeout : float option;
+      (** per-job wall-clock budget in seconds; past it the engine stops
+          at its next pass boundary and the job fails [timeout] *)
+  jobs : int;  (** engine domains per job, as [partition --jobs] *)
+  log : Obs.Log.t;  (** structured-log sink; {!Obs.Log.null} is silent *)
   trace_path : string option;
       (** write the per-job lifecycle trace here at shutdown *)
 }
+(** Every [serve] setting the two backends share. The daemon runs on it
+    as it is ({!Server.config}); the fleet adds its pool settings around
+    it. *)
+
+val default_config : socket_path:string -> config
+(** [queue_cap = 16], [cache_cap = 64], no pinned weights, no timeout,
+    [jobs = 1], no log sink, no trace. *)
+
+(** A worker pool's state as data, which the front end renders into
+    [fleet-stats], [health] and [metrics]: per worker its private socket
+    and pid ([-1] once reaped); the disk cache's entries and corrupt
+    records skipped. A worker is up when idle or busy. *)
+module Pool : sig
+  type state = Starting | Idle | Busy | Dead
+  type worker =
+    { id : int; state : state; pid : int; restarts : int; socket : string }
+  type disk = { entries : int; corrupt : int }
+  type t = { workers : worker list; disk : disk option }
+
+  val up : state -> bool
+end
 
 type state =
   | Queued
@@ -102,11 +146,9 @@ type ('p, 'b) backend = {
   on_cancel : 'p job -> unit -> unit;
       (** called under the lock for a job being cancelled; the returned
           action runs after the lock is released *)
-  fleet_stats : unit -> Obs.Json.t;
-  gauges : unit -> Obs.Metrics_export.gauge list;
-      (** extra gauges, sampled under the lock *)
-  health : unit -> (string * Obs.Json.t) list;
-      (** extra health fields, sampled under the lock *)
+  pool : (unit -> Pool.t) option;
+      (** the worker pool's state, sampled under the lock; [None] for a
+          backend without a pool, whose [fleet-stats] is refused *)
   start : unit -> unit;  (** once the socket listens: start threads *)
   drain : unit -> unit;
       (** after the accept loop stops: return once every job is
@@ -186,10 +228,13 @@ val result_reply : ?extra:(string * Obs.Json.t) list -> 'p job -> Obs.Json.t
 val job_not_found : int -> Obs.Json.t
 val draining_reply : unit -> Obs.Json.t
 val inflight : ('p, 'b) t -> int
-val cache_json : ('p, 'b) t -> Obs.Json.t
 
 val bind_socket : string -> (Unix.file_descr, string) result
-(** See {!Server.bind_socket}. *)
+(** Bind and listen on a Unix-domain socket path. An existing socket
+    file is connect-probed first: if a server answers, the bind is
+    refused ([Error], never clobbering the live socket); if the connect
+    is refused, the file is a stale leftover (e.g. from a SIGKILLed
+    process) and is unlinked before binding. *)
 
 val serve :
   ?on_ready:(unit -> unit) ->

@@ -314,7 +314,7 @@ and envelope_of_json json =
     J.opt_field "tenant" J.to_str ~default:default_envelope.tenant json
   in
   let* () =
-    if String.length tenant = 0 || String.length tenant > 64 then
+    if not (Fair_queue.valid_tenant tenant) then
       Error "field \"tenant\" must be 1..64 characters"
     else Ok ()
   in

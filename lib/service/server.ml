@@ -3,26 +3,18 @@ module P = Protocol
 module Log = Obs.Log
 module F = Front
 
-type config = {
+type config = F.config = {
   socket_path : string;
   queue_cap : int;
   cache_cap : int;
+  tenant_weights : (string * int) list;
   timeout : float option;
   jobs : int;
   log : Log.t;
   trace_path : string option;
 }
 
-let default_config ~socket_path =
-  {
-    socket_path;
-    queue_cap = 16;
-    cache_cap = 64;
-    timeout = None;
-    jobs = 1;
-    log = Log.null;
-    trace_path = None;
-  }
+let default_config = F.default_config
 
 (* How the executor computes a job: from scratch, or warm-started from a
    projected base partition (a resubmit whose base basis was still
@@ -49,8 +41,6 @@ type basis = {
 
 type job = payload F.job
 type t = (payload, basis) F.t
-
-let bind_socket = F.bind_socket
 
 (* The document a [result] request returns and the cache stores. Scrubbed
    ([_secs] fields nulled) so the bytes are a pure function of the job
@@ -318,17 +308,7 @@ let handle_resubmit (t : t) b ~name ~base ~delta ~options =
 (* ------------------------------------------------------------------ *)
 
 let run ?on_ready ?external_stop cfg =
-  let t =
-    F.create
-      {
-        F.socket_path = cfg.socket_path;
-        queue_cap = cfg.queue_cap;
-        cache_cap = cfg.cache_cap;
-        tenant_weights = [];
-        log = cfg.log;
-        trace_path = cfg.trace_path;
-      }
-  in
+  let t = F.create cfg in
   let exec = ref None in
   let rec b =
     {
@@ -339,12 +319,7 @@ let run ?on_ready ?external_stop cfg =
       resubmit = (fun ~name ~base ~delta ~options ->
         handle_resubmit t b ~name ~base ~delta ~options);
       on_cancel = (fun _ -> ignore);
-      fleet_stats =
-        (fun () ->
-          P.error ~code:P.code_bad_request
-            "fleet-stats requires a fleet scheduler (serve --workers N)");
-      gauges = (fun () -> []);
-      health = (fun () -> []);
+      pool = None;
       start = (fun () -> exec := Some (Thread.create (executor t) cfg));
       drain = (fun () -> Option.iter Thread.join !exec);
     }

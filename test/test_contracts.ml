@@ -296,11 +296,13 @@ let test_cli_cache_hit () =
           ("inflight", 0) ];
       Alcotest.(check bool)
         "uptime" true (U.get J.to_float [ "uptime_secs" ] h >= 0.0);
+      U.check_keys "svc-health" (U.health_keys ~fleet:false) h;
       let computed = submit d bench in
       Alcotest.(check string)
         "permuted netlist answered byte-identically from the cache" computed
         (submit d permuted);
       let stats = U.run_json [ "svc-stats"; "--socket"; d.U.socket ] in
+      U.check_keys "svc-stats" U.stats_keys stats;
       Alcotest.(check int) "one cache hit" 1 (count stats "service.cache_hit");
       Alcotest.(check bool)
         "a miss" true (count stats "service.cache_miss" >= 1);
@@ -410,6 +412,9 @@ let test_cli_metrics_and_log () =
         U.run_ok [ "svc-metrics"; "--socket"; d.U.socket ])
   in
   let m = check_exposition metrics in
+  Alcotest.(check (list string))
+    "gauge families in order" (U.gauge_families ~fleet:false)
+    (U.Openmetrics.gauges m);
   let value family =
     match U.Openmetrics.samples m family with
     | (_, v) :: _ -> v

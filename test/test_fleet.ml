@@ -10,8 +10,8 @@
 
    The "fleet cli" cases drive `fpgapart serve --workers N` itself: 1000
    load-generator jobs, a `--workers 1` reply byte-identical to the solo
-   daemon's, the fleet-stats keys, the OpenMetrics exposition and the
-   refusal of `--trace`.
+   daemon's, the key order of the four state documents, the OpenMetrics
+   exposition, the per-job trace and serve's usage errors.
 
    The end-to-end tests spawn real worker processes and need the
    fpgapart binary; dune passes its path in FPGAPART_BIN, and the load
@@ -56,7 +56,25 @@ let test_fair_queue_weights () =
     "2:1 interleave"
     [ "a0"; "a1"; "b0"; "a2"; "a3"; "b1"; "a4"; "a5"; "b2" ]
     order;
-  checkb "empty" true (Service.Fair_queue.pop q = None)
+  checkb "empty" true (Service.Fair_queue.pop q = None);
+  (* A weight no envelope can match, or a tenant's second weight, would
+     be dropped silently: both are refused where weights are stored. *)
+  List.iter
+    (fun (what, weights) ->
+      checkb (what ^ " refused") true
+        (Result.is_error (Service.Fair_queue.check_weights weights));
+      match Service.Fair_queue.create ~weights ~cap:4 () with
+      | (_ : int Service.Fair_queue.t) -> Alcotest.failf "create took %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("a tenant weighted twice", [ ("a", 1); ("b", 2); ("a", 5) ]);
+      ("an empty tenant", [ ("", 2) ]);
+      ("a 65-character tenant", [ (String.make 65 't', 2) ]);
+      ("a zero weight", [ ("a", 0) ]);
+    ];
+  checkb "a 64-character tenant accepted" true
+    (Result.is_ok
+       (Service.Fair_queue.check_weights [ (String.make 64 't', 2); ("a", 1) ]))
 
 let test_fair_queue_priorities () =
   let q = Service.Fair_queue.create ~cap:16 () in
@@ -298,14 +316,14 @@ let test_stale_socket_bind () =
   Unix.bind corpse (Unix.ADDR_UNIX path);
   Unix.close corpse;  (* closed without listen: connects are refused *)
   checkb "corpse exists" true (Sys.file_exists path);
-  (match Service.Server.bind_socket path with
+  (match Service.Front.bind_socket path with
   | Ok fd -> Unix.close fd; Sys.remove path
   | Error e -> Alcotest.fail ("stale socket not reclaimed: " ^ e));
   (* A live listener must NOT be clobbered. *)
   let live = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind live (Unix.ADDR_UNIX path);
   Unix.listen live 1;
-  (match Service.Server.bind_socket path with
+  (match Service.Front.bind_socket path with
   | Ok _ -> Alcotest.fail "bound over a live daemon"
   | Error _ -> ());
   checkb "live socket kept" true (Sys.file_exists path);
@@ -844,7 +862,9 @@ let health_int name path =
   | None -> Alcotest.failf "health lacks %s" name
 
 let test_fleet_refusal_spends_no_id () =
-  let config c = { c with Fleet.Scheduler.queue_cap = 1 } in
+  let config (c : Fleet.Scheduler.config) =
+    { c with service = { c.service with queue_cap = 1 } }
+  in
   with_fleet ~config (fun path ->
       (* Distinct slow jobs: two run, one queues, the next is refused. *)
       let rec fill seed accepted =
@@ -945,20 +965,60 @@ let test_cli_one_worker_is_the_daemon () =
             "--workers 1 reply byte-identical to the daemon's" (submit solo)
             (submit one)))
 
-(* The lifecycle trace belongs to the single-process daemon: a fleet
-   asked for one refuses to start instead of running without it. *)
-let test_cli_fleet_refuses_trace () =
-  let socket = U.temp_socket () and trace = U.temp ".trace.json" in
-  let code, _, err =
-    U.run [ "serve"; "--socket"; socket; "--workers"; "1"; "--trace"; trace ]
-  in
-  Sys.remove trace;
-  checkb "refused" true (code <> 0);
-  checkb "names --trace" true (U.contains ~sub:"--trace" err);
-  checkb "socket never bound" false (Sys.file_exists socket)
+(* A fleet writes the per-job lifecycle trace the daemon writes. Each
+   job's lane carries the front end's decode, canonicalise, queue_wait
+   and partition spans; encode_reply is the daemon executor's span, and
+   the fleet's workers run untraced. *)
+let test_cli_fleet_trace () =
+  let bench = U.temp ".bench" and trace = U.temp ".trace.json" in
+  Out_channel.with_open_bin bench (fun oc ->
+      output_string oc
+        (Netlist.Bench_format.to_string (Netlist.Generator.c17 ())));
+  U.with_daemon ~workers:1 [ "--workers"; "1"; "--trace"; trace ] (fun d ->
+      List.iter
+        (fun seed ->
+          ignore
+            (U.run_ok
+               [ "submit"; "--socket"; d.U.socket; "--bench"; bench;
+                 "--seed"; seed ]))
+        [ "1"; "2" ]);
+  let text = U.read_file trace in
+  List.iter
+    (fun job ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "job %d lifecycle spans" job)
+        [ "canonicalise"; "decode"; "partition"; "queue_wait" ]
+        (List.sort compare (U.lane_spans text job)))
+    [ 1; 2 ];
+  List.iter Sys.remove [ bench; trace ]
+
+(* A setting serve cannot honour is a usage error: exit 1 before the
+   socket is bound. The disk cache needs a fleet (a daemon's cache
+   entry holds in-memory resubmit context), and tenant weights must be
+   usable: 1..64-character tenants, each weighted once. *)
+let test_cli_serve_usage_errors () =
+  List.iter
+    (fun (what, args, names) ->
+      let socket = U.temp_socket () in
+      let code, _, err = U.run ([ "serve"; "--socket"; socket ] @ args) in
+      checki (what ^ ": exit 1") 1 code;
+      checkb (what ^ ": names " ^ names) true (U.contains ~sub:names err);
+      checkb (what ^ ": socket never bound") false (Sys.file_exists socket))
+    [
+      ("--cache-dir without --workers", [ "--cache-dir"; temp_dir () ],
+        "--cache-dir");
+      ( "a tenant weighted twice",
+        [ "--tenant-weight"; "a=1"; "--tenant-weight"; "a=5" ],
+        "weighted twice" );
+      ( "a 65-character tenant",
+        [ "--workers"; "1"; "--tenant-weight"; String.make 65 't' ^ "=2" ],
+        "1..64 characters" );
+    ]
 
 (* A 2-worker fleet scrapes as valid OpenMetrics, with one labelled
-   sample per worker in the per-worker gauges, every worker up. *)
+   sample per worker in the per-worker gauges, every worker up. Its
+   stats, health and fleet-stats documents and its gauges carry their
+   keys in the documented order. *)
 let test_cli_fleet_exposition () =
   let text =
     U.with_daemon ~workers:2 [ "--workers"; "2"; "--queue-cap"; "8" ]
@@ -967,6 +1027,17 @@ let test_cli_fleet_exposition () =
           (U.run_ok
              [ "submit"; "--socket"; d.U.socket; "--circuit"; "c1355";
                "--runs"; "2"; "--seed"; "1" ]);
+        let doc verb = U.run_json [ verb; "--socket"; d.U.socket ] in
+        U.check_keys "svc-stats" U.stats_keys (doc "svc-stats");
+        U.check_keys "svc-health" (U.health_keys ~fleet:true)
+          (doc "svc-health");
+        let fleet = doc "fleet-stats" in
+        U.check_keys "fleet-stats" U.fleet_stats_keys fleet;
+        (match J.member "workers" fleet with
+        | Some (J.List [ w0; w1 ]) ->
+            U.check_keys "worker 0" U.fleet_worker_keys w0;
+            U.check_keys "worker 1" U.fleet_worker_keys w1
+        | _ -> Alcotest.fail "fleet-stats lists no two workers");
         U.run_ok [ "svc-metrics"; "--socket"; d.U.socket ])
   in
   let m =
@@ -974,6 +1045,9 @@ let test_cli_fleet_exposition () =
     | Ok m -> m
     | Error e -> Alcotest.fail e
   in
+  Alcotest.(check (list string))
+    "gauge families in order" (U.gauge_families ~fleet:true)
+    (U.Openmetrics.gauges m);
   List.iter
     (fun (family, typ) ->
       Alcotest.(check (option string))
@@ -1067,8 +1141,9 @@ let () =
           Alcotest.test_case "loadgen 1000 jobs" `Slow test_cli_loadgen;
           Alcotest.test_case "one worker equals the daemon" `Slow
             test_cli_one_worker_is_the_daemon;
-          Alcotest.test_case "fleet refuses --trace" `Quick
-            test_cli_fleet_refuses_trace;
+          Alcotest.test_case "fleet writes --trace" `Slow test_cli_fleet_trace;
+          Alcotest.test_case "serve usage errors" `Quick
+            test_cli_serve_usage_errors;
           Alcotest.test_case "fleet exposition" `Slow
             test_cli_fleet_exposition;
         ] );

@@ -945,6 +945,63 @@ let test_server_backpressure_and_cancel () =
       checki "rejections counted" 1 (counter stats "service.rejected");
       checki "cancellations counted" 2 (counter stats "service.cancelled"))
 
+(* The daemon honours tenant weights: while a slow job holds the
+   executor, tenants a (weight 3) and b (weight 1) queue four jobs each,
+   and the executor dequeues them in weighted round-robin order. *)
+let test_server_tenant_weights () =
+  let buf = Buffer.create 4096 in
+  with_server
+    ~config:(fun c ->
+      {
+        c with
+        Service.Server.tenant_weights = [ ("a", 3); ("b", 1) ];
+        log = Obs.Log.to_buffer ~scrub:true buf;
+      })
+    (fun path ->
+      let slow =
+        Netlist.Bench_format.to_string
+          (Netlist.Generator.multiplier ~bits:16 ())
+      in
+      let held =
+        int_field "job" (rpc_ok path (submit_req ~runs:500 "slow" slow))
+      in
+      Test_util.poll_until ~timeout:10. "the slow job running" (fun () ->
+          String.equal Service.Protocol.state_running
+            (str_field "state" (rpc_ok path (Service.Protocol.Status held))));
+      let text = Netlist.Bench_format.to_string (Netlist.Generator.c17 ()) in
+      let queued =
+        List.map
+          (fun (tenant, seed) ->
+            let envelope =
+              { Service.Protocol.default_envelope with tenant }
+            in
+            let reply =
+              rpc_ok path (submit_req ~runs:1 ~seed ~envelope tenant text)
+            in
+            (int_field "job" reply, tenant))
+          [ ("a", 1); ("b", 2); ("a", 3); ("b", 4); ("a", 5); ("b", 6);
+            ("a", 7); ("b", 8) ]
+      in
+      ignore (rpc_ok path (Service.Protocol.Cancel held));
+      List.iter
+        (fun (job, _) ->
+          ignore (rpc_ok path (Service.Protocol.Result { job; wait = true })))
+        queued;
+      let dequeued =
+        String.split_on_char '\n' (Buffer.contents buf)
+        |> List.filter_map (fun line ->
+               match J.of_string line with
+               | Ok r when J.member "event" r = Some (J.String "job.dequeue") ->
+                   Option.bind (J.member "job" r) J.to_int
+                   |> Option.map (fun job -> List.assoc_opt job queued)
+                   |> Option.join
+               | _ -> None)
+      in
+      Alcotest.(check (list string))
+        "3:1 dequeue order"
+        [ "a"; "a"; "a"; "b"; "a"; "b"; "b"; "b" ]
+        dequeued)
+
 let test_server_timeout () =
   with_server
     ~config:(fun c -> { c with Service.Server.timeout = Some 0.05 })
@@ -1263,55 +1320,17 @@ let test_server_lifecycle_trace () =
           let j1 = wait_result "c17" 1 in
           let j2 = wait_result "c17" 2 in
           checkb "two distinct jobs" true (j1 <> j2));
-      (* The server wrote the trace during shutdown. *)
-      let ic = open_in_bin trace_path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let json =
-        match J.of_string text with
-        | Ok j -> j
-        | Error e -> Alcotest.fail ("trace not JSON: " ^ e)
-      in
-      let events =
-        match J.member "traceEvents" json with
-        | Some (J.List evs) -> evs
-        | _ -> Alcotest.fail "no traceEvents"
-      in
-      (* Per job (= pid lane): the complete lifecycle span set, each span
-         with a non-negative duration. *)
-      let lifecycle =
-        [ "decode"; "canonicalise"; "queue_wait"; "partition"; "encode_reply" ]
-      in
+      (* The server wrote the trace during shutdown. Per job (= pid
+         lane): the complete lifecycle span set, each span with a
+         non-negative duration. *)
+      let text = Test_util.read_file trace_path in
       List.iter
         (fun pid ->
-          let names =
-            List.filter_map
-              (fun ev ->
-                match
-                  ( Option.bind (J.member "ph" ev) J.to_str,
-                    Option.bind (J.member "pid" ev) J.to_int )
-                with
-                | Some "X", Some p when p = pid ->
-                    (match Option.bind (J.member "dur" ev) J.to_float with
-                    | Some d -> checkb "span duration >= 0" true (d >= 0.0)
-                    | None -> Alcotest.fail "complete event lacks dur");
-                    Option.bind (J.member "name" ev) J.to_str
-                | _ -> None)
-              events
-          in
-          List.iter
-            (fun span ->
-              checkb
-                (Printf.sprintf "job %d has span %s" pid span)
-                true
-                (List.mem span names))
-            lifecycle;
-          checki
-            (Printf.sprintf "job %d span count" pid)
-            (List.length lifecycle) (List.length names))
+          Alcotest.(check (list string))
+            (Printf.sprintf "job %d lifecycle spans" pid)
+            [ "canonicalise"; "decode"; "encode_reply"; "partition";
+              "queue_wait" ]
+            (List.sort compare (Test_util.lane_spans text pid)))
         [ 1; 2 ])
 
 (* The end-to-end face of the log determinism contract: the same
@@ -1410,6 +1429,8 @@ let () =
             test_server_resubmit_evicted_base_cold_fallback;
           Alcotest.test_case "backpressure and cancel" `Quick
             test_server_backpressure_and_cancel;
+          Alcotest.test_case "tenant weights" `Quick
+            test_server_tenant_weights;
           Alcotest.test_case "timeout" `Quick test_server_timeout;
           Alcotest.test_case "survives garbage" `Quick
             test_server_survives_garbage;

@@ -277,6 +277,71 @@ let with_daemon ?(workers = 0) args f =
   r
 
 (* ------------------------------------------------------------------ *)
+(* The service's state documents and per-job trace                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The top-level keys of the [stats], [health] and [fleet-stats]
+   documents and the gauge families of [metrics], in the order both
+   servers render them; a fleet's pool follows the front end's own. *)
+let stats_keys =
+  [ "schema_version"; "artifact"; "queue_len"; "queue_cap"; "cache"; "obs" ]
+
+let health_keys ~fleet =
+  [ "state"; "protocol_version"; "stats_schema_version"; "uptime_secs";
+    "queue_depth"; "queue_cap"; "inflight"; "cache"; "jobs_total" ]
+  @ if fleet then [ "workers"; "workers_up" ] else []
+
+let fleet_stats_keys =
+  [ "schema_version"; "artifact"; "workers"; "tenants"; "queue_len";
+    "tenant_cap"; "inflight"; "cache"; "disk_cache"; "obs" ]
+
+let fleet_worker_keys = [ "id"; "state"; "pid"; "restarts"; "socket" ]
+
+(* Without a disk cache, and once a tenant has queued. *)
+let gauge_families ~fleet =
+  List.map (( ^ ) "fpgapart_")
+    ([ "queue_depth"; "queue_capacity"; "inflight_jobs"; "cache_entries";
+       "cache_capacity"; "cache_hit_ratio"; "jobs_registered";
+       "uptime_seconds"; "gc_heap_words"; "gc_major_collections";
+       "gc_minor_collections" ]
+    @
+    if fleet then
+      [ "fleet_workers"; "fleet_worker_up"; "fleet_worker_restarts";
+        "fleet_tenant_queue_depth" ]
+    else [])
+
+let check_keys what expected doc =
+  Alcotest.(check (list string))
+    (what ^ " keys in order") expected
+    (match doc with J.Obj fields -> List.map fst fields | _ -> [])
+
+(* The span names on job [pid]'s lane of a Chrome trace-event document,
+   in file order; every complete span must have a non-negative
+   duration. *)
+let lane_spans text pid =
+  let events =
+    match
+      Option.bind (Result.to_option (J.of_string text)) (J.member "traceEvents")
+    with
+    | Some (J.List evs) -> evs
+    | _ -> Alcotest.fail "trace lacks traceEvents"
+  in
+  List.filter_map
+    (fun ev ->
+      match
+        ( Option.bind (J.member "ph" ev) J.to_str,
+          Option.bind (J.member "pid" ev) J.to_int )
+      with
+      | Some "X", Some p when p = pid ->
+          (match Option.bind (J.member "dur" ev) J.to_float with
+          | Some d ->
+              Alcotest.(check bool) "span duration >= 0" true (d >= 0.0)
+          | None -> Alcotest.fail "complete event lacks dur");
+          Option.bind (J.member "name" ev) J.to_str
+      | _ -> None)
+    events
+
+(* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition rules                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -297,6 +362,11 @@ module Openmetrics = struct
     List.filter_map
       (fun (n, labels, v) -> if n = name then Some (labels, v) else None)
       t.samples
+
+  let gauges t =
+    List.filter_map
+      (fun (family, typ) -> if typ = "gauge" then Some family else None)
+      t.types
 
   let sample_re =
     Str.regexp {|^\([a-zA-Z_:][a-zA-Z0-9_:]*\)\({\([^}]*\)}\)? \([^ ]+\)$|}

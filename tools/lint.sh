@@ -174,6 +174,25 @@ if grep -qE 'Sys\.readdir|cache-%d' "$f"; then
   status=1
 fi
 
+# One serve surface: every setting the daemon and the fleet share is one
+# record, Service.Front.config, that both backends run on as it is, so no
+# backend copies a setting field by field (a copy is where a setting gets
+# hard-coded away). The scheduler runs jobs and reports its pool as data
+# (Front.Pool.t); the front end renders every reply.
+for f in $(git ls-files 'lib/fleet/*.ml') lib/service/server.ml; do
+  if grep -qE 'F\.socket_path *=|tenant_weights *=|trace_path *=' "$f"; then
+    echo "lint: serve setting copied field by field in $f" \
+      "(run on Service.Front.config as it is)" >&2
+    status=1
+  fi
+done
+f=lib/fleet/scheduler.ml
+if grep -qE '"schema_version"|g_help' "$f"; then
+  echo "lint: $f renders a reply" \
+    "(report the pool as Service.Front.Pool.t; Front renders it)" >&2
+  status=1
+fi
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
