@@ -254,18 +254,8 @@ let partition_cmd =
         | Some path ->
             (try
                Experiments.Obs_report.write ~path
-                 (Obs.Json.Obj
-                    [
-                      ( "schema_version",
-                        Obs.Json.Int Experiments.Obs_report.schema_version );
-                      ("circuit", Obs.Json.String name);
-                      ("seed", Obs.Json.Int seed);
-                      ( "options",
-                        Experiments.Obs_report.options_to_json options );
-                      ("interrupted", Obs.Json.Bool true);
-                      ( "obs",
-                        Obs.Snapshot.to_json (Obs.snapshot obs) );
-                    ])
+                 (Experiments.Obs_report.doc ~name ~options ~result:None
+                    ~snapshot:(Obs.snapshot obs))
              with Sys_error msg ->
                prerr_endline ("fpgapart: cannot write stats: " ^ msg));
             Format.printf "telemetry (partial): %s@." path);
@@ -286,7 +276,7 @@ let partition_cmd =
         | Some path ->
             writing "stats" (fun () ->
                 Experiments.Obs_report.write ~path
-                  (Experiments.Obs_report.doc ~name ~options ~result:r
+                  (Experiments.Obs_report.doc ~name ~options ~result:(Some r)
                      ~snapshot:(Obs.snapshot obs)));
             Format.printf "telemetry: %s@." path);
         flush_trace ();

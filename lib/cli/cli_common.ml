@@ -46,8 +46,10 @@ let stats_json () =
           "Write engine telemetry to $(docv) as JSON: the options and \
            result summary plus per-pass F-M events, per-split \
            device-window attempts, refinement deltas, counters and \
-           span timers (see README, 'Observability'). Off by default; \
-           partitioning runs with a no-op sink and records nothing.")
+           histograms (see README, 'Observability'). Its telemetry \
+           holds no time: a span's duration is in $(b,--trace). Off by \
+           default; partitioning runs with a no-op sink and records \
+           nothing.")
 
 let trace () =
   Arg.(
@@ -71,9 +73,10 @@ let jobs () =
         ~env:(Cmd.Env.info "FPGAPART_JOBS")
         ~doc:
           "Run the multi-start search on $(docv) OCaml domains. The \
-           partition, the telemetry event stream and every counter are \
-           independent of $(docv) — only wall-clock time and the *_secs \
-           timers change. Defaults to $(env), then 1.")
+           partition and the whole $(b,--stats-json) telemetry are \
+           independent of $(docv) — only the result's wall_secs and \
+           cpu_secs and the $(b,--trace) timestamps change. Defaults to \
+           $(env), then 1.")
 
 (* The objective flag parses straight to the objective value via
    Objective.of_name, so the CLI error lists the valid names and a typo

@@ -415,7 +415,6 @@ let run_in ws ~obs cfg st =
     let trail_len = ref 0 in
     let repl_attempted = ref 0 in
     let pass_rescored0 = !rescored in
-    let t_wall0 = if observing then Obs.Clock.wall () else 0.0 in
     (* The prefix scores live in int registers, not tuples: the state is
        scored after every move. *)
     score_into cfg st regs;
@@ -485,10 +484,6 @@ let run_in ws ~obs cfg st =
       Obs.incr obs ~by:!trail_len "fm.applied_ops";
       Obs.incr obs ~by:to_undo "fm.rolled_back_ops";
       Obs.incr obs ~by:(!rescored - pass_rescored0) "fm.rescored_cells";
-      (if !trail_len > 0 then
-         let dt = Obs.Clock.wall () -. t_wall0 in
-         Obs.observe obs "fm.moves_per_sec"
-           (int_of_float (float_of_int !trail_len /. Float.max dt 1e-9)));
       Obs.event obs "fm.pass"
         [
           ("pass", Obs.Json.Int !pass_idx);

@@ -159,16 +159,15 @@ val run : ?obs:Obs.t -> config -> Partition_state.t -> score
     [fm.applied_ops] and [fm.rolled_back_ops] accumulate across passes.
 
     Each pass additionally runs inside a span named ["passN"], so a
-    tracing sink records one wall-clock span (with GC delta) per F-M pass;
-    and three histograms accumulate: ["fm.gain"] (the gain of every
-    applied operation), ["fm.scan_len"] (candidates inspected per bucket
-    scan before one passed the legality test) and ["fm.moves_per_sec"]
-    (per non-empty pass, applied ops over the pass's wall time — a
-    wall-derived quantity, masked by {!Obs.Scrub.null_mask} like
-    the [_secs] timers). The counter ["fm.rescored_cells"] accumulates the
-    number of best-op recomputations triggered by applied moves (pass
-    initialisation excluded) — the direct measure of what incremental
-    rescoring saves, and deterministic for a given seed. *)
+    tracing sink records one wall-clock span (with GC delta) per F-M pass:
+    that span is the pass's duration, and F-M reads no clock itself. Two
+    histograms accumulate: ["fm.gain"] (the gain of every applied
+    operation) and ["fm.scan_len"] (candidates inspected per bucket scan
+    before one passed the legality test). The counter
+    ["fm.rescored_cells"] accumulates the number of best-op recomputations
+    triggered by applied moves (pass initialisation excluded) — the direct
+    measure of what incremental rescoring saves, and deterministic for a
+    given seed. *)
 
 val run_staged : ?obs:Obs.t -> config -> Partition_state.t -> score
 (** Replication as the paper deploys it: an {e extension} of the

@@ -207,8 +207,8 @@ val partition :
     split) accumulate alongside the F-M ["fm.gain"]/["fm.scan_len"]
     distributions. Identical options yield an identical event stream —
     [jobs] included: runs (and restarts) record into {!Obs.fork}ed sinks
-    merged back in index order, so only the ["_secs"]-keyed timers vary
-    between runs or across [jobs] settings.
+    merged back in index order, so the snapshot holds no clock reading
+    and is byte-identical between runs and across [jobs] settings.
 
     When [obs] traces ({!Obs.create} with [trace:true]), every span also
     lands on a trace lane: [pid] is the multi-start run index (runs fork

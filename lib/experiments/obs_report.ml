@@ -1,6 +1,6 @@
 module J = Obs.Json
 
-let schema_version = 6
+let schema_version = 7
 
 let replication_to_json = function
   | `None -> J.String "none"
@@ -144,7 +144,7 @@ let result_to_json (r : Core.Kway.result) =
       ("cpu_secs", J.Float r.Core.Kway.cpu_secs);
       (* New in v5: per-axis aggregate utilization. Every key ends in
          [_util], so the determinism scrub masks the whole object the way
-         it masks the [_secs] timers (the ratios are derived data). *)
+         it masks the [_secs] stamps (the ratios are derived data). *)
       ( "resource_util",
         J.Obj
           (List.map
@@ -160,7 +160,9 @@ let doc ~name ~options ~result ~snapshot =
       ("circuit", J.String name);
       ("seed", J.Int options.Core.Kway.seed);
       ("options", options_to_json options);
-      ("result", result_to_json result);
+      (match result with
+      | Some r -> ("result", result_to_json r)
+      | None -> ("interrupted", J.Bool true));
       ("obs", Obs.Snapshot.to_json snapshot);
     ]
 

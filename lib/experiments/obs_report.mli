@@ -2,8 +2,8 @@
     behind [fpgapart partition --stats-json] and the service's result
     documents.
 
-    Schema (version 6) of a per-circuit document:
-    - ["schema_version"]: [6];
+    Schema (version 7) of a per-circuit document:
+    - ["schema_version"]: [7];
     - ["circuit"], ["seed"]: identification;
     - ["options"]: the {!Core.Kway.options} used, as {!options_to_json}
       renders them (new in v5 ["objective"], new in v6 ["strategy"]);
@@ -14,25 +14,28 @@
       single [elapsed_secs] claimed CPU seconds, which parallelism made
       wrong), new in v5 a ["resource_util"] object of per-axis aggregate
       utilizations (every key ends in [_util] and is masked by the
-      determinism scrub — derived ratios, like the timers), and a
+      determinism scrub — derived ratios), and a
       ["parts"] list of [{device, clbs, iobs}];
     - ["obs"]: the {!Obs.Snapshot} — ["counters"] (including, new in v4,
       ["fm.rescored_cells"] — best-op recomputations triggered by applied
       moves, the cost the criticality-filtered incremental rescoring is
-      bounding), ["timers"], ["histograms"] (new in v3: name →
+      bounding), ["histograms"] (new in v3: name →
       [{"count"; "sum"; "buckets"}] with signed-log2 bucket labels, all
-      integers — see {!Obs.observe}; new in v4: ["fm.moves_per_sec"], a
-      wall-derived rate histogram masked by the determinism scrub), and
-      the ordered ["events"] stream (["fm.pass"], ["kway.device_attempt"],
-      ["kway.split"], ["kway.refine_pair"], ...).
+      integers — see {!Obs.observe}), and the ordered ["events"] stream
+      (["fm.pass"], ["kway.device_attempt"], ["kway.split"],
+      ["kway.refine_pair"], ...). v7 drops v6's ["timers"] object (the
+      process-CPU seconds of every span path) and the
+      ["fm.moves_per_sec"] histogram: a span's duration is its [--trace]
+      span, and the ["obs"] object holds no clock reading, so two
+      same-seed documents agree on it byte for byte, whatever [jobs] each
+      ran with.
 
-    Every elapsed-time field ends in ["_secs"] and every wall-derived
-    rate in ["_per_sec"]; after {!Obs.Snapshot.scrub_elapsed} two
-    same-seed documents are byte-identical — whatever [jobs] each ran
-    with. The wall-clock trace a
-    tracing sink records ({!Obs.Trace}) is deliberately {e absent} from
-    this document: begin/end timestamps, domain track ids and GC deltas
-    are execution-dependent, so they live only in the separate [--trace]
+    Every elapsed-time field ends in ["_secs"]; after
+    {!Obs.Snapshot.scrub_elapsed} two same-seed documents are
+    byte-identical. The wall-clock trace a tracing sink records
+    ({!Obs.Trace}) is deliberately {e absent} from this document:
+    begin/end timestamps, domain track ids and GC deltas are
+    execution-dependent, so they live only in the separate [--trace]
     artifact. *)
 
 val schema_version : int
@@ -74,11 +77,13 @@ val result_to_json : Core.Kway.result -> Obs.Json.t
 val doc :
   name:string ->
   options:Core.Kway.options ->
-  result:Core.Kway.result ->
+  result:Core.Kway.result option ->
   snapshot:Obs.Snapshot.t ->
   Obs.Json.t
-(** Assemble the per-circuit document from an already-finished run (the
-    CLI path: it has the result and the sink in hand). *)
+(** Assemble the per-circuit document from a run the CLI has in hand.
+    [result = None] is a run cancelled before it finished: the document
+    carries ["interrupted": true] in place of ["result"], the other keys
+    in the same order. *)
 
 val write : path:string -> Obs.Json.t -> unit
 

@@ -25,3 +25,9 @@ val average : row list -> row
 
 val pp : Format.formatter -> row list -> unit
 (** Rows plus the averages line, in the paper's layout. *)
+
+val cpu_overhead : row list -> float
+(** The CPU overhead of functional replication over all runs, in percent
+    of the plain runs' process CPU seconds (the paper reports +34 %). A
+    measurement, not a decision: it differs from run to run, so it stays
+    out of {!pp}. *)

@@ -81,7 +81,6 @@ type tracer = {
 
 type collector = {
   counters : (string, int) Hashtbl.t;
-  timers : (string, float) Hashtbl.t;
   histograms : (string, hist) Hashtbl.t;
   mutable events_rev : (string * (string * Json.t) list) list;
   mutable stack : string list; (* innermost span first *)
@@ -96,7 +95,6 @@ let create ?(trace = false) () =
   Active
     {
       counters = Hashtbl.create 32;
-      timers = Hashtbl.create 32;
       histograms = Hashtbl.create 8;
       events_rev = [];
       stack = [];
@@ -154,7 +152,6 @@ let fork ?pid ?track = function
       Active
         {
           counters = Hashtbl.create 8;
-          timers = Hashtbl.create 8;
           histograms = Hashtbl.create 8;
           events_rev = [];
           stack = c.stack;
@@ -178,11 +175,6 @@ let merge_into ~into child =
           Hashtbl.replace parent.counters k
             (v + (try Hashtbl.find parent.counters k with Not_found -> 0)))
         c.counters;
-      Hashtbl.iter
-        (fun k v ->
-          Hashtbl.replace parent.timers k
-            (v +. (try Hashtbl.find parent.timers k with Not_found -> 0.0)))
-        c.timers;
       Hashtbl.iter
         (fun name h ->
           let ph =
@@ -233,24 +225,18 @@ let span t name f =
   | Noop -> f ()
   | Active c ->
       c.stack <- name :: c.stack;
-      let full = path c in
-      let t0 = Sys.time () in
-      (* Wall timestamps and GC readings exist only when tracing; the
-         CPU-only sink keeps its original cost. *)
+      (* The trace is the one clock a span reads: a sink that does not
+         trace keeps the span path for its events and reads no clock. *)
       let tr_state =
         match c.tracer with
         | None -> None
-        | Some tr -> Some (tr, Clock.wall () -. tr.epoch, gc_totals ())
+        | Some tr -> Some (tr, path c, Clock.wall () -. tr.epoch, gc_totals ())
       in
       Fun.protect
         ~finally:(fun () ->
-          let key = full ^ "_secs" in
-          let dt = Sys.time () -. t0 in
-          Hashtbl.replace c.timers key
-            (dt +. (try Hashtbl.find c.timers key with Not_found -> 0.0));
           (match tr_state with
           | None -> ()
-          | Some (tr, begin_secs, g0) ->
+          | Some (tr, full, begin_secs, g0) ->
               let g1 = gc_totals () in
               tr.spans_rev <-
                 {
@@ -312,20 +298,16 @@ module Snapshot = struct
 
   type t = {
     counters : (string * int) list;
-    timers : (string * float) list;
     histograms : (string * histogram) list;
     events : event list;
   }
 
   let of_sink = function
-    | Noop -> { counters = []; timers = []; histograms = []; events = [] }
+    | Noop -> { counters = []; histograms = []; events = [] }
     | Active c ->
         {
           counters =
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counters []
-            |> List.sort compare;
-          timers =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.timers []
             |> List.sort compare;
           histograms =
             Hashtbl.fold
@@ -363,8 +345,6 @@ module Snapshot = struct
       [
         ( "counters",
           Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.counters) );
-        ( "timers",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) s.timers) );
         ( "histograms",
           Json.Obj
             (List.map (fun (k, h) -> (k, histogram_to_json h)) s.histograms) );
@@ -376,48 +356,6 @@ module Snapshot = struct
       ]
 
   let scrub_elapsed = Scrub.null_mask Scrub.Stats
-
-  (* Every section prints at least one line — an explicit "(none)" when
-     empty — so piped summaries are stable whatever the sink recorded. *)
-  let pp fmt s =
-    Format.fprintf fmt "@[<v>";
-    (match s.counters with
-    | [] -> Format.fprintf fmt "counters  (none)@,"
-    | l ->
-        List.iter
-          (fun (k, v) -> Format.fprintf fmt "counter %-32s %d@," k v)
-          l);
-    (match s.timers with
-    | [] -> Format.fprintf fmt "timers  (none)@,"
-    | l ->
-        List.iter
-          (fun (k, v) -> Format.fprintf fmt "timer   %-32s %.6f@," k v)
-          l);
-    (match s.histograms with
-    | [] -> Format.fprintf fmt "histograms  (none)@,"
-    | l ->
-        List.iter
-          (fun (k, h) ->
-            Format.fprintf fmt "histo   %-32s n=%d sum=%d%s@," k h.count h.sum
-              (String.concat ""
-                 (List.map
-                    (fun (b, n) ->
-                      Printf.sprintf " %s:%d" (bucket_label b) n)
-                    h.buckets)))
-          l);
-    (match s.events with
-    | [] -> Format.fprintf fmt "events  (none)@,"
-    | events ->
-        let by_name = Hashtbl.create 8 in
-        List.iter
-          (fun e ->
-            Hashtbl.replace by_name e.name
-              (1 + (try Hashtbl.find by_name e.name with Not_found -> 0)))
-          events;
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_name []
-        |> List.sort compare
-        |> List.iter (fun (k, v) -> Format.fprintf fmt "events  %-32s %d@," k v));
-    Format.fprintf fmt "@]"
 end
 
 let snapshot = Snapshot.of_sink
@@ -669,13 +607,6 @@ module Metrics_export = struct
         header n "counter" (Printf.sprintf "Obs counter %s." k);
         pr "%s_total %d\n" n v)
       snapshot.Snapshot.counters;
-    List.iter
-      (fun (k, v) ->
-        let n = family k in
-        header n "gauge"
-          (Printf.sprintf "Obs timer %s (accumulated CPU seconds)." k);
-        pr "%s %s\n" n (number v))
-      snapshot.Snapshot.timers;
     (* Signed-log2 histograms export with their native bucket upper
        bounds as [le] labels; buckets are stored per-index, so the
        cumulative sums are rebuilt here in ascending index order. *)

@@ -1,5 +1,5 @@
 (** Observability sink for the partitioning engine: named counters,
-    span-scoped timers, log2-bucket histograms, a structured event stream,
+    a span stack, log2-bucket histograms, a structured event stream,
     and (optionally) a wall-clock trace with per-domain tracks.
 
     A sink is either the shared {!noop} (the default everywhere — recording
@@ -10,13 +10,15 @@
     recorded trace through {!Trace}.
 
     Conventions that the rest of the system relies on:
-    - every wall-time quantity lives under a key ending in ["_secs"]
-      (timer entries, elapsed fields of reports), and every wall-derived
-      rate under a key ending in ["_per_sec"] (e.g. the
-      ["fm.moves_per_sec"] histogram). This is what makes the {!Scrub}
-      mask complete and minimal: two runs with the same seed serialise
-      byte-identically after scrubbing, and the volatile keys {!Scrub}
-      names are the only ones scrubbed;
+    - a span's duration has one clock, the trace: the sink records no
+      time of its own, so a {!Snapshot} of the engine's telemetry holds
+      counts only and two same-seed runs serialise it byte-identically,
+      whatever [jobs] each ran with;
+    - every time quantity a document carries beside a snapshot lives
+      under a key ending in ["_secs"] (the elapsed fields of reports),
+      and every wall-derived rate under a key ending in ["_per_sec"]
+      (e.g. the service's ["service.fm_moves_per_sec"] histogram). This
+      is what makes the {!Scrub} mask complete and minimal;
     - events record the active span path (["kway/run0/split2"]) in a
       ["span"] field, so a flat event list stays attributable;
     - the trace never enters {!Snapshot.to_json}: wall-clock timestamps,
@@ -34,13 +36,16 @@ val create : ?trace:bool -> unit -> t
     {!span} additionally records begin/end wall-clock timestamps —
     monotonic within the sink, measured relative to the sink's creation
     instant so documents never embed absolute dates — and the GC delta
-    ({!Trace.gc_delta}) over the span body. A sink must only be written
-    from one domain at a time; parallel recording goes through
-    {!fork}/{!merge_into}. *)
+    ({!Trace.gc_delta}) over the span body; without it a span reads no
+    clock. A sink must only be written from one domain at a time;
+    parallel recording goes through {!fork}/{!merge_into}. *)
 
 (** The two clocks every elapsed figure in this system comes from. Route
     all timing through here — ad-hoc [Sys.time]/[Unix.gettimeofday] calls
-    are how CPU seconds end up labelled as wall clock. *)
+    are how CPU seconds end up labelled as wall clock. A span is timed by
+    the trace alone ({!span}); in the partitioning libraries only
+    [Kway]'s result stamps ([wall_secs], [cpu_secs]) read these clocks,
+    and [tools/lint.sh] keeps it so. *)
 module Clock : sig
   val wall : unit -> float
   (** Wall-clock seconds since the epoch ([Unix.gettimeofday]). Under
@@ -54,7 +59,7 @@ end
 val fork : ?pid:int -> ?track:int -> t -> t
 (** A private sink for one parallel trial: collecting iff the parent is,
     and starting with the parent's {e current} span path, so events and
-    timers recorded in the child carry the same span context they would
+    spans recorded in the child carry the same span context they would
     have carried if recorded in the parent at the fork point. The child
     shares no mutable state with the parent — recording into it from
     another domain is safe.
@@ -68,7 +73,7 @@ val fork : ?pid:int -> ?track:int -> t -> t
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into child] appends everything the child recorded:
-    counters, timers and histogram buckets add into the parent's, events
+    counters and histogram buckets add into the parent's, events
     append after the parent's existing events (preserving the child's
     recording order), trace spans likewise. A driver that forks one child
     per trial and merges them back in trial order reproduces the exact
@@ -91,11 +96,11 @@ val observe : t -> string -> int -> unit
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f] inside a named span: the span stack gains
-    [name], the CPU time of [f] (via {!Clock.cpu}, like every elapsed
-    figure this system reports) accumulates in a timer keyed
-    ["<path>/<name>_secs"], and the stack pops even if [f] raises. On a
-    tracing sink the span also records its wall-clock begin/end and GC
-    delta as a {!Trace.span}. On {!noop} it is just [f ()]. *)
+    [name], so events recorded by [f] carry the path, and the stack pops
+    even if [f] raises. On a tracing sink the span also records its
+    wall-clock begin/end and GC delta as a {!Trace.span}, the one place a
+    span is timed; on any other sink it reads no clock. On {!noop} it is
+    just [f ()]. *)
 
 val current_span : t -> string
 (** Current span path, ["/"]-joined, [""] at top level or on {!noop}. *)
@@ -147,29 +152,23 @@ module Snapshot : sig
 
   type t = {
     counters : (string * int) list;  (** sorted by name *)
-    timers : (string * float) list;  (** accumulated seconds, sorted by key *)
     histograms : (string * histogram) list;  (** sorted by name *)
     events : event list;             (** in recording order *)
   }
 
   val to_json : t -> Json.t
-  (** [{"counters": {...}, "timers": {...}, "histograms": {...},
-      "events": [...]}]. Each histogram serialises as
-      [{"count", "sum", "buckets": {"[lo,hi]": n, ...}}]; each event
-      becomes an object with its ["event"] name first, then its fields.
-      Deterministic for deterministic recording — only ["_secs"] and
-      ["_per_sec"] keyed values vary between identical runs. The trace is
-      deliberately absent (see {!Trace}). *)
+  (** [{"counters": {...}, "histograms": {...}, "events": [...]}]. Each
+      histogram serialises as [{"count", "sum", "buckets": {"[lo,hi]": n,
+      ...}}]; each event becomes an object with its ["event"] name first,
+      then its fields. Deterministic for deterministic recording: the
+      sink reads no clock, so only a value a caller records under a
+      ["_secs"] or ["_per_sec"] key can vary between identical runs. The
+      trace is deliberately absent (see {!Trace}). *)
 
   val scrub_elapsed : Json.t -> Json.t
   (** [Scrub.null_mask Stats]: null every ["_secs"], ["_per_sec"] and
       ["_util"] field, recursively, and nothing else (see {!Scrub}). Two
       same-seed runs must agree byte-for-byte after this. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Human summary: counters, timers, histograms, event count by name.
-      Every section prints at least one line — an explicit ["(none)"]
-      when empty — so piped output has a stable shape. *)
 end
 
 val snapshot : t -> Snapshot.t
@@ -281,8 +280,8 @@ module Metrics_export : sig
       name is [prefix ^ "_" ^ sanitize key] ([prefix] defaults to
       ["fpgapart"]). Gauges render first, then [slos] as [(name, help,
       histogram)] triples — recorded in ms, exported in seconds (base
-      units) — then the snapshot: counters as [<family>_total], timers as
-      gauges, signed-log2 histograms as native-bound histograms with
+      units) — then the snapshot: counters as [<family>_total] and
+      signed-log2 histograms as native-bound histograms with
       cumulative bucket counts. HELP text and label values are escaped
       per the exposition format. *)
 end

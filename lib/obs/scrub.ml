@@ -55,7 +55,7 @@ let stable doc =
       ("result", Json.Obj (fields "result"));
       ( "obs",
         Json.Obj
-          (List.filter (fun (k, _) -> k <> "events" && k <> "timers") obs
+          (List.filter (fun (k, _) -> k <> "events") obs
           @ [
               ("events_md5", Json.String md5);
               ("events_len", Json.Int (List.length events));

@@ -4,9 +4,10 @@
     A key is volatile when its value may differ between two runs with the
     same seed, or is a derived float whose integral inputs are already in
     the document:
-    - ["_secs"]: wall and CPU times (timers, elapsed fields of reports);
-    - ["_per_sec"]: wall-derived rates — a rate histogram such as
-      ["fm.moves_per_sec"] is volatile whole, count and buckets included;
+    - ["_secs"]: wall and CPU times (the elapsed fields of reports);
+    - ["_per_sec"]: wall-derived rates — a rate histogram such as the
+      service's ["service.fm_moves_per_sec"] is volatile whole, count and
+      buckets included;
     - ["_util"]: per-axis utilization ratios (schema v5), masked so that
       comparisons are about decisions, not float formatting;
     - ["_ms"], on log lines only: service latencies are integer
@@ -33,7 +34,7 @@ val stable : Json.t -> Json.t
     goldens in [test/golden/] pin:
     [{"circuit", "seed", "result", "obs"}] where ["result"] and ["obs"]
     have their volatile ([Stats]) keys dropped rather than nulled, and
-    ["obs"] loses ["timers"] and folds ["events"] into ["events_md5"] (the
-    md5 hex of {!Json.to_compact_string} over the event list with object
-    keys sorted recursively) and ["events_len"]. Schema-revision keys
+    ["obs"] folds ["events"] into ["events_md5"] (the md5 hex of
+    {!Json.to_compact_string} over the event list with object keys sorted
+    recursively) and ["events_len"]. Schema-revision keys
     (["schema_version"], ["options"]) are not part of it. *)

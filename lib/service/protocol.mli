@@ -41,8 +41,8 @@
       [run_ms], [encode_ms], [total_ms] — wall-clock, never part of the
       cached result document.
     - [cancel]: ["job"] — request cooperative cancellation.
-    - [stats]: server counters/timers/histograms as a schema-v3
-      compatible document.
+    - [stats]: server counters, histograms and events as a stats
+      document ({!Experiments.Obs_report.schema_version}).
     - [fleet-stats] (v3): the fleet scheduler's view — per-worker states
       and restart counts, per-tenant queue depths, requeue/portfolio
       counters and disk-cache occupancy. A single-process daemon answers

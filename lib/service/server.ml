@@ -116,7 +116,7 @@ let run_job (t : t) cfg (job : job) =
        if applied > 0 then begin
          (* One observation per job: applied F-M ops over the job's wall
             time. The _per_sec suffix marks it wall-derived, so the
-            determinism scrub masks it like the _secs timers. *)
+            determinism scrub masks it like the _secs stamps. *)
          Obs.observe t.obs "service.fm_moves_per_sec"
            (int_of_float (float_of_int applied /. Float.max wall 1e-9));
          Obs.incr t.obs ~by:(counter "fm.rescored_cells")

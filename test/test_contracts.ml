@@ -13,7 +13,9 @@
      run, --jobs 4 --trace, FPGAPART_JOBS=4, the default run and a
      multilevel run at jobs 4 are byte-identical after the null mask, and
      the stats document records neither jobs nor the trace, while the
-     trace itself is a valid Chrome trace-event document;
+     trace itself is a valid Chrome trace-event document; the "obs"
+     object reads no clock: at jobs 1 and 4 it is byte-identical with no
+     mask at all;
    - oracle identity: FPGAPART_FM_ORACLE=1 (every cached F-M gain
      cross-checked from scratch) changes nothing after the null mask, at
      the outer FPGAPART_JOBS, on c6288, or on all nine circuits when
@@ -94,10 +96,10 @@ let goldens =
         "multi-personality" );
     ]
 
-(* Every key the README documents for stats schema v6, and the fields
+(* Every key the README documents for stats schema v7, and the fields
    that must hold a given value, on two of the golden runs. The flat
    run: the per-pass F-M event fields, the per-split device attempts,
-   the split wall/CPU timing, the histograms of F-M gains and bucket-scan
+   the result's wall/CPU stamps, the histograms of F-M gains and bucket-scan
    lengths, the incremental-rescoring telemetry, the objective name and
    per-axis resource_util, and the strategy. The multilevel run: the
    V-cycle counters, histograms and events, and the knob object. *)
@@ -106,19 +108,19 @@ let schema =
   [
     ( "c6288",
       ( [
-          ("schema_version", J.Int 6); event "fm.pass";
+          ("schema_version", J.Int 7); event "fm.pass";
           event "kway.device_attempt"; event "kway.split";
           ("objective", J.String "paper"); ("strategy", J.String "flat");
         ],
         [
-          "circuit"; "seed"; "options"; "result"; "obs"; "counters"; "timers";
-          "events"; "parts"; "wall_secs"; "cpu_secs"; "pass"; "applied";
+          "circuit"; "seed"; "options"; "result"; "obs"; "counters"; "events";
+          "parts"; "wall_secs"; "cpu_secs"; "pass"; "applied";
           "rolled_back"; "repl_attempted"; "repl_accepted"; "cut";
           "terminals"; "improved"; "feasible"; "span"; "fm.passes";
           "kway.device_attempts"; "kway.splits"; "fm.rescored_cells";
           "resource_util"; "clb_util"; "io_util"; "histograms"; "fm.gain";
-          "fm.scan_len"; "fm.moves_per_sec"; "kway.attempt_cut";
-          "kway.split_cut"; "count"; "sum"; "buckets";
+          "fm.scan_len"; "kway.attempt_cut"; "kway.split_cut"; "count"; "sum";
+          "buckets";
         ] ) );
     ( "s9234.multilevel",
       ( [ event "ml.coarsen"; event "ml.refine" ],
@@ -225,6 +227,31 @@ let test_jobs_independence () =
   check_scrubbed "multilevel --jobs 4"
     (stats ~env:one "s9234" [ "--multilevel" ])
     (stats ~env:one "s9234" [ "--multilevel"; "--jobs"; "4" ])
+
+(* A span is timed by the trace alone, so the engine's "obs" object holds
+   no clock reading: four runs at jobs 1 and at jobs 4 agree on it byte
+   for byte with no mask, and no key under it names a time or a
+   wall-derived rate. *)
+let test_obs_clock_free () =
+  let obs jobs =
+    U.get Option.some [ "obs" ]
+      (stats "c6288" [ "--runs"; "4"; "--jobs"; jobs ])
+  in
+  let one = obs "1" in
+  Alcotest.(check string)
+    "obs at jobs 1 and 4, unmasked" (J.to_string one) (J.to_string (obs "4"));
+  let rec keys = function
+    | J.Obj fields -> List.concat_map (fun (k, v) -> k :: keys v) fields
+    | J.List items -> List.concat_map keys items
+    | _ -> []
+  in
+  Alcotest.(check (list string))
+    "no _secs or _per_sec key under obs" []
+    (List.filter
+       (fun k ->
+         String.ends_with ~suffix:"_secs" k
+         || String.ends_with ~suffix:"_per_sec" k)
+       (keys one))
 
 let test_oracle circuit () =
   check_scrubbed "FPGAPART_FM_ORACLE=1" (default_run circuit)
@@ -604,8 +631,10 @@ let () =
         [ Alcotest.test_case "smoke and refusal" `Quick test_objective_smoke ]
       );
       ( "determinism",
-        [ Alcotest.test_case "jobs independence" `Slow test_jobs_independence ]
-      );
+        [
+          Alcotest.test_case "jobs independence" `Slow test_jobs_independence;
+          Alcotest.test_case "obs reads no clock" `Slow test_obs_clock_free;
+        ] );
       ("oracle", cases test_oracle oracle);
       ( "cli",
         [ Alcotest.test_case "unwritable outputs" `Quick

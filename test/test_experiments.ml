@@ -425,9 +425,40 @@ let test_crossing_nets_matches_iobs () =
       in
       checkb "some crossings" true (n_crossing > 0)
 
+(* The stats document of a finished and of a cancelled run: the same
+   keys in the same order, "interrupted": true where "result" stands. *)
+let test_stats_doc_keys () =
+  let h =
+    Techmap.Mapper.to_hypergraph
+      (Techmap.Mapper.map (Netlist.Generator.c17 ()))
+  in
+  let options = Core.Kway.Options.make ~runs:1 () in
+  let obs = Obs.create () in
+  let r =
+    match Core.Kway.partition ~obs ~options ~library:Fpga.Library.xc3000 h with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let doc result =
+    Experiments.Obs_report.doc ~name:"c17" ~options ~result
+      ~snapshot:(Obs.snapshot obs)
+  in
+  let keys = function Obs.Json.Obj f -> List.map fst f | _ -> [] in
+  let head = [ "schema_version"; "circuit"; "seed"; "options" ] in
+  Alcotest.(check (list string))
+    "finished" (head @ [ "result"; "obs" ]) (keys (doc (Some r)));
+  let interrupted = doc None in
+  Alcotest.(check (list string))
+    "interrupted" (head @ [ "interrupted"; "obs" ]) (keys interrupted);
+  checkb "interrupted is true" true
+    (Obs.Json.member "interrupted" interrupted = Some (Obs.Json.Bool true))
+
 let () =
   Alcotest.run "experiments"
     [
+      ( "stats",
+        [ Alcotest.test_case "interrupted document keys" `Quick
+            test_stats_doc_keys ] );
       ( "suite",
         [
           Alcotest.test_case "shape" `Quick test_suite_shape;

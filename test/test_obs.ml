@@ -1,7 +1,7 @@
-(* Tests for the observability layer: counters, span timers, event
-   recording, the JSON emitter, and the determinism contract the engine's
-   telemetry promises (same seed -> byte-identical snapshots modulo
-   elapsed-time fields). *)
+(* Tests for the observability layer: counters, spans, event recording,
+   the JSON emitter, and the determinism contract the engine's telemetry
+   promises (same seed -> byte-identical snapshots, since the sink reads
+   no clock outside the trace). *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -63,8 +63,7 @@ let test_noop_sink () =
   checks "no span path" "" (Obs.current_span t);
   let s = Obs.snapshot t in
   checkb "empty snapshot" true
-    (s.Obs.Snapshot.counters = [] && s.Obs.Snapshot.timers = []
-   && s.Obs.Snapshot.events = [])
+    (s.Obs.Snapshot.counters = [] && s.Obs.Snapshot.events = [])
 
 let test_counters () =
   let t = Obs.create () in
@@ -93,9 +92,6 @@ let test_span_nesting () =
   checks "nested path" "outer/inner" !inner_path;
   checks "stack popped" "" (Obs.current_span t);
   let s = Obs.snapshot t in
-  let keys = List.map fst s.Obs.Snapshot.timers in
-  checkb "outer timer" true (List.mem "outer_secs" keys);
-  checkb "inner timer" true (List.mem "outer/inner_secs" keys);
   (match s.Obs.Snapshot.events with
   | [ e ] ->
       checks "event name" "probe" e.Obs.Snapshot.name;
@@ -105,18 +101,21 @@ let test_span_nesting () =
       checkb "payload preserved" true
         (List.assoc_opt "k" e.Obs.Snapshot.fields = Some (Obs.Json.Int 1))
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l));
-  (* Re-entering a span accumulates into the same timer key. *)
+  (* A span leaves nothing in the snapshot but the span path of the
+     events it holds: the sink times nothing outside the trace. *)
   Obs.span t "outer" (fun () -> ());
-  let s2 = Obs.snapshot t in
-  checki "timer keys stable" (List.length s.Obs.Snapshot.timers)
-    (List.length s2.Obs.Snapshot.timers)
+  checkb "a span records nothing" true (Obs.snapshot t = s)
 
 let test_span_exception_safety () =
   let t = Obs.create () in
   (try Obs.span t "boom" (fun () -> failwith "x") with Failure _ -> ());
   checks "stack popped after raise" "" (Obs.current_span t);
-  checkb "timer still recorded" true
-    (List.mem_assoc "boom_secs" (Obs.snapshot t).Obs.Snapshot.timers)
+  let t = Obs.create ~trace:true () in
+  (try Obs.span t "boom" (fun () -> failwith "x") with Failure _ -> ());
+  checks "traced stack popped after raise" "" (Obs.current_span t);
+  Alcotest.(check (list string))
+    "trace span still recorded" [ "boom" ]
+    (List.map (fun s -> s.Obs.Trace.span_name) (Obs.Trace.spans t))
 
 let test_event_order () =
   let t = Obs.create () in
@@ -188,10 +187,9 @@ let test_snapshot_json_shape () =
     (match Obs.Json.member "counters" j with
     | Some (Obs.Json.Obj [ ("c", Obs.Json.Int 1) ]) -> true
     | _ -> false);
-  checkb "timers object keyed _secs" true
-    (match Obs.Json.member "timers" j with
-    | Some (Obs.Json.Obj [ ("s_secs", Obs.Json.Float _) ]) -> true
-    | _ -> false);
+  Alcotest.(check (list string))
+    "keys, no timers" [ "counters"; "histograms"; "events" ]
+    (match j with Obs.Json.Obj fields -> List.map fst fields | _ -> []);
   checkb "events list with event name first" true
     (match Obs.Json.member "events" j with
     | Some (Obs.Json.List [ Obs.Json.Obj (("event", Obs.Json.String "e") :: _) ])
@@ -212,7 +210,7 @@ let test_scrub_elapsed_is_minimal () =
         );
         (* A wall-derived histogram: the whole value is masked, count
            included — its buckets depend on timing too. *)
-        ( "fm.moves_per_sec",
+        ( "service.fm_moves_per_sec",
           Obs.Json.Obj [ ("count", Obs.Json.Int 4); ("p50", Obs.Json.Float 9.0) ]
         );
         ("per_second", Obs.Json.Float 2.0);
@@ -230,7 +228,7 @@ let test_scrub_elapsed_is_minimal () =
           Obs.Json.List
             [ Obs.Json.Obj [ ("t_secs", Obs.Json.Null); ("n", Obs.Json.Int 1) ] ]
         );
-        ("fm.moves_per_sec", Obs.Json.Null);
+        ("service.fm_moves_per_sec", Obs.Json.Null);
         ("per_second", Obs.Json.Float 2.0);
         ("clb_util", Obs.Json.Null);
         ("utility", Obs.Json.Float 3.0);
@@ -239,8 +237,8 @@ let test_scrub_elapsed_is_minimal () =
   checks "only _secs/_per_sec/_util keys nulled, order kept"
     (Obs.Json.to_string expect)
     (Obs.Json.to_string (Obs.Snapshot.scrub_elapsed j));
-  (* The stable view drops what the null mask nulls, drops the timers and
-     the schema-revision keys, and folds the events into a length and the
+  (* The stable view drops what the null mask nulls and the
+     schema-revision keys, and folds the events into a length and the
      md5 of their key-sorted compact rendering. The hash was computed
      independently: md5 of Python's json.dumps(events, sort_keys=True,
      separators=(",", ":")) over the events without their _secs keys. *)
@@ -248,7 +246,7 @@ let test_scrub_elapsed_is_minimal () =
   let doc =
     J.Obj
       [
-        ("schema_version", J.Int 6);
+        ("schema_version", J.Int 7);
         ("circuit", J.String "c17");
         ("seed", J.Int 1);
         ("options", J.Obj [ ("runs", J.Int 5) ]);
@@ -263,11 +261,10 @@ let test_scrub_elapsed_is_minimal () =
           J.Obj
             [
               ("counters", J.Obj [ ("kway.splits", J.Int 1) ]);
-              ("timers", J.Obj [ ("run0_secs", J.Float 0.1) ]);
               ( "histograms",
                 J.Obj
                   [
-                    ("fm.moves_per_sec", J.Obj [ ("count", J.Int 1) ]);
+                    ("service.fm_moves_per_sec", J.Obj [ ("count", J.Int 1) ]);
                     ("fm.gain", J.Obj [ ("count", J.Int 3) ]);
                   ] );
               ( "events",
@@ -310,7 +307,7 @@ let test_scrub_elapsed_is_minimal () =
             ] );
       ]
   in
-  checks "stable drops volatile keys and timers, hashes sorted events"
+  checks "stable drops volatile keys, hashes sorted events"
     (J.to_string expect)
     (J.to_string (Obs.Scrub.stable doc))
 
@@ -419,33 +416,6 @@ let test_histogram_fork_merge =
       (Obs.snapshot parent).Obs.Snapshot.histograms
       = (Obs.snapshot direct).Obs.Snapshot.histograms)
 
-let test_pp_empty_sections () =
-  (* Every section prints an explicit "(none)" when empty, so piped
-     output keeps a stable shape. *)
-  let render t = Format.asprintf "%a" Obs.Snapshot.pp (Obs.snapshot t) in
-  let contains hay needle =
-    let n = String.length needle in
-    let rec find i =
-      i + n <= String.length hay
-      && (String.sub hay i n = needle || find (i + 1))
-    in
-    find 0
-  in
-  let empty = render (Obs.create ()) in
-  List.iter
-    (fun section ->
-      checkb (section ^ " (none) line") true
-        (contains empty (section ^ "  (none)")))
-    [ "counters"; "timers"; "histograms"; "events" ];
-  (* And a non-empty sink does not print (none) for populated sections. *)
-  let t = Obs.create () in
-  Obs.incr t "c";
-  Obs.observe t "h" 3;
-  let out = render t in
-  checkb "counters populated" false (contains out "counters  (none)");
-  checkb "histograms populated" false (contains out "histograms  (none)");
-  checkb "events still (none)" true (contains out "events  (none)")
-
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -517,10 +487,10 @@ let test_trace_off_records_nothing () =
 (* ------------------------------------------------------------------ *)
 
 let test_kway_snapshot_deterministic () =
-  (* Two same-seed partition calls must serialise byte-identically once the
-     ["_secs"] elapsed-time fields are scrubbed — those fields are the only
-     allowed difference. The multiplier needs several devices, so the
-     telemetry exercises splits, device attempts and F-M passes. *)
+  (* Two same-seed partition calls must serialise byte-identically, with
+     no scrub: the sink reads no clock, so nothing in the snapshot is
+     volatile. The multiplier needs several devices, so the telemetry
+     exercises splits, device attempts and F-M passes. *)
   let h =
     Techmap.Mapper.to_hypergraph
       (Techmap.Mapper.map (Netlist.Generator.multiplier ~bits:16 ()))
@@ -531,13 +501,12 @@ let test_kway_snapshot_deterministic () =
     (match Core.Kway.partition ~obs ~options ~library:Fpga.Library.xc3000 h with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e);
-    let snap = Obs.snapshot obs in
-    let json = Obs.Snapshot.to_json snap in
-    (snap, Obs.Json.to_string (Obs.Snapshot.scrub_elapsed json))
+    Obs.snapshot obs
   in
-  let snap_a, a = shot () in
-  let _, b = shot () in
-  checks "byte-identical after elapsed scrub" a b;
+  let snap_a = shot () in
+  let raw = Obs.Snapshot.to_json snap_a in
+  checks "byte-identical without a scrub" (Obs.Json.to_string raw)
+    (Obs.Json.to_string (Obs.Snapshot.to_json (shot ())));
   let names =
     List.sort_uniq compare
       (List.map (fun e -> e.Obs.Snapshot.name) snap_a.Obs.Snapshot.events)
@@ -545,32 +514,8 @@ let test_kway_snapshot_deterministic () =
   checkb "has fm.pass events" true (List.mem "fm.pass" names);
   checkb "has device-window attempts" true (List.mem "kway.device_attempt" names);
   checkb "has split events" true (List.mem "kway.split" names);
-  (* The scrub really only touched wall-derived keys: structure and every
-     non-_secs/_per_sec leaf agree between the scrubbed and raw
-     documents. *)
-  let ends_with k suf =
-    let n = String.length k and m = String.length suf in
-    n >= m && String.sub k (n - m) m = suf
-  in
-  let rec agrees raw scrubbed =
-    match (raw, scrubbed) with
-    | Obs.Json.Obj ra, Obs.Json.Obj sa ->
-        List.length ra = List.length sa
-        && List.for_all2
-             (fun (kr, vr) (ks, vs) ->
-               kr = ks
-               &&
-               if ends_with kr "_secs" || ends_with kr "_per_sec" then
-                 vs = Obs.Json.Null
-               else agrees vr vs)
-             ra sa
-    | Obs.Json.List rl, Obs.Json.List sl ->
-        List.length rl = List.length sl && List.for_all2 agrees rl sl
-    | r, s -> r = s
-  in
-  let raw = Obs.Snapshot.to_json snap_a in
-  checkb "scrub touches only _secs/_per_sec keys" true
-    (agrees raw (Obs.Snapshot.scrub_elapsed raw))
+  checks "no volatile key for the scrub to mask" (Obs.Json.to_string raw)
+    (Obs.Json.to_string (Obs.Snapshot.scrub_elapsed raw))
 
 (* ------------------------------------------------------------------ *)
 (* Json parser (the service protocol's only reader)                   *)
@@ -1059,8 +1004,6 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "json shape" `Quick test_snapshot_json_shape;
-          Alcotest.test_case "pp prints (none) for empty sections" `Quick
-            test_pp_empty_sections;
           Alcotest.test_case "scrub is minimal" `Quick
             test_scrub_elapsed_is_minimal;
           Alcotest.test_case "k-way determinism regression" `Quick

@@ -720,6 +720,63 @@ let stats_counter path name =
   | Some s -> counter s name
   | None -> Alcotest.fail "no stats"
 
+(* The daemon differential: one long-lived daemon serves a stream of
+   near-duplicate requests, and each reply carries, byte for byte, the
+   result document a fresh daemon computes for that request alone. Per
+   case the stream is a random netlist under a random multilevel
+   coarsening ratio, then its node-permuted text (a cache hit), then the
+   ratio nudged by one ulp (a miss). A request is a hit exactly when the
+   daemon has seen its circuit seed and ratio before. *)
+let test_daemon_differential () =
+  let request text ratio =
+    Service.Protocol.Submit
+      {
+        name = "near";
+        format = Service.Protocol.Bench;
+        netlist = text;
+        options =
+          Core.Kway.Options.make ~base:(multilevel_ratio ratio) ~runs:1 ();
+        envelope = Service.Protocol.default_envelope;
+      }
+  in
+  let serve path req =
+    let r = rpc_ok path req in
+    let cached =
+      Option.value ~default:false (Option.bind (J.member "cached" r) J.to_bool)
+    in
+    match J.member "result" r with
+    | Some d -> (cached, J.to_string d)
+    | None -> (cached, result_doc path (int_field "job" r))
+  in
+  let seen = Hashtbl.create 16 in
+  with_server (fun long_lived ->
+      let property (seed, ratio) =
+        let text = Netlist.Bench_format.to_string (random_circuit seed) in
+        List.for_all
+          (fun (what, text, ratio) ->
+            let key = (seed, Int64.bits_of_float ratio) in
+            let cached, doc = serve long_lived (request text ratio) in
+            let fresh = ref "" in
+            with_server (fun path ->
+                fresh := snd (serve path (request text ratio)));
+            if cached <> Hashtbl.mem seen key then
+              QCheck.Test.fail_reportf "%s: cached = %b" what cached;
+            Hashtbl.replace seen key ();
+            if doc <> !fresh then
+              QCheck.Test.fail_reportf "%s: reply differs from a fresh daemon's"
+                what;
+            true)
+          [
+            ("base", text, ratio);
+            ("permuted", permute_bench text, ratio);
+            ("nudged", text, Float.succ ratio);
+          ]
+      in
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~name:"daemon differential" ~count:3
+           QCheck.(pair (int_range 0 10_000) (float_range 0.05 0.95))
+           property))
+
 let qcheck_resubmit_noop_byte_identity =
   (* Satellite invariant: a resubmit carrying the empty delta replies the
      cached submit document byte-for-byte and runs no F-M at all — the
@@ -1421,6 +1478,8 @@ let () =
           Alcotest.test_case "cache hit on permuted resubmit" `Quick
             test_server_cache_hit_on_permuted_resubmit;
           QCheck_alcotest.to_alcotest qcheck_resubmit_noop_byte_identity;
+          Alcotest.test_case "near-duplicate requests match a fresh daemon"
+            `Quick test_daemon_differential;
           Alcotest.test_case "resubmit warm start" `Quick
             test_server_resubmit_warm;
           Alcotest.test_case "resubmit rejects objective switch" `Quick

@@ -193,6 +193,27 @@ if grep -qE '"schema_version"|g_help' "$f"; then
   status=1
 fi
 
+# One span clock: a span is timed by its trace span alone (Obs.span), so
+# the partitioning libraries read no clock, except where
+# Kway_types.finish stamps a result's wall_secs and cpu_secs. Process CPU
+# time (Sys.time counts every domain's CPU) is read in lib/ only through
+# Obs.Clock.cpu.
+for f in $(git ls-files 'lib/core/*.ml' 'lib/hypergraph/*.ml' \
+  'lib/netlist/*.ml' 'lib/techmap/*.ml' 'lib/fpga/*.ml'); do
+  case "$f" in lib/core/kway_types.ml) continue ;; esac
+  if grep -qE 'Obs\.Clock|Sys\.time|Unix\.gettimeofday' "$f"; then
+    echo "lint: clock read in $f" \
+      "(a span is timed by the trace; Kway_types.finish stamps a result)" >&2
+    status=1
+  fi
+done
+if git ls-files 'lib/*.ml' | xargs grep -nE 'Sys\.time' \
+  | grep -vE '^lib/obs/obs\.ml:[0-9]+: *let cpu = Sys\.time$' | grep -q .
+then
+  echo "lint: Sys.time read in lib/ outside Obs.Clock.cpu" >&2
+  status=1
+fi
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
