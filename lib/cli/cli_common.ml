@@ -1,17 +1,21 @@
 open Cmdliner
 
-(* Budget knobs reject non-positive values at the parse layer, so both a
-   flag and its environment default ([FPGAPART_JOBS=0]) fail with a
-   proper Cmdliner error (naming the flag or variable) instead of
-   surfacing later as Kway.Options.make's Invalid_argument. *)
-let positive_int =
+(* Budget knobs reject non-positive values, and the replication
+   threshold negative ones, at the parse layer, so both a flag and its
+   environment default ([FPGAPART_JOBS=0]) fail with a proper Cmdliner
+   error (naming the flag or variable) instead of surfacing later as
+   Kway.Options.make's Invalid_argument. *)
+let int_at_least lo ~what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Ok n when n >= lo -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected %s, got %d" what n))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+let positive_int = int_at_least 1 ~what:"a positive integer"
+let non_negative_int = int_at_least 0 ~what:"a non-negative integer"
 
 let seed ?(default = 1) () =
   Arg.(
@@ -27,7 +31,7 @@ let runs ?(default = 5) ?(extra_names = []) () =
 let replication_threshold () =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative_int) None
     & info [ "replicate"; "T" ] ~docv:"T"
         ~doc:
           "Enable functional replication with threshold replication \
@@ -107,77 +111,26 @@ let objective () =
               interposer crossing."
              (String.concat ", " Fpga.Objective.names)))
 
-(* The multilevel flags assemble straight into a Kway.strategy so both
-   frontends share the validation (ratio range via a dedicated conv, the
-   counts via positive_int) and the default knobs come from one place
-   (Kway.Options.default_multilevel). The tuning flags are accepted but
-   inert without --multilevel, like --replicate's threshold shape. *)
-let ratio_conv =
-  let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok r when r > 0.0 && r < 1.0 -> Ok r
-    | Ok r ->
-        Error
-          (`Msg (Printf.sprintf "expected a ratio in (0, 1), got %g" r))
-    | Error _ as e -> e
-  in
-  Arg.conv ~docv:"R" (parse, Arg.conv_printer Arg.float)
-
 let multilevel () =
-  let default = Core.Kway.Options.default_multilevel in
-  let flag =
-    Arg.(
-      value & flag
-      & info [ "multilevel" ]
-          ~doc:
-            "Partition via the multilevel V-cycle: coarsen the netlist by \
-             heavy-edge matching, run the k-way device-selection driver \
-             on the coarsest graph, then uncoarsen level by level, \
-             moving boundary cells greedily; with $(b,--replicate), one \
-             F-M replication round follows at the finest level. Orders of \
-             magnitude faster on large (100k+ cell) circuits; without \
-             this flag the classic flat driver runs and output is \
-             byte-identical to previous releases.")
-  in
-  let max_levels =
-    Arg.(
-      value
-      & opt positive_int default.Core.Kway.max_levels
-      & info [ "ml-max-levels" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf
-               "Coarsening depth cap for $(b,--multilevel) (default %d)."
-               default.Core.Kway.max_levels))
-  in
-  let coarsen_ratio =
-    Arg.(
-      value
-      & opt ratio_conv default.Core.Kway.coarsen_ratio
-      & info [ "ml-coarsen-ratio" ] ~docv:"R"
-          ~doc:
-            (Printf.sprintf
-               "Coarsening stall threshold in (0, 1) for \
-                $(b,--multilevel): stop when a matching round keeps at \
-                least $(docv) of the cells (default %g)."
-               default.Core.Kway.coarsen_ratio))
-  in
-  let refine_passes =
-    Arg.(
-      value
-      & opt positive_int default.Core.Kway.refine_passes
-      & info [ "ml-refine-passes" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf
-               "Boundary-restricted refinement sweeps per uncoarsening \
-                level for $(b,--multilevel) (default %d)."
-               default.Core.Kway.refine_passes))
-  in
-  let build enabled max_levels coarsen_ratio refine_passes =
-    if enabled then
-      Core.Kway.Multilevel { Core.Kway.max_levels; coarsen_ratio; refine_passes }
+  let build enabled =
+    if enabled then Core.Kway.Multilevel Core.Kway.Options.default_multilevel
     else Core.Kway.Flat
   in
-  Term.(const build $ flag $ max_levels $ coarsen_ratio $ refine_passes)
+  Term.(
+    const build
+    $ Arg.(
+        value & flag
+        & info [ "multilevel" ]
+            ~doc:
+              "Partition via the multilevel V-cycle: coarsen the netlist by \
+               heavy-edge matching, run the k-way device-selection driver \
+               on the coarsest graph, then uncoarsen level by level, \
+               moving boundary cells greedily; with $(b,--replicate), one \
+               F-M replication round follows at the finest level. The \
+               V-cycle runs with the library's default knobs. Orders of \
+               magnitude faster on large (100k+ cell) circuits; without \
+               this flag the classic flat driver runs and output is \
+               byte-identical to previous releases."))
 
 let device_lib () =
   Arg.(

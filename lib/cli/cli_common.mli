@@ -20,7 +20,7 @@ val runs : ?default:int -> ?extra_names:string list -> unit -> int Cmdliner.Term
 
 val replication_threshold : unit -> int option Cmdliner.Term.t
 (** [--replicate T] / [-T T] — functional-replication threshold; absent
-    means replication off. *)
+    means replication off. A negative [T] is a parse error. *)
 
 val replication_of_threshold : int option -> [ `None | `Functional of int ]
 (** The {!Core.Kway.options} view of {!replication_threshold}'s value. *)
@@ -49,13 +49,10 @@ val objective : unit -> Fpga.Objective.t Cmdliner.Term.t
     unknown name is a Cmdliner parse error listing the valid names. *)
 
 val multilevel : unit -> Core.Kway.strategy Cmdliner.Term.t
-(** [--multilevel] plus its tuning flags [--ml-max-levels N],
-    [--ml-coarsen-ratio R] and [--ml-refine-passes N] — the
-    {!Core.Kway.strategy} for the run. Without [--multilevel] the term
-    evaluates to [Flat] and the tuning flags are inert; with it,
-    unspecified knobs come from {!Core.Kway.Options.default_multilevel}.
-    The ratio is validated into (0, 1) and the counts positive at parse
-    time, mirroring [--jobs]. *)
+(** [--multilevel] — the {!Core.Kway.strategy} for the run: [Flat]
+    without the flag, [Multilevel] with
+    {!Core.Kway.Options.default_multilevel} with it. The V-cycle's knobs
+    are not flags; code sets them through {!Core.Kway.Options.make}. *)
 
 val device_lib : unit -> string option Cmdliner.Term.t
 (** [--device-lib FILE] — JSON device library; absent means the built-in

@@ -38,6 +38,12 @@ let make ~objective ~replication ~max_passes ?(should_stop = never_stop)
   if max_passes <= 0 then
     invalid_arg
       (Printf.sprintf "Fm: max_passes must be positive (got %d)" max_passes);
+  (match replication with
+  | `Functional t when t < 0 ->
+      invalid_arg
+        (Printf.sprintf
+           "Fm: replication threshold must be non-negative (got %d)" t)
+  | `None | `Functional _ -> ());
   { objective; replication; max_passes; bounds; should_stop; oracle = false;
     active }
 
@@ -142,6 +148,51 @@ let random_state rng hg =
   let on_b = Array.make n false in
   Array.iteri (fun k c -> if k < n / 2 then on_b.(c) <- true) order;
   Partition_state.create hg ~init_on_b:(fun c -> on_b.(c))
+
+let flip current o =
+  if Bitvec.mem o current then Bitvec.remove o current
+  else Bitvec.add o current
+
+(* Candidate masks are generated each exactly once, so no dedupe pass (or
+   allocation) is needed downstream. The collisions a dedupe would absorb
+   are structural and excluded at the source:
+   - a single-output cell's one "migration" flip IS the whole-cell
+     complement (never generated twice: replication is gated on m > 1, and
+     the replicated branch requires m >= 2);
+   - for a replicated cell, flipping its only B-output regenerates [empty]
+     and flipping its only A-output regenerates [full], so the explicit
+     un-replication masks are emitted only when no flip produced them.
+   The complement of a replicated mask differs from the current mask in
+   every one of the m >= 2 output positions, so it never collides with a
+   single-bit flip; and [empty]/[full] equal the complement only when the
+   cell is single-sided, in which case the replicated branch is dead. *)
+let iter_masks st ~replication cell ~f =
+  let hg = Partition_state.hypergraph st in
+  let c = Hypergraph.cell hg cell in
+  let m = Array.length c.Hypergraph.outputs in
+  let current = Partition_state.mask st cell in
+  (* Whole-cell move / side swap of all outputs. *)
+  let comp = Bitvec.complement m current in
+  if not (Bitvec.equal comp current) then f comp;
+  if Partition_state.is_replicated st cell then begin
+    (* Already replicated: adjust the split or un-replicate. Split
+       adjustment and un-replication are always allowed -- the threshold
+       gates creating replicas, not removing them. *)
+    for o = 0 to m - 1 do
+      f (flip current o)
+    done;
+    if Bitvec.norm current <> 1 then f Bitvec.empty;
+    if Bitvec.norm current <> m - 1 then f (Bitvec.full m)
+  end
+  else
+    (* Replication creation: migrate one output. *)
+    match replication with
+    | `None -> ()
+    | `Functional threshold ->
+        if m > 1 && Replication_potential.replicable ~threshold c then
+          for o = 0 to m - 1 do
+            f (flip current o)
+          done
 
 (* Whole-cell moves are the classic F-M operation; every other mask change
    (output migration, split adjustment, un-replication) belongs to the
@@ -302,7 +353,7 @@ let run_in ws ~obs cfg st =
   let compute_best cell =
     cur := cell;
     found := false;
-    Gain.iter_masks st ~replication:cfg.replication cell ~f:consider
+    iter_masks st ~replication:cfg.replication cell ~f:consider
   in
   let rescored = ref 0 in
   let rescore cell =

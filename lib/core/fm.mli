@@ -4,12 +4,13 @@
     The engine runs F-M passes over a {!Partition_state}: each pass
     tentatively applies the best legal operation per cell at most once
     (operations are mask changes: moves, output migrations,
-    un-replications — see {!Gain.iter_masks}), then rolls back to the
-    best prefix. Gains are exact deltas from {!Partition_state.eval}; after
-    each applied operation only the cells sharing a net with the moved cell
-    are re-scored, preserving the F-M cost profile (the paper reports a
-    34% CPU surcharge for replication; this implementation is in the same
-    regime).
+    un-replications — see {!iter_masks}), then rolls back to the
+    best prefix. Gains are exact deltas from {!Partition_state.eval_into}
+    (the paper's closed forms, eqs. 7–11, live in the test suite as an
+    oracle for them); after each applied operation only the cells sharing
+    a net with the moved cell are re-scored, preserving the F-M cost
+    profile (the paper reports a 34% CPU surcharge for replication; this
+    implementation is in the same regime).
 
     With [replication = `None] and [objective = `Cut] this is the classic
     min-cut F-M of the paper's first experiment; [`Functional T] enables
@@ -41,8 +42,25 @@ type score = int * int * int
     proportional to the move's actual blast radius instead of the moved
     cell's whole neighbourhood. Epoch stamps deduplicate the per-move
     dirty set; candidate evaluation runs through
-    {!Gain.iter_masks} + {!Partition_state.eval_into} into preallocated
+    {!iter_masks} + {!Partition_state.eval_into} into preallocated
     scratch, so the steady-state loop does not allocate per candidate. *)
+
+val iter_masks :
+  Partition_state.t ->
+  replication:[ `None | `Functional of int ] ->
+  int ->
+  f:(Bitvec.t -> unit) ->
+  unit
+(** F-M's candidate source: every mask the engine scores for a cell
+    under the replication mode. That is the whole-cell move; single-output
+    migrations when the cell may replicate (psi at least the threshold of
+    [`Functional t], more than one output) or is already replicated; and
+    full un-replication to either side when replicated. Every mask is
+    produced {e exactly once}, the current mask never, in a fixed order
+    the engine's first-wins tie-break relies on: the complement first,
+    then per-output flips in ascending output order, then un-replication
+    to empty and then to full. Allocates nothing beyond the callback's
+    own work. *)
 
 type bounds = private
   | Halves of { cap : int }
@@ -103,7 +121,8 @@ type config = private {
     ({!balance_config}, {!window_config}), so it has passed their
     checks. Both raise [Invalid_argument] on a non-positive
     [max_passes]: a budget of zero passes silently degrades every caller
-    to "return the initial state", which is never what was meant. *)
+    to "return the initial state", which is never what was meant. They
+    raise it on a negative replication threshold too. *)
 
 val with_oracle : config -> config
 (** The same config in oracle mode. *)

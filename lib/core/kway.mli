@@ -150,7 +150,8 @@ module Options : sig
       [make ~base ~seed ()] is [base] with another seed.
 
       Raises [Invalid_argument] when [runs], [max_passes], [fm_attempts]
-      or [jobs] is non-positive, or [refine_rounds] is negative: a bad
+      or [jobs] is non-positive, or [refine_rounds] or the
+      [`Functional] replication threshold is negative: a bad
       budget otherwise fails far downstream ([runs = 0] surfaces as "no
       feasible partition", [fm_attempts = 0] as an empty restart loop)
       where the cause is unrecoverable from the symptom. A [Multilevel]

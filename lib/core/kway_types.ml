@@ -87,6 +87,14 @@ module Options = struct
         (Printf.sprintf
            "Kway.Options.make: refine_rounds must be non-negative (got %d)"
            refine_rounds);
+    (match replication with
+    | `Functional t when t < 0 ->
+        invalid_arg
+          (Printf.sprintf
+             "Kway.Options.make: replication threshold must be non-negative \
+              (got %d)"
+             t)
+    | `None | `Functional _ -> ());
     (match strategy with
     | Flat -> ()
     | Multilevel m ->

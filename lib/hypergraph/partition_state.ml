@@ -27,19 +27,11 @@ type t = {
   (* Nets whose per-side connection category (0 / 1 / >=2) changed in the
      last [apply] — exactly the nets that crossed a gain-relevant critical
      boundary (0<->1 or 1<->2 on a side). Kept separate from the s_* eval
-     scratch so readers may interleave [eval]/[eval_into] calls with the
+     scratch so readers may interleave [eval_into] calls with the
      iteration. *)
   ch_nets : int array;
   mutable ch_len : int;
-  sd : scratch; (* reusable delta target of eval and apply *)
-}
-
-and delta = {
-  d_cut : int;
-  d_term_a : int;
-  d_term_b : int;
-  d_area_a : int;
-  d_area_b : int;
+  sd : scratch; (* reusable delta target of apply *)
 }
 
 and scratch = {
@@ -314,17 +306,6 @@ let eval_into t c new_mask (out : scratch) =
     scratch_totals t c new_mask out
   end
 
-let eval t c new_mask =
-  let d = t.sd in
-  eval_into t c new_mask d;
-  {
-    d_cut = d.sc_cut;
-    d_term_a = d.sc_term_a;
-    d_term_b = d.sc_term_b;
-    d_area_a = d.sc_area_a;
-    d_area_b = d.sc_area_b;
-  }
-
 (* Connection-count category: gains of candidate operations on a cell
    depend on an incident net's side counts only through min(count, 2),
    because any single-cell mask change shifts each side count by at most
@@ -362,8 +343,6 @@ let apply t c new_mask =
       t.res_b.(a) <- t.res_b.(a) + d.sc_res_b.(a)
     done
   end
-
-let num_changed_nets t = t.ch_len
 
 let iter_changed_nets t f =
   for i = 0 to t.ch_len - 1 do

@@ -18,8 +18,9 @@
     Moving a cell, creating a replica (one output migrates), adjusting a
     replica's output split, and un-replicating are all "change the mask"
     operations, so the unified gain model of Section III reduces to one
-    primitive: {!eval} the exact cut/terminal/area deltas of a mask change,
-    computed in O(cell degree) from per-net side-connection counts.
+    primitive: {!eval_into} writes the exact cut/terminal/area deltas of a
+    mask change, computed in O(cell degree) from per-net side-connection
+    counts. The paper's gains are their negation ([- sc_cut]).
 
     Tracked quantities:
     - [cut]: nets with connections on both sides (external pins do not make
@@ -83,20 +84,6 @@ val connections : t -> side -> int -> int
 
 (** {1 Mask changes} *)
 
-type delta = {
-  d_cut : int;
-  d_term_a : int;
-  d_term_b : int;
-  d_area_a : int;
-  d_area_b : int;
-}
-
-val eval : t -> int -> Bitvec.t -> delta
-(** [eval t c m] — exact effect of setting cell [c]'s mask to [m], without
-    applying it: what {!eval_into} writes, copied into a fresh record.
-    The paper's gains are recovered as [- d_cut]. Raises
-    [Invalid_argument] if [m] is not a subset of {!full_mask}. *)
-
 type scratch = {
   mutable sc_cut : int;
   mutable sc_term_a : int;
@@ -108,27 +95,27 @@ type scratch = {
       (** per-axis demand deltas, length [Hypergraph.demand_arity];
           slot 0 restates [sc_area_a]/[sc_area_b] *)
 }
-(** A caller-owned mutable delta, for evaluation loops that must not
-    allocate (the F-M hot path evaluates one candidate per affected
-    neighbour per applied move). The resource slots are fixed arrays
-    written in place, so vector-aware objectives ride the same
-    allocation-free path. *)
+(** A caller-owned mutable delta, so evaluation loops need not allocate
+    (the F-M hot path evaluates one candidate per affected neighbour per
+    applied move). The resource slots are fixed arrays written in place,
+    so vector-aware objectives ride the same allocation-free path. *)
 
 val make_scratch : unit -> scratch
 
 val eval_into : t -> int -> Bitvec.t -> scratch -> unit
-(** [eval_into t c m out] — exactly {!eval}, but writing the delta into
-    [out] instead of returning a fresh record. Allocation-free. Raises
-    [Invalid_argument] if [m] is not a subset of {!full_mask}. *)
+(** [eval_into t c m out] — the exact effect of setting cell [c]'s mask
+    to [m], without applying it, written into [out]: the change of
+    {!cut}, of {!terminals} and {!area} on each side, and of each
+    {!resource} axis. Setting the current mask writes zeros. The one
+    delta evaluation; allocation-free. Raises [Invalid_argument] if [m]
+    is not a subset of {!full_mask}. *)
 
 val apply : t -> int -> Bitvec.t -> unit
-(** Commit a mask change: the counters shift by exactly the delta {!eval}
-    would have returned, so read them (or call {!eval} first) for the
-    delta. Allocation-free, as F-M applies and rolls back one per move.
-    Additionally records the set of {e state-changed} nets for
-    {!iter_changed_nets}. *)
-
-val num_changed_nets : t -> int
+(** Commit a mask change: the counters shift by exactly the delta
+    {!eval_into} would have written, so read them (or call {!eval_into}
+    first) for the delta. Allocation-free, as F-M applies and rolls back
+    one per move. Additionally records the set of {e state-changed} nets
+    for {!iter_changed_nets}. *)
 
 val iter_changed_nets : t -> (int -> unit) -> unit
 (** The nets whose per-side connection category [min (count, 2)] changed

@@ -120,6 +120,32 @@ let test_device_lib_paths () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing device library file accepted"
 
+let test_replicate_negative () =
+  expect_parse_error "--replicate=-1"
+    (eval ~argv:[| "test"; "--replicate=-1" |]
+       (Cli_common.replication_threshold ()))
+    "replicate";
+  match eval ~argv:[| "test"; "-T"; "0" |] (Cli_common.replication_threshold ())
+  with
+  | Ok (`Ok t), _ -> checkb "-T 0 accepted" true (t = Some 0)
+  | _ -> Alcotest.fail "-T 0 rejected"
+
+let test_multilevel_flag () =
+  (match eval (Cli_common.multilevel ()) with
+  | Ok (`Ok s), _ -> checkb "flat without the flag" true (s = Core.Kway.Flat)
+  | _ -> Alcotest.fail "no flag rejected");
+  (match eval ~argv:[| "test"; "--multilevel" |] (Cli_common.multilevel ()) with
+  | Ok (`Ok s), _ ->
+      checkb "default knobs with the flag" true
+        (s = Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+  | _ -> Alcotest.fail "--multilevel rejected");
+  (* The V-cycle's knobs are not flags. *)
+  expect_parse_error "--ml-max-levels 3"
+    (eval
+       ~argv:[| "test"; "--multilevel"; "--ml-max-levels"; "3" |]
+       (Cli_common.multilevel ()))
+    "unknown option"
+
 let () =
   Alcotest.run "cli"
     [
@@ -141,4 +167,9 @@ let () =
           Alcotest.test_case "device library paths" `Quick
             test_device_lib_paths;
         ] );
+      ( "replicate",
+        [ Alcotest.test_case "negative threshold" `Quick test_replicate_negative ]
+      );
+      ( "multilevel",
+        [ Alcotest.test_case "flag and no knobs" `Quick test_multilevel_flag ] );
     ]

@@ -144,32 +144,74 @@ let test_replicable_threshold () =
 (* Gain model                                                         *)
 (* ------------------------------------------------------------------ *)
 
+module Reference_gain = References.Reference_gain
+
+(* The candidate masks F-M scores for cell [c], in generation order. *)
+let candidates st ~replication c =
+  let acc = ref [] in
+  Fm.iter_masks st ~replication c ~f:(fun m -> acc := m :: !acc);
+  List.rev !acc
+
+(* Whether [eval_into]'s cut and terminal deltas for setting cell [c]'s
+   mask to [m] equal the reference's from-scratch recount of the state
+   before and after. *)
+let recount_agrees st c m =
+  let after =
+    Partition_state.create_with_masks (Partition_state.hypergraph st)
+      ~masks:(fun c' -> if c' = c then m else Partition_state.mask st c')
+  in
+  let cut0, ta0, tb0 = Reference_gain.totals st
+  and cut1, ta1, tb1 = Reference_gain.totals after in
+  let d = Test_util.eval st c m in
+  d.Partition_state.sc_cut = cut1 - cut0
+  && d.Partition_state.sc_term_a = ta1 - ta0
+  && d.Partition_state.sc_term_b = tb1 - tb0
+
+let flip_output current o =
+  if Bitvec.mem o current then Bitvec.remove o current
+  else Bitvec.add o current
+
 let test_gain_fig4_golden () =
-  (* The paper's worked example: G_m = -1, G_tr = -2, G_r = +2. *)
+  (* The paper's worked example: G_m = -1, G_tr = -2, G_r = +2, from the
+     closed forms and, for the move and the migrations, from eval_into. *)
   let _, st = Test_util.fig4_state () in
-  let v = Gain.vectors st 0 in
-  checki "G_m (eq. 7)" (-1) (Gain.single_move v);
-  checki "G_tr (eq. 8)" (-2) (Gain.traditional_replication v);
-  (match Gain.functional_replication st 0 ~threshold:0 with
+  let v = Reference_gain.vectors st 0 in
+  checki "G_m (eq. 7)" (-1) (Reference_gain.single_move v);
+  checki "G_tr (eq. 8)" (-2) (Reference_gain.traditional_replication v);
+  (match Reference_gain.functional_replication v ~threshold:0 with
   | Some (g, o) ->
       checki "G_r (eq. 11)" 2 g;
       checki "best output is X2" 1 o
   | None -> Alcotest.fail "functional replication should be available");
   (* Vector values, for the record: 2 cut inputs, both critical. *)
-  checki "|C_I|" 2 (Bitvec.norm v.Gain.c_i);
-  checki "|C_O|" 1 (Bitvec.norm v.Gain.c_o);
-  checki "n" 5 v.Gain.n_inputs
+  checki "|C_I|" 2 (Bitvec.norm v.Reference_gain.c_i);
+  checki "|C_O|" 1 (Bitvec.norm v.Reference_gain.c_o);
+  checki "n" 5 v.Reference_gain.n_inputs;
+  let gain m = -(Test_util.eval st 0 m).Partition_state.sc_cut in
+  checki "eval_into: move" (-1) (gain (Partition_state.full_mask st 0));
+  checki "eval_into: migrate X1" (-3) (gain (Bitvec.singleton 0));
+  checki "eval_into: migrate X2" 2 (gain (Bitvec.singleton 1));
+  List.iter
+    (fun m ->
+      checkb
+        (Printf.sprintf "eval_into = recount for mask %d" m)
+        true (recount_agrees st 0 m))
+    (candidates st ~replication:(`Functional 0) 0)
 
 let test_gain_threshold_blocks () =
   let _, st = Test_util.fig4_state () in
-  checkb "T=6 blocks M" true
-    (Gain.functional_replication st 0 ~threshold:6 = None);
+  let repl c ~threshold =
+    Reference_gain.functional_replication (Reference_gain.vectors st c)
+      ~threshold
+  in
+  checkb "T=6 blocks M" true (repl 0 ~threshold:6 = None);
   checkb "single-output cell can never replicate" true
-    (Gain.functional_replication st 6 ~threshold:0 = None)
+    (repl 6 ~threshold:0 = None)
 
 let qcheck_formula_matches_eval =
   (* Eq. (7) must equal the exact cut delta of a whole-cell move for every
-     single cell, on arbitrary random states. *)
+     single cell, on arbitrary random states, and the move's cut and
+     terminal deltas the reference's recount. *)
   QCheck.Test.make ~name:"eq. 7 = exact move delta" ~count:80
     QCheck.(pair small_int (int_range 4 20))
     (fun (seed, n_cells) ->
@@ -181,17 +223,20 @@ let qcheck_formula_matches_eval =
         match Partition_state.single_side st c with
         | None -> ()
         | Some _ ->
-            let v = Gain.vectors st c in
+            let v = Reference_gain.vectors st c in
             let full = Partition_state.full_mask st c in
             let flip = Bitvec.complement (Bitvec.norm full) (Partition_state.mask st c) in
-            let d = Partition_state.eval st c flip in
-            if Gain.single_move v <> -d.Partition_state.d_cut then ok := false
+            let d = Test_util.eval st c flip in
+            if Reference_gain.single_move v <> -d.Partition_state.sc_cut then
+              ok := false;
+            if not (recount_agrees st c flip) then ok := false
       done;
       !ok)
 
 let qcheck_functional_gain_positive_cases =
-  (* G_r as reported must equal the exact delta of applying the chosen
-     output migration. *)
+  (* Every output's migration gain (eqs. 9-10) must equal the exact delta
+     of applying it, so G_r (eq. 11) does too; the migration's cut and
+     terminal deltas must equal the reference's recount. *)
   QCheck.Test.make ~name:"eq. 11 gain = exact migration delta" ~count:60
     QCheck.(pair small_int (int_range 4 16))
     (fun (seed, n_cells) ->
@@ -200,34 +245,58 @@ let qcheck_functional_gain_positive_cases =
       let st = Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng) in
       let ok = ref true in
       for c = 0 to Hypergraph.num_cells h - 1 do
-        match Gain.functional_replication st c ~threshold:0 with
+        let v = Reference_gain.vectors st c in
+        let current = Partition_state.mask st c in
+        let exact o =
+          -(Test_util.eval st c (flip_output current o)).Partition_state.sc_cut
+        in
+        match Reference_gain.functional_replication v ~threshold:0 with
         | None -> ()
         | Some (g, o) ->
-            let current = Partition_state.mask st c in
-            let mask =
-              if Bitvec.mem o current then Bitvec.remove o current
-              else Bitvec.add o current
-            in
-            let d = Partition_state.eval st c mask in
-            if g <> -d.Partition_state.d_cut then ok := false
+            if g <> exact o then ok := false;
+            for o = 0 to v.Reference_gain.n_outputs - 1 do
+              if Reference_gain.migration v o <> exact o then ok := false;
+              if not (recount_agrees st c (flip_output current o)) then
+                ok := false
+            done
       done;
       !ok)
 
-let test_best_mask_change_candidates () =
+let test_candidate_operations () =
+  (* The masks F-M scores, in the order its first-wins tie-break reads:
+     the complement, the per-output flips in ascending order, then
+     un-replication to empty and then to full. Replication adds one
+     migration per output; once replicated, split adjustment and
+     un-replication appear whatever the mode. *)
+  let masks = Alcotest.(check (list int)) in
   let _, st = Test_util.fig4_state () in
-  (* Without replication: only the whole-cell move. *)
-  let plain = Gain.best_mask_change st ~replication:`None 0 in
-  checki "move only" 1 (List.length plain);
-  (* With replication at T=0: move + one migration per output. *)
-  let repl = Gain.best_mask_change st ~replication:(`Functional 0) 0 in
-  checki "move + 2 migrations" 3 (List.length repl);
-  (* Once replicated, unreplication and split adjustment appear. *)
+  masks "M single, no replication" [ 0b11 ]
+    (candidates st ~replication:`None 0);
+  masks "M single, T=0" [ 0b11; 0b01; 0b10 ]
+    (candidates st ~replication:(`Functional 0) 0);
+  masks "M single, T=6 (psi 5)" [ 0b11 ]
+    (candidates st ~replication:(`Functional 6) 0);
+  (* Replicated with X2 on B: its flips regenerate full and empty, so the
+     un-replication tail adds nothing. *)
   Partition_state.apply st 0 (Bitvec.singleton 1);
-  let after = Gain.best_mask_change st ~replication:(`Functional 0) 0 in
-  checkb "includes full-A merge" true
-    (List.exists (fun (m, _) -> Bitvec.is_empty m) after);
-  checkb "includes full-B merge" true
-    (List.exists (fun (m, _) -> Bitvec.equal m (Partition_state.full_mask st 0)) after)
+  masks "M replicated, no replication" [ 0b01; 0b11; 0b00 ]
+    (candidates st ~replication:`None 0);
+  masks "M replicated, T=0" [ 0b01; 0b11; 0b00 ]
+    (candidates st ~replication:(`Functional 0) 0);
+  (* A four-output cell split two and two: every part of the order. *)
+  let h =
+    Hypergraph.create ~num_nets:8 ~external_nets:[ 0; 1; 2; 3 ]
+      [
+        Test_util.spec "W" [ 0; 1; 2; 3 ] [ 4; 5; 6; 7 ]
+          (List.init 4 Bitvec.singleton);
+      ]
+  in
+  let st = Partition_state.create_with_masks h ~masks:(fun _ -> 0b0110) in
+  List.iter
+    (fun replication ->
+      masks "W replicated" [ 0b1001; 0b0111; 0b0100; 0b0010; 0b1110; 0; 0b1111 ]
+        (candidates st ~replication 0))
+    [ `None; `Functional 0 ]
 
 let test_no_duplicate_candidates () =
   (* Satellite of the incremental engine: iter_masks generates every
@@ -258,9 +327,7 @@ let test_no_duplicate_candidates () =
     List.iter
       (fun replication ->
         for c = 0 to n - 1 do
-          let masks =
-            List.map fst (Gain.best_mask_change st ~replication c)
-          in
+          let masks = candidates st ~replication c in
           let uniq = List.sort_uniq compare masks in
           checki "no duplicate candidates" (List.length masks)
             (List.length uniq);
@@ -554,11 +621,11 @@ let qcheck_incremental_gains_exact =
          smaller area growth, first-generated candidate wins the rest. *)
       let best c =
         let acc = ref None in
-        Gain.iter_masks st ~replication c ~f:(fun m ->
-            let d = Partition_state.eval st c m in
-            let g = -d.Partition_state.d_cut in
+        Fm.iter_masks st ~replication c ~f:(fun m ->
+            let d = Test_util.eval st c m in
+            let g = -d.Partition_state.sc_cut in
             let tie =
-              -(d.Partition_state.d_area_a + d.Partition_state.d_area_b)
+              -(d.Partition_state.sc_area_a + d.Partition_state.sc_area_b)
             in
             match !acc with
             | Some (_, bg, bt) when bg > g || (bg = g && bt >= tie) -> ()
@@ -645,7 +712,7 @@ let check_candidates_allocation_free label st ~replication =
   let sweep () =
     for c = 0 to Hypergraph.num_cells h - 1 do
       cur := c;
-      Gain.iter_masks st ~replication c ~f:consider
+      Fm.iter_masks st ~replication c ~f:consider
     done
   in
   sweep ();
@@ -2580,6 +2647,8 @@ let test_kway_options_validation () =
   expect_invalid "jobs 0" (fun () -> Kway.Options.make ~jobs:0 ());
   expect_invalid "refine_rounds negative" (fun () ->
       Kway.Options.make ~refine_rounds:(-1) ());
+  expect_invalid "replication threshold negative" (fun () ->
+      Kway.Options.make ~replication:(`Functional (-1)) ());
   let o = Kway.Options.make ~runs:1 ~max_passes:1 ~fm_attempts:1 ~jobs:1
       ~refine_rounds:0 ()
   in
@@ -2621,6 +2690,12 @@ let test_fm_config_validation () =
       Fm.balance_config ~max_passes:0 ~total_area:10 ());
   expect_invalid "fm window max_passes negative" (fun () ->
       Fm.window_config ~max_passes:(-2)
+        ~a:(device_window ~lo:2 ~hi:10 ~terminals:8 ())
+        ());
+  expect_invalid "fm balance threshold negative" (fun () ->
+      Fm.balance_config ~replication:(`Functional (-1)) ~total_area:10 ());
+  expect_invalid "fm window threshold negative" (fun () ->
+      Fm.window_config ~replication:(`Functional (-1))
         ~a:(device_window ~lo:2 ~hi:10 ~terminals:8 ())
         ());
   expect_invalid "fm empty window" (fun () ->
@@ -2719,7 +2794,7 @@ let () =
           Alcotest.test_case "no duplicate candidates" `Quick
             test_no_duplicate_candidates;
           Alcotest.test_case "candidate operations" `Quick
-            test_best_mask_change_candidates;
+            test_candidate_operations;
         ] );
       ( "bucket",
         [

@@ -527,6 +527,20 @@ let test_protocol_bad_requests () =
          ("netlist", J.String "INPUT(a)\nOUTPUT(a)\n");
          ("options", J.Obj [ ("runs", J.Int 0) ]);
        ]);
+  (* So is a negative replication threshold. *)
+  bad
+    (J.Obj
+       [
+         v;
+         ("verb", J.String "submit");
+         ("name", J.String "x");
+         ("format", J.String "bench");
+         ("netlist", J.String "INPUT(a)\nOUTPUT(a)\n");
+         ( "options",
+           J.Obj
+             [ ("replication", J.Obj [ ("functional_threshold", J.Int (-1)) ]) ]
+         );
+       ]);
   (* Unknown objective names are bad requests too. *)
   bad
     (J.Obj

@@ -87,6 +87,13 @@ let fig4_state () =
   let on_b = function 1 | 2 | 7 -> true | _ -> false in
   (h, Partition_state.create h ~init_on_b:on_b)
 
+(* The delta of setting cell [c]'s mask to [m] in a fresh scratch: the
+   allocating form of [Partition_state.eval_into] the tests compare. *)
+let eval st c m =
+  let sc = Partition_state.make_scratch () in
+  Partition_state.eval_into st c m sc;
+  sc
+
 (* Words allocated while [f ()] runs, less what an empty measurement
    reads. [Gc.minor_words] is current at every call (unlike
    [Gc.quick_stat], which only advances at a collection); [Gc.counters]

@@ -139,7 +139,7 @@ done
 # Bitvec: it names no driver module, and Kway_types only for the result
 # types, never its helpers (the drivers' own result assembly).
 f=lib/core/verifier.ml
-if grep -qE '\b(Kway|Split|Pairwise|Tally|Warm|Vcycle|Fm|Coarsen|Gain|Bucket|Partition_state|Projection|Replication_potential)\.' "$f" \
+if grep -qE '\b(Kway|Split|Pairwise|Tally|Warm|Vcycle|Fm|Coarsen|Bucket|Partition_state|Projection|Replication_potential)\.' "$f" \
   || grep -oE '\bKway_types\.[A-Za-z_]+' "$f" | grep -qvE '\.(part|result)$'
 then
   echo "lint: $f uses driver code" \
@@ -213,6 +213,26 @@ then
   echo "lint: Sys.time read in lib/ outside Obs.Clock.cpu" >&2
   status=1
 fi
+
+# One gain path: F-M scores every candidate mask (Fm.iter_masks) by its
+# exact delta (Partition_state.eval_into). The paper's closed forms
+# (eqs. 7-11) are the test suite's oracle for that delta
+# (test/reference_gain.ml), so no program module keeps them.
+for f in lib/core/gain.ml lib/core/gain.mli; do
+  if [ -e "$f" ]; then
+    echo "lint: $f exists (the closed forms live in test/reference_gain.ml)" >&2
+    status=1
+  fi
+done
+for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' \
+  'bench/*.ml' 'bench/*.mli' 'examples/*.ml' 'examples/*.mli' \
+  'tools/*.ml' 'tools/*.mli'); do
+  if grep -qE '\bGain\.|single_move|traditional_replication' "$f"; then
+    echo "lint: second gain path in $f" \
+      "(score candidates through Fm.iter_masks and eval_into)" >&2
+    status=1
+  fi
+done
 
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
