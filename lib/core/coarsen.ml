@@ -225,7 +225,12 @@ let cluster_spec (h : Hypergraph.t) cluster_of members mark net_map next k lo
     s_supports = Array.make (Array.length outputs) (Bitvec.full !n_in);
   }
 
-let coarsen ?max_weight ?max_nets ~rng (h : Hypergraph.t) =
+(* Heavy-edge matching: [cluster_of] sends each cell to its cluster,
+   numbered in matching order, and [clusters] counts them. [seen] is the
+   net-indexed scratch of the merge guards, handed on to [contract]. *)
+type matching = { cluster_of : int array; clusters : int; seen : int array }
+
+let match_cells ?max_weight ?max_nets ~rng (h : Hypergraph.t) =
   let n = Hypergraph.num_cells h in
   let num_nets = h.Hypergraph.num_nets in
   let net_cells = h.Hypergraph.net_cells in
@@ -326,7 +331,12 @@ let coarsen ?max_weight ?max_nets ~rng (h : Hypergraph.t) =
       if !best >= 0 then cluster_of.(!best) <- id
     end
   done;
-  let num_clusters = !next_cluster in
+  { cluster_of; clusters = !next_cluster; seen }
+
+(* The coarse graph of a matching. *)
+let contract (h : Hypergraph.t) { cluster_of; clusters = num_clusters; seen } =
+  let n = Hypergraph.num_cells h in
+  let num_nets = h.Hypergraph.num_nets in
   (* Members of cluster [k] are [members.(first.(k) .. first.(k+1)-1)],
      ascending: a count pass, a prefix sum, then a fill pass that leaves
      [first.(k)] at the end of [k], shifted back afterwards. *)
@@ -375,6 +385,9 @@ let coarsen ?max_weight ?max_nets ~rng (h : Hypergraph.t) =
   in
   (coarse, cluster_of)
 
+let coarsen ?max_weight ?max_nets ~rng h =
+  contract h (match_cells ?max_weight ?max_nets ~rng h)
+
 type hierarchy = {
   coarsest : Hypergraph.t;
   levels : (Hypergraph.t * int array) list;
@@ -398,14 +411,20 @@ let hierarchy ?(coarsest = 150) ?(max_levels = 12) ?(stall_ratio = 0.9)
       || depth >= max_levels || should_stop ()
     then (levels, h_cur)
     else begin
-      let coarse, map =
-        wrap depth (fun () -> coarsen ?max_weight ?max_nets ~rng h_cur)
+      let level =
+        wrap depth (fun () ->
+            let m = match_cells ?max_weight ?max_nets ~rng h_cur in
+            (* A stalled matching is thrown away, so its graph is not
+               built. *)
+            if
+              float_of_int m.clusters
+              >= stall_ratio *. float_of_int (Hypergraph.num_cells h_cur)
+            then None
+            else Some (contract h_cur m))
       in
-      if
-        float_of_int (Hypergraph.num_cells coarse)
-        >= stall_ratio *. float_of_int (Hypergraph.num_cells h_cur)
-      then (levels, h_cur) (* matching stalled *)
-      else build ((h_cur, map) :: levels) coarse (depth + 1)
+      match level with
+      | None -> (levels, h_cur)
+      | Some (coarse, map) -> build ((h_cur, map) :: levels) coarse (depth + 1)
     end
   in
   let levels, coarsest_h = build [] h 0 in

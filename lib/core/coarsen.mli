@@ -42,7 +42,9 @@ val coarsen :
     earliest driven among ties. (It is the net a [Hashtbl] of the driven
     nets returned last from [Hashtbl.fold] at the default seed.)
 
-    Cost: the coarse graph plus O(cells + nets) scratch.
+    Cost: the coarse graph plus O(cells + nets) scratch. The matching
+    runs first and knows the cluster count before any of the graph is
+    built, which lets {!hierarchy} drop a stalled level unbuilt.
 
     [max_weight] caps cluster growth {e per demand axis}: a merge is
     refused when any axis of the summed demand vectors (zero-extended to
@@ -79,17 +81,24 @@ val hierarchy :
   ?stall_ratio:float ->
   ?max_weight:int array ->
   ?max_nets:int ->
-  ?wrap:(int -> (unit -> Hypergraph.t * int array) -> Hypergraph.t * int array) ->
+  ?wrap:
+    (int ->
+    (unit -> (Hypergraph.t * int array) option) ->
+    (Hypergraph.t * int array) option) ->
   ?should_stop:(unit -> bool) ->
   rng:Netlist.Rng.t ->
   Hypergraph.t ->
   hierarchy
 (** Repeated {!coarsen} until the graph has at most [coarsest] cells
     (default 150), [max_levels] levels exist (default 12), or matching
-    stalls (the coarse graph keeps at least [stall_ratio] of the fine
-    cells, default 0.9). [wrap] is called around each coarsening step with
-    the 0-based level index — the k-way driver passes an [Obs.span] so
-    per-level [coarsenN] timings land in the trace.
+    stalls (it finds at least [stall_ratio] of the fine cell count in
+    clusters, default 0.9). A level is matched first and contracted only
+    if it did not stall, so a stalled level costs its matching scratch
+    and builds no graph; the RNG draws are those of {!coarsen}, all made
+    by the matching. [wrap] is called around each level, the stalled one
+    included, with the 0-based level index; the step answers [None] when
+    the level stalled — the k-way driver passes an [Obs.span] so per-level
+    [coarsenN] timings land in the trace.
 
     [should_stop] (default: never) is polled before each level; once it
     answers [true] no further level is built and the hierarchy built so

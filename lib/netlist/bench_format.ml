@@ -254,7 +254,7 @@ let scan st names text =
 let build st names =
   let nm id = names.strings.(id) in
   Elaborate.run
-    (Circuit.Builder.create ~name:"bench" ())
+    (Circuit.Builder.create ~name:"bench" ~size:names.count ())
     {
       statements = st.n;
       signal = (fun i -> st.name.(i));

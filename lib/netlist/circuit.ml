@@ -31,69 +31,67 @@ let check_node ~num_nodes n =
       Error (Printf.sprintf "node %s: fanin id out of range" n.name)
     else Ok ()
 
+let is_source nd =
+  match nd.kind with
+  | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> true
+  | _ -> false
+
+(* Readers of each node in ascending id order, a reader that reads it
+   twice listed twice: a count pass, then a fill pass. *)
+let fanouts_of nodes =
+  let n = Array.length nodes in
+  let counts = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let fanins = nodes.(i).fanins in
+    for p = 0 to Array.length fanins - 1 do
+      counts.(fanins.(p)) <- counts.(fanins.(p)) + 1
+    done
+  done;
+  let fanouts = Array.map (fun k -> Array.make k 0) counts in
+  Array.fill counts 0 n 0;
+  for i = 0 to n - 1 do
+    let fanins = nodes.(i).fanins in
+    for p = 0 to Array.length fanins - 1 do
+      let f = fanins.(p) in
+      fanouts.(f).(counts.(f)) <- i;
+      counts.(f) <- counts.(f) + 1
+    done
+  done;
+  fanouts
+
 (* Kahn's algorithm over combinational dependencies only: Input, Dff and
    constant nodes are sources; a Dff's fanin is not a dependency of its
    output. Returns [Error names_on_cycle] when a combinational cycle
-   exists. Successors are one offset array and one flat array, filled
-   from the last consumer down, so each node's combinational consumers
-   are visited in descending id order, a gate reading it on two pins
-   twice. That is the order of the first, list-based definition, which
-   every stored order must keep. *)
-let topo_or_cycle nodes =
+   exists. A node's successors are its readers in [fanouts] walked from
+   the last down, sources skipped: its combinational consumers in
+   descending id order, a gate reading it on two pins twice. That is the
+   order of the first, list-based definition, which every stored order
+   must keep. *)
+let topo_or_cycle nodes fanouts =
   let n = Array.length nodes in
-  let is_source nd =
-    match nd.kind with
-    | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> true
-    | _ -> false
-  in
   let indeg = Array.make n 0 in
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let nd = nodes.(i) in
-    if not (is_source nd) then begin
-      let fanins = nd.fanins in
-      indeg.(nd.id) <- Array.length fanins;
-      for p = 0 to Array.length fanins - 1 do
-        let f = fanins.(p) in
-        start.(f + 1) <- start.(f + 1) + 1
-      done
-    end
-  done;
-  for f = 1 to n do
-    start.(f) <- start.(f) + start.(f - 1)
-  done;
-  let succs = Array.make start.(n) 0 in
-  let fill = Array.sub start 0 n in
-  for i = n - 1 downto 0 do
-    let nd = nodes.(i) in
-    if not (is_source nd) then begin
-      let fanins = nd.fanins in
-      for p = 0 to Array.length fanins - 1 do
-        let f = fanins.(p) in
-        succs.(fill.(f)) <- nd.id;
-        fill.(f) <- fill.(f) + 1
-      done
-    end
-  done;
   let order = Array.make n (-1) in
   let tail = ref 0 in
   for i = 0 to n - 1 do
     let nd = nodes.(i) in
-    if indeg.(nd.id) = 0 then begin
-      order.(!tail) <- nd.id;
+    if not (is_source nd) then indeg.(i) <- Array.length nd.fanins;
+    if indeg.(i) = 0 then begin
+      order.(!tail) <- i;
       incr tail
     end
   done;
   let head = ref 0 in
   while !head < !tail do
-    let u = order.(!head) in
+    let readers = fanouts.(order.(!head)) in
     incr head;
-    for e = start.(u) to start.(u + 1) - 1 do
-      let v = succs.(e) in
-      indeg.(v) <- indeg.(v) - 1;
-      if indeg.(v) = 0 then begin
-        order.(!tail) <- v;
-        incr tail
+    for e = Array.length readers - 1 downto 0 do
+      let v = readers.(e) in
+      if not (is_source nodes.(v)) then begin
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then begin
+          order.(!tail) <- v;
+          incr tail
+        end
       end
     done
   done;
@@ -114,10 +112,12 @@ module Builder = struct
     circuit_name : string;
   }
 
-  let create ?(name = "circuit") () =
+  let create ?(name = "circuit") ?(size = 64) () =
     {
-      nodes = Vec.create ();
-      by_name = Hashtbl.create 64;
+      nodes =
+        Vec.with_capacity size
+          { id = -1; name = ""; kind = Gate.Input; fanins = [||] };
+      by_name = Hashtbl.create size;
       inputs = Vec.create ();
       outputs = Vec.create ();
       fresh = 0;
@@ -151,9 +151,7 @@ module Builder = struct
     in
     loop ()
 
-  let gate b ?name kind fanins =
-    let name = match name with Some n -> n | None -> fresh_name b in
-    add b name kind (Array.of_list fanins)
+  let gate b ~name kind fanins = add b name kind fanins
 
   let mark_output b id =
     if id < 0 || id >= Vec.length b.nodes then
@@ -189,34 +187,15 @@ module Builder = struct
           invalid_arg
             ("Circuit.Builder.finish: flip-flop " ^ nd.name ^ " never connected"))
       nodes;
+    let fanouts = fanouts_of nodes in
     let topo_order =
-      match topo_or_cycle nodes with
+      match topo_or_cycle nodes fanouts with
       | Ok order -> order
       | Error names ->
           invalid_arg
             ("Circuit.Builder.finish: combinational cycle through "
             ^ String.concat ", " (List.filteri (fun i _ -> i < 5) names))
     in
-    (* Readers of each node in ascending id order, a reader that reads it
-       twice listed twice: a count pass, then a fill pass. *)
-    let n = Array.length nodes in
-    let counts = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let fanins = nodes.(i).fanins in
-      for p = 0 to Array.length fanins - 1 do
-        counts.(fanins.(p)) <- counts.(fanins.(p)) + 1
-      done
-    done;
-    let fanouts = Array.map (fun k -> Array.make k 0) counts in
-    Array.fill counts 0 n 0;
-    for i = 0 to n - 1 do
-      let fanins = nodes.(i).fanins in
-      for p = 0 to Array.length fanins - 1 do
-        let f = fanins.(p) in
-        fanouts.(f).(counts.(f)) <- i;
-        counts.(f) <- counts.(f) + 1
-      done
-    done;
     {
       nodes;
       fanouts;
@@ -260,11 +239,9 @@ let levels c =
   Array.iter
     (fun i ->
       let nd = c.nodes.(i) in
-      match nd.kind with
-      | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 -> lv.(i) <- 0
-      | _ ->
-          lv.(i) <-
-            1 + Array.fold_left (fun acc f -> max acc lv.(f)) (-1) nd.fanins)
+      if not (is_source nd) then
+        lv.(i) <-
+          1 + Array.fold_left (fun acc f -> max acc lv.(f)) (-1) nd.fanins)
     order;
   lv
 
@@ -285,7 +262,7 @@ let validate c =
       if Array.exists (fun o -> o < 0 || o >= num) c.outputs then
         Error "output id out of range"
       else
-        match topo_or_cycle c.nodes with
+        match topo_or_cycle c.nodes (fanouts_of c.nodes) with
         | Ok _ -> Ok ()
         | Error names ->
             Error ("combinational cycle through " ^ String.concat ", " names))

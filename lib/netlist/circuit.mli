@@ -29,16 +29,26 @@ module Builder : sig
   type circuit := t
   type t
 
-  val create : ?name:string -> unit -> t
+  val create : ?name:string -> ?size:int -> unit -> t
+  (** [size] (default 64) is the number of nodes the caller expects: the
+      node vector and the name table are allocated for that many, so a
+      builder given its exact node count never grows or rehashes. It is a
+      hint only; a builder takes any number of nodes. *)
 
   val input : t -> string -> int
   (** Declare a primary input signal; returns its node id. *)
 
-  val gate : t -> ?name:string -> Gate.kind -> int list -> int
-  (** [gate b kind fanins] adds a gate reading the given node ids; returns
-      the new node id. A fresh name is invented when [name] is omitted.
-      Raises [Invalid_argument] on a bad arity, an unknown fanin id, or a
-      duplicate name. *)
+  val gate : t -> name:string -> Gate.kind -> int array -> int
+  (** [gate b ~name kind fanins] adds a gate reading the given node ids,
+      in pin order; returns the new node id. The node keeps [fanins]
+      itself, not a copy: the caller hands the array over and must not
+      mutate it afterwards. Raises [Invalid_argument] on a bad arity, an
+      unknown fanin id, or a duplicate name. *)
+
+  val fresh_name : t -> string
+  (** The next invented name of ["n0"], ["n1"], … not yet taken, for a
+      gate the caller does not name: [gate b ~name:(fresh_name b) kind
+      fanins]. *)
 
   val mark_output : t -> int -> unit
   (** Mark a node's signal as a primary output (idempotent). *)
@@ -88,8 +98,10 @@ val topological_order : t -> int array
 (** Every node, combinational sources ([Input], [Dff], constants) first,
     then gates in dependency order. DFF fanins are not dependencies (the
     [D] pin is consumed at the clock edge). Kahn's pass runs once, in
-    {!Builder.finish}; this returns the stored array itself, not a copy,
-    so callers must not mutate it. *)
+    {!Builder.finish}, over the [fanouts] arrays: a node's combinational
+    readers in descending id order, a gate reading it on two pins
+    twice. This returns the stored array itself, not a copy, so callers
+    must not mutate it. *)
 
 val levels : t -> int array
 (** [levels.(i)] = length of the longest combinational path from a source

@@ -72,11 +72,11 @@ let run ?build b src =
     for j = 0 to n - 1 do
       ignore (resolve at (src.fanin i j))
     done;
-    let fanins = ref [] in
-    for j = n - 1 downto 0 do
-      fanins := ids.(src.fanin i j) :: !fanins
+    let fanins = Array.make n 0 in
+    for j = 0 to n - 1 do
+      fanins.(j) <- ids.(src.fanin i j)
     done;
-    Circuit.Builder.gate b ~name:(src.name s) kind !fanins
+    Circuit.Builder.gate b ~name:(src.name s) kind fanins
   in
   match
     for i = 0 to src.statements - 1 do
@@ -121,7 +121,7 @@ let canonical ~name ~signals ~signal_name ~kind ~fanins ~outputs =
   Array.sort by_name outputs;
   let node i = if i < signals then order.(i) else outputs.(i - signals) in
   run
-    (Circuit.Builder.create ~name ())
+    (Circuit.Builder.create ~name ~size:signals ())
     {
       statements = signals + Array.length outputs;
       signal = node;

@@ -1,26 +1,29 @@
 module B = Circuit.Builder
 
+(* A gate under an invented name. *)
+let gate b kind fanins = B.gate b ~name:(B.fresh_name b) kind fanins
+
 (* Shared small combinational building blocks. *)
 
 let full_adder b a bb cin =
-  let axb = B.gate b Gate.Xor [ a; bb ] in
-  let sum = B.gate b Gate.Xor [ axb; cin ] in
-  let t1 = B.gate b Gate.And [ a; bb ] in
-  let t2 = B.gate b Gate.And [ axb; cin ] in
-  let cout = B.gate b Gate.Or [ t1; t2 ] in
+  let axb = gate b Gate.Xor [| a; bb |] in
+  let sum = gate b Gate.Xor [| axb; cin |] in
+  let t1 = gate b Gate.And [| a; bb |] in
+  let t2 = gate b Gate.And [| axb; cin |] in
+  let cout = gate b Gate.Or [| t1; t2 |] in
   (sum, cout)
 
 let half_adder b a bb =
-  let sum = B.gate b Gate.Xor [ a; bb ] in
-  let cout = B.gate b Gate.And [ a; bb ] in
+  let sum = gate b Gate.Xor [| a; bb |] in
+  let cout = gate b Gate.And [| a; bb |] in
   (sum, cout)
 
 (* 2-to-1 multiplexer: [s] = 0 picks [a]. *)
 let mux2 b s a bb =
-  let ns = B.gate b Gate.Not [ s ] in
-  let ta = B.gate b Gate.And [ ns; a ] in
-  let tb = B.gate b Gate.And [ s; bb ] in
-  B.gate b Gate.Or [ ta; tb ]
+  let ns = gate b Gate.Not [| s |] in
+  let ta = gate b Gate.And [| ns; a |] in
+  let tb = gate b Gate.And [| s; bb |] in
+  gate b Gate.Or [| ta; tb |]
 
 (* Balanced gate tree over [ids] (arity folded to 2). *)
 let rec tree b kind ids =
@@ -29,7 +32,7 @@ let rec tree b kind ids =
   | [ x ] -> x
   | _ ->
       let rec pair = function
-        | x :: y :: rest -> B.gate b kind [ x; y ] :: pair rest
+        | x :: y :: rest -> gate b kind [| x; y |] :: pair rest
         | rest -> rest
       in
       tree b kind (pair ids)
@@ -41,12 +44,12 @@ let c17 () =
   let g3 = B.input b "3" in
   let g6 = B.input b "6" in
   let g7 = B.input b "7" in
-  let g10 = B.gate b ~name:"10" Gate.Nand [ g1; g3 ] in
-  let g11 = B.gate b ~name:"11" Gate.Nand [ g3; g6 ] in
-  let g16 = B.gate b ~name:"16" Gate.Nand [ g2; g11 ] in
-  let g19 = B.gate b ~name:"19" Gate.Nand [ g11; g7 ] in
-  let g22 = B.gate b ~name:"22" Gate.Nand [ g10; g16 ] in
-  let g23 = B.gate b ~name:"23" Gate.Nand [ g16; g19 ] in
+  let g10 = B.gate b ~name:"10" Gate.Nand [| g1; g3 |] in
+  let g11 = B.gate b ~name:"11" Gate.Nand [| g3; g6 |] in
+  let g16 = B.gate b ~name:"16" Gate.Nand [| g2; g11 |] in
+  let g19 = B.gate b ~name:"19" Gate.Nand [| g11; g7 |] in
+  let g22 = B.gate b ~name:"22" Gate.Nand [| g10; g16 |] in
+  let g23 = B.gate b ~name:"23" Gate.Nand [| g16; g19 |] in
   B.mark_output b g22;
   B.mark_output b g23;
   B.finish b
@@ -74,7 +77,7 @@ let multiplier ?(name = "multiplier") ~bits () =
   (* Array multiplier: partial-product row i is a_j AND b_i shifted left by
      i; rows are accumulated into [acc] with ripple-carry adder rows, the
      same adder-array structure as c6288. *)
-  let pp i j = B.gate b Gate.And [ a.(j); bb.(i) ] in
+  let pp i j = gate b Gate.And [| a.(j); bb.(i) |] in
   let width = 2 * bits in
   let acc = Array.make width None in
   for j = 0 to bits - 1 do
@@ -131,9 +134,9 @@ let alu ?(name = "alu") ~bits () =
   let carry = ref cin in
   let outs = ref [] in
   for i = 0 to bits - 1 do
-    let f_and = B.gate b Gate.And [ a.(i); bb.(i) ] in
-    let f_or = B.gate b Gate.Or [ a.(i); bb.(i) ] in
-    let f_xor = B.gate b Gate.Xor [ a.(i); bb.(i) ] in
+    let f_and = gate b Gate.And [| a.(i); bb.(i) |] in
+    let f_or = gate b Gate.Or [| a.(i); bb.(i) |] in
+    let f_xor = gate b Gate.Xor [| a.(i); bb.(i) |] in
     let f_sum, c = full_adder b a.(i) bb.(i) !carry in
     carry := c;
     let lo = mux2 b s0 f_and f_or in
@@ -144,7 +147,7 @@ let alu ?(name = "alu") ~bits () =
   done;
   B.mark_output b !carry;
   (* Zero detect over the selected outputs. *)
-  let zero = B.gate b Gate.Nor !outs in
+  let zero = gate b Gate.Nor (Array.of_list !outs) in
   B.mark_output b zero;
   B.finish b
 
@@ -186,7 +189,7 @@ let ecc ?(name = "ecc") ~data_bits () =
         tree b Gate.Xor (check.(j) :: guarded))
   in
   Array.iter (fun s -> B.mark_output b s) syndrome;
-  let not_syndrome = Array.map (fun s -> B.gate b Gate.Not [ s ]) syndrome in
+  let not_syndrome = Array.map (fun s -> gate b Gate.Not [| s |]) syndrome in
   (* Corrected data bit i = data_i XOR (syndrome == position_i). *)
   for i = 0 to data_bits - 1 do
     let literals =
@@ -195,7 +198,7 @@ let ecc ?(name = "ecc") ~data_bits () =
           else not_syndrome.(j))
     in
     let hit = tree b Gate.And literals in
-    let corrected = B.gate b Gate.Xor [ data.(i); hit ] in
+    let corrected = gate b Gate.Xor [| data.(i); hit |] in
     B.mark_output b corrected
   done;
   B.finish b
@@ -215,16 +218,16 @@ let adder_comparator ?(name = "addcmp") ~bits () =
   done;
   B.mark_output b !carry;
   (* Magnitude comparator: gt_i = a_i AND NOT b_i; eq_i = XNOR. *)
-  let eq = Array.init bits (fun i -> B.gate b Gate.Xnor [ a.(i); bb.(i) ]) in
+  let eq = Array.init bits (fun i -> gate b Gate.Xnor [| a.(i); bb.(i) |]) in
   let gt_terms =
     List.init bits (fun i ->
-        let nb = B.gate b Gate.Not [ bb.(i) ] in
-        let head = B.gate b Gate.And [ a.(i); nb ] in
+        let nb = gate b Gate.Not [| bb.(i) |] in
+        let head = gate b Gate.And [| a.(i); nb |] in
         (* ANDed with equality of all higher bits. *)
         let highers = List.init (bits - 1 - i) (fun k -> eq.(i + 1 + k)) in
         match highers with
         | [] -> head
-        | _ -> B.gate b Gate.And (head :: highers))
+        | _ -> gate b Gate.And (Array.of_list (head :: highers)))
   in
   let gt = tree b Gate.Or gt_terms in
   let all_eq = tree b Gate.And (Array.to_list eq) in
@@ -293,8 +296,8 @@ let local_dag rng b ~used pool n =
   for _ = 1 to n do
     let kind = Rng.pick rng comb_kinds in
     let arity = Rng.int_in rng 2 4 in
-    let fanins = List.init arity (fun _ -> pick_operand ()) in
-    ignore (Vec.push gates (B.gate b kind fanins))
+    let fanins = Array.init arity (fun _ -> pick_operand ()) in
+    ignore (Vec.push gates (gate b kind fanins))
   done;
   gates
 
@@ -327,7 +330,7 @@ let read_strays b ~used pis =
   in
   match stray with
   | [] -> ()
-  | [ s ] -> B.mark_output b (B.gate b Gate.Buf [ s ])
+  | [ s ] -> B.mark_output b (gate b Gate.Buf [| s |])
   | _ -> B.mark_output b (tree b Gate.Xor stray)
 
 let clustered ?(name = "clustered") p =
@@ -513,8 +516,8 @@ let scale ?(name = "scale") p =
            cell is available — tens of thousands of random cross-region
            links that erase the Rent profile this generator exists to
            produce. *)
-        B.gate b (Rng.pick rng comb_kinds)
-          [ local; Vec.get gates (Rng.int rng (Vec.length gates)) ]);
+        gate b (Rng.pick rng comb_kinds)
+          [| local; Vec.get gates (Rng.int rng (Vec.length gates)) |]);
     (* Exports: a slice of the block's signals feeds the region, a trickle
        feeds the global pool. *)
     let n = Vec.length gates in
@@ -546,8 +549,8 @@ let random ~rng ?(name = "random") ~num_inputs ~num_gates ~num_dff ~num_outputs 
     let kind = Rng.pick rng comb_kinds in
     let arity = Rng.int_in rng 1 4 in
     let kind = if arity = 1 then (if Rng.bool rng then Gate.Not else Gate.Buf) else kind in
-    let fanins = List.init arity (fun _ -> Vec.get pool (Rng.int rng (Vec.length pool))) in
-    let g = B.gate b kind fanins in
+    let fanins = Array.init arity (fun _ -> Vec.get pool (Rng.int rng (Vec.length pool))) in
+    let g = gate b kind fanins in
     ignore (Vec.push pool g);
     ignore (Vec.push gates g)
   done;

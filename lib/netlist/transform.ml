@@ -40,7 +40,7 @@ let rebuild ?(live = fun _ -> true) c simplify =
     | Some id -> id
     | None ->
         let kind = if v then Gate.Const1 else Gate.Const0 in
-        let id = B.gate b ~name:(fresh_name ()) kind [] in
+        let id = B.gate b ~name:(fresh_name ()) kind [||] in
         Hashtbl.add const_cache v id;
         id
   in
@@ -72,19 +72,17 @@ let rebuild ?(live = fun _ -> true) c simplify =
       let id =
         match repl.(o) with
         | Const v ->
-            B.gate b ~name (if v then Gate.Const1 else Gate.Const0) []
+            B.gate b ~name (if v then Gate.Const1 else Gate.Const0) [||]
         | Id id ->
             if String.equal (B.name_of b id) name then id
-            else B.gate b ~name Gate.Buf [ id ]
+            else B.gate b ~name Gate.Buf [| id |]
       in
       B.mark_output b id)
     c.Circuit.outputs;
   B.finish b
 
 (* The fanins of a node whose fanins are all rebuilt nodes. *)
-let ids fanins =
-  Array.to_list fanins
-  |> List.map (function Id id -> id | Const _ -> assert false)
+let ids fanins = Array.map (function Id id -> id | Const _ -> assert false) fanins
 
 (* ------------------------------------------------------------------ *)
 (* Constant propagation                                               *)
@@ -99,7 +97,7 @@ let propagate_constants c =
           match r with Const v -> (v :: cs, ids) | Id id -> (cs, id :: ids))
         fanins ([], [])
     in
-    let gate kind ids = Id (B.gate b ~name kind ids) in
+    let gate kind ids = Id (B.gate b ~name kind (Array.of_list ids)) in
     match nd.Circuit.kind with
     | Gate.Const0 -> Const false
     | Gate.Const1 -> Const true
@@ -172,7 +170,7 @@ let collapse_buffers c =
         match Hashtbl.find_opt inverter_of id with
         | Some src -> Id src
         | None ->
-            let g = B.gate b ~name Gate.Not [ id ] in
+            let g = B.gate b ~name Gate.Not [| id |] in
             Hashtbl.replace inverter_of g id;
             Id g)
     | kind, _ -> Id (B.gate b ~name kind (ids fanins))
@@ -194,7 +192,12 @@ let strash c =
     let ids = ids fanins in
     let key =
       ( nd.Circuit.kind,
-        if commutative nd.Circuit.kind then List.sort compare ids else ids )
+        if commutative nd.Circuit.kind then begin
+          let sorted = Array.copy ids in
+          Array.sort compare sorted;
+          sorted
+        end
+        else ids )
     in
     match Hashtbl.find_opt table key with
     | Some id -> Id id

@@ -5,6 +5,8 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
+let with_capacity n x = { data = Array.make n x; len = 0 }
+
 let length v = v.len
 
 let check v i name =

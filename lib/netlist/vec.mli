@@ -9,6 +9,10 @@ type 'a t
 val create : unit -> 'a t
 (** A fresh empty vector. *)
 
+val with_capacity : int -> 'a -> 'a t
+(** [with_capacity n x] is an empty vector whose first [n] pushes do not
+    grow it; [x] fills the unused slots. *)
+
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a

@@ -263,16 +263,16 @@ let elaborate t module_name =
     match e with
     | E_sig s -> (
         let id = resolve s in
-        match name with Some n -> B.gate b ~name:n Gate.Buf [ id ] | None -> id)
-    | E_const v -> mk (if v then Gate.Const1 else Gate.Const0) []
-    | E_not e1 -> mk Gate.Not [ expr resolve e1 ]
+        match name with Some n -> B.gate b ~name:n Gate.Buf [| id |] | None -> id)
+    | E_const v -> mk (if v then Gate.Const1 else Gate.Const0) [||]
+    | E_not e1 -> mk Gate.Not [| expr resolve e1 |]
     | E_bin (kind, e1, e2) ->
         let a = expr resolve e1 in
         let c = expr resolve e2 in
-        mk kind [ a; c ]
+        mk kind [| a; c |]
   in
   T.run t b ~build:(fun resolve name -> function
-    | Prim (kind, ins) -> B.gate b ~name kind (List.map resolve ins)
+    | Prim (kind, ins) -> B.gate b ~name kind (Array.of_list (List.map resolve ins))
     | Assign e -> expr resolve ~name e)
   |> Result.map_error (error_to_string (T.name t))
 

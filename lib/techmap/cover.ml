@@ -166,8 +166,7 @@ let node_table c s ~full f =
   | Gate.Buf -> s.tt.(fanins.(0))
   | Gate.Input | Gate.Dff -> assert false
 
-(* Sort a support array of at most [Mapped.max_inputs] node ids in place. *)
-let insertion_sort a =
+let insertion_sort (a : int array) =
   for i = 1 to Array.length a - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in

@@ -18,6 +18,11 @@ type lut = {
 val eval_lut : lut -> bool array -> bool
 (** Evaluate a table on pin values (in [support] order). *)
 
+val insertion_sort : int array -> unit
+(** Sort a short array (a LUT support or a CLB slot's nets, at most
+    [Mapped.max_inputs] ids) in place, ascending. It allocates nothing,
+    where a library sort allocates its closures on every call. *)
+
 type cover = {
   luts : lut array;
   lut_of_root : int array;  (** node id -> index into [luts], or -1 *)

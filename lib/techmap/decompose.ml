@@ -11,12 +11,12 @@ let rec build_tree mk kind root_kind ids lo hi =
   match hi - lo with
   | 0 -> invalid_arg "Decompose.build_tree: empty"
   | 1 -> ids.(lo)
-  | 2 -> mk root_kind [ ids.(lo); ids.(lo + 1) ]
+  | 2 -> mk root_kind [| ids.(lo); ids.(lo + 1) |]
   | n ->
       let mid = lo + (n / 2) in
       let l = build_tree mk kind kind ids lo mid in
       let r = build_tree mk kind kind ids mid hi in
-      mk root_kind [ l; r ]
+      mk root_kind [| l; r |]
 
 (* The positive-tree kind corresponding to each wide gate. *)
 let tree_kinds = function
@@ -29,8 +29,19 @@ let tree_kinds = function
   | Gate.Input | Gate.Not | Gate.Buf | Gate.Dff | Gate.Const0 | Gate.Const1 ->
       None
 
+(* The node count of [run c]: one node per source node, and a wide gate
+   of a tree kind over [n > 2] fanins adds [n - 2] inner tree nodes. *)
+let decomposed_size c =
+  Array.fold_left
+    (fun acc (nd : Circuit.node) ->
+      let n = Array.length nd.Circuit.fanins in
+      match tree_kinds nd.Circuit.kind with
+      | Some _ when n > 2 -> acc + n - 1
+      | _ -> acc + 1)
+    0 c.Circuit.nodes
+
 let run c =
-  let b = B.create ~name:c.Circuit.name () in
+  let b = B.create ~name:c.Circuit.name ~size:(decomposed_size c) () in
   let num = Circuit.num_nodes c in
   (* A name prefix no source signal starts with, so invented tree-node
      names can never collide with source names emitted later. *)
@@ -72,19 +83,19 @@ let run c =
                   | Gate.Input | Gate.Dff | Gate.Const0 | Gate.Const1 ->
                       assert false
                 in
-                B.gate b ~name k [ new_id.(fanins.(0)) ]
+                B.gate b ~name k [| new_id.(fanins.(0)) |]
             | Some _ when n = 2 ->
-                B.gate b ~name kind [ new_id.(fanins.(0)); new_id.(fanins.(1)) ]
+                B.gate b ~name kind
+                  [| new_id.(fanins.(0)); new_id.(fanins.(1)) |]
             | Some tree_kind ->
                 (* Inner tree nodes are anonymous; the root keeps the
                    original signal name (readers reference it). *)
                 let ids = Array.map (fun f -> new_id.(f)) fanins in
                 let l = build_tree mk tree_kind tree_kind ids 0 (n / 2) in
                 let r = build_tree mk tree_kind tree_kind ids (n / 2) n in
-                B.gate b ~name kind [ l; r ]
+                B.gate b ~name kind [| l; r |]
             | None ->
-                B.gate b ~name kind
-                  (Array.to_list (Array.map (fun f -> new_id.(f)) fanins))
+                B.gate b ~name kind (Array.map (fun f -> new_id.(f)) fanins)
           in
           new_id.(i) <- id)
     order;

@@ -18,9 +18,9 @@ let map ?(options = default_options) c =
   | Error msg -> invalid_arg ("Mapper.map: produced an illegal netlist: " ^ msg)
 
 let to_hypergraph (m : Mapped.t) =
+  (* [Hypergraph.create] only flags these, so repeats are harmless. *)
   let externals =
     Array.to_list m.Mapped.pi_nets @ Array.to_list m.Mapped.po_nets
-    |> List.sort_uniq compare
   in
   let specs =
     Array.to_list m.Mapped.clbs

@@ -140,7 +140,7 @@ let run ?(pair = true) ?(pair_disjoint = true) c cover =
       Array.map
         (fun nets ->
           let nets = Array.copy nets in
-          Array.sort compare nets;
+          Cover.insertion_sort nets;
           nets)
         slot_nets
     in

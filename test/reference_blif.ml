@@ -219,27 +219,27 @@ let build stmts =
             |> List.filter_map (fun (ch, id) ->
                    match ch with
                    | '1' -> Some id
-                   | '0' -> Some (B.gate b ~name:(fresh ()) Gate.Not [ id ])
+                   | '0' -> Some (B.gate b ~name:(fresh ()) Gate.Not [| id |])
                    | _ -> None)
           in
           match literals with
           | [] -> None
           | [ x ] -> Some x
-          | xs -> Some (B.gate b ~name:(fresh ()) Gate.And xs)
+          | xs -> Some (B.gate b ~name:(fresh ()) Gate.And (Array.of_list xs))
         in
         let terms = List.map (fun (p, _) -> term p) rows in
         if List.exists Option.is_none terms then
           (* Some row accepts everything: the cover is constant. *)
-          B.gate b ~name (if on_set then Gate.Const1 else Gate.Const0) []
+          B.gate b ~name (if on_set then Gate.Const1 else Gate.Const0) [||]
         else
           let terms = List.map Option.get terms in
           match (terms, on_set) with
-          | [], true -> B.gate b ~name Gate.Const0 []
-          | [], false -> B.gate b ~name Gate.Const1 []
-          | [ x ], true -> B.gate b ~name Gate.Buf [ x ]
-          | [ x ], false -> B.gate b ~name Gate.Not [ x ]
-          | xs, true -> B.gate b ~name Gate.Or xs
-          | xs, false -> B.gate b ~name Gate.Nor xs
+          | [], true -> B.gate b ~name Gate.Const0 [||]
+          | [], false -> B.gate b ~name Gate.Const1 [||]
+          | [ x ], true -> B.gate b ~name Gate.Buf [| x |]
+          | [ x ], false -> B.gate b ~name Gate.Not [| x |]
+          | xs, true -> B.gate b ~name Gate.Or (Array.of_list xs)
+          | xs, false -> B.gate b ~name Gate.Nor (Array.of_list xs)
       in
       try
         Vec.iter

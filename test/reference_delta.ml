@@ -130,8 +130,7 @@ let apply (c : Circuit.t) (ops : t) =
             | Gate.Input -> Circuit.Builder.input b name
             | Gate.Dff -> Circuit.Builder.dff_placeholder b name
             | kind ->
-                Circuit.Builder.gate b ~name kind
-                  (Array.to_list (Array.map resolve def.fanins))
+                Circuit.Builder.gate b ~name kind (Array.map resolve def.fanins)
           in
           Hashtbl.remove visiting name;
           Hashtbl.replace ids name id;

@@ -26,9 +26,7 @@ let canonical_circuit c =
           | Netlist.Gate.Input -> C.Builder.input b node.C.name
           | Netlist.Gate.Dff -> C.Builder.dff_placeholder b node.C.name
           | kind ->
-              let fanins =
-                Array.to_list (Array.map resolve node.C.fanins)
-              in
+              let fanins = Array.map resolve node.C.fanins in
               C.Builder.gate b ~name:node.C.name kind fanins
         in
         Hashtbl.replace ids node.C.name id;

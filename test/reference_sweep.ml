@@ -36,7 +36,7 @@ let sweep c =
           if live.(i) then
             new_id.(i) <-
               B.gate b ~name:nd.Circuit.name kind
-                (Array.to_list (Array.map (fun f -> new_id.(f)) nd.Circuit.fanins)))
+                (Array.map (fun f -> new_id.(f)) nd.Circuit.fanins))
     order;
   for i = 0 to num - 1 do
     let nd = Circuit.node c i in

@@ -309,7 +309,7 @@ let build (module_name, stmts) =
                   Hashtbl.replace visiting name ();
                   let in_ids = List.map resolve ins in
                   Hashtbl.remove visiting name;
-                  B.gate b ~name kind in_ids
+                  B.gate b ~name kind (Array.of_list in_ids)
               | D_assign e ->
                   Hashtbl.replace visiting name ();
                   let id = elaborate_expr ~name e in
@@ -328,13 +328,13 @@ let build (module_name, stmts) =
     match e with
     | E_sig s -> (
         let id = resolve s in
-        match name with Some n -> B.gate b ~name:n Gate.Buf [ id ] | None -> id)
-    | E_const v -> mk (if v then Gate.Const1 else Gate.Const0) []
-    | E_not e1 -> mk Gate.Not [ elaborate_expr e1 ]
+        match name with Some n -> B.gate b ~name:n Gate.Buf [| id |] | None -> id)
+    | E_const v -> mk (if v then Gate.Const1 else Gate.Const0) [||]
+    | E_not e1 -> mk Gate.Not [| elaborate_expr e1 |]
     | E_bin (kind, e1, e2) ->
         let a = elaborate_expr e1 in
         let c = elaborate_expr e2 in
-        mk kind [ a; c ]
+        mk kind [| a; c |]
   in
   Vec.iter (fun name -> ignore (resolve name)) order;
   Vec.iter

@@ -237,7 +237,7 @@ let qcheck_functional_gain_positive_cases =
   (* Every output's migration gain (eqs. 9-10) must equal the exact delta
      of applying it, so G_r (eq. 11) does too; the migration's cut and
      terminal deltas must equal the reference's recount. *)
-  QCheck.Test.make ~name:"eq. 11 gain = exact migration delta" ~count:60
+  QCheck.Test.make ~name:"eq. 11 = exact migration" ~count:60
     QCheck.(pair small_int (int_range 4 16))
     (fun (seed, n_cells) ->
       let h = Test_util.random_hypergraph seed n_cells in
@@ -1545,6 +1545,42 @@ let test_coarsen_allocation () =
        bound 2.5x)"
       words own ratio
 
+(* A stalled level is dropped before its graph is built. On cells that
+   share no net, matching pairs nothing, so [hierarchy] stops at its
+   first level (still wrapped, so its span is emitted) having allocated
+   the matching's scratch alone: less than one [coarsen] call, which
+   contracts the same matching into a graph. *)
+let test_stalled_level_unbuilt () =
+  let n = 2000 in
+  let h =
+    Hypergraph.create ~num_nets:(2 * n)
+      ~external_nets:(List.init n (fun k -> 2 * k))
+      (List.init n (fun k ->
+           Test_util.spec (Printf.sprintf "c%d" k) [ 2 * k ] [ (2 * k) + 1 ]
+             [ Bitvec.full 1 ]))
+  in
+  let wrapped = ref [] and hier = ref None in
+  let hier_words =
+    Test_util.words_during (fun () ->
+        hier :=
+          Some
+            (Coarsen.hierarchy ~coarsest:10
+               ~wrap:(fun d f ->
+                 wrapped := d :: !wrapped;
+                 f ())
+               ~rng:(Netlist.Rng.create 1) h))
+  in
+  let coarsen_words =
+    Test_util.words_during (fun () ->
+        ignore (Coarsen.coarsen ~rng:(Netlist.Rng.create 1) h))
+  in
+  checki "no level kept" 0 (Coarsen.num_levels (Option.get !hier));
+  checkb "the stalled level was wrapped" true (!wrapped = [ 0 ]);
+  if hier_words >= coarsen_words then
+    Alcotest.failf
+      "hierarchy allocated %.0f words on a stalling graph, one coarsen %.0f"
+      hier_words coarsen_words
+
 (* The fallback output was once the last net [Hashtbl.fold] met, so a
    randomized hash seed ([OCAMLRUNPARAM=R]) changed the coarse graphs'
    net numbering and names. The randomization is process-global: this
@@ -2850,6 +2886,8 @@ let () =
             test_coarsen_reference_suite;
           Alcotest.test_case "allocation (s38584)" `Quick
             test_coarsen_allocation;
+          Alcotest.test_case "stalled level unbuilt" `Quick
+            test_stalled_level_unbuilt;
           qc qcheck_project_parts_reference;
           Alcotest.test_case "project_parts allocation (s38584)" `Quick
             test_project_parts_allocation;

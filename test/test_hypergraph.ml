@@ -60,15 +60,7 @@ let qcheck_bitvec_norm_additive =
 (* Hypergraph fixtures                                                *)
 (* ------------------------------------------------------------------ *)
 
-let spec ?(area = 1) ?(demand = [||]) name inputs outputs supports =
-  {
-    Hypergraph.s_name = name;
-    s_area = area;
-    s_demand = demand;
-    s_inputs = Array.of_list inputs;
-    s_outputs = Array.of_list outputs;
-    s_supports = Array.of_list supports;
-  }
+let spec = Test_util.spec
 
 (* The two-output cell of Fig. 1: inputs a b c (nets 0 1 2), outputs X Y
    (nets 3 4); X depends on {a,b}, Y on {b,c}. Plus consumer cells so nets
@@ -458,8 +450,11 @@ let test_boundary_allocation () =
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic random hypergraph for property tests: [n_cells] cells,
-   each with 1-3 outputs and 1-4 inputs drawn from earlier nets. *)
-let random_hypergraph seed n_cells =
+   each with 1-3 outputs and 1-4 inputs drawn from earlier nets. Unlike
+   [Test_util.random_hypergraph], which draws distinct nets, each input
+   is drawn on its own with [Rng.pick], so one net can sit on two pins of
+   a cell: the state's counters must count such a net once per cell. *)
+let random_hypergraph_repeated_pins seed n_cells =
   let rng = Netlist.Rng.create seed in
   let next_net = ref 0 in
   let fresh_net () =
@@ -508,17 +503,11 @@ let random_hypergraph seed n_cells =
   Hypergraph.create ~num_nets:!next_net ~external_nets:primary
     (List.rev !specs)
 
-let random_mask rng full =
-  (* Any subset of the full mask. *)
-  Bitvec.fold
-    (fun i acc -> if Netlist.Rng.bool rng then Bitvec.add i acc else acc)
-    full Bitvec.empty
-
 let qcheck_state_consistency =
-  QCheck.Test.make ~name:"incremental counters match recompute" ~count:60
+  QCheck.Test.make ~name:"incremental counters = recount" ~count:60
     QCheck.(pair small_int (int_range 3 25))
     (fun (seed, n_cells) ->
-      let h = random_hypergraph seed n_cells in
+      let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 1000) in
       let st =
         Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
@@ -527,7 +516,7 @@ let qcheck_state_consistency =
       let ok = ref (Result.is_ok (Partition_state.check_consistency st)) in
       for _ = 1 to steps do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
-        let m = random_mask rng (Partition_state.full_mask st c) in
+        let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         Partition_state.apply st c m;
         if not (Result.is_ok (Partition_state.check_consistency st)) then
           ok := false
@@ -539,13 +528,13 @@ let qcheck_eval_predicts_apply =
     ~count:60
     QCheck.(pair small_int (int_range 3 25))
     (fun (seed, n_cells) ->
-      let h = random_hypergraph seed n_cells in
+      let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 2000) in
       let st = Partition_state.create h ~init_on_b:(fun c -> c mod 2 = 0) in
       let ok = ref true in
       for _ = 1 to 30 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
-        let m = random_mask rng (Partition_state.full_mask st c) in
+        let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         let predicted = Test_util.eval st c m in
         let counters () =
           Partition_state.
@@ -574,18 +563,18 @@ let qcheck_eval_predicts_apply =
       !ok)
 
 let qcheck_apply_involution =
-  QCheck.Test.make ~name:"applying a mask then the old mask restores counters"
+  QCheck.Test.make ~name:"undoing a mask restores counters"
     ~count:60
     QCheck.(pair small_int (int_range 3 20))
     (fun (seed, n_cells) ->
-      let h = random_hypergraph seed n_cells in
+      let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 3000) in
       let st = Partition_state.create h ~init_on_b:(fun _ -> false) in
       let ok = ref true in
       for _ = 1 to 20 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
         let old_mask = Partition_state.mask st c in
-        let m = random_mask rng (Partition_state.full_mask st c) in
+        let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         let cut0 = Partition_state.cut st in
         Partition_state.apply st c m;
         Partition_state.apply st c old_mask;
@@ -602,14 +591,14 @@ let qcheck_reused_scratch =
   QCheck.Test.make ~name:"a reused scratch = a fresh one" ~count:60
     QCheck.(pair small_int (int_range 3 25))
     (fun (seed, n_cells) ->
-      let h = random_hypergraph seed n_cells in
+      let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 4000) in
       let st = Partition_state.create h ~init_on_b:(fun c -> c mod 3 = 0) in
       let sc = Partition_state.make_scratch () in
       let ok = ref true in
       for _ = 1 to 40 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
-        let m = random_mask rng (Partition_state.full_mask st c) in
+        let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         Partition_state.eval_into st c m sc;
         if sc <> Test_util.eval st c m then ok := false;
         (* Occasionally commit so later iterations see varied states. *)
@@ -619,11 +608,11 @@ let qcheck_reused_scratch =
 
 let qcheck_changed_nets_exact =
   QCheck.Test.make
-    ~name:"iter_changed_nets = nets whose side category crossed 0/1/2"
+    ~name:"iter_changed_nets = crossings"
     ~count:60
     QCheck.(pair small_int (int_range 3 25))
     (fun (seed, n_cells) ->
-      let h = random_hypergraph seed n_cells in
+      let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 5000) in
       let st = Partition_state.create h ~init_on_b:(fun c -> c mod 2 = 1) in
       let nn = h.Hypergraph.num_nets in
@@ -635,7 +624,7 @@ let qcheck_changed_nets_exact =
               (cat Partition_state.A net, cat Partition_state.B net))
         in
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
-        let m = random_mask rng (Partition_state.full_mask st c) in
+        let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         Partition_state.apply st c m;
         let expected = ref [] in
         for net = nn - 1 downto 0 do
@@ -654,49 +643,14 @@ let qcheck_changed_nets_exact =
       done;
       !ok)
 
-(* Reconstruction of the paper's Fig. 4 worked example. The cell M has five
-   inputs i1..i5 and two outputs X1, X2 with A_X1 = {i1,i3,i4,i5} and
-   A_X2 = {i2}. i1 and i2 are driven from side B (cut, critical); i3..i5
-   are driven on side A (uncut, critical); X1 is read on A (uncut,
-   critical); X2 is read on B (cut, critical). The paper's numbers: initial
-   cut 3; single move gain -1 (cut 4); functional replication gain +2
-   (cut 1). *)
-let fig4_hypergraph () =
-  (* nets: 0..4 = i1..i5, 5 = X1, 6 = X2, 7..8 = reader outputs *)
-  let no_input_cell name out = spec name [] [ out ] [ Bitvec.empty ] in
-  Hypergraph.create ~num_nets:9 ~external_nets:[ 7; 8 ]
-    [
-      spec "M" [ 0; 1; 2; 3; 4 ] [ 5; 6 ]
-        [ Bitvec.of_list [ 0; 2; 3; 4 ]; Bitvec.of_list [ 1 ] ];
-      (* cell 0 *)
-      no_input_cell "D1" 0;
-      (* cell 1, side B *)
-      no_input_cell "D2" 1;
-      (* cell 2, side B *)
-      no_input_cell "D3" 2;
-      (* cell 3, side A *)
-      no_input_cell "D4" 3;
-      (* cell 4, side A *)
-      no_input_cell "D5" 4;
-      (* cell 5, side A *)
-      spec "RX1" [ 5 ] [ 7 ] [ Bitvec.of_list [ 0 ] ];
-      (* cell 6, side A *)
-      spec "RX2" [ 6 ] [ 8 ] [ Bitvec.of_list [ 0 ] ];
-      (* cell 7, side B *)
-    ]
-
-let fig4_state () =
-  let h = fig4_hypergraph () in
-  let on_b = function 1 | 2 | 7 -> true | _ -> false in
-  (h, Partition_state.create h ~init_on_b:on_b)
-
+(* The paper's Fig. 4 worked example, derived in [Test_util]. *)
 let test_state_fig4_initial_cut () =
-  let _, st = fig4_state () in
+  let _, st = Test_util.fig4_state () in
   checki "initial cut is 3 (i1, i2, X2)" 3 (Partition_state.cut st)
 
 let test_state_fig4_single_move () =
   (* Fig. 4, option 1: moving M to B raises the cut to 4 (gain -1). *)
-  let _, st = fig4_state () in
+  let _, st = Test_util.fig4_state () in
   let d = Test_util.eval st 0 (Partition_state.full_mask st 0) in
   checki "single-move gain = -1" 1 d.Partition_state.sc_cut;
   Partition_state.apply st 0 (Partition_state.full_mask st 0);
@@ -706,7 +660,7 @@ let test_state_fig4_functional_replication () =
   (* Fig. 4, option 3: replicate M with output X2 (index 1) migrating to B.
      The replica reads only i2 (= A_X2); nets X2 and i2 both leave the cut:
      gain +2, cut 3 -> 1. *)
-  let _, st = fig4_state () in
+  let _, st = Test_util.fig4_state () in
   let d = Test_util.eval st 0 (Bitvec.singleton 1) in
   checki "functional replication gain = +2" (-2) d.Partition_state.sc_cut;
   Partition_state.apply st 0 (Bitvec.singleton 1);
@@ -715,12 +669,12 @@ let test_state_fig4_functional_replication () =
   checki "one replicated cell" 1 (Partition_state.num_replicated st);
   (* Migrating the other output instead is a bad idea: the replica would
      need i1, i3, i4, i5 on B and X1 becomes cut. *)
-  let st2 = snd (fig4_state ()) in
+  let st2 = snd (Test_util.fig4_state ()) in
   let d2 = Test_util.eval st2 0 (Bitvec.singleton 0) in
   checki "migrating X1 instead loses 3" 3 d2.Partition_state.sc_cut
 
 let test_state_fig4_unreplication () =
-  let _, st = fig4_state () in
+  let _, st = Test_util.fig4_state () in
   Partition_state.apply st 0 (Bitvec.singleton 1);
   let cut_replicated = Partition_state.cut st in
   (* Merging the copies back onto side A restores the initial situation. *)
@@ -730,7 +684,7 @@ let test_state_fig4_unreplication () =
   checkb "replication had helped" true (cut_replicated < 3)
 
 let test_state_areas_and_replication () =
-  let _, st = fig4_state () in
+  let _, st = Test_util.fig4_state () in
   checki "area A: M + D3 D4 D5 + RX1" 5 (Partition_state.area st Partition_state.A);
   checki "area B: D1 D2 RX2" 3 (Partition_state.area st Partition_state.B);
   Partition_state.apply st 0 (Bitvec.singleton 1);
@@ -766,7 +720,7 @@ let qcheck_induction_matches_terminals =
   (* The invariant the k-way driver rests on: inducing one side's copies
      yields a sub-hypergraph whose external-net count equals that side's
      terminal count in the bipartition state. *)
-  QCheck.Test.make ~name:"induced externality = side terminal count" ~count:40
+  QCheck.Test.make ~name:"induced externality = terminals" ~count:40
     QCheck.(pair small_int (int_range 4 20))
     (fun (seed, n_cells) ->
       let h = Test_util.random_hypergraph seed n_cells in
@@ -856,7 +810,7 @@ let () =
           Alcotest.test_case "Fig. 4 initial cut" `Quick test_state_fig4_initial_cut;
           Alcotest.test_case "Fig. 4 single move (gain -1)" `Quick
             test_state_fig4_single_move;
-          Alcotest.test_case "Fig. 4 functional replication (gain +2)" `Quick
+          Alcotest.test_case "Fig. 4 replication (gain +2)" `Quick
             test_state_fig4_functional_replication;
           Alcotest.test_case "Fig. 4 unreplication" `Quick
             test_state_fig4_unreplication;

@@ -270,9 +270,9 @@ let test_decompose_reduces_fanin () =
 let test_decompose_wide_gates () =
   (* One wide gate of each inverted kind. *)
   let b = Circuit.Builder.create () in
-  let ins = List.init 7 (fun i -> Circuit.Builder.input b (Printf.sprintf "i%d" i)) in
+  let ins = Array.init 7 (fun i -> Circuit.Builder.input b (Printf.sprintf "i%d" i)) in
   List.iter
-    (fun kind -> Circuit.Builder.mark_output b (Circuit.Builder.gate b kind ins))
+    (fun kind -> Circuit.Builder.mark_output b (Test_util.gate b kind ins))
     [ Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ];
   let c = Circuit.Builder.finish b in
   let d = Decompose.run c in
@@ -292,7 +292,7 @@ let test_decompose_name_collision_safe () =
   (* Source names that look like generated names must not clash with the
      decomposition's fresh tree nodes. *)
   let b = Circuit.Builder.create () in
-  let ins = List.init 5 (fun i -> Circuit.Builder.input b (Printf.sprintf "$d%d" i)) in
+  let ins = Array.init 5 (fun i -> Circuit.Builder.input b (Printf.sprintf "$d%d" i)) in
   let g = Circuit.Builder.gate b ~name:"$d99" Gate.And ins in
   Circuit.Builder.mark_output b g;
   let c = Circuit.Builder.finish b in
@@ -330,8 +330,8 @@ let test_cover_basic () =
 
 let test_cover_rejects_wide () =
   let b = Circuit.Builder.create () in
-  let ins = List.init 6 (fun i -> Circuit.Builder.input b (Printf.sprintf "i%d" i)) in
-  let g = Circuit.Builder.gate b Gate.And ins in
+  let ins = Array.init 6 (fun i -> Circuit.Builder.input b (Printf.sprintf "i%d" i)) in
+  let g = Test_util.gate b Gate.And ins in
   Circuit.Builder.mark_output b g;
   let c = Circuit.Builder.finish b in
   Alcotest.check_raises "wide gate"
@@ -344,8 +344,8 @@ let test_cover_lut_tables () =
   let a = Circuit.Builder.input b "a" in
   let bb = Circuit.Builder.input b "b" in
   let cc = Circuit.Builder.input b "c" in
-  let g1 = Circuit.Builder.gate b Gate.And [ a; bb ] in
-  let g2 = Circuit.Builder.gate b Gate.Xor [ g1; cc ] in
+  let g1 = Test_util.gate b Gate.And [| a; bb |] in
+  let g2 = Test_util.gate b Gate.Xor [| g1; cc |] in
   Circuit.Builder.mark_output b g2;
   let c = Circuit.Builder.finish b in
   let cover = Cover.run c in
@@ -368,8 +368,8 @@ let test_cover_lut_tables () =
 let test_cover_dead_logic_vanishes () =
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
-  let live = Circuit.Builder.gate b Gate.Not [ a ] in
-  let _dead = Circuit.Builder.gate b Gate.Not [ live ] in
+  let live = Test_util.gate b Gate.Not [| a |] in
+  let _dead = Test_util.gate b Gate.Not [| live |] in
   Circuit.Builder.mark_output b live;
   let c = Circuit.Builder.finish b in
   let cover = Cover.run c in
@@ -414,8 +414,8 @@ let random_with_constants seed =
   for i = 0 to Rng.int_in rng 1 6 do
     ignore (Vec.push pool (Circuit.Builder.input b (Printf.sprintf "i%d" i)))
   done;
-  let one = Circuit.Builder.gate b Gate.Const1 [] in
-  ignore (Vec.push pool (Circuit.Builder.gate b Gate.Const0 []));
+  let one = Test_util.gate b Gate.Const1 [||] in
+  ignore (Vec.push pool (Test_util.gate b Gate.Const0 [||]));
   ignore (Vec.push pool one);
   let dffs =
     Array.init (Rng.int rng 4) (fun k ->
@@ -433,7 +433,7 @@ let random_with_constants seed =
       if arity = 1 then if Rng.bool rng then Gate.Not else Gate.Buf
       else Rng.pick rng kinds
     in
-    let g = Circuit.Builder.gate b kind (List.init arity (fun _ -> pick ())) in
+    let g = Test_util.gate b kind (Array.init arity (fun _ -> pick ())) in
     ignore (Vec.push pool g);
     ignore (Vec.push gates g)
   done;
@@ -473,9 +473,13 @@ let test_cover_reference_suite () =
       checkb c.Circuit.name true (Cover.run d = Reference_cover.run d))
     (suite_circuits ())
 
-(* Covering allocates its LUTs plus node-indexed scratch, and the whole
-   mapper little more than the netlist it returns; the first definitions
-   read 3.8 and 6.2 Mw on s38584. *)
+(* Covering allocates its LUTs plus node-indexed scratch, packing its
+   CLBs plus slot- and net-indexed scratch, and the whole mapper little
+   more than the netlist it returns; the first definitions read 3.8 and
+   6.2 Mw on s38584 for covering and the mapper. A library sort of each
+   slot's nets (0.37 Mw for packing) and a decomposition that built
+   fanin lists and grew its builder (0.90 Mw for the mapper) fail the
+   packing and mapper bounds. *)
 let s38584 () =
   Lazy.force (Option.get (Experiments.Suite.find "s38584")).Experiments.Suite.circuit
 
@@ -486,11 +490,19 @@ let test_cover_allocation () =
     Alcotest.failf "Cover.run allocated %.2f Mw on s38584 (bound 1.0)"
       (words /. 1e6)
 
+let test_pack_allocation () =
+  let d = Decompose.run (s38584 ()) in
+  let cover = Cover.run d in
+  let words = Test_util.words_during (fun () -> ignore (Pack.run d cover)) in
+  if words > 0.30e6 then
+    Alcotest.failf "Pack.run allocated %.3f Mw on s38584 (bound 0.30)"
+      (words /. 1e6)
+
 let test_mapper_allocation () =
   let c = s38584 () in
   let words = Test_util.words_during (fun () -> ignore (Mapper.map c)) in
-  if words > 2.5e6 then
-    Alcotest.failf "Mapper.map allocated %.2f Mw on s38584 (bound 2.5)"
+  if words > 0.75e6 then
+    Alcotest.failf "Mapper.map allocated %.2f Mw on s38584 (bound 0.75)"
       (words /. 1e6)
 
 (* ------------------------------------------------------------------ *)
@@ -593,7 +605,7 @@ let test_map_ff_fusion () =
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
   let bb = Circuit.Builder.input b "b" in
-  let d = Circuit.Builder.gate b Gate.Xor [ a; bb ] in
+  let d = Test_util.gate b Gate.Xor [| a; bb |] in
   let q = Circuit.Builder.dff_placeholder b "q" in
   Circuit.Builder.connect_dff b q d;
   Circuit.Builder.mark_output b q;
@@ -608,7 +620,7 @@ let test_map_shared_d_not_fused () =
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
   let bb = Circuit.Builder.input b "b" in
-  let d = Circuit.Builder.gate b Gate.And [ a; bb ] in
+  let d = Test_util.gate b Gate.And [| a; bb |] in
   let q1 = Circuit.Builder.dff_placeholder b "q1" in
   let q2 = Circuit.Builder.dff_placeholder b "q2" in
   Circuit.Builder.connect_dff b q1 d;
@@ -626,7 +638,7 @@ let test_map_po_driver_not_fused () =
      PO net. *)
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
-  let d = Circuit.Builder.gate b ~name:"d" Gate.Not [ a ] in
+  let d = Circuit.Builder.gate b ~name:"d" Gate.Not [| a |] in
   let q = Circuit.Builder.dff_placeholder b "q" in
   Circuit.Builder.connect_dff b q d;
   Circuit.Builder.mark_output b d;
@@ -880,7 +892,7 @@ let test_timing_single_lut () =
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
   let bb = Circuit.Builder.input b "b" in
-  let z = Circuit.Builder.gate b ~name:"z" Gate.And [ a; bb ] in
+  let z = Circuit.Builder.gate b ~name:"z" Gate.And [| a; bb |] in
   Circuit.Builder.mark_output b z;
   let m = Mapper.map (Circuit.Builder.finish b) in
   let r = Timing.analyze ~crossing:no_crossing m in
@@ -896,7 +908,7 @@ let test_timing_chain_depth () =
   let acc = ref x0 in
   for i = 1 to 12 do
     let xi = Circuit.Builder.input b (Printf.sprintf "x%d" i) in
-    acc := Circuit.Builder.gate b Gate.Xor [ !acc; xi ]
+    acc := Test_util.gate b Gate.Xor [| !acc; xi |]
   done;
   Circuit.Builder.mark_output b !acc;
   let m = Mapper.map (Circuit.Builder.finish b) in
@@ -926,11 +938,11 @@ let test_timing_registered_endpoint () =
   (* Logic that only feeds a flip-flop still defines the critical path. *)
   let b = Circuit.Builder.create () in
   let a = Circuit.Builder.input b "a" in
-  let n1 = Circuit.Builder.gate b Gate.Not [ a ] in
+  let n1 = Test_util.gate b Gate.Not [| a |] in
   let q = Circuit.Builder.dff_placeholder b "q" in
   (* Deep-ish cone into the FF, shallow path to the PO. *)
-  let n2 = Circuit.Builder.gate b Gate.Not [ n1 ] in
-  let n3 = Circuit.Builder.gate b Gate.Xor [ n2; q ] in
+  let n2 = Test_util.gate b Gate.Not [| n1 |] in
+  let n3 = Test_util.gate b Gate.Xor [| n2; q |] in
   Circuit.Builder.connect_dff b q n3;
   Circuit.Builder.mark_output b q;
   let m = Mapper.map (Circuit.Builder.finish b) in
@@ -999,6 +1011,8 @@ let () =
             test_map_po_driver_not_fused;
           qc qcheck_map_equivalence;
           qc qcheck_map_legality;
+          Alcotest.test_case "pack allocation (s38584)" `Quick
+            test_pack_allocation;
           Alcotest.test_case "allocation (s38584)" `Quick test_mapper_allocation;
         ] );
       ( "timing",

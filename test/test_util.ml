@@ -10,6 +10,11 @@ let spec ?(area = 1) ?(demand = [||]) name inputs outputs supports =
     s_supports = Array.of_list supports;
   }
 
+(* A gate under an invented name. *)
+let gate b kind fanins =
+  Netlist.Circuit.Builder.gate b ~name:(Netlist.Circuit.Builder.fresh_name b)
+    kind fanins
+
 (* A deterministic random hypergraph: [n_cells] cells, each with 1-3
    outputs and 1-4 inputs drawn from earlier nets; a handful of driverless
    "primary" nets are external. *)
@@ -59,29 +64,45 @@ let random_hypergraph seed n_cells =
   done;
   Hypergraph.create ~num_nets:!next_net ~external_nets:primary (List.rev !specs)
 
+(* Any subset of the full mask. *)
 let random_mask rng full =
   Bitvec.fold
     (fun i acc -> if Netlist.Rng.bool rng then Bitvec.add i acc else acc)
     full Bitvec.empty
 
-(* The Fig. 4 fixture (see test_hypergraph.ml for the derivation): cell M
-   (id 0) with 5 inputs and outputs X1, X2; expected gains are
-   G_m = -1, G_tr = -2, G_r = +2 with X2 (output index 1) migrating. *)
+(* Reconstruction of the paper's Fig. 4 worked example. The cell M (id 0)
+   has five inputs i1..i5 and two outputs X1, X2 with A_X1 = {i1,i3,i4,i5}
+   and A_X2 = {i2}. i1 and i2 are driven from side B (cut, critical);
+   i3..i5 are driven on side A (uncut, critical); X1 is read on A (uncut,
+   critical); X2 is read on B (cut, critical). The paper's numbers:
+   initial cut 3; single move gain -1 (cut 4); functional replication gain
+   +2 (cut 1), with X2 (output index 1) migrating; traditional
+   replication gain -2. *)
 let fig4_hypergraph () =
+  (* nets: 0..4 = i1..i5, 5 = X1, 6 = X2, 7..8 = reader outputs *)
   let no_input_cell name out = spec name [] [ out ] [ Bitvec.empty ] in
   Hypergraph.create ~num_nets:9 ~external_nets:[ 7; 8 ]
     [
       spec "M" [ 0; 1; 2; 3; 4 ] [ 5; 6 ]
         [ Bitvec.of_list [ 0; 2; 3; 4 ]; Bitvec.of_list [ 1 ] ];
+      (* cell 0 *)
       no_input_cell "D1" 0;
+      (* cell 1, side B *)
       no_input_cell "D2" 1;
+      (* cell 2, side B *)
       no_input_cell "D3" 2;
+      (* cell 3, side A *)
       no_input_cell "D4" 3;
+      (* cell 4, side A *)
       no_input_cell "D5" 4;
+      (* cell 5, side A *)
       spec "RX1" [ 5 ] [ 7 ] [ Bitvec.of_list [ 0 ] ];
+      (* cell 6, side A *)
       spec "RX2" [ 6 ] [ 8 ] [ Bitvec.of_list [ 0 ] ];
+      (* cell 7, side B *)
     ]
 
+(* Cells D1, D2 and RX2 on side B, the rest on A. *)
 let fig4_state () =
   let h = fig4_hypergraph () in
   let on_b = function 1 | 2 | 7 -> true | _ -> false in

@@ -234,6 +234,23 @@ for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' \
   fi
 done
 
+# One pass per structure: the mapper sorts a slot's or a LUT's few nets
+# with Cover.insertion_sort, since a library sort allocates its closures
+# on every call, and the circuit builder keeps the fanin array its caller
+# hands over instead of converting a list.
+for f in $(git ls-files 'lib/techmap/*.ml'); do
+  if grep -qE '\b(Array\.(sort|stable_sort)|List\.(sort|sort_uniq))\b' "$f"
+  then
+    echo "lint: library sort in $f (use Cover.insertion_sort)" >&2
+    status=1
+  fi
+done
+if grep -q 'Array\.of_list' lib/netlist/circuit.ml; then
+  echo "lint: Array.of_list in lib/netlist/circuit.ml" \
+    "(Builder.gate takes its fanins as an int array)" >&2
+  status=1
+fi
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
