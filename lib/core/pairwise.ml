@@ -1,15 +1,26 @@
 open Kway_types
 
+(* The refiner's free list: the one F-M state [refine_pair] works in at a
+   time, kept between pairs and rebuilt in place for the next pair's
+   induced graph when it is large enough ([Partition_state.reuse]). *)
+let acquire pool hg ~masks =
+  match !pool with
+  | None -> Partition_state.create_with_masks hg ~masks
+  | Some st ->
+      pool := None;
+      Partition_state.reuse_with_masks st hg ~masks
+
 (* Re-bipartition the union of two finished parts under both device
    windows, optimising total terminal usage (eq. 2 restricted to the
    pair). Cells of other parts appear as external context, so their IOB
    counts cannot change. [active] (original-cell coordinates) restricts
    which cells may move — the warm-start path passes the edit's dirty set
    so refinement costs O(blast radius). [mask_i] and [mask_j] are
-   all-empty cell-indexed scratch arrays, handed back all-empty. Returns
-   the improved pair or [None]. *)
-let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
-    (pj : part) =
+   all-empty cell-indexed scratch arrays, handed back all-empty. The
+   state comes from [pool] and goes back to it. Returns the improved pair
+   or [None]. *)
+let refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg library
+    (pi : part) (pj : part) =
   List.iter (fun (c, m) -> mask_i.(c) <- m) pi.members;
   List.iter (fun (c, m) -> mask_j.(c) <- m) pj.members;
   (* Ascending cell order: the specs come out sorted. *)
@@ -21,7 +32,7 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
   let hu, spec_arr = Hypergraph.induce_copies hg !specs in
   (* Initial assignment: part j's share of each cell sits on side B. *)
   let st =
-    Partition_state.create_with_masks hu ~masks:(fun k ->
+    acquire pool hu ~masks:(fun k ->
         let orig, um = spec_arr.(k) in
         compress um mask_j.(orig))
   in
@@ -45,23 +56,27 @@ let refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library (pi : part)
   let s0 = Fm.score_of cfg st in
   let s1 = Fm.run_staged ~obs cfg st in
   let pen, _, _ = s1 in
-  if pen <> 0 || s1 >= s0 then None
-  else begin
-    let rebuild side (p : part) =
-      let clbs = Partition_state.area st side in
-      let iobs = Partition_state.terminals st side in
-      let used = Partition_state.resources st side in
-      let device =
-        right_size ~relax_low:true obj library ~demand:used ~iobs p.device
+  let outcome =
+    if pen <> 0 || s1 >= s0 then None
+    else begin
+      let rebuild side (p : part) =
+        let clbs = Partition_state.area st side in
+        let iobs = Partition_state.terminals st side in
+        let used = Partition_state.resources st side in
+        let device =
+          right_size ~relax_low:true obj library ~demand:used ~iobs p.device
+        in
+        let members =
+          List.map (lift spec_arr) (Partition_state.side_copies st side)
+        in
+        { device; members; clbs; iobs; used }
       in
-      let members =
-        List.map (lift spec_arr) (Partition_state.side_copies st side)
-      in
-      { device; members; clbs; iobs; used }
-    in
-    let _, t0, _ = s0 and _, t1, _ = s1 in
-    Some (rebuild Partition_state.A pi, rebuild Partition_state.B pj, t0, t1)
-  end
+      let _, t0, _ = s0 and _, t1, _ = s1 in
+      Some (rebuild Partition_state.A pi, rebuild Partition_state.B pj, t0, t1)
+    end
+  in
+  pool := Some st;
+  outcome
 
 (* Refinement driver: repeatedly sweep the part pairs that share nets,
    most-connected first. With [dirty], only nets touching a dirty cell
@@ -99,6 +114,7 @@ let refine ~opts ~obs ?dirty hg library parts =
     let active = Option.map (fun d c -> d.(c)) dirty in
     let mask_i = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
     let mask_j = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
+    let pool = ref None in
     for round = 1 to opts.refine_rounds do
       (* Shared-net counts per pair. *)
       let touch = Array.make hg.Hypergraph.num_nets [] in
@@ -163,8 +179,8 @@ let refine ~opts ~obs ?dirty hg library parts =
               if opts.should_stop () then ()
               else begin
                 let outcome =
-                  refine_pair ~opts ~obs ?active ~mask_i ~mask_j hg library
-                    parts.(i) parts.(j)
+                  refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg
+                    library parts.(i) parts.(j)
                 in
                 (match outcome with
                 | Some (pi, pj, t_before, t_after) ->

@@ -13,16 +13,33 @@ let count_external (h : Hypergraph.t) =
     h.Hypergraph.net_external;
   !acc
 
+(* The run's free list of retired F-M states. [acquire] builds a state
+   in the arrays of a retired one when the list has one
+   ([Partition_state.reuse]), else a fresh one. A run's first remainder
+   is its largest graph, so the states sized at step 0 serve every later
+   step. *)
+let acquire pool hg ~init_on_b =
+  match !pool with
+  | [] -> Partition_state.create hg ~init_on_b
+  | st :: rest ->
+      pool := rest;
+      Partition_state.reuse st hg ~init_on_b
+
+let release pool st = pool := st :: !pool
+
 (* One feasible split attempt: side A must fit the device window. Returns
-   the best feasible state over [attempts] random restarts.
+   the best feasible state over [attempts] random restarts; the others go
+   back to [pool].
 
    The restarts are independent given their initial assignment, so with
-   [attempt_jobs > 1] they run on the pool. Determinism: the initial
-   assignments are drawn from the run RNG up front, in restart order, so
-   the stream consumed is identical however the restarts then execute; each
-   restart records F-M telemetry into a forked sink, merged back in restart
-   order; and the winner fold applies the sequential first-best tie-break. *)
-let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
+   [attempt_jobs > 1] they run on the pool. Determinism: each restart's
+   sides are drawn from the run RNG into its state up front, on the
+   calling domain, in restart order, so the stream consumed is identical
+   however the restarts then execute; each restart records F-M telemetry
+   into a forked sink, merged back in restart order; and the winner fold
+   applies the sequential first-best tie-break. *)
+let try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest (dev : Fpga.Device.t)
+    =
   let area = Hypergraph.total_area rest in
   (* Side B keeps at least one CLB: the remainder is never empty. *)
   let w =
@@ -42,35 +59,32 @@ let try_device ~opts ~attempt_jobs ~rng ~obs rest (dev : Fpga.Device.t) =
        and lower total cost (objective 1). *)
     let target = max lo (hi * 9 / 10) in
     let p_a = float_of_int target /. float_of_int area in
-    let n = Hypergraph.num_cells rest in
-    let inits = Array.init opts.fm_attempts (fun _ -> Array.make n false) in
-    for a = 0 to opts.fm_attempts - 1 do
-      let init = inits.(a) in
-      for c = 0 to n - 1 do
-        init.(c) <- not (Netlist.Rng.chance rng p_a)
-      done
-    done;
+    (* The closure holds [p_a] boxed once: passed to [Rng.chance] (a
+       cross-module call) from a loop, the local float would box per
+       cell. *)
+    let draw _ = not (Netlist.Rng.chance rng p_a) in
+    let states =
+      Array.init opts.fm_attempts (fun _ -> acquire pool rest ~init_on_b:draw)
+    in
     let attempts =
       Parallel.Pool.run ~jobs:attempt_jobs opts.fm_attempts (fun a ->
           (* The fork runs on the executing domain, so the worker id read
              here is the trace track the restart's spans belong to. *)
           let child = Obs.fork ~track:(Parallel.Pool.worker_id ()) obs in
-          let st =
-            Partition_state.create rest ~init_on_b:(fun c -> inits.(a).(c))
-          in
-          let score = Fm.run_staged ~obs:child cfg st in
-          (child, score, st))
+          (child, Fm.run_staged ~obs:child cfg states.(a)))
     in
     let best = ref None in
-    Array.iter
-      (fun (child, score, st) ->
+    Array.iteri
+      (fun a (child, score) ->
         Obs.merge_into ~into:obs child;
-        match score with
-        | 0, cut, neg_area -> (
-            match !best with
-            | Some (k, _) when k <= (cut, neg_area) -> ()
-            | _ -> best := Some ((cut, neg_area), st))
-        | _ -> ())
+        let st = states.(a) in
+        match (score, !best) with
+        | (0, cut, neg_area), Some (k, _) when k <= (cut, neg_area) ->
+            release pool st
+        | (0, cut, neg_area), prev ->
+            Option.iter (fun (_, loser) -> release pool loser) prev;
+            best := Some ((cut, neg_area), st)
+        | _ -> release pool st)
       attempts;
     Option.map snd !best
   end
@@ -82,6 +96,7 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
         let outputs = (Hypergraph.cell hg c).Hypergraph.outputs in
         (c, Bitvec.full (Array.length outputs)))
   in
+  let pool = ref [] in
   let rec loop rest orig_of parts guard =
     if opts.should_stop () then Error cancelled
     else if guard > Hypergraph.total_area hg + 8 then
@@ -133,7 +148,8 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                   (fun dev ->
                     let attempt =
                       Obs.span obs ("dev-" ^ dev.Fpga.Device.name) (fun () ->
-                          try_device ~opts ~attempt_jobs ~rng ~obs rest dev)
+                          try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest
+                            dev)
                     in
                     if Obs.enabled obs then Obs.incr obs "kway.device_attempts";
                     match attempt with
@@ -203,7 +219,8 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                 Obs.event obs "kway.split_failed"
                   [ ("step", Obs.Json.Int step) ];
               Error "no feasible split for the remainder"
-          | (_, (dev, st, clbs, iobs, used)) :: _ ->
+          | (_, (dev, st, clbs, iobs, used)) :: losers ->
+              List.iter (fun (_, (_, st, _, _, _)) -> release pool st) losers;
               if Obs.enabled obs then begin
                 Obs.incr obs "kway.splits";
                 Obs.observe obs "kway.split_cut" (Partition_state.cut st);
@@ -228,6 +245,7 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
               in
               let specs_b = Partition_state.side_copies st Partition_state.B in
               let rest', spec_arr = Hypergraph.induce_copies rest specs_b in
+              release pool st;
               loop rest'
                 (Array.map (lift orig_of) spec_arr)
                 (part :: parts) (guard + 1))

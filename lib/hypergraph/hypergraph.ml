@@ -30,12 +30,19 @@ type cell_spec = {
   s_supports : Bitvec.t array;
 }
 
-(* Sort a fresh array ascending in place and drop repeats: the array
-   itself when nothing repeats, else a copy of its distinct prefix. An
-   insertion sort, since a cell has a few dozen pins at most; it
-   allocates nothing. *)
-let sort_dedup_in_place (arr : int array) =
-  let n = Array.length arr in
+(* The distinct nets of [inputs] and [outputs], ascending, as an exactly
+   sized fresh array. They are sorted and deduplicated in [buf], a
+   scratch one [create] or [induce_copies] call shares across its cells
+   and grows as needed, by an insertion sort, since a cell has a few dozen
+   pins at most: the result is the only allocation. *)
+let distinct_nets buf inputs outputs =
+  let n_in = Array.length inputs in
+  let n = n_in + Array.length outputs in
+  if Array.length !buf < n then
+    buf := Array.make (max n (2 * Array.length !buf)) 0;
+  let arr = !buf in
+  Array.blit inputs 0 arr 0 n_in;
+  Array.blit outputs 0 arr n_in (n - n_in);
   for i = 1 to n - 1 do
     let x = arr.(i) in
     let j = ref (i - 1) in
@@ -52,7 +59,7 @@ let sort_dedup_in_place (arr : int array) =
       incr len
     end
   done;
-  if !len = n then arr else Array.sub arr 0 !len
+  Array.sub arr 0 !len
 
 (* Index of net [n] in the sorted [nets]; [n] must be present. *)
 let net_index nets n =
@@ -75,8 +82,8 @@ let pin_masks nets wires =
 (* Every cell is built here, with its distinct incident nets, each with
    the input and output pins wired to it: what every connected-net
    question about the cell reads. *)
-let make_cell ~id ~name ~area ~demand ~inputs ~outputs ~supports =
-  let nets = sort_dedup_in_place (Array.append inputs outputs) in
+let make_cell ~buf ~id ~name ~area ~demand ~inputs ~outputs ~supports =
+  let nets = distinct_nets buf inputs outputs in
   {
     id;
     name;
@@ -237,15 +244,15 @@ let assemble ~num_nets ~net_external ~net_names cells =
   | Ok () -> h
   | Error msg -> invalid_arg ("Hypergraph.create: " ^ msg)
 
-let cell_of_spec id s =
-  make_cell ~id ~name:s.s_name ~area:s.s_area
+let cell_of_spec buf id s =
+  make_cell ~buf ~id ~name:s.s_name ~area:s.s_area
     ~demand:
       (if Array.length s.s_demand = 0 then [| s.s_area |]
        else Array.copy s.s_demand)
     ~inputs:s.s_inputs ~outputs:s.s_outputs ~supports:s.s_supports
 
 let create ?net_names ~num_nets ~external_nets specs =
-  let cells = Array.mapi cell_of_spec (Array.of_list specs) in
+  let cells = Array.mapi (cell_of_spec (ref [||])) (Array.of_list specs) in
   let net_external = Array.make num_nets false in
   List.iter
     (fun n ->
@@ -339,41 +346,58 @@ let remap_pins pin_rank s =
   done;
   !acc
 
+(* [nets] renamed through [net_map], as a fresh array. *)
+let rename net_map nets =
+  let out = Array.make (Array.length nets) 0 in
+  for i = 0 to Array.length nets - 1 do
+    out.(i) <- net_map.(nets.(i))
+  done;
+  out
+
 (* Cell [id]'s copy carrying outputs [m], as cell [j] of the induced
-   graph: the input pins [m]'s supports reference, renumbered densely
-   through the [pin_rank] scratch, and every net through [net_map]. *)
-let copy_cell h net_map pin_rank j (id, m) =
+   graph: every net renamed through [net_map]. A whole copy keeps every
+   input pin (each supports some output), so it shares the cell's
+   [supports]; a partial copy keeps the input pins [m]'s supports
+   reference, renumbered densely through the [pin_rank] scratch. Every
+   copy shares the cell's [demand]. *)
+let copy_cell h net_map pin_rank buf j (id, m) =
   let c = h.cells.(id) in
-  let in_mask = input_support c m in
-  let inputs = Array.make (Bitvec.norm in_mask) 0 in
-  let r = ref 0 in
-  for p = 0 to Array.length c.inputs - 1 do
-    if Bitvec.mem p in_mask then begin
-      pin_rank.(p) <- !r;
-      inputs.(!r) <- net_map.(c.inputs.(p));
-      incr r
-    end
-  done;
-  let n_out = Bitvec.norm m in
-  let outputs = Array.make n_out 0 in
-  let supports = Array.make n_out Bitvec.empty in
-  let r = ref 0 in
-  for o = 0 to Array.length c.outputs - 1 do
-    if Bitvec.mem o m then begin
-      outputs.(!r) <- net_map.(c.outputs.(o));
-      supports.(!r) <- remap_pins pin_rank c.supports.(o);
-      incr r
-    end
-  done;
-  make_cell ~id:j ~name:c.name ~area:c.area ~demand:(Array.copy c.demand)
-    ~inputs ~outputs ~supports
+  if Bitvec.equal m (Bitvec.full (Array.length c.outputs)) then
+    make_cell ~buf ~id:j ~name:c.name ~area:c.area ~demand:c.demand
+      ~inputs:(rename net_map c.inputs) ~outputs:(rename net_map c.outputs)
+      ~supports:c.supports
+  else begin
+    let in_mask = input_support c m in
+    let inputs = Array.make (Bitvec.norm in_mask) 0 in
+    let r = ref 0 in
+    for p = 0 to Array.length c.inputs - 1 do
+      if Bitvec.mem p in_mask then begin
+        pin_rank.(p) <- !r;
+        inputs.(!r) <- net_map.(c.inputs.(p));
+        incr r
+      end
+    done;
+    let n_out = Bitvec.norm m in
+    let outputs = Array.make n_out 0 in
+    let supports = Array.make n_out Bitvec.empty in
+    let r = ref 0 in
+    for o = 0 to Array.length c.outputs - 1 do
+      if Bitvec.mem o m then begin
+        outputs.(!r) <- net_map.(c.outputs.(o));
+        supports.(!r) <- remap_pins pin_rank c.supports.(o);
+        incr r
+      end
+    done;
+    make_cell ~buf ~id:j ~name:c.name ~area:c.area ~demand:c.demand ~inputs
+      ~outputs ~supports
+  end
 
 (* Restrict to copies: each (cell id, out_mask) becomes a new cell carrying
    exactly those outputs and the inputs they depend on. A net becomes
    external when it was external before or when some incidence of the
    original hypergraph is not covered by the kept copies. Beyond the
-   graph it returns, it allocates one int per cell and per net of [h]
-   and a [Bitvec.max_width] pin-rank scratch. *)
+   graph it returns, it allocates one int per cell and per net of [h],
+   a [Bitvec.max_width] pin-rank scratch and the cells' net scratch. *)
 let induce_copies h specs =
   let kept_mask = Array.make (num_cells h) Bitvec.empty in
   List.iter
@@ -418,6 +442,6 @@ let induce_copies h specs =
     end
   done;
   let pin_rank = Array.make Bitvec.max_width 0 in
-  let cells = Array.mapi (copy_cell h net_map pin_rank) specs in
+  let cells = Array.mapi (copy_cell h net_map pin_rank (ref [||])) specs in
   (assemble ~num_nets:num_new_nets ~net_external ~net_names cells, specs)
 

@@ -23,12 +23,15 @@ type cell = private {
   demand : int array;
       (** per-resource demand of one copy; length in
           [1..demand_arity], [demand.(0) = area]. Missing axes read
-          as 0. *)
+          as 0. May be shared with the cell's copies in graphs built by
+          {!induce_copies}: never mutate it. *)
   inputs : int array;     (** net id per input pin *)
   outputs : int array;    (** net id per output pin; the cell drives these *)
   supports : Bitvec.t array;
       (** [supports.(o)] = input pins output [o] depends on; the adjacency
-          vector [A_{X_o}] of the paper *)
+          vector [A_{X_o}] of the paper. May be shared with the cell's
+          whole copies in graphs built by {!induce_copies}: never mutate
+          it. *)
   full_nets : int array;
       (** the distinct incident nets (inputs + outputs), ascending;
           filled by {!create} *)
@@ -131,12 +134,16 @@ val induce_copies : t -> (int * Bitvec.t) list -> t * (int * Bitvec.t) array
     (pins renumbered densely). A net is external in the result when it was
     external in [h] or when any incidence of [h] is not covered by the kept
     copies (e.g. the other copy of a replicated cell). Returns the new
-    hypergraph (cells in [specs] order) and the spec array. Raises
+    hypergraph (cells in [specs] order) and the spec array. A copy shares
+    its cell's [demand] array, and a whole copy (every output kept) its
+    [supports] array, with [h]: neither is copied, since no cell array is
+    ever written after construction. Raises
     [Invalid_argument] on an out-of-range cell id, an empty or
     out-of-range mask, or a duplicate cell.
 
     Cost: O(pins of the copies + incidences of the surviving nets). It
     allocates the graph it returns plus one int per cell and per net of
-    [h] and a [Bitvec.max_width] pin-rank scratch: no lists, [Hashtbl]s
+    [h], a [Bitvec.max_width] pin-rank scratch and one scratch in which
+    every cell's [full_nets] is sorted: no lists, [Hashtbl]s
     or per-element closures. The recursive k-way split calls it once per
     carved-off device. *)

@@ -148,11 +148,31 @@ let count_demand cell m res =
     done
   end
 
-(* A state over the masks [out_on_b] with every counter counted from
-   scratch: the one count behind [create_with_masks], [recompute] and
-   [check_consistency]. *)
+(* Count every counter of [t] from its masks, into counters that read
+   zero: the one count behind [create_with_masks], [reuse_with_masks],
+   [recompute] and [check_consistency]. *)
+let count t =
+  let hg = t.hg in
+  for c = 0 to Hypergraph.num_cells hg - 1 do
+    let cell = Hypergraph.cell hg c in
+    let full = full_mask t c in
+    let m_a = mask_on t c A and m_b = mask_on t c B in
+    count_demand cell m_a t.res_a;
+    count_demand cell m_b t.res_b;
+    count_copy cell ~full m_a t.conn_a;
+    count_copy cell ~full m_b t.conn_b
+  done;
+  for n = 0 to hg.Hypergraph.num_nets - 1 do
+    let ext = hg.Hypergraph.net_external.(n) in
+    let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
+    t.cut <- t.cut + cut_of ca cb;
+    t.term_a <- t.term_a + term_a_of ~ext ca cb;
+    t.term_b <- t.term_b + term_b_of ~ext ca cb
+  done
+
+(* A state over the masks [out_on_b] in fresh, zeroed arrays. The scratch
+   capacity is the most nets one operation can touch. *)
 let counted hg out_on_b =
-  (* Scratch capacity: the most nets one operation can touch. *)
   let len = Hypergraph.max_cell_degree hg in
   let t =
     {
@@ -174,40 +194,56 @@ let counted hg out_on_b =
       sd = make_scratch ();
     }
   in
-  for c = 0 to Hypergraph.num_cells hg - 1 do
-    let cell = Hypergraph.cell hg c in
-    let full = full_mask t c in
-    let m_a = mask_on t c A and m_b = mask_on t c B in
-    count_demand cell m_a t.res_a;
-    count_demand cell m_b t.res_b;
-    count_copy cell ~full m_a t.conn_a;
-    count_copy cell ~full m_b t.conn_b
-  done;
-  for n = 0 to hg.Hypergraph.num_nets - 1 do
-    let ext = hg.Hypergraph.net_external.(n) in
-    let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
-    t.cut <- t.cut + cut_of ca cb;
-    t.term_a <- t.term_a + term_a_of ~ext ca cb;
-    t.term_b <- t.term_b + term_b_of ~ext ca cb
-  done;
+  count t;
   t
 
-let create_with_masks hg ~masks =
-  counted hg
-    (Array.init (Hypergraph.num_cells hg) (fun c ->
-         let full =
-           Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-         in
-         let m = masks c in
-         if not (Bitvec.subset m full) then
-           invalid_arg "Partition_state.create_with_masks: mask out of range";
-         m))
+let checked_mask hg ~masks c =
+  let m = masks c in
+  if
+    not
+      (Bitvec.subset m
+         (Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)))
+  then invalid_arg "Partition_state: initial mask out of range";
+  m
 
-let create hg ~init_on_b =
-  create_with_masks hg ~masks:(fun c ->
-      if init_on_b c then
-        Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-      else Bitvec.empty)
+let create_with_masks hg ~masks =
+  counted hg (Array.init (Hypergraph.num_cells hg) (checked_mask hg ~masks))
+
+let whole hg ~init_on_b c =
+  if init_on_b c then
+    Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
+  else Bitvec.empty
+
+let create hg ~init_on_b = create_with_masks hg ~masks:(whole hg ~init_on_b)
+
+(* Retarget [t]'s arrays to [hg] when they are long enough for it. The
+   arrays keep their length, so a state sized for the largest graph of a
+   run serves every smaller one; only the first [num_cells] masks and
+   [num_nets] counts are live, and they are overwritten or zeroed here
+   before [count] reads them. *)
+let reuse_with_masks t hg ~masks =
+  let n = Hypergraph.num_cells hg and nets = hg.Hypergraph.num_nets in
+  if
+    Array.length t.out_on_b < n
+    || Array.length t.conn_a < nets
+    || Array.length t.s_nets < Hypergraph.max_cell_degree hg
+  then create_with_masks hg ~masks
+  else begin
+    for c = 0 to n - 1 do
+      t.out_on_b.(c) <- checked_mask hg ~masks c
+    done;
+    Array.fill t.conn_a 0 nets 0;
+    Array.fill t.conn_b 0 nets 0;
+    Array.fill t.res_a 0 Hypergraph.demand_arity 0;
+    Array.fill t.res_b 0 Hypergraph.demand_arity 0;
+    let t =
+      { t with hg; cut = 0; term_a = 0; term_b = 0; s_len = 0; ch_len = 0 }
+    in
+    count t;
+    t
+  end
+
+let reuse t hg ~init_on_b = reuse_with_masks t hg ~masks:(whole hg ~init_on_b)
 
 let recompute t =
   let r = counted t.hg t.out_on_b in

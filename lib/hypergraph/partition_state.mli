@@ -37,13 +37,29 @@ val opposite : side -> side
 type t
 
 val create : Hypergraph.t -> init_on_b:(int -> bool) -> t
-(** Fresh state with every cell single, on the side given by [init_on_b]. *)
+(** Fresh state with every cell single, on the side given by [init_on_b],
+    which is called once per cell, in ascending order (so a caller may
+    draw the sides from a random stream as they are asked for). *)
 
 val create_with_masks : Hypergraph.t -> masks:(int -> Bitvec.t) -> t
 (** Fresh state with an arbitrary initial output assignment: [masks c] is
     the set of cell [c]'s outputs starting on side [B] (so cells may start
     replicated). Raises [Invalid_argument] if a mask exceeds the cell's
     outputs. *)
+
+val reuse : t -> Hypergraph.t -> init_on_b:(int -> bool) -> t
+(** [reuse old hg ~init_on_b] is {!create}[ hg ~init_on_b], built in the
+    arrays of a retired state: the same masks and counters, by the same
+    count. [old] must not be used again, since the result shares (and has
+    overwritten) its arrays; a caller keeps a free list of retired states
+    and hands each to one [reuse]. The arrays are taken only when they
+    are long enough for [hg] (cells, nets and the largest cell degree),
+    so a state sized for the largest graph of a run serves every smaller
+    one; otherwise this is {!create} and [old] is dropped. As in
+    {!create}, [init_on_b] is called once per cell, in ascending order. *)
+
+val reuse_with_masks : t -> Hypergraph.t -> masks:(int -> Bitvec.t) -> t
+(** {!reuse} for {!create_with_masks}, with the same contract. *)
 
 val hypergraph : t -> Hypergraph.t
 

@@ -110,6 +110,7 @@ module Builder = struct
     outputs : int Vec.t;
     mutable fresh : int;
     circuit_name : string;
+    mutable finished : bool;
   }
 
   let create ?(name = "circuit") ?(size = 64) () =
@@ -122,9 +123,17 @@ module Builder = struct
       outputs = Vec.create ();
       fresh = 0;
       circuit_name = name;
+      finished = false;
     }
 
+  (* [finish] hands the node vector's storage to the circuit, so a
+     finished builder must not write it again. *)
+  let check_open b name =
+    if b.finished then
+      invalid_arg ("Circuit.Builder." ^ name ^ ": builder already finished")
+
   let add b name kind fanins =
+    check_open b "add";
     if Hashtbl.mem b.by_name name then
       invalid_arg ("Circuit.Builder: duplicate signal name " ^ name);
     let id = Vec.length b.nodes in
@@ -154,6 +163,7 @@ module Builder = struct
   let gate b ~name kind fanins = add b name kind fanins
 
   let mark_output b id =
+    check_open b "mark_output";
     if id < 0 || id >= Vec.length b.nodes then
       invalid_arg "Circuit.Builder.mark_output: no such node";
     if not (Vec.exists (fun o -> o = id) b.outputs) then
@@ -163,6 +173,7 @@ module Builder = struct
   let dff_placeholder b name = add b name Gate.Dff [||]
 
   let connect_dff b dff d =
+    check_open b "connect_dff";
     if dff < 0 || dff >= Vec.length b.nodes then
       invalid_arg "Circuit.Builder.connect_dff: no such node";
     if d < 0 || d >= Vec.length b.nodes then
@@ -180,7 +191,9 @@ module Builder = struct
     (Vec.get b.nodes id).name
 
   let finish b =
-    let nodes = Vec.to_array b.nodes in
+    check_open b "finish";
+    b.finished <- true;
+    let nodes = Vec.take b.nodes in
     Array.iter
       (fun nd ->
         if Gate.equal nd.kind Gate.Dff && Array.length nd.fanins = 0 then
@@ -199,8 +212,8 @@ module Builder = struct
     {
       nodes;
       fanouts;
-      inputs = Vec.to_array b.inputs;
-      outputs = Vec.to_array b.outputs;
+      inputs = Vec.take b.inputs;
+      outputs = Vec.take b.outputs;
       name = b.circuit_name;
       topo_order;
     }

@@ -69,7 +69,12 @@ module Builder : sig
 
   val finish : t -> circuit
   (** Freeze the builder. Raises [Invalid_argument] if any combinational
-      cycle exists or a placeholder flip-flop was never connected. *)
+      cycle exists or a placeholder flip-flop was never connected. The
+      circuit takes the builder's node storage (with no copy when
+      {!create}'s [size] was exact), so the builder is spent: a later
+      [input], [gate], [dff_placeholder], [mark_output], [connect_dff] or
+      [finish] raises [Invalid_argument], whether or not [finish]
+      succeeded. *)
 end
 
 (** {1 Accessors} *)

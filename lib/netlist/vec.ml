@@ -52,6 +52,14 @@ let fold_left f acc v =
 
 let to_array v = Array.sub v.data 0 v.len
 
+let take v =
+  let arr =
+    if v.len = Array.length v.data then v.data else Array.sub v.data 0 v.len
+  in
+  v.data <- [||];
+  v.len <- 0;
+  arr
+
 let of_array arr = { data = Array.copy arr; len = Array.length arr }
 
 let exists p v =

@@ -33,6 +33,12 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
 (** A fresh array holding the current contents. *)
 
+val take : 'a t -> 'a array
+(** [take v] is the current contents as an array, and leaves [v] empty.
+    When [v] is full ([length] equals the capacity, as for a
+    {!with_capacity} vector given its exact size) the array is [v]'s own
+    storage, handed over with no copy; else a copy of its prefix. *)
+
 val of_array : 'a array -> 'a t
 
 val exists : ('a -> bool) -> 'a t -> bool

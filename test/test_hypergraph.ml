@@ -606,6 +606,71 @@ let qcheck_reused_scratch =
       done;
       !ok)
 
+(* Everything a state answers, cell by cell and net by net. *)
+let state_view st =
+  let h = Partition_state.hypergraph st in
+  let side s =
+    ( Partition_state.terminals st s,
+      Partition_state.area st s,
+      Partition_state.resources st s,
+      List.init h.Hypergraph.num_nets (Partition_state.connections st s) )
+  in
+  ( List.init (Hypergraph.num_cells h) (Partition_state.mask st),
+    Partition_state.cut st,
+    side Partition_state.A,
+    side Partition_state.B )
+
+let qcheck_reuse_oracle =
+  (* A state retired on a larger graph, with replicated masks applied,
+     rebuilt on an induced copy of one side (the remainder a split leaves
+     behind, the state's storage more than enough): it must hold what a
+     fresh state of the same sides holds, counters by the same count, and
+     F-M from it must end where F-M from the fresh state ends. *)
+  QCheck.Test.make ~name:"reuse = create on a smaller graph" ~count:200
+    QCheck.(triple small_int (int_range 2 40) bool)
+    (fun (seed, n_cells, with_masks) ->
+      let big = Test_util.random_hypergraph seed n_cells in
+      let old = replicated_state seed big in
+      let specs = Partition_state.side_copies old Partition_state.B in
+      QCheck.assume (specs <> []);
+      let h, _ = Hypergraph.induce_copies big specs in
+      let rng = Netlist.Rng.create (seed + 9000) in
+      let masks =
+        Array.init (Hypergraph.num_cells h) (fun c ->
+            let outputs = (Hypergraph.cell h c).Hypergraph.outputs in
+            let full = Bitvec.full (Array.length outputs) in
+            if with_masks then Test_util.random_mask rng full
+            else if Netlist.Rng.bool rng then full
+            else Bitvec.empty)
+      in
+      let fresh, reused =
+        if with_masks then
+          ( Partition_state.create_with_masks h ~masks:(Array.get masks),
+            Partition_state.reuse_with_masks old h ~masks:(Array.get masks) )
+        else
+          let init_on_b c = not (Bitvec.is_empty masks.(c)) in
+          ( Partition_state.create h ~init_on_b,
+            Partition_state.reuse old h ~init_on_b )
+      in
+      let same = state_view fresh = state_view reused in
+      if not same then QCheck.Test.fail_report "reused state differs";
+      (match Partition_state.check_consistency reused with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "reused state: %s" e);
+      let cfg =
+        Core.Fm.balance_config ~replication:(`Functional 0)
+          ~total_area:(Hypergraph.total_area h) ()
+      in
+      let s_fresh = Core.Fm.run_staged cfg fresh in
+      let s_reused = Core.Fm.run_staged cfg reused in
+      (* Back on the larger graph, whose cells the fresh state's storage
+         may be short of: still what [create] builds. *)
+      let init_on_b c = c mod 3 = 0 in
+      s_fresh = s_reused
+      && state_view fresh = state_view reused
+      && state_view (Partition_state.reuse fresh big ~init_on_b)
+         = state_view (Partition_state.create big ~init_on_b))
+
 let qcheck_changed_nets_exact =
   QCheck.Test.make
     ~name:"iter_changed_nets = crossings"
@@ -824,6 +889,7 @@ let () =
           qc qcheck_apply_involution;
           qc qcheck_reused_scratch;
           qc qcheck_changed_nets_exact;
+          qc qcheck_reuse_oracle;
         ] );
       ("projection", [ qc qcheck_projection_identity ]);
     ]

@@ -251,6 +251,30 @@ if grep -q 'Array\.of_list' lib/netlist/circuit.ml; then
   status=1
 fi
 
+# One state pool: the split driver and the pair refiner take their F-M
+# states from a run-local free list and rebuild a retired one in place
+# (Partition_state.reuse) instead of building one per restart. So in
+# lib/core a state is built fresh only in the acquire function of those
+# free lists (split.ml, pairwise.ml), and in Fm.random_state, the
+# one-shot start of the bipartition entry points. Each line is tagged
+# with the top-level binding it sits in.
+for f in $(git ls-files 'lib/core/*.ml'); do
+  fns=$(awk 'BEGIN { name = "(top)" }
+    /^(let|and) / { name = ($2 == "rec") ? $3 : $2 }
+    /Partition_state\.create/ { print name }' "$f" | sort -u)
+  for fn in $fns; do
+    case "$f:$fn" in
+      lib/core/split.ml:acquire | lib/core/pairwise.ml:acquire) ;;
+      lib/core/fm.ml:random_state) ;;
+      *)
+        echo "lint: Partition_state.create in $fn of $f" \
+          "(take the state from the free list's acquire)" >&2
+        status=1
+        ;;
+    esac
+  done
+done
+
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
 # Python.
 for f in $(git ls-files tools test Makefile .github); do
