@@ -51,8 +51,8 @@ val objective : unit -> Fpga.Objective.t Cmdliner.Term.t
 val multilevel : unit -> Core.Kway.strategy Cmdliner.Term.t
 (** [--multilevel] — the {!Core.Kway.strategy} for the run: [Flat]
     without the flag, [Multilevel] with
-    {!Core.Kway.Options.default_multilevel} with it. The V-cycle's knobs
-    are not flags; code sets them through {!Core.Kway.Options.make}. *)
+    {!Core.Kway.Options.default_multilevel} with it. The V-cycle has no
+    settings to pass. *)
 
 val device_lib : unit -> string option Cmdliner.Term.t
 (** [--device-lib FILE] — JSON device library; absent means the built-in

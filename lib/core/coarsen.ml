@@ -112,34 +112,6 @@ let map_net net_map next net =
   end;
   net_map.(net)
 
-(* The output a cluster exposes when every net it drives is internal: a
-   well-formed cell needs one output pin, and an internal net touches only
-   this cluster, so exposing it cannot create cut. The rule is the one a
-   [Hashtbl] of the driven nets used to decide by its iteration order,
-   made explicit with the seed-independent [Hashtbl.hash] so that no
-   result depends on the hash seed: among the cluster's [n_driven]
-   distinct driven nets, the one in the highest bucket [hash land (B-1)],
-   where [B] is 16 doubled while [n_driven > 2B] (the table's size after
-   the inserts); ties go to the earliest driven. *)
-let fallback_net (h : Hypergraph.t) members lo hi n_driven =
-  let buckets = ref 16 in
-  while n_driven > 2 * !buckets do
-    buckets := 2 * !buckets
-  done;
-  let mask = !buckets - 1 in
-  let best = ref (-1) and best_slot = ref (-1) in
-  for i = lo to hi - 1 do
-    let nets = (Hypergraph.cell h members.(i)).outputs in
-    for p = 0 to Array.length nets - 1 do
-      let slot = Hashtbl.hash nets.(p) land mask in
-      if slot > !best_slot then begin
-        best_slot := slot;
-        best := nets.(p)
-      end
-    done
-  done;
-  !best
-
 (* Cluster [k], whose members are [members.(lo .. hi-1)] in ascending cell
    order. [mark] is the net-indexed stamp array: [2k] means driven in [k],
    [2k + 1] counted as an input of [k]. Nets are numbered through
@@ -147,15 +119,13 @@ let fallback_net (h : Hypergraph.t) members lo hi n_driven =
 let cluster_spec (h : Hypergraph.t) cluster_of members mark net_map next k lo
     hi =
   let driven = 2 * k and counted = (2 * k) + 1 in
-  let n_driven = ref 0 and n_out = ref 0 in
+  let first_driven = ref (-1) and n_out = ref 0 in
   for i = lo to hi - 1 do
     let nets = (Hypergraph.cell h members.(i)).outputs in
     for p = 0 to Array.length nets - 1 do
       let net = nets.(p) in
-      if mark.(net) <> driven then begin
-        mark.(net) <- driven;
-        incr n_driven
-      end;
+      mark.(net) <- driven;
+      if !first_driven < 0 then first_driven := net;
       if not (internal h cluster_of net) then incr n_out
     done
   done;
@@ -175,8 +145,12 @@ let cluster_spec (h : Hypergraph.t) cluster_of members mark net_map next k lo
       done;
       outputs
     end
-    else if !n_driven > 0 then
-      [| map_net net_map next (fallback_net h members lo hi !n_driven) |]
+    else if !first_driven >= 0 then
+      (* Every net the cluster drives is internal, but a well-formed cell
+         needs one output pin: the first driven net, in member and pin
+         order, the fallback net. It touches only this cluster, so
+         exposing it cannot create cut. *)
+      [| map_net net_map next !first_driven |]
     else [||]
   in
   let n_in = ref 0 in
@@ -398,8 +372,7 @@ let num_levels hier = List.length hier.levels
 let project_labels ~map labels =
   Array.init (Array.length map) (fun c -> labels.(map.(c)))
 
-let hierarchy ?(coarsest = 150) ?(max_levels = 12) ?(stall_ratio = 0.9)
-    ?max_weight ?max_nets ?(wrap = fun _ f -> f ())
+let hierarchy ?(coarsest = 150) ?max_weight ?max_nets ?(wrap = fun _ f -> f ())
     ?(should_stop = fun () -> false) ~rng h =
   (* [levels] accumulates coarsest-side-first: the head pair's map sends
      its (fine) graph's cells into the coarsest graph's clusters, and the
@@ -408,17 +381,17 @@ let hierarchy ?(coarsest = 150) ?(max_levels = 12) ?(stall_ratio = 0.9)
   let rec build levels h_cur depth =
     if
       Hypergraph.num_cells h_cur <= coarsest
-      || depth >= max_levels || should_stop ()
+      || depth >= 12 || should_stop ()
     then (levels, h_cur)
     else begin
       let level =
         wrap depth (fun () ->
             let m = match_cells ?max_weight ?max_nets ~rng h_cur in
-            (* A stalled matching is thrown away, so its graph is not
-               built. *)
+            (* A matching that keeps 90 % of the cells stalls; it is
+               thrown away, so its graph is not built. *)
             if
               float_of_int m.clusters
-              >= stall_ratio *. float_of_int (Hypergraph.num_cells h_cur)
+              >= 0.9 *. float_of_int (Hypergraph.num_cells h_cur)
             then None
             else Some (contract h_cur m))
       in

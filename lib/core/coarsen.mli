@@ -35,12 +35,8 @@ val coarsen :
     are numbered by first use in that order, cluster by cluster, and keep
     their fine names. A cluster whose driven nets are all internal still
     exposes one of them as its single output (an internal net touches
-    only this cluster, so it cannot be cut). Which one is fixed and
-    independent of the hash seed: take the cluster's [d] distinct driven
-    nets in first-driven order, let [B] be 16 doubled while [d > 2B], and
-    pick the net with the highest [Hashtbl.hash net land (B - 1)],
-    earliest driven among ties. (It is the net a [Hashtbl] of the driven
-    nets returned last from [Hashtbl.fold] at the default seed.)
+    only this cluster, so it cannot be cut): its first driven net, in
+    member and pin order.
 
     Cost: the coarse graph plus O(cells + nets) scratch. The matching
     runs first and knows the cluster count before any of the graph is
@@ -77,8 +73,6 @@ type hierarchy = {
 
 val hierarchy :
   ?coarsest:int ->
-  ?max_levels:int ->
-  ?stall_ratio:float ->
   ?max_weight:int array ->
   ?max_nets:int ->
   ?wrap:
@@ -90,11 +84,11 @@ val hierarchy :
   Hypergraph.t ->
   hierarchy
 (** Repeated {!coarsen} until the graph has at most [coarsest] cells
-    (default 150), [max_levels] levels exist (default 12), or matching
-    stalls (it finds at least [stall_ratio] of the fine cell count in
-    clusters, default 0.9). A level is matched first and contracted only
-    if it did not stall, so a stalled level costs its matching scratch
-    and builds no graph; the RNG draws are those of {!coarsen}, all made
+    (default 150), 12 levels exist, or matching stalls (it finds at least
+    9/10 of the fine cell count in clusters); neither limit is a
+    parameter. A level is matched first and contracted only if it did
+    not stall, so a stalled level costs its matching scratch and builds
+    no graph; the RNG draws are those of {!coarsen}, all made
     by the matching. [wrap] is called around each level, the stalled one
     included, with the 0-based level index; the step answers [None] when
     the level stalled — the k-way driver passes an [Obs.span] so per-level

@@ -2,8 +2,8 @@ include Kway_types
 
 let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =
   match options.strategy with
-  | Flat -> Split.flat_partition ~obs ~options ~library hg
-  | Multilevel ml -> Vcycle.multilevel_run ~obs ~options ~ml ~library hg
+  | Flat -> Split.flat_partition ~budget:flat_budget ~obs ~options ~library hg
+  | Multilevel _ -> Vcycle.multilevel_run ~obs ~options ~library hg
 
 include Warm
 

@@ -50,16 +50,9 @@ type result = {
   feasible_runs : int;
 }
 
-type multilevel = {
-  max_levels : int;     (** coarsening depth cap (levels of the hierarchy) *)
-  coarsen_ratio : float;
-      (** stall threshold in (0, 1): coarsening stops when one matching
-          round keeps at least this fraction of the cells *)
-  refine_passes : int;
-      (** boundary-restricted refinement sweeps per uncoarsening level
-          (the greedy mover's sweep count; also [refine_rounds] for the
-          finest level's replication round) *)
-}
+type multilevel
+(** The V-cycle has no settings: its one value is
+    {!Options.default_multilevel}. *)
 
 type strategy =
   | Flat  (** the classic driver: device-window F-M splits on the full
@@ -77,18 +70,10 @@ type options = private {
                            feasible partitions per run) *)
   seed : int;
   replication : [ `None | `Functional of int ];
-  max_passes : int;    (** F-M passes per bipartition *)
-  fm_attempts : int;   (** random restarts per split step and device *)
-  refine_rounds : int;
-      (** pairwise-refinement sweeps applied to the winning run's parts:
-          each sweep re-bipartitions the most net-sharing part pairs (up to
-          4k of them) under both device windows to shed terminals (and
-          possibly shrink devices); refinement never worsens a partition;
-          0 disables *)
   jobs : int;
       (** domains used for the multi-start runs (and, when [runs < jobs],
-          for the per-split [fm_attempts] restarts); [1] runs everything in
-          the calling domain. Never affects the result. *)
+          for the per-split F-M restarts); [1] runs everything in the
+          calling domain. Never affects the result. *)
   should_stop : unit -> bool;
       (** cooperative-cancellation hook, polled at the split-step and
           F-M pass boundaries (see {!Fm.config}); when it returns [true]
@@ -123,22 +108,21 @@ module Options : sig
   type t = options
 
   val default : t
-  (** 5 runs, seed 1, no replication, 10 passes, 3 attempts, 1 refinement
-      sweep, 1 job, flat strategy. *)
+  (** 5 runs, seed 1, no replication, 1 job, the paper's objective, flat
+      strategy. The search effort is fixed: each bipartition's F-M stops
+      after a pass that gains nothing, or at 10 passes, each split step
+      tries every candidate device with 3 random restarts, and the
+      winning run gets one round of pairwise refinement. *)
 
   val default_multilevel : multilevel
-  (** 12 levels, stall ratio 0.9, 2 refinement passes per level — the
-      knobs [Multilevel default_multilevel] enables when the caller gives
-      no numbers (the CLI's bare [--multilevel]). *)
+  (** The one {!multilevel} value: [Multilevel default_multilevel] is the
+      V-cycle (the CLI's [--multilevel]). *)
 
   val make :
     ?base:t ->
     ?runs:int ->
     ?seed:int ->
     ?replication:[ `None | `Functional of int ] ->
-    ?max_passes:int ->
-    ?fm_attempts:int ->
-    ?refine_rounds:int ->
     ?jobs:int ->
     ?should_stop:(unit -> bool) ->
     ?objective:Fpga.Objective.t ->
@@ -149,14 +133,10 @@ module Options : sig
       {!default}), so adding future knobs never breaks a caller, and
       [make ~base ~seed ()] is [base] with another seed.
 
-      Raises [Invalid_argument] when [runs], [max_passes], [fm_attempts]
-      or [jobs] is non-positive, or [refine_rounds] or the
-      [`Functional] replication threshold is negative: a bad
-      budget otherwise fails far downstream ([runs = 0] surfaces as "no
-      feasible partition", [fm_attempts = 0] as an empty restart loop)
-      where the cause is unrecoverable from the symptom. A [Multilevel]
-      strategy additionally requires positive [max_levels] and
-      [refine_passes] and a [coarsen_ratio] strictly inside [(0, 1)]. *)
+      Raises [Invalid_argument] when [runs] or [jobs] is non-positive, or
+      the [`Functional] replication threshold is negative: a bad count
+      otherwise fails far downstream ([runs = 0] surfaces as "no feasible
+      partition") where the cause is unrecoverable from the symptom. *)
 end
 
 val partition :
@@ -170,20 +150,21 @@ val partition :
     Dispatches on [options.strategy]: [Flat] runs the classic driver
     described above; [Multilevel] coarsens first ({!Coarsen.hierarchy}
     under per-axis cluster weight caps of a quarter of the smallest
-    device window), runs the flat driver on the coarsest graph (with
-    narrowed search budgets when the estimated device count exceeds 16
-    or the coarsest graph holds more than 512 cells per estimated
-    part), then uncoarsens V-cycle style — the first step of
-    {!project_parts} per level, then [refine_passes] refinement sweeps
-    restricted to the labelling's boundary cells ({!Hypergraph.boundary}).
+    device window), runs the flat driver on the coarsest graph (narrowed
+    to one run, one restart, 6 passes and two feasible candidate devices
+    per split when the estimated device count exceeds 16 or the coarsest
+    graph holds more than 512 cells per estimated part), then uncoarsens
+    V-cycle style — the first step of {!project_parts} per level, then 2
+    refinement sweeps restricted to the labelling's boundary cells
+    ({!Hypergraph.boundary}).
     Every level runs a deterministic greedy mover, which moves whole
     boundary cells to the adjacent part that most reduces total terminals
     within the parts' device windows and never changes a device. The mover
     works on the level's labelling and tally, so member lists are built
     once, after the finest level. When [options.replication] is not
-    [`None], those parts then get the flat driver's pairwise refinement
-    once, with replication, restricted to the finest labelling's boundary
-    cells — the refinement {!warm_start} runs. Multilevel
+    [`None], those parts then get 2 rounds of the flat driver's pairwise
+    refinement, with replication, restricted to the finest labelling's
+    boundary cells — the refinement {!warm_start} runs. Multilevel
     telemetry adds counters ["ml.level"] and ["kway.greedy_moves"],
     histograms ["ml.cells_per_level"] / ["ml.coarsen_ratio"] (percent),
     events ["ml.coarsen"] / ["ml.refine"] (and ["kway.greedy_round"]),
@@ -308,9 +289,9 @@ val warm_start :
     the dirty set — only pairs sharing a dirty net are swept and only
     dirty cells may move (clean cells are pre-locked via {!Fm.config}'s
     [active]), so the whole call costs O(blast radius), not O(circuit).
-    At least one refinement round runs even when [options.refine_rounds]
-    is [0], since refinement is the only optimisation a warm start
-    performs. The result has [runs = feasible_runs = 1].
+    One refinement round runs, with the flat driver's 10-pass F-M: it is
+    the only optimisation a warm start performs. The result has
+    [runs = feasible_runs = 1].
 
     [Error] when the seed is malformed (label out of range, length
     mismatch, no devices), when some part no longer fits any library

@@ -20,11 +20,7 @@ type result = {
 let never_stop () = false
 let count_true = Array.fold_left (fun a b -> if b then a + 1 else a) 0
 
-type multilevel = {
-  max_levels : int;
-  coarsen_ratio : float;
-  refine_passes : int;
-}
+type multilevel = unit
 
 type strategy = Flat | Multilevel of multilevel
 
@@ -32,31 +28,35 @@ type options = {
   runs : int;
   seed : int;
   replication : [ `None | `Functional of int ];
-  max_passes : int;
-  fm_attempts : int;
-  refine_rounds : int;
   jobs : int;
   should_stop : unit -> bool;
   objective : Fpga.Objective.t;
   strategy : strategy;
 }
 
+type budget = { passes : int; restarts : int; device_limit : int option }
+
+(* The paper's search effort: ten F-M passes (a pass that gains nothing
+   ends the search sooner), three restarts per candidate device, every
+   candidate device tried. *)
+let flat_budget = { passes = 10; restarts = 3; device_limit = None }
+
+(* The V-cycle's coarse solve on a wide decomposition: fewer passes, one
+   restart, and a split step that stops after two feasible devices. *)
+let narrowed_budget = { passes = 6; restarts = 1; device_limit = Some 2 }
+
 let cancelled = "cancelled"
 
 module Options = struct
   type t = options
 
-  let default_multilevel =
-    { max_levels = 12; coarsen_ratio = 0.9; refine_passes = 2 }
+  let default_multilevel = ()
 
   let default =
     {
       runs = 5;
       seed = 1;
       replication = `None;
-      max_passes = 10;
-      fm_attempts = 3;
-      refine_rounds = 1;
       jobs = 1;
       should_stop = never_stop;
       objective = Fpga.Objective.paper;
@@ -64,14 +64,13 @@ module Options = struct
     }
 
   let make ?(base = default) ?(runs = base.runs) ?(seed = base.seed)
-      ?(replication = base.replication) ?(max_passes = base.max_passes)
-      ?(fm_attempts = base.fm_attempts) ?(refine_rounds = base.refine_rounds)
-      ?(jobs = base.jobs) ?(should_stop = base.should_stop)
-      ?(objective = base.objective) ?(strategy = base.strategy) () =
-    (* Fail loudly at construction: a zero or negative budget otherwise
-       surfaces far downstream as "no feasible partition" (runs = 0), an
-       empty restart loop (fm_attempts = 0) or a pool that silently runs
-       inline — all much harder to attribute than this. *)
+      ?(replication = base.replication) ?(jobs = base.jobs)
+      ?(should_stop = base.should_stop) ?(objective = base.objective)
+      ?(strategy = base.strategy) () =
+    (* Fail loudly at construction: a zero or negative count otherwise
+       surfaces far downstream as "no feasible partition" (runs = 0) or a
+       pool that silently runs inline — both much harder to attribute
+       than this. *)
     let positive what v =
       if v <= 0 then
         invalid_arg
@@ -79,14 +78,7 @@ module Options = struct
              what v)
     in
     positive "runs" runs;
-    positive "max_passes" max_passes;
-    positive "fm_attempts" fm_attempts;
     positive "jobs" jobs;
-    if refine_rounds < 0 then
-      invalid_arg
-        (Printf.sprintf
-           "Kway.Options.make: refine_rounds must be non-negative (got %d)"
-           refine_rounds);
     (match replication with
     | `Functional t when t < 0 ->
         invalid_arg
@@ -95,28 +87,7 @@ module Options = struct
               (got %d)"
              t)
     | `None | `Functional _ -> ());
-    (match strategy with
-    | Flat -> ()
-    | Multilevel m ->
-        positive "max_levels" m.max_levels;
-        positive "refine_passes" m.refine_passes;
-        if not (m.coarsen_ratio > 0.0 && m.coarsen_ratio < 1.0) then
-          invalid_arg
-            (Printf.sprintf
-               "Kway.Options.make: coarsen_ratio must be in (0, 1) (got %g)"
-               m.coarsen_ratio));
-    {
-      runs;
-      seed;
-      replication;
-      max_passes;
-      fm_attempts;
-      refine_rounds;
-      jobs;
-      should_stop;
-      objective;
-      strategy;
-    }
+    { runs; seed; replication; jobs; should_stop; objective; strategy }
 end
 
 (* [compress um m]: the bits of [m] at the positions [um] keeps,

@@ -25,11 +25,7 @@ type result = {
   feasible_runs : int;
 }
 
-type multilevel = {
-  max_levels : int;
-  coarsen_ratio : float;
-  refine_passes : int;
-}
+type multilevel
 
 type strategy = Flat | Multilevel of multilevel
 
@@ -37,9 +33,6 @@ type options = {
   runs : int;
   seed : int;
   replication : [ `None | `Functional of int ];
-  max_passes : int;
-  fm_attempts : int;
-  refine_rounds : int;
   jobs : int;
   should_stop : unit -> bool;
   objective : Fpga.Objective.t;
@@ -48,6 +41,18 @@ type options = {
 
 val count_true : bool array -> int
 val cancelled : string
+
+(** The search effort of one split-driver call: F-M passes per
+    bipartition, random restarts per split step and candidate device, and
+    how many feasible candidate devices end a split step ([None]: try
+    them all). Private to the drivers: no caller chooses it. *)
+type budget = { passes : int; restarts : int; device_limit : int option }
+
+val flat_budget : budget
+(** 10 passes, 3 restarts, every candidate device. *)
+
+val narrowed_budget : budget
+(** 6 passes, 1 restart, two feasible candidate devices a step. *)
 
 module Options : sig
   type t = options
@@ -60,9 +65,6 @@ module Options : sig
     ?runs:int ->
     ?seed:int ->
     ?replication:[ `None | `Functional of int ] ->
-    ?max_passes:int ->
-    ?fm_attempts:int ->
-    ?refine_rounds:int ->
     ?jobs:int ->
     ?should_stop:(unit -> bool) ->
     ?objective:Fpga.Objective.t ->

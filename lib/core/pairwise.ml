@@ -19,7 +19,7 @@ let acquire pool hg ~masks =
    all-empty cell-indexed scratch arrays, handed back all-empty. The
    state comes from [pool] and goes back to it. Returns the improved pair
    or [None]. *)
-let refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg library
+let refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i ~mask_j hg library
     (pi : part) (pj : part) =
   List.iter (fun (c, m) -> mask_i.(c) <- m) pi.members;
   List.iter (fun (c, m) -> mask_j.(c) <- m) pj.members;
@@ -49,7 +49,7 @@ let refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg library
   let cfg =
     Fm.window_config
       ~objective:obj.Fpga.Objective.refine_objective
-      ~replication:opts.replication ~max_passes:opts.max_passes
+      ~replication:opts.replication ~max_passes:passes
       ~should_stop:opts.should_stop ?active:sub_active ~a:(window pi)
       ~b:(window pj) ()
   in
@@ -78,11 +78,12 @@ let refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg library
   pool := Some st;
   outcome
 
-(* Refinement driver: repeatedly sweep the part pairs that share nets,
-   most-connected first. With [dirty], only nets touching a dirty cell
-   count towards pair selection (pairs coupled solely through clean nets
-   have nothing movable between them) and only dirty cells may move. *)
-let refine ~opts ~obs ?dirty hg library parts =
+(* Refinement driver: [rounds] sweeps of the part pairs that share nets,
+   most-connected first, each pair's F-M given [passes]. With [dirty],
+   only nets touching a dirty cell count towards pair selection (pairs
+   coupled solely through clean nets have nothing movable between them)
+   and only dirty cells may move. *)
+let refine ~opts ~passes ~rounds ~obs ?dirty hg library parts =
   let parts = Array.of_list parts in
   let k = Array.length parts in
   if k < 2 then Array.to_list parts
@@ -91,11 +92,9 @@ let refine ~opts ~obs ?dirty hg library parts =
        induced subgraph, so on net-heavy graphs (coarse multilevel
        clusters retain most of the original nets) the per-pair F-M gets
        a tighter pass budget. Paper-suite graphs sit far below the
-       threshold and keep the caller's budget. *)
-    let opts =
-      if hg.Hypergraph.num_nets > 16384 then
-        { opts with max_passes = min opts.max_passes 4 }
-      else opts
+       threshold and keep the caller's passes. *)
+    let passes =
+      if hg.Hypergraph.num_nets > 16384 then min passes 4 else passes
     in
     let net_counts =
       match dirty with
@@ -115,7 +114,7 @@ let refine ~opts ~obs ?dirty hg library parts =
     let mask_i = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
     let mask_j = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
     let pool = ref None in
-    for round = 1 to opts.refine_rounds do
+    for round = 1 to rounds do
       (* Shared-net counts per pair. *)
       let touch = Array.make hg.Hypergraph.num_nets [] in
       Array.iteri
@@ -179,8 +178,8 @@ let refine ~opts ~obs ?dirty hg library parts =
               if opts.should_stop () then ()
               else begin
                 let outcome =
-                  refine_pair ~opts ~obs ?active ~pool ~mask_i ~mask_j hg
-                    library parts.(i) parts.(j)
+                  refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i
+                    ~mask_j hg library parts.(i) parts.(j)
                 in
                 (match outcome with
                 | Some (pi, pj, t_before, t_after) ->

@@ -38,8 +38,8 @@ let release pool st = pool := st :: !pool
    however the restarts then execute; each restart records F-M telemetry
    into a forked sink, merged back in restart order; and the winner fold
    applies the sequential first-best tie-break. *)
-let try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest (dev : Fpga.Device.t)
-    =
+let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
+    (dev : Fpga.Device.t) =
   let area = Hypergraph.total_area rest in
   (* Side B keeps at least one CLB: the remainder is never empty. *)
   let w =
@@ -52,7 +52,7 @@ let try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest (dev : Fpga.Device.t)
     let cfg =
       Fm.window_config
         ~objective:opts.objective.Fpga.Objective.split_objective
-        ~replication:opts.replication ~max_passes:opts.max_passes
+        ~replication:opts.replication ~max_passes:budget.passes
         ~should_stop:opts.should_stop ~a:w ()
     in
     (* Aim near the top of the window: fuller devices mean fewer devices
@@ -64,10 +64,10 @@ let try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest (dev : Fpga.Device.t)
        cell. *)
     let draw _ = not (Netlist.Rng.chance rng p_a) in
     let states =
-      Array.init opts.fm_attempts (fun _ -> acquire pool rest ~init_on_b:draw)
+      Array.init budget.restarts (fun _ -> acquire pool rest ~init_on_b:draw)
     in
     let attempts =
-      Parallel.Pool.run ~jobs:attempt_jobs opts.fm_attempts (fun a ->
+      Parallel.Pool.run ~jobs:attempt_jobs budget.restarts (fun a ->
           (* The fork runs on the executing domain, so the worker id read
              here is the trace track the restart's spans belong to. *)
           let child = Obs.fork ~track:(Parallel.Pool.worker_id ()) obs in
@@ -89,7 +89,7 @@ let try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest (dev : Fpga.Device.t)
     Option.map snd !best
   end
 
-let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
+let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs hg =
   let obj = opts.objective in
   let identity =
     Array.init (Hypergraph.num_cells hg) (fun c ->
@@ -130,17 +130,17 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
              the split with the best local cost efficiency (price of the
              device actually used per CLB covered), ties by cut. *)
           let step = List.length parts in
-          (* [device_limit] (multilevel coarse stage only): stop evaluating
-             candidate devices once that many feasible splits exist. The
-             list is in cost-efficiency order, so the first feasible
-             candidates are the ones the rate ranking below would almost
-             always pick anyway; on a ~k-device decomposition this turns
-             k × |library| F-M searches into ~k × limit. [None] (the flat
-             path) evaluates every device, byte-identical to before. *)
+          (* The budget's [device_limit] (the narrowed coarse solve only):
+             stop evaluating candidate devices once that many feasible
+             splits exist. The list is in cost-efficiency order, so the
+             first feasible candidates are the ones the rate ranking below
+             would almost always pick anyway; on a ~k-device decomposition
+             this turns k × |library| F-M searches into ~k × limit. [None]
+             evaluates every device. *)
           let candidates =
             Obs.span obs (Printf.sprintf "split%d" step) (fun () ->
                 let enough acc =
-                  match device_limit with
+                  match budget.device_limit with
                   | Some l -> List.length acc >= l
                   | None -> false
                 in
@@ -148,8 +148,8 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
                   (fun dev ->
                     let attempt =
                       Obs.span obs ("dev-" ^ dev.Fpga.Device.name) (fun () ->
-                          try_device ~opts ~attempt_jobs ~rng ~obs ~pool rest
-                            dev)
+                          try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool
+                            rest dev)
                     in
                     if Obs.enabled obs then Obs.incr obs "kway.device_attempts";
                     match attempt with
@@ -257,13 +257,13 @@ let run_once ~library ~opts ~attempt_jobs ?device_limit ~rng ~obs hg =
    (seed, run index) and a private forked sink, so runs can execute on any
    domain in any order. The returned sink holds the run's whole telemetry,
    the ["kway.run"] summary event included. *)
-let run_trial ~library ~options ~attempt_jobs ?device_limit ~obs hg r =
+let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg r =
   let child = Obs.fork ~pid:r ~track:(Parallel.Pool.worker_id ()) obs in
   let rng = Netlist.Rng.create (options.seed + (r * 7919)) in
   let outcome =
     Obs.span child (Printf.sprintf "run%d" r) (fun () ->
-        run_once ~library ~opts:options ~attempt_jobs ?device_limit ~rng
-          ~obs:child hg)
+        run_once ~library ~opts:options ~budget ~attempt_jobs ~rng ~obs:child
+          hg)
   in
   if Obs.enabled child then Obs.incr child "kway.runs";
   match outcome with
@@ -292,7 +292,7 @@ let run_trial ~library ~options ~attempt_jobs ?device_limit ~obs hg r =
       end;
       (child, Some (parts, summary))
 
-let flat_partition ?device_limit ~obs ~options ~library hg =
+let flat_partition ~budget ~obs ~options ~library hg =
   let since = clock () in
   let jobs = max 1 options.jobs in
   (* Spare parallelism flows down to the per-split restarts only when the
@@ -302,7 +302,7 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
   in
   let trials =
     Parallel.Pool.run ~jobs options.runs
-      (run_trial ~library ~options ~attempt_jobs ?device_limit ~obs hg)
+      (run_trial ~library ~options ~budget ~attempt_jobs ~obs hg)
   in
   (* Merging the private sinks in run order reproduces the sequential event
      stream exactly; the winner fold below applies the sequential
@@ -330,13 +330,14 @@ let flat_partition ?device_limit ~obs ~options ~library hg =
           in
           if better then best := Some (key, v))
     trials;
-  (* Pairwise refinement is applied once, to the winning run (it never
-     worsens a partition, so the winner stays at least as good). *)
+  (* One round of pairwise refinement, applied to the winning run (it
+     never worsens a partition, so the winner stays at least as good). *)
   let outcome =
     match !best with
-    | Some (_, (parts, _)) when options.refine_rounds > 0 ->
-        Ok (Pairwise.refine ~opts:options ~obs hg library parts)
-    | Some (_, (parts, _)) -> Ok parts
+    | Some (_, (parts, _)) ->
+        Ok
+          (Pairwise.refine ~opts:options ~passes:budget.passes ~rounds:1 ~obs
+             hg library parts)
     | None -> Error "no feasible k-way partition found in any run"
   in
   finish ~since ~should_stop:options.should_stop ~runs:options.runs

@@ -3,10 +3,12 @@
     F-M restarts per device and how they are drawn, the split ranked by
     local cost efficiency, and the multi-start runs with their RNG
     streams, forked sinks and winner tie-break — so [jobs] never changes
-    a result. The winner gets {!Pairwise.refine}. *)
+    a result. [budget] sets the F-M passes, the restarts and the
+    candidate devices per step. The winner gets one round of
+    {!Pairwise.refine}. *)
 
 val flat_partition :
-  ?device_limit:int ->
+  budget:Kway_types.budget ->
   obs:Obs.t ->
   options:Kway_types.options ->
   library:Fpga.Library.t ->

@@ -24,6 +24,10 @@ let cluster_caps windows =
   let cap_of v = if v = max_int then max_int else max 1 (v / 4) in
   Array.init Hypergraph.demand_arity (fun a -> cap_of (min_positive_axis a))
 
+(* Sweeps per uncoarsening level: the greedy mover's rounds, and the
+   finest level's pairwise replication rounds. *)
+let level_sweeps = 2
+
 (* The V-cycle: coarsen under the weight caps, run the flat
    heterogeneous-device k-way on the coarsest graph, then project the
    labelling down level by level, refining each level's boundary cells
@@ -31,7 +35,7 @@ let cluster_caps windows =
    finest level: coarse clusters are opaque (every output depends on
    every input), so replication above them has no adjacency slack to
    exploit — the RePart argument. *)
-let multilevel_run ~obs ~(options : options) ~ml ~library hg =
+let multilevel_run ~obs ~(options : options) ~library hg =
   let since = clock () in
   let total = Hypergraph.total_area hg in
   let windows =
@@ -74,8 +78,7 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
   let max_nets = max 4 (smallest_terminals / 9) in
   let rng = Netlist.Rng.create options.seed in
   let hier =
-    Coarsen.hierarchy ~coarsest:coarsest_target ~max_levels:ml.max_levels
-      ~stall_ratio:ml.coarsen_ratio
+    Coarsen.hierarchy ~coarsest:coarsest_target
       ~max_weight:(cluster_caps windows)
       ~max_nets
       ~wrap:(fun d f -> Obs.span obs (Printf.sprintf "coarsen%d" d) f)
@@ -112,10 +115,10 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
   if stopped then Error cancelled
   else if hier.Coarsen.levels = [] then
     (* Already at coarse scale: the V-cycle adds nothing, run flat. *)
-    Split.flat_partition ~obs ~options ~library hg
+    Split.flat_partition ~budget:flat_budget ~obs ~options ~library hg
   else begin
     (* Coarse-stage budgets. At small k over a well-contracted graph the
-       caller's budgets apply unchanged; when the decomposition is wide
+       flat budget applies unchanged; when the decomposition is wide
        (large k) or coarsening stalled far from its target (many coarse
        cells per eventual part — dense graphs pin-bound by the cluster
        mask width), the split loop is O(k · n_coarse) per device per
@@ -129,23 +132,15 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
     let cells_per_part =
       Hypergraph.num_cells hier.Coarsen.coarsest / max 1 k_est
     in
-    let coarse_options, device_limit =
-      if k_est <= 16 && cells_per_part <= 512 then
-        ({ options with strategy = Flat; replication = `None }, None)
-      else
-        ( {
-            options with
-            strategy = Flat;
-            replication = `None;
-            runs = 1;
-            fm_attempts = 1;
-            max_passes = min options.max_passes 6;
-            refine_rounds = min options.refine_rounds 1;
-          },
-          Some 2 )
+    let coarse_options =
+      { options with strategy = Flat; replication = `None }
+    in
+    let coarse_options, budget =
+      if k_est <= 16 && cells_per_part <= 512 then (coarse_options, flat_budget)
+      else ({ coarse_options with runs = 1 }, narrowed_budget)
     in
     match
-      Split.flat_partition ?device_limit ~obs ~options:coarse_options ~library
+      Split.flat_partition ~budget ~obs ~options:coarse_options ~library
         hier.Coarsen.coarsest
     with
     | Error _ as e -> e
@@ -178,7 +173,7 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
                   Obs.span obs (Printf.sprintf "refine%d" idx) (fun () ->
                       if Tally.live_parts t >= 2 then
                         Tally.greedy_refine ~opts:options ~obs ~dirty
-                          ~rounds:ml.refine_passes ~labels ~iobs ~devices t;
+                          ~rounds:level_sweeps ~labels ~iobs ~devices t;
                       match (finer, options.replication) with
                       | _ :: _, _ -> []
                       | [], `None -> Tally.parts t ~labels ~iobs ~devices
@@ -186,10 +181,8 @@ let multilevel_run ~obs ~(options : options) ~ml ~library hg =
                           (* Replication, once: the flat driver's pairwise
                              F-M over the finest boundary, as a warm start
                              refines. *)
-                          let opts =
-                            { options with refine_rounds = ml.refine_passes }
-                          in
-                          Pairwise.refine ~opts ~obs
+                          Pairwise.refine ~opts:options
+                            ~passes:flat_budget.passes ~rounds:level_sweeps ~obs
                             ~dirty:(Hypergraph.boundary fine ~labels)
                             fine library
                             (Tally.parts t ~labels ~iobs ~devices))

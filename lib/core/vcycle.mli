@@ -7,7 +7,6 @@
 val multilevel_run :
   obs:Obs.t ->
   options:Kway_types.options ->
-  ml:Kway_types.multilevel ->
   library:Fpga.Library.t ->
   Hypergraph.t ->
   (Kway_types.result, string) Stdlib.result

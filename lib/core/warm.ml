@@ -66,15 +66,14 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
       Array.map (Fpga.Objective.window options.objective) warm.w_devices
     in
     let t, seeded = Tally.seed_unlabelled hg ~windows labels dirty in
-    (* Refine only inside the edit's blast radius: at least one round even
-       when the options say zero, since refinement is the entire
-       optimisation a warm start performs. *)
-    let opts = { options with refine_rounds = max 1 options.refine_rounds } in
+    (* Refine only inside the edit's blast radius, one round: refinement
+       is the entire optimisation a warm start performs. *)
     let outcome =
       Result.map
         (fun parts ->
           Obs.span obs "warm" (fun () ->
-              Pairwise.refine ~opts ~obs ~dirty hg library parts))
+              Pairwise.refine ~opts:options ~passes:flat_budget.passes
+                ~rounds:1 ~obs ~dirty hg library parts))
         (Tally.materialise ~caller:"Kway.warm_start" ~options ~library ~labels
            ~devices:warm.w_devices t)
     in

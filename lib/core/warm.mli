@@ -2,7 +2,7 @@
     seed for an edited hypergraph (one label per cell, replicated cells
     forced dirty) and how the seed becomes a result: unlabelled cells
     seeded by net affinity, then pairwise refinement restricted to the
-    dirty cells, at least one round. *)
+    dirty cells, one round. *)
 
 val labels_of_parts :
   Hypergraph.t -> Kway_types.part list -> int array * bool array

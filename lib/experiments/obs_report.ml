@@ -1,32 +1,14 @@
 module J = Obs.Json
 
-let schema_version = 7
+let schema_version = 8
 
 let replication_to_json = function
   | `None -> J.String "none"
   | `Functional t -> J.Obj [ ("functional_threshold", J.Int t) ]
 
-(* [J] prints a float to 12 digits, so a ratio its printed form does not
-   read back as crosses the wire as its exact [%h] string instead. *)
-let exact_float f =
-  let j = J.Float f in
-  match float_of_string_opt (J.to_string j) with
-  | Some g when Float.equal g f -> j
-  | _ -> J.String (Printf.sprintf "%h" f)
-
-let exact_float_of_json = function
-  | J.String s -> float_of_string_opt s
-  | j -> J.to_float j
-
 let strategy_to_json = function
   | Core.Kway.Flat -> J.String "flat"
-  | Core.Kway.Multilevel m ->
-      J.Obj
-        [
-          ("max_levels", J.Int m.Core.Kway.max_levels);
-          ("coarsen_ratio", exact_float m.Core.Kway.coarsen_ratio);
-          ("refine_passes", J.Int m.Core.Kway.refine_passes);
-        ]
+  | Core.Kway.Multilevel _ -> J.String "multilevel"
 
 (* [jobs] is deliberately absent: it is an execution knob that never
    shapes the result, and omitting it is what lets the determinism gate
@@ -37,15 +19,12 @@ let options_to_json (o : Core.Kway.options) =
       ("runs", J.Int o.Core.Kway.runs);
       ("seed", J.Int o.Core.Kway.seed);
       ("replication", replication_to_json o.Core.Kway.replication);
-      ("max_passes", J.Int o.Core.Kway.max_passes);
-      ("fm_attempts", J.Int o.Core.Kway.fm_attempts);
-      ("refine_rounds", J.Int o.Core.Kway.refine_rounds);
       (* New in v5. Part of the result's identity (unlike [jobs]), so the
          service's options fingerprint — the md5 of this rendering —
          separates cache entries produced under different objectives. *)
       ("objective", J.String o.Core.Kway.objective.Fpga.Objective.name);
-      (* New in v6: the partitioning strategy. "flat" or the multilevel
-         knob object; part of the fingerprint for the same reason as
+      (* New in v6: the partitioning strategy, "flat" or (since v8)
+         "multilevel"; part of the fingerprint for the same reason as
          [objective] — a flat and a multilevel run of one circuit are
          different results. *)
       ("strategy", strategy_to_json o.Core.Kway.strategy);
@@ -61,24 +40,10 @@ let replication_of_json = function
       | None -> Error "ill-typed field \"replication\"")
   | _ -> Error "ill-typed field \"replication\""
 
-(* "flat", or an object carrying the multilevel knobs (absent knobs take
-   the library defaults). *)
 let strategy_of_json = function
   | J.String "flat" -> Ok Core.Kway.Flat
-  | J.Obj _ as o ->
-      let dm = Core.Kway.Options.default_multilevel in
-      let* max_levels =
-        J.opt_field "max_levels" J.to_int ~default:dm.Core.Kway.max_levels o
-      in
-      let* coarsen_ratio =
-        J.opt_field "coarsen_ratio" exact_float_of_json
-          ~default:dm.Core.Kway.coarsen_ratio o
-      in
-      let* refine_passes =
-        J.opt_field "refine_passes" J.to_int
-          ~default:dm.Core.Kway.refine_passes o
-      in
-      Ok (Core.Kway.Multilevel { Core.Kway.max_levels; coarsen_ratio; refine_passes })
+  | J.String "multilevel" ->
+      Ok (Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
   | _ -> Error "ill-typed field \"strategy\""
 
 let options_of_json json =
@@ -89,16 +54,6 @@ let options_of_json json =
     match J.member "replication" json with
     | None -> Ok d.Core.Kway.replication
     | Some r -> replication_of_json r
-  in
-  let* max_passes =
-    J.opt_field "max_passes" J.to_int ~default:d.Core.Kway.max_passes json
-  in
-  let* fm_attempts =
-    J.opt_field "fm_attempts" J.to_int ~default:d.Core.Kway.fm_attempts json
-  in
-  let* refine_rounds =
-    J.opt_field "refine_rounds" J.to_int ~default:d.Core.Kway.refine_rounds
-      json
   in
   let* objective =
     match J.member "objective" json with
@@ -112,8 +67,7 @@ let options_of_json json =
     | Some s -> strategy_of_json s
   in
   match
-    Core.Kway.Options.make ~runs ~seed ~replication ~max_passes ~fm_attempts
-      ~refine_rounds ~objective ~strategy ()
+    Core.Kway.Options.make ~runs ~seed ~replication ~objective ~strategy ()
   with
   | options -> Ok options
   | exception Invalid_argument msg -> Error msg

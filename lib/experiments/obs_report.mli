@@ -2,11 +2,13 @@
     behind [fpgapart partition --stats-json] and the service's result
     documents.
 
-    Schema (version 7) of a per-circuit document:
-    - ["schema_version"]: [7];
+    Schema (version 8) of a per-circuit document:
+    - ["schema_version"]: [8];
     - ["circuit"], ["seed"]: identification;
     - ["options"]: the {!Core.Kway.options} used, as {!options_to_json}
-      renders them (new in v5 ["objective"], new in v6 ["strategy"]);
+      renders them (new in v5 ["objective"], new in v6 ["strategy"]; v8
+      drops v7's three search-budget keys and the multilevel knob object,
+      which no caller set: the drivers fix the search effort);
     - ["result"]: outcome summary — [num_partitions], [total_cost],
       [avg_clb_utilization], [avg_iob_utilization], [total_clbs],
       [total_iobs], [replicated_cells], [total_cells], [feasible_runs],
@@ -49,13 +51,10 @@ val schema_version : int
 
     The serialised fields are exactly the ones that identify a result:
     ["runs"], ["seed"], ["replication"] (["none"] or
-    [{"functional_threshold": T}]), ["max_passes"], ["fm_attempts"],
-    ["refine_rounds"], ["objective"] (the {!Fpga.Objective} name) and
-    ["strategy"] (["flat"] or [{"max_levels"; "coarsen_ratio";
-    "refine_passes"}]), always all of them, in this order.
-    ["coarsen_ratio"] is a number when {!Obs.Json.to_string}'s 12 digits
-    read back as the same float, and otherwise its exact ["%h"] string,
-    so the options cross the wire and into the fingerprint exactly. [jobs] and
+    [{"functional_threshold": T}]), ["objective"] (the {!Fpga.Objective}
+    name) and ["strategy"] (["flat"] or ["multilevel"]), always all of
+    them, in this order. No float is among them, so the rendering is
+    exact. [jobs] and
     [should_stop] are execution knobs that never shape the result and are
     never serialised: their absence is what lets the determinism gate
     require byte-identical scrubbed documents across [--jobs] settings,
@@ -66,11 +65,10 @@ val options_to_json : Core.Kway.options -> Obs.Json.t
 val options_of_json : Obs.Json.t -> (Core.Kway.options, string) result
 (** Inverse of {!options_to_json} on every serialised field; [jobs] and
     [should_stop] take their {!Core.Kway.Options.default}. A missing field
-    takes its {!Core.Kway.Options.default} value (a missing multilevel
-    knob its {!Core.Kway.Options.default_multilevel} value). [Error] on an
-    ill-typed field (["ill-typed field \"runs\""]), an unknown objective
-    name, or values {!Core.Kway.Options.make} rejects (its
-    [Invalid_argument] message). *)
+    takes its {!Core.Kway.Options.default} value. [Error] on an ill-typed
+    field (["ill-typed field \"runs\""]; a strategy other than the two
+    strings is ill-typed), an unknown objective name, or values
+    {!Core.Kway.Options.make} rejects (its [Invalid_argument] message). *)
 
 val result_to_json : Core.Kway.result -> Obs.Json.t
 

@@ -61,11 +61,13 @@ type request =
   | Health
   | Shutdown
 
-(* v3 (this PR): the `submit-batch` and `fleet-stats` verbs, and the
-   tenant/priority/portfolio submission envelope. The gate below is
-   strict — a v2 client sees `unsupported_version`, not silently ignored
-   envelope fields. *)
-let protocol_version = 3
+(* v3: the `submit-batch` and `fleet-stats` verbs, and the
+   tenant/priority/portfolio submission envelope. v4: the options carry
+   no search-budget keys, and ["strategy"] is the string "flat" or
+   "multilevel" (see {!Experiments.Obs_report.options_to_json}). The gate
+   below is strict — a v3 client sees `unsupported_version`, not its
+   budget keys silently ignored. *)
+let protocol_version = 4
 
 let code_bad_request = "bad_request"
 let code_unsupported_version = "unsupported_version"

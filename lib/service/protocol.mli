@@ -1,7 +1,7 @@
 (** The request/response vocabulary of the partition service, one layer
     above {!Codec}'s framing.
 
-    Every request is a JSON object [{"v": 3, "verb": ..., ...}]. Replies
+    Every request is a JSON object [{"v": 4, "verb": ..., ...}]. Replies
     are [{"ok": true, ...}] or [{"ok": false, "error": {"code", "msg"}}];
     the error codes are a closed vocabulary (below) so clients and the
     smoke tests can switch on them without string-matching messages.

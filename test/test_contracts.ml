@@ -96,19 +96,19 @@ let goldens =
         "multi-personality" );
     ]
 
-(* Every key the README documents for stats schema v7, and the fields
+(* Every key the README documents for stats schema v8, and the fields
    that must hold a given value, on two of the golden runs. The flat
    run: the per-pass F-M event fields, the per-split device attempts,
    the result's wall/CPU stamps, the histograms of F-M gains and bucket-scan
    lengths, the incremental-rescoring telemetry, the objective name and
    per-axis resource_util, and the strategy. The multilevel run: the
-   V-cycle counters, histograms and events, and the knob object. *)
+   V-cycle counters, histograms and events, and its strategy string. *)
 let schema =
   let event e = ("event", J.String e) in
   [
     ( "c6288",
       ( [
-          ("schema_version", J.Int 7); event "fm.pass";
+          ("schema_version", J.Int 8); event "fm.pass";
           event "kway.device_attempt"; event "kway.split";
           ("objective", J.String "paper"); ("strategy", J.String "flat");
         ],
@@ -123,11 +123,11 @@ let schema =
           "buckets";
         ] ) );
     ( "s9234.multilevel",
-      ( [ event "ml.coarsen"; event "ml.refine" ],
-        [
-          "ml.level"; "ml.cells_per_level"; "ml.coarsen_ratio"; "max_levels";
-          "coarsen_ratio"; "refine_passes";
-        ] ) );
+      ( [
+          event "ml.coarsen"; event "ml.refine";
+          ("strategy", J.String "multilevel");
+        ],
+        [ "ml.level"; "ml.cells_per_level"; "ml.coarsen_ratio" ] ) );
   ]
 
 let test_golden (stem, circuit, args, name) () =
@@ -319,7 +319,7 @@ let test_cli_cache_hit () =
         "accepting" "accepting" (U.get J.to_str [ "state" ] h);
       List.iter
         (fun (k, v) -> Alcotest.(check int) k v (U.get J.to_int [ k ] h))
-        [ ("protocol_version", 3); ("queue_cap", 4); ("queue_depth", 0);
+        [ ("protocol_version", 4); ("queue_cap", 4); ("queue_depth", 0);
           ("inflight", 0) ];
       Alcotest.(check bool)
         "uptime" true (U.get J.to_float [ "uptime_secs" ] h >= 0.0);

@@ -495,7 +495,7 @@ let test_kway_snapshot_deterministic () =
     Techmap.Mapper.to_hypergraph
       (Techmap.Mapper.map (Netlist.Generator.multiplier ~bits:16 ()))
   in
-  let options = Core.Kway.Options.make ~runs:2 ~fm_attempts:2 () in
+  let options = Core.Kway.Options.make ~runs:2 () in
   let shot () =
     let obs = Obs.create () in
     (match Core.Kway.partition ~obs ~options ~library:Fpga.Library.xc3000 h with

@@ -95,8 +95,7 @@ let comparable (r : Core.Kway.result) =
 
 let partition_with_snapshot ~jobs ~runs h =
   let options =
-    Core.Kway.Options.make ~runs ~fm_attempts:2 ~replication:(`Functional 0)
-      ~jobs ()
+    Core.Kway.Options.make ~runs ~replication:(`Functional 0) ~jobs ()
   in
   let obs = Obs.create () in
   let r =
@@ -126,7 +125,7 @@ let test_kway_jobs_independent () =
   checks "byte-identical scrubbed telemetry" snap1 snap4
 
 let test_kway_attempt_level_parallelism () =
-  (* runs < jobs routes the surplus domains to the per-split fm_attempts
+  (* runs < jobs routes the surplus domains to the per-split F-M
      restarts; the pre-drawn RNG streams keep that path deterministic
      too. *)
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
@@ -144,7 +143,7 @@ let test_traced_partition_lanes () =
   let h = mapped_hypergraph (Netlist.Generator.multiplier ~bits:16 ()) in
   let jobs = 4 in
   let go jobs =
-    let options = Core.Kway.Options.make ~runs:8 ~fm_attempts:2 ~jobs () in
+    let options = Core.Kway.Options.make ~runs:8 ~jobs () in
     let obs = Obs.create ~trace:true () in
     (match Core.Kway.partition ~obs ~options ~library:Fpga.Library.xc3000 h with
     | Ok _ -> ()
@@ -207,7 +206,7 @@ let prop_partition_independent_of_jobs =
       let h = mapped_hypergraph c in
       let go jobs =
         let options =
-          Core.Kway.Options.make ~runs:2 ~fm_attempts:2 ~seed:(seed + 1)
+          Core.Kway.Options.make ~runs:2 ~seed:(seed + 1)
             ~replication:(`Functional 0) ~jobs ()
         in
         Core.Kway.partition ~options ~library:Fpga.Library.xc3000 h

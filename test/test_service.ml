@@ -278,21 +278,11 @@ let test_digest_options () =
     (Service.Digest.options_fingerprint base
      <> Service.Digest.options_fingerprint other_seed)
 
-(* Identity floats. A value the rendering rounds (the options JSON keeps
-   12 digits, the device list 6 decimals) hashes apart from its rounded
-   neighbour; a value the rendering keeps exactly keeps its bytes, so the
-   keys recorded before stay valid. *)
-let multilevel_ratio coarsen_ratio =
-  Core.Kway.Options.make
-    ~strategy:
-      (Core.Kway.Multilevel
-         { Core.Kway.Options.default_multilevel with coarsen_ratio })
-    ()
-
+(* Identity floats. The options hold no float, so their fingerprint is
+   the MD5 of their JSON rendering; a device-list float the rendering
+   rounds (6 decimals) hashes apart from its rounded neighbour. *)
 let test_digest_exact_floats () =
   let fp = Service.Digest.options_fingerprint in
-  checkb "0.9 and 0.9000000000001 hash apart" true
-    (fp (multilevel_ratio 0.9) <> fp (multilevel_ratio 0.9000000000001));
   List.iter
     (fun (what, o) ->
       checks (what ^ " hashes its JSON rendering")
@@ -300,8 +290,13 @@ let test_digest_exact_floats () =
            (Stdlib.Digest.string
               (J.to_string (Experiments.Obs_report.options_to_json o))))
         (fp o))
-    [ ("default", Core.Kway.Options.default);
-      ("ratio 0.9", multilevel_ratio 0.9) ];
+    [
+      ("default", Core.Kway.Options.default);
+      ( "multilevel",
+        Core.Kway.Options.make
+          ~strategy:(Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+          () );
+    ];
   let h =
     Techmap.Mapper.to_hypergraph
       (Techmap.Mapper.map
@@ -320,95 +315,80 @@ let test_digest_exact_floats () =
     (key (d 0.5) o <> key (d 0.5000001) o);
   checks "equal libraries share a key" (key (d 0.5000001) o)
     (key (d 0.5000001) o);
-  (* Recorded before the fingerprints rendered floats exactly. *)
-  checks "xc3000, default options" "3ba03b36dedb0d4a2c284381a351bafd"
+  (* Recorded when the options lost their search-budget keys. *)
+  checks "xc3000, default options" "71a04cbf4258440873090de666ad66bb"
     (key Fpga.Library.xc3000 o);
   checks "xc4000, multilevel with replication"
-    "6d8adc62d54e0165933da6ca4cb12eba"
+    "9a41fa3b679068c261e89e56ace90cef"
     (key Fpga.Library.xc4000
-       (Core.Kway.Options.make ~base:(multilevel_ratio 0.9)
-          ~replication:(`Functional 1) ()))
-
-(* Two full-precision ratios: a random one and, in turn, itself, its
-   successor, its 12-digit rounding or another random one. *)
-let qcheck_ratio_fingerprints =
-  let gen st =
-    let ratio () = Float.max 1e-9 (Random.State.float st 0.999) in
-    let r = ratio () in
-    let r' =
-      match Random.State.int st 4 with
-      | 0 -> r
-      | 1 -> Float.succ r
-      | 2 -> float_of_string (Printf.sprintf "%.12g" r)
-      | _ -> ratio ()
-    in
-    (r, r')
-  in
-  QCheck.Test.make
-    ~name:"options fingerprints are equal exactly when the ratios are"
-    ~count:500
-    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%h, %h" a b) gen)
-    (fun (r, r') ->
-      Bool.equal (Float.equal r r')
-        (String.equal
-           (Service.Digest.options_fingerprint (multilevel_ratio r))
-           (Service.Digest.options_fingerprint (multilevel_ratio r'))))
+       (Core.Kway.Options.make ~replication:(`Functional 1)
+          ~strategy:(Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+          ()))
 
 (* ------------------------------------------------------------------ *)
 (* Options codec                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The renderings recorded before the codec moved into Obs_report: the
-   options fingerprint, and so every cache key, is the MD5 of exactly
-   these bytes. *)
+(* The options fingerprint, and so every cache key, is the MD5 of
+   exactly these bytes. *)
 let test_options_json_pinned () =
   let render o =
     J.to_string (Experiments.Obs_report.options_to_json o)
   in
   checks "default"
     "{\n  \"runs\": 5,\n  \"seed\": 1,\n  \"replication\": \"none\",\n  \
-     \"max_passes\": 10,\n  \"fm_attempts\": 3,\n  \"refine_rounds\": 1,\n  \
      \"objective\": \"paper\",\n  \"strategy\": \"flat\"\n}"
     (render Core.Kway.Options.default);
   checks "multilevel, functional 1, chiplet"
     "{\n  \"runs\": 5,\n  \"seed\": 1,\n  \"replication\": {\n    \
-     \"functional_threshold\": 1\n  },\n  \"max_passes\": 10,\n  \
-     \"fm_attempts\": 3,\n  \"refine_rounds\": 1,\n  \"objective\": \
-     \"chiplet\",\n  \"strategy\": {\n    \"max_levels\": 12,\n    \
-     \"coarsen_ratio\": 0.9,\n    \"refine_passes\": 2\n  }\n}"
+     \"functional_threshold\": 1\n  },\n  \"objective\": \"chiplet\",\n  \
+     \"strategy\": \"multilevel\"\n}"
     (render
        (Core.Kway.Options.make ~replication:(`Functional 1)
           ~objective:Fpga.Objective.chiplet
           ~strategy:(Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
           ()))
 
-(* Random valid options over both strategies, both replication modes and
-   every builtin objective. The coarsening ratio is any float in (0, 1),
-   so most need more digits than the JSON float format prints. *)
+(* The strategy is one of two strings; anything else is ill-typed. *)
+let test_options_strategy () =
+  let decode j =
+    Experiments.Obs_report.options_of_json
+      (J.Obj [ ("strategy", j) ])
+  in
+  let strategy j = Result.map (fun o -> o.Core.Kway.strategy) (decode j) in
+  checkb "\"multilevel\" decodes to Multilevel" true
+    (strategy (J.String "multilevel")
+    = Ok (Core.Kway.Multilevel Core.Kway.Options.default_multilevel));
+  checkb "\"flat\" decodes to Flat" true
+    (strategy (J.String "flat") = Ok Core.Kway.Flat);
+  List.iter
+    (fun (what, j) ->
+      match decode j with
+      | Ok _ -> Alcotest.failf "%s accepted as a strategy" what
+      | Error msg -> checks what "ill-typed field \"strategy\"" msg)
+    [
+      ("an object", J.Obj [ ("max_levels", J.Int 12) ]);
+      ("an empty object", J.Obj []);
+      ("another string", J.String "vcycle");
+    ]
+
+(* Random valid options: every settable field, over both strategies, both
+   replication modes and every builtin objective. *)
 let gen_options st =
   let int lo hi = lo + Random.State.int st (hi - lo + 1) in
   let replication =
     if Random.State.bool st then `None else `Functional (int 0 6)
   in
-  let rec ratio () =
-    let r = Random.State.float st 1.0 in
-    if r > 0.0 then r else ratio ()
-  in
   let strategy =
     if Random.State.bool st then Core.Kway.Flat
-    else
-      Core.Kway.Multilevel
-        {
-          Core.Kway.max_levels = int 1 20;
-          coarsen_ratio = ratio ();
-          refine_passes = int 1 5;
-        }
+    else Core.Kway.Multilevel Core.Kway.Options.default_multilevel
   in
   let objectives = Fpga.Objective.builtins in
   let objective = List.nth objectives (int 0 (List.length objectives - 1)) in
+  let stop = Random.State.bool st in
   Core.Kway.Options.make ~runs:(int 1 20) ~seed:(int (-1000) 1_000_000)
-    ~replication ~max_passes:(int 1 30) ~fm_attempts:(int 1 9)
-    ~refine_rounds:(int 0 4) ~jobs:(int 1 8) ~objective ~strategy ()
+    ~replication ~jobs:(int 1 8) ~should_stop:(fun () -> stop) ~objective
+    ~strategy ()
 
 let qcheck_options_codec_roundtrip =
   QCheck.Test.make ~name:"options codec roundtrips every serialised field"
@@ -427,13 +407,11 @@ let qcheck_options_codec_roundtrip =
       | Ok d ->
           let open Core.Kway in
           d.runs = o.runs && d.seed = o.seed && d.replication = o.replication
-          && d.max_passes = o.max_passes
-          && d.fm_attempts = o.fm_attempts
-          && d.refine_rounds = o.refine_rounds
           && String.equal d.objective.Fpga.Objective.name
                o.objective.Fpga.Objective.name
           && d.strategy = o.strategy
-          && d.jobs = Options.default.jobs)
+          && d.jobs = Options.default.jobs
+          && d.should_stop == Options.default.should_stop)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                           *)
@@ -541,6 +519,19 @@ let test_protocol_bad_requests () =
              [ ("replication", J.Obj [ ("functional_threshold", J.Int (-1)) ]) ]
          );
        ]);
+  (* A strategy object (the multilevel knobs before protocol v4) is a
+     typed bad request, not silently read as the default V-cycle. *)
+  bad
+    (J.Obj
+       [
+         v;
+         ("verb", J.String "submit");
+         ("name", J.String "x");
+         ("format", J.String "bench");
+         ("netlist", J.String "INPUT(a)\nOUTPUT(a)\n");
+         ( "options",
+           J.Obj [ ("strategy", J.Obj [ ("coarsen_ratio", J.Float 0.9) ]) ] );
+       ]);
   (* Unknown objective names are bad requests too. *)
   bad
     (J.Obj
@@ -561,6 +552,9 @@ let test_protocol_bad_requests () =
      backward tolerance — so it can never see replies missing the v2
      [timings] field. *)
   unsupported (J.Obj [ ("v", J.Int 1); ("verb", J.String "stats") ]);
+  (* So is a v3 client, whose options may carry the search-budget keys
+     v4 dropped. *)
+  unsupported (J.Obj [ ("v", J.Int 3); ("verb", J.String "stats") ]);
   unsupported (J.Obj [ ("v", J.String "2"); ("verb", J.String "stats") ])
 
 (* ------------------------------------------------------------------ *)
@@ -737,19 +731,22 @@ let stats_counter path name =
 (* The daemon differential: one long-lived daemon serves a stream of
    near-duplicate requests, and each reply carries, byte for byte, the
    result document a fresh daemon computes for that request alone. Per
-   case the stream is a random netlist under a random multilevel
-   coarsening ratio, then its node-permuted text (a cache hit), then the
-   ratio nudged by one ulp (a miss). A request is a hit exactly when the
-   daemon has seen its circuit seed and ratio before. *)
+   case the stream is a random netlist under a random multilevel run
+   seed, then its node-permuted text (a cache hit), then the run seed
+   plus one (a miss). A request is a hit exactly when the daemon has seen
+   its circuit seed and run seed before. *)
 let test_daemon_differential () =
-  let request text ratio =
+  let request text run_seed =
     Service.Protocol.Submit
       {
         name = "near";
         format = Service.Protocol.Bench;
         netlist = text;
         options =
-          Core.Kway.Options.make ~base:(multilevel_ratio ratio) ~runs:1 ();
+          Core.Kway.Options.make ~runs:1 ~seed:run_seed
+            ~strategy:
+              (Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
+            ();
         envelope = Service.Protocol.default_envelope;
       }
   in
@@ -764,15 +761,15 @@ let test_daemon_differential () =
   in
   let seen = Hashtbl.create 16 in
   with_server (fun long_lived ->
-      let property (seed, ratio) =
+      let property (seed, run_seed) =
         let text = Netlist.Bench_format.to_string (random_circuit seed) in
         List.for_all
-          (fun (what, text, ratio) ->
-            let key = (seed, Int64.bits_of_float ratio) in
-            let cached, doc = serve long_lived (request text ratio) in
+          (fun (what, text, run_seed) ->
+            let key = (seed, run_seed) in
+            let cached, doc = serve long_lived (request text run_seed) in
             let fresh = ref "" in
             with_server (fun path ->
-                fresh := snd (serve path (request text ratio)));
+                fresh := snd (serve path (request text run_seed)));
             if cached <> Hashtbl.mem seen key then
               QCheck.Test.fail_reportf "%s: cached = %b" what cached;
             Hashtbl.replace seen key ();
@@ -781,14 +778,14 @@ let test_daemon_differential () =
                 what;
             true)
           [
-            ("base", text, ratio);
-            ("permuted", permute_bench text, ratio);
-            ("nudged", text, Float.succ ratio);
+            ("base", text, run_seed);
+            ("permuted", permute_bench text, run_seed);
+            ("nudged", text, run_seed + 1);
           ]
       in
       QCheck.Test.check_exn
         (QCheck.Test.make ~name:"daemon differential" ~count:3
-           QCheck.(pair (int_range 0 10_000) (float_range 0.05 0.95))
+           QCheck.(pair (int_range 0 10_000) (int_range 1 100_000))
            property))
 
 let qcheck_resubmit_noop_byte_identity =
@@ -1468,7 +1465,6 @@ let () =
             test_digest_permutation_invariant;
           Alcotest.test_case "options fingerprint" `Quick test_digest_options;
           Alcotest.test_case "exact floats" `Quick test_digest_exact_floats;
-          QCheck_alcotest.to_alcotest qcheck_ratio_fingerprints;
           QCheck_alcotest.to_alcotest qcheck_canonical_reference;
           QCheck_alcotest.to_alcotest qcheck_applied_is_canonical;
           Alcotest.test_case "suite deltas apply canonically" `Quick
@@ -1479,6 +1475,7 @@ let () =
       ( "options codec",
         [
           Alcotest.test_case "pinned renderings" `Quick test_options_json_pinned;
+          Alcotest.test_case "strategy" `Quick test_options_strategy;
           QCheck_alcotest.to_alcotest qcheck_options_codec_roundtrip;
         ] );
       ( "protocol",

@@ -117,18 +117,33 @@ done
 
 # One options codec: Experiments.Obs_report owns the JSON spelling of
 # Kway.options (the stats document, the wire protocol and the cache key
-# share it). No other program file spells its keys; lib/core/kway_types.ml
-# (Kway.Options.make) names fields in its validation messages.
+# share it). No other program file spells its keys.
 for f in $(git ls-files lib bin bench examples tools); do
   case "$f" in
     lib/experiments/obs_report.ml | lib/experiments/obs_report.mli) continue ;;
-    lib/core/kway_types.ml) continue ;;
   esac
-  if grep -qE \
-    '"(fm_attempts|refine_rounds|coarsen_ratio|refine_passes|max_levels|functional_threshold)"' \
-    "$f"; then
+  if grep -qE '"(functional_threshold)"' "$f"; then
     echo "lint: options JSON key spelled in $f" \
       "(use Experiments.Obs_report.options_to_json/options_of_json)" >&2
+    status=1
+  fi
+done
+
+# One set of options: the search effort is the drivers' constants
+# (Kway_types.flat_budget and narrowed_budget, the V-cycle's sweeps per
+# level, Coarsen.hierarchy's depth and stall rule), not settings, so
+# the options, the wire and the cache key carry none of it. No program
+# file names the budget knobs the options once had, or the exact-float
+# codec only their ratio needed. The V-cycle's "ml.coarsen_ratio"
+# histogram keeps its name.
+for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' \
+  'bench/*.ml' 'bench/*.mli' 'examples/*.ml' 'examples/*.mli' \
+  'tools/*.ml' 'tools/*.mli'); do
+  if grep -qE \
+    'fm_attempts|refine_rounds|refine_passes|max_levels|stall_ratio|exact_float' \
+    "$f" || grep -qP '(?<!ml\.)coarsen_ratio' "$f"; then
+    echo "lint: search-budget knob named in $f" \
+      "(the budget is Kway_types.flat_budget/narrowed_budget)" >&2
     status=1
   fi
 done
