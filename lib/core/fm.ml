@@ -141,13 +141,17 @@ let window_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
   make ~objective ~replication ~max_passes ?should_stop ?active
     (match b with None -> Split a | Some b -> Pair (a, b))
 
-let random_state rng hg =
-  let n = Hypergraph.num_cells hg in
+module F = Hypergraph.Flat
+
+let random_flat_state rng g =
+  let n = F.num_cells g in
   let order = Array.init n Fun.id in
   Netlist.Rng.shuffle rng order;
   let on_b = Array.make n false in
   Array.iteri (fun k c -> if k < n / 2 then on_b.(c) <- true) order;
-  Partition_state.create hg ~init_on_b:(fun c -> on_b.(c))
+  Partition_state.create g ~init_on_b:(fun c -> on_b.(c))
+
+let random_state rng hg = random_flat_state rng (F.of_hypergraph hg)
 
 let flip current o =
   if Bitvec.mem o current then Bitvec.remove o current
@@ -167,9 +171,8 @@ let flip current o =
    single-bit flip; and [empty]/[full] equal the complement only when the
    cell is single-sided, in which case the replicated branch is dead. *)
 let iter_masks st ~replication cell ~f =
-  let hg = Partition_state.hypergraph st in
-  let c = Hypergraph.cell hg cell in
-  let m = Array.length c.Hypergraph.outputs in
+  let g = Partition_state.graph st in
+  let m = g.F.outputs.(cell) in
   let current = Partition_state.mask st cell in
   (* Whole-cell move / side swap of all outputs. *)
   let comp = Bitvec.complement m current in
@@ -189,7 +192,7 @@ let iter_masks st ~replication cell ~f =
     match replication with
     | `None -> ()
     | `Functional threshold ->
-        if m > 1 && Replication_potential.replicable ~threshold c then
+        if m > 1 && Replication_potential.replicable ~threshold g cell then
           for o = 0 to m - 1 do
             f (flip current o)
           done
@@ -240,16 +243,15 @@ let workspace () =
     regs = { pen = 0; obj = 0; pref = 0 };
   }
 
-(* The starting state of a run on [hg]: the bucket clamps to this graph's
+(* The starting state of a run on [g]: the bucket clamps to this graph's
    gain range, as a fresh one would (a wider range left from an earlier
    graph would clamp differently), and the first [n] slots of each array
    hold their fresh values.
    The trail, the scratch and the registers are written before they are
    read, so they need none. *)
-let reset ws hg =
-  let n = Hypergraph.num_cells hg in
-  Bucket.reset ws.bucket ~num_items:n
-    ~max_gain:((2 * Hypergraph.max_cell_degree hg) + 2);
+let reset ws g =
+  let n = F.num_cells g in
+  Bucket.reset ws.bucket ~num_items:n ~max_gain:((2 * g.F.max_degree) + 2);
   if n > Array.length ws.op_mask then begin
     ws.op_mask <- Array.make n 0;
     ws.op_gain <- Array.make n 0;
@@ -294,9 +296,9 @@ let[@inline] lex_lt (p : int) (o : int) (q : int) (p' : int) (o' : int)
   p < p' || (p = p' && (o < o' || (o = o' && q < q')))
 
 let run_in ws ~obs cfg st =
-  let hg = Partition_state.hypergraph st in
-  let n = Hypergraph.num_cells hg in
-  reset ws hg;
+  let g = Partition_state.graph st in
+  let n = F.num_cells g in
+  reset ws g;
   let {
     bucket;
     op_mask;
@@ -402,9 +404,8 @@ let run_in ws ~obs cfg st =
     end
   in
   let visit_net net =
-    let cells = hg.Hypergraph.net_cells.(net) in
-    for k = 0 to Array.length cells - 1 do
-      visit_cell cells.(k)
+    for k = g.F.net_off.(net) to g.F.net_off.(net + 1) - 1 do
+      visit_cell g.F.net_cell.(k)
     done
   in
   (* Oracle mode: after each move, recompute the best op of every unlocked
@@ -441,10 +442,12 @@ let run_in ws ~obs cfg st =
                !bm !bg !bt !bda !bdb)
       end
     in
-    let c = Hypergraph.cell hg moved in
-    Array.iter
-      (fun net -> Array.iter check hg.Hypergraph.net_cells.(net))
-      (Hypergraph.cell_nets c)
+    for k = g.F.cell_off.(moved) to g.F.cell_off.(moved + 1) - 1 do
+      let net = g.F.inc_net.(k) in
+      for i = g.F.net_off.(net) to g.F.net_off.(net + 1) - 1 do
+        check g.F.net_cell.(i)
+      done
+    done
   in
   (* The trail holds (cell, pre-move mask): each cell is applied at most
      once per pass, so n slots suffice. *)
@@ -593,9 +596,10 @@ let run_staged ?(obs = Obs.noop) cfg st =
           run_in ws ~obs cfg st)
 
 let multi_start ~runs ~seed cfg hg =
+  let g = F.of_hypergraph hg in
   let best = ref None and sum = ref 0 in
   for r = 0 to runs - 1 do
-    let st = random_state (Netlist.Rng.create (seed + (r * 65537))) hg in
+    let st = random_flat_state (Netlist.Rng.create (seed + (r * 65537))) g in
     let _, cut, _ = run_staged cfg st in
     (match !best with
     | Some (c, _) when c <= cut -> ()

@@ -212,7 +212,8 @@ val run_staged : ?obs:Obs.t -> config -> Partition_state.t -> score
 val random_state : Netlist.Rng.t -> Hypergraph.t -> Partition_state.t
 (** Fresh state with a uniformly random half/half assignment (by cell
     count), the multi-start initialisation of the paper's 20-run
-    experiments. *)
+    experiments, over the hypergraph's flat form
+    ({!Hypergraph.Flat.of_hypergraph}, built here). *)
 
 val multi_start :
   runs:int ->
@@ -221,5 +222,6 @@ val multi_start :
   Hypergraph.t ->
   (int * Partition_state.t) option * float
 (** The paper's equal-halves campaign: [runs] {!run_staged} runs, run [r]
-    from {!random_state} seeded [seed + r * 65537]. Returns the best cut
-    with the first state reaching it, and the mean cut. *)
+    from {!random_state} seeded [seed + r * 65537], all over one flat
+    form of the hypergraph. Returns the best cut with the first state
+    reaching it, and the mean cut. *)

@@ -90,36 +90,9 @@ module Options = struct
     { runs; seed; replication; jobs; should_stop; objective; strategy }
 end
 
-(* [compress um m]: the bits of [m] at the positions [um] keeps,
-   renumbered densely (the copy's output index of each kept output);
-   [expand um m] is its inverse. *)
-let compress um m =
-  let acc = ref Bitvec.empty and pos = ref 0 in
-  for o = 0 to Bitvec.max_width - 1 do
-    if Bitvec.mem o um then begin
-      if Bitvec.mem o m then acc := Bitvec.add !pos !acc;
-      incr pos
-    end
-  done;
-  !acc
-
-let expand um m =
-  let acc = ref Bitvec.empty and pos = ref 0 in
-  for o = 0 to Bitvec.max_width - 1 do
-    if Bitvec.mem o um then begin
-      if Bitvec.mem !pos m then acc := Bitvec.add o !acc;
-      incr pos
-    end
-  done;
-  !acc
-
-(* A copy in a sub-hypergraph maps back to the original as [(orig, um)]:
-   the original cell and the original outputs the copy carries, which
-   [Hypergraph.induce_copies] numbers in ascending order. [lift orig_of]
-   takes a copy-coordinate member [(c, m)] to original coordinates. *)
-let lift orig_of (c, m) =
-  let orig, um = orig_of.(c) in
-  (orig, expand um m)
+let lift (g : Hypergraph.Flat.t) (c, m) =
+  ( g.Hypergraph.Flat.origin_cell.(c),
+    Bitvec.expand g.Hypergraph.Flat.origin_mask.(c) m )
 
 (* Right-size: a part shaped for [dev] keeps it unless a cheaper device
    accepts the same demand and terminals. *)

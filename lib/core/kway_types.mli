@@ -1,7 +1,7 @@
 (** The data the k-way phases exchange, and the one way a result is
     assembled. Owns the part, result and options records ({!Kway}
     re-exports them, with their documentation), copy coordinates (how a
-    member of an induced sub-hypergraph maps back to the original cell and
+    member of a carved graph maps back to the original cell and
     outputs), the right-sizing rule both the split loop and pairwise
     refinement apply, and the recount behind every driver's result. The
     verifier ({!Verifier}) does not use this recount. *)
@@ -73,9 +73,10 @@ module Options : sig
     t
 end
 
-val compress : Bitvec.t -> Bitvec.t -> Bitvec.t
-
-val lift : (int * Bitvec.t) array -> int * Bitvec.t -> int * Bitvec.t
+val lift : Hypergraph.Flat.t -> int * Bitvec.t -> int * Bitvec.t
+(** [lift g (c, m)]: the member [(c, m)] of a carved graph [g] (copy [c]
+    carrying its outputs [m]) in the coordinates of the hypergraph [g]
+    descends from: the origin cell and the origin outputs [m] names. *)
 
 val right_size :
   relax_low:bool ->

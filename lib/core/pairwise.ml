@@ -1,14 +1,15 @@
 open Kway_types
+module F = Hypergraph.Flat
 
 (* The refiner's free list: the one F-M state [refine_pair] works in at a
    time, kept between pairs and rebuilt in place for the next pair's
-   induced graph when it is large enough ([Partition_state.reuse]). *)
-let acquire pool hg ~masks =
+   union when it is large enough ([Partition_state.reuse]). *)
+let acquire pool g ~masks =
   match !pool with
-  | None -> Partition_state.create_with_masks hg ~masks
+  | None -> Partition_state.create_with_masks g ~masks
   | Some st ->
       pool := None;
-      Partition_state.reuse_with_masks st hg ~masks
+      Partition_state.reuse_with_masks st g ~masks
 
 (* Re-bipartition the union of two finished parts under both device
    windows, optimising total terminal usage (eq. 2 restricted to the
@@ -17,24 +18,23 @@ let acquire pool hg ~masks =
    which cells may move — the warm-start path passes the edit's dirty set
    so refinement costs O(blast radius). [mask_i] and [mask_j] are
    all-empty cell-indexed scratch arrays, handed back all-empty. The
-   state comes from [pool] and goes back to it. Returns the improved pair
-   or [None]. *)
-let refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i ~mask_j hg library
-    (pi : part) (pj : part) =
+   union is carved out of [g] into [union], the refiner's one carve
+   buffer, and the state comes from [pool] and goes back to it. Returns
+   the improved pair or [None]. *)
+let refine_pair ~opts ~passes ~obs ?active ~pool ~union ~mask_i ~mask_j g
+    library (pi : part) (pj : part) =
   List.iter (fun (c, m) -> mask_i.(c) <- m) pi.members;
   List.iter (fun (c, m) -> mask_j.(c) <- m) pj.members;
-  (* Ascending cell order: the specs come out sorted. *)
-  let specs = ref [] in
-  for c = Array.length mask_i - 1 downto 0 do
+  for c = 0 to Array.length mask_i - 1 do
     let m = Bitvec.union mask_i.(c) mask_j.(c) in
-    if not (Bitvec.is_empty m) then specs := (c, m) :: !specs
+    if not (Bitvec.is_empty m) then F.stage union ~cell:c m
   done;
-  let hu, spec_arr = Hypergraph.induce_copies hg !specs in
+  F.carve g ~into:union;
   (* Initial assignment: part j's share of each cell sits on side B. *)
   let st =
-    acquire pool hu ~masks:(fun k ->
-        let orig, um = spec_arr.(k) in
-        compress um mask_j.(orig))
+    acquire pool union ~masks:(fun k ->
+        Bitvec.compress union.F.origin_mask.(k)
+          mask_j.(union.F.origin_cell.(k)))
   in
   List.iter (fun (c, _) -> mask_i.(c) <- Bitvec.empty) pi.members;
   List.iter (fun (c, _) -> mask_j.(c) <- Bitvec.empty) pj.members;
@@ -44,7 +44,7 @@ let refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i ~mask_j hg library
      CLB. *)
   let window (p : part) = Fpga.Objective.window ~relax_low:true obj p.device in
   let sub_active =
-    Option.map (fun act k -> act (fst spec_arr.(k))) active
+    Option.map (fun act k -> act union.F.origin_cell.(k)) active
   in
   let cfg =
     Fm.window_config
@@ -67,7 +67,7 @@ let refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i ~mask_j hg library
           right_size ~relax_low:true obj library ~demand:used ~iobs p.device
         in
         let members =
-          List.map (lift spec_arr) (Partition_state.side_copies st side)
+          List.map (lift union) (Partition_state.side_copies st side)
         in
         { device; members; clbs; iobs; used }
       in
@@ -83,55 +83,57 @@ let refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i ~mask_j hg library
    only nets touching a dirty cell count towards pair selection (pairs
    coupled solely through clean nets have nothing movable between them)
    and only dirty cells may move. *)
-let refine ~opts ~passes ~rounds ~obs ?dirty hg library parts =
+let refine ~opts ~passes ~rounds ~obs ?dirty g library parts =
   let parts = Array.of_list parts in
   let k = Array.length parts in
   if k < 2 then Array.to_list parts
   else begin
-    (* Each [refine_pair] hauls every net touching the pair into an
-       induced subgraph, so on net-heavy graphs (coarse multilevel
+    (* Each [refine_pair] hauls every net touching the pair into its
+       carved union, so on net-heavy graphs (coarse multilevel
        clusters retain most of the original nets) the per-pair F-M gets
        a tighter pass budget. Paper-suite graphs sit far below the
        threshold and keep the caller's passes. *)
-    let passes =
-      if hg.Hypergraph.num_nets > 16384 then min passes 4 else passes
-    in
+    let nets = g.F.num_nets in
+    let passes = if nets > 16384 then min passes 4 else passes in
     let net_counts =
       match dirty with
       | None -> None
       | Some d ->
-          let dn = Array.make hg.Hypergraph.num_nets false in
+          let dn = Array.make nets false in
           Array.iteri
             (fun c is_dirty ->
               if is_dirty then
-                Array.iter
-                  (fun n -> dn.(n) <- true)
-                  (Hypergraph.cell_nets (Hypergraph.cell hg c)))
+                for i = g.F.cell_off.(c) to g.F.cell_off.(c + 1) - 1 do
+                  dn.(g.F.inc_net.(i)) <- true
+                done)
             d;
           Some dn
     in
     let active = Option.map (fun d c -> d.(c)) dirty in
-    let mask_i = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
-    let mask_j = Array.make (Hypergraph.num_cells hg) Bitvec.empty in
+    let mask_i = Array.make (F.num_cells g) Bitvec.empty in
+    let mask_j = Array.make (F.num_cells g) Bitvec.empty in
     let pool = ref None in
+    let union = F.buffer () in
     for round = 1 to rounds do
-      (* Shared-net counts per pair. *)
-      let touch = Array.make hg.Hypergraph.num_nets [] in
+      (* Shared-net counts per pair: part [j] touches net [n] when one of
+         its copies has a pin on it. *)
+      let touch = Array.make nets [] in
+      let mark j n =
+        if match net_counts with None -> true | Some dn -> dn.(n) then
+          match touch.(n) with
+          | x :: _ when x = j -> ()
+          | l -> touch.(n) <- j :: l
+      in
       Array.iteri
         (fun j p ->
           List.iter
             (fun (c, m) ->
-              Array.iter
-                (fun n ->
-                  if
-                    match net_counts with
-                    | None -> true
-                    | Some dn -> dn.(n)
-                  then
-                    match touch.(n) with
-                    | x :: _ when x = j -> ()
-                    | l -> touch.(n) <- j :: l)
-                (Hypergraph.connected_nets (Hypergraph.cell hg c) ~out_mask:m))
+              let in_mask = F.input_support g c m in
+              for i = g.F.cell_off.(c) to g.F.cell_off.(c + 1) - 1 do
+                if
+                  g.F.inc_out.(i) land m <> 0 || g.F.inc_in.(i) land in_mask <> 0
+                then mark j g.F.inc_net.(i)
+              done)
             p.members)
         parts;
       (* [shared.(i * k + j)], i < j: nets part i and part j share. Parts
@@ -178,8 +180,8 @@ let refine ~opts ~passes ~rounds ~obs ?dirty hg library parts =
               if opts.should_stop () then ()
               else begin
                 let outcome =
-                  refine_pair ~opts ~passes ~obs ?active ~pool ~mask_i
-                    ~mask_j hg library parts.(i) parts.(j)
+                  refine_pair ~opts ~passes ~obs ?active ~pool ~union ~mask_i
+                    ~mask_j g library parts.(i) parts.(j)
                 in
                 (match outcome with
                 | Some (pi, pj, t_before, t_after) ->

@@ -1,5 +1,5 @@
-let of_supports supports =
-  let m = Array.length supports in
+(* psi of the [m] adjacency vectors [supports.(off .. off + m - 1)]. *)
+let of_range supports off m =
   if m <= 1 then 0
   else begin
     (* An input contributes iff it appears in exactly one adjacency
@@ -7,7 +7,7 @@ let of_supports supports =
        seen at least twice, so psi = sum_i |A_i /\ (once \ twice)|
        = |once \ twice|, in O(m) without allocating. *)
     let once = ref Bitvec.empty and twice = ref Bitvec.empty in
-    for i = 0 to m - 1 do
+    for i = off to off + m - 1 do
       let a = supports.(i) in
       twice := Bitvec.union !twice (Bitvec.inter !once a);
       once := Bitvec.union !once a
@@ -15,10 +15,15 @@ let of_supports supports =
     Bitvec.norm (Bitvec.diff !once !twice)
   end
 
+let of_supports supports = of_range supports 0 (Array.length supports)
+
 let of_cell (c : Hypergraph.cell) = of_supports c.Hypergraph.supports
 
-let replicable ~threshold (c : Hypergraph.cell) =
-  Array.length c.Hypergraph.outputs > 1 && of_cell c >= threshold
+let replicable ~threshold (g : Hypergraph.Flat.t) c =
+  let m = g.Hypergraph.Flat.outputs.(c) in
+  m > 1
+  && of_range g.Hypergraph.Flat.supports g.Hypergraph.Flat.sup_off.(c) m
+     >= threshold
 
 type distribution = {
   single_output : int;

@@ -17,9 +17,9 @@ val of_supports : Bitvec.t array -> int
 
 val of_cell : Hypergraph.cell -> int
 
-val replicable : threshold:int -> Hypergraph.cell -> bool
-(** A cell may be replicated iff it has several outputs and
-    [psi >= threshold]. *)
+val replicable : threshold:int -> Hypergraph.Flat.t -> int -> bool
+(** [replicable ~threshold g c]: cell [c] of the engine's flat graph may
+    be replicated iff it has several outputs and [psi >= threshold]. *)
 
 (** {1 Distribution (eq. 5, Figure 3)} *)
 

@@ -1,17 +1,22 @@
 open Kway_types
+module F = Hypergraph.Flat
 
 (* External nets that actually consume an IOB: a net flagged external but
    incident to no cell (a dead primary after mapping) never has to enter
    the device. Counting it would overstate every part's terminal usage —
    the telemetry property tests caught exactly that on generated circuits
    with unused primary inputs. *)
-let count_external (h : Hypergraph.t) =
+let count_external (g : F.t) =
   let acc = ref 0 in
-  Array.iteri
-    (fun n ext ->
-      if ext && Array.length h.Hypergraph.net_cells.(n) > 0 then Stdlib.incr acc)
-    h.Hypergraph.net_external;
+  for n = 0 to g.F.num_nets - 1 do
+    if g.F.net_external.(n) && g.F.net_off.(n + 1) > g.F.net_off.(n) then
+      Stdlib.incr acc
+  done;
   !acc
+
+(* Every cell of [g], whole, in the original coordinates. *)
+let whole_members (g : F.t) =
+  List.init g.F.num_cells (fun c -> (g.F.origin_cell.(c), g.F.origin_mask.(c)))
 
 (* The run's free list of retired F-M states. [acquire] builds a state
    in the arrays of a retired one when the list has one
@@ -40,7 +45,7 @@ let release pool st = pool := st :: !pool
    applies the sequential first-best tie-break. *)
 let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
     (dev : Fpga.Device.t) =
-  let area = Hypergraph.total_area rest in
+  let area = F.total_area rest in
   (* Side B keeps at least one CLB: the remainder is never empty. *)
   let w =
     Fpga.Objective.narrow ~hi:(area - 1)
@@ -89,23 +94,25 @@ let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
     Option.map snd !best
   end
 
-let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs hg =
+(* One run of the driver over the flat graph [g]. Each step's remainder
+   is carved out of the previous one ([Partition_state.carve]) into one
+   of two run-owned buffers, alternately, so a step never carves into
+   the buffer its own remainder lives in, and the buffers sized at step 0
+   serve every later step. *)
+let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
   let obj = opts.objective in
-  let identity =
-    Array.init (Hypergraph.num_cells hg) (fun c ->
-        let outputs = (Hypergraph.cell hg c).Hypergraph.outputs in
-        (c, Bitvec.full (Array.length outputs)))
-  in
   let pool = ref [] in
-  let rec loop rest orig_of parts guard =
+  let buffers = [| F.buffer (); F.buffer () |] in
+  let total = F.total_area g in
+  let rec loop rest parts guard =
     if opts.should_stop () then Error cancelled
-    else if guard > Hypergraph.total_area hg + 8 then
+    else if guard > total + 8 then
       Error "k-way driver failed to terminate (internal)"
-    else if Hypergraph.num_cells rest = 0 then Ok (List.rev parts)
+    else if F.num_cells rest = 0 then Ok (List.rev parts)
     else begin
-      let area = Hypergraph.total_area rest in
+      let area = F.total_area rest in
       let ext = count_external rest in
-      let rest_demand = Hypergraph.total_demand rest in
+      let rest_demand = F.total_demand rest in
       match
         Fpga.Objective.cheapest ~relax_low:true obj library ~demand:rest_demand
           ~iobs:ext
@@ -122,7 +129,7 @@ let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs hg =
               ];
           Ok
             (List.rev
-               ({ device = dev; members = Array.to_list orig_of; clbs = area;
+               ({ device = dev; members = whole_members rest; clbs = area;
                   iobs = ext; used = rest_demand }
                :: parts))
       | None -> (
@@ -240,30 +247,28 @@ let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs hg =
                 Partition_state.side_copies st Partition_state.A
               in
               let part =
-                { device = dev; members = List.map (lift orig_of) members_a;
+                { device = dev; members = List.map (lift rest) members_a;
                   clbs; iobs; used }
               in
-              let specs_b = Partition_state.side_copies st Partition_state.B in
-              let rest', spec_arr = Hypergraph.induce_copies rest specs_b in
+              let next = buffers.(guard land 1) in
+              Partition_state.carve st Partition_state.B ~into:next;
               release pool st;
-              loop rest'
-                (Array.map (lift orig_of) spec_arr)
-                (part :: parts) (guard + 1))
+              loop next (part :: parts) (guard + 1))
     end
   in
-  loop hg identity [] 0
+  loop g [] 0
 
 (* One multi-start run, self-contained: its own RNG derived from
    (seed, run index) and a private forked sink, so runs can execute on any
    domain in any order. The returned sink holds the run's whole telemetry,
    the ["kway.run"] summary event included. *)
-let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg r =
+let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg g r =
   let child = Obs.fork ~pid:r ~track:(Parallel.Pool.worker_id ()) obs in
   let rng = Netlist.Rng.create (options.seed + (r * 7919)) in
   let outcome =
     Obs.span child (Printf.sprintf "run%d" r) (fun () ->
         run_once ~library ~opts:options ~budget ~attempt_jobs ~rng ~obs:child
-          hg)
+          g)
   in
   if Obs.enabled child then Obs.incr child "kway.runs";
   match outcome with
@@ -294,6 +299,9 @@ let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg r =
 
 let flat_partition ~budget ~obs ~options ~library hg =
   let since = clock () in
+  (* The runs and the winner's refinement share one flat form of [hg],
+     read-only. *)
+  let g = F.of_hypergraph hg in
   let jobs = max 1 options.jobs in
   (* Spare parallelism flows down to the per-split restarts only when the
      run level cannot use it, so the domain count stays ~[jobs]. *)
@@ -302,7 +310,7 @@ let flat_partition ~budget ~obs ~options ~library hg =
   in
   let trials =
     Parallel.Pool.run ~jobs options.runs
-      (run_trial ~library ~options ~budget ~attempt_jobs ~obs hg)
+      (run_trial ~library ~options ~budget ~attempt_jobs ~obs hg g)
   in
   (* Merging the private sinks in run order reproduces the sequential event
      stream exactly; the winner fold below applies the sequential
@@ -337,7 +345,7 @@ let flat_partition ~budget ~obs ~options ~library hg =
     | Some (_, (parts, _)) ->
         Ok
           (Pairwise.refine ~opts:options ~passes:budget.passes ~rounds:1 ~obs
-             hg library parts)
+             g library parts)
     | None -> Error "no feasible k-way partition found in any run"
   in
   finish ~since ~should_stop:options.should_stop ~runs:options.runs

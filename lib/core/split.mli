@@ -5,7 +5,12 @@
     streams, forked sinks and winner tie-break — so [jobs] never changes
     a result. [budget] sets the F-M passes, the restarts and the
     candidate devices per step. The winner gets one round of
-    {!Pairwise.refine}. *)
+    {!Pairwise.refine}.
+
+    The runs and the refinement share one flat form of the hypergraph
+    ({!Hypergraph.Flat.of_hypergraph}), read-only; each run carves its
+    remainders into two buffers of its own, alternately
+    ({!Partition_state.carve}). *)
 
 val flat_partition :
   budget:Kway_types.budget ->

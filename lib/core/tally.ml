@@ -186,7 +186,7 @@ let project_parts ?(options = Options.default) ~library ~labels
 (* Deterministic greedy passes moving whole cells to the neighbouring
    part that most reduces total terminal usage (eq. 2), under the fixed
    per-part device windows. The multilevel walk refines every level with
-   this: [refine_pair] builds an induced subgraph and runs multi-pass F-M
+   this: [refine_pair] carves the pair union and runs multi-pass F-M
    per part pair, which is superlinear in level size, while a greedy
    sweep costs O(pins) per pass — the only refinement shape that survives
    100k-cell levels. Only [dirty] cells (the projected boundary) are

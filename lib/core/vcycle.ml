@@ -184,7 +184,8 @@ let multilevel_run ~obs ~(options : options) ~library hg =
                           Pairwise.refine ~opts:options
                             ~passes:flat_budget.passes ~rounds:level_sweeps ~obs
                             ~dirty:(Hypergraph.boundary fine ~labels)
-                            fine library
+                            (Hypergraph.Flat.of_hypergraph fine)
+                            library
                             (Tally.parts t ~labels ~iobs ~devices))
                 in
                 if Obs.enabled obs then

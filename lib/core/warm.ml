@@ -73,7 +73,9 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
         (fun parts ->
           Obs.span obs "warm" (fun () ->
               Pairwise.refine ~opts:options ~passes:flat_budget.passes
-                ~rounds:1 ~obs ~dirty hg library parts))
+                ~rounds:1 ~obs ~dirty
+                (Hypergraph.Flat.of_hypergraph hg)
+                library parts))
         (Tally.materialise ~caller:"Kway.warm_start" ~options ~library ~labels
            ~devices:warm.w_devices t)
     in

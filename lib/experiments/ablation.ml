@@ -144,7 +144,8 @@ let multilevel_init ~rng cfg h =
     | [] -> st_coarse
     | (h_fine, map) :: rest ->
         let st_fine =
-          Partition_state.create h_fine ~init_on_b:(fun c ->
+          Partition_state.create (Hypergraph.Flat.of_hypergraph h_fine)
+            ~init_on_b:(fun c ->
               match Partition_state.single_side st_coarse map.(c) with
               | Some Partition_state.B -> true
               | _ -> false)

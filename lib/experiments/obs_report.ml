@@ -46,7 +46,28 @@ let strategy_of_json = function
       Ok (Core.Kway.Multilevel Core.Kway.Options.default_multilevel)
   | _ -> Error "ill-typed field \"strategy\""
 
+(* The keys [options_to_json] writes, in its order: the only ones
+   [options_of_json] reads. *)
+let option_keys =
+  match options_to_json Core.Kway.Options.default with
+  | J.Obj fields -> List.map fst fields
+  | _ -> []
+
+(* A key the codec does not read (a misspelling, or a knob an older
+   protocol carried) is refused rather than dropped, and so is a value
+   that is no object: either would run the default options and cache the
+   result under their key. *)
+let known_keys = function
+  | J.Obj fields -> (
+      match
+        List.find_opt (fun (k, _) -> not (List.mem k option_keys)) fields
+      with
+      | Some (k, _) -> Error (Printf.sprintf "unknown option key %S" k)
+      | None -> Ok ())
+  | _ -> Error "ill-typed field \"options\""
+
 let options_of_json json =
+  let* () = known_keys json in
   let d = Core.Kway.Options.default in
   let* runs = J.opt_field "runs" J.to_int ~default:d.Core.Kway.runs json in
   let* seed = J.opt_field "seed" J.to_int ~default:d.Core.Kway.seed json in

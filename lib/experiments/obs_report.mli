@@ -65,7 +65,10 @@ val options_to_json : Core.Kway.options -> Obs.Json.t
 val options_of_json : Obs.Json.t -> (Core.Kway.options, string) result
 (** Inverse of {!options_to_json} on every serialised field; [jobs] and
     [should_stop] take their {!Core.Kway.Options.default}. A missing field
-    takes its {!Core.Kway.Options.default} value. [Error] on an ill-typed
+    takes its {!Core.Kway.Options.default} value. [Error] on a value
+    that is no object (["ill-typed field \"options\""]), a key
+    {!options_to_json} does not write (["unknown option key \"seeed\""]:
+    a misspelled or retired key is refused, never dropped), an ill-typed
     field (["ill-typed field \"runs\""]; a strategy other than the two
     strings is ill-typed), an unknown objective name, or values
     {!Core.Kway.Options.make} rejects (its [Invalid_argument] message). *)

@@ -24,6 +24,28 @@ let norm v =
   let v = (v + (v lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (v * 0x0101010101010101) lsr 56
 
+(* Both walk the set bits of [keep] in ascending order, the [r]-th of
+   them standing for dense position [r]. *)
+let compress keep v =
+  let acc = ref 0 and rest = ref keep and r = ref 0 in
+  while !rest <> 0 do
+    let bit = !rest land - !rest in
+    if v land bit <> 0 then acc := !acc lor (1 lsl !r);
+    incr r;
+    rest := !rest lxor bit
+  done;
+  !acc
+
+let expand keep v =
+  let acc = ref 0 and rest = ref keep and r = ref 0 in
+  while !rest <> 0 do
+    let bit = !rest land - !rest in
+    if v land (1 lsl !r) <> 0 then acc := !acc lor bit;
+    incr r;
+    rest := !rest lxor bit
+  done;
+  !acc
+
 let is_empty v = v = 0
 let subset a b = a land lnot b = 0
 let equal (a : t) (b : t) = a = b

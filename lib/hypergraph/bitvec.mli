@@ -31,6 +31,16 @@ val complement : int -> t -> t
 val norm : t -> int
 (** Population count — the paper's [|A|] norm. *)
 
+val compress : t -> t -> t
+(** [compress keep v] — the bits of [v] at the positions [keep] holds,
+    renumbered densely: the [r]-th set position of [keep] becomes bit
+    [r]. It renames a copy's pins when the copy keeps only the pins in
+    [keep]. Bits of [v] outside [keep] are dropped. *)
+
+val expand : t -> t -> t
+(** [expand keep v] — the inverse of {!compress} on [keep]'s positions:
+    bit [r] of [v] becomes the [r]-th set position of [keep]. *)
+
 val is_empty : t -> bool
 val subset : t -> t -> bool
 val equal : t -> t -> bool

@@ -9,8 +9,6 @@ type cell = {
   outputs : int array;
   supports : Bitvec.t array;
   full_nets : int array;
-  full_in_pins : Bitvec.t array;
-  full_out_pins : Bitvec.t array;
 }
 
 type t = {
@@ -32,9 +30,9 @@ type cell_spec = {
 
 (* The distinct nets of [inputs] and [outputs], ascending, as an exactly
    sized fresh array. They are sorted and deduplicated in [buf], a
-   scratch one [create] or [induce_copies] call shares across its cells
-   and grows as needed, by an insertion sort, since a cell has a few dozen
-   pins at most: the result is the only allocation. *)
+   scratch one [create] call shares across its cells and grows as
+   needed, by an insertion sort, since a cell has a few dozen pins at
+   most: the result is the only allocation. *)
 let distinct_nets buf inputs outputs =
   let n_in = Array.length inputs in
   let n = n_in + Array.length outputs in
@@ -61,29 +59,9 @@ let distinct_nets buf inputs outputs =
   done;
   Array.sub arr 0 !len
 
-(* Index of net [n] in the sorted [nets]; [n] must be present. *)
-let net_index nets n =
-  let lo = ref 0 and hi = ref (Array.length nets - 1) in
-  while nets.(!lo) <> n do
-    let mid = (!lo + !hi) / 2 in
-    if nets.(mid) < n then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* [masks.(k)] = the pins of [wires] wired to [nets.(k)]. *)
-let pin_masks nets wires =
-  let masks = Array.make (Array.length nets) Bitvec.empty in
-  for p = 0 to Array.length wires - 1 do
-    let k = net_index nets wires.(p) in
-    masks.(k) <- Bitvec.add p masks.(k)
-  done;
-  masks
-
-(* Every cell is built here, with its distinct incident nets, each with
-   the input and output pins wired to it: what every connected-net
-   question about the cell reads. *)
+(* Every cell is built here, with its distinct incident nets: what every
+   connected-net question about the cell reads. *)
 let make_cell ~buf ~id ~name ~area ~demand ~inputs ~outputs ~supports =
-  let nets = distinct_nets buf inputs outputs in
   {
     id;
     name;
@@ -92,9 +70,7 @@ let make_cell ~buf ~id ~name ~area ~demand ~inputs ~outputs ~supports =
     inputs;
     outputs;
     supports;
-    full_nets = nets;
-    full_in_pins = pin_masks nets inputs;
-    full_out_pins = pin_masks nets outputs;
+    full_nets = distinct_nets buf inputs outputs;
   }
 
 let cell_nets c = c.full_nets
@@ -108,32 +84,40 @@ let input_support c out_mask =
   done;
   !acc
 
-let touches c k ~out_mask ~in_mask =
-  (not (Bitvec.is_empty (Bitvec.inter c.full_out_pins.(k) out_mask)))
-  || not (Bitvec.is_empty (Bitvec.inter c.full_in_pins.(k) in_mask))
+(* Whether a pin [p' >= p] of [wires] that [mask] holds is wired to net
+   [n]. *)
+let rec wired wires mask n p =
+  p < Array.length wires
+  && ((Bitvec.mem p mask && wires.(p) = n) || wired wires mask n (p + 1))
 
-(* The nets of [full_nets] a copy touches, as a fresh sorted array. *)
-let touched_nets c ~out_mask ~in_mask =
-  let nets = c.full_nets in
-  let count = ref 0 in
-  for k = 0 to Array.length nets - 1 do
-    if touches c k ~out_mask ~in_mask then incr count
-  done;
-  let out = Array.make !count 0 in
-  let j = ref 0 in
-  for k = 0 to Array.length nets - 1 do
-    if touches c k ~out_mask ~in_mask then begin
-      out.(!j) <- nets.(k);
-      incr j
-    end
-  done;
-  out
+(* Whether a copy of [c] carrying outputs [out_mask] and connecting input
+   pins [in_mask] has a pin on net [n]. *)
+let copy_on c ~out_mask ~in_mask n =
+  wired c.outputs out_mask n 0 || wired c.inputs in_mask n 0
 
+(* A partial copy's nets, recomputed from its pins: the nets of
+   [full_nets] it touches, as a fresh sorted array. *)
 let connected_nets c ~out_mask =
   if Bitvec.is_empty out_mask then [||]
   else if Bitvec.equal out_mask (Bitvec.full (Array.length c.outputs)) then
     c.full_nets
-  else touched_nets c ~out_mask ~in_mask:(input_support c out_mask)
+  else begin
+    let in_mask = input_support c out_mask in
+    let nets = c.full_nets in
+    let count = ref 0 in
+    for k = 0 to Array.length nets - 1 do
+      if copy_on c ~out_mask ~in_mask nets.(k) then incr count
+    done;
+    let out = Array.make !count 0 in
+    let j = ref 0 in
+    for k = 0 to Array.length nets - 1 do
+      if copy_on c ~out_mask ~in_mask nets.(k) then begin
+        out.(!j) <- nets.(k);
+        incr j
+      end
+    done;
+    out
+  end
 
 (* Cell checks as allocation-free loops, so validating a rebuilt graph
    costs no more than reading it. *)
@@ -212,8 +196,8 @@ let validate h =
       done;
       check_nets h drivers 0
 
-(* The one constructor behind [create] and [induce_copies]: the cells are
-   built and [net_external]/[net_names] sized [num_nets]. [net_cells]
+(* The constructor behind [create]: the cells are built and
+   [net_external]/[net_names] sized [num_nets]. [net_cells]
    comes from a count pass and a fill pass over the cells' distinct nets,
    so each net's cells ascend; ids out of range are skipped here and
    reported by [validate]. *)
@@ -316,132 +300,389 @@ let pins h =
     (fun acc c -> acc + Array.length c.inputs + Array.length c.outputs)
     0 h.cells
 
-(* Whether a copy of [c] carrying outputs [m] touches [c.full_nets.(k)]. *)
-let copy_touches c k m =
-  (not (Bitvec.is_empty m))
-  && touches c k ~out_mask:m ~in_mask:(input_support c m)
 
-(* Net [n] leaks outside the kept copies when, for some cell [cells.(i..)]
-   on it, the kept copy does not cover the incidence, or the dropped copy
-   (the complement of the kept outputs, e.g. the other half of a
-   replicated cell) also touches it. *)
-let rec leaks h kept_mask n cells i =
-  i < Array.length cells
-  &&
-  let c = h.cells.(cells.(i)) in
-  let kept = kept_mask.(cells.(i)) in
-  let k = net_index c.full_nets n in
-  let dropped = Bitvec.diff (Bitvec.full (Array.length c.outputs)) kept in
-  (not (copy_touches c k kept))
-  || copy_touches c k dropped
-  || leaks h kept_mask n cells (i + 1)
+type hypergraph = t
 
-(* [s] with each input pin [p] renamed [pin_rank.(p)]. *)
-let remap_pins pin_rank s =
-  let acc = ref Bitvec.empty and rest = ref s and p = ref 0 in
-  while !rest <> 0 do
-    if !rest land 1 <> 0 then acc := Bitvec.add pin_rank.(!p) !acc;
-    rest := !rest lsr 1;
-    incr p
-  done;
-  !acc
+module Flat = struct
+  type t = {
+    frozen : bool;
+    mutable num_cells : int;
+    mutable num_nets : int;
+    mutable max_degree : int;
+    mutable cell_off : int array;
+    mutable inc_net : int array;
+    mutable inc_in : Bitvec.t array;
+    mutable inc_out : Bitvec.t array;
+    mutable outputs : int array;
+    mutable inputs : int array;
+    mutable sup_off : int array;
+    mutable supports : Bitvec.t array;
+    mutable area : int array;
+    mutable demand : int array;
+    mutable net_off : int array;
+    mutable net_cell : int array;
+    mutable net_external : bool array;
+    mutable origin_cell : int array;
+    mutable origin_mask : Bitvec.t array;
+    (* A buffer's staged copies, and the scratch a carve into it indexes
+       by the parent's nets and cells. *)
+    mutable staged : int;
+    mutable spec_cell : int array;
+    mutable spec_mask : Bitvec.t array;
+    mutable net_map : int array;
+    mutable kept : Bitvec.t array;
+  }
 
-(* [nets] renamed through [net_map], as a fresh array. *)
-let rename net_map nets =
-  let out = Array.make (Array.length nets) 0 in
-  for i = 0 to Array.length nets - 1 do
-    out.(i) <- net_map.(nets.(i))
-  done;
-  out
-
-(* Cell [id]'s copy carrying outputs [m], as cell [j] of the induced
-   graph: every net renamed through [net_map]. A whole copy keeps every
-   input pin (each supports some output), so it shares the cell's
-   [supports]; a partial copy keeps the input pins [m]'s supports
-   reference, renumbered densely through the [pin_rank] scratch. Every
-   copy shares the cell's [demand]. *)
-let copy_cell h net_map pin_rank buf j (id, m) =
-  let c = h.cells.(id) in
-  if Bitvec.equal m (Bitvec.full (Array.length c.outputs)) then
-    make_cell ~buf ~id:j ~name:c.name ~area:c.area ~demand:c.demand
-      ~inputs:(rename net_map c.inputs) ~outputs:(rename net_map c.outputs)
-      ~supports:c.supports
-  else begin
-    let in_mask = input_support c m in
-    let inputs = Array.make (Bitvec.norm in_mask) 0 in
-    let r = ref 0 in
-    for p = 0 to Array.length c.inputs - 1 do
-      if Bitvec.mem p in_mask then begin
-        pin_rank.(p) <- !r;
-        inputs.(!r) <- net_map.(c.inputs.(p));
-        incr r
-      end
+  (* Index of net [n] among the [len] ascending nets of [nets] from
+     [off]; [n] must be present. *)
+  let net_index nets off len n =
+    let lo = ref off and hi = ref (off + len - 1) in
+    while nets.(!lo) <> n do
+      let mid = (!lo + !hi) / 2 in
+      if nets.(mid) < n then lo := mid + 1 else hi := mid
     done;
-    let n_out = Bitvec.norm m in
-    let outputs = Array.make n_out 0 in
-    let supports = Array.make n_out Bitvec.empty in
-    let r = ref 0 in
-    for o = 0 to Array.length c.outputs - 1 do
-      if Bitvec.mem o m then begin
-        outputs.(!r) <- net_map.(c.outputs.(o));
-        supports.(!r) <- remap_pins pin_rank c.supports.(o);
-        incr r
-      end
-    done;
-    make_cell ~buf ~id:j ~name:c.name ~area:c.area ~demand:c.demand ~inputs
-      ~outputs ~supports
-  end
+    !lo
 
-(* Restrict to copies: each (cell id, out_mask) becomes a new cell carrying
-   exactly those outputs and the inputs they depend on. A net becomes
-   external when it was external before or when some incidence of the
-   original hypergraph is not covered by the kept copies. Beyond the
-   graph it returns, it allocates one int per cell and per net of [h],
-   a [Bitvec.max_width] pin-rank scratch and the cells' net scratch. *)
-let induce_copies h specs =
-  let kept_mask = Array.make (num_cells h) Bitvec.empty in
-  List.iter
-    (fun (id, m) ->
-      if id < 0 || id >= num_cells h then
-        invalid_arg "Hypergraph.induce_copies: cell id out of range";
-      if Bitvec.is_empty m then
-        invalid_arg "Hypergraph.induce_copies: empty output mask";
-      if not (Bitvec.subset m (Bitvec.full (Array.length h.cells.(id).outputs)))
-      then invalid_arg "Hypergraph.induce_copies: mask out of range";
-      if not (Bitvec.is_empty kept_mask.(id)) then
-        invalid_arg "Hypergraph.induce_copies: duplicate cell";
-      kept_mask.(id) <- m)
-    specs;
-  let specs = Array.of_list specs in
-  (* Net renumbering: nets touched by kept copies survive, numbered in
-     first-touch order (copy by copy, each copy's nets ascending). *)
-  let net_map = Array.make h.num_nets (-1) in
-  let num_new_nets = ref 0 in
-  for j = 0 to Array.length specs - 1 do
-    let id, m = specs.(j) in
-    let c = h.cells.(id) in
-    let in_mask = input_support c m in
-    let nets = c.full_nets in
-    for k = 0 to Array.length nets - 1 do
-      let n = nets.(k) in
-      if net_map.(n) < 0 && touches c k ~out_mask:m ~in_mask then begin
-        net_map.(n) <- !num_new_nets;
-        incr num_new_nets
-      end
+  let of_hypergraph (h : hypergraph) =
+    let n = num_cells h in
+    let cell_off = Array.make (n + 1) 0 in
+    let sup_off = Array.make (n + 1) 0 in
+    for c = 0 to n - 1 do
+      let cell = h.cells.(c) in
+      cell_off.(c + 1) <- cell_off.(c) + Array.length cell.full_nets;
+      sup_off.(c + 1) <- sup_off.(c) + Array.length cell.outputs
+    done;
+    let incs = cell_off.(n) in
+    let inc_net = Array.make incs 0 in
+    let inc_in = Array.make incs Bitvec.empty in
+    let inc_out = Array.make incs Bitvec.empty in
+    let supports = Array.make sup_off.(n) Bitvec.empty in
+    let demand = Array.make (n * demand_arity) 0 in
+    for c = 0 to n - 1 do
+      let cell = h.cells.(c) in
+      let off = cell_off.(c) and len = Array.length cell.full_nets in
+      Array.blit cell.full_nets 0 inc_net off len;
+      Array.iteri
+        (fun p net ->
+          let k = net_index inc_net off len net in
+          inc_in.(k) <- Bitvec.add p inc_in.(k))
+        cell.inputs;
+      Array.iteri
+        (fun o net ->
+          let k = net_index inc_net off len net in
+          inc_out.(k) <- Bitvec.add o inc_out.(k))
+        cell.outputs;
+      Array.blit cell.supports 0 supports sup_off.(c)
+        (Array.length cell.supports);
+      Array.blit cell.demand 0 demand (c * demand_arity)
+        (Array.length cell.demand)
+    done;
+    let nets = h.num_nets in
+    let net_off = Array.make (nets + 1) 0 in
+    for i = 0 to nets - 1 do
+      net_off.(i + 1) <- net_off.(i) + Array.length h.net_cells.(i)
+    done;
+    let net_cell = Array.make net_off.(nets) 0 in
+    for i = 0 to nets - 1 do
+      Array.blit h.net_cells.(i) 0 net_cell net_off.(i)
+        (Array.length h.net_cells.(i))
+    done;
+    {
+      frozen = true;
+      num_cells = n;
+      num_nets = nets;
+      max_degree = max_cell_degree h;
+      cell_off;
+      inc_net;
+      inc_in;
+      inc_out;
+      outputs = Array.map (fun (c : cell) -> Array.length c.outputs) h.cells;
+      inputs = Array.map (fun (c : cell) -> Array.length c.inputs) h.cells;
+      sup_off;
+      supports;
+      area = Array.map (fun (c : cell) -> c.area) h.cells;
+      demand;
+      net_off;
+      net_cell;
+      net_external = h.net_external;
+      origin_cell = Array.init n Fun.id;
+      origin_mask =
+        Array.map
+          (fun (c : cell) -> Bitvec.full (Array.length c.outputs))
+          h.cells;
+      staged = 0;
+      spec_cell = [||];
+      spec_mask = [||];
+      net_map = [||];
+      kept = [||];
+    }
+
+  let buffer () =
+    {
+      frozen = false;
+      num_cells = 0;
+      num_nets = 0;
+      max_degree = 0;
+      cell_off = [| 0 |];
+      inc_net = [||];
+      inc_in = [||];
+      inc_out = [||];
+      outputs = [||];
+      inputs = [||];
+      sup_off = [| 0 |];
+      supports = [||];
+      area = [||];
+      demand = [||];
+      net_off = [| 0 |];
+      net_cell = [||];
+      net_external = [||];
+      origin_cell = [||];
+      origin_mask = [||];
+      staged = 0;
+      spec_cell = [||];
+      spec_mask = [||];
+      net_map = [||];
+      kept = [||];
+    }
+
+  let num_cells g = g.num_cells
+  let num_nets g = g.num_nets
+
+  let total_area g =
+    let acc = ref 0 in
+    for c = 0 to g.num_cells - 1 do
+      acc := !acc + g.area.(c)
+    done;
+    !acc
+
+  let total_demand g =
+    let acc = Array.make demand_arity 0 in
+    for c = 0 to g.num_cells - 1 do
+      for a = 0 to demand_arity - 1 do
+        acc.(a) <- acc.(a) + g.demand.((c * demand_arity) + a)
+      done
+    done;
+    acc
+
+  let input_support g c m =
+    let acc = ref Bitvec.empty and rest = ref m and s = ref g.sup_off.(c) in
+    while !rest <> 0 do
+      if !rest land 1 <> 0 then acc := Bitvec.union !acc g.supports.(!s);
+      rest := !rest lsr 1;
+      incr s
+    done;
+    !acc
+
+  (* An array of at least [len] slots: [a] itself when it is long
+     enough, else a fresh one of at least twice its length, so a buffer
+     carved into many growing graphs allocates O(log) times. *)
+  let grow a len fill =
+    if Array.length a >= len then a
+    else Array.make (max len (2 * Array.length a)) fill
+
+  (* [grow] keeping the first [keep] slots. *)
+  let grow_keep a len keep fill =
+    let b = grow a len fill in
+    if b != a then Array.blit a 0 b 0 keep;
+    b
+
+  let stage b ~cell m =
+    if b.frozen then invalid_arg "Hypergraph.Flat.stage: not a buffer";
+    let j = b.staged in
+    b.spec_cell <- grow_keep b.spec_cell (j + 1) j 0;
+    b.spec_mask <- grow_keep b.spec_mask (j + 1) j Bitvec.empty;
+    b.spec_cell.(j) <- cell;
+    b.spec_mask.(j) <- m;
+    b.staged <- j + 1
+
+  let bad msg = invalid_arg ("Hypergraph.Flat.carve: " ^ msg)
+
+  (* Whether a copy carrying outputs [m] and connecting input pins
+     [in_mask] touches the net of incidence [k]. *)
+  let touches g k m in_mask =
+    g.inc_out.(k) land m <> 0 || g.inc_in.(k) land in_mask <> 0
+
+  let copy_touches g c k m =
+    m <> 0 && touches g k m (input_support g c m)
+
+  (* Net [net] leaks out of the kept copies when, for some cell
+     [g.net_cell.(i)], [lo <= i < hi], the kept copy does not cover the
+     incidence, or the dropped copy (the complement of the kept outputs,
+     e.g. the other half of a replicated cell) also touches it. *)
+  let rec leaks g kept net i hi =
+    i < hi
+    &&
+    let c = g.net_cell.(i) in
+    let off = g.cell_off.(c) in
+    let k = net_index g.inc_net off (g.cell_off.(c + 1) - off) net in
+    let dropped = Bitvec.diff (Bitvec.full g.outputs.(c)) kept.(c) in
+    (not (copy_touches g c k kept.(c)))
+    || copy_touches g c k dropped
+    || leaks g kept net (i + 1) hi
+
+  (* Check the staged specs against [p] and record each kept mask in
+     [b.kept], before anything of [b]'s graph is written. *)
+  let check_specs p b n =
+    b.kept <- grow b.kept p.num_cells Bitvec.empty;
+    let kept = b.kept in
+    Array.fill kept 0 p.num_cells Bitvec.empty;
+    for j = 0 to n - 1 do
+      let id = b.spec_cell.(j) and m = b.spec_mask.(j) in
+      if id < 0 || id >= p.num_cells then bad "cell id out of range";
+      if Bitvec.is_empty m then bad "empty output mask";
+      if not (Bitvec.subset m (Bitvec.full p.outputs.(id))) then
+        bad "mask out of range";
+      if not (Bitvec.is_empty kept.(id)) then bad "duplicate cell";
+      kept.(id) <- m
     done
-  done;
-  let num_new_nets = !num_new_nets in
-  let net_external = Array.make num_new_nets false in
-  let net_names = Array.make num_new_nets "" in
-  for n = 0 to h.num_nets - 1 do
-    let k = net_map.(n) in
-    if k >= 0 then begin
-      net_names.(k) <- h.net_names.(n);
-      net_external.(k) <-
-        h.net_external.(n) || leaks h kept_mask n h.net_cells.(n) 0
-    end
-  done;
-  let pin_rank = Array.make Bitvec.max_width 0 in
-  let cells = Array.mapi (copy_cell h net_map pin_rank (ref [||])) specs in
-  (assemble ~num_nets:num_new_nets ~net_external ~net_names cells, specs)
 
+  (* Number the surviving nets of [p] in [b.net_map] in first-touch
+     order (copy by copy, each copy's nets ascending); returns the net
+     and incidence counts. *)
+  let number_nets p b n =
+    b.net_map <- grow b.net_map p.num_nets 0;
+    let net_map = b.net_map in
+    Array.fill net_map 0 p.num_nets (-1);
+    let nets = ref 0 and incs = ref 0 in
+    for j = 0 to n - 1 do
+      let id = b.spec_cell.(j) and m = b.spec_mask.(j) in
+      let in_mask = input_support p id m in
+      for k = p.cell_off.(id) to p.cell_off.(id + 1) - 1 do
+        if touches p k m in_mask then begin
+          incr incs;
+          let net = p.inc_net.(k) in
+          if net_map.(net) < 0 then begin
+            net_map.(net) <- !nets;
+            incr nets
+          end
+        end
+      done
+    done;
+    (!nets, !incs)
+
+  (* Copy [j]: spec [(id, m)] of [p], its incidences written from [pos]
+     in ascending new net order (an insertion sort: a cell has a few
+     dozen nets at most) and its supports from [spos]. A partial copy's
+     pins are renumbered densely: its inputs through the input support
+     [in_mask], its outputs through [m]. Returns the copy's degree. *)
+  let copy_cell p b j ~pos ~spos =
+    let id = b.spec_cell.(j) and m = b.spec_mask.(j) in
+    let full = Bitvec.equal m (Bitvec.full p.outputs.(id)) in
+    let in_mask = input_support p id m in
+    let len = ref 0 in
+    for k = p.cell_off.(id) to p.cell_off.(id + 1) - 1 do
+      if touches p k m in_mask then begin
+        let net = b.net_map.(p.inc_net.(k)) in
+        let ins =
+          if full then p.inc_in.(k)
+          else Bitvec.compress in_mask (p.inc_in.(k) land in_mask)
+        and outs =
+          if full then p.inc_out.(k)
+          else Bitvec.compress m (p.inc_out.(k) land m)
+        in
+        let i = ref (pos + !len) in
+        while !i > pos && b.inc_net.(!i - 1) > net do
+          b.inc_net.(!i) <- b.inc_net.(!i - 1);
+          b.inc_in.(!i) <- b.inc_in.(!i - 1);
+          b.inc_out.(!i) <- b.inc_out.(!i - 1);
+          decr i
+        done;
+        b.inc_net.(!i) <- net;
+        b.inc_in.(!i) <- ins;
+        b.inc_out.(!i) <- outs;
+        incr len
+      end
+    done;
+    b.outputs.(j) <- Bitvec.norm m;
+    b.inputs.(j) <- Bitvec.norm in_mask;
+    let s = ref spos in
+    for o = 0 to p.outputs.(id) - 1 do
+      if Bitvec.mem o m then begin
+        let sup = p.supports.(p.sup_off.(id) + o) in
+        b.supports.(!s) <- (if full then sup else Bitvec.compress in_mask sup);
+        incr s
+      end
+    done;
+    b.area.(j) <- p.area.(id);
+    Array.blit p.demand (id * demand_arity) b.demand (j * demand_arity)
+      demand_arity;
+    !len
+
+  (* Each net's cells, ascending: a count pass into [net_off.(net + 1)],
+     prefix sums, a fill pass in copy order that advances [net_off.(net)]
+     as the cursor, and a shift back by one slot. *)
+  let fill_net_cells b ~nets ~incs =
+    Array.fill b.net_off 0 (nets + 1) 0;
+    for i = 0 to incs - 1 do
+      let net = b.inc_net.(i) in
+      b.net_off.(net + 1) <- b.net_off.(net + 1) + 1
+    done;
+    for net = 1 to nets do
+      b.net_off.(net) <- b.net_off.(net) + b.net_off.(net - 1)
+    done;
+    for j = 0 to b.num_cells - 1 do
+      for i = b.cell_off.(j) to b.cell_off.(j + 1) - 1 do
+        let net = b.inc_net.(i) in
+        b.net_cell.(b.net_off.(net)) <- j;
+        b.net_off.(net) <- b.net_off.(net) + 1
+      done
+    done;
+    for net = nets downto 1 do
+      b.net_off.(net) <- b.net_off.(net - 1)
+    done;
+    b.net_off.(0) <- 0
+
+  let carve p ~into:b =
+    if b == p then bad "a graph cannot be carved into its own buffer";
+    if b.frozen then bad "not a buffer";
+    let n = b.staged in
+    b.staged <- 0;
+    check_specs p b n;
+    let nets, incs = number_nets p b n in
+    let sups = ref 0 in
+    for j = 0 to n - 1 do
+      sups := !sups + Bitvec.norm b.spec_mask.(j)
+    done;
+    b.cell_off <- grow b.cell_off (n + 1) 0;
+    b.sup_off <- grow b.sup_off (n + 1) 0;
+    b.outputs <- grow b.outputs n 0;
+    b.inputs <- grow b.inputs n 0;
+    b.area <- grow b.area n 0;
+    b.demand <- grow b.demand (n * demand_arity) 0;
+    b.origin_cell <- grow b.origin_cell n 0;
+    b.origin_mask <- grow b.origin_mask n Bitvec.empty;
+    b.inc_net <- grow b.inc_net incs 0;
+    b.inc_in <- grow b.inc_in incs Bitvec.empty;
+    b.inc_out <- grow b.inc_out incs Bitvec.empty;
+    b.supports <- grow b.supports !sups Bitvec.empty;
+    b.net_off <- grow b.net_off (nets + 1) 0;
+    b.net_cell <- grow b.net_cell incs 0;
+    b.net_external <- grow b.net_external nets false;
+    let pos = ref 0 and spos = ref 0 and max_degree = ref 0 in
+    for j = 0 to n - 1 do
+      b.cell_off.(j) <- !pos;
+      b.sup_off.(j) <- !spos;
+      let len = copy_cell p b j ~pos:!pos ~spos:!spos in
+      pos := !pos + len;
+      spos := !spos + Bitvec.norm b.spec_mask.(j);
+      if len > !max_degree then max_degree := len
+    done;
+    b.cell_off.(n) <- !pos;
+    b.sup_off.(n) <- !spos;
+    b.num_cells <- n;
+    b.num_nets <- nets;
+    b.max_degree <- !max_degree;
+    for net = 0 to p.num_nets - 1 do
+      let k = b.net_map.(net) in
+      if k >= 0 then
+        b.net_external.(k) <-
+          p.net_external.(net)
+          || leaks p b.kept net p.net_off.(net) p.net_off.(net + 1)
+    done;
+    fill_net_cells b ~nets ~incs;
+    for j = 0 to n - 1 do
+      let c = b.spec_cell.(j) in
+      b.origin_cell.(j) <- p.origin_cell.(c);
+      b.origin_mask.(j) <- Bitvec.expand p.origin_mask.(c) b.spec_mask.(j)
+    done
+end

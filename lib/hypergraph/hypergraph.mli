@@ -23,29 +23,18 @@ type cell = private {
   demand : int array;
       (** per-resource demand of one copy; length in
           [1..demand_arity], [demand.(0) = area]. Missing axes read
-          as 0. May be shared with the cell's copies in graphs built by
-          {!induce_copies}: never mutate it. *)
+          as 0. Never mutate it. *)
   inputs : int array;     (** net id per input pin *)
   outputs : int array;    (** net id per output pin; the cell drives these *)
   supports : Bitvec.t array;
       (** [supports.(o)] = input pins output [o] depends on; the adjacency
-          vector [A_{X_o}] of the paper. May be shared with the cell's
-          whole copies in graphs built by {!induce_copies}: never mutate
-          it. *)
+          vector [A_{X_o}] of the paper. *)
   full_nets : int array;
       (** the distinct incident nets (inputs + outputs), ascending;
           filled by {!create} *)
-  full_in_pins : Bitvec.t array;
-      (** [full_in_pins.(k)] = the input pins wired to [full_nets.(k)] *)
-  full_out_pins : Bitvec.t array;
-      (** [full_out_pins.(k)] = the output pins driving [full_nets.(k)].
-          With {!input_support}, the two pin masks answer "does a copy
-          carrying outputs [m] touch net [k]?" in O(1): it does iff
-          [m] meets [full_out_pins.(k)] or [input_support c m] meets
-          [full_in_pins.(k)]. So the partition state's delta kernel
-          scans [full_nets] once and allocates nothing, whatever the
-          cell's width. *)
 }
+(** A cell as built: coarsening, the k-way tally, projection and the
+    verifier read it. The bipartition engine reads the {!Flat} form. *)
 
 type t = private {
   cells : cell array;
@@ -106,7 +95,8 @@ val connected_nets : cell -> out_mask:Bitvec.t -> int array
     exactly the outputs in [out_mask]: those output nets plus the input nets
     in the union of their supports, ascending. [out_mask = empty] yields
     [\[||\]]; the full mask yields the shared {!cell_nets} memo (do not
-    mutate); any other mask a fresh array. *)
+    mutate); any other mask a fresh array, recounted from the cell's
+    [inputs], [outputs] and [supports]. *)
 
 val input_support : cell -> Bitvec.t -> Bitvec.t
 (** [input_support c m] — the input pins a copy carrying the outputs in
@@ -125,25 +115,128 @@ val boundary : t -> labels:int array -> bool array
 
 val validate : t -> (unit, string) result
 
-(** {1 Derived hypergraphs} *)
+type hypergraph = t
 
-val induce_copies : t -> (int * Bitvec.t) list -> t * (int * Bitvec.t) array
-(** [induce_copies h specs] builds the hypergraph of the given cell
-    {e copies}: each [(id, out_mask)] becomes a new cell carrying exactly
-    the outputs in [out_mask] and the input pins their supports reference
-    (pins renumbered densely). A net is external in the result when it was
-    external in [h] or when any incidence of [h] is not covered by the kept
-    copies (e.g. the other copy of a replicated cell). Returns the new
-    hypergraph (cells in [specs] order) and the spec array. A copy shares
-    its cell's [demand] array, and a whole copy (every output kept) its
-    [supports] array, with [h]: neither is copied, since no cell array is
-    ever written after construction. Raises
-    [Invalid_argument] on an out-of-range cell id, an empty or
-    out-of-range mask, or a duplicate cell.
+(** {1 The engine's flat form} *)
 
-    Cost: O(pins of the copies + incidences of the surviving nets). It
-    allocates the graph it returns plus one int per cell and per net of
-    [h], a [Bitvec.max_width] pin-rank scratch and one scratch in which
-    every cell's [full_nets] is sorted: no lists, [Hashtbl]s
-    or per-element closures. The recursive k-way split calls it once per
-    carved-off device. *)
+(** The bipartition engine's graph: one CSR (compressed sparse row)
+    incidence in flat arrays, the form {!Partition_state}, F-M, the k-way
+    split and the pair refiner read. It is built once from a {!t} by
+    {!Flat.of_hypergraph}; every graph the split and the refiner derive
+    from it (a remainder after a device is carved off, the union of two
+    parts) is {e carved} flat-to-flat into a buffer the caller owns and
+    recycles, with no per-cell record, list or hash table. *)
+module Flat : sig
+  type t = private {
+    frozen : bool;
+        (** built by {!of_hypergraph}: read-only, never a carve target *)
+    mutable num_cells : int;  (** live cells *)
+    mutable num_nets : int;   (** live nets *)
+    mutable max_degree : int;
+        (** the most distinct nets one cell touches (0 without cells) *)
+    mutable cell_off : int array;
+        (** cell [c]'s incidences are the slots
+            [cell_off.(c) .. cell_off.(c + 1) - 1] of the three arrays
+            below *)
+    mutable inc_net : int array;
+        (** the cell's distinct nets, ascending *)
+    mutable inc_in : Bitvec.t array;
+        (** the cell's input pins wired to that net *)
+    mutable inc_out : Bitvec.t array;
+        (** the cell's output pins driving that net. A copy carrying
+            outputs [m] touches the net of incidence [k] iff [m] meets
+            [inc_out.(k)] or [input_support g c m] meets [inc_in.(k)]:
+            the delta kernel scans a cell's incidences once and
+            allocates nothing, whatever the cell's width. *)
+    mutable outputs : int array;  (** output count per cell *)
+    mutable inputs : int array;   (** input count per cell *)
+    mutable sup_off : int array;
+        (** output [o]'s support (adjacency vector) is
+            [supports.(sup_off.(c) + o)] *)
+    mutable supports : Bitvec.t array;
+    mutable area : int array;
+    mutable demand : int array;
+        (** [demand.(c * demand_arity + a)]: axis [a] of one copy's
+            demand, zero-extended *)
+    mutable net_off : int array;
+        (** net [n]'s cells are
+            [net_cell.(net_off.(n)) .. net_cell.(net_off.(n + 1) - 1)],
+            ascending *)
+    mutable net_cell : int array;
+    mutable net_external : bool array;
+        (** net reaches outside this graph (chip pad, fixed partition, or
+            a copy carved away) *)
+    mutable origin_cell : int array;
+    mutable origin_mask : Bitvec.t array;
+        (** cell [c] is the copy of cell [origin_cell.(c)] of the
+            {!of_hypergraph} graph it descends from, carrying that
+            cell's outputs [origin_mask.(c)] *)
+    mutable staged : int;
+    mutable spec_cell : int array;
+    mutable spec_mask : Bitvec.t array;
+    mutable net_map : int array;
+    mutable kept : Bitvec.t array;
+        (** a buffer's staged copies and carve scratch: not graph data *)
+  }
+  (** Only the first [num_cells] (cells), [num_nets] (nets) and
+      [cell_off.(num_cells)] (incidences) slots are live: a buffer's
+      arrays keep the length of the largest graph carved into it, so a
+      stale tail may follow the live prefix. *)
+
+  val of_hypergraph : hypergraph -> t
+  (** The flat form of a hypergraph, frozen: cells, nets and each cell's
+      nets in the hypergraph's order, every cell its own whole origin. It
+      shares [net_external] with the hypergraph. Domains may read one
+      concurrently. *)
+
+  val buffer : unit -> t
+  (** An empty carve target, holding the empty graph. *)
+
+  val num_cells : t -> int
+  val num_nets : t -> int
+  val total_area : t -> int
+
+  val total_demand : t -> int array
+  (** As {!Hypergraph.total_demand}: a fresh array of length
+      {!demand_arity}. *)
+
+  val input_support : t -> int -> Bitvec.t -> Bitvec.t
+  (** As {!Hypergraph.input_support}, for cell [c] of the flat graph. *)
+
+  val stage : t -> cell:int -> Bitvec.t -> unit
+  (** [stage b ~cell m] appends the copy [(cell, m)] to the specs of the
+      next {!carve} into buffer [b]: the copy of the parent's cell [cell]
+      carrying its outputs [m]. Staging leaves the graph [b] holds
+      intact. Raises [Invalid_argument] on a frozen graph. *)
+
+  val carve : t -> into:t -> unit
+  (** [carve p ~into:b] replaces the graph of buffer [b] by the graph of
+      the copies staged in [b], cut out of [p], and clears the staged
+      specs. It equals the list-built induced copy it replaced, slot for
+      slot:
+      - copy [j] is the [j]-th staged spec; it carries exactly the
+        outputs of its mask and the input pins their supports name,
+        partial copies' pins renumbered densely in ascending order;
+      - nets are numbered in first-touch order: copy by copy in spec
+        order, each copy's nets in ascending parent order;
+      - each cell's nets ascend, and each net's cells ascend;
+      - a net is external when it was external in [p] or when some
+        incidence of [p] is not covered by the kept copies (e.g. the
+        other copy of a replicated cell);
+      - [max_degree] is the result's largest cell degree;
+      - [origin_*] compose [p]'s: a copy's origin is its spec's origin
+        restricted to the copy's outputs.
+
+      Lifetime: the carved graph lives in [b]'s arrays, so it is valid
+      until [b]'s next carve, which overwrites it (as
+      {!Partition_state.reuse} overwrites a retired state); a state or
+      graph read after that reads the next graph. [b] must not be [p]'s
+      own buffer, and a buffer never crosses domains: one run owns it,
+      other domains may only read its graph between carves. Beyond [b]'s
+      arrays, which grow (at least doubling) only when a graph is larger
+      than every earlier one, a carve allocates nothing.
+
+      Raises [Invalid_argument] (leaving [b]'s graph intact) on an
+      out-of-range cell id, an empty or out-of-range mask, a duplicate
+      cell, a frozen [b] or [b == p]. *)
+end

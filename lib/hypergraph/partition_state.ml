@@ -1,9 +1,11 @@
+module F = Hypergraph.Flat
+
 type side = A | B
 
 let opposite = function A -> B | B -> A
 
 type t = {
-  hg : Hypergraph.t;
+  g : F.t;
   out_on_b : Bitvec.t array;
   conn_a : int array;  (* per net: copies connected on side A *)
   conn_b : int array;
@@ -55,16 +57,17 @@ let make_scratch () =
     sc_res_b = Array.make Hypergraph.demand_arity 0;
   }
 
-let hypergraph t = t.hg
+let graph t = t.g
 
-(* Input pins a copy carrying the outputs [m] connects: the support of
-   [m]. Every input pin supports some output (Hypergraph.create checks
-   it), so a whole copy connects them all. [full] is the cell's
-   all-outputs mask and [all_in] its all-inputs mask. *)
-let in_support cell ~full ~all_in m =
+(* Input pins a copy of cell [c] carrying the outputs [m] connects: the
+   support of [m]. Every input pin supports some output
+   (Hypergraph.create checks it), so a whole copy connects them all.
+   [full] is the cell's all-outputs mask and [all_in] its all-inputs
+   mask. *)
+let in_support g c ~full ~all_in m =
   if Bitvec.is_empty m then Bitvec.empty
   else if Bitvec.equal m full then all_in
-  else Hypergraph.input_support cell m
+  else F.input_support g c m
 
 (* 1 when a copy carrying the outputs [out_mask] and connecting the input
    pins [in_mask] touches a net wired to the output pins [outs] and the
@@ -75,9 +78,9 @@ let in_support cell ~full ~all_in m =
 let touch ~outs ~ins out_mask in_mask =
   if outs land out_mask = 0 && ins land in_mask = 0 then 0 else 1
 
-let all_inputs cell = Bitvec.full (Array.length cell.Hypergraph.inputs)
+let all_inputs g c = Bitvec.full g.F.inputs.(c)
 
-let full_mask t c = Bitvec.full (Array.length (Hypergraph.cell t.hg c).Hypergraph.outputs)
+let full_mask t c = Bitvec.full t.g.F.outputs.(c)
 let mask t c = t.out_on_b.(c)
 
 let is_replicated t c =
@@ -86,7 +89,7 @@ let is_replicated t c =
 
 let num_replicated t =
   let n = ref 0 in
-  for c = 0 to Hypergraph.num_cells t.hg - 1 do
+  for c = 0 to t.g.F.num_cells - 1 do
     if is_replicated t c then incr n
   done;
   !n
@@ -113,11 +116,18 @@ let mask_on t c = function
 
 let side_copies t side =
   let acc = ref [] in
-  for c = Hypergraph.num_cells t.hg - 1 downto 0 do
+  for c = t.g.F.num_cells - 1 downto 0 do
     let m = mask_on t c side in
     if not (Bitvec.is_empty m) then acc := (c, m) :: !acc
   done;
   !acc
+
+let carve t side ~into =
+  for c = 0 to t.g.F.num_cells - 1 do
+    let m = mask_on t c side in
+    if not (Bitvec.is_empty m) then F.stage into ~cell:c m
+  done;
+  F.carve t.g ~into
 
 (* Per-net contributions to the tracked counters. *)
 let cut_of ca cb = if ca > 0 && cb > 0 then 1 else 0
@@ -125,45 +135,41 @@ let cut_of ca cb = if ca > 0 && cb > 0 then 1 else 0
 let term_a_of ~ext ca cb = if ca > 0 && (cb > 0 || ext) then 1 else 0
 let term_b_of ~ext ca cb = if cb > 0 && (ca > 0 || ext) then 1 else 0
 
-(* Count a copy of [cell] carrying the outputs [m] into the per-net side
-   counts [conn]. *)
-let count_copy cell ~full m conn =
+(* Count a copy of cell [c] carrying the outputs [m] into the per-net
+   side counts [conn]. *)
+let count_copy g c ~full m conn =
   if not (Bitvec.is_empty m) then begin
-    let in_mask = in_support cell ~full ~all_in:(all_inputs cell) m in
-    let nets = cell.Hypergraph.full_nets in
-    for k = 0 to Array.length nets - 1 do
-      let outs = cell.Hypergraph.full_out_pins.(k)
-      and ins = cell.Hypergraph.full_in_pins.(k) in
-      let n = nets.(k) in
-      conn.(n) <- conn.(n) + touch ~outs ~ins m in_mask
+    let in_mask = in_support g c ~full ~all_in:(all_inputs g c) m in
+    for k = g.F.cell_off.(c) to g.F.cell_off.(c + 1) - 1 do
+      let n = g.F.inc_net.(k) in
+      conn.(n) <-
+        conn.(n) + touch ~outs:g.F.inc_out.(k) ~ins:g.F.inc_in.(k) m in_mask
     done
   end
 
-(* Add the demand of a copy carrying the outputs [m] to [res]. *)
-let count_demand cell m res =
-  if not (Bitvec.is_empty m) then begin
-    let dem = cell.Hypergraph.demand in
-    for a = 0 to Array.length dem - 1 do
-      res.(a) <- res.(a) + dem.(a)
+(* Add the demand of a copy of cell [c] carrying the outputs [m] to
+   [res]. *)
+let count_demand g c m res =
+  if not (Bitvec.is_empty m) then
+    for a = 0 to Hypergraph.demand_arity - 1 do
+      res.(a) <- res.(a) + g.F.demand.((c * Hypergraph.demand_arity) + a)
     done
-  end
 
 (* Count every counter of [t] from its masks, into counters that read
    zero: the one count behind [create_with_masks], [reuse_with_masks],
    [recompute] and [check_consistency]. *)
 let count t =
-  let hg = t.hg in
-  for c = 0 to Hypergraph.num_cells hg - 1 do
-    let cell = Hypergraph.cell hg c in
+  let g = t.g in
+  for c = 0 to g.F.num_cells - 1 do
     let full = full_mask t c in
     let m_a = mask_on t c A and m_b = mask_on t c B in
-    count_demand cell m_a t.res_a;
-    count_demand cell m_b t.res_b;
-    count_copy cell ~full m_a t.conn_a;
-    count_copy cell ~full m_b t.conn_b
+    count_demand g c m_a t.res_a;
+    count_demand g c m_b t.res_b;
+    count_copy g c ~full m_a t.conn_a;
+    count_copy g c ~full m_b t.conn_b
   done;
-  for n = 0 to hg.Hypergraph.num_nets - 1 do
-    let ext = hg.Hypergraph.net_external.(n) in
+  for n = 0 to g.F.num_nets - 1 do
+    let ext = g.F.net_external.(n) in
     let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
     t.cut <- t.cut + cut_of ca cb;
     t.term_a <- t.term_a + term_a_of ~ext ca cb;
@@ -172,14 +178,14 @@ let count t =
 
 (* A state over the masks [out_on_b] in fresh, zeroed arrays. The scratch
    capacity is the most nets one operation can touch. *)
-let counted hg out_on_b =
-  let len = Hypergraph.max_cell_degree hg in
+let counted g out_on_b =
+  let len = g.F.max_degree in
   let t =
     {
-      hg;
+      g;
       out_on_b;
-      conn_a = Array.make hg.Hypergraph.num_nets 0;
-      conn_b = Array.make hg.Hypergraph.num_nets 0;
+      conn_a = Array.make g.F.num_nets 0;
+      conn_b = Array.make g.F.num_nets 0;
       cut = 0;
       term_a = 0;
       term_b = 0;
@@ -197,56 +203,51 @@ let counted hg out_on_b =
   count t;
   t
 
-let checked_mask hg ~masks c =
+let checked_mask g ~masks c =
   let m = masks c in
-  if
-    not
-      (Bitvec.subset m
-         (Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)))
-  then invalid_arg "Partition_state: initial mask out of range";
+  if not (Bitvec.subset m (Bitvec.full g.F.outputs.(c))) then
+    invalid_arg "Partition_state: initial mask out of range";
   m
 
-let create_with_masks hg ~masks =
-  counted hg (Array.init (Hypergraph.num_cells hg) (checked_mask hg ~masks))
+let create_with_masks g ~masks =
+  counted g (Array.init g.F.num_cells (checked_mask g ~masks))
 
-let whole hg ~init_on_b c =
-  if init_on_b c then
-    Bitvec.full (Array.length (Hypergraph.cell hg c).Hypergraph.outputs)
-  else Bitvec.empty
+let whole g ~init_on_b c =
+  if init_on_b c then Bitvec.full g.F.outputs.(c) else Bitvec.empty
 
-let create hg ~init_on_b = create_with_masks hg ~masks:(whole hg ~init_on_b)
+let create g ~init_on_b = create_with_masks g ~masks:(whole g ~init_on_b)
 
-(* Retarget [t]'s arrays to [hg] when they are long enough for it. The
+(* Retarget [t]'s arrays to [g] when they are long enough for it. The
    arrays keep their length, so a state sized for the largest graph of a
    run serves every smaller one; only the first [num_cells] masks and
    [num_nets] counts are live, and they are overwritten or zeroed here
    before [count] reads them. *)
-let reuse_with_masks t hg ~masks =
-  let n = Hypergraph.num_cells hg and nets = hg.Hypergraph.num_nets in
+let reuse_with_masks t g ~masks =
+  let n = g.F.num_cells and nets = g.F.num_nets in
   if
     Array.length t.out_on_b < n
     || Array.length t.conn_a < nets
-    || Array.length t.s_nets < Hypergraph.max_cell_degree hg
-  then create_with_masks hg ~masks
+    || Array.length t.s_nets < g.F.max_degree
+  then create_with_masks g ~masks
   else begin
     for c = 0 to n - 1 do
-      t.out_on_b.(c) <- checked_mask hg ~masks c
+      t.out_on_b.(c) <- checked_mask g ~masks c
     done;
     Array.fill t.conn_a 0 nets 0;
     Array.fill t.conn_b 0 nets 0;
     Array.fill t.res_a 0 Hypergraph.demand_arity 0;
     Array.fill t.res_b 0 Hypergraph.demand_arity 0;
     let t =
-      { t with hg; cut = 0; term_a = 0; term_b = 0; s_len = 0; ch_len = 0 }
+      { t with g; cut = 0; term_a = 0; term_b = 0; s_len = 0; ch_len = 0 }
     in
     count t;
     t
   end
 
-let reuse t hg ~init_on_b = reuse_with_masks t hg ~masks:(whole hg ~init_on_b)
+let reuse t g ~init_on_b = reuse_with_masks t g ~masks:(whole g ~init_on_b)
 
 let recompute t =
-  let r = counted t.hg t.out_on_b in
+  let r = counted t.g t.out_on_b in
   (r.cut, r.term_a, r.term_b, r.res_a.(0), r.res_b.(0))
 
 (* Per-net connection deltas of a mask change into the scratch buffers:
@@ -256,21 +257,18 @@ let recompute t =
    even a wide cluster cell's partial masks cost O(degree) and nothing is
    allocated. *)
 let net_deltas t c new_mask =
-  let cell = Hypergraph.cell t.hg c in
+  let g = t.g in
   let old_b = t.out_on_b.(c) in
   let full = full_mask t c in
   let old_a = Bitvec.diff full old_b and new_a = Bitvec.diff full new_mask in
-  let all_in = all_inputs cell in
-  let in_old_a = in_support cell ~full ~all_in old_a
-  and in_new_a = in_support cell ~full ~all_in new_a
-  and in_old_b = in_support cell ~full ~all_in old_b
-  and in_new_b = in_support cell ~full ~all_in new_mask in
-  let nets = cell.Hypergraph.full_nets in
-  let in_pins = cell.Hypergraph.full_in_pins
-  and out_pins = cell.Hypergraph.full_out_pins in
+  let all_in = all_inputs g c in
+  let in_old_a = in_support g c ~full ~all_in old_a
+  and in_new_a = in_support g c ~full ~all_in new_a
+  and in_old_b = in_support g c ~full ~all_in old_b
+  and in_new_b = in_support g c ~full ~all_in new_mask in
   t.s_len <- 0;
-  for k = 0 to Array.length nets - 1 do
-    let outs = out_pins.(k) and ins = in_pins.(k) in
+  for k = g.F.cell_off.(c) to g.F.cell_off.(c + 1) - 1 do
+    let outs = g.F.inc_out.(k) and ins = g.F.inc_in.(k) in
     let da =
       touch ~outs ~ins new_a in_new_a - touch ~outs ~ins old_a in_old_a
     in
@@ -278,7 +276,7 @@ let net_deltas t c new_mask =
       touch ~outs ~ins new_mask in_new_b - touch ~outs ~ins old_b in_old_b
     in
     if da <> 0 || db <> 0 then begin
-      t.s_nets.(t.s_len) <- nets.(k);
+      t.s_nets.(t.s_len) <- g.F.inc_net.(k);
       t.s_da.(t.s_len) <- da;
       t.s_db.(t.s_len) <- db;
       t.s_len <- t.s_len + 1
@@ -292,12 +290,12 @@ let exists m = if Bitvec.is_empty m then 0 else 1
    loop evaluates one candidate per affected neighbour per applied move, so
    this path allocates nothing. *)
 let scratch_totals t c new_mask (out : scratch) =
-  let cell = Hypergraph.cell t.hg c in
+  let g = t.g in
   let d_cut = ref 0 and d_ta = ref 0 and d_tb = ref 0 in
   for i = 0 to t.s_len - 1 do
     let n = t.s_nets.(i) and da = t.s_da.(i) and db = t.s_db.(i) in
     let ca = t.conn_a.(n) and cb = t.conn_b.(n) in
-    let ext = t.hg.Hypergraph.net_external.(n) in
+    let ext = g.F.net_external.(n) in
     d_cut := !d_cut + cut_of (ca + da) (cb + db) - cut_of ca cb;
     d_ta := !d_ta + term_a_of ~ext (ca + da) (cb + db) - term_a_of ~ext ca cb;
     d_tb := !d_tb + term_b_of ~ext (ca + da) (cb + db) - term_b_of ~ext ca cb
@@ -311,12 +309,10 @@ let scratch_totals t c new_mask (out : scratch) =
     exists (Bitvec.diff full new_mask) - exists (Bitvec.diff full old_b)
   in
   let mb = exists new_mask - exists old_b in
-  out.sc_area_a <- cell.Hypergraph.area * ma;
-  out.sc_area_b <- cell.Hypergraph.area * mb;
-  let dem = cell.Hypergraph.demand in
-  let dem_len = Array.length dem in
+  out.sc_area_a <- g.F.area.(c) * ma;
+  out.sc_area_b <- g.F.area.(c) * mb;
   for a = 0 to Hypergraph.demand_arity - 1 do
-    let d = if a < dem_len then dem.(a) else 0 in
+    let d = g.F.demand.((c * Hypergraph.demand_arity) + a) in
     out.sc_res_a.(a) <- d * ma;
     out.sc_res_b.(a) <- d * mb
   done
@@ -386,7 +382,7 @@ let iter_changed_nets t f =
   done
 
 let check_consistency t =
-  let r = counted t.hg t.out_on_b in
+  let r = counted t.g t.out_on_b in
   let pair name got want =
     if got = want then Ok ()
     else Error (Printf.sprintf "%s: tracked %d, recomputed %d" name got want)

@@ -36,32 +36,37 @@ val opposite : side -> side
 
 type t
 
-val create : Hypergraph.t -> init_on_b:(int -> bool) -> t
-(** Fresh state with every cell single, on the side given by [init_on_b],
-    which is called once per cell, in ascending order (so a caller may
-    draw the sides from a random stream as they are asked for). *)
+val create : Hypergraph.Flat.t -> init_on_b:(int -> bool) -> t
+(** Fresh state over a flat graph ({!Hypergraph.Flat}) with every cell
+    single, on the side given by [init_on_b], which is called once per
+    cell, in ascending order (so a caller may draw the sides from a random
+    stream as they are asked for). The state reads the graph, never
+    copies it: a state over a carved graph is valid until that graph's
+    buffer is carved into again. *)
 
-val create_with_masks : Hypergraph.t -> masks:(int -> Bitvec.t) -> t
+val create_with_masks : Hypergraph.Flat.t -> masks:(int -> Bitvec.t) -> t
 (** Fresh state with an arbitrary initial output assignment: [masks c] is
     the set of cell [c]'s outputs starting on side [B] (so cells may start
     replicated). Raises [Invalid_argument] if a mask exceeds the cell's
     outputs. *)
 
-val reuse : t -> Hypergraph.t -> init_on_b:(int -> bool) -> t
-(** [reuse old hg ~init_on_b] is {!create}[ hg ~init_on_b], built in the
+val reuse : t -> Hypergraph.Flat.t -> init_on_b:(int -> bool) -> t
+(** [reuse old g ~init_on_b] is {!create}[ g ~init_on_b], built in the
     arrays of a retired state: the same masks and counters, by the same
     count. [old] must not be used again, since the result shares (and has
     overwritten) its arrays; a caller keeps a free list of retired states
     and hands each to one [reuse]. The arrays are taken only when they
-    are long enough for [hg] (cells, nets and the largest cell degree),
+    are long enough for [g] (cells, nets and the largest cell degree),
     so a state sized for the largest graph of a run serves every smaller
     one; otherwise this is {!create} and [old] is dropped. As in
-    {!create}, [init_on_b] is called once per cell, in ascending order. *)
+    {!create}, [init_on_b] is called once per cell, in ascending order.
+    A carve buffer ({!Hypergraph.Flat.carve}) follows the same rule: a
+    run recycles both, and neither outlives its next rebuild. *)
 
-val reuse_with_masks : t -> Hypergraph.t -> masks:(int -> Bitvec.t) -> t
+val reuse_with_masks : t -> Hypergraph.Flat.t -> masks:(int -> Bitvec.t) -> t
 (** {!reuse} for {!create_with_masks}, with the same contract. *)
 
-val hypergraph : t -> Hypergraph.t
+val graph : t -> Hypergraph.Flat.t
 
 (** {1 Observations} *)
 
@@ -90,6 +95,12 @@ val resources : t -> side -> int array
 val side_copies : t -> side -> (int * Bitvec.t) list
 (** Cells present on a side with the output mask their copy carries there
     (relative to the cell's own output numbering). *)
+
+val carve : t -> side -> into:Hypergraph.Flat.t -> unit
+(** [carve t s ~into] carves the copies on side [s] (the cells of
+    {!side_copies}, in ascending order) out of the state's graph into
+    the buffer [into] ({!Hypergraph.Flat.carve}), staging each copy
+    straight from the state's masks. *)
 
 val single_side : t -> int -> side option
 (** [Some s] when the cell is entirely on [s]. *)

@@ -1,6 +1,7 @@
 (* The closed forms of the paper's unified gain model (Section III,
    eqs. 7-11), kept as the oracle [Partition_state.eval_into] is checked
-   against. They read a state's masks and its hypergraph only: every
+   against. They read a state's masks and the hypergraph its flat graph
+   was built from only: every
    per-side connection count is recounted here from the masks and the
    cells' adjacency vectors, never read from the state's counters.
 
@@ -29,8 +30,7 @@ type vectors = {
    rule: a copy carrying the outputs [m] connects the nets of those output
    pins and of the input pins in the union of their supports, once per
    net however many of its pins touch it. *)
-let connections st =
-  let hg = Partition_state.hypergraph st in
+let connections (hg : Hypergraph.t) st =
   let conn_a = Array.make hg.Hypergraph.num_nets 0
   and conn_b = Array.make hg.Hypergraph.num_nets 0 in
   let count (c : Hypergraph.cell) m conn =
@@ -58,9 +58,8 @@ let connections st =
 (* [(cut, terminals A, terminals B)] counted from scratch: a net is cut
    when both sides connect it, and uses an IOB on a side it connects when
    it also leaves that side (to the other side or to an external pin). *)
-let totals st =
-  let hg = Partition_state.hypergraph st in
-  let conn_a, conn_b = connections st in
+let totals (hg : Hypergraph.t) st =
+  let conn_a, conn_b = connections hg st in
   let cut = ref 0 and term_a = ref 0 and term_b = ref 0 in
   for n = 0 to hg.Hypergraph.num_nets - 1 do
     let a = conn_a.(n) > 0 and b = conn_b.(n) > 0 in
@@ -71,14 +70,12 @@ let totals st =
   done;
   (!cut, !term_a, !term_b)
 
-let vectors st cell =
-  let (c : Hypergraph.cell) =
-    Hypergraph.cell (Partition_state.hypergraph st) cell
-  in
+let vectors hg st cell =
+  let (c : Hypergraph.cell) = Hypergraph.cell hg cell in
   let m = Partition_state.mask st cell in
   let n_outputs = Array.length c.outputs in
   let here, there =
-    let conn_a, conn_b = connections st in
+    let conn_a, conn_b = connections hg st in
     if Bitvec.is_empty m then (conn_a, conn_b)
     else if Bitvec.equal m (Bitvec.full n_outputs) then (conn_b, conn_a)
     else invalid_arg "Reference_gain.vectors: cell is replicated"

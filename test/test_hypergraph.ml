@@ -3,6 +3,7 @@
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
+let flat = Test_util.flat
 let checkb = Alcotest.check Alcotest.bool
 
 (* ------------------------------------------------------------------ *)
@@ -161,7 +162,7 @@ let qcheck_connected_nets_reference =
           ok := false;
         List.iter
           (fun (h, in_pins) ->
-            let st = Partition_state.create_with_masks h ~masks:(fun _ -> m) in
+            let st = Partition_state.create_with_masks (flat h) ~masks:(fun _ -> m) in
             if
               side_nets st Partition_state.B <> touched_reference c ~in_pins m
               || side_nets st Partition_state.A
@@ -196,40 +197,51 @@ let test_hypergraph_rejects_bad () =
       Hypergraph.create ~num_nets:1 ~external_nets:[ 0 ]
         [ spec "a" [ 0 ] [] [] ])
 
+module Flat = Hypergraph.Flat
+
+(* Stage [specs] in order and carve them out of [p] into [into]. *)
+let carve p specs ~into =
+  List.iter (fun (c, m) -> Flat.stage into ~cell:c m) specs;
+  Flat.carve p ~into
+
 let test_hypergraph_induce () =
   let h = fig1_hypergraph () in
   (* Keep only the consumer of X, whole. *)
   let whole =
     Bitvec.full (Array.length (Hypergraph.cell h 1).Hypergraph.outputs)
   in
-  let h', specs = Hypergraph.induce_copies h [ (1, whole) ] in
-  checki "one cell" 1 (Hypergraph.num_cells h');
-  check Alcotest.(array int) "mapping" [| 1 |] (Array.map fst specs);
+  let g = Flat.buffer () in
+  carve (flat h) [ (1, whole) ] ~into:g;
+  checki "one cell" 1 (Flat.num_cells g);
+  checki "mapping" 1 g.Flat.origin_cell.(0);
   (* Its nets: X (external now: driver dropped) and z1 (not read: but z1 was
      never read by anyone, so it only touches the kept cell). *)
-  checki "nets" 2 h'.Hypergraph.num_nets;
-  checkb "X external" true h'.Hypergraph.net_external.(0);
-  checkb "valid" true (Result.is_ok (Hypergraph.validate h'))
+  checki "nets" 2 (Flat.num_nets g);
+  checkb "X external" true g.Flat.net_external.(0);
+  checkb "z1 internal" false g.Flat.net_external.(1)
 
 let test_hypergraph_induce_partial_copy () =
   let h = fig1_hypergraph () in
   (* Keep a partial copy of M carrying only output Y, plus SY. *)
-  let h', _ = Hypergraph.induce_copies h [ (0, 0b10); (2, 0b1) ] in
-  checki "cells" 2 (Hypergraph.num_cells h');
-  let m = Hypergraph.cell h' 0 in
-  checki "partial copy inputs" 2 (Array.length m.Hypergraph.inputs);
-  checki "partial copy outputs" 1 (Array.length m.Hypergraph.outputs);
-  checkb "valid" true (Result.is_ok (Hypergraph.validate h'));
+  let g = Flat.buffer () in
+  carve (flat h) [ (0, 0b10); (2, 0b1) ] ~into:g;
+  checki "cells" 2 (Flat.num_cells g);
+  checki "partial copy inputs" 2 g.Flat.inputs.(0);
+  checki "partial copy outputs" 1 g.Flat.outputs.(0);
+  (* Y's support {b, c}, renumbered densely. *)
+  checki "partial copy support" 0b11 g.Flat.supports.(g.Flat.sup_off.(0));
+  checki "origin mask" 0b10 g.Flat.origin_mask.(0);
   (* b and c feed it and are external; Y is internal (driver + reader kept,
      no dropped incidence). *)
-  let ext_count =
-    Array.fold_left (fun acc e -> if e then acc + 1 else acc) 0
-      h'.Hypergraph.net_external
-  in
-  checki "externals" 2 ext_count
+  let ext_count = ref 0 in
+  for n = 0 to Flat.num_nets g - 1 do
+    if g.Flat.net_external.(n) then incr ext_count
+  done;
+  checki "externals" 2 !ext_count
 
-(* The list- and Hashtbl-built [induce_copies] the rewrite replaced,
-   kept verbatim as the reference it must equal field for field. *)
+(* The list- and Hashtbl-built induced copy the flat carve replaced,
+   kept verbatim as the reference the carve must equal field for
+   field. *)
 let reference_induce_copies h specs =
   let open Hypergraph in
   let kept_mask = Array.make (num_cells h) Bitvec.empty in
@@ -322,85 +334,185 @@ let reference_induce_copies h specs =
   in
   (h', specs)
 
-(* A random state with some cells replicated: both sides' copies are
-   the spec lists the recursive split and pairwise refinement pass. *)
-let replicated_state seed h =
+(* A random state over the flat graph [g] with some cells replicated:
+   both sides' copies are the specs the recursive split and pairwise
+   refinement carve. *)
+let replicated_state seed g =
   let rng = Netlist.Rng.create (seed + 7000) in
   let st =
-    Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
+    Partition_state.create g ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
   in
-  for _ = 1 to Hypergraph.num_cells h do
-    let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
+  for _ = 1 to Flat.num_cells g do
+    let c = Netlist.Rng.int rng (Flat.num_cells g) in
     Partition_state.apply st c
       (Test_util.random_mask rng (Partition_state.full_mask st c))
   done;
   st
 
+(* The live prefix of a flat graph, field by field. A buffer's arrays
+   may run past its live counts, so only the prefix is compared. *)
+let live (g : Flat.t) =
+  let n = g.Flat.num_cells and nets = g.Flat.num_nets in
+  let incs = g.Flat.cell_off.(n) and sups = g.Flat.sup_off.(n) in
+  let sub a len = Array.to_list (Array.sub a 0 len) in
+  [
+    ("counts", [ n; nets; g.Flat.max_degree ]);
+    ("cell_off", sub g.Flat.cell_off (n + 1));
+    ("inc_net", sub g.Flat.inc_net incs);
+    ("inc_in", sub g.Flat.inc_in incs);
+    ("inc_out", sub g.Flat.inc_out incs);
+    ("outputs", sub g.Flat.outputs n);
+    ("inputs", sub g.Flat.inputs n);
+    ("sup_off", sub g.Flat.sup_off (n + 1));
+    ("supports", sub g.Flat.supports sups);
+    ("area", sub g.Flat.area n);
+    ("demand", sub g.Flat.demand (n * Hypergraph.demand_arity));
+    ("net_off", sub g.Flat.net_off (nets + 1));
+    ("net_cell", sub g.Flat.net_cell g.Flat.net_off.(nets));
+    ( "net_external",
+      List.map Bool.to_int (Array.to_list (Array.sub g.Flat.net_external 0 nets))
+    );
+  ]
+
+(* [None] when the carved [got] holds, field for field, the flat form of
+   the reference graph [want] with the origins [origin]; else the first
+   field that differs. *)
+let differs got want origin =
+  let origins (g : Flat.t) =
+    List.init g.Flat.num_cells (fun c ->
+        (g.Flat.origin_cell.(c), g.Flat.origin_mask.(c)))
+  in
+  match
+    List.find_opt
+      (fun ((_, a), (_, b)) -> a <> b)
+      (List.combine (live got) (live (flat want)))
+  with
+  | Some ((name, _), _) -> Some name
+  | None -> if origins got <> Array.to_list origin then Some "origin" else None
+
+(* The reference's origins: each copy of [want_specs] (cells of a graph
+   whose own origins are [parent]) in root coordinates. *)
+let compose parent want_specs =
+  Array.map
+    (fun (c, m) ->
+      let oc, om = parent.(c) in
+      (oc, Bitvec.expand om m))
+    want_specs
+
 let qcheck_induce_copies_reference =
+  (* The flat carve against the list-built reference: one side of a
+     replicated random state carved out of the root in both spec orders
+     (the forward one straight from the state's masks, as the split
+     does), then a remainder of that remainder and one more, as [Split]
+     chains them, through two recycled buffers: the third carve goes
+     into the buffer that held the first, larger graph, so a stale tail
+     past the live counts would show. *)
   QCheck.Test.make ~name:"induce_copies = reference on both sides" ~count:100
     QCheck.(pair small_int (int_range 1 30))
     (fun (seed, n_cells) ->
       let h = Test_util.random_hypergraph seed n_cells in
-      let st = replicated_state seed h in
-      (* Every field of every cell, the net tables and the spec array:
-         all plain data, so structural equality compares them all. *)
-      let same specs =
-        let got_h, got_specs = Hypergraph.induce_copies h specs in
-        let want_h, want_specs = reference_induce_copies h specs in
-        got_h = want_h && got_specs = want_specs
+      let root = flat h in
+      let root_origin =
+        Array.init (Hypergraph.num_cells h) (fun c ->
+            (c, Bitvec.full (Array.length (Hypergraph.cell h c).outputs)))
       in
-      List.for_all
-        (fun side ->
+      let buffers = [| Flat.buffer (); Flat.buffer () |] in
+      let fail step field =
+        QCheck.Test.fail_reportf "%s: carve differs from the reference in %s"
+          step field
+      in
+      let check step got (want, _) origin =
+        Option.iter (fail step) (differs got want origin)
+      in
+      (* Both sides of the root, both orders; each returns the reference
+         graph and its origins for the chain. *)
+      let first side =
+        let st = replicated_state seed root in
+        let specs = Partition_state.side_copies st side in
+        if specs = [] then None
+        else begin
+          let want = reference_induce_copies h specs in
+          let origin = compose root_origin (snd want) in
+          carve root (List.rev specs) ~into:buffers.(1);
+          let rev = reference_induce_copies h (List.rev specs) in
+          check "reversed" buffers.(1) rev (compose root_origin (snd rev));
+          Partition_state.carve st side ~into:buffers.(0);
+          check "root" buffers.(0) want origin;
+          Some (fst want, origin)
+        end
+      in
+      (* Carve the [side] copies of a replicated state over the graph in
+         [buffers.(i)] into the other buffer. *)
+      let rec chain i (ref_h, ref_origin) side depth =
+        if depth > 0 then begin
+          let st = replicated_state (seed + depth) buffers.(i) in
           let specs = Partition_state.side_copies st side in
-          same specs && same (List.rev specs))
-        [ Partition_state.A; Partition_state.B ])
+          if specs <> [] then begin
+            let want = reference_induce_copies ref_h specs in
+            let origin = compose ref_origin (snd want) in
+            Partition_state.carve st side ~into:buffers.(1 - i);
+            check (Printf.sprintf "chain %d" depth) buffers.(1 - i) want origin;
+            chain (1 - i) (fst want, origin) side (depth - 1)
+          end
+        end
+      in
+      List.iter
+        (fun side ->
+          Option.iter (fun r -> chain 0 r side 2) (first side))
+        [ Partition_state.A; Partition_state.B ];
+      true)
 
 let test_induce_copies_bad_specs () =
   let h = fig1_hypergraph () in
+  let g = Flat.buffer () in
+  carve (flat h) [ (1, 0b1); (2, 0b1) ] ~into:g;
+  let before = live g in
   let raised f =
     match f () with exception Invalid_argument msg -> msg | _ -> "no error"
   in
   List.iter
     (fun (specs, msg) ->
-      let msg = "Hypergraph.induce_copies: " ^ msg in
-      check Alcotest.string msg msg
-        (raised (fun () -> Hypergraph.induce_copies h specs));
-      check Alcotest.string ("reference: " ^ msg) msg
-        (raised (fun () -> reference_induce_copies h specs)))
+      check Alcotest.string msg ("Hypergraph.Flat.carve: " ^ msg)
+        (raised (fun () -> carve (flat h) specs ~into:g));
+      check Alcotest.string ("reference: " ^ msg)
+        ("Hypergraph.induce_copies: " ^ msg)
+        (raised (fun () -> reference_induce_copies h specs));
+      checkb (msg ^ ": the buffer keeps its graph") true (live g = before))
     [
       ([ (0, 0b11); (3, 0b1) ], "cell id out of range");
       ([ (1, 0b1); (0, Bitvec.empty) ], "empty output mask");
       ([ (0, 0b100) ], "mask out of range");
       ([ (0, 0b01); (2, 0b1); (0, 0b10) ], "duplicate cell");
-    ]
+    ];
+  check Alcotest.string "own buffer"
+    "Hypergraph.Flat.carve: a graph cannot be carved into its own buffer"
+    (raised (fun () -> carve g [ (0, 0b1) ] ~into:g));
+  let root = flat h in
+  check Alcotest.string "frozen" "Hypergraph.Flat.stage: not a buffer"
+    (raised (fun () -> carve g [ (0, 0b1) ] ~into:root))
 
-(* Rebuilding the remainder after a split allocates little beyond the
-   graph it returns: at most twice its reachable words (net-name strings
-   excluded, as they are shared with the parent graph). *)
+(* The split driver carves each remainder into a buffer sized by an
+   earlier, larger graph: once warm, a carve writes into the buffer's
+   arrays and allocates next to nothing, however large the graph. *)
 let test_induce_copies_allocation () =
   let s38584 = Option.get (Experiments.Suite.find "s38584") in
-  let h = Lazy.force s38584.Experiments.Suite.hypergraph in
-  let st = replicated_state 1 h in
-  let specs = Partition_state.side_copies st Partition_state.B in
+  let root = flat (Lazy.force s38584.Experiments.Suite.hypergraph) in
+  let st = replicated_state 1 root in
   checkb "side B has replicated copies" true
     (List.exists
        (fun (c, m) -> not (Bitvec.equal m (Partition_state.full_mask st c)))
-       specs);
-  let result = ref (Hypergraph.induce_copies h specs) in
+       (Partition_state.side_copies st Partition_state.B));
+  let g = Flat.buffer () in
+  Partition_state.carve st Partition_state.B ~into:g;
+  let cells = Flat.num_cells g in
   let words =
     Test_util.words_during (fun () ->
-        result := Hypergraph.induce_copies h specs)
+        Partition_state.carve st Partition_state.B ~into:g)
   in
-  let h', _ = !result in
-  let names =
-    Array.fold_left
-      (fun acc s -> acc + Obj.reachable_words (Obj.repr s))
-      0 h'.Hypergraph.net_names
-  in
-  let size = Obj.reachable_words (Obj.repr !result) - names in
-  if words > 2.0 *. float_of_int size then
-    Alcotest.failf "induce_copies allocated %.0f words for a %d-word result"
-      words size
+  checki "same graph" cells (Flat.num_cells g);
+  if words > 300.0 then
+    Alcotest.failf "a warm carve of %d cells allocated %.0f words (bound 300)"
+      cells words
 
 (* The closure-built [boundary] the flat-loop rewrite replaced, kept as
    the reference. *)
@@ -510,7 +622,7 @@ let qcheck_state_consistency =
       let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 1000) in
       let st =
-        Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
+        Partition_state.create (flat h) ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
       in
       let steps = 40 in
       let ok = ref (Result.is_ok (Partition_state.check_consistency st)) in
@@ -530,7 +642,7 @@ let qcheck_eval_predicts_apply =
     (fun (seed, n_cells) ->
       let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 2000) in
-      let st = Partition_state.create h ~init_on_b:(fun c -> c mod 2 = 0) in
+      let st = Partition_state.create (flat h) ~init_on_b:(fun c -> c mod 2 = 0) in
       let ok = ref true in
       for _ = 1 to 30 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
@@ -569,7 +681,7 @@ let qcheck_apply_involution =
     (fun (seed, n_cells) ->
       let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 3000) in
-      let st = Partition_state.create h ~init_on_b:(fun _ -> false) in
+      let st = Partition_state.create (flat h) ~init_on_b:(fun _ -> false) in
       let ok = ref true in
       for _ = 1 to 20 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
@@ -593,7 +705,7 @@ let qcheck_reused_scratch =
     (fun (seed, n_cells) ->
       let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 4000) in
-      let st = Partition_state.create h ~init_on_b:(fun c -> c mod 3 = 0) in
+      let st = Partition_state.create (flat h) ~init_on_b:(fun c -> c mod 3 = 0) in
       let sc = Partition_state.make_scratch () in
       let ok = ref true in
       for _ = 1 to 40 do
@@ -608,49 +720,48 @@ let qcheck_reused_scratch =
 
 (* Everything a state answers, cell by cell and net by net. *)
 let state_view st =
-  let h = Partition_state.hypergraph st in
+  let g = Partition_state.graph st in
   let side s =
     ( Partition_state.terminals st s,
       Partition_state.area st s,
       Partition_state.resources st s,
-      List.init h.Hypergraph.num_nets (Partition_state.connections st s) )
+      List.init (Flat.num_nets g) (Partition_state.connections st s) )
   in
-  ( List.init (Hypergraph.num_cells h) (Partition_state.mask st),
+  ( List.init (Flat.num_cells g) (Partition_state.mask st),
     Partition_state.cut st,
     side Partition_state.A,
     side Partition_state.B )
 
 let qcheck_reuse_oracle =
   (* A state retired on a larger graph, with replicated masks applied,
-     rebuilt on an induced copy of one side (the remainder a split leaves
+     rebuilt on a carve of one side (the remainder a split leaves
      behind, the state's storage more than enough): it must hold what a
      fresh state of the same sides holds, counters by the same count, and
      F-M from it must end where F-M from the fresh state ends. *)
   QCheck.Test.make ~name:"reuse = create on a smaller graph" ~count:200
     QCheck.(triple small_int (int_range 2 40) bool)
     (fun (seed, n_cells, with_masks) ->
-      let big = Test_util.random_hypergraph seed n_cells in
+      let big = flat (Test_util.random_hypergraph seed n_cells) in
       let old = replicated_state seed big in
-      let specs = Partition_state.side_copies old Partition_state.B in
-      QCheck.assume (specs <> []);
-      let h, _ = Hypergraph.induce_copies big specs in
+      QCheck.assume (Partition_state.side_copies old Partition_state.B <> []);
+      let g = Flat.buffer () in
+      Partition_state.carve old Partition_state.B ~into:g;
       let rng = Netlist.Rng.create (seed + 9000) in
       let masks =
-        Array.init (Hypergraph.num_cells h) (fun c ->
-            let outputs = (Hypergraph.cell h c).Hypergraph.outputs in
-            let full = Bitvec.full (Array.length outputs) in
+        Array.init (Flat.num_cells g) (fun c ->
+            let full = Bitvec.full g.Flat.outputs.(c) in
             if with_masks then Test_util.random_mask rng full
             else if Netlist.Rng.bool rng then full
             else Bitvec.empty)
       in
       let fresh, reused =
         if with_masks then
-          ( Partition_state.create_with_masks h ~masks:(Array.get masks),
-            Partition_state.reuse_with_masks old h ~masks:(Array.get masks) )
+          ( Partition_state.create_with_masks g ~masks:(Array.get masks),
+            Partition_state.reuse_with_masks old g ~masks:(Array.get masks) )
         else
           let init_on_b c = not (Bitvec.is_empty masks.(c)) in
-          ( Partition_state.create h ~init_on_b,
-            Partition_state.reuse old h ~init_on_b )
+          ( Partition_state.create g ~init_on_b,
+            Partition_state.reuse old g ~init_on_b )
       in
       let same = state_view fresh = state_view reused in
       if not same then QCheck.Test.fail_report "reused state differs";
@@ -659,7 +770,7 @@ let qcheck_reuse_oracle =
       | Error e -> QCheck.Test.fail_reportf "reused state: %s" e);
       let cfg =
         Core.Fm.balance_config ~replication:(`Functional 0)
-          ~total_area:(Hypergraph.total_area h) ()
+          ~total_area:(Flat.total_area g) ()
       in
       let s_fresh = Core.Fm.run_staged cfg fresh in
       let s_reused = Core.Fm.run_staged cfg reused in
@@ -679,7 +790,7 @@ let qcheck_changed_nets_exact =
     (fun (seed, n_cells) ->
       let h = random_hypergraph_repeated_pins seed n_cells in
       let rng = Netlist.Rng.create (seed + 5000) in
-      let st = Partition_state.create h ~init_on_b:(fun c -> c mod 2 = 1) in
+      let st = Partition_state.create (flat h) ~init_on_b:(fun c -> c mod 2 = 1) in
       let nn = h.Hypergraph.num_nets in
       let cat side net = min (Partition_state.connections st side net) 2 in
       let ok = ref true in
@@ -760,7 +871,7 @@ let test_state_areas_and_replication () =
 let test_state_terminals () =
   let h = fig1_hypergraph () in
   (* All on A: terminals of A = external nets touching A = a, b, c. *)
-  let st = Partition_state.create h ~init_on_b:(fun _ -> false) in
+  let st = Partition_state.create (flat h) ~init_on_b:(fun _ -> false) in
   checki "term A" 3 (Partition_state.terminals st Partition_state.A);
   checki "term B" 0 (Partition_state.terminals st Partition_state.B);
   (* Move SY to B: net Y crosses (term on both), B gains terminal Y. *)
@@ -770,7 +881,7 @@ let test_state_terminals () =
 
 let test_side_copies () =
   let h = fig1_hypergraph () in
-  let st = Partition_state.create h ~init_on_b:(fun c -> c = 2) in
+  let st = Partition_state.create (flat h) ~init_on_b:(fun c -> c = 2) in
   Partition_state.apply st 0 (Bitvec.singleton 1);
   let copies_a = Partition_state.side_copies st Partition_state.A in
   let copies_b = Partition_state.side_copies st Partition_state.B in
@@ -782,34 +893,32 @@ let test_side_copies () =
     "B holds M(Y) and SY" [ (0, 0b10); (2, 0b1) ] copies_b
 
 let qcheck_induction_matches_terminals =
-  (* The invariant the k-way driver rests on: inducing one side's copies
-     yields a sub-hypergraph whose external-net count equals that side's
-     terminal count in the bipartition state. *)
+  (* The invariant the k-way driver rests on: carving one side's copies
+     yields a graph whose external-net count equals that side's terminal
+     count in the bipartition state. *)
   QCheck.Test.make ~name:"induced externality = terminals" ~count:40
     QCheck.(pair small_int (int_range 4 20))
     (fun (seed, n_cells) ->
       let h = Test_util.random_hypergraph seed n_cells in
       let rng = Netlist.Rng.create (seed + 4000) in
       let st =
-    Partition_state.create h ~init_on_b:(fun _ -> Netlist.Rng.bool rng)
-  in
+        Partition_state.create (flat h) ~init_on_b:(fun _ ->
+            Netlist.Rng.bool rng)
+      in
       (* Random replication too. *)
       for _ = 1 to 15 do
         let c = Netlist.Rng.int rng (Hypergraph.num_cells h) in
         let m = Test_util.random_mask rng (Partition_state.full_mask st c) in
         Partition_state.apply st c m
       done;
+      let sub = Flat.buffer () in
       let check side =
-        match Partition_state.side_copies st side with
-        | [] -> true
-        | specs ->
-            let sub, _ = Hypergraph.induce_copies h specs in
-            let ext =
-              Array.fold_left
-                (fun acc e -> if e then acc + 1 else acc)
-                0 sub.Hypergraph.net_external
-            in
-            ext = Partition_state.terminals st side
+        Partition_state.carve st side ~into:sub;
+        let ext = ref 0 in
+        for n = 0 to Flat.num_nets sub - 1 do
+          if sub.Flat.net_external.(n) then incr ext
+        done;
+        !ext = Partition_state.terminals st side
       in
       check Partition_state.A && check Partition_state.B)
 

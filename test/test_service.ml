@@ -1122,6 +1122,59 @@ let test_server_survives_garbage () =
       checkb "bad requests counted" true
         (counter stats "service.bad_requests" >= 2))
 
+(* A misspelled key and a retired one (a search-budget knob of an older
+   protocol) in a submit's options, sent through the daemon as raw
+   frames: each is a typed bad_request naming the key, not a run under
+   the default options cached under their key; so is an options value
+   that is no object. *)
+let test_server_unknown_option_key () =
+  with_server (fun path ->
+      let submit options =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        let request =
+          J.Obj
+            [
+              ("v", J.Int Service.Protocol.protocol_version);
+              ("verb", J.String "submit");
+              ("name", J.String "x");
+              ("format", J.String "bench");
+              ("netlist", J.String "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n");
+              ("options", options);
+            ]
+        in
+        ignore (Service.Codec.write_frame fd request);
+        let reply = Service.Codec.read_frame fd in
+        Unix.close fd;
+        match reply with
+        | Ok reply -> Service.Client.ok_or_error reply
+        | Error e -> Alcotest.fail (Service.Codec.read_error_to_string e)
+      in
+      List.iter
+        (fun key ->
+          match submit (J.Obj [ ("runs", J.Int 1); (key, J.Int 9) ]) with
+          | Ok _ -> Alcotest.failf "option key %S accepted" key
+          | Error (code, msg) ->
+              checks (key ^ ": bad_request") Service.Protocol.code_bad_request
+                code;
+              let want = Printf.sprintf "unknown option key %S" key in
+              let n = String.length want in
+              let rec contains i =
+                i + n <= String.length msg
+                && (String.sub msg i n = want || contains (i + 1))
+              in
+              checkb (Printf.sprintf "%S names the key" msg) true (contains 0))
+        [ "seeed"; "max_passes" ];
+      (match submit (J.Int 5) with
+      | Ok _ -> Alcotest.fail "options that are no object accepted"
+      | Error (code, _) ->
+          checks "no object: bad_request" Service.Protocol.code_bad_request
+            code);
+      (* The same options without the stray key are served. *)
+      ignore
+        (rpc_ok path
+           (submit_req ~runs:1 "x" "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n")))
+
 (* A job big enough to need a real multi-device split rolls its F-M
    telemetry up into the service-wide throughput metrics: applied ops and
    rescored cells as counters, and one moves/sec observation per job in
@@ -1504,6 +1557,8 @@ let () =
           Alcotest.test_case "timeout" `Quick test_server_timeout;
           Alcotest.test_case "survives garbage" `Quick
             test_server_survives_garbage;
+          Alcotest.test_case "unknown option key" `Quick
+            test_server_unknown_option_key;
           Alcotest.test_case "throughput metrics" `Quick
             test_server_throughput_metrics;
           Alcotest.test_case "shutdown refuses new work" `Quick

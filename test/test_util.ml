@@ -10,6 +10,9 @@ let spec ?(area = 1) ?(demand = [||]) name inputs outputs supports =
     s_supports = Array.of_list supports;
   }
 
+(* The engine's flat form of a hypergraph, which partition states read. *)
+let flat = Hypergraph.Flat.of_hypergraph
+
 (* A gate under an invented name. *)
 let gate b kind fanins =
   Netlist.Circuit.Builder.gate b ~name:(Netlist.Circuit.Builder.fresh_name b)
@@ -106,7 +109,7 @@ let fig4_hypergraph () =
 let fig4_state () =
   let h = fig4_hypergraph () in
   let on_b = function 1 | 2 | 7 -> true | _ -> false in
-  (h, Partition_state.create h ~init_on_b:on_b)
+  (h, Partition_state.create (flat h) ~init_on_b:on_b)
 
 (* The delta of setting cell [c]'s mask to [m] in a fresh scratch: the
    allocating form of [Partition_state.eval_into] the tests compare. *)

@@ -270,9 +270,10 @@ fi
 # states from a run-local free list and rebuild a retired one in place
 # (Partition_state.reuse) instead of building one per restart. So in
 # lib/core a state is built fresh only in the acquire function of those
-# free lists (split.ml, pairwise.ml), and in Fm.random_state, the
-# one-shot start of the bipartition entry points. Each line is tagged
-# with the top-level binding it sits in.
+# free lists (split.ml, pairwise.ml), and in Fm.random_flat_state, the
+# one-shot start of the bipartition entry points (Fm.random_state and
+# Fm.multi_start). Each line is tagged with the top-level binding it sits
+# in.
 for f in $(git ls-files 'lib/core/*.ml'); do
   fns=$(awk 'BEGIN { name = "(top)" }
     /^(let|and) / { name = ($2 == "rec") ? $3 : $2 }
@@ -280,7 +281,7 @@ for f in $(git ls-files 'lib/core/*.ml'); do
   for fn in $fns; do
     case "$f:$fn" in
       lib/core/split.ml:acquire | lib/core/pairwise.ml:acquire) ;;
-      lib/core/fm.ml:random_state) ;;
+      lib/core/fm.ml:random_flat_state) ;;
       *)
         echo "lint: Partition_state.create in $fn of $f" \
           "(take the state from the free list's acquire)" >&2
@@ -288,6 +289,20 @@ for f in $(git ls-files 'lib/core/*.ml'); do
         ;;
     esac
   done
+done
+
+# One graph form for the bipartition engine: Partition_state, F-M, the
+# split driver and the pair refiner read Hypergraph.Flat, and a remainder
+# or a pair union is carved flat-to-flat into a recycled buffer
+# (Hypergraph.Flat.carve). So no program code builds an induced graph of
+# records or reads per-net pin masks off a cell record. test/ is exempt:
+# it keeps the list-built induced copy as the carve's reference.
+for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli'); do
+  if grep -qE 'induce_copies|full_in_pins|full_out_pins' "$f"; then
+    echo "lint: induced graph of records or cell pin masks in $f" \
+      "(carve with Hypergraph.Flat.carve; read Flat.inc_in/inc_out)" >&2
+    status=1
+  fi
 done
 
 # One acceptance suite, in OCaml: the tooling, the tests and CI call no
