@@ -143,15 +143,21 @@ let window_config ?(objective = `Cut) ?(replication = `None) ?(max_passes = 12)
 
 module F = Hypergraph.Flat
 
-let random_flat_state rng g =
-  let n = F.num_cells g in
-  let order = Array.init n Fun.id in
-  Netlist.Rng.shuffle rng order;
-  let on_b = Array.make n false in
-  Array.iteri (fun k c -> if k < n / 2 then on_b.(c) <- true) order;
-  Partition_state.create g ~init_on_b:(fun c -> on_b.(c))
+(* The start of the one-shot bipartition entry points: a flat form of
+   [hg] of their own (their states outlive the call, so it is not a
+   domain's root), and per call of the returned function a fresh state
+   over it with a random half/half assignment. *)
+let random_flat_state hg =
+  let g = F.of_hypergraph hg in
+  fun rng ->
+    let n = F.num_cells g in
+    let order = Array.init n Fun.id in
+    Netlist.Rng.shuffle rng order;
+    let on_b = Array.make n false in
+    Array.iteri (fun k c -> if k < n / 2 then on_b.(c) <- true) order;
+    Partition_state.create g ~init_on_b:(fun c -> on_b.(c))
 
-let random_state rng hg = random_flat_state rng (F.of_hypergraph hg)
+let random_state rng hg = random_flat_state hg rng
 
 let flip current o =
   if Bitvec.mem o current then Bitvec.remove o current
@@ -271,23 +277,12 @@ let reset ws g =
   Array.fill ws.locked 0 n false;
   Array.fill ws.stamp 0 n (-1)
 
-(* One workspace per domain, kept between runs. A run takes it out of
-   the slot and puts it back when done, so a second run on the same
-   domain meanwhile (another systhread, or a run nested in a config
-   callback) finds the slot empty and works in a workspace of its own;
-   the exchange is atomic, so two threads never take the same one. A run
-   that raises does not put its workspace back. Pool domains are spawned
-   per [Parallel.Pool.run], so their workspaces die with them. *)
-let slot = Domain.DLS.new_key (fun () -> Atomic.make None)
+(* One workspace per domain, kept between runs ([Parallel.Slot]): a
+   run nested in a config callback, or on another systhread of the
+   domain, works in a workspace of its own. *)
+let slot = Parallel.Slot.make workspace
 
-let with_workspace f =
-  let cell = Domain.DLS.get slot in
-  let ws =
-    match Atomic.exchange cell None with Some ws -> ws | None -> workspace ()
-  in
-  let r = f ws in
-  Atomic.set cell (Some ws);
-  r
+let with_workspace f = Parallel.Slot.use slot f
 
 (* Lexicographic [<] on (penalty, objective, preference) triples, the
    order of the [score] tuple's polymorphic compare. *)
@@ -596,10 +591,10 @@ let run_staged ?(obs = Obs.noop) cfg st =
           run_in ws ~obs cfg st)
 
 let multi_start ~runs ~seed cfg hg =
-  let g = F.of_hypergraph hg in
+  let draw = random_flat_state hg in
   let best = ref None and sum = ref 0 in
   for r = 0 to runs - 1 do
-    let st = random_flat_state (Netlist.Rng.create (seed + (r * 65537))) g in
+    let st = draw (Netlist.Rng.create (seed + (r * 65537))) in
     let _, cut, _ = run_staged cfg st in
     (match !best with
     | Some (c, _) when c <= cut -> ()

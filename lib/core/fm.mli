@@ -199,21 +199,22 @@ val run_staged : ?obs:Obs.t -> config -> Partition_state.t -> score
     trail), reset to its fresh state at the start of each stage, so the
     result equals a plain {!run} followed by a replication {!run}.
 
-    Every {!run} and [run_staged] takes its workspace from a slot of the
-    executing domain and returns it afterwards, so runs one after another
-    on a domain reuse one set of per-cell arrays, grown only when a graph
-    is larger than every earlier one. A run that finds the slot empty
-    (another systhread of the domain is mid-run) works in a fresh
-    workspace; concurrent runs share nothing, and no run can tell whether
-    its workspace was fresh or reused.
+    Every {!run} and [run_staged] takes its workspace from the executing
+    domain's slot ({!Parallel.Slot}) and returns it afterwards, so runs
+    one after another on a domain reuse one set of per-cell arrays, grown
+    only when a graph is larger than every earlier one. A run that finds
+    the slot empty (another systhread of the domain is mid-run) works in
+    a fresh workspace; concurrent runs share nothing, and no run can tell
+    whether its workspace was fresh or reused.
     With a collecting [obs], a ["fm.stage"] event separates the plain
     and replication stages. *)
 
 val random_state : Netlist.Rng.t -> Hypergraph.t -> Partition_state.t
 (** Fresh state with a uniformly random half/half assignment (by cell
     count), the multi-start initialisation of the paper's 20-run
-    experiments, over the hypergraph's flat form
-    ({!Hypergraph.Flat.of_hypergraph}, built here). *)
+    experiments, over a flat form of the hypergraph built here
+    ({!Hypergraph.Flat.of_hypergraph}) and owned by the state: it is not
+    a domain's root kit, since the state outlives the call. *)
 
 val multi_start :
   runs:int ->
@@ -223,5 +224,5 @@ val multi_start :
   (int * Partition_state.t) option * float
 (** The paper's equal-halves campaign: [runs] {!run_staged} runs, run [r]
     from {!random_state} seeded [seed + r * 65537], all over one flat
-    form of the hypergraph. Returns the best cut with the first state
-    reaching it, and the mean cut. *)
+    form of the hypergraph, built here as in {!random_state}. Returns
+    the best cut with the first state reaching it, and the mean cut. *)

@@ -1,6 +1,7 @@
 include Kway_types
 
 let partition ?(obs = Obs.noop) ?(options = Options.default) ~library hg =
+  let library = undominated ~obs options.objective library in
   match options.strategy with
   | Flat -> Split.flat_partition ~budget:flat_budget ~obs ~options ~library hg
   | Multilevel _ -> Vcycle.multilevel_run ~obs ~options ~library hg

@@ -150,3 +150,26 @@ let finish ?since ~should_stop ~runs ~feasible_runs hg outcome =
 let result_of_parts hg parts =
   Result.get_ok
     (finish ~should_stop:never_stop ~runs:1 ~feasible_runs:1 hg (Ok parts))
+
+(* The job's root: the flat form of its hypergraph, loaded into a
+   buffer the executing domain keeps between jobs, so a domain running
+   many jobs sizes it once, for the largest graph it has seen. *)
+let root_kit = Parallel.Slot.make Hypergraph.Flat.buffer
+
+let with_root hg f =
+  Parallel.Slot.use root_kit (fun g ->
+      Hypergraph.Flat.load g hg;
+      f g)
+
+let undominated ~obs objective library =
+  let kept, dropped = Fpga.Objective.undominated objective library in
+  if Obs.enabled obs then
+    List.iter
+      (fun ((d : Fpga.Device.t), (by : Fpga.Device.t)) ->
+        Obs.event obs "kway.dominated_device"
+          [
+            ("device", Obs.Json.String d.Fpga.Device.name);
+            ("by", Obs.Json.String by.Fpga.Device.name);
+          ])
+      dropped;
+  kept

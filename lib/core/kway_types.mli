@@ -104,3 +104,17 @@ val finish :
   (result, string) Stdlib.result
 
 val result_of_parts : Hypergraph.t -> part list -> result
+
+val with_root : Hypergraph.t -> (Hypergraph.Flat.t -> 'a) -> 'a
+(** [with_root hg f] is [f g] with [g] the flat form of [hg]
+    ({!Hypergraph.Flat.load}), loaded into the root kit of the executing
+    domain ({!Parallel.Slot}): the buffer outlives the job and is loaded
+    again by the domain's next one, so nothing [f] returns may hold [g]
+    or a state over it. [g] is read-only and may be read by the domains
+    [f] spawns. *)
+
+val undominated :
+  obs:Obs.t -> Fpga.Objective.t -> Fpga.Library.t -> Fpga.Library.t
+(** The library the drivers search: {!Fpga.Objective.undominated}, with
+    one ["kway.dominated_device"] event ([device], [by]) per dropped
+    device, and none when nothing is dropped. *)

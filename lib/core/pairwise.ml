@@ -1,14 +1,29 @@
 open Kway_types
 module F = Hypergraph.Flat
 
-(* The refiner's free list: the one F-M state [refine_pair] works in at a
-   time, kept between pairs and rebuilt in place for the next pair's
-   union when it is large enough ([Partition_state.reuse]). *)
-let acquire pool g ~masks =
-  match !pool with
+(* The refine kit: the refiner's graph-sized buffers, kept by the
+   executing domain between calls and jobs ([Parallel.Slot]). [state] is
+   the one F-M state [refine_pair] works in at a time, rebuilt in place
+   for the next pair's union when it is large enough
+   ([Partition_state.reuse]); [union] is the one carve buffer; [mask_i]
+   and [mask_j] are cell-indexed scratch, all-empty between pairs, grown
+   to the graph by [refine_pair]. *)
+type kit = {
+  mutable state : Partition_state.t option;
+  union : F.t;
+  mutable mask_i : Bitvec.t array;
+  mutable mask_j : Bitvec.t array;
+}
+
+let refine_kit =
+  Parallel.Slot.make (fun () ->
+      { state = None; union = F.buffer (); mask_i = [||]; mask_j = [||] })
+
+let acquire kit g ~masks =
+  match kit.state with
   | None -> Partition_state.create_with_masks g ~masks
   | Some st ->
-      pool := None;
+      kit.state <- None;
       Partition_state.reuse_with_masks st g ~masks
 
 (* Re-bipartition the union of two finished parts under both device
@@ -16,23 +31,28 @@ let acquire pool g ~masks =
    pair). Cells of other parts appear as external context, so their IOB
    counts cannot change. [active] (original-cell coordinates) restricts
    which cells may move — the warm-start path passes the edit's dirty set
-   so refinement costs O(blast radius). [mask_i] and [mask_j] are
-   all-empty cell-indexed scratch arrays, handed back all-empty. The
-   union is carved out of [g] into [union], the refiner's one carve
-   buffer, and the state comes from [pool] and goes back to it. Returns
-   the improved pair or [None]. *)
-let refine_pair ~opts ~passes ~obs ?active ~pool ~union ~mask_i ~mask_j g
-    library (pi : part) (pj : part) =
+   so refinement costs O(blast radius). The kit's masks are handed back
+   all-empty. The union is carved out of [g] into the kit's union buffer,
+   and the state comes from the kit and goes back to it. Returns the
+   improved pair or [None]. *)
+let refine_pair ~opts ~passes ~obs ?active ~kit g library (pi : part)
+    (pj : part) =
+  let n = F.num_cells g in
+  if Array.length kit.mask_i < n then begin
+    kit.mask_i <- Array.make n Bitvec.empty;
+    kit.mask_j <- Array.make n Bitvec.empty
+  end;
+  let union = kit.union and mask_i = kit.mask_i and mask_j = kit.mask_j in
   List.iter (fun (c, m) -> mask_i.(c) <- m) pi.members;
   List.iter (fun (c, m) -> mask_j.(c) <- m) pj.members;
-  for c = 0 to Array.length mask_i - 1 do
+  for c = 0 to n - 1 do
     let m = Bitvec.union mask_i.(c) mask_j.(c) in
     if not (Bitvec.is_empty m) then F.stage union ~cell:c m
   done;
   F.carve g ~into:union;
   (* Initial assignment: part j's share of each cell sits on side B. *)
   let st =
-    acquire pool union ~masks:(fun k ->
+    acquire kit union ~masks:(fun k ->
         Bitvec.compress union.F.origin_mask.(k)
           mask_j.(union.F.origin_cell.(k)))
   in
@@ -75,7 +95,7 @@ let refine_pair ~opts ~passes ~obs ?active ~pool ~union ~mask_i ~mask_j g
       Some (rebuild Partition_state.A pi, rebuild Partition_state.B pj, t0, t1)
     end
   in
-  pool := Some st;
+  kit.state <- Some st;
   outcome
 
 (* Refinement driver: [rounds] sweeps of the part pairs that share nets,
@@ -110,10 +130,6 @@ let refine ~opts ~passes ~rounds ~obs ?dirty g library parts =
           Some dn
     in
     let active = Option.map (fun d c -> d.(c)) dirty in
-    let mask_i = Array.make (F.num_cells g) Bitvec.empty in
-    let mask_j = Array.make (F.num_cells g) Bitvec.empty in
-    let pool = ref None in
-    let union = F.buffer () in
     for round = 1 to rounds do
       (* Shared-net counts per pair: part [j] touches net [n] when one of
          its copies has a pin on it. *)
@@ -180,8 +196,9 @@ let refine ~opts ~passes ~rounds ~obs ?dirty g library parts =
               if opts.should_stop () then ()
               else begin
                 let outcome =
-                  refine_pair ~opts ~passes ~obs ?active ~pool ~union ~mask_i
-                    ~mask_j g library parts.(i) parts.(j)
+                  Parallel.Slot.use refine_kit (fun kit ->
+                      refine_pair ~opts ~passes ~obs ?active ~kit g library
+                        parts.(i) parts.(j))
                 in
                 (match outcome with
                 | Some (pi, pj, t_before, t_after) ->

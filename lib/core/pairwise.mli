@@ -7,10 +7,14 @@
     improvement. [rounds] sweeps run, each pair's F-M given [passes] (at
     most 4 on a graph of more than 16,384 nets).
 
-    The graph is the flat form of the hypergraph the parts partition
-    ({!Hypergraph.Flat.of_hypergraph}), which the caller builds once and
-    may share with its own runs: the split driver passes the one its
-    runs read. *)
+    The graph is the flat form of the hypergraph the parts partition:
+    the domain's root ({!Kway_types.with_root}), which the split driver
+    shares with its runs. Each pair is refined in the refine kit of the
+    executing domain ({!Parallel.Slot}): one F-M state, rebuilt in place
+    for each pair's union ({!Partition_state.reuse}), the union's carve
+    buffer, and two cell-indexed mask arrays, all-empty between pairs.
+    The kit outlives the call and the job, sized for the largest graph
+    the domain has refined. *)
 
 val refine :
   opts:Kway_types.options ->

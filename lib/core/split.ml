@@ -18,23 +18,31 @@ let count_external (g : F.t) =
 let whole_members (g : F.t) =
   List.init g.F.num_cells (fun c -> (g.F.origin_cell.(c), g.F.origin_mask.(c)))
 
-(* The run's free list of retired F-M states. [acquire] builds a state
-   in the arrays of a retired one when the list has one
-   ([Partition_state.reuse]), else a fresh one. A run's first remainder
-   is its largest graph, so the states sized at step 0 serve every later
-   step. *)
-let acquire pool hg ~init_on_b =
-  match !pool with
-  | [] -> Partition_state.create hg ~init_on_b
-  | st :: rest ->
-      pool := rest;
-      Partition_state.reuse st hg ~init_on_b
+(* The run kit: the driver's graph-sized buffers, kept by the executing
+   domain between runs and jobs ([Parallel.Slot]). [free] holds retired
+   F-M states; [acquire] builds a state in the arrays of one when the
+   list has one ([Partition_state.reuse]), else a fresh one. A run's
+   remainders are carved into [buffers] ([Partition_state.carve]). Both
+   keep the size of the largest graph the domain has run, so a domain's
+   later runs fill no new arrays. *)
+type kit = { mutable free : Partition_state.t list; buffers : F.t array }
 
-let release pool st = pool := st :: !pool
+let run_kit =
+  Parallel.Slot.make (fun () ->
+      { free = []; buffers = [| F.buffer (); F.buffer () |] })
+
+let acquire kit g ~init_on_b =
+  match kit.free with
+  | [] -> Partition_state.create g ~init_on_b
+  | st :: rest ->
+      kit.free <- rest;
+      Partition_state.reuse st g ~init_on_b
+
+let release kit st = kit.free <- st :: kit.free
 
 (* One feasible split attempt: side A must fit the device window. Returns
    the best feasible state over [attempts] random restarts; the others go
-   back to [pool].
+   back to [kit].
 
    The restarts are independent given their initial assignment, so with
    [attempt_jobs > 1] they run on the pool. Determinism: each restart's
@@ -43,7 +51,7 @@ let release pool st = pool := st :: !pool
    however the restarts then execute; each restart records F-M telemetry
    into a forked sink, merged back in restart order; and the winner fold
    applies the sequential first-best tie-break. *)
-let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
+let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~kit rest
     (dev : Fpga.Device.t) =
   let area = F.total_area rest in
   (* Side B keeps at least one CLB: the remainder is never empty. *)
@@ -69,7 +77,7 @@ let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
        cell. *)
     let draw _ = not (Netlist.Rng.chance rng p_a) in
     let states =
-      Array.init budget.restarts (fun _ -> acquire pool rest ~init_on_b:draw)
+      Array.init budget.restarts (fun _ -> acquire kit rest ~init_on_b:draw)
     in
     let attempts =
       Parallel.Pool.run ~jobs:attempt_jobs budget.restarts (fun a ->
@@ -85,24 +93,22 @@ let try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool rest
         let st = states.(a) in
         match (score, !best) with
         | (0, cut, neg_area), Some (k, _) when k <= (cut, neg_area) ->
-            release pool st
+            release kit st
         | (0, cut, neg_area), prev ->
-            Option.iter (fun (_, loser) -> release pool loser) prev;
+            Option.iter (fun (_, loser) -> release kit loser) prev;
             best := Some ((cut, neg_area), st)
-        | _ -> release pool st)
+        | _ -> release kit st)
       attempts;
     Option.map snd !best
   end
 
-(* One run of the driver over the flat graph [g]. Each step's remainder
-   is carved out of the previous one ([Partition_state.carve]) into one
-   of two run-owned buffers, alternately, so a step never carves into
-   the buffer its own remainder lives in, and the buffers sized at step 0
-   serve every later step. *)
-let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
+(* One run of the driver over the flat graph [g], in [kit]. Each step's
+   remainder is carved out of the previous one ([Partition_state.carve])
+   into one of the kit's two buffers, alternately, so a step never carves
+   into the buffer its own remainder lives in. *)
+let run_once ~kit ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
   let obj = opts.objective in
-  let pool = ref [] in
-  let buffers = [| F.buffer (); F.buffer () |] in
+  let buffers = kit.buffers in
   let total = F.total_area g in
   let rec loop rest parts guard =
     if opts.should_stop () then Error cancelled
@@ -155,7 +161,7 @@ let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
                   (fun dev ->
                     let attempt =
                       Obs.span obs ("dev-" ^ dev.Fpga.Device.name) (fun () ->
-                          try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~pool
+                          try_device ~opts ~budget ~attempt_jobs ~rng ~obs ~kit
                             rest dev)
                     in
                     if Obs.enabled obs then Obs.incr obs "kway.device_attempts";
@@ -227,7 +233,7 @@ let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
                   [ ("step", Obs.Json.Int step) ];
               Error "no feasible split for the remainder"
           | (_, (dev, st, clbs, iobs, used)) :: losers ->
-              List.iter (fun (_, (_, st, _, _, _)) -> release pool st) losers;
+              List.iter (fun (_, (_, st, _, _, _)) -> release kit st) losers;
               if Obs.enabled obs then begin
                 Obs.incr obs "kway.splits";
                 Obs.observe obs "kway.split_cut" (Partition_state.cut st);
@@ -252,7 +258,7 @@ let run_once ~library ~opts ~budget ~attempt_jobs ~rng ~obs g =
               in
               let next = buffers.(guard land 1) in
               Partition_state.carve st Partition_state.B ~into:next;
-              release pool st;
+              release kit st;
               loop next (part :: parts) (guard + 1))
     end
   in
@@ -267,8 +273,9 @@ let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg g r =
   let rng = Netlist.Rng.create (options.seed + (r * 7919)) in
   let outcome =
     Obs.span child (Printf.sprintf "run%d" r) (fun () ->
-        run_once ~library ~opts:options ~budget ~attempt_jobs ~rng ~obs:child
-          g)
+        Parallel.Slot.use run_kit (fun kit ->
+            run_once ~kit ~library ~opts:options ~budget ~attempt_jobs ~rng
+              ~obs:child g))
   in
   if Obs.enabled child then Obs.incr child "kway.runs";
   match outcome with
@@ -297,11 +304,8 @@ let run_trial ~library ~options ~budget ~attempt_jobs ~obs hg g r =
       end;
       (child, Some (parts, summary))
 
-let flat_partition ~budget ~obs ~options ~library hg =
-  let since = clock () in
-  (* The runs and the winner's refinement share one flat form of [hg],
-     read-only. *)
-  let g = F.of_hypergraph hg in
+(* [flat_partition] over [g], the flat form of [hg]. *)
+let partition_root ~since ~budget ~obs ~options ~library hg g =
   let jobs = max 1 options.jobs in
   (* Spare parallelism flows down to the per-split restarts only when the
      run level cannot use it, so the domain count stays ~[jobs]. *)
@@ -350,3 +354,10 @@ let flat_partition ~budget ~obs ~options ~library hg =
   in
   finish ~since ~should_stop:options.should_stop ~runs:options.runs
     ~feasible_runs:!feasible hg outcome
+
+let flat_partition ~budget ~obs ~options ~library hg =
+  let since = clock () in
+  (* The runs and the winner's refinement share one flat form of [hg],
+     read-only: the domain's root. *)
+  with_root hg (fun g ->
+      partition_root ~since ~budget ~obs ~options ~library hg g)

@@ -7,10 +7,16 @@
     candidate devices per step. The winner gets one round of
     {!Pairwise.refine}.
 
-    The runs and the refinement share one flat form of the hypergraph
-    ({!Hypergraph.Flat.of_hypergraph}), read-only; each run carves its
-    remainders into two buffers of its own, alternately
-    ({!Partition_state.carve}). *)
+    The runs and the refinement share one flat form of the hypergraph,
+    read-only: the executing domain's root ({!Kway_types.with_root}).
+    Each run works in the run kit of the domain it runs on
+    ({!Parallel.Slot}): a free list of retired F-M states, rebuilt in
+    place for each restart ({!Partition_state.reuse}), and two buffers
+    its remainders are carved into, alternately
+    ({!Partition_state.carve}). The kit outlives the run and the job, so
+    a domain running many jobs sizes it once, for the largest graph it
+    has run; restarts on the pool's domains take their states from the
+    run's kit. *)
 
 val flat_partition :
   budget:Kway_types.budget ->

@@ -181,12 +181,13 @@ let multilevel_run ~obs ~(options : options) ~library hg =
                           (* Replication, once: the flat driver's pairwise
                              F-M over the finest boundary, as a warm start
                              refines. *)
-                          Pairwise.refine ~opts:options
-                            ~passes:flat_budget.passes ~rounds:level_sweeps ~obs
-                            ~dirty:(Hypergraph.boundary fine ~labels)
-                            (Hypergraph.Flat.of_hypergraph fine)
-                            library
-                            (Tally.parts t ~labels ~iobs ~devices))
+                          with_root fine (fun g ->
+                              Pairwise.refine ~opts:options
+                                ~passes:flat_budget.passes
+                                ~rounds:level_sweeps ~obs
+                                ~dirty:(Hypergraph.boundary fine ~labels)
+                                g library
+                                (Tally.parts t ~labels ~iobs ~devices)))
                 in
                 if Obs.enabled obs then
                   Obs.event obs "ml.refine"

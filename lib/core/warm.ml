@@ -60,6 +60,7 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
   else if Array.exists (fun l -> l >= k) warm.w_labels then
     err "Kway.warm_start: label out of range (only %d devices)" k
   else begin
+    let library = undominated ~obs options.objective library in
     let labels = Array.copy warm.w_labels in
     let dirty = Array.copy warm.w_dirty in
     let windows =
@@ -72,10 +73,9 @@ let warm_start ?(obs = Obs.noop) ?(options = Options.default) ~library ~warm hg
       Result.map
         (fun parts ->
           Obs.span obs "warm" (fun () ->
-              Pairwise.refine ~opts:options ~passes:flat_budget.passes
-                ~rounds:1 ~obs ~dirty
-                (Hypergraph.Flat.of_hypergraph hg)
-                library parts))
+              with_root hg (fun g ->
+                  Pairwise.refine ~opts:options ~passes:flat_budget.passes
+                    ~rounds:1 ~obs ~dirty g library parts)))
         (Tally.materialise ~caller:"Kway.warm_start" ~options ~library ~labels
            ~devices:warm.w_devices t)
     in

@@ -94,5 +94,41 @@ let fits ?relax_low t dev ~demand ~iobs =
 let cheapest ?relax_low t library ~demand ~iobs =
   Library.cheapest library (fun d -> fits ?relax_low t d ~demand ~iobs)
 
+(* [a]'s window contains [b]'s on every axis the objective constrains
+   and on terminals, at a price no higher. *)
+let dominates t (a : Device.t) (b : Device.t) =
+  a.Device.price <= b.Device.price
+  &&
+  let wa = window t a and wb = window t b in
+  let rec within x =
+    x >= wa.axes
+    || (wa.lo.(x) <= wb.lo.(x) && wb.hi.(x) <= wa.hi.(x) && within (x + 1))
+  in
+  wb.max_iobs <= wa.max_iobs && within 0
+
+let undominated t library =
+  let devices = Library.devices library in
+  let dropped_by (b : Device.t) =
+    List.find_opt
+      (fun (a : Device.t) ->
+        a.Device.name <> b.Device.name
+        && dominates t a b
+        && ((not (dominates t b a)) || a.Device.name < b.Device.name))
+      devices
+  in
+  let dropped =
+    List.filter_map
+      (fun b -> Option.map (fun a -> (b, a)) (dropped_by b))
+      devices
+  in
+  if dropped = [] then (library, [])
+  else
+    ( Library.make
+        (List.filter
+           (fun (d : Device.t) ->
+             not (List.exists (fun ((b : Device.t), _) -> b == d) dropped))
+           devices),
+      dropped )
+
 let total_cost t ~device_cost ~cut_nets =
   device_cost +. (t.net_price *. float_of_int cut_nets)

@@ -129,6 +129,19 @@ val cheapest :
 (** The cheapest library device that {!fits} the partition
     ({!Library.cheapest}: ties by capacity, then name). *)
 
+val undominated : t -> Library.t -> Library.t * (Device.t * Device.t) list
+(** The library less every device another one dominates, and each
+    dropped device with the first library device (in capacity order)
+    that dominates it. Device [a] dominates device [b] when [a]'s price
+    is no higher and [a]'s {!window} contains [b]'s: every constrained
+    axis's [[lo, hi]] and the terminal budget. A part that fits [b] then
+    fits [a] for no more, so eq. (1) never needs [b], while a search that
+    tries [b] spends restarts (and random draws) on it. Of devices with
+    equal prices and windows the smallest name stays. A library with no
+    dominated device comes back as it is (XC3000, XC4000 and
+    [bench/scale_devices.json] have none: their prices and lower CLB
+    bounds both rise with capacity). *)
+
 val total_cost : t -> device_cost:float -> cut_nets:int -> float
 (** [device_cost +. t.net_price *. float cut_nets] — the scalar a k-way
     solution is ranked by. *)

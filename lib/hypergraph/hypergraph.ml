@@ -305,7 +305,7 @@ type hypergraph = t
 
 module Flat = struct
   type t = {
-    frozen : bool;
+    mutable frozen : bool;
     mutable num_cells : int;
     mutable num_nets : int;
     mutable max_degree : int;
@@ -343,80 +343,6 @@ module Flat = struct
     done;
     !lo
 
-  let of_hypergraph (h : hypergraph) =
-    let n = num_cells h in
-    let cell_off = Array.make (n + 1) 0 in
-    let sup_off = Array.make (n + 1) 0 in
-    for c = 0 to n - 1 do
-      let cell = h.cells.(c) in
-      cell_off.(c + 1) <- cell_off.(c) + Array.length cell.full_nets;
-      sup_off.(c + 1) <- sup_off.(c) + Array.length cell.outputs
-    done;
-    let incs = cell_off.(n) in
-    let inc_net = Array.make incs 0 in
-    let inc_in = Array.make incs Bitvec.empty in
-    let inc_out = Array.make incs Bitvec.empty in
-    let supports = Array.make sup_off.(n) Bitvec.empty in
-    let demand = Array.make (n * demand_arity) 0 in
-    for c = 0 to n - 1 do
-      let cell = h.cells.(c) in
-      let off = cell_off.(c) and len = Array.length cell.full_nets in
-      Array.blit cell.full_nets 0 inc_net off len;
-      Array.iteri
-        (fun p net ->
-          let k = net_index inc_net off len net in
-          inc_in.(k) <- Bitvec.add p inc_in.(k))
-        cell.inputs;
-      Array.iteri
-        (fun o net ->
-          let k = net_index inc_net off len net in
-          inc_out.(k) <- Bitvec.add o inc_out.(k))
-        cell.outputs;
-      Array.blit cell.supports 0 supports sup_off.(c)
-        (Array.length cell.supports);
-      Array.blit cell.demand 0 demand (c * demand_arity)
-        (Array.length cell.demand)
-    done;
-    let nets = h.num_nets in
-    let net_off = Array.make (nets + 1) 0 in
-    for i = 0 to nets - 1 do
-      net_off.(i + 1) <- net_off.(i) + Array.length h.net_cells.(i)
-    done;
-    let net_cell = Array.make net_off.(nets) 0 in
-    for i = 0 to nets - 1 do
-      Array.blit h.net_cells.(i) 0 net_cell net_off.(i)
-        (Array.length h.net_cells.(i))
-    done;
-    {
-      frozen = true;
-      num_cells = n;
-      num_nets = nets;
-      max_degree = max_cell_degree h;
-      cell_off;
-      inc_net;
-      inc_in;
-      inc_out;
-      outputs = Array.map (fun (c : cell) -> Array.length c.outputs) h.cells;
-      inputs = Array.map (fun (c : cell) -> Array.length c.inputs) h.cells;
-      sup_off;
-      supports;
-      area = Array.map (fun (c : cell) -> c.area) h.cells;
-      demand;
-      net_off;
-      net_cell;
-      net_external = h.net_external;
-      origin_cell = Array.init n Fun.id;
-      origin_mask =
-        Array.map
-          (fun (c : cell) -> Bitvec.full (Array.length c.outputs))
-          h.cells;
-      staged = 0;
-      spec_cell = [||];
-      spec_mask = [||];
-      net_map = [||];
-      kept = [||];
-    }
-
   let buffer () =
     {
       frozen = false;
@@ -445,6 +371,87 @@ module Flat = struct
       kept = [||];
     }
 
+  (* An array of at least [len] slots: [a] itself when it is long
+     enough, else a fresh one of at least twice its length, so a buffer
+     carved into many growing graphs allocates O(log) times. *)
+  let grow a len fill =
+    if Array.length a >= len then a
+    else Array.make (max len (2 * Array.length a)) fill
+
+  let load b (h : hypergraph) =
+    let n = num_cells h and nets = h.num_nets in
+    b.frozen <- true;
+    b.staged <- 0;
+    b.cell_off <- grow b.cell_off (n + 1) 0;
+    b.sup_off <- grow b.sup_off (n + 1) 0;
+    let cell_off = b.cell_off and sup_off = b.sup_off in
+    cell_off.(0) <- 0;
+    sup_off.(0) <- 0;
+    for c = 0 to n - 1 do
+      let cell = h.cells.(c) in
+      cell_off.(c + 1) <- cell_off.(c) + Array.length cell.full_nets;
+      sup_off.(c + 1) <- sup_off.(c) + Array.length cell.outputs
+    done;
+    let incs = cell_off.(n) in
+    b.inc_net <- grow b.inc_net incs 0;
+    b.inc_in <- grow b.inc_in incs Bitvec.empty;
+    b.inc_out <- grow b.inc_out incs Bitvec.empty;
+    b.supports <- grow b.supports sup_off.(n) Bitvec.empty;
+    b.demand <- grow b.demand (n * demand_arity) 0;
+    b.outputs <- grow b.outputs n 0;
+    b.inputs <- grow b.inputs n 0;
+    b.area <- grow b.area n 0;
+    b.origin_cell <- grow b.origin_cell n 0;
+    b.origin_mask <- grow b.origin_mask n Bitvec.empty;
+    let inc_net = b.inc_net and inc_in = b.inc_in and inc_out = b.inc_out in
+    (* The pin masks accumulate and a short demand vector is
+       zero-extended, so both start cleared on the live prefix. *)
+    Array.fill inc_in 0 incs Bitvec.empty;
+    Array.fill inc_out 0 incs Bitvec.empty;
+    Array.fill b.demand 0 (n * demand_arity) 0;
+    for c = 0 to n - 1 do
+      let cell = h.cells.(c) in
+      let off = cell_off.(c) and len = Array.length cell.full_nets in
+      Array.blit cell.full_nets 0 inc_net off len;
+      for p = 0 to Array.length cell.inputs - 1 do
+        let k = net_index inc_net off len cell.inputs.(p) in
+        inc_in.(k) <- Bitvec.add p inc_in.(k)
+      done;
+      for o = 0 to Array.length cell.outputs - 1 do
+        let k = net_index inc_net off len cell.outputs.(o) in
+        inc_out.(k) <- Bitvec.add o inc_out.(k)
+      done;
+      Array.blit cell.supports 0 b.supports sup_off.(c)
+        (Array.length cell.supports);
+      Array.blit cell.demand 0 b.demand (c * demand_arity)
+        (Array.length cell.demand);
+      b.outputs.(c) <- Array.length cell.outputs;
+      b.inputs.(c) <- Array.length cell.inputs;
+      b.area.(c) <- cell.area;
+      b.origin_cell.(c) <- c;
+      b.origin_mask.(c) <- Bitvec.full (Array.length cell.outputs)
+    done;
+    b.net_off <- grow b.net_off (nets + 1) 0;
+    let net_off = b.net_off in
+    net_off.(0) <- 0;
+    for i = 0 to nets - 1 do
+      net_off.(i + 1) <- net_off.(i) + Array.length h.net_cells.(i)
+    done;
+    b.net_cell <- grow b.net_cell net_off.(nets) 0;
+    for i = 0 to nets - 1 do
+      Array.blit h.net_cells.(i) 0 b.net_cell net_off.(i)
+        (Array.length h.net_cells.(i))
+    done;
+    b.net_external <- h.net_external;
+    b.num_cells <- n;
+    b.num_nets <- nets;
+    b.max_degree <- max_cell_degree h
+
+  let of_hypergraph h =
+    let b = buffer () in
+    load b h;
+    b
+
   let num_cells g = g.num_cells
   let num_nets g = g.num_nets
 
@@ -472,13 +479,6 @@ module Flat = struct
       incr s
     done;
     !acc
-
-  (* An array of at least [len] slots: [a] itself when it is long
-     enough, else a fresh one of at least twice its length, so a buffer
-     carved into many growing graphs allocates O(log) times. *)
-  let grow a len fill =
-    if Array.length a >= len then a
-    else Array.make (max len (2 * Array.length a)) fill
 
   (* [grow] keeping the first [keep] slots. *)
   let grow_keep a len keep fill =

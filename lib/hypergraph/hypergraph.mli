@@ -121,15 +121,17 @@ type hypergraph = t
 
 (** The bipartition engine's graph: one CSR (compressed sparse row)
     incidence in flat arrays, the form {!Partition_state}, F-M, the k-way
-    split and the pair refiner read. It is built once from a {!t} by
-    {!Flat.of_hypergraph}; every graph the split and the refiner derive
+    split and the pair refiner read. It is loaded once per job from a
+    {!t} by {!Flat.load}, into a root buffer the executing domain keeps
+    between jobs; every graph the split and the refiner derive
     from it (a remainder after a device is carved off, the union of two
     parts) is {e carved} flat-to-flat into a buffer the caller owns and
     recycles, with no per-cell record, list or hash table. *)
 module Flat : sig
   type t = private {
-    frozen : bool;
-        (** built by {!of_hypergraph}: read-only, never a carve target *)
+    mutable frozen : bool;
+        (** loaded by {!load}: read-only, never a carve target (only a
+            further {!load} writes it) *)
     mutable num_cells : int;  (** live cells *)
     mutable num_nets : int;   (** live nets *)
     mutable max_degree : int;
@@ -169,7 +171,7 @@ module Flat : sig
     mutable origin_cell : int array;
     mutable origin_mask : Bitvec.t array;
         (** cell [c] is the copy of cell [origin_cell.(c)] of the
-            {!of_hypergraph} graph it descends from, carrying that
+            root ({!load}) it descends from, carrying that
             cell's outputs [origin_mask.(c)] *)
     mutable staged : int;
     mutable spec_cell : int array;
@@ -183,11 +185,25 @@ module Flat : sig
       arrays keep the length of the largest graph carved into it, so a
       stale tail may follow the live prefix. *)
 
+  val load : t -> hypergraph -> unit
+  (** [load b h] replaces the graph of [b] by the flat form of [h] and
+      freezes [b]: cells, nets and each cell's nets in the hypergraph's
+      order, every cell its own whole origin. It equals the flat form a
+      fresh buffer would hold on the live prefix (the stale tail of a
+      larger earlier graph is never read), and it shares [net_external]
+      with [h] rather than copying it. A load allocates nothing but
+      [b]'s arrays, which grow (at least doubling) only when a graph is
+      larger than every earlier one.
+
+      Lifetime: the loaded graph is valid until [b]'s next load. A
+      frozen [b] refuses {!stage} and {!carve} into it, so between loads
+      it is read-only and domains may read it concurrently; the next
+      load may come only once no state over the graph is still in use.
+      A loaded buffer stays frozen: it is a job's root, kept for the next
+      job's load, never a carve target. *)
+
   val of_hypergraph : hypergraph -> t
-  (** The flat form of a hypergraph, frozen: cells, nets and each cell's
-      nets in the hypergraph's order, every cell its own whole origin. It
-      shares [net_external] with the hypergraph. Domains may read one
-      concurrently. *)
+  (** [load] into a fresh buffer: a flat form owned by the caller. *)
 
   val buffer : unit -> t
   (** An empty carve target, holding the empty graph. *)

@@ -2285,16 +2285,18 @@ let test_kway_objectives () =
    recycled flat buffers, array-built split and refinement bookkeeping.
    s15850 allocated 1.16 Mw and s38584 8.07 when every restart built
    fresh states; 0.71 and 4.30 with the free list, when every remainder
-   and pair union was a fresh graph of records; about 0.31 and 0.76 with
-   the carves. *)
+   and pair union was a fresh graph of records; 0.31 and 0.76 with the
+   carves; about 0.30 and 0.72 with the root loaded in place. *)
+let suite_hypergraph name =
+  Lazy.force
+    (Option.get (Experiments.Suite.find name)).Experiments.Suite.hypergraph
+
+let paper_job_options =
+  Kway.Options.make ~runs:1 ~seed:100 ~replication:(`Functional 1) ()
+
 let kway_allocation name bound () =
-  let h =
-    Lazy.force
-      (Option.get (Experiments.Suite.find name)).Experiments.Suite.hypergraph
-  in
-  let options =
-    Kway.Options.make ~runs:1 ~seed:100 ~replication:(`Functional 1) ()
-  in
+  let h = suite_hypergraph name in
+  let options = paper_job_options in
   let words, ok =
     on_fresh_domain (fun () ->
         let ok = ref false in
@@ -2310,6 +2312,185 @@ let kway_allocation name bound () =
   if words > bound then
     Alcotest.failf "Kway.partition of %s allocated %.2f Mw (bound %.1f)" name
       (words /. 1e6) (bound /. 1e6)
+
+(* A warm paper-suite job: the second [Kway.partition] of s38584 on a
+   domain finds the domain's kits (the flat root, the run kit's states
+   and remainder buffers, the refine kit's state, union and masks) sized
+   by the first, so it fills no graph-sized array: about 0.28 Mw, against
+   0.73 when every job built its own. *)
+let test_kway_warm_allocation () =
+  let h = suite_hypergraph "s38584" in
+  let partition () =
+    Kway.partition ~options:paper_job_options ~library:Fpga.Library.xc3000 h
+  in
+  let words, ok =
+    on_fresh_domain (fun () ->
+        ignore (partition ());
+        let ok = ref false in
+        let words =
+          Test_util.words_during (fun () ->
+              ok := Result.is_ok (partition ()))
+        in
+        (words, !ok))
+  in
+  checkb "s38584 partitions" true ok;
+  if words > 0.4e6 then
+    Alcotest.failf
+      "a warm Kway.partition of s38584 allocated %.2f Mw (bound 0.4)"
+      (words /. 1e6)
+
+(* A job's result does not depend on what the domain ran before it: the
+   kits keep only buffers that each job overwrites on its live prefix.
+   One domain runs a sequence whose graphs shrink and grow and whose
+   kinds change (flat with replication, a one-device fit, a multilevel
+   V-cycle with its replication round, a warm start, the first job
+   again); each result must equal the same job run on a fresh domain, at
+   [jobs] 1 and 3 (restarts on spawned domains, states from the calling
+   domain's kit). *)
+let test_kits_between_jobs () =
+  let library = Fpga.Library.xc3000 in
+  let view = function
+    | Error e -> Error e
+    | Ok (r : Kway.result) ->
+        Ok
+          ( List.map
+              (fun (p : Kway.part) ->
+                ( p.Kway.device.Fpga.Device.name,
+                  p.Kway.members,
+                  p.Kway.clbs,
+                  p.Kway.iobs,
+                  p.Kway.used ))
+              r.Kway.parts,
+            r.Kway.summary )
+  in
+  let s38584 = suite_hypergraph "s38584"
+  and c1355 = suite_hypergraph "c1355"
+  and s9234 = suite_hypergraph "s9234" in
+  (* The warm start: s13207's partition projected onto a 1 % edit. *)
+  let s13207 = suite_hypergraph "s13207" in
+  let c = Lazy.force (Option.get (Experiments.Suite.find "s13207")).circuit in
+  let edited =
+    match
+      Netlist.Delta.apply c (Netlist.Delta.random ~seed:3 ~frac:0.01 c)
+    with
+    | Ok e -> mapped_hypergraph e
+    | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
+  in
+  let base = Kway.Options.make ~runs:1 ~seed:1 () in
+  let warm =
+    match
+      on_fresh_domain (fun () -> Kway.partition ~options:base ~library s13207)
+    with
+    | Ok r ->
+        fst (Kway.project_warm ~base:s13207 ~base_parts:r.Kway.parts edited)
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun jobs ->
+      let o = Kway.Options.make ~base:paper_job_options ~jobs () in
+      let flat = Kway.Options.make ~base:o ~replication:`None () in
+      let ml =
+        Kway.Options.make ~base:o
+          ~strategy:(Kway.Multilevel Kway.Options.default_multilevel) ()
+      in
+      let sequence =
+        [
+          ("s38584", fun () -> Kway.partition ~options:o ~library s38584);
+          ("c1355", fun () -> Kway.partition ~options:flat ~library c1355);
+          ( "s9234 multilevel",
+            fun () -> Kway.partition ~options:ml ~library s9234 );
+          ( "warm start",
+            fun () -> Kway.warm_start ~options:o ~library ~warm edited );
+          ( "s38584 again",
+            fun () -> Kway.partition ~options:o ~library s38584 );
+        ]
+      in
+      let warm_kits =
+        on_fresh_domain (fun () ->
+            List.map (fun (_, job) -> view (job ())) sequence)
+      in
+      List.iter2
+        (fun (name, job) got ->
+          let cold = on_fresh_domain (fun () -> view (job ())) in
+          checkb
+            (Printf.sprintf "%s at jobs %d = fresh domain" name jobs)
+            true (got = cold);
+          match cold with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: %s" name e)
+        sequence warm_kits)
+    [ 1; 3 ]
+
+(* Dominance pruning: D100X has D100's window at a higher price, so
+   eq. (1) never needs it; with it pruned, adding it to the library
+   leaves the result as it was (unpruned, s13207 moved from $1,100 in 5
+   parts to $1,170 in 6), and the drop is one event. The built-in
+   libraries and the scale ladder have no dominated device. *)
+let test_dominated_device () =
+  let dev name capacity terminals price util_low =
+    Fpga.Device.make ~name ~capacity ~terminals ~price ~util_low
+      ~util_high:0.95 ()
+  in
+  let d100 = dev "D100" 100 80 100.0 0.3
+  and d224 = dev "D224" 224 120 190.0 0.5
+  and d400 = dev "D400" 400 160 310.0 0.5 in
+  let base = Fpga.Library.make [ d100; d224; d400 ] in
+  let padded =
+    Fpga.Library.make [ d100; dev "D100X" 100 80 150.0 0.3; d224; d400 ]
+  in
+  let h = suite_hypergraph "s13207" in
+  let options = Kway.Options.make ~seed:4 ~replication:(`Functional 1) () in
+  let run library =
+    let obs = Obs.create () in
+    match Kway.partition ~obs ~options ~library h with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+        let dropped =
+          List.filter
+            (fun (e : Obs.Snapshot.event) ->
+              e.Obs.Snapshot.name = "kway.dominated_device")
+            (Obs.snapshot obs).Obs.Snapshot.events
+        in
+        ( List.map
+            (fun (p : Kway.part) ->
+              (p.Kway.device.Fpga.Device.name, p.Kway.members, p.Kway.clbs))
+            r.Kway.parts,
+          r.Kway.summary,
+          List.length dropped )
+  in
+  let parts, summary, none = run base in
+  let parts', summary', one = run padded in
+  checki "no drop without D100X" 0 none;
+  checki "D100X dropped once" 1 one;
+  checkb "parts unchanged" true (parts = parts');
+  checkb "summary unchanged" true (summary = summary');
+  List.iter
+    (fun (name, library) ->
+      List.iter
+        (fun objective ->
+          checki
+            (Printf.sprintf "%s has no dominated device under %s" name
+               objective.Fpga.Objective.name)
+            0
+            (List.length (snd (Fpga.Objective.undominated objective library))))
+        Fpga.Objective.builtins)
+    [
+      ("XC3000", Fpga.Library.xc3000);
+      ("XC4000", Fpga.Library.xc4000);
+      ("scale ladder", scale_library);
+    ];
+  let exact =
+    Fpga.Library.make [ dev "B" 100 80 100.0 0.3; dev "A" 100 80 100.0 0.3 ]
+  in
+  match Fpga.Objective.undominated Fpga.Objective.paper exact with
+  | kept, [ (dropped, by) ] ->
+      Alcotest.(check (list string))
+        "exact tie keeps the smaller name" [ "A" ]
+        (List.map (fun d -> d.Fpga.Device.name) (Fpga.Library.devices kept));
+      Alcotest.(check (pair string string))
+        "dropped by" ("B", "A")
+        (dropped.Fpga.Device.name, by.Fpga.Device.name)
+  | _ -> Alcotest.fail "an exact tie drops exactly one device"
 
 (* Restarts on the domain pool: with one run and [jobs] 3, the spare
    domains go to each split's F-M restarts ([attempt_jobs] 3), a path the
@@ -3019,6 +3200,12 @@ let () =
             (kway_allocation "s38584" 1.2e6);
           Alcotest.test_case "restarts on 3 domains" `Quick
             test_kway_parallel_restarts;
+          Alcotest.test_case "warm allocation (s38584)" `Quick
+            test_kway_warm_allocation;
+          Alcotest.test_case "kits carry no state between jobs" `Quick
+            test_kits_between_jobs;
+          Alcotest.test_case "dominated device pruned" `Quick
+            test_dominated_device;
         ] );
       ( "telemetry",
         [

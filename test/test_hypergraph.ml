@@ -489,7 +489,45 @@ let test_induce_copies_bad_specs () =
     (raised (fun () -> carve g [ (0, 0b1) ] ~into:g));
   let root = flat h in
   check Alcotest.string "frozen" "Hypergraph.Flat.stage: not a buffer"
-    (raised (fun () -> carve g [ (0, 0b1) ] ~into:root))
+    (raised (fun () -> carve g [ (0, 0b1) ] ~into:root));
+  (* A carve target loaded with a root is read-only from then on. *)
+  Flat.load g h;
+  check Alcotest.string "loaded: stage" "Hypergraph.Flat.stage: not a buffer"
+    (raised (fun () -> Flat.stage g ~cell:0 0b1));
+  check Alcotest.string "loaded: carve" "Hypergraph.Flat.carve: not a buffer"
+    (raised (fun () -> Flat.carve root ~into:g))
+
+(* A root is loaded into the buffer an earlier, often larger, graph left
+   behind: its live prefix and origins must equal a fresh load's,
+   whatever the stale tail holds (pin masks accumulate, and a short
+   demand vector is zero-extended, so a load that skipped clearing either
+   would show here), and a load into a buffer large enough allocates
+   nothing. *)
+let test_load_into_used_buffer () =
+  let suite name =
+    Lazy.force
+      (Option.get (Experiments.Suite.find name)).Experiments.Suite.hypergraph
+  in
+  let buf = Flat.buffer () in
+  List.iter
+    (fun name ->
+      let h = suite name in
+      Flat.load buf h;
+      let fresh = flat h in
+      let origins (g : Flat.t) =
+        List.init g.Flat.num_cells (fun c ->
+            (g.Flat.origin_cell.(c), g.Flat.origin_mask.(c)))
+      in
+      checkb (name ^ ": live prefix") true (live buf = live fresh);
+      checkb (name ^ ": origins") true (origins buf = origins fresh);
+      checkb (name ^ ": frozen") true buf.Flat.frozen)
+    [ "s38584"; "c1355"; "s9234"; "c6288"; "s38584"; "c1355" ];
+  (* A buffer sized by an earlier graph loads the next one in place. *)
+  let s38584 = suite "s38584" in
+  let words = Test_util.words_during (fun () -> Flat.load buf s38584) in
+  if words > 100.0 then
+    Alcotest.failf "a warm load of s38584 allocated %.0f words (bound 100)"
+      words
 
 (* The split driver carves each remainder into a buffer sized by an
    earlier, larger graph: once warm, a carve writes into the buffer's
@@ -971,6 +1009,8 @@ let () =
             test_hypergraph_induce_partial_copy;
           qc qcheck_connected_nets_reference;
           qc qcheck_induce_copies_reference;
+          Alcotest.test_case "load into a used buffer" `Quick
+            test_load_into_used_buffer;
           Alcotest.test_case "induce_copies bad specs" `Quick
             test_induce_copies_bad_specs;
           Alcotest.test_case "induce_copies allocation" `Quick

@@ -249,6 +249,54 @@ let test_suite_deltas_canonical () =
         (applied_is_canonical c (Netlist.Delta.random ~seed:1 ~frac:0.01 c)))
     (Experiments.Suite.all ())
 
+(* The identity case of the resubmit path, at library level because
+   the daemon answers an empty delta from its cache without remapping:
+   each circuit canonicalised and partitioned (seed 1, default options),
+   then an empty delta applied, the result remapped, and the base labels
+   projected onto it. Every cell must match, none be dirty, and no net
+   change. *)
+let test_unedited_remap_projects_clean () =
+  List.iter
+    (fun name ->
+      let c =
+        Service.Digest.canonical_circuit
+          (Lazy.force (Option.get (Experiments.Suite.find name)).circuit)
+      in
+      let map c = Techmap.Mapper.to_hypergraph (Techmap.Mapper.map c) in
+      let base = map c in
+      let options =
+        Core.Kway.Options.make ~seed:1 ~jobs:(Parallel.Pool.jobs_from_env ())
+          ()
+      in
+      let parts =
+        match
+          Core.Kway.partition ~options ~library:Fpga.Library.xc3000 base
+        with
+        | Ok r -> r.Core.Kway.parts
+        | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      in
+      let base_labels = Array.make (Hypergraph.num_cells base) (-1) in
+      List.iteri
+        (fun j (p : Core.Kway.part) ->
+          List.iter (fun (cell, _) -> base_labels.(cell) <- j) p.members)
+        parts;
+      let edited =
+        match Netlist.Delta.apply c [] with
+        | Ok e -> map e
+        | Error e -> Alcotest.fail (Netlist.Delta.error_to_string e)
+      in
+      let proj = Projection.project ~base ~base_labels edited in
+      let n = Hypergraph.num_cells base in
+      let dirty =
+        Array.fold_left (fun a d -> if d then a + 1 else a) 0 proj.dirty
+      in
+      checki (name ^ ": edited cells") n (Hypergraph.num_cells edited);
+      checki (name ^ ": dirty cells") 0 dirty;
+      checki (name ^ ": matched cells") n proj.matched;
+      checki (name ^ ": changed nets") 0 proj.changed_nets;
+      checkb (name ^ ": labels kept") true (proj.labels = base_labels))
+    [ "c1355"; "s9234"; "s38584" ]
+
 (* The reference read 0.583 Mw on s38584. *)
 let test_canonical_allocation () =
   let c =
@@ -1524,6 +1572,8 @@ let () =
             test_suite_deltas_canonical;
           Alcotest.test_case "canonical allocation (s38584)" `Quick
             test_canonical_allocation;
+          Alcotest.test_case "unedited remap projects clean" `Quick
+            test_unedited_remap_projects_clean;
         ] );
       ( "options codec",
         [

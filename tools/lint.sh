@@ -266,29 +266,47 @@ if grep -q 'Array\.of_list' lib/netlist/circuit.ml; then
   status=1
 fi
 
-# One state pool: the split driver and the pair refiner take their F-M
-# states from a run-local free list and rebuild a retired one in place
-# (Partition_state.reuse) instead of building one per restart. So in
-# lib/core a state is built fresh only in the acquire function of those
-# free lists (split.ml, pairwise.ml), and in Fm.random_flat_state, the
-# one-shot start of the bipartition entry points (Fm.random_state and
-# Fm.multi_start). Each line is tagged with the top-level binding it sits
-# in.
+# One kit per domain: the engine's graph-sized buffers live in kits the
+# executing domain keeps between jobs (Parallel.Slot): the job's flat
+# root (Kway_types.root_kit), the split driver's run kit (its free list
+# of retired F-M states and its two remainder buffers) and the pair
+# refiner's kit (its state and its union buffer). A retired state is
+# rebuilt in place (Partition_state.reuse). So in lib/core a state, a
+# carve buffer or a flat form is built only in a kit's binding (split.ml
+# run_kit and acquire, pairwise.ml refine_kit and acquire, kway_types.ml
+# root_kit), and in Fm.random_flat_state, the one-shot start of the
+# bipartition entry points (Fm.random_state and Fm.multi_start), whose
+# states outlive the call. Each line is tagged with the top-level binding
+# it sits in.
 for f in $(git ls-files 'lib/core/*.ml'); do
   fns=$(awk 'BEGIN { name = "(top)" }
     /^(let|and) / { name = ($2 == "rec") ? $3 : $2 }
-    /Partition_state\.create/ { print name }' "$f" | sort -u)
+    /Partition_state\.create|(^|[^A-Za-z0-9_])(Flat|F)\.(buffer|of_hypergraph)([^A-Za-z0-9_]|$)/ {
+      print name }' "$f" | sort -u)
   for fn in $fns; do
     case "$f:$fn" in
-      lib/core/split.ml:acquire | lib/core/pairwise.ml:acquire) ;;
+      lib/core/split.ml:run_kit | lib/core/split.ml:acquire) ;;
+      lib/core/pairwise.ml:refine_kit | lib/core/pairwise.ml:acquire) ;;
+      lib/core/kway_types.ml:root_kit) ;;
       lib/core/fm.ml:random_flat_state) ;;
       *)
-        echo "lint: Partition_state.create in $fn of $f" \
-          "(take the state from the free list's acquire)" >&2
+        echo "lint: state, buffer or flat form built in $fn of $f" \
+          "(take it from the domain's kit)" >&2
         status=1
         ;;
     esac
   done
+done
+# The kits' one home is Parallel.Slot: no other program code keeps a
+# domain-local value.
+for f in $(git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bench/*.ml' \
+  'examples/*.ml' 'tools/*.ml'); do
+  case "$f" in lib/parallel/*) continue ;; esac
+  if grep -q 'Domain\.DLS' "$f"; then
+    echo "lint: Domain.DLS in $f (keep a per-domain value in a" \
+      "Parallel.Slot)" >&2
+    status=1
+  fi
 done
 
 # One graph form for the bipartition engine: Partition_state, F-M, the
